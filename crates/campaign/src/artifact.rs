@@ -8,9 +8,9 @@
 //! the determinism test asserts, and which makes artifacts diffable
 //! across machines).
 
+use crate::axis::AXES;
 use crate::json::Json;
 use crate::matrix::{Coord, RunPlan};
-use crate::spec::{discipline_name, parse_discipline, strategy_static, KernelChoice};
 use clocksync::scenario::ScenarioKind;
 use clocksync::{RunCounters, RunResult};
 use tsn_metrics::{ExperimentEvent, SampleSummary};
@@ -42,16 +42,8 @@ use tsn_time::SyncState;
 /// frontier axes (`adv_offset_ns`, `fta_f`).
 ///
 /// 7: coordinates gained the fleet axes (`fleet_nodes`,
-/// `fleet_topology`). Unlike earlier bumps this one is
-/// *decode-compatible*: schema-6 records (which cannot carry fleet
-/// axes) still decode, with both fleet fields `None`, so committed
-/// fixtures and long-lived campaign directories keep resuming without
-/// re-execution. New records are always written as schema 7.
+/// `fleet_topology`).
 pub const ARTIFACT_SCHEMA: u64 = 7;
-
-/// Oldest schema [`RunRecord::decode`] still accepts (see the version
-/// history above).
-pub const ARTIFACT_SCHEMA_COMPAT: u64 = 6;
 
 /// One sync-state transition of one aggregator, as recorded in the run's
 /// event log (times are absolute simulation nanoseconds).
@@ -207,81 +199,20 @@ impl RunRecord {
     /// The record as a JSON document (the single source of truth for
     /// both encoders).
     fn to_json(&self) -> Json {
-        let coord = Json::object(vec![
+        // Scenario and seed, then one key per axis of the table: the
+        // value, or `null` when the axis is inactive.
+        let mut coord = vec![
             (
                 "scenario",
                 Json::Str(self.coord.scenario.name().to_string()),
             ),
             ("seed", Json::UInt(self.coord.seed)),
-            ("domains", opt_uint(self.coord.domains.map(|m| m as u64))),
-            ("sync_interval_ms", opt_uint(self.coord.sync_interval_ms)),
-            (
-                "kernel",
-                self.coord
-                    .kernel
-                    .map_or(Json::Null, |k| Json::Str(k.name().to_string())),
-            ),
-            (
-                "fault_rate_per_hour",
-                opt_uint(self.coord.fault_rate_per_hour.map(u64::from)),
-            ),
-            (
-                "discipline",
-                self.coord
-                    .discipline
-                    .map_or(Json::Null, |d| Json::Str(discipline_name(d).to_string())),
-            ),
-            (
-                "strategy",
-                self.coord
-                    .strategy
-                    .map_or(Json::Null, |s| Json::Str(s.to_string())),
-            ),
-            (
-                "compromised",
-                opt_uint(self.coord.compromised.map(|n| n as u64)),
-            ),
-            (
-                "loss_permille",
-                opt_uint(self.coord.loss_permille.map(u64::from)),
-            ),
-            ("partition_s", opt_uint(self.coord.partition_s)),
-            (
-                "election",
-                self.coord.election.map_or(Json::Null, Json::Bool),
-            ),
-            (
-                "announce_interval_ms",
-                opt_uint(self.coord.announce_interval_ms),
-            ),
-            ("gm_failure_at_s", opt_uint(self.coord.gm_failure_at_s)),
-            (
-                "rogue_master",
-                opt_uint(self.coord.rogue_master.map(|n| n as u64)),
-            ),
-            ("hops", opt_uint(self.coord.hops.map(u64::from))),
-            (
-                "cross_traffic_pct",
-                opt_uint(self.coord.cross_traffic_pct.map(u64::from)),
-            ),
-            ("asymmetry_ns", opt_uint(self.coord.asymmetry_ns)),
-            ("tc_mode", self.coord.tc_mode.map_or(Json::Null, Json::Bool)),
-            (
-                "topology",
-                self.coord
-                    .topology
-                    .map_or(Json::Null, |t| Json::Str(t.to_string())),
-            ),
-            ("adv_offset_ns", opt_uint(self.coord.adv_offset_ns)),
-            ("fta_f", opt_uint(self.coord.fta_f.map(|f| f as u64))),
-            ("fleet_nodes", opt_uint(self.coord.fleet_nodes.map(u64::from))),
-            (
-                "fleet_topology",
-                self.coord
-                    .fleet_topology
-                    .map_or(Json::Null, |t| Json::Str(t.to_string())),
-            ),
-        ]);
+        ];
+        coord.extend(
+            AXES.iter()
+                .map(|a| (a.coord_key, a.coord_to_json(&self.coord))),
+        );
+        let coord = Json::object(coord);
         let c = &self.counters;
         let counters = Json::object(vec![
             ("tx_timestamp_timeouts", Json::UInt(c.tx_timestamp_timeouts)),
@@ -371,56 +302,22 @@ impl RunRecord {
     pub fn decode(line: &str) -> Option<RunRecord> {
         let v = Json::parse(line.trim_end()).ok()?;
         let schema = v.get("schema")?.as_u64()?;
-        if !(ARTIFACT_SCHEMA_COMPAT..=ARTIFACT_SCHEMA).contains(&schema) {
+        if schema != ARTIFACT_SCHEMA {
             return None;
         }
         let coord_v = v.get("coord")?;
-        let coord = Coord {
-            scenario: ScenarioKind::parse(coord_v.get("scenario")?.as_str()?)?,
-            seed: coord_v.get("seed")?.as_u64()?,
-            domains: opt_field(coord_v, "domains", |x| x.as_u64().map(|m| m as usize))?,
-            sync_interval_ms: opt_field(coord_v, "sync_interval_ms", Json::as_u64)?,
-            kernel: opt_field(coord_v, "kernel", |x| {
-                x.as_str().and_then(KernelChoice::parse)
-            })?,
-            fault_rate_per_hour: opt_field(coord_v, "fault_rate_per_hour", |x| {
-                x.as_u64().and_then(|r| u32::try_from(r).ok())
-            })?,
-            discipline: opt_field(coord_v, "discipline", |x| {
-                x.as_str().and_then(parse_discipline)
-            })?,
-            strategy: opt_field(coord_v, "strategy", |x| {
-                x.as_str().and_then(strategy_static)
-            })?,
-            compromised: opt_field(coord_v, "compromised", |x| x.as_u64().map(|n| n as usize))?,
-            loss_permille: opt_field(coord_v, "loss_permille", |x| {
-                x.as_u64().and_then(|p| u32::try_from(p).ok())
-            })?,
-            partition_s: opt_field(coord_v, "partition_s", Json::as_u64)?,
-            election: opt_field(coord_v, "election", Json::as_bool)?,
-            announce_interval_ms: opt_field(coord_v, "announce_interval_ms", Json::as_u64)?,
-            gm_failure_at_s: opt_field(coord_v, "gm_failure_at_s", Json::as_u64)?,
-            rogue_master: opt_field(coord_v, "rogue_master", |x| x.as_u64().map(|n| n as usize))?,
-            hops: opt_field(coord_v, "hops", |x| {
-                x.as_u64().and_then(|h| u32::try_from(h).ok())
-            })?,
-            cross_traffic_pct: opt_field(coord_v, "cross_traffic_pct", |x| {
-                x.as_u64().and_then(|p| u32::try_from(p).ok())
-            })?,
-            asymmetry_ns: opt_field(coord_v, "asymmetry_ns", Json::as_u64)?,
-            tc_mode: opt_field(coord_v, "tc_mode", Json::as_bool)?,
-            topology: opt_field(coord_v, "topology", |x| {
-                x.as_str().and_then(crate::spec::topology_static)
-            })?,
-            adv_offset_ns: opt_field(coord_v, "adv_offset_ns", Json::as_u64)?,
-            fta_f: opt_field(coord_v, "fta_f", |x| x.as_u64().map(|f| f as usize))?,
-            fleet_nodes: compat_field(coord_v, "fleet_nodes", |x| {
-                x.as_u64().and_then(|n| u32::try_from(n).ok())
-            })?,
-            fleet_topology: compat_field(coord_v, "fleet_topology", |x| {
-                x.as_str().and_then(crate::spec::fleet_topology_static)
-            })?,
-        };
+        let mut coord = Coord::new(
+            ScenarioKind::parse(coord_v.get("scenario")?.as_str()?)?,
+            coord_v.get("seed")?.as_u64()?,
+        );
+        // One rule per axis key: present, and either `null` (inactive)
+        // or a value of the axis's kind.
+        for a in AXES {
+            match coord_v.get(a.coord_key)? {
+                Json::Null => {}
+                x => (a.coord_set)(&mut coord, a.value_from_json(x)?)?,
+            }
+        }
         let c = v.get("counters")?;
         let counters = RunCounters {
             tx_timestamp_timeouts: c.get("tx_timestamp_timeouts")?.as_u64()?,
@@ -519,29 +416,6 @@ impl RunRecord {
     }
 }
 
-fn opt_uint(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::UInt)
-}
-
-/// Reads an optional coordinate field: `null` → `Some(None)`, a valid
-/// value → `Some(Some(v))`, anything else → `None` (decode failure).
-fn opt_field<T>(obj: &Json, key: &str, f: impl Fn(&Json) -> Option<T>) -> Option<Option<T>> {
-    match obj.get(key)? {
-        Json::Null => Some(None),
-        v => f(v).map(Some),
-    }
-}
-
-/// Like [`opt_field`], but tolerates an *absent* key: coordinate axes
-/// added after [`ARTIFACT_SCHEMA_COMPAT`] are missing from older
-/// records, and decode as `None` rather than failing the record.
-fn compat_field<T>(obj: &Json, key: &str, f: impl Fn(&Json) -> Option<T>) -> Option<Option<T>> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Some(None),
-        Some(v) => f(v).map(Some),
-    }
-}
-
 fn quantile_ns(result: &RunResult, q: f64) -> i64 {
     result.series.quantile(q).map(|n| n.as_nanos()).unwrap_or(0)
 }
@@ -549,6 +423,7 @@ fn quantile_ns(result: &RunResult, q: f64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::KernelChoice;
     use tsn_hyp::SyncClockDiscipline;
 
     fn record() -> RunRecord {
@@ -556,30 +431,24 @@ mod tests {
             campaign: "t".to_string(),
             hash: "00ff".to_string(),
             coord: Coord {
-                scenario: ScenarioKind::Baseline,
-                seed: 42,
                 domains: Some(5),
-                sync_interval_ms: None,
                 kernel: Some(KernelChoice::Diverse),
-                fault_rate_per_hour: None,
                 discipline: Some(SyncClockDiscipline::FeedForward),
                 strategy: Some("trim-edge"),
                 compromised: Some(2),
                 loss_permille: Some(20),
-                partition_s: None,
                 election: Some(true),
                 announce_interval_ms: Some(250),
-                gm_failure_at_s: None,
                 rogue_master: Some(1),
                 hops: Some(3),
                 cross_traffic_pct: Some(30),
-                asymmetry_ns: None,
                 tc_mode: Some(true),
                 topology: Some("ring"),
                 adv_offset_ns: Some(20_000),
                 fta_f: Some(2),
                 fleet_nodes: Some(256),
                 fleet_topology: Some("fat-tree"),
+                ..Coord::new(ScenarioKind::Baseline, 42)
             },
             seed: u64::MAX - 3,
             counters: RunCounters::default(),
@@ -640,27 +509,12 @@ mod tests {
 
     #[test]
     fn decode_rejects_other_schemas_and_garbage() {
-        let line = record().encode().replace("\"schema\":7", "\"schema\":5");
+        let line = record().encode().replace("\"schema\":7", "\"schema\":6");
         assert!(RunRecord::decode(&line).is_none());
         let line = record().encode().replace("\"schema\":7", "\"schema\":8");
         assert!(RunRecord::decode(&line).is_none());
         assert!(RunRecord::decode("not json").is_none());
         assert!(RunRecord::decode("{}").is_none());
-    }
-
-    #[test]
-    fn decode_accepts_schema_6_records_without_fleet_fields() {
-        // A schema-6 artifact (as committed in the golden fixture) has
-        // neither fleet key in its coord object; it must keep decoding,
-        // with both fleet axes read back as `None`.
-        let line = record()
-            .encode()
-            .replace("\"schema\":7", "\"schema\":6")
-            .replace(",\"fleet_nodes\":256,\"fleet_topology\":\"fat-tree\"", "");
-        assert!(!line.contains("fleet_"), "fleet keys stripped");
-        let back = RunRecord::decode(&line).expect("schema-6 record decodes");
-        assert_eq!(back.coord.fleet_nodes, None);
-        assert_eq!(back.coord.fleet_topology, None);
     }
 
     #[test]

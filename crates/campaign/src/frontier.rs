@@ -27,9 +27,10 @@
 //!   bracket of `resolution` width in `2 + ⌈log₂(span/resolution)⌉`
 //!   probes per cell. Both counts are reported so the trade is visible.
 
+use crate::axis::{AxisDef, AxisValue, MAGNITUDE_AXIS};
 use crate::json::Json;
 use crate::runner::{self, FailedRun, RunViolation, RunnerOptions, SnapshotCache};
-use crate::spec::{strategy_static, BaseSpec, CampaignSpec, Grid, Preset, SpecError};
+use crate::spec::{BaseSpec, CampaignSpec, Grid, Preset, SpecError};
 use clocksync::scenario::ScenarioKind;
 use std::io;
 use tsn_fta::{containment_bound, AggregationMethod, ResilienceParams};
@@ -41,17 +42,6 @@ pub const FRONTIER_SCHEMA: u64 = 1;
 /// Run count of the fixed reference grid the frontier is compared
 /// against (the `adversary-sweep` builtin's 48 runs).
 pub const GRID_REFERENCE_RUNS: usize = 48;
-
-/// Continuous axes the frontier can bisect. Each name maps to the grid
-/// axis of the same name; the probe value replaces that axis for one
-/// run. Only `adv_offset_ns` has an analytical bound in magnitude
-/// space; the other axes get an empirical bracket only.
-pub const AXIS_NAMES: [&str; 4] = [
-    "adv_offset_ns",
-    "loss_permille",
-    "partition_s",
-    "sync_interval_ms",
-];
 
 /// One discrete frontier cell: the adversary shape whose continuous
 /// break point is searched.
@@ -80,7 +70,10 @@ impl FrontierCell {
 /// The continuous axis to bisect.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrontierAxis {
-    /// Axis name ([`AXIS_NAMES`]).
+    /// Spec key of a grid axis the axis table marks bisectable
+    /// (`adv_offset_ns`, `loss_permille`, `partition_s`,
+    /// `sync_interval_ms`). Only `adv_offset_ns` has an analytical bound
+    /// in magnitude space; the other axes get an empirical bracket only.
     pub name: String,
     /// Inclusive lower end of the search interval.
     pub min: u64,
@@ -146,7 +139,7 @@ impl FrontierSpec {
                     },
                 ],
                 axis: FrontierAxis {
-                    name: "adv_offset_ns".to_string(),
+                    name: MAGNITUDE_AXIS.to_string(),
                     min: 1_000,
                     max: 64_000,
                     resolution: 684,
@@ -163,27 +156,35 @@ impl FrontierSpec {
     /// discrete coordinates plus the probe value on the continuous
     /// axis. Probes are content-addressed exactly like ordinary
     /// campaign runs, so repeated probes resume instead of re-running.
-    pub fn probe_spec(&self, cell: &FrontierCell, probe: u64) -> CampaignSpec {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::Value`] for an axis that is not bisectable,
+    /// a strategy outside [`tsn_faults::ByzantineStrategy::NAMES`], or
+    /// a probe value the axis cannot hold.
+    pub fn probe_spec(&self, cell: &FrontierCell, probe: u64) -> Result<CampaignSpec, SpecError> {
         let mut grid = Grid {
             seeds: self.seeds.clone(),
-            strategies: vec![cell.strategy.clone()],
             compromised: vec![cell.compromised],
             fta_f: cell.f.map(|f| vec![f]).unwrap_or_default(),
             ..Grid::default()
         };
-        match self.axis.name.as_str() {
-            "adv_offset_ns" => grid.adv_offset_ns = vec![probe],
-            "loss_permille" => grid.loss_permille = vec![probe as u32],
-            "partition_s" => grid.partition_s = vec![probe],
-            "sync_interval_ms" => grid.sync_interval_ms = vec![probe],
-            other => unreachable!("validated axis name {other:?}"),
-        }
-        CampaignSpec {
+        let strategy = tsn_faults::ByzantineStrategy::NAMES
+            .into_iter()
+            .find(|n| *n == cell.strategy)
+            .ok_or_else(|| SpecError::Value("cells[].strategy".into(), cell.strategy.clone()))?;
+        grid.strategies.push(strategy);
+        let axis = AxisDef::by_spec_key(&self.axis.name)
+            .filter(|a| a.bisect)
+            .ok_or_else(|| SpecError::Value("axis.name".into(), self.axis.name.clone()))?;
+        (axis.grid_push)(&mut grid, AxisValue::UInt(probe))
+            .ok_or_else(|| SpecError::Value(self.axis.name.clone(), probe.to_string()))?;
+        Ok(CampaignSpec {
             name: self.name.clone(),
             base: self.base.clone(),
             scenarios: vec![ScenarioKind::Baseline],
             grid,
-        }
+        })
     }
 
     /// Checks structural invariants. Every cell is validated by
@@ -191,12 +192,6 @@ impl FrontierSpec {
     /// range rules (magnitude bounds, trim degrees, partition windows)
     /// apply unchanged.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if !AXIS_NAMES.contains(&self.axis.name.as_str()) {
-            return Err(SpecError::Value(
-                "axis.name".to_string(),
-                self.axis.name.clone(),
-            ));
-        }
         if self.axis.min >= self.axis.max {
             return Err(SpecError::Invalid(format!(
                 "axis.min {} must be below axis.max {}",
@@ -215,7 +210,7 @@ impl FrontierSpec {
             return Err(SpecError::Invalid("no cells".to_string()));
         }
         for cell in &self.cells {
-            if self.axis.name == "adv_offset_ns" && cell.strategy == "trim-edge" {
+            if self.axis.name == MAGNITUDE_AXIS && cell.strategy == "trim-edge" {
                 return Err(SpecError::Invalid(
                     "trim-edge cannot be bisected on adv_offset_ns: its magnitude is the \
                      trim margin, so larger values are *weaker* attacks (the bisection \
@@ -223,8 +218,8 @@ impl FrontierSpec {
                         .to_string(),
                 ));
             }
-            self.probe_spec(cell, self.axis.min).validate()?;
-            self.probe_spec(cell, self.axis.max).validate()?;
+            self.probe_spec(cell, self.axis.min)?.validate()?;
+            self.probe_spec(cell, self.axis.max)?.validate()?;
         }
         Ok(())
     }
@@ -345,9 +340,12 @@ impl FrontierSpec {
                     .get("strategy")
                     .and_then(Json::as_str)
                     .ok_or_else(|| SpecError::Field("cells[].strategy".to_string()))?;
-                strategy_static(strategy).ok_or_else(|| {
-                    SpecError::Value("cells[].strategy".to_string(), strategy.to_string())
-                })?;
+                if !tsn_faults::ByzantineStrategy::NAMES.contains(&strategy) {
+                    return Err(SpecError::Value(
+                        "cells[].strategy".to_string(),
+                        strategy.to_string(),
+                    ));
+                }
                 let compromised = c
                     .get("compromised")
                     .and_then(Json::as_u64)
@@ -1039,7 +1037,9 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
             );
         }
         for (i, probe) in active {
-            let probe_spec = spec.probe_spec(&spec.cells[i], probe);
+            let probe_spec = spec
+                .probe_spec(&spec.cells[i], probe)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
             let report = runner::execute_with(&probe_spec, &inner_opts, &mut cache, false)?;
             executed += report.executed;
             skipped += report.skipped;
@@ -1075,7 +1075,7 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
     let mut cells = Vec::with_capacity(spec.cells.len());
     for (cell, state) in spec.cells.iter().zip(&states) {
         let effective_f = cell.f.unwrap_or(preset_f);
-        let analytical = if spec.axis.name == "adv_offset_ns" {
+        let analytical = if spec.axis.name == MAGNITUDE_AXIS {
             state.bounds.map(|(pi_ns, gamma_ns)| {
                 let bound = containment_bound(&ResilienceParams {
                     domains,

@@ -1,9 +1,9 @@
 //! A minimal JSON value type with a deterministic writer and a strict
 //! parser.
 //!
-//! The workspace's hermetic build vendors a no-op `serde`, so the
-//! campaign engine carries its own (tiny) JSON layer. Two properties
-//! matter here and are guaranteed by construction:
+//! The workspace builds hermetically without a serialization
+//! framework, so the campaign engine carries its own (tiny) JSON layer.
+//! Two properties matter here and are guaranteed by construction:
 //!
 //! * **Determinism** — objects keep insertion order and numbers have a
 //!   single canonical rendering, so encoding the same record twice (on

@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+pub mod axis;
 pub mod frontier;
 pub mod json;
 pub mod matrix;

@@ -10,194 +10,69 @@
 //! base configuration and coordinate, which names its artifact and
 //! keys resume.
 
-use crate::spec::{strategy_static, BaseSpec, CampaignSpec, KernelChoice, SpecError};
-use clocksync::scenario::ScenarioKind;
+pub use crate::axis::Coord;
+use crate::axis::{Family, AXES};
+use crate::spec::{BaseSpec, CampaignSpec, KernelChoice, SpecError};
 use clocksync::TestbedConfig;
 use tsn_faults::{
     AttackPlan, ByzantineStrategy, CveId, InjectorConfig, KernelAssignment, Strike,
     PAPER_POT_OFFSET,
 };
-use tsn_hyp::SyncClockDiscipline;
 use tsn_netsim::{LinkFaultPlan, SeedSplitter};
 use tsn_time::{Nanos, SimTime};
 
-/// One point of the campaign grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Coord {
-    /// The scenario.
-    pub scenario: ScenarioKind,
-    /// The grid seed (replication axis).
-    pub seed: u64,
-    /// Domain count M, if the axis is active.
-    pub domains: Option<usize>,
-    /// Sync interval S in ms, if the axis is active.
-    pub sync_interval_ms: Option<u64>,
-    /// Kernel assignment override, if the axis is active.
-    pub kernel: Option<KernelChoice>,
-    /// Injector rate (random shutdowns per node per hour), if active.
-    pub fault_rate_per_hour: Option<u32>,
-    /// Clock discipline override, if the axis is active.
-    pub discipline: Option<SyncClockDiscipline>,
-    /// Adversary strategy preset name ([`ByzantineStrategy::NAMES`]
-    /// spelling, interned via [`strategy_static`]), if the axis is
-    /// active.
-    pub strategy: Option<&'static str>,
-    /// Number of compromised GM domains, if the axis is active.
-    pub compromised: Option<usize>,
-    /// Per-link i.i.d. loss in permille, if the axis is active.
-    pub loss_permille: Option<u32>,
-    /// Partition duration in seconds (node 0, from +2 s), if active.
-    pub partition_s: Option<u64>,
-    /// Dynamic BMCA election override, if the axis is active (`None`
-    /// defers to the family rule — see [`Coord::election_active`]).
-    pub election: Option<bool>,
-    /// Announce interval in ms, if the axis is active.
-    pub announce_interval_ms: Option<u64>,
-    /// Scheduled GM kill time (seconds after warm-up), if active.
-    pub gm_failure_at_s: Option<u64>,
-    /// Rogue-master count, if the axis is active.
-    pub rogue_master: Option<usize>,
-    /// Fabric depth (hops through the line of TSN switches), if the
-    /// axis is active (activates the fabric — see
-    /// [`Coord::fabric_active`]).
-    pub hops: Option<u32>,
-    /// Best-effort cross-traffic load on each fabric egress port, in
-    /// percent of the gate-open window, if the axis is active
-    /// (activates the fabric).
-    pub cross_traffic_pct: Option<u32>,
-    /// Directional link-delay asymmetry per fabric hop in nanoseconds,
-    /// if the axis is active (activates the fabric).
-    pub asymmetry_ns: Option<u64>,
-    /// Transparent-clock mode: `true` accumulates per-hop residence
-    /// into the gPTP correction field, `false` exposes the raw
-    /// end-to-end queuing error. Activates the fabric.
-    pub tc_mode: Option<bool>,
-    /// Fabric topology name ([`crate::spec::TOPOLOGY_NAMES`] spelling,
-    /// interned via [`crate::spec::topology_static`]), if the axis is
-    /// active (activates the fabric).
-    pub topology: Option<&'static str>,
-    /// Adversary shift magnitude in nanoseconds, if the axis is active:
-    /// replaces the strategy preset's dominant waveform parameter
-    /// ([`ByzantineStrategy::with_magnitude`]; activates the attack).
-    pub adv_offset_ns: Option<u64>,
-    /// Aggregation trim degree `f` override, if the axis is active.
-    pub fta_f: Option<usize>,
-    /// Fleet size (ECDs attached to the generated switch fleet), if the
-    /// axis is active (activates the fleet — see
-    /// [`Coord::fleet_active`] — and thereby the fabric).
-    pub fleet_nodes: Option<u32>,
-    /// Fleet topology name ([`crate::spec::FLEET_TOPOLOGY_NAMES`]
-    /// spelling, interned via [`crate::spec::fleet_topology_static`]),
-    /// if the axis is active (activates the fleet).
-    pub fleet_topology: Option<&'static str>,
-}
-
 impl Coord {
     /// The canonical label of this coordinate (stable across releases;
-    /// seeds and hashes are derived from it).
+    /// seeds and hashes are derived from it): scenario and seed, then
+    /// one segment per axis in table order.
     pub fn label(&self) -> String {
-        fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
-            v.map_or_else(|| "-".to_string(), |v| v.to_string())
-        }
-        let mut label = format!(
-            "scenario={}/seed={}/domains={}/sync_ms={}/kernel={}/rate={}/discipline={}/strategy={}/byz={}/loss_pm={}/partition_s={}",
-            self.scenario.name(),
-            self.seed,
-            opt(self.domains),
-            opt(self.sync_interval_ms),
-            opt(self.kernel.map(KernelChoice::name)),
-            opt(self.fault_rate_per_hour),
-            opt(self.discipline.map(crate::spec::discipline_name)),
-            opt(self.strategy),
-            opt(self.compromised),
-            opt(self.loss_permille),
-            opt(self.partition_s),
-        );
-        // Election segments appear only when their axis is active, so
-        // labels — and the hashes and seeds derived from them — of
-        // campaigns that never touch the election axes are unchanged.
-        if let Some(e) = self.election {
-            label.push_str(&format!("/election={e}"));
-        }
-        if let Some(ms) = self.announce_interval_ms {
-            label.push_str(&format!("/announce_ms={ms}"));
-        }
-        if let Some(s) = self.gm_failure_at_s {
-            label.push_str(&format!("/gm_kill_s={s}"));
-        }
-        if let Some(r) = self.rogue_master {
-            label.push_str(&format!("/rogue={r}"));
-        }
-        // Fabric segments follow the same rule: absent axes render the
-        // pre-fabric label, so existing campaign hashes are unchanged.
-        if let Some(h) = self.hops {
-            label.push_str(&format!("/hops={h}"));
-        }
-        if let Some(p) = self.cross_traffic_pct {
-            label.push_str(&format!("/xload_pct={p}"));
-        }
-        if let Some(a) = self.asymmetry_ns {
-            label.push_str(&format!("/asym_ns={a}"));
-        }
-        if let Some(t) = self.tc_mode {
-            label.push_str(&format!("/tc={t}"));
-        }
-        if let Some(t) = self.topology {
-            label.push_str(&format!("/topo={t}"));
-        }
-        // Frontier segments (PR 9), same label-conditional rule.
-        if let Some(a) = self.adv_offset_ns {
-            label.push_str(&format!("/adv_ns={a}"));
-        }
-        if let Some(f) = self.fta_f {
-            label.push_str(&format!("/fta_f={f}"));
-        }
-        // Fleet segments (PR 10), same label-conditional rule.
-        if let Some(n) = self.fleet_nodes {
-            label.push_str(&format!("/fleet_n={n}"));
-        }
-        if let Some(t) = self.fleet_topology {
-            label.push_str(&format!("/fleet_topo={t}"));
+        let mut label = format!("scenario={}/seed={}", self.scenario.name(), self.seed);
+        for a in AXES {
+            a.push_segment(&mut label, self);
         }
         label
     }
 
+    /// A compact human-readable label listing only active axes — the
+    /// name of this coordinate's cross-seed group (the seed is not
+    /// rendered).
+    pub fn group_label(&self) -> String {
+        let mut parts = vec![self.scenario.name().to_string()];
+        parts.extend(AXES.iter().filter_map(|a| a.group_part(self)));
+        parts.join(" ")
+    }
+
+    /// Whether any axis of `family` is active on this coordinate.
+    fn family_active(&self, family: Family) -> bool {
+        AXES.iter()
+            .any(|a| a.family == Some(family) && (a.coord_get)(self).is_some())
+    }
+
     /// Whether this coordinate runs behind the multi-hop switch fabric:
-    /// any active fabric axis (`hops`, `cross_traffic_pct`,
-    /// `asymmetry_ns`, `tc_mode`, `topology`) activates it, with the
-    /// others defaulted ([`tsn_fabric::FabricConfig::line`] of 1 hop,
-    /// no cross-traffic, symmetric links, end-to-end mode, line
-    /// topology). An active fleet ([`Coord::fleet_active`]) also
-    /// activates the fabric: the generated switch fleet condenses into
-    /// the fabric configuration.
+    /// any active fabric axis activates it, with the others defaulted
+    /// ([`tsn_fabric::FabricConfig::line`] of 1 hop, no cross-traffic,
+    /// symmetric links, end-to-end mode, line topology). An active
+    /// fleet ([`Coord::fleet_active`]) also activates the fabric: the
+    /// generated switch fleet condenses into the fabric configuration.
     pub fn fabric_active(&self) -> bool {
-        self.hops.is_some()
-            || self.cross_traffic_pct.is_some()
-            || self.asymmetry_ns.is_some()
-            || self.tc_mode.is_some()
-            || self.topology.is_some()
-            || self.fleet_active()
+        self.family_active(Family::Fabric) || self.fleet_active()
     }
 
     /// Whether this coordinate runs behind a *generated* switch fleet:
-    /// either fleet axis (`fleet_nodes`, `fleet_topology`) activates it
-    /// with the other defaulted (256 nodes, line shape). The fleet's
-    /// structural axes (`hops`, `topology`) are mutually exclusive with
-    /// the fleet axes — the generator owns depth and shape.
+    /// either fleet axis activates it with the other defaulted (256
+    /// nodes, line shape). The fabric's structural axes (`hops`,
+    /// `topology`) are mutually exclusive with the fleet axes — the
+    /// generator owns depth and shape.
     pub fn fleet_active(&self) -> bool {
-        self.fleet_nodes.is_some() || self.fleet_topology.is_some()
+        self.family_active(Family::Fleet)
     }
 
     /// Whether this coordinate runs with the dynamic election: an
     /// explicit `election` value wins; otherwise any active election
-    /// axis (`announce_interval_ms`, `gm_failure_at_s`, `rogue_master`)
-    /// activates it implicitly.
+    /// axis activates it implicitly.
     pub fn election_active(&self) -> bool {
-        self.election.unwrap_or(
-            self.announce_interval_ms.is_some()
-                || self.gm_failure_at_s.is_some()
-                || self.rogue_master.is_some(),
-        )
+        self.election
+            .unwrap_or_else(|| self.family_active(Family::Election))
     }
 
     /// The coordinates that shape a run's warm prefix: the grid seed and
@@ -209,21 +84,13 @@ impl Coord {
     /// excluded — the frontier's magnitude probes in particular all
     /// share one warm prefix per cell.
     pub fn prefix_label(&self) -> String {
-        fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
-            v.map_or_else(|| "-".to_string(), |v| v.to_string())
-        }
-        let mut label = format!(
-            "seed={}/domains={}/sync_ms={}/discipline={}",
-            self.seed,
-            opt(self.domains),
-            opt(self.sync_interval_ms),
-            opt(self.discipline.map(crate::spec::discipline_name)),
-        );
-        // The trim degree reshapes every aggregation from t = 0, so it is
-        // prefix-relevant — but only when the axis is active, keeping
-        // derived seeds of pre-existing campaigns unchanged.
-        if let Some(f) = self.fta_f {
-            label.push_str(&format!("/fta_f={f}"));
+        let mut label = format!("seed={}", self.seed);
+        // The prefix-relevant axes outside any family render exactly as
+        // in the full label (the trim degree only when active, keeping
+        // derived seeds of pre-existing campaigns unchanged). Family
+        // axes render below as the family's *effective* configuration.
+        for a in AXES.iter().filter(|a| a.prefix && a.family.is_none()) {
+            a.push_segment(&mut label, self);
         }
         // The election's Announce traffic runs during the warm-up, so
         // its *effective* activation and interval shape the prefix; the
@@ -319,166 +186,33 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunPlan>, SpecError> {
     spec.validate()?;
     let base_fingerprint = spec.base.to_fingerprint();
     let mut plans = Vec::with_capacity(spec.total_runs());
-    // Fixed nesting: scenario, then the sweep axes, seeds innermost so
-    // progress interleaves replications of the same grid point last.
-    let strategies: Vec<&'static str> = spec
-        .grid
-        .strategies
+    // Scenario outermost, then a mixed-radix odometer over the axes in
+    // table order (the last axis turns fastest; an inactive axis is one
+    // digit that leaves the coordinate's field `None`), seeds innermost
+    // so progress interleaves replications of the same grid point last.
+    let radices: Vec<usize> = AXES
         .iter()
-        .map(|s| {
-            strategy_static(s)
-                .ok_or_else(|| SpecError::Value("grid.strategies[]".to_string(), s.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    let topologies: Vec<&'static str> = spec
-        .grid
-        .topology
-        .iter()
-        .map(|t| {
-            crate::spec::topology_static(t)
-                .ok_or_else(|| SpecError::Value("grid.topology[]".to_string(), t.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    let fleet_topologies: Vec<&'static str> = spec
-        .grid
-        .fleet_topology
-        .iter()
-        .map(|t| {
-            crate::spec::fleet_topology_static(t)
-                .ok_or_else(|| SpecError::Value("grid.fleet_topology[]".to_string(), t.clone()))
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|a| (a.grid_len)(&spec.grid).max(1))
+        .collect();
     for &scenario in &spec.scenarios {
-        for &domains in &axis(&spec.grid.domains) {
-            for &sync_ms in &axis(&spec.grid.sync_interval_ms) {
-                for &kernel in &axis(&spec.grid.kernels) {
-                    for &rate in &axis(&spec.grid.fault_rate_per_hour) {
-                        for &discipline in &axis(&spec.grid.disciplines) {
-                            for &strategy in &axis(&strategies) {
-                                for &compromised in &axis(&spec.grid.compromised) {
-                                    for &loss_permille in &axis(&spec.grid.loss_permille) {
-                                        for &partition_s in &axis(&spec.grid.partition_s) {
-                                            for &election in &axis(&spec.grid.election) {
-                                                for &announce in
-                                                    &axis(&spec.grid.announce_interval_ms)
-                                                {
-                                                    for &gm_kill in
-                                                        &axis(&spec.grid.gm_failure_at_s)
-                                                    {
-                                                        for &rogue in &axis(&spec.grid.rogue_master)
-                                                        {
-                                                            expand_fabric(
-                                                                spec,
-                                                                &base_fingerprint,
-                                                                Coord {
-                                                                    scenario,
-                                                                    seed: 0,
-                                                                    domains,
-                                                                    sync_interval_ms: sync_ms,
-                                                                    kernel,
-                                                                    fault_rate_per_hour: rate,
-                                                                    discipline,
-                                                                    strategy,
-                                                                    compromised,
-                                                                    loss_permille,
-                                                                    partition_s,
-                                                                    election,
-                                                                    announce_interval_ms: announce,
-                                                                    gm_failure_at_s: gm_kill,
-                                                                    rogue_master: rogue,
-                                                                    hops: None,
-                                                                    cross_traffic_pct: None,
-                                                                    asymmetry_ns: None,
-                                                                    tc_mode: None,
-                                                                    topology: None,
-                                                                    adv_offset_ns: None,
-                                                                    fta_f: None,
-                                                                    fleet_nodes: None,
-                                                                    fleet_topology: None,
-                                                                },
-                                                                &topologies,
-                                                                &fleet_topologies,
-                                                                &mut plans,
-                                                            )?;
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        let mut digits = vec![0usize; AXES.len()];
+        loop {
+            let mut coord = Coord::new(scenario, 0);
+            for (a, &digit) in AXES.iter().zip(&digits) {
+                (a.fill)(&spec.grid, digit, &mut coord);
             }
+            for &seed in &spec.grid.seeds {
+                coord.seed = seed;
+                plans.push(plan(&spec.base, &base_fingerprint, coord, plans.len())?);
+            }
+            let Some(turn) = (0..digits.len()).rfind(|&i| digits[i] + 1 < radices[i]) else {
+                break;
+            };
+            digits[turn] += 1;
+            digits[turn + 1..].fill(0);
         }
     }
     Ok(plans)
-}
-
-/// The innermost loops of [`expand`]: the fabric axes and the seeds
-/// (still innermost), split out so the nesting stays readable. The
-/// partial coordinate carries every outer axis; its placeholder seed is
-/// overwritten here.
-fn expand_fabric(
-    spec: &CampaignSpec,
-    base_fingerprint: &str,
-    partial: Coord,
-    topologies: &[&'static str],
-    fleet_topologies: &[&'static str],
-    plans: &mut Vec<RunPlan>,
-) -> Result<(), SpecError> {
-    for &hops in &axis(&spec.grid.hops) {
-        for &cross_traffic_pct in &axis(&spec.grid.cross_traffic_pct) {
-            for &asymmetry_ns in &axis(&spec.grid.asymmetry_ns) {
-                for &tc_mode in &axis(&spec.grid.tc_mode) {
-                    for &topology in &axis(topologies) {
-                        for &adv_offset_ns in &axis(&spec.grid.adv_offset_ns) {
-                            for &fta_f in &axis(&spec.grid.fta_f) {
-                                for &fleet_nodes in &axis(&spec.grid.fleet_nodes) {
-                                    for &fleet_topology in &axis(fleet_topologies) {
-                                        for &seed in &spec.grid.seeds {
-                                            let coord = Coord {
-                                                seed,
-                                                hops,
-                                                cross_traffic_pct,
-                                                asymmetry_ns,
-                                                tc_mode,
-                                                topology,
-                                                adv_offset_ns,
-                                                fta_f,
-                                                fleet_nodes,
-                                                fleet_topology,
-                                                ..partial
-                                            };
-                                            plans.push(plan(
-                                                &spec.base,
-                                                base_fingerprint,
-                                                coord,
-                                                plans.len(),
-                                            )?);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// An axis as its `Some`-wrapped values, or a single `None` when the
-/// axis is inactive (empty). Axes are tiny, so the allocation is noise.
-fn axis<T: Copy>(values: &[T]) -> Vec<Option<T>> {
-    if values.is_empty() {
-        vec![None]
-    } else {
-        values.iter().map(|&v| Some(v)).collect()
-    }
 }
 
 fn plan(
@@ -565,7 +299,7 @@ pub fn materialize(
     // of the three axes alone activates the attack with the others
     // defaulted; an active magnitude axis rescales the preset's
     // dominant waveform parameter (the frontier's probe axis).
-    if coord.strategy.is_some() || coord.compromised.is_some() || coord.adv_offset_ns.is_some() {
+    if coord.family_active(Family::Attack) {
         let name = coord.strategy.unwrap_or("constant");
         let strategy = match coord.adv_offset_ns {
             Some(m) => ByzantineStrategy::with_magnitude(name, Nanos::from_nanos(m as i64)),
@@ -643,8 +377,11 @@ pub fn materialize(
             let shape = clocksync::fabric::FleetShape::parse(shape_name).ok_or_else(|| {
                 SpecError::Value("grid.fleet_topology[]".to_string(), shape_name.to_string())
             })?;
-            let nodes = coord.fleet_nodes.unwrap_or(crate::spec::DEFAULT_FLEET_NODES);
-            let fleet = clocksync::fabric::FleetTopology::generate(nodes, shape, coord.fleet_seed());
+            let nodes = coord
+                .fleet_nodes
+                .unwrap_or(crate::spec::DEFAULT_FLEET_NODES);
+            let fleet =
+                clocksync::fabric::FleetTopology::generate(nodes, shape, coord.fleet_seed());
             fleet.condense(&clocksync::fabric::FabricConfig::default())
         } else {
             let mut fabric = clocksync::fabric::FabricConfig::line(coord.hops.unwrap_or(1));
@@ -696,6 +433,8 @@ pub fn content_hash(base_fingerprint: &str, coord: &Coord) -> String {
 mod tests {
     use super::*;
     use crate::spec::Grid;
+    use clocksync::scenario::ScenarioKind;
+    use tsn_hyp::SyncClockDiscipline;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
@@ -773,30 +512,8 @@ mod tests {
     fn materialize_rejects_unknown_strategy_without_panicking() {
         let base = BaseSpec::quick(10);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
             strategy: Some("no-such-strategy"),
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         let err = materialize(&base, coord, 7).expect_err("unknown strategy is an error");
         assert!(matches!(err, SpecError::Value(ref f, ref v)
@@ -809,30 +526,9 @@ mod tests {
     fn election_axes_materialize_with_the_family_rule() {
         let base = BaseSpec::quick(30);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
             gm_failure_at_s: Some(10),
             rogue_master: Some(1),
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         // Any election axis activates the election implicitly.
         assert!(coord.election_active());
@@ -873,30 +569,10 @@ mod tests {
     fn fabric_axes_materialize_with_the_family_rule() {
         let base = BaseSpec::quick(20);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
             hops: Some(3),
             cross_traffic_pct: Some(30),
-            asymmetry_ns: None,
             tc_mode: Some(true),
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         assert!(coord.fabric_active());
         let cfg = materialize(&base, coord, 7).expect("valid coord");
@@ -936,30 +612,9 @@ mod tests {
     fn fleet_axes_materialize_and_stay_label_conditional() {
         let base = BaseSpec::quick(20);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
             fleet_nodes: Some(256),
             fleet_topology: Some("fat-tree"),
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         // Fleet axes activate the fabric with a condensed generated
         // topology: shape maps into the fabric's coarse topology enum,
@@ -1015,30 +670,8 @@ mod tests {
     fn frontier_axes_materialize_and_stay_label_conditional() {
         let base = BaseSpec::quick(20);
         let mut coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
             adv_offset_ns: Some(20_000),
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         // The magnitude axis alone activates the attack (constant preset
         // rescaled to the probe value).
@@ -1101,30 +734,8 @@ mod tests {
     fn partition_axis_uses_shared_window_schedule() {
         let base = BaseSpec::quick(10);
         let coord = Coord {
-            scenario: ScenarioKind::Baseline,
-            seed: 1,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
             partition_s: Some(3),
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
-            fleet_nodes: None,
-            fleet_topology: None,
+            ..Coord::new(ScenarioKind::Baseline, 1)
         };
         let cfg = materialize(&base, coord, 7).expect("valid coord");
         assert_eq!(cfg.partition, Some(crate::spec::partition_window(3)));
@@ -1149,7 +760,7 @@ mod tests {
                     SyncClockDiscipline::Feedback,
                     SyncClockDiscipline::FeedForward,
                 ],
-                strategies: vec!["trim-edge".to_string()],
+                strategies: vec!["trim-edge"],
                 compromised: vec![1, 2],
                 loss_permille: vec![20],
                 partition_s: vec![],

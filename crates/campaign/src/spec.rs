@@ -7,6 +7,7 @@
 //! and has a canonical JSON form used both for spec files and for
 //! content-addressing run artifacts.
 
+use crate::axis::{Family, AXES};
 use crate::json::{Json, JsonError};
 use clocksync::scenario::ScenarioKind;
 use clocksync::{PartitionWindow, TestbedConfig};
@@ -133,7 +134,7 @@ pub enum KernelChoice {
 
 impl KernelChoice {
     /// The stable textual name.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             KernelChoice::Identical => "identical",
             KernelChoice::Diverse => "diverse",
@@ -152,7 +153,7 @@ impl KernelChoice {
 
 /// Textual names for [`SyncClockDiscipline`] (the campaign layer owns
 /// the naming; core keeps only the enum).
-pub fn discipline_name(d: SyncClockDiscipline) -> &'static str {
+pub const fn discipline_name(d: SyncClockDiscipline) -> &'static str {
     match d {
         SyncClockDiscipline::FeedForward => "feed_forward",
         SyncClockDiscipline::Feedback => "feedback",
@@ -182,25 +183,9 @@ pub fn partition_window(seconds: u64) -> PartitionWindow {
     }
 }
 
-/// The canonical `&'static` name behind a strategy-axis value, used so
-/// [`crate::matrix::Coord`] stays `Copy` ([`ByzantineStrategy::NAMES`]
-/// owns the interned spellings).
-pub fn strategy_static(name: &str) -> Option<&'static str> {
-    ByzantineStrategy::NAMES
-        .iter()
-        .copied()
-        .find(|n| *n == name)
-}
-
 /// Fabric topology axis values, in a stable order (the spellings of
 /// [`clocksync::fabric::FabricTopology`]'s variants).
 pub const TOPOLOGY_NAMES: [&str; 3] = ["line", "ring", "tree"];
-
-/// The canonical `&'static` name behind a topology-axis value (same
-/// interning contract as [`strategy_static`]).
-pub fn topology_static(name: &str) -> Option<&'static str> {
-    TOPOLOGY_NAMES.iter().copied().find(|n| *n == name)
-}
 
 /// Parses a topology-axis value into the fabric's enum.
 pub fn parse_topology(name: &str) -> Option<clocksync::fabric::FabricTopology> {
@@ -220,345 +205,57 @@ pub const FLEET_TOPOLOGY_NAMES: [&str; 4] = ["line", "ring", "tree", "fat-tree"]
 /// The default fleet size when only the `fleet_topology` axis is active.
 pub const DEFAULT_FLEET_NODES: u32 = 256;
 
-/// The canonical `&'static` name behind a fleet-topology axis value
-/// (same interning contract as [`strategy_static`]).
-pub fn fleet_topology_static(name: &str) -> Option<&'static str> {
-    FLEET_TOPOLOGY_NAMES.iter().copied().find(|n| *n == name)
-}
-
-/// The parameter grid. Every axis except `seeds` may be empty, meaning
-/// "keep the base/scenario value"; the run matrix is the cross product
-/// of all non-empty axes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Grid {
-    /// Experiment seeds (the replication axis; must be non-empty).
-    pub seeds: Vec<u64>,
-    /// Domain counts M (sets `nodes` and `aggregation.domains`, ABL2).
-    pub domains: Vec<usize>,
-    /// Sync intervals S in milliseconds (staleness follows as 4·S, ABL3).
-    pub sync_interval_ms: Vec<u64>,
-    /// Kernel assignments (overrides the scenario's choice).
-    pub kernels: Vec<KernelChoice>,
-    /// Injector rates: random redundant-VM shutdowns per node per hour
-    /// (sets `random_per_hour_max`, enabling the injector if needed).
-    pub fault_rate_per_hour: Vec<u32>,
-    /// `CLOCK_SYNCTIME` disciplines.
-    pub disciplines: Vec<SyncClockDiscipline>,
-    /// Adversary strategies ([`ByzantineStrategy::NAMES`] presets),
-    /// applied to the compromised GMs from strike time onward.
-    pub strategies: Vec<String>,
-    /// Number of compromised GM domains per run (`0` is the honest
-    /// control cell; `f + 1` and beyond are negative-control cells).
-    pub compromised: Vec<usize>,
-    /// Per-link i.i.d. frame-loss probabilities, in permille (‰).
-    pub loss_permille: Vec<u32>,
-    /// Partition durations in seconds: node 0 is cut off the switch
-    /// mesh 2 s after the warm-up for this long (`0` means no cut).
-    pub partition_s: Vec<u64>,
-    /// Dynamic BMCA grandmaster election on/off. Omitted, the election
-    /// activates implicitly whenever any of the other election axes
-    /// (`announce_interval_ms`, `gm_failure_at_s`, `rogue_master`) is
-    /// active; an explicit `false` cell keeps the paper's static
-    /// assignment and ignores those axes (the honest control).
-    pub election: Vec<bool>,
-    /// Announce intervals of acting masters, in milliseconds
-    /// (activates the election; default 250 ms).
-    pub announce_interval_ms: Vec<u64>,
-    /// Scheduled grandmaster kill: seconds after the warm-up at which
-    /// node 0's GM VM is permanently shut down, forcing domain 0 to
-    /// re-elect its second-best master (activates the election).
-    pub gm_failure_at_s: Vec<u64>,
-    /// Number of rogue masters: compromised nodes (highest indices)
-    /// that forge a best-possible priority vector on their foreign
-    /// target domain (`0` is the honest control; activates the
-    /// election).
-    pub rogue_master: Vec<usize>,
-    /// Fabric depths: hops through the line of TSN switches between
-    /// sender and receiver (activates the fabric; default 1 hop).
-    pub hops: Vec<u32>,
-    /// Best-effort cross-traffic loads on each fabric egress port, in
-    /// percent of the gate-open window (activates the fabric).
-    pub cross_traffic_pct: Vec<u32>,
-    /// Directional link-delay asymmetries per fabric hop, in
-    /// nanoseconds (activates the fabric).
-    pub asymmetry_ns: Vec<u64>,
-    /// Transparent-clock modes: `true` accumulates per-hop residence
-    /// into the gPTP correction field, `false` leaves the raw
-    /// end-to-end queuing error (activates the fabric).
-    pub tc_mode: Vec<bool>,
-    /// Fabric topologies ([`TOPOLOGY_NAMES`] spellings; activates the
-    /// fabric). Omitted, fabric runs use a line of switches.
-    pub topology: Vec<String>,
-    /// Adversary shift magnitudes in nanoseconds: each value replaces
-    /// the active strategy preset's dominant waveform parameter via
-    /// [`ByzantineStrategy::with_magnitude`] (activates the attack with
-    /// the strategy/compromised axes defaulted). This is the continuous
-    /// axis `campaign frontier` bisects.
-    pub adv_offset_ns: Vec<u64>,
-    /// Aggregation trim degrees `f`: each value replaces the preset's
-    /// `f` in the configured fault-tolerant method (FTA or midpoint).
-    /// Acts from t = 0, so it is prefix-relevant.
-    pub fta_f: Vec<usize>,
-    /// Fleet sizes: number of ECDs attached to a *generated* switch
-    /// fleet (activates the fleet; default 256). Mutually exclusive
-    /// with the explicit `hops`/`topology` axes — the generator owns
-    /// the fabric's depth and shape.
-    pub fleet_nodes: Vec<u32>,
-    /// Fleet topology shapes ([`FLEET_TOPOLOGY_NAMES`] spellings;
-    /// activates the fleet). Omitted, fleet runs use a line of
-    /// switches.
-    pub fleet_topology: Vec<String>,
-}
+pub use crate::axis::Grid;
 
 impl Grid {
     /// Number of runs this grid expands to (per scenario).
     pub fn runs_per_scenario(&self) -> usize {
-        fn axis(len: usize) -> usize {
-            len.max(1)
-        }
-        self.seeds.len()
-            * axis(self.domains.len())
-            * axis(self.sync_interval_ms.len())
-            * axis(self.kernels.len())
-            * axis(self.fault_rate_per_hour.len())
-            * axis(self.disciplines.len())
-            * axis(self.strategies.len())
-            * axis(self.compromised.len())
-            * axis(self.loss_permille.len())
-            * axis(self.partition_s.len())
-            * axis(self.election.len())
-            * axis(self.announce_interval_ms.len())
-            * axis(self.gm_failure_at_s.len())
-            * axis(self.rogue_master.len())
-            * axis(self.hops.len())
-            * axis(self.cross_traffic_pct.len())
-            * axis(self.asymmetry_ns.len())
-            * axis(self.tc_mode.len())
-            * axis(self.topology.len())
-            * axis(self.adv_offset_ns.len())
-            * axis(self.fta_f.len())
-            * axis(self.fleet_nodes.len())
-            * axis(self.fleet_topology.len())
+        AXES.iter()
+            .map(|a| (a.grid_len)(self).max(1))
+            .product::<usize>()
+            * self.seeds.len()
+    }
+
+    /// Whether any axis of `family` is swept.
+    fn sweeps(&self, family: Family) -> bool {
+        AXES.iter()
+            .any(|a| a.family == Some(family) && (a.grid_len)(self) > 0)
     }
 
     fn to_json(&self) -> Json {
-        Json::object(vec![
-            (
-                "seeds",
-                Json::Array(self.seeds.iter().map(|&s| Json::UInt(s)).collect()),
-            ),
-            (
-                "domains",
-                Json::Array(self.domains.iter().map(|&m| Json::UInt(m as u64)).collect()),
-            ),
-            (
-                "sync_interval_ms",
-                Json::Array(
-                    self.sync_interval_ms
-                        .iter()
-                        .map(|&s| Json::UInt(s))
-                        .collect(),
-                ),
-            ),
-            (
-                "kernels",
-                Json::Array(
-                    self.kernels
-                        .iter()
-                        .map(|k| Json::Str(k.name().to_string()))
-                        .collect(),
-                ),
-            ),
-            (
-                "fault_rate_per_hour",
-                Json::Array(
-                    self.fault_rate_per_hour
-                        .iter()
-                        .map(|&r| Json::UInt(u64::from(r)))
-                        .collect(),
-                ),
-            ),
-            (
-                "disciplines",
-                Json::Array(
-                    self.disciplines
-                        .iter()
-                        .map(|&d| Json::Str(discipline_name(d).to_string()))
-                        .collect(),
-                ),
-            ),
-            (
-                "strategies",
-                Json::Array(
-                    self.strategies
-                        .iter()
-                        .map(|s| Json::Str(s.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "compromised",
-                Json::Array(
-                    self.compromised
-                        .iter()
-                        .map(|&n| Json::UInt(n as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "loss_permille",
-                Json::Array(
-                    self.loss_permille
-                        .iter()
-                        .map(|&p| Json::UInt(u64::from(p)))
-                        .collect(),
-                ),
-            ),
-            (
-                "partition_s",
-                Json::Array(self.partition_s.iter().map(|&s| Json::UInt(s)).collect()),
-            ),
-            (
-                "election",
-                Json::Array(self.election.iter().map(|&e| Json::Bool(e)).collect()),
-            ),
-            (
-                "announce_interval_ms",
-                Json::Array(
-                    self.announce_interval_ms
-                        .iter()
-                        .map(|&s| Json::UInt(s))
-                        .collect(),
-                ),
-            ),
-            (
-                "gm_failure_at_s",
-                Json::Array(
-                    self.gm_failure_at_s
-                        .iter()
-                        .map(|&s| Json::UInt(s))
-                        .collect(),
-                ),
-            ),
-            (
-                "rogue_master",
-                Json::Array(
-                    self.rogue_master
-                        .iter()
-                        .map(|&n| Json::UInt(n as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "hops",
-                Json::Array(
-                    self.hops
-                        .iter()
-                        .map(|&h| Json::UInt(u64::from(h)))
-                        .collect(),
-                ),
-            ),
-            (
-                "cross_traffic_pct",
-                Json::Array(
-                    self.cross_traffic_pct
-                        .iter()
-                        .map(|&p| Json::UInt(u64::from(p)))
-                        .collect(),
-                ),
-            ),
-            (
-                "asymmetry_ns",
-                Json::Array(self.asymmetry_ns.iter().map(|&a| Json::UInt(a)).collect()),
-            ),
-            (
-                "tc_mode",
-                Json::Array(self.tc_mode.iter().map(|&t| Json::Bool(t)).collect()),
-            ),
-            (
-                "topology",
-                Json::Array(self.topology.iter().map(|t| Json::Str(t.clone())).collect()),
-            ),
-            (
-                "adv_offset_ns",
-                Json::Array(self.adv_offset_ns.iter().map(|&a| Json::UInt(a)).collect()),
-            ),
-            (
-                "fta_f",
-                Json::Array(self.fta_f.iter().map(|&f| Json::UInt(f as u64)).collect()),
-            ),
-            (
-                "fleet_nodes",
-                Json::Array(
-                    self.fleet_nodes
-                        .iter()
-                        .map(|&n| Json::UInt(u64::from(n)))
-                        .collect(),
-                ),
-            ),
-            (
-                "fleet_topology",
-                Json::Array(
-                    self.fleet_topology
-                        .iter()
-                        .map(|t| Json::Str(t.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
+        let seeds = Json::Array(self.seeds.iter().map(|&s| Json::UInt(s)).collect());
+        let mut pairs = vec![("seeds", seeds)];
+        pairs.extend(AXES.iter().map(|a| (a.spec_key, a.grid_to_json(self))));
+        Json::object(pairs)
     }
 
     fn from_json(v: &Json) -> Result<Grid, SpecError> {
-        fn list<T>(
-            v: &Json,
-            key: &str,
-            mut item: impl FnMut(&Json) -> Option<T>,
-        ) -> Result<Vec<T>, SpecError> {
-            match v.get(key) {
-                None => Ok(Vec::new()),
-                Some(arr) => arr
-                    .as_array()
-                    .ok_or_else(|| SpecError::field(&format!("grid.{key}")))?
-                    .iter()
-                    .map(|x| item(x).ok_or_else(|| SpecError::field(&format!("grid.{key}[]"))))
-                    .collect(),
+        let mut grid = Grid::default();
+        if let Some(seeds) = v.get("seeds") {
+            grid.seeds = seeds
+                .as_array()
+                .ok_or_else(|| SpecError::field("grid.seeds"))?
+                .iter()
+                .map(|x| x.as_u64().ok_or_else(|| SpecError::field("grid.seeds[]")))
+                .collect::<Result<_, _>>()?;
+        }
+        for a in AXES {
+            let Some(values) = v.get(a.spec_key) else {
+                continue;
+            };
+            let list = format!("grid.{}", a.spec_key);
+            let item = format!("{list}[]");
+            let values = values.as_array().ok_or_else(|| SpecError::field(&list))?;
+            for x in values {
+                let value = a.value_from_json(x).ok_or_else(|| match x.as_str() {
+                    Some(name) => SpecError::value(&item, name),
+                    None => SpecError::field(&item),
+                })?;
+                a.check(value)?;
+                (a.grid_push)(&mut grid, value).ok_or_else(|| SpecError::field(&item))?;
             }
         }
-        Ok(Grid {
-            seeds: list(v, "seeds", Json::as_u64)?,
-            domains: list(v, "domains", |x| x.as_u64().map(|m| m as usize))?,
-            sync_interval_ms: list(v, "sync_interval_ms", Json::as_u64)?,
-            kernels: list(v, "kernels", |x| x.as_str().and_then(KernelChoice::parse))?,
-            fault_rate_per_hour: list(v, "fault_rate_per_hour", |x| {
-                x.as_u64().and_then(|r| u32::try_from(r).ok())
-            })?,
-            disciplines: list(v, "disciplines", |x| x.as_str().and_then(parse_discipline))?,
-            strategies: list(v, "strategies", |x| x.as_str().map(str::to_string))?,
-            compromised: list(v, "compromised", |x| x.as_u64().map(|n| n as usize))?,
-            loss_permille: list(v, "loss_permille", |x| {
-                x.as_u64().and_then(|p| u32::try_from(p).ok())
-            })?,
-            partition_s: list(v, "partition_s", Json::as_u64)?,
-            election: list(v, "election", Json::as_bool)?,
-            announce_interval_ms: list(v, "announce_interval_ms", Json::as_u64)?,
-            gm_failure_at_s: list(v, "gm_failure_at_s", Json::as_u64)?,
-            rogue_master: list(v, "rogue_master", |x| x.as_u64().map(|n| n as usize))?,
-            hops: list(v, "hops", |x| {
-                x.as_u64().and_then(|h| u32::try_from(h).ok())
-            })?,
-            cross_traffic_pct: list(v, "cross_traffic_pct", |x| {
-                x.as_u64().and_then(|p| u32::try_from(p).ok())
-            })?,
-            asymmetry_ns: list(v, "asymmetry_ns", Json::as_u64)?,
-            tc_mode: list(v, "tc_mode", Json::as_bool)?,
-            topology: list(v, "topology", |x| x.as_str().map(str::to_string))?,
-            adv_offset_ns: list(v, "adv_offset_ns", Json::as_u64)?,
-            fta_f: list(v, "fta_f", |x| x.as_u64().map(|f| f as usize))?,
-            fleet_nodes: list(v, "fleet_nodes", |x| {
-                x.as_u64().and_then(|n| u32::try_from(n).ok())
-            })?,
-            fleet_topology: list(v, "fleet_topology", |x| x.as_str().map(str::to_string))?,
-        })
+        Ok(grid)
     }
 }
 
@@ -645,119 +342,33 @@ impl CampaignSpec {
         if self.grid.seeds.is_empty() {
             return Err(SpecError::Invalid("grid.seeds is empty".to_string()));
         }
-        if let Some(&m) = self.grid.domains.iter().find(|&&m| !(4..=16).contains(&m)) {
-            return Err(SpecError::Invalid(format!(
-                "domains axis value {m} outside the supported 4..=16 (FTA needs N > 3f)"
-            )));
-        }
-        if self.grid.sync_interval_ms.contains(&0) {
-            return Err(SpecError::Invalid("sync interval of 0 ms".to_string()));
-        }
         if self.base.duration_s.is_some_and(|d| d <= 0) {
             return Err(SpecError::Invalid("non-positive duration".to_string()));
         }
         if self.base.warmup_s.is_some_and(|w| w < 0) {
             return Err(SpecError::Invalid("negative warmup".to_string()));
         }
-        for s in &self.grid.strategies {
-            if strategy_static(s).is_none() {
-                return Err(SpecError::Value("grid.strategies[]".to_string(), s.clone()));
-            }
+        // Per-axis ranges and name lists come from the axis table; the
+        // rules below only relate axes to each other and to the base.
+        for a in AXES {
+            a.grid_values(&self.grid).try_for_each(|v| a.check(v))?;
         }
-        if let Some(&n) = self.grid.compromised.iter().find(|&&n| n > 3) {
-            return Err(SpecError::Invalid(format!(
-                "compromised axis value {n} exceeds the 3 strikeable GM domains"
-            )));
-        }
-        if let Some(&p) = self.grid.loss_permille.iter().find(|&&p| p > 1000) {
-            return Err(SpecError::Invalid(format!(
-                "loss_permille axis value {p} is not a probability (max 1000)"
-            )));
-        }
-        if self.grid.announce_interval_ms.contains(&0) {
-            return Err(SpecError::Invalid("announce interval of 0 ms".to_string()));
-        }
-        if let Some(&n) = self.grid.rogue_master.iter().find(|&&n| n > 3) {
-            return Err(SpecError::Invalid(format!(
-                "rogue_master axis value {n} exceeds the 3 capturable foreign domains"
-            )));
-        }
-        if self.grid.rogue_master.iter().any(|&n| n > 0)
-            && (!self.grid.strategies.is_empty()
-                || !self.grid.compromised.is_empty()
-                || !self.grid.adv_offset_ns.is_empty())
-        {
+        if self.grid.rogue_master.iter().any(|&n| n > 0) && self.grid.sweeps(Family::Attack) {
             return Err(SpecError::Invalid(
                 "rogue_master cannot combine with the strategies/compromised/adv_offset_ns \
                  axes (both materialize strikes on the highest node indices)"
                     .to_string(),
             ));
         }
-        if let Some(&a) = self
-            .grid
-            .adv_offset_ns
-            .iter()
-            .find(|&&a| a == 0 || a > 10_000_000)
-        {
+        let min_domains = self.grid.domains.iter().copied().min().unwrap_or(4);
+        if let Some(&f) = self.grid.fta_f.iter().find(|&&f| 2 * f + 1 > min_domains) {
             return Err(SpecError::Invalid(format!(
-                "adv_offset_ns axis value {a} outside the supported 1..=10000000 \
-                 (a zero magnitude is the honest cell; 10 ms dwarfs every bound)"
+                "fta_f axis value {f} needs 2f+1 = {} domains but the smallest domain \
+                 count is {min_domains}",
+                2 * f + 1
             )));
         }
-        if !self.grid.fta_f.is_empty() {
-            let min_domains = self.grid.domains.iter().copied().min().unwrap_or(4);
-            if let Some(&f) = self
-                .grid
-                .fta_f
-                .iter()
-                .find(|&&f| f == 0 || 2 * f + 1 > min_domains)
-            {
-                return Err(SpecError::Invalid(format!(
-                    "fta_f axis value {f} needs 2f+1 = {} domains but the smallest domain \
-                     count is {min_domains}",
-                    2 * f + 1
-                )));
-            }
-        }
-        for t in &self.grid.topology {
-            if topology_static(t).is_none() {
-                return Err(SpecError::Value("grid.topology[]".to_string(), t.clone()));
-            }
-        }
-        if let Some(&h) = self.grid.hops.iter().find(|&&h| !(1..=64).contains(&h)) {
-            return Err(SpecError::Invalid(format!(
-                "hops axis value {h} outside the supported 1..=64"
-            )));
-        }
-        if let Some(&p) = self.grid.cross_traffic_pct.iter().find(|&&p| p > 95) {
-            return Err(SpecError::Invalid(format!(
-                "cross_traffic_pct axis value {p} exceeds the 95 % gate-load ceiling"
-            )));
-        }
-        if let Some(&a) = self.grid.asymmetry_ns.iter().find(|&&a| a > 1_000_000) {
-            return Err(SpecError::Invalid(format!(
-                "asymmetry_ns axis value {a} exceeds 1 ms per hop (not a plausible link)"
-            )));
-        }
-        for t in &self.grid.fleet_topology {
-            if fleet_topology_static(t).is_none() {
-                return Err(SpecError::Value(
-                    "grid.fleet_topology[]".to_string(),
-                    t.clone(),
-                ));
-            }
-        }
-        if let Some(&n) = self
-            .grid
-            .fleet_nodes
-            .iter()
-            .find(|&&n| !(2..=65_536).contains(&n))
-        {
-            return Err(SpecError::Invalid(format!(
-                "fleet_nodes axis value {n} outside the supported 2..=65536"
-            )));
-        }
-        if (!self.grid.fleet_nodes.is_empty() || !self.grid.fleet_topology.is_empty())
+        if self.grid.sweeps(Family::Fleet)
             && (!self.grid.hops.is_empty() || !self.grid.topology.is_empty())
         {
             return Err(SpecError::Invalid(
@@ -775,7 +386,7 @@ impl CampaignSpec {
                 ));
             };
             let latest = *self.grid.gm_failure_at_s.iter().max().expect("non-empty");
-            if latest as i64 >= duration {
+            if i64::try_from(latest).map_or(true, |latest| latest >= duration) {
                 return Err(SpecError::Invalid(format!(
                     "gm_failure_at_s axis reaches {latest} s, beyond the {duration} s \
                      measured duration (no time left to observe the re-election)"
@@ -886,8 +497,7 @@ impl CampaignSpec {
     ///
     /// * `quick-baseline` — 8 seeds × 2 disciplines of the quick
     ///   baseline (16 runs; the acceptance smoke campaign);
-    /// * `repro-all` — all five paper scenarios × 3 seeds (the
-    ///   campaign-engine port of the `repro_all` figure runner);
+    /// * `repro-all` — all five paper scenarios × 3 seeds;
     /// * `abl2-domains` — domains M ∈ {4,5,6,7} × 4 seeds (ABL2);
     /// * `abl3-sync-interval` — S ∈ {62,125,250,500} ms × 4 seeds,
     ///   staleness = 4·S (ABL3);
@@ -965,10 +575,7 @@ impl CampaignSpec {
                 scenarios: vec![ScenarioKind::Baseline],
                 grid: Grid {
                     seeds: vec![21, 22],
-                    strategies: ByzantineStrategy::NAMES
-                        .iter()
-                        .map(|n| n.to_string())
-                        .collect(),
+                    strategies: ByzantineStrategy::NAMES.to_vec(),
                     compromised: vec![1, 2],
                     loss_permille: vec![0, 20],
                     ..Grid::default()
@@ -1004,7 +611,7 @@ impl CampaignSpec {
                     hops: vec![1, 3, 6],
                     cross_traffic_pct: vec![30],
                     tc_mode: vec![false, true],
-                    topology: TOPOLOGY_NAMES.iter().map(|t| t.to_string()).collect(),
+                    topology: TOPOLOGY_NAMES.to_vec(),
                     ..Grid::default()
                 },
             },
@@ -1019,7 +626,7 @@ impl CampaignSpec {
                 grid: Grid {
                     seeds: vec![3, 4],
                     fleet_nodes: vec![256, 1024],
-                    fleet_topology: FLEET_TOPOLOGY_NAMES.iter().map(|t| t.to_string()).collect(),
+                    fleet_topology: FLEET_TOPOLOGY_NAMES.to_vec(),
                     ..Grid::default()
                 },
             },

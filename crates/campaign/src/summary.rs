@@ -10,170 +10,14 @@
 use crate::artifact::RunRecord;
 use crate::json::Json;
 use crate::matrix::Coord;
-use crate::spec::{discipline_name, KernelChoice};
-use clocksync::scenario::ScenarioKind;
-use tsn_hyp::SyncClockDiscipline;
 use tsn_metrics::{SampleSummary, StreamingSummary};
-
-/// A grid point minus the seed axis: the unit of cross-seed grouping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupKey {
-    /// The scenario.
-    pub scenario: ScenarioKind,
-    /// Domain count, if swept.
-    pub domains: Option<usize>,
-    /// Sync interval in ms, if swept.
-    pub sync_interval_ms: Option<u64>,
-    /// Kernel assignment, if swept.
-    pub kernel: Option<KernelChoice>,
-    /// Injector rate, if swept.
-    pub fault_rate_per_hour: Option<u32>,
-    /// Clock discipline, if swept.
-    pub discipline: Option<SyncClockDiscipline>,
-    /// Adversary strategy preset, if swept.
-    pub strategy: Option<&'static str>,
-    /// Compromised GM count, if swept.
-    pub compromised: Option<usize>,
-    /// Link loss in permille, if swept.
-    pub loss_permille: Option<u32>,
-    /// Partition window length in seconds, if swept.
-    pub partition_s: Option<u64>,
-    /// Dynamic BMCA election override, if swept.
-    pub election: Option<bool>,
-    /// Announce interval in ms, if swept.
-    pub announce_interval_ms: Option<u64>,
-    /// Scheduled GM kill time in seconds after warm-up, if swept.
-    pub gm_failure_at_s: Option<u64>,
-    /// Rogue-master count, if swept.
-    pub rogue_master: Option<usize>,
-    /// Fabric hop count, if swept.
-    pub hops: Option<u32>,
-    /// Fabric cross-traffic load in percent, if swept.
-    pub cross_traffic_pct: Option<u32>,
-    /// Fabric per-hop delay asymmetry in ns, if swept.
-    pub asymmetry_ns: Option<u64>,
-    /// Transparent-clock mode, if swept.
-    pub tc_mode: Option<bool>,
-    /// Fabric topology, if swept.
-    pub topology: Option<&'static str>,
-    /// Adversary shift magnitude in ns, if swept.
-    pub adv_offset_ns: Option<u64>,
-    /// Aggregation trim degree, if swept.
-    pub fta_f: Option<usize>,
-    /// Fleet node count, if swept.
-    pub fleet_nodes: Option<u32>,
-    /// Fleet topology shape, if swept.
-    pub fleet_topology: Option<&'static str>,
-}
-
-impl GroupKey {
-    /// The grouping key of a run.
-    pub fn of(coord: &Coord) -> GroupKey {
-        GroupKey {
-            scenario: coord.scenario,
-            domains: coord.domains,
-            sync_interval_ms: coord.sync_interval_ms,
-            kernel: coord.kernel,
-            fault_rate_per_hour: coord.fault_rate_per_hour,
-            discipline: coord.discipline,
-            strategy: coord.strategy,
-            compromised: coord.compromised,
-            loss_permille: coord.loss_permille,
-            partition_s: coord.partition_s,
-            election: coord.election,
-            announce_interval_ms: coord.announce_interval_ms,
-            gm_failure_at_s: coord.gm_failure_at_s,
-            rogue_master: coord.rogue_master,
-            hops: coord.hops,
-            cross_traffic_pct: coord.cross_traffic_pct,
-            asymmetry_ns: coord.asymmetry_ns,
-            tc_mode: coord.tc_mode,
-            topology: coord.topology,
-            adv_offset_ns: coord.adv_offset_ns,
-            fta_f: coord.fta_f,
-            fleet_nodes: coord.fleet_nodes,
-            fleet_topology: coord.fleet_topology,
-        }
-    }
-
-    /// A compact human-readable label, listing only active axes.
-    pub fn label(&self) -> String {
-        let mut parts = vec![self.scenario.name().to_string()];
-        if let Some(m) = self.domains {
-            parts.push(format!("M={m}"));
-        }
-        if let Some(s) = self.sync_interval_ms {
-            parts.push(format!("S={s}ms"));
-        }
-        if let Some(k) = self.kernel {
-            parts.push(format!("kernels={}", k.name()));
-        }
-        if let Some(r) = self.fault_rate_per_hour {
-            parts.push(format!("rate={r}/h"));
-        }
-        if let Some(d) = self.discipline {
-            parts.push(discipline_name(d).to_string());
-        }
-        if let Some(s) = self.strategy {
-            parts.push(format!("adv={s}"));
-        }
-        if let Some(b) = self.compromised {
-            parts.push(format!("byz={b}"));
-        }
-        if let Some(p) = self.loss_permille {
-            parts.push(format!("loss={p}pm"));
-        }
-        if let Some(p) = self.partition_s {
-            parts.push(format!("partition={p}s"));
-        }
-        if let Some(e) = self.election {
-            parts.push(format!("election={}", if e { "on" } else { "off" }));
-        }
-        if let Some(a) = self.announce_interval_ms {
-            parts.push(format!("announce={a}ms"));
-        }
-        if let Some(t) = self.gm_failure_at_s {
-            parts.push(format!("gm-kill={t}s"));
-        }
-        if let Some(r) = self.rogue_master {
-            parts.push(format!("rogue={r}"));
-        }
-        if let Some(h) = self.hops {
-            parts.push(format!("hops={h}"));
-        }
-        if let Some(p) = self.cross_traffic_pct {
-            parts.push(format!("xload={p}%"));
-        }
-        if let Some(a) = self.asymmetry_ns {
-            parts.push(format!("asym={a}ns"));
-        }
-        if let Some(t) = self.tc_mode {
-            parts.push(format!("tc={}", if t { "on" } else { "off" }));
-        }
-        if let Some(t) = self.topology {
-            parts.push(format!("topo={t}"));
-        }
-        if let Some(a) = self.adv_offset_ns {
-            parts.push(format!("adv_ns={a}"));
-        }
-        if let Some(f) = self.fta_f {
-            parts.push(format!("f={f}"));
-        }
-        if let Some(n) = self.fleet_nodes {
-            parts.push(format!("fleet_n={n}"));
-        }
-        if let Some(t) = self.fleet_topology {
-            parts.push(format!("fleet_topo={t}"));
-        }
-        parts.join(" ")
-    }
-}
 
 /// Cross-seed aggregates of one grid point.
 #[derive(Debug, Clone)]
 pub struct GroupSummary {
-    /// The grid point.
-    pub key: GroupKey,
+    /// The grid point, with the seed cleared: the unit of cross-seed
+    /// grouping.
+    pub key: Coord,
     /// Number of runs (seeds) aggregated.
     pub runs: usize,
     /// Per-run mean Π*_s, aggregated across seeds (ns).
@@ -277,7 +121,7 @@ impl GroupAccum {
 pub struct StreamSummarizer {
     // Vec keyed by linear search: groups stay in first-appearance
     // (canonical matrix) order, and campaigns have few groups.
-    groups: Vec<(GroupKey, GroupAccum)>,
+    groups: Vec<(Coord, GroupAccum)>,
 }
 
 impl Default for StreamSummarizer {
@@ -294,7 +138,7 @@ impl StreamSummarizer {
 
     /// Folds one run record into its group.
     pub fn push(&mut self, r: &RunRecord) {
-        let key = GroupKey::of(&r.coord);
+        let key = Coord { seed: 0, ..r.coord };
         let idx = match self.groups.iter().position(|(k, _)| *k == key) {
             Some(i) => i,
             None => {
@@ -364,7 +208,7 @@ pub fn summarize(records: &[RunRecord]) -> Vec<GroupSummary> {
 pub fn render(groups: &[GroupSummary]) -> String {
     let mut out = String::new();
     for g in groups {
-        out.push_str(&format!("## {}  ({} seeds)\n", g.key.label(), g.runs));
+        out.push_str(&format!("## {}  ({} seeds)\n", g.key.group_label(), g.runs));
         out.push_str(&format!(
             "bound Pi+gamma: {:.0} ns (mean)\n",
             g.bound_ns_mean
@@ -452,7 +296,7 @@ pub fn render_json(groups: &[GroupSummary]) -> String {
             .iter()
             .map(|g| {
                 Json::object(vec![
-                    ("group", Json::Str(g.key.label())),
+                    ("group", Json::Str(g.key.group_label())),
                     ("runs", Json::UInt(g.runs as u64)),
                     ("bound_ns_mean", Json::Float(g.bound_ns_mean)),
                     ("pi_star_mean_ns", stat(&g.pi_star_mean)),
@@ -567,7 +411,7 @@ pub fn diff(
         let Some(c) = candidate.iter().find(|c| c.key == b.key) else {
             lines.push(format!(
                 "MISSING  {}: group absent from candidate",
-                b.key.label()
+                b.key.group_label()
             ));
             verdict = DiffVerdict::Incomparable;
             continue;
@@ -636,19 +480,19 @@ pub fn diff(
         }
         match worst {
             Some(reason) => {
-                lines.push(format!("REGRESS  {}: {reason}", b.key.label()));
+                lines.push(format!("REGRESS  {}: {reason}", b.key.group_label()));
                 if verdict == DiffVerdict::Parity {
                     verdict = DiffVerdict::Regression;
                 }
             }
-            None => lines.push(format!("ok       {}", b.key.label())),
+            None => lines.push(format!("ok       {}", b.key.group_label())),
         }
     }
     for c in candidate {
         if !baseline.iter().any(|b| b.key == c.key) {
             lines.push(format!(
                 "extra    {}: group absent from baseline (ignored)",
-                c.key.label()
+                c.key.group_label()
             ));
         }
     }
@@ -663,37 +507,18 @@ pub fn diff(
 mod tests {
     use super::*;
     use crate::artifact::{BoundsRecord, PrecisionRecord};
+    use crate::spec::discipline_name;
+    use clocksync::scenario::ScenarioKind;
     use clocksync::RunCounters;
+    use tsn_hyp::SyncClockDiscipline;
 
     fn rec(seed: u64, discipline: SyncClockDiscipline, p95: i64, within: f64) -> RunRecord {
         RunRecord {
             campaign: "t".to_string(),
             hash: format!("{seed:x}-{}", discipline_name(discipline)),
             coord: Coord {
-                scenario: ScenarioKind::Baseline,
-                seed,
-                domains: None,
-                sync_interval_ms: None,
-                kernel: None,
-                fault_rate_per_hour: None,
                 discipline: Some(discipline),
-                strategy: None,
-                compromised: None,
-                loss_permille: None,
-                partition_s: None,
-                election: None,
-                announce_interval_ms: None,
-                gm_failure_at_s: None,
-                rogue_master: None,
-                hops: None,
-                cross_traffic_pct: None,
-                asymmetry_ns: None,
-                tc_mode: None,
-                topology: None,
-                adv_offset_ns: None,
-                fta_f: None,
-                fleet_nodes: None,
-                fleet_topology: None,
+                ..Coord::new(ScenarioKind::Baseline, seed)
             },
             seed: seed * 1000,
             counters: RunCounters::default(),
@@ -824,8 +649,8 @@ mod tests {
         }
         let groups = summarize(&recs);
         assert_eq!(groups.len(), 2, "fabric axes join the grouping key");
-        assert!(groups[0].key.label().contains("hops=3"));
-        assert!(groups[0].key.label().contains("tc=on"));
+        assert!(groups[0].key.group_label().contains("hops=3"));
+        assert!(groups[0].key.group_label().contains("tc=on"));
         let text = render(&groups);
         assert!(text.contains("fabric/run"));
         let json = render_json(&groups);
@@ -845,8 +670,8 @@ mod tests {
         }
         let groups = summarize(&recs);
         assert_eq!(groups.len(), 2, "fleet axes join the grouping key");
-        assert!(groups[0].key.label().contains("fleet_n=1024"));
-        assert!(groups[0].key.label().contains("fleet_topo=fat-tree"));
+        assert!(groups[0].key.group_label().contains("fleet_n=1024"));
+        assert!(groups[0].key.group_label().contains("fleet_topo=fat-tree"));
     }
 
     #[test]

@@ -63,30 +63,9 @@ fn synthetic(seed: u64) -> RunRecord {
         campaign: "alloc-budget".to_string(),
         hash: format!("{seed:016x}"),
         coord: Coord {
-            scenario: clocksync::scenario::ScenarioKind::Baseline,
-            seed,
-            domains: None,
-            sync_interval_ms: None,
-            kernel: None,
-            fault_rate_per_hour: None,
-            discipline: None,
-            strategy: None,
-            compromised: None,
-            loss_permille: None,
-            partition_s: None,
-            election: None,
-            announce_interval_ms: None,
-            gm_failure_at_s: None,
-            rogue_master: None,
-            hops: None,
-            cross_traffic_pct: None,
-            asymmetry_ns: None,
-            tc_mode: None,
-            topology: None,
-            adv_offset_ns: None,
-            fta_f: None,
             fleet_nodes: Some(1024),
             fleet_topology: Some("fat-tree"),
+            ..Coord::new(clocksync::scenario::ScenarioKind::Baseline, seed)
         },
         seed: seed.wrapping_mul(0x9e3779b97f4a7c15),
         counters: clocksync::RunCounters::default(),

@@ -81,38 +81,45 @@ fn summarize_of_zero_run_manifest_exits_two_instead_of_panicking() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn run_with_malformed_spec_exits_two_with_message() {
-    // A spec that parses as JSON but fails validation (domain count
-    // outside 4..=16 breaks the FTA's N > 3f requirement) must be a
-    // plain exit-2 error at the CLI, never a panic inside `expand`.
-    let dir = scratch("malformed");
+/// `campaign run` on a spec that must be rejected before any run
+/// starts: exit 2 with a plain `error:` message, never a panic, and no
+/// campaign directory. Returns the stderr text.
+fn rejected_spec_stderr(tag: &str, spec: &str) -> String {
+    let dir = scratch(tag);
     std::fs::create_dir_all(&dir).unwrap();
     let spec_path = dir.join("bad.json");
-    std::fs::write(
-        &spec_path,
-        r#"{"schema":1,"name":"bad","base":{"preset":"quick"},"scenarios":["baseline"],"grid":{"seeds":[1],"domains":[2]}}"#,
-    )
-    .unwrap();
-
+    std::fs::write(&spec_path, spec).unwrap();
+    let campaign_dir = dir.join("campaign");
     let out = campaign(&[
         "run",
         "--spec",
         spec_path.to_str().unwrap(),
         "--dir",
-        dir.join("campaign").to_str().unwrap(),
+        campaign_dir.to_str().unwrap(),
         "--quiet",
     ]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
     assert!(!stderr.contains("panicked"), "run panicked: {stderr}");
     assert!(stderr.contains("error:"), "no error message: {stderr}");
+    assert!(!campaign_dir.exists(), "{spec}: a run was started");
+    let _ = std::fs::remove_dir_all(&dir);
+    stderr
+}
+
+#[test]
+fn run_with_malformed_spec_exits_two_with_message() {
+    // A spec that parses as JSON but fails validation (domain count
+    // outside 4..=16 breaks the FTA's N > 3f requirement) must be a
+    // plain exit-2 error at the CLI, never a panic inside `expand`.
+    let stderr = rejected_spec_stderr(
+        "malformed",
+        r#"{"schema":1,"name":"bad","base":{"preset":"quick"},"scenarios":["baseline"],"grid":{"seeds":[1],"domains":[2]}}"#,
+    );
     assert!(
-        stderr.contains("domains") || stderr.contains("4..=16"),
+        stderr.contains("domains axis value 2 outside the supported 4..=16 (FTA needs N > 3f)"),
         "error does not name the offending field: {stderr}"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression: a `partition_s` axis without an explicit `duration_s`
@@ -120,32 +127,51 @@ fn run_with_malformed_spec_exits_two_with_message() {
 /// error now, surfaced as a plain exit-2 message at the CLI.
 #[test]
 fn run_with_partition_axis_and_no_duration_exits_two() {
-    let dir = scratch("partition");
-    std::fs::create_dir_all(&dir).unwrap();
-    let spec_path = dir.join("bad.json");
-    std::fs::write(
-        &spec_path,
+    let stderr = rejected_spec_stderr(
+        "partition",
         r#"{"schema":1,"name":"bad","base":{"preset":"quick"},"scenarios":["baseline"],"grid":{"seeds":[1],"partition_s":[5]}}"#,
-    )
-    .unwrap();
-
-    let out = campaign(&[
-        "run",
-        "--spec",
-        spec_path.to_str().unwrap(),
-        "--dir",
-        dir.join("campaign").to_str().unwrap(),
-        "--quiet",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "run panicked: {stderr}");
+    );
     assert!(
         stderr.contains("duration_s"),
         "error does not name the missing field: {stderr}"
     );
+}
 
-    let _ = std::fs::remove_dir_all(&dir);
+/// Regression: numeric axes had no upper bound, so values near
+/// `u64::MAX` wrapped through `as i64` — panicking deep in the
+/// election, config and time crates, or (for `gm_failure_at_s`) passing
+/// validation as −1 and scheduling a kill before t = 0. Every numeric
+/// axis now carries an explicit range in the axis table, checked before
+/// any cast: one case per axis, just past its maximum and at
+/// `u64::MAX`, must exit 2 naming the axis and its range.
+#[test]
+fn run_with_out_of_range_axis_value_exits_two_naming_axis_and_range() {
+    use tsn_campaign::axis::{Kind, AXES};
+
+    let mut numeric_axes = 0;
+    for a in AXES {
+        let Kind::UInt(min, max, _) = a.kind else {
+            continue;
+        };
+        numeric_axes += 1;
+        for value in [max + 1, u64::MAX] {
+            let stderr = rejected_spec_stderr(
+                &format!("range-{}", a.spec_key),
+                &format!(
+                    r#"{{"schema":1,"name":"bad","base":{{"preset":"quick","duration_s":6,"warmup_s":3}},"scenarios":["baseline"],"grid":{{"seeds":[1],"{}":[{value}]}}}}"#,
+                    a.spec_key
+                ),
+            );
+            assert!(
+                stderr.contains(&format!(
+                    "{} axis value {value} outside the supported {min}..={max}",
+                    a.spec_key
+                )),
+                "error does not name the axis and its range: {stderr}"
+            );
+        }
+    }
+    assert_eq!(numeric_axes, 15);
 }
 
 /// `--trace` writes one Chrome trace-event file per executed run plus a

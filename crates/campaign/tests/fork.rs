@@ -111,7 +111,7 @@ fn degradation_walk_is_in_artifacts_and_fork_stable() {
         scenarios: vec![ScenarioKind::Baseline],
         grid: Grid {
             seeds: vec![41],
-            strategies: vec!["trim-edge".to_string()],
+            strategies: vec!["trim-edge"],
             compromised: vec![1],
             partition_s: vec![0, 12],
             ..Grid::default()

@@ -3,8 +3,9 @@
 //! * a run that panics is isolated — the campaign finishes, sibling
 //!   artifacts are byte-identical to a clean campaign, the failed run
 //!   leaves no artifact, and a later resume retries it;
-//! * a bytewise-truncated artifact is quarantined to `runs/corrupt/`
-//!   and its run re-executed instead of aborting the resume;
+//! * a bytewise-truncated artifact and a stale-schema artifact are
+//!   quarantined to `runs/corrupt/` and their runs re-executed instead
+//!   of aborting the resume;
 //! * the ring and tree fabric topologies run clean under `--check` and
 //!   fork byte-identically to cold execution.
 
@@ -139,24 +140,36 @@ fn truncated_artifact_is_quarantined_and_rerun() {
     assert_eq!(first.quarantined, 0);
     let before = artifact_bytes(&dir);
 
-    // Bytewise-truncate one artifact — the torn-write failure mode.
-    let (victim_name, victim_bytes) = &before[0];
-    let victim = dir.join("runs").join(victim_name);
-    std::fs::write(&victim, &victim_bytes[..victim_bytes.len() / 2]).unwrap();
+    // Two kinds of damage: a bytewise-truncated artifact (the torn-write
+    // failure mode) and a stale schema-6 record (the pre-fleet format:
+    // no fleet keys in its coord object).
+    let truncated = before[0].1[..before[0].1.len() / 2].to_vec();
+    let stale = String::from_utf8(before[1].1.clone())
+        .unwrap()
+        .replace("\"schema\":7", "\"schema\":6")
+        .replace(",\"fleet_nodes\":null,\"fleet_topology\":null", "")
+        .into_bytes();
+    assert_ne!(stale, before[1].1);
+    let damaged = [(&before[0].0, truncated), (&before[1].0, stale)];
+    for (name, bytes) in &damaged {
+        std::fs::write(dir.join("runs").join(name), bytes).unwrap();
+    }
 
     let second = runner::execute(&spec, &opts(&dir)).expect("resume over corruption");
-    assert_eq!(second.quarantined, 1, "truncated artifact not quarantined");
-    assert_eq!(second.executed, 1);
-    assert_eq!(second.skipped, 3);
+    assert_eq!(second.quarantined, 2, "damaged artifacts not quarantined");
+    assert_eq!(second.executed, 2);
+    assert_eq!(second.skipped, 2);
     assert_eq!(second.records, first.records);
 
     // The damaged bytes were preserved for forensics, not destroyed...
-    let quarantined = dir.join("runs").join("corrupt").join(victim_name);
-    assert_eq!(
-        std::fs::read(&quarantined).expect("quarantined copy exists"),
-        &victim_bytes[..victim_bytes.len() / 2]
-    );
-    // ...and the re-executed artifact matches the original bytes.
+    for (name, bytes) in &damaged {
+        let quarantined = dir.join("runs").join("corrupt").join(name);
+        assert_eq!(
+            &std::fs::read(&quarantined).expect("quarantined copy exists"),
+            bytes
+        );
+    }
+    // ...and the re-executed artifacts match the original bytes.
     assert_eq!(artifact_bytes(&dir), before);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -178,7 +191,7 @@ fn ring_and_tree_fabrics_run_clean_and_fork_identically() {
         scenarios: vec![ScenarioKind::Baseline, ScenarioKind::CyberIdenticalKernels],
         grid: Grid {
             seeds: vec![7],
-            topology: vec!["ring".to_string(), "tree".to_string()],
+            topology: vec!["ring", "tree"],
             hops: vec![2],
             ..Grid::default()
         },

@@ -16,7 +16,7 @@ use tsn_time::{JitterConfig, Nanos, OscillatorConfig, ServoConfig};
 ///
 /// Serializable, so experiment setups can be stored as config files and
 /// attached to published results.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// Master seed; all randomness derives from it.
     pub seed: u64,
@@ -144,7 +144,7 @@ pub struct TestbedConfig {
 }
 
 /// Hypervisor monitor fault-detection mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HypMonitorMode {
     /// Freshness/liveness detection only (f + 1 redundancy).
     FailSilent,
@@ -155,7 +155,7 @@ pub enum HypMonitorMode {
 
 /// A timed isolation window for one node (see
 /// [`TestbedConfig::partition`]).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionWindow {
     /// The node to cut off from the mesh.
     pub node: usize,
@@ -167,7 +167,7 @@ pub struct PartitionWindow {
 
 /// A Byzantine dependent-clock writer (see
 /// [`TestbedConfig::corrupt_publisher`]).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptPublisher {
     /// Target node.
     pub node: usize,
@@ -180,7 +180,7 @@ pub struct CorruptPublisher {
 }
 
 /// Best-effort background load on every link.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackgroundTraffic {
     /// Offered load per egress port as a fraction of line rate (0–0.95).
     pub load: f64,
@@ -382,12 +382,6 @@ mod tests {
         let mut c = TestbedConfig::paper_default(1);
         c.aggregation.domains = 3;
         c.validate();
-    }
-
-    #[test]
-    fn config_is_fully_serializable() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<TestbedConfig>();
     }
 
     #[test]

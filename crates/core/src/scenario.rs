@@ -21,7 +21,7 @@ pub struct ScenarioOutcome {
 }
 
 /// The named experiment scenarios of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// No faults, no attack (sanity baseline).
     Baseline,
@@ -134,10 +134,9 @@ pub struct RunOptions {
     pub trace_max_events: Option<usize>,
 }
 
-/// The serde-run entry point: applies the named scenario to `config` and
-/// runs it. This is the single function an orchestrator needs: a
-/// scenario name plus a (deserialized) [`TestbedConfig`] yields a
-/// [`RunResult`].
+/// The run-by-name entry point: applies the named scenario to `config`
+/// and runs it. This is the single function an orchestrator needs: a
+/// scenario name plus a [`TestbedConfig`] yields a [`RunResult`].
 pub fn run_named(name: &str, config: TestbedConfig) -> Result<ScenarioOutcome, UnknownScenario> {
     run_named_with(name, config, RunOptions::default())
 }

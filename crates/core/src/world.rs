@@ -214,7 +214,7 @@ struct SwitchState {
 }
 
 /// Aggregate counters reported after a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunCounters {
     /// Transmit-timestamp retrieval timeouts across all `ptp4l` masters.
     pub tx_timestamp_timeouts: u64,

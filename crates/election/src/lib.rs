@@ -22,14 +22,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use tsn_gptp::msg::{AnnounceBody, Header, Message, MessageType};
 use tsn_gptp::{Bmca, ClockIdentity, ClockQuality, PortIdentity, SystemIdentity};
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 use tsn_time::{ClockTime, Nanos};
 
 /// Configuration of the dynamic election mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElectionConfig {
     /// Announce transmission interval of acting masters
     /// (802.1AS default: 1 s; the testbed defaults to 250 ms so

@@ -22,7 +22,6 @@
 //! 1024 gPTP state machines.
 
 use crate::{FabricConfig, FabricTopology};
-use serde::{Deserialize, Serialize};
 use tsn_time::Nanos;
 
 /// ECDs attached per edge switch (automotive TSN edge switches
@@ -37,7 +36,7 @@ const RESIDENCE_DRAW_MIN_NS: i64 = 400;
 const RESIDENCE_DRAW_MAX_NS: i64 = 900;
 
 /// Shape of the generated switch fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetShape {
     /// Switches in a path: worst-case diameter, the depth stressor.
     Line,
@@ -76,7 +75,7 @@ impl FleetShape {
 }
 
 /// One switch of the generated fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetSwitch {
     /// Dense identifier (`0..switch_count`).
     pub id: u32,
@@ -86,7 +85,7 @@ pub struct FleetSwitch {
 
 /// An undirected inter-switch link (`a < b`; hairpins are impossible
 /// by construction and rejected by [`FleetTopology::validate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetLink {
     /// Lower switch id.
     pub a: u32,
@@ -96,7 +95,7 @@ pub struct FleetLink {
 
 /// A generated fleet topology: switches, inter-switch links, and the
 /// edge switch each ECD attaches to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetTopology {
     /// The shape this fleet was generated with.
     pub shape: FleetShape,
@@ -144,14 +143,18 @@ impl FleetTopology {
         let edge_count = nodes.div_ceil(ECDS_PER_SWITCH).max(1);
         let (switch_count, links) = match shape {
             FleetShape::Line => {
-                let links = (1..edge_count).map(|i| FleetLink { a: i - 1, b: i }).collect();
+                let links = (1..edge_count)
+                    .map(|i| FleetLink { a: i - 1, b: i })
+                    .collect();
                 (edge_count, links)
             }
             FleetShape::Ring => {
                 if edge_count < 3 {
                     // A 2-switch "ring" is a doubled line edge; degrade
                     // to the line so links stay simple (no multi-edges).
-                    let links = (1..edge_count).map(|i| FleetLink { a: i - 1, b: i }).collect();
+                    let links = (1..edge_count)
+                        .map(|i| FleetLink { a: i - 1, b: i })
+                        .collect();
                     (edge_count, links)
                 } else {
                     let mut links: Vec<FleetLink> = (1..edge_count)

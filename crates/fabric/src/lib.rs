@@ -51,7 +51,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 use tsn_time::{Nanos, SimTime};
@@ -63,7 +62,7 @@ pub use fleet::{FleetShape, FleetSwitch, FleetTopology};
 ///
 /// The variant fixes the *distance metric* between edge switches `a`
 /// and `b`; the actual chain length is `hops × distance(a, b)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricTopology {
     /// Switches on a line; distance is `|a − b|`.
     Line,
@@ -103,7 +102,7 @@ impl FabricTopology {
 }
 
 /// Configuration of the multi-hop fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// Distance metric between edge switches.
     pub topology: FabricTopology,
@@ -854,11 +853,5 @@ mod tests {
             ..FabricConfig::default()
         }
         .validate();
-    }
-
-    #[test]
-    fn config_is_serializable() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<FabricConfig>();
     }
 }

@@ -14,14 +14,13 @@
 
 use crate::kernel::{is_vulnerable, CveId, KernelVersion};
 use crate::strategy::ByzantineStrategy;
-use serde::{Deserialize, Serialize};
 use tsn_time::{Nanos, SimTime};
 
 /// The paper's malicious `preciseOriginTimestamp` shift.
 pub const PAPER_POT_OFFSET: Nanos = Nanos::from_micros(-24);
 
 /// One planned exploit attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Strike {
     /// When the attacker runs the exploit.
     pub at: SimTime,
@@ -33,7 +32,6 @@ pub struct Strike {
     pub pot_offset: Nanos,
     /// Time-varying manipulation policy; `None` keeps the paper's
     /// constant `pot_offset` behaviour.
-    #[serde(default)]
     pub strategy: Option<ByzantineStrategy>,
 }
 
@@ -49,7 +47,7 @@ impl Strike {
 }
 
 /// Outcome of an exploit attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrikeOutcome {
     /// Root obtained; the GM's `ptp4l` is now malicious.
     RootObtained,
@@ -58,7 +56,7 @@ pub enum StrikeOutcome {
 }
 
 /// The attack plan for an experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackPlan {
     strikes: Vec<Strike>,
 }
@@ -115,7 +113,7 @@ impl AttackPlan {
 }
 
 /// Per-node kernel assignment for the GM clock-sync VMs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelAssignment {
     kernels: Vec<KernelVersion>,
 }

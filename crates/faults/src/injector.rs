@@ -13,11 +13,10 @@
 //! the 24 h experiment bit-reproducible.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tsn_time::{Nanos, SimTime};
 
 /// Which clock-synchronization VM of a node a fault targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmSlot {
     /// The grandmaster clock-sync VM (`c^x_1`).
     Grandmaster,
@@ -26,7 +25,7 @@ pub enum VmSlot {
 }
 
 /// One scheduled fail-silent shutdown (with its reboot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Shutdown instant.
     pub at: SimTime,
@@ -46,7 +45,7 @@ impl FaultEvent {
 }
 
 /// Configuration of the schedule generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectorConfig {
     /// Experiment duration (24 h in the paper).
     pub duration: Nanos,
@@ -86,7 +85,7 @@ impl InjectorConfig {
 }
 
 /// Aggregate downtime numbers of a [`FaultSchedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DowntimeStats {
     /// Sum of all VM downtimes.
     pub total_down: Nanos,
@@ -99,7 +98,7 @@ pub struct DowntimeStats {
 }
 
 /// A generated, constraint-checked fault schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
 }

@@ -8,11 +8,10 @@
 //! succeeds exactly on vulnerable kernels, so whether Byzantine fault
 //! tolerance survives depends on how many GMs share the vulnerable stack.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Linux kernel version triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelVersion {
     /// Major version.
     pub major: u16,
@@ -80,7 +79,7 @@ impl std::str::FromStr for KernelVersion {
 }
 
 /// Identifies a CVE in the database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CveId {
     /// CVE-2018-18955: `user_namespace` privilege escalation
     /// (exploit 47164, used by the paper's attacker).

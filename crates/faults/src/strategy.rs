@@ -14,7 +14,6 @@
 //! elapsed since the strike landed, so runs are bit-reproducible across
 //! platforms and across cold/forked execution.
 
-use serde::{Deserialize, Serialize};
 use tsn_snapshot::{Reader, Snap, SnapError, Writer};
 use tsn_time::Nanos;
 
@@ -26,7 +25,7 @@ use crate::attacker::PAPER_POT_OFFSET;
 /// POT shift the malicious `ptp4l` applies. The FTA validity threshold
 /// is passed in so boundary-hugging strategies can position themselves
 /// relative to the aggregator's drop boundary (paper §II trim).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ByzantineStrategy {
     /// The paper's fixed shift (−24 µs as the canonical point).
     ConstantOffset {

@@ -14,10 +14,9 @@
 //! (4 GMs · 8 Sync/s · 86 400 s).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the transient fault models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientFaultConfig {
     /// Probability a Sync's hardware transmit timestamp retrieval times
     /// out (no Follow_Up is sent).

@@ -37,7 +37,6 @@
 
 use crate::algorithm::{validity_flags, AggregationMethod};
 use crate::shmem::{FtShmem, OffsetSlot, SharedFtShmem};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tsn_time::{ClockTime, Nanos, PiServo, ServoConfig, ServoOutput, SyncState};
 
@@ -45,7 +44,7 @@ use tsn_time::{ClockTime, Nanos, PiServo, ServoConfig, ServoOutput, SyncState};
 const FAR_PAST: ClockTime = ClockTime::from_nanos(i64::MIN / 2);
 
 /// Configuration of the multi-domain aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregationConfig {
     /// Number of gPTP domains `M`.
     pub domains: usize,
@@ -102,7 +101,7 @@ impl AggregationConfig {
 }
 
 /// Operating mode of one VM's aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregationMode {
     /// Synchronizing to the initial domain only (paper's startup phase).
     Startup,

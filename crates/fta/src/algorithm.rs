@@ -11,11 +11,10 @@
 //! what a non-fault-tolerant multi-domain aggregation would compute, and
 //! the median is FTA's limiting case.
 
-use serde::{Deserialize, Serialize};
 use tsn_time::Nanos;
 
 /// The aggregation function applied to the per-domain GM offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregationMethod {
     /// Kopetz–Ochsenreiter FTA discarding `f` extremes on each side.
     FaultTolerantAverage {

@@ -11,12 +11,11 @@
 
 use crate::msg::{AnnounceBody, Message};
 use crate::types::{PortIdentity, SystemIdentity};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tsn_time::{ClockTime, Nanos};
 
 /// The role of a gPTP port within one domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortRole {
     /// Sends Sync/Announce downstream.
     Master,

@@ -8,12 +8,11 @@
 //! derive them from a topology spanning tree.
 
 use crate::bmca::PortRole;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use tsn_netsim::{DeviceId, DeviceKind, Topology};
 
 /// Static role assignment for one device's ports within one domain.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DevicePortRoles {
     roles: BTreeMap<u16, PortRole>,
 }

@@ -1,11 +1,10 @@
 //! Core IEEE 802.1AS / IEEE 1588 data types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tsn_time::{ClockTime, Nanos};
 
 /// An EUI-64 clock identity (IEEE 1588 clause 7.5.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClockIdentity(pub [u8; 8]);
 
 impl ClockIdentity {
@@ -32,7 +31,7 @@ impl fmt::Display for ClockIdentity {
 }
 
 /// A PTP port identity: clock identity plus 1-based port number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortIdentity {
     /// Identity of the owning clock.
     pub clock: ClockIdentity,
@@ -56,7 +55,7 @@ impl fmt::Display for PortIdentity {
 /// A PTP timestamp: 48-bit seconds + 32-bit nanoseconds.
 ///
 /// Wire format of the `Timestamp` struct in IEEE 1588 clause 5.3.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PtpTimestamp {
     /// Seconds field (only the low 48 bits are representable).
     pub seconds: u64,
@@ -88,9 +87,7 @@ impl PtpTimestamp {
 
 /// A correction field value: nanoseconds scaled by 2¹⁶
 /// (IEEE 1588 clause 13.3.2.7).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Correction(i64);
 
 impl Correction {
@@ -151,7 +148,7 @@ pub mod rate_ratio {
 }
 
 /// Clock quality advertised in Announce messages (IEEE 1588 clause 7.6.2.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockQuality {
     /// clockClass (248 = default for gPTP end stations).
     pub class: u8,
@@ -173,7 +170,7 @@ impl Default for ClockQuality {
 
 /// The set of values BMCA compares, in comparison order
 /// (IEEE 802.1AS clause 10.3.2 "systemIdentity").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemIdentity {
     /// priority1 (lower wins).
     pub priority1: u8,

@@ -16,11 +16,10 @@
 //! takeover; [`VotingMonitor`] implements the majority-vote detector.
 
 use crate::stshmem::{ClockParams, StShmem, VmId};
-use serde::{Deserialize, Serialize};
 use tsn_time::{ClockTime, Nanos};
 
 /// Monitor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Monitor task period (125 ms in the paper).
     pub period: Nanos,
@@ -39,7 +38,7 @@ impl Default for MonitorConfig {
 
 /// A takeover decision: inject an interrupt into `to`, which becomes the
 /// active maintainer of `CLOCK_SYNCTIME`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Takeover {
     /// The VM that failed (or was voted faulty).
     pub from: VmId,

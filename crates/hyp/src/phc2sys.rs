@@ -79,7 +79,7 @@ impl Phc2Sys {
 /// operation of the clocks"), pointing to feed-forward clocks (RADclock)
 /// as the fix. Both are implemented so the ablation can quantify the
 /// difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncClockDiscipline {
     /// Affine parameter snapshots ([`Phc2Sys`]): no feedback loop.
     FeedForward,

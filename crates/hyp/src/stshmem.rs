@@ -8,16 +8,15 @@
 //! a torn read is impossible (ACRN uses the MMU to give all VMs the same
 //! view; the paper relies on this for fail-consistency).
 
-use serde::{Deserialize, Serialize};
 use tsn_time::{ClockTime, Nanos};
 
 /// Identifies a VM on one ECD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub usize);
 
 /// Affine clock parameters mapping the host clock to synchronized time:
 /// `synctime(h) = base_sync + (h − base_host) · rate`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockParams {
     /// Host clock reading at the sample point.
     pub base_host: ClockTime,

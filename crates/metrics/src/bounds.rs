@@ -13,7 +13,6 @@
 //! `Π = 2(E + Γ)`. The measurement error γ (Eq. 3.2) is the delay spread
 //! over the *measurement* paths only.
 
-use serde::{Deserialize, Serialize};
 use tsn_time::{Nanos, Ppb};
 
 /// Drift offset `Γ = 2 · r_max · S`.
@@ -44,7 +43,7 @@ pub fn precision_bound(n: usize, f: usize, reading_error: Nanos, drift_offset: N
 }
 
 /// The derived bounds of one experiment, as the paper reports them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundsReport {
     /// Minimum path delay between any two nodes (`d_min`).
     pub d_min: Nanos,

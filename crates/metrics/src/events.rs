@@ -6,12 +6,11 @@
 //! experiment world records these as [`ExperimentEvent`]s; the figure
 //! regenerator filters and renders them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tsn_time::{SimTime, SyncState};
 
 /// Kinds of transient `ptp4l` application faults (paper §III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransientKind {
     /// `tx_timeout` retrieving the hardware transmit timestamp.
     TxTimestampTimeout,
@@ -20,7 +19,7 @@ pub enum TransientKind {
 }
 
 /// One annotated experiment event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentEvent {
     /// A clock-synchronization VM failed silently.
     VmFailure {
@@ -145,7 +144,7 @@ impl fmt::Display for ExperimentEvent {
 }
 
 /// Time-ordered event log.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     entries: Vec<(SimTime, ExperimentEvent)>,
 }

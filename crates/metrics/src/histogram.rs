@@ -1,10 +1,9 @@
 //! Histograms of measured precision (paper Fig. 4b).
 
-use serde::{Deserialize, Serialize};
 use tsn_time::Nanos;
 
 /// A fixed-bin-width histogram over non-negative nanosecond values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     bin_width: u64,
     counts: Vec<u64>,

@@ -13,7 +13,6 @@
 //! the VM co-located with the measurement VM) so the measurement error γ
 //! stays small.
 
-use serde::{Deserialize, Serialize};
 use tsn_time::{ClockTime, Nanos, SimTime};
 
 /// Computes Eq. 3.1 over one probe's receiver timestamps.
@@ -29,7 +28,7 @@ pub fn precision_of(readings: &[ClockTime]) -> Option<Nanos> {
 }
 
 /// One precision measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrecisionSample {
     /// True time of the probe (series x-axis).
     pub at: SimTime,
@@ -40,13 +39,13 @@ pub struct PrecisionSample {
 }
 
 /// The measured precision time series of one experiment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrecisionSeries {
     samples: Vec<PrecisionSample>,
 }
 
 /// Aggregate of one fixed-length window (the paper plots 120 s windows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStat {
     /// Window start time.
     pub start: SimTime,
@@ -61,7 +60,7 @@ pub struct WindowStat {
 }
 
 /// Moments of a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesStats {
     /// Arithmetic mean.
     pub mean: f64,

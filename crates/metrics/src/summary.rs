@@ -5,10 +5,8 @@
 //! bound-violation rates, fault counts, …) into cross-seed aggregates:
 //! mean/std/min/max plus nearest-rank p50/p95/p99.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate statistics of a sample of scalars.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleSummary {
     /// Number of samples.
     pub count: usize,

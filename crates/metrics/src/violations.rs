@@ -8,11 +8,10 @@
 //! it. The record type lives here so campaign tooling can surface
 //! violations without depending on the oracle itself.
 
-use serde::{Deserialize, Serialize};
 use tsn_time::SimTime;
 
 /// One invariant violation: where, what, and the witness that proves it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViolationRecord {
     /// Simulation time at which the violation was detected.
     pub at: SimTime,

@@ -6,11 +6,10 @@
 //! corrupts *wire bytes*, exactly like the paper's malicious `ptp4l`.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 48-bit IEEE 802 MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -50,7 +49,7 @@ impl fmt::Display for MacAddr {
 }
 
 /// An 802.1Q VLAN tag (TPID 0x8100).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VlanTag {
     /// Priority code point (0–7); gPTP and measurement traffic use 7/6.
     pub pcp: u8,

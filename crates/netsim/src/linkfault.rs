@@ -21,14 +21,13 @@
 
 use crate::topology::LinkId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 use tsn_time::Nanos;
 
 /// Two-state Gilbert–Elliott burst-loss process layered on top of the
 /// i.i.d. loss floor: each frame crossing advances the chain, and while
 /// the chain is in its burst state frames are lost with `p_loss`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstLoss {
     /// Per-crossing probability of entering the burst state.
     pub p_enter: f64,
@@ -42,7 +41,7 @@ pub struct BurstLoss {
 ///
 /// Times are relative to the end of the warm-up (the convention of
 /// `FaultSchedule`), so fault-free warm prefixes stay shareable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDownWindow {
     /// Index of the affected link ([`LinkId`]).
     pub link: usize,
@@ -54,7 +53,7 @@ pub struct LinkDownWindow {
 
 /// Constant extra one-way delay on one link, making its forward and
 /// reverse paths asymmetric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsymmetricDelay {
     /// Index of the affected link ([`LinkId`]).
     pub link: usize,
@@ -65,7 +64,7 @@ pub struct AsymmetricDelay {
 }
 
 /// The complete link-fault configuration of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkFaultPlan {
     /// i.i.d. per-crossing loss probability applied to every link.
     pub loss: f64,

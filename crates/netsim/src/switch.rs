@@ -14,7 +14,6 @@
 use crate::frame::{EthernetFrame, MacAddr};
 use crate::topology::{DelayModel, PortNo};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use tsn_time::Nanos;
 
@@ -22,7 +21,7 @@ use tsn_time::Nanos;
 pub type Vid = u16;
 
 /// Static filtering database and VLAN membership of one switch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Fdb {
     /// Ports that are members of each VLAN.
     vlan_members: BTreeMap<Vid, BTreeSet<PortNo>>,
@@ -61,7 +60,7 @@ impl Fdb {
 }
 
 /// Store-and-forward switch model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Switch {
     /// Human-readable name (e.g. `sw1`).
     pub name: String,

@@ -13,21 +13,20 @@
 
 use crate::frame::MacAddr;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use tsn_time::Nanos;
 
 /// Identifies a device (station or bridge) in a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub usize);
 
 /// A port number local to a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortNo(pub u8);
 
 /// A fully-qualified port address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortAddr {
     /// The device owning the port.
     pub device: DeviceId,
@@ -52,11 +51,11 @@ impl fmt::Display for PortAddr {
 }
 
 /// Identifies a link in a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkId(pub usize);
 
 /// Kind of device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceKind {
     /// An end station (a NIC owned by one VM).
     Station,
@@ -66,7 +65,7 @@ pub enum DeviceKind {
 
 /// One-way link delay model: fixed static latency plus uniform per-frame
 /// jitter in `[0, jitter_max)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayModel {
     /// Static latency (cable + PHY + fixed pipeline).
     pub base: Nanos,
@@ -104,7 +103,7 @@ impl DelayModel {
 }
 
 /// A full-duplex link between two ports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// First endpoint.
     pub a: PortAddr,
@@ -148,7 +147,7 @@ impl Link {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Device {
     name: String,
     kind: DeviceKind,
@@ -170,7 +169,7 @@ struct Device {
 /// topo.connect(topo.port(nic, 0), topo.port(sw, 0), d, d);
 /// assert_eq!(topo.peer(topo.port(nic, 0)), Some(topo.port(sw, 0)));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     devices: Vec<Device>,
     links: Vec<Link>,

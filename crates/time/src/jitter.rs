@@ -7,10 +7,9 @@
 
 use crate::units::Nanos;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the timestamping error model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterConfig {
     /// Standard deviation of Gaussian timestamp noise, in ns.
     pub sigma_ns: f64,

@@ -9,10 +9,9 @@
 
 use crate::units::Ppb;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for an [`Oscillator`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OscillatorConfig {
     /// Maximum absolute static frequency deviation, in ppb. The initial
     /// deviation is drawn uniformly from `[-max_static_ppb, max_static_ppb]`.

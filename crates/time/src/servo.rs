@@ -13,10 +13,9 @@
 //! region.
 
 use crate::units::{Nanos, Ppb};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the PI servo, mirroring LinuxPTP's option names.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServoConfig {
     /// `pi_proportional_scale` (LinuxPTP default 0.7).
     pub kp_scale: f64,
@@ -74,7 +73,7 @@ impl ServoConfig {
 }
 
 /// Servo lock state, as reported by LinuxPTP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServoState {
     /// Gathering initial samples; no useful output yet.
     Unlocked,

@@ -9,12 +9,11 @@
 //! module provides the shared three-state vocabulary; `tsn-fta` drives
 //! the transitions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tsn_snapshot::{Reader, Snap, SnapError, Writer};
 
 /// Degradation state of the aggregated `CLOCK_SYNCTIME` discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncState {
     /// Fresh valid offsets ≥ `min_inputs`: the clock is actively
     /// disciplined by the fault-tolerant aggregate.

@@ -15,7 +15,6 @@
 //! time must go through an explicit clock model ([`crate::Phc`] or
 //! similar); there are deliberately no direct conversions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Rem, Sub, SubAssign};
 
@@ -32,9 +31,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Rem, Sub, SubAssign};
 /// let t = SimTime::ZERO + Nanos::from_millis(125);
 /// assert_eq!(t.as_nanos(), 125_000_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -146,9 +143,7 @@ impl fmt::Display for SimTime {
 /// assert_eq!(s.as_nanos(), 125_000_000);
 /// assert_eq!((-s).abs(), s);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(i64);
 
 impl Nanos {
@@ -298,9 +293,7 @@ impl fmt::Display for Nanos {
 /// let t = ClockTime::from_nanos(1_000);
 /// assert_eq!(t + Nanos::from_nanos(24), ClockTime::from_nanos(1_024));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClockTime(i64);
 
 impl ClockTime {
@@ -474,8 +467,14 @@ mod tests {
         assert_eq!(SimTime::ZERO - huge, Nanos::from_nanos(i64::MIN));
         // ... and differences inside the range stay exact even when the
         // operands themselves exceed i64::MAX ns.
-        assert_eq!(huge - SimTime::from_nanos(u64::MAX - 7), Nanos::from_nanos(7));
-        assert_eq!(SimTime::from_nanos(u64::MAX - 7) - huge, Nanos::from_nanos(-7));
+        assert_eq!(
+            huge - SimTime::from_nanos(u64::MAX - 7),
+            Nanos::from_nanos(7)
+        );
+        assert_eq!(
+            SimTime::from_nanos(u64::MAX - 7) - huge,
+            Nanos::from_nanos(-7)
+        );
         assert_eq!(
             SimTime::from_nanos(i64::MAX as u64) - SimTime::ZERO,
             Nanos::from_nanos(i64::MAX)
