@@ -213,34 +213,12 @@ impl RunRecord {
                 .map(|a| (a.coord_key, a.coord_to_json(&self.coord))),
         );
         let coord = Json::object(coord);
-        let c = &self.counters;
-        let counters = Json::object(vec![
-            ("tx_timestamp_timeouts", Json::UInt(c.tx_timestamp_timeouts)),
-            ("deadline_misses", Json::UInt(c.deadline_misses)),
-            ("vm_failures", Json::UInt(c.vm_failures)),
-            ("gm_failures", Json::UInt(c.gm_failures)),
-            ("takeovers", Json::UInt(c.takeovers)),
-            ("aggregations", Json::UInt(c.aggregations)),
-            ("no_quorum", Json::UInt(c.no_quorum)),
-            ("strikes_succeeded", Json::UInt(c.strikes_succeeded)),
-            ("strikes_failed", Json::UInt(c.strikes_failed)),
-            ("frames_queued", Json::UInt(c.frames_queued)),
-            ("sync_transitions", Json::UInt(c.sync_transitions)),
-            ("holdover_ns", Json::UInt(c.holdover_ns)),
-            ("freerun_ns", Json::UInt(c.freerun_ns)),
-            ("uncovered_failures", Json::UInt(c.uncovered_failures)),
-            ("unhandled_frames", Json::UInt(c.unhandled_frames)),
-            ("announce_tx", Json::UInt(c.announce_tx)),
-            ("elected_gm_changes", Json::UInt(c.elected_gm_changes)),
-            ("reconvergence_ns", Json::UInt(c.reconvergence_ns)),
-            (
-                "fabric_frames_forwarded",
-                Json::UInt(c.fabric_frames_forwarded),
-            ),
-            ("fabric_frames_dropped", Json::UInt(c.fabric_frames_dropped)),
-            ("max_residence_ns", Json::UInt(c.max_residence_ns)),
-            ("path_asymmetry_ns", Json::UInt(c.path_asymmetry_ns)),
-        ]);
+        let counters = Json::object(
+            self.counters
+                .fields()
+                .map(|(name, value)| (name, Json::UInt(value)))
+                .collect(),
+        );
         let b = &self.bounds;
         let bounds = Json::object(vec![
             ("d_min_ns", Json::Int(b.d_min_ns)),
@@ -319,30 +297,10 @@ impl RunRecord {
             }
         }
         let c = v.get("counters")?;
-        let counters = RunCounters {
-            tx_timestamp_timeouts: c.get("tx_timestamp_timeouts")?.as_u64()?,
-            deadline_misses: c.get("deadline_misses")?.as_u64()?,
-            vm_failures: c.get("vm_failures")?.as_u64()?,
-            gm_failures: c.get("gm_failures")?.as_u64()?,
-            takeovers: c.get("takeovers")?.as_u64()?,
-            aggregations: c.get("aggregations")?.as_u64()?,
-            no_quorum: c.get("no_quorum")?.as_u64()?,
-            strikes_succeeded: c.get("strikes_succeeded")?.as_u64()?,
-            strikes_failed: c.get("strikes_failed")?.as_u64()?,
-            frames_queued: c.get("frames_queued")?.as_u64()?,
-            sync_transitions: c.get("sync_transitions")?.as_u64()?,
-            holdover_ns: c.get("holdover_ns")?.as_u64()?,
-            freerun_ns: c.get("freerun_ns")?.as_u64()?,
-            uncovered_failures: c.get("uncovered_failures")?.as_u64()?,
-            unhandled_frames: c.get("unhandled_frames")?.as_u64()?,
-            announce_tx: c.get("announce_tx")?.as_u64()?,
-            elected_gm_changes: c.get("elected_gm_changes")?.as_u64()?,
-            reconvergence_ns: c.get("reconvergence_ns")?.as_u64()?,
-            fabric_frames_forwarded: c.get("fabric_frames_forwarded")?.as_u64()?,
-            fabric_frames_dropped: c.get("fabric_frames_dropped")?.as_u64()?,
-            max_residence_ns: c.get("max_residence_ns")?.as_u64()?,
-            path_asymmetry_ns: c.get("path_asymmetry_ns")?.as_u64()?,
-        };
+        let mut counters = RunCounters::default();
+        for (name, slot) in counters.fields_mut() {
+            *slot = c.get(name)?.as_u64()?;
+        }
         let b = v.get("bounds")?;
         let bounds = BoundsRecord {
             d_min_ns: b.get("d_min_ns")?.as_i64()?,

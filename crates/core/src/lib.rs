@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod counters;
 mod densemap;
 pub mod node;
 pub mod scenario;

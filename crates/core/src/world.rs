@@ -14,20 +14,21 @@
 //! the 2-level tree `GM → sw_x → {sw_y} → VMs`.
 
 use crate::config::{HypMonitorMode, TestbedConfig};
+pub use crate::counters::RunCounters;
 use crate::densemap::{DevMap, PortTable};
+use crate::node::{MultiDomainNode, NodeConfig, NodeOutput};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use tsn_election::{ElectionEvent, NodeElection};
 use tsn_fabric::{Fabric, FrameClass};
 use tsn_faults::{
     AttackPlan, ByzantineStrategy, FaultEvent, FaultSchedule, StrikeOutcome, TransientFaults,
     VmSlot,
 };
-use tsn_fta::{AggregationMethod, AggregationMode, MultiDomainAggregator, SubmitOutcome};
+use tsn_fta::{Aggregation, AggregationMethod, AggregationMode};
 use tsn_gptp::{
-    msg::Message, msg::MessageType, msg::GPTP_MAJOR_SDO_ID, msg::PTP_VERSION, BridgeRelay,
-    ClockIdentity, LinkDelayService, PortIdentity, SyncMaster, SyncSlave,
+    msg::Message, msg::MessageType, Bridge, ClockIdentity, Transmission, TxTiming, TxToken,
 };
 use tsn_hyp::{
     DependentClockDevice, Phc2Sys, SyncClockDiscipline, SyncTimeServo, VmId, VotingMonitor,
@@ -49,9 +50,6 @@ use tsn_trace::{node_pid, Subsystem as TraceSub, TraceConfig, TraceSink, SIM_PID
 const MEASUREMENT_VID: u16 = 100;
 /// Minimum lead time between scheduling a Sync and its launch boundary.
 const LAUNCH_LEAD: Nanos = Nanos::from_millis(20);
-/// Default link-delay assumption before the first pdelay exchange
-/// completes.
-const DEFAULT_LINK_DELAY: Nanos = Nanos::from_nanos(2_000);
 
 /// Sequence id of an encoded gPTP message (header bytes 30..32).
 fn peek_sequence(payload: &[u8]) -> u16 {
@@ -75,26 +73,27 @@ fn add_correction(frame: &mut EthernetFrame, residence_ns: i64) {
     frame.payload = bytes::Bytes::from(buf);
 }
 
-/// Transmission context: what to do once the frame's hardware egress
-/// timestamp is known.
-#[derive(Debug, Clone)]
-enum TxCtx {
-    /// No follow-up action (general messages, probes).
-    None,
-    /// A grandmaster's Sync: emit the Follow_Up. `domain` selects the
-    /// originating master function (home domain or an election-acquired
-    /// foreign domain).
-    GmSync { node: usize, domain: u8, seq: u16 },
-    /// A bridge-regenerated Sync: report to the relay.
-    BridgeSync { sw: usize, domain: u8, seq: u16 },
-    /// A Pdelay_Req: report t1 to the initiator.
-    PdelayReq { dev: DeviceId, seq: u16 },
-    /// A Pdelay_Resp: emit the Pdelay_Resp_Follow_Up with t3.
-    PdelayResp {
-        dev: DeviceId,
-        seq: u16,
-        requesting: PortIdentity,
-    },
+/// Egress-timestamp continuation of a transmission: for an event
+/// message, the issuing engine's [`TxToken`] (handed back with the
+/// timestamp) under the key the snapshot stream has always filed it by —
+/// node index for an originated Sync, switch index for a relayed one,
+/// device id for the peer-delay messages.
+#[derive(Debug, Clone, Copy)]
+struct TxCtx(Option<(usize, TxToken)>);
+
+impl TxCtx {
+    /// No continuation (general messages, probes, background).
+    const NONE: TxCtx = TxCtx(None);
+
+    /// The continuation of `token`, issued by the engine with index
+    /// `engine` (node or switch) on device `dev`.
+    fn new(engine: usize, dev: DeviceId, token: TxToken) -> TxCtx {
+        let key = match token {
+            TxToken::Sync { .. } | TxToken::RelayedSync { .. } => engine,
+            TxToken::PdelayReq { .. } | TxToken::PdelayResp { .. } => dev.0,
+        };
+        TxCtx(Some((key, token)))
+    }
 }
 
 /// World events.
@@ -174,23 +173,11 @@ struct VmState {
     /// Index into the attack plan of the strike that compromised this
     /// VM; drives the per-tick Byzantine strategy offset.
     strike_idx: Option<usize>,
-    /// Only the slot-0 (GM) VM has a master for its node's domain.
-    master: Option<SyncMaster>,
-    /// `true` while the GM VM is actively serving its domain.
-    gm_active: bool,
-    slaves: Vec<SyncSlave>,
-    aggregator: MultiDomainAggregator,
-    /// CMLDS: one shared link-delay service per NIC port.
-    pd: LinkDelayService,
+    /// The VM's gPTP software: `M` per-domain instances, `FTSHMEM`,
+    /// servo, peer delay, election.
+    ptp: MultiDomainNode,
     phc2sys: Phc2Sys,
     sync_servo: SyncTimeServo,
-    /// Live BMCA election state; present on slot-0 VMs when the
-    /// testbed's election mode is on, `None` otherwise (static external
-    /// port configuration).
-    election: Option<NodeElection>,
-    /// Master functions for foreign domains this node won by election,
-    /// keyed by domain.
-    acquired: BTreeMap<u8, SyncMaster>,
 }
 
 /// One ECD.
@@ -209,64 +196,8 @@ struct SwitchState {
     phc: Phc,
     osc: Oscillator,
     fabric: Switch,
-    relays: Vec<BridgeRelay>,
-    pd: HashMap<u8, LinkDelayService>,
-}
-
-/// Aggregate counters reported after a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RunCounters {
-    /// Transmit-timestamp retrieval timeouts across all `ptp4l` masters.
-    pub tx_timestamp_timeouts: u64,
-    /// Sync launch deadline misses.
-    pub deadline_misses: u64,
-    /// Injected fail-silent VM shutdowns.
-    pub vm_failures: u64,
-    /// Injected GM shutdowns (subset of `vm_failures`).
-    pub gm_failures: u64,
-    /// `CLOCK_SYNCTIME` takeovers performed by the monitors.
-    pub takeovers: u64,
-    /// Aggregations executed across all VMs.
-    pub aggregations: u64,
-    /// Intervals skipped for lack of quorum.
-    pub no_quorum: u64,
-    /// Successful attacker strikes.
-    pub strikes_succeeded: u64,
-    /// Failed attacker strikes.
-    pub strikes_failed: u64,
-    /// Frames that had to wait in an egress queue.
-    pub frames_queued: u64,
-    /// Degradation state transitions across all aggregators.
-    pub sync_transitions: u64,
-    /// Total time any aggregator spent in Holdover (ns).
-    pub holdover_ns: u64,
-    /// Total time any aggregator spent in Freerun (ns).
-    pub freerun_ns: u64,
-    /// Active-VM failures the monitors could not cover (no standby).
-    pub uncovered_failures: u64,
-    /// gPTP frames received by a handler with no role for them in the
-    /// active configuration (Announce outside election mode, E2E
-    /// delay-mechanism and Signaling messages).
-    pub unhandled_frames: u64,
-    /// Announce messages originated by acting masters (election mode).
-    pub announce_tx: u64,
-    /// Elected-grandmaster changes observed across all nodes' BMCA
-    /// instances (election churn; 0 in a stable run).
-    pub elected_gm_changes: u64,
-    /// Time from the scheduled grandmaster kill to the first replacement
-    /// promotion on the killed domain (ns; 0 when no kill happened or
-    /// the domain never recovered).
-    pub reconvergence_ns: u64,
-    /// Protected frames forwarded end to end by the multi-hop switch
-    /// fabric (0 when the fabric is disabled).
-    pub fabric_frames_forwarded: u64,
-    /// Protected frames dropped at a saturated fabric hop.
-    pub fabric_frames_dropped: u64,
-    /// Largest accumulated fabric residence observed on one crossing
-    /// (ns).
-    pub max_residence_ns: u64,
-    /// Largest static directional path asymmetry of the fabric (ns).
-    pub path_asymmetry_ns: u64,
+    /// The switch's gPTP software: relays, peer delay, Announce relay.
+    bridge: Bridge,
 }
 
 /// The result of one experiment run.
@@ -317,10 +248,10 @@ pub struct World {
     port_links: Vec<Option<(LinkId, PortAddr, bool, DelayModel)>>,
     /// Flat-index stride for `egress`/`port_links` (max wired port + 1).
     port_stride: usize,
-    /// Wired port numbers per device, ascending — the cached result of
-    /// [`Topology::wired_ports`], which Announce flooding needs on
-    /// every switch hop.
-    device_ports: Vec<Vec<u8>>,
+    /// Buffers the protocol engines write their outputs into; drained
+    /// within the event that filled them, kept for their capacity.
+    node_out: Vec<NodeOutput>,
+    bridge_out: Vec<Transmission>,
     trace: Option<FrameTrace>,
     schedule: Vec<FaultEvent>,
     transient: TransientFaults<StdRng>,
@@ -334,9 +265,6 @@ pub struct World {
     /// Resolved link-down windows `(link, from, until)` relative to the
     /// warm-up end: the plan's own windows plus the partition expansion.
     down_windows: Vec<(LinkId, Nanos, Nanos)>,
-    /// Mesh port map: `mesh_port[a][b]` is switch `a`'s port toward
-    /// switch `b` (election rerooting rebuilds relay trees from it).
-    mesh_port: Vec<Vec<Option<u8>>>,
     /// Current relay-tree root of each domain (initially the static
     /// assignment `domain d → node d`; changed by election handoffs).
     domain_roots: Vec<usize>,
@@ -445,6 +373,13 @@ impl World {
         }
 
         // Nodes: host clock + 2 clock-sync VMs each.
+        let node_cfg = NodeConfig {
+            aggregation: cfg.aggregation,
+            servo: cfg.servo,
+            log_sync_interval: log2_interval(cfg.sync_interval),
+            gm_mutual_sync: cfg.gm_mutual_sync,
+            election: cfg.election.is_some(),
+        };
         let mut station_map = DevMap::new();
         let mut nodes = Vec::with_capacity(n);
         for node in 0..n {
@@ -469,20 +404,18 @@ impl World {
                 );
                 let mut nic = Nic::new(MacAddr::for_nic(dev.0 as u32), phc);
                 nic.ts_jitter = cfg.ts_jitter;
-                let identity = ClockIdentity::for_index(dev.0 as u32);
-                let port_id = PortIdentity::new(identity, 1);
-                let master = (slot == 0).then(|| {
-                    SyncMaster::new(node as u8, port_id, log2_interval(cfg.sync_interval))
-                });
-                let election = (slot == 0)
-                    .then_some(cfg.election.as_ref())
-                    .flatten()
-                    .map(|el| {
-                        let ids = (0..n)
-                            .map(|x| ClockIdentity::for_index(station_ids[x][0].0 as u32))
-                            .collect();
-                        NodeElection::new(node, ids, el)
-                    });
+                let mut ptp = MultiDomainNode::new(
+                    node_cfg.clone(),
+                    dev.0 as u32,
+                    (slot == 0).then_some(node),
+                );
+                // Only slot-0 VMs participate in the election.
+                if let (0, Some(el)) = (slot, cfg.election.as_ref()) {
+                    let ids = (0..n)
+                        .map(|x| ClockIdentity::for_index(station_ids[x][0].0 as u32))
+                        .collect();
+                    ptp = ptp.with_election(NodeElection::new(node, ids, el));
+                }
                 vms.push(VmState {
                     nic_device: dev,
                     nic,
@@ -490,22 +423,12 @@ impl World {
                     running: true,
                     compromised: false,
                     strike_idx: None,
-                    master,
-                    gm_active: false,
-                    slaves: (0..n as u8).map(SyncSlave::new).collect(),
-                    aggregator: {
-                        let mut agg = MultiDomainAggregator::new(cfg.aggregation, cfg.servo);
-                        agg.set_self_domain((slot == 0).then_some(node));
-                        agg
-                    },
-                    pd: LinkDelayService::new(port_id),
+                    ptp,
                     phc2sys: Phc2Sys::new(),
                     sync_servo: SyncTimeServo::new(
                         tsn_time::ServoConfig::default(),
                         cfg.phc2sys_interval,
                     ),
-                    election,
-                    acquired: BTreeMap::new(),
                 });
             }
             let voting = (cfg.monitor_mode == HypMonitorMode::Voting).then(|| {
@@ -524,7 +447,7 @@ impl World {
             });
         }
 
-        // Switches: fabric + per-domain relays + per-port pdelay.
+        // Switches: forwarding fabric + time-aware bridge.
         let mut switch_map = DevMap::new();
         let mut switches = Vec::with_capacity(n);
         let mut res_rng = seeds.rng("residence");
@@ -576,46 +499,18 @@ impl World {
                     .add_static_entry(MEASUREMENT_VID, MacAddr::PTP_MULTICAST, &vm_ports);
             }
 
-            // Per-domain relays: external port configuration.
-            let identity = ClockIdentity::for_index(dev.0 as u32);
-            let relays = (0..n)
-                .map(|domain| {
-                    if domain == x {
-                        // Root switch of the domain: slave toward the GM
-                        // VM (port 0), masters to the standby VM and all
-                        // mesh ports.
-                        let mut masters: Vec<u16> = (1..vpn as u16).collect();
-                        for y in 0..n {
-                            if y != x {
-                                masters.push(u16::from(mesh_port[x][y].expect("mesh port")));
-                            }
-                        }
-                        BridgeRelay::new(domain as u8, identity, 0, masters)
-                    } else {
-                        // Downstream switch: slave toward the root switch,
-                        // masters to the local VMs only.
-                        let slave = u16::from(mesh_port[x][domain].expect("mesh port"));
-                        BridgeRelay::new(domain as u8, identity, slave, (0..vpn as u16).collect())
-                    }
-                })
-                .collect();
-
-            let pd = topo
-                .wired_ports(dev)
-                .into_iter()
-                .map(|p| {
-                    let pid = PortIdentity::new(identity, u16::from(p.port.0) + 1);
-                    (p.port.0, LinkDelayService::new(pid))
-                })
-                .collect();
-
             switches.push(SwitchState {
                 device: dev,
                 phc,
                 osc,
                 fabric,
-                relays,
-                pd,
+                bridge: Bridge::new(
+                    ClockIdentity::for_index(dev.0 as u32),
+                    x,
+                    vpn as u8,
+                    mesh_port[x].clone(),
+                    cfg.election.is_some(),
+                ),
             });
         }
 
@@ -673,13 +568,11 @@ impl World {
             .unwrap_or(1);
         let mut port_links = Vec::new();
         port_links.resize_with(n_devices * port_stride, || None);
-        let mut device_ports = vec![Vec::new(); n_devices];
         for dev in topo.devices() {
             for p in topo.wired_ports(dev) {
                 let (id, link) = topo.link_of(p).expect("wired port has a link");
                 port_links[p.device.0 * port_stride + p.port.0 as usize] =
                     Some((id, link.peer_of(p), p == link.a, *link.delay_from(p)));
-                device_ports[dev.0].push(p.port.0);
             }
         }
         let mut world = World {
@@ -687,7 +580,8 @@ impl World {
             egress: PortTable::new(n_devices, port_stride),
             port_links,
             port_stride,
-            device_ports,
+            node_out: Vec::new(),
+            bridge_out: Vec::new(),
             trace,
             topo,
             nodes,
@@ -700,7 +594,6 @@ impl World {
             link_faults,
             linkfault_rng,
             down_windows,
-            mesh_port,
             domain_roots: (0..n).collect(),
             gm_kill: None,
             fabric,
@@ -754,7 +647,7 @@ impl World {
         for dev in self.topo.devices() {
             ports.extend(self.topo.wired_ports(dev));
         }
-        for (i, port) in ports.into_iter().enumerate() {
+        for (i, &port) in ports.iter().enumerate() {
             let offset = Nanos::from_nanos(5_000_000 + (i as i64) * 33_333_333 % 1_000_000_000);
             self.queue
                 .schedule_at(SimTime::ZERO + offset, Ev::PdelayTick { port });
@@ -762,10 +655,6 @@ impl World {
         self.queue
             .schedule_at(SimTime::ZERO + self.cfg.wander_interval, Ev::WanderTick);
         if self.cfg.background.is_some() {
-            let mut ports: Vec<PortAddr> = Vec::new();
-            for dev in self.topo.devices() {
-                ports.extend(self.topo.wired_ports(dev));
-            }
             for (i, port) in ports.into_iter().enumerate() {
                 let offset = Nanos::from_nanos(1_000_000 + (i as i64) * 13_337);
                 self.queue
@@ -893,19 +782,7 @@ impl World {
     /// current timestamp draws a later sequence number and therefore
     /// lands in the *next* batch at that same time.
     pub fn run(mut self) -> RunResult {
-        let mut batch = Vec::new();
-        while self.queue.pop_batch(self.end, &mut batch) > 0 {
-            for (t, ev) in batch.drain(..) {
-                if self.oracle.is_some() {
-                    self.observe(Observation::Event { at: t });
-                }
-                if let Some(tracer) = self.tracer.as_mut() {
-                    let (kind, sub) = ev.kind();
-                    tracer.pop(t, kind, sub);
-                }
-                self.handle(t, ev);
-            }
-        }
+        self.run_until(self.end);
         self.finish()
     }
 
@@ -913,14 +790,11 @@ impl World {
         // Gather counters.
         for node in &mut self.nodes {
             for vm in &mut node.vms {
-                if let Some(m) = &vm.master {
-                    self.counters.tx_timestamp_timeouts += m.tx_timestamp_timeouts;
-                    self.counters.deadline_misses += m.tx_deadline_misses;
-                }
-                let shm = vm.aggregator.shmem();
-                let shm = shm.lock();
-                self.counters.aggregations += shm.aggregations;
-                self.counters.no_quorum += shm.no_quorum;
+                let (timeouts, misses) = vm.ptp.master_faults();
+                self.counters.tx_timestamp_timeouts += timeouts;
+                self.counters.deadline_misses += misses;
+                self.counters.aggregations += vm.ptp.shmem().aggregations;
+                self.counters.no_quorum += vm.ptp.shmem().no_quorum;
             }
             self.counters.takeovers += node.device.takeovers;
             self.counters.uncovered_failures += node.device.uncovered_failures;
@@ -1139,17 +1013,97 @@ impl World {
             t + Nanos::from_nanos(gap as i64),
             Ev::BackgroundTick { port },
         );
-        self.on_transmit(t, port, frame, TxCtx::None);
+        self.on_transmit(t, port, frame, TxCtx::NONE);
     }
 
     // ----- transmission ----------------------------------------------
 
     /// Queues a general (not launch-timed) transmission after a small
     /// driver latency.
-    fn send_general(&mut self, t: SimTime, from: PortAddr, frame: EthernetFrame, ctx: TxCtx) {
+    fn send_general(&mut self, t: SimTime, from: PortAddr, frame: EthernetFrame) {
         let latency = Nanos::from_nanos(self.frame_rng.gen_range(1_000..20_000));
+        let ctx = TxCtx::NONE;
         self.queue
             .schedule_at(t + latency, Ev::Transmit { from, frame, ctx });
+    }
+
+    /// Queues a transmission of the protocol engine with index `engine`
+    /// (node or switch) on device `dev`, as a frame from `src`. When it
+    /// leaves is the simulation's to model: driver latency, responder
+    /// turnaround or bridge residence, one `frame_rng` draw each.
+    /// (Launch-timed Syncs go through [`World::launch_sync`] instead.)
+    fn transmit(
+        &mut self,
+        t: SimTime,
+        dev: DeviceId,
+        engine: usize,
+        src: MacAddr,
+        tx: Transmission,
+    ) {
+        let delay = match tx.timing {
+            TxTiming::Driver => Nanos::from_nanos(self.frame_rng.gen_range(1_000..20_000)),
+            TxTiming::Launch => unreachable!("launch-timed Syncs go through launch_sync"),
+            TxTiming::Turnaround => Nanos::from_nanos(self.frame_rng.gen_range(50_000..300_000)),
+            TxTiming::Residence => {
+                let sw = self.switch_map.get(dev).expect("only bridges relay");
+                self.switches[sw]
+                    .fabric
+                    .residence
+                    .sample(&mut self.frame_rng)
+            }
+        };
+        self.queue.schedule_at(
+            t + delay,
+            Ev::Transmit {
+                from: PortAddr::new(dev, tx.port),
+                frame: Self::ptp_frame(src, tx.bytes),
+                ctx: tx.token.map_or(TxCtx::NONE, |k| TxCtx::new(engine, dev, k)),
+            },
+        );
+    }
+
+    /// Carries out what station `(node, slot)`'s engine left in
+    /// `node_out`: transmissions, clock commands, log entries,
+    /// observations. Returns the launch-timed Sync, if the engine
+    /// emitted one, for [`World::launch_sync`].
+    fn drain_node_out(&mut self, t: SimTime, node: usize, slot: usize) -> Option<Transmission> {
+        if self.node_out.is_empty() {
+            return None;
+        }
+        let vm = &self.nodes[node].vms[slot];
+        let (dev, src) = (vm.nic_device, vm.nic.mac);
+        let mut launch = None;
+        let mut out = std::mem::take(&mut self.node_out);
+        for o in out.drain(..) {
+            match o {
+                NodeOutput::Send(tx) if tx.timing == TxTiming::Launch => launch = Some(tx),
+                NodeOutput::Send(tx) => self.transmit(t, dev, node, src, tx),
+                NodeOutput::Aggregated(a) => self.apply_aggregation(t, node, slot, a),
+                NodeOutput::SyncState { from, to } => self.on_sync_state(t, node, slot, from, to),
+                NodeOutput::GmResumed => {
+                    if t > SimTime::ZERO + self.cfg.warmup {
+                        self.log(t, ExperimentEvent::GmResumed { node });
+                    }
+                }
+                NodeOutput::Election(ev) => self.on_election_event(t, node, ev),
+                NodeOutput::Unhandled => self.counters.unhandled_frames += 1,
+            }
+        }
+        self.node_out = out;
+        launch
+    }
+
+    /// [`World::drain_node_out`]'s counterpart for switch `sw`.
+    fn drain_bridge_out(&mut self, t: SimTime, sw: usize, src: MacAddr) {
+        if self.bridge_out.is_empty() {
+            return;
+        }
+        let dev = self.switches[sw].device;
+        let mut out = std::mem::take(&mut self.bridge_out);
+        for tx in out.drain(..) {
+            self.transmit(t, dev, sw, src, tx);
+        }
+        self.bridge_out = out;
     }
 
     fn ptp_frame(src: MacAddr, payload: bytes::Bytes) -> EthernetFrame {
@@ -1197,7 +1151,8 @@ impl World {
     ) {
         // A VM that died between queuing and departure transmits nothing;
         // drain whatever else is queued on the port.
-        if let Some((node, slot)) = self.station_map.get(from.device) {
+        let station = self.station_map.get(from.device);
+        if let Some((node, slot)) = station {
             if !self.nodes[node].vms[slot].running {
                 if self.oracle.is_some() {
                     self.observe(Observation::FrameDropped {
@@ -1224,108 +1179,30 @@ impl World {
             .begin_transmission(t, duration);
         self.queue.schedule_at(t + duration, Ev::PortFree { from });
 
-        // Departure timestamp with the sender's clock, then ctx actions.
-        match ctx {
-            TxCtx::None => {}
-            TxCtx::GmSync { node, domain, seq } => {
-                let timed_out = self.transient.tx_timestamp_times_out();
-                let home = domain as usize == node;
-                let vm = &mut self.nodes[node].vms[0];
-                if timed_out {
-                    let m = if home {
-                        vm.master.as_mut()
-                    } else {
-                        vm.acquired.get_mut(&domain)
-                    };
-                    if let Some(m) = m {
-                        m.sync_tx_failed(seq);
-                    }
-                    self.log(
-                        t,
-                        ExperimentEvent::Transient {
-                            node,
-                            kind: TransientKind::TxTimestampTimeout,
-                        },
-                    );
+        // An event message: its hardware egress timestamp goes back to
+        // the engine that sent it (a bridge's follow-up leaves from the
+        // address its event message left from).
+        if let TxCtx(Some((_, token))) = ctx {
+            if let Some((node, slot)) = station {
+                if matches!(token, TxToken::Sync { .. }) && self.transient.tx_timestamp_times_out()
+                {
+                    self.nodes[node].vms[slot]
+                        .ptp
+                        .on_tx_timestamp_timeout(token);
+                    let kind = TransientKind::TxTimestampTimeout;
+                    self.log(t, ExperimentEvent::Transient { node, kind });
                 } else {
-                    let tx_ts = {
-                        let mut rng = self.frame_rng.clone();
-                        let ts = vm.nic.tx_timestamp(t, &mut rng);
-                        self.frame_rng = rng;
-                        ts
-                    };
-                    let m = if home {
-                        vm.master.as_mut()
-                    } else {
-                        vm.acquired.get_mut(&domain)
-                    };
-                    let fu = m.and_then(|m| m.sync_sent(seq, tx_ts));
-                    if let Some(fu) = fu {
-                        let fu_frame = Self::ptp_frame(self.nodes[node].vms[0].nic.mac, fu);
-                        self.send_general(t, from, fu_frame, TxCtx::None);
-                    }
+                    let ts = self.hw_timestamp(t, from.device);
+                    let ptp = &mut self.nodes[node].vms[slot].ptp;
+                    ptp.on_tx_timestamp(token, ts, &mut self.node_out);
+                    self.drain_node_out(t, node, slot);
                 }
-            }
-            TxCtx::BridgeSync { sw, domain, seq } => {
-                let tx_ts = {
-                    let mut rng = self.frame_rng.clone();
-                    let s = &mut self.switches[sw];
-                    let ts = s.phc.now(t)
-                        + tsn_time::sample_timestamp_error(&self.cfg.ts_jitter, &mut rng);
-                    self.frame_rng = rng;
-                    ts
-                };
-                let emissions = self.switches[sw].relays[domain as usize].sync_forwarded(
-                    seq,
-                    u16::from(from.port.0),
-                    tx_ts,
-                );
-                let src = MacAddr::for_nic(self.switches[sw].device.0 as u32);
-                for (port, bytes) in emissions {
-                    let fu_frame = Self::ptp_frame(src, bytes);
-                    let out = PortAddr::new(self.switches[sw].device, port as u8);
-                    self.send_general(t, out, fu_frame, TxCtx::None);
-                }
-            }
-            TxCtx::PdelayReq { dev, seq } => {
-                let t1 = self.event_timestamp(t, dev);
-                if let Some(t1) = t1 {
-                    if let Some((node, slot)) = self.station_map.get(dev) {
-                        self.nodes[node].vms[slot].pd.request_sent(seq, t1);
-                    } else if let Some(sw) = self.switch_map.get(dev) {
-                        if let Some(svc) = self.switches[sw].pd.get_mut(&from.port.0) {
-                            svc.request_sent(seq, t1);
-                        }
-                    }
-                }
-            }
-            TxCtx::PdelayResp {
-                dev,
-                seq,
-                requesting,
-            } => {
-                let t3 = self.event_timestamp(t, dev);
-                if let Some(t3) = t3 {
-                    let fu = if let Some((node, slot)) = self.station_map.get(dev) {
-                        Some(
-                            self.nodes[node].vms[slot]
-                                .pd
-                                .make_resp_follow_up(seq, requesting, t3),
-                        )
-                    } else if let Some(sw) = self.switch_map.get(dev) {
-                        self.switches[sw]
-                            .pd
-                            .get(&from.port.0)
-                            .map(|svc| svc.make_resp_follow_up(seq, requesting, t3))
-                    } else {
-                        None
-                    };
-                    if let Some(fu) = fu {
-                        let src = frame.src;
-                        let fu_frame = Self::ptp_frame(src, fu);
-                        self.send_general(t, from, fu_frame, TxCtx::None);
-                    }
-                }
+            } else if let Some(sw) = self.switch_map.get(from.device) {
+                let ts = self.hw_timestamp(t, from.device);
+                let s = &mut self.switches[sw];
+                s.bridge
+                    .tx_timestamp(from.port.0, token, ts, &mut self.bridge_out);
+                self.drain_bridge_out(t, sw, frame.src);
             }
         }
         // Cross the link (resolved at construction; see `port_links`).
@@ -1462,25 +1339,32 @@ impl World {
         Some(tr.delay)
     }
 
-    /// Hardware event timestamp at a device's clock (station NIC or
-    /// switch PHC); `None` if the owning VM is down.
-    fn event_timestamp(&mut self, t: SimTime, dev: DeviceId) -> Option<ClockTime> {
-        let mut rng = self.frame_rng.clone();
-        let ts = if let Some((node, slot)) = self.station_map.get(dev) {
-            let vm = &mut self.nodes[node].vms[slot];
-            if !vm.running {
-                self.frame_rng = rng;
-                return None;
+    /// Hardware event timestamp (rx or tx) at a device's clock: the
+    /// station's NIC or the switch's PHC, plus timestamping error.
+    fn hw_timestamp(&mut self, t: SimTime, dev: DeviceId) -> ClockTime {
+        match self.station_map.get(dev) {
+            Some((node, slot)) => {
+                let nic = &mut self.nodes[node].vms[slot].nic;
+                nic.rx_timestamp(t, &mut self.frame_rng)
             }
-            Some(vm.nic.rx_timestamp(t, &mut rng))
-        } else if let Some(sw) = self.switch_map.get(dev) {
-            let s = &mut self.switches[sw];
-            Some(s.phc.now(t) + tsn_time::sample_timestamp_error(&self.cfg.ts_jitter, &mut rng))
-        } else {
-            None
-        };
-        self.frame_rng = rng;
-        ts
+            None => {
+                let sw = self.switch_map.get(dev).expect("station or switch");
+                let error =
+                    tsn_time::sample_timestamp_error(&self.cfg.ts_jitter, &mut self.frame_rng);
+                self.switches[sw].phc.now(t) + error
+            }
+        }
+    }
+
+    /// Hardware receive timestamp of an arriving gPTP frame: drawn for
+    /// event messages only (general messages carry none).
+    fn rx_timestamp(&mut self, t: SimTime, dev: DeviceId, payload: &[u8]) -> ClockTime {
+        match MessageType::peek(payload) {
+            Some(MessageType::Sync | MessageType::PdelayReq | MessageType::PdelayResp) => {
+                self.hw_timestamp(t, dev)
+            }
+            _ => ClockTime::ZERO,
+        }
     }
 
     // ----- reception ---------------------------------------------------
@@ -1501,10 +1385,12 @@ impl World {
         }
         match frame.ethertype {
             ethertype::PTP => {
-                let Ok(msg) = Message::decode(&frame.payload) else {
-                    return;
-                };
-                self.station_ptp(t, node, slot, msg);
+                let dev = self.nodes[node].vms[slot].nic_device;
+                let rx_ts = self.rx_timestamp(t, dev, &frame.payload);
+                let vm = &mut self.nodes[node].vms[slot];
+                let (clock, out) = (&mut vm.nic.phc.at(t), &mut self.node_out);
+                vm.ptp.on_frame(&frame.payload, rx_ts, clock, out);
+                self.drain_node_out(t, node, slot);
             }
             // Probe: timestamp with the node's CLOCK_SYNCTIME.
             ethertype::MEASUREMENT if frame.payload.len() >= 8 => {
@@ -1521,129 +1407,29 @@ impl World {
         }
     }
 
-    fn station_ptp(&mut self, t: SimTime, node: usize, slot: usize, msg: Message) {
-        match &msg {
-            Message::Sync { header, .. } => {
-                let rx_ts = {
-                    let mut rng = self.frame_rng.clone();
-                    let ts = self.nodes[node].vms[slot].nic.rx_timestamp(t, &mut rng);
-                    self.frame_rng = rng;
-                    ts
-                };
-                let domain = header.domain as usize;
-                if domain < self.nodes[node].vms[slot].slaves.len() {
-                    self.nodes[node].vms[slot].slaves[domain].handle_sync(&msg, rx_ts);
-                }
-            }
-            Message::FollowUp { header, .. } => {
-                // Note: a compromised VM keeps aggregating benignly — the
-                // paper's attacker is stealthy (its own node stays
-                // synchronized; only the distributed
-                // preciseOriginTimestamps are malicious), which is what
-                // makes the first strike in Fig. 3a invisible to the
-                // measured precision.
-                let vm = &mut self.nodes[node].vms[slot];
-                let domain = header.domain as usize;
-                if domain >= vm.slaves.len() {
-                    return;
-                }
-                // A domain this VM currently originates Syncs for (its
-                // own as acting GM, or one acquired by election) has no
-                // slave function.
-                if slot == 0
-                    && ((domain == node && vm.gm_active)
-                        || vm.acquired.contains_key(&header.domain))
-                {
-                    return;
-                }
-                // Prior-work baseline: GM VMs do not run multi-domain
-                // aggregation (clients only).
-                if slot == 0 && !self.cfg.gm_mutual_sync {
-                    return;
-                }
-                let link = vm.pd.link_state();
-                let link_delay = link.mean_link_delay.unwrap_or(DEFAULT_LINK_DELAY);
-                let nrr = link.neighbor_rate_ratio;
-                if let Some(sample) = vm.slaves[domain].handle_follow_up(&msg, link_delay, nrr) {
-                    let now_clock = vm.nic.phc.now(t);
-                    let outcome = vm.aggregator.submit(
-                        domain,
-                        sample.offset,
-                        sample.sync_rx_local,
-                        sample.rate_ratio,
-                        now_clock,
-                    );
-                    self.apply_outcome(t, node, slot, outcome);
-                }
-            }
-            Message::PdelayReq { .. } => {
-                let rx = self.event_timestamp(t, self.nodes[node].vms[slot].nic_device);
-                let Some(t2) = rx else { return };
-                let vm = &mut self.nodes[node].vms[slot];
-                if let Some(ctx) = vm.pd.handle(&msg, t2) {
-                    let dev = vm.nic_device;
-                    let mac = vm.nic.mac;
-                    let turnaround = Nanos::from_nanos(self.frame_rng.gen_range(50_000..300_000));
-                    let resp_frame = Self::ptp_frame(mac, ctx.resp);
-                    self.queue.schedule_at(
-                        t + turnaround,
-                        Ev::Transmit {
-                            from: PortAddr::new(dev, 0),
-                            frame: resp_frame,
-                            ctx: TxCtx::PdelayResp {
-                                dev,
-                                seq: ctx.seq,
-                                requesting: ctx.requesting_port,
-                            },
-                        },
-                    );
-                }
-            }
-            Message::PdelayResp { .. } => {
-                let rx = self.event_timestamp(t, self.nodes[node].vms[slot].nic_device);
-                let Some(t4) = rx else { return };
-                let _ = self.nodes[node].vms[slot].pd.handle(&msg, t4);
-            }
-            Message::PdelayRespFollowUp { .. } => {
-                let _ = self.nodes[node].vms[slot].pd.handle(&msg, ClockTime::ZERO);
-            }
-            Message::Announce { header, .. } => {
-                if self.cfg.election.is_none() {
-                    // Static external port configuration: Announce plays
-                    // no role.
-                    self.counters.unhandled_frames += 1;
-                    return;
-                }
-                // Only slot-0 VMs participate in the election; standby
-                // VMs drop Announce by design.
-                if slot == 0 {
-                    let vm = &mut self.nodes[node].vms[slot];
-                    let now = vm.nic.phc.now(t);
-                    if let Some(e) = vm.election.as_mut() {
-                        e.on_announce(header.domain, &msg, now);
-                    }
-                }
-            }
-            // The testbed runs the gPTP profile: peer delay, no E2E
-            // mechanism, no runtime interval changes.
-            Message::DelayReq { .. } | Message::DelayResp { .. } | Message::Signaling { .. } => {
-                self.counters.unhandled_frames += 1;
-            }
-        }
-    }
-
     fn arrive_at_switch(&mut self, t: SimTime, sw: usize, port: u8, frame: EthernetFrame) {
         match frame.ethertype {
             // Background traffic only loads the egress ports it crossed.
             ethertype::BACKGROUND => {}
             ethertype::PTP => {
-                if self.switch_announce_fast(t, sw, port, &frame) {
-                    return;
+                let dev = self.switches[sw].device;
+                let rx_ts = self.rx_timestamp(t, dev, &frame.payload);
+                let s = &mut self.switches[sw];
+                let out = &mut self.bridge_out;
+                if !s.bridge.receive(port, &frame.payload, rx_ts, out) {
+                    self.counters.unhandled_frames += 1;
                 }
-                let Ok(msg) = Message::decode(&frame.payload) else {
-                    return;
+                // A bridge answers a peer-delay request from the address
+                // the request was sent to (the gPTP group address).
+                let turnaround = out
+                    .first()
+                    .is_some_and(|tx| tx.timing == TxTiming::Turnaround);
+                let src = if turnaround {
+                    frame.dst
+                } else {
+                    MacAddr::for_nic(dev.0 as u32)
                 };
-                self.switch_ptp(t, sw, port, msg, &frame);
+                self.drain_bridge_out(t, sw, src);
             }
             _ => {
                 // Fabric forwarding (measurement probes, etc.).
@@ -1659,581 +1445,190 @@ impl World {
                         Ev::Transmit {
                             from,
                             frame: frame.clone(),
-                            ctx: TxCtx::None,
+                            ctx: TxCtx::NONE,
                         },
                     );
                 }
-            }
-        }
-    }
-
-    /// Switch-side Announce flood without decode + re-encode.
-    ///
-    /// Every Announce on the simulated wire originates from
-    /// [`Message::encode`], so the forwarded frame is the input bytes
-    /// with three fields patched (messageLength, stepsRemoved, the
-    /// PATH_TRACE TLV length) and this switch's identity appended.
-    /// Strict byte guards pin that canonical form — exact length, the
-    /// zero reserved fields the encoder writes, PATH_TRACE as the sole
-    /// trailing TLV; any mismatch returns `false` and the caller takes
-    /// the decode path, which defines the behavior. RNG draw order is
-    /// identical to the slow path (one residence sample per out port).
-    ///
-    /// Returns `true` if the frame was fully handled (forwarded, or
-    /// dropped by PATH_TRACE loop prevention).
-    fn switch_announce_fast(
-        &mut self,
-        t: SimTime,
-        sw: usize,
-        port: u8,
-        frame: &EthernetFrame,
-    ) -> bool {
-        if self.cfg.election.is_none() {
-            return false;
-        }
-        let b: &[u8] = &frame.payload;
-        // Offsets per `tsn_gptp::msg`: 34-byte header, 30-byte Announce
-        // body, then the PATH_TRACE TLV (type 0x0008, 8 bytes per id).
-        if b.len() < 68 || b.len() > 0xFF00 || !(b.len() - 68).is_multiple_of(8) {
-            return false;
-        }
-        let ids = b.len() - 68;
-        let canonical = b[0] == (GPTP_MAJOR_SDO_ID << 4) | (MessageType::Announce as u8)
-            && b[1] == PTP_VERSION
-            && b[2..4] == (b.len() as u16).to_be_bytes()
-            && b[5] == 0 // minorSdoId
-            && b[16..20] == [0; 4] // messageTypeSpecific
-            && b[32] == 5 // Announce control field
-            && b[34..44] == [0; 10] // originTimestamp (always zero)
-            && b[46] == 0 // body reserved byte
-            && b[64..66] == [0x00, 0x08] // PATH_TRACE type
-            && b[66..68] == (ids as u16).to_be_bytes();
-        if !canonical {
-            return false;
-        }
-        let dev = self.switches[sw].device;
-        let own = ClockIdentity::for_index(dev.0 as u32);
-        if b[68..].chunks_exact(8).any(|id| id == own.0) {
-            // Loop prevention: already carried this Announce.
-            return true;
-        }
-        let mut out = Vec::with_capacity(b.len() + 8);
-        out.extend_from_slice(b);
-        out[2..4].copy_from_slice(&((b.len() + 8) as u16).to_be_bytes());
-        let steps = u16::from_be_bytes([b[61], b[62]]).saturating_add(1);
-        out[61..63].copy_from_slice(&steps.to_be_bytes());
-        out[66..68].copy_from_slice(&((ids + 8) as u16).to_be_bytes());
-        out.extend_from_slice(&own.0);
-        let bytes = bytes::Bytes::from(out);
-        let residence = self.switches[sw].fabric.residence;
-        let src = MacAddr::for_nic(dev.0 as u32);
-        for i in 0..self.device_ports[dev.0].len() {
-            let out_port = self.device_ports[dev.0][i];
-            if out_port == port {
-                continue;
-            }
-            let delay = residence.sample(&mut self.frame_rng);
-            let ann_frame = Self::ptp_frame(src, bytes.clone());
-            self.queue.schedule_at(
-                t + delay,
-                Ev::Transmit {
-                    from: PortAddr::new(dev, out_port),
-                    frame: ann_frame,
-                    ctx: TxCtx::None,
-                },
-            );
-        }
-        true
-    }
-
-    fn switch_ptp(&mut self, t: SimTime, sw: usize, port: u8, msg: Message, frame: &EthernetFrame) {
-        match &msg {
-            Message::Sync { header, .. } => {
-                let rx_ts = match self.event_timestamp(t, self.switches[sw].device) {
-                    Some(ts) => ts,
-                    None => return,
-                };
-                let domain = header.domain as usize;
-                if domain >= self.switches[sw].relays.len() {
-                    return;
-                }
-                let emissions =
-                    self.switches[sw].relays[domain].handle_sync(&msg, u16::from(port), rx_ts);
-                let residence = self.switches[sw].fabric.residence;
-                let src = MacAddr::for_nic(self.switches[sw].device.0 as u32);
-                let seq = header.sequence_id;
-                let domain_u8 = header.domain;
-                for (out_port, bytes) in emissions {
-                    let delay = residence.sample(&mut self.frame_rng);
-                    let sync_frame = Self::ptp_frame(src, bytes);
-                    let from = PortAddr::new(self.switches[sw].device, out_port as u8);
-                    self.queue.schedule_at(
-                        t + delay,
-                        Ev::Transmit {
-                            from,
-                            frame: sync_frame,
-                            ctx: TxCtx::BridgeSync {
-                                sw,
-                                domain: domain_u8,
-                                seq,
-                            },
-                        },
-                    );
-                }
-            }
-            Message::FollowUp { header, .. } => {
-                let domain = header.domain as usize;
-                if domain >= self.switches[sw].relays.len() {
-                    return;
-                }
-                let (link_delay, nrr) = match self.switches[sw].pd.get(&port) {
-                    Some(svc) => {
-                        let ls = svc.link_state();
-                        (
-                            ls.mean_link_delay.unwrap_or(DEFAULT_LINK_DELAY),
-                            ls.neighbor_rate_ratio,
-                        )
-                    }
-                    None => (DEFAULT_LINK_DELAY, 1.0),
-                };
-                let emissions = self.switches[sw].relays[domain].handle_follow_up(
-                    &msg,
-                    u16::from(port),
-                    link_delay,
-                    nrr,
-                );
-                let src = MacAddr::for_nic(self.switches[sw].device.0 as u32);
-                for (out_port, bytes) in emissions {
-                    let fu_frame = Self::ptp_frame(src, bytes);
-                    let from = PortAddr::new(self.switches[sw].device, out_port as u8);
-                    self.send_general(t, from, fu_frame, TxCtx::None);
-                }
-            }
-            Message::PdelayReq { .. } => {
-                let rx = self.event_timestamp(t, self.switches[sw].device);
-                let Some(t2) = rx else { return };
-                let dev = self.switches[sw].device;
-                if let Some(svc) = self.switches[sw].pd.get_mut(&port) {
-                    if let Some(ctx) = svc.handle(&msg, t2) {
-                        let turnaround =
-                            Nanos::from_nanos(self.frame_rng.gen_range(50_000..300_000));
-                        let resp_frame = Self::ptp_frame(frame.dst, ctx.resp);
-                        self.queue.schedule_at(
-                            t + turnaround,
-                            Ev::Transmit {
-                                from: PortAddr::new(dev, port),
-                                frame: resp_frame,
-                                ctx: TxCtx::PdelayResp {
-                                    dev,
-                                    seq: ctx.seq,
-                                    requesting: ctx.requesting_port,
-                                },
-                            },
-                        );
-                    }
-                }
-            }
-            Message::PdelayResp { .. } => {
-                let rx = self.event_timestamp(t, self.switches[sw].device);
-                let Some(t4) = rx else { return };
-                if let Some(svc) = self.switches[sw].pd.get_mut(&port) {
-                    let _ = svc.handle(&msg, t4);
-                }
-            }
-            Message::PdelayRespFollowUp { .. } => {
-                if let Some(svc) = self.switches[sw].pd.get_mut(&port) {
-                    let _ = svc.handle(&msg, ClockTime::ZERO);
-                }
-            }
-            Message::Announce {
-                header,
-                path_trace,
-                body,
-            } => {
-                if self.cfg.election.is_none() {
-                    self.counters.unhandled_frames += 1;
-                    return;
-                }
-                // Announce floods the whole fabric (the election runs on
-                // one logical port per VM); the path trace caps the
-                // flood — a switch never forwards an Announce it already
-                // carried (802.1AS clause 10.3.8.23 loop prevention).
-                let dev = self.switches[sw].device;
-                let own = ClockIdentity::for_index(dev.0 as u32);
-                if path_trace.contains(&own) {
-                    return;
-                }
-                let mut pt = path_trace.clone();
-                pt.push(own);
-                let mut fwd_body = *body;
-                fwd_body.steps_removed = fwd_body.steps_removed.saturating_add(1);
-                let fwd = Message::Announce {
-                    header: *header,
-                    path_trace: pt,
-                    body: fwd_body,
-                };
-                let bytes = fwd.encode();
-                let residence = self.switches[sw].fabric.residence;
-                let src = MacAddr::for_nic(dev.0 as u32);
-                for i in 0..self.device_ports[dev.0].len() {
-                    let out_port = self.device_ports[dev.0][i];
-                    if out_port == port {
-                        continue;
-                    }
-                    let delay = residence.sample(&mut self.frame_rng);
-                    let ann_frame = Self::ptp_frame(src, bytes.clone());
-                    self.queue.schedule_at(
-                        t + delay,
-                        Ev::Transmit {
-                            from: PortAddr::new(dev, out_port),
-                            frame: ann_frame,
-                            ctx: TxCtx::None,
-                        },
-                    );
-                }
-            }
-            Message::DelayReq { .. } | Message::DelayResp { .. } | Message::Signaling { .. } => {
-                self.counters.unhandled_frames += 1;
             }
         }
     }
 
     // ----- servo application -------------------------------------------
 
-    fn apply_outcome(&mut self, t: SimTime, node: usize, slot: usize, outcome: SubmitOutcome) {
+    /// One FTA round of `(node, slot)`: observations, then the servo
+    /// command applied to the NIC clock.
+    fn apply_aggregation(&mut self, t: SimTime, node: usize, slot: usize, a: Aggregation) {
         if self.oracle.is_some() {
-            if let SubmitOutcome::Aggregated(a) = &outcome {
-                let byzantine: Vec<bool> =
-                    self.nodes.iter().map(|n| n.vms[0].compromised).collect();
-                self.observe(Observation::Aggregated {
+            let byzantine: Vec<bool> = self.nodes.iter().map(|n| n.vms[0].compromised).collect();
+            self.observe(Observation::Aggregated {
+                at: t,
+                node,
+                offset: a.offset,
+                fault_tolerant: a.mode == AggregationMode::FaultTolerant,
+                used: &a.used,
+                byzantine: &byzantine,
+            });
+            if let Some(freq_adj_ppb) = a.servo.freq_adj_ppb() {
+                self.observe(Observation::ServoFrequency {
                     at: t,
                     node,
-                    offset: a.offset,
-                    fault_tolerant: a.mode == AggregationMode::FaultTolerant,
-                    used: &a.used,
-                    byzantine: &byzantine,
+                    slot,
+                    freq_adj_ppb,
                 });
-                match a.servo {
-                    ServoOutput::Gathering => {}
-                    ServoOutput::Step { freq_adj_ppb, .. }
-                    | ServoOutput::Adjust { freq_adj_ppb } => {
-                        self.observe(Observation::ServoFrequency {
-                            at: t,
-                            node,
-                            slot,
-                            freq_adj_ppb,
-                        });
-                    }
-                }
             }
         }
         if let Some(tracer) = self.tracer.as_mut() {
-            if let SubmitOutcome::Aggregated(a) = &outcome {
-                let f = self.cfg.aggregation.method.trim_degree();
-                let inputs: Vec<Nanos> = a.used.iter().map(|&(_, o)| o).collect();
-                let trimmed = tsn_fta::trimmed_indices(&inputs, f);
-                let used: Vec<String> = a
-                    .used
-                    .iter()
-                    .map(|(d, o)| format!("{d}:{:+}", o.as_nanos()))
-                    .collect();
-                let trimmed: Vec<String> =
-                    trimmed.iter().map(|&i| a.used[i].0.to_string()).collect();
-                tracer
-                    .instant(t, "fta_round", TraceSub::Fta, node_pid(node), slot as u32)
-                    .arg_i64("offset_ns", a.offset.as_nanos())
-                    .arg_str(
-                        "mode",
-                        match a.mode {
-                            AggregationMode::Startup => "startup",
-                            AggregationMode::FaultTolerant => "fault_tolerant",
-                        },
-                    )
-                    .arg_str("used", used.join(","))
-                    .arg_str("trimmed", trimmed.join(","))
-                    .arg_str("servo", a.servo.kind_name());
-                if let Some(ppb) = a.servo.freq_adj_ppb() {
-                    let ev = tracer
-                        .instant(t, "servo", TraceSub::Servo, node_pid(node), slot as u32)
-                        .arg_f64("freq_adj_ppb", ppb);
-                    if let ServoOutput::Step { delta, .. } = a.servo {
-                        ev.arg_i64("step_ns", delta.as_nanos());
-                    }
+            let f = self.cfg.aggregation.method.trim_degree();
+            let inputs: Vec<Nanos> = a.used.iter().map(|&(_, o)| o).collect();
+            let trimmed = tsn_fta::trimmed_indices(&inputs, f);
+            let used: Vec<String> = a
+                .used
+                .iter()
+                .map(|(d, o)| format!("{d}:{:+}", o.as_nanos()))
+                .collect();
+            let trimmed: Vec<String> = trimmed.iter().map(|&i| a.used[i].0.to_string()).collect();
+            tracer
+                .instant(t, "fta_round", TraceSub::Fta, node_pid(node), slot as u32)
+                .arg_i64("offset_ns", a.offset.as_nanos())
+                .arg_str(
+                    "mode",
+                    match a.mode {
+                        AggregationMode::Startup => "startup",
+                        AggregationMode::FaultTolerant => "fault_tolerant",
+                    },
+                )
+                .arg_str("used", used.join(","))
+                .arg_str("trimmed", trimmed.join(","))
+                .arg_str("servo", a.servo.kind_name());
+            if let Some(ppb) = a.servo.freq_adj_ppb() {
+                let ev = tracer
+                    .instant(t, "servo", TraceSub::Servo, node_pid(node), slot as u32)
+                    .arg_f64("freq_adj_ppb", ppb);
+                if let ServoOutput::Step { delta, .. } = a.servo {
+                    ev.arg_i64("step_ns", delta.as_nanos());
                 }
             }
         }
-        let vm = &mut self.nodes[node].vms[slot];
-        if let SubmitOutcome::Aggregated(a) = outcome {
-            match a.servo {
-                ServoOutput::Gathering => {}
-                ServoOutput::Step {
-                    delta,
-                    freq_adj_ppb,
-                } => {
-                    vm.nic.phc.step(t, delta);
-                    vm.nic.phc.adj_frequency(t, freq_adj_ppb);
-                }
-                ServoOutput::Adjust { freq_adj_ppb } => {
-                    vm.nic.phc.adj_frequency(t, freq_adj_ppb);
-                }
-            }
-        }
-        // Drain degradation-state transitions this submission produced
-        // (Synchronized → Holdover → Freerun → reacquisition) into the
-        // event log and the oracle.
-        let transitions = self.nodes[node].vms[slot].aggregator.take_transitions();
-        for (_, from, to) in transitions {
-            self.counters.sync_transitions += 1;
-            self.log(
-                t,
-                ExperimentEvent::SyncStateChange {
-                    node,
-                    slot,
-                    from,
-                    to,
-                },
-            );
-            if self.oracle.is_some() {
-                self.observe(Observation::SyncTransition {
-                    at: t,
-                    node,
-                    slot,
-                    from,
-                    to,
-                });
-            }
+        self.nodes[node].vms[slot].nic.phc.apply(t, a.servo);
+    }
+
+    /// A degradation-state transition (Synchronized → Holdover → Freerun
+    /// → reacquisition) of `(node, slot)`'s aggregator.
+    fn on_sync_state(
+        &mut self,
+        t: SimTime,
+        node: usize,
+        slot: usize,
+        from: tsn_time::SyncState,
+        to: tsn_time::SyncState,
+    ) {
+        self.counters.sync_transitions += 1;
+        self.log(
+            t,
+            ExperimentEvent::SyncStateChange {
+                node,
+                slot,
+                from,
+                to,
+            },
+        );
+        if self.oracle.is_some() {
+            self.observe(Observation::SyncTransition {
+                at: t,
+                node,
+                slot,
+                from,
+                to,
+            });
         }
     }
 
     // ----- periodic activities -----------------------------------------
 
     fn on_gm_sync_tick(&mut self, t: SimTime, node: usize) {
-        let s = self.cfg.sync_interval;
+        let mut next = t + self.cfg.sync_interval;
         let vm = &mut self.nodes[node].vms[0];
-        if !vm.running {
-            self.queue.schedule_at(t + s, Ev::GmSyncTick { node });
-            return;
-        }
-        // Serve election-acquired foreign domains first, then fall into
-        // the home-domain flow below.
-        self.emit_acquired_syncs(t, node);
-        // A home GM demoted by the election stops originating its own
-        // domain's Syncs (and stops self-submitting) until re-promoted.
-        let acting_home = self.nodes[node].vms[0]
-            .election
-            .as_ref()
-            .map(|e| e.acting(node as u8))
-            .unwrap_or(true);
-        if !acting_home {
-            self.queue.schedule_at(t + s, Ev::GmSyncTick { node });
-            return;
-        }
-        let vm = &mut self.nodes[node].vms[0];
-        // The GM's own-domain instance stores its self-offset of zero
-        // each interval — this is what keeps the GM inside the
-        // distributed FTA ensemble (and what bootstraps the initial
-        // domain's GM through the startup protocol). Compromised VMs
-        // keep doing this too (stealthy attacker).
-        //
-        // With `gm_mutual_sync` disabled (the prior-work baseline the
-        // paper critiques), grandmasters do not aggregate at all: their
-        // clocks free-run and the GM ensemble drifts apart.
-        if self.cfg.gm_mutual_sync {
-            let now_clock = vm.nic.phc.now(t);
-            let outcome = vm.aggregator.submit_self(node, now_clock);
-            self.apply_outcome(t, node, 0, outcome);
-        } else {
-            vm.gm_active = true;
-        }
-        let vm = &mut self.nodes[node].vms[0];
-        // A restarted (or initial) GM only serves its domain once its own
-        // clock has converged to the ensemble.
-        if !vm.gm_active && !vm.compromised {
-            if vm.aggregator.mode() == AggregationMode::FaultTolerant {
-                vm.gm_active = true;
-                if t > SimTime::ZERO + self.cfg.warmup {
-                    self.log(t, ExperimentEvent::GmResumed { node });
-                }
-            } else {
-                self.queue.schedule_at(t + s, Ev::GmSyncTick { node });
-                return;
-            }
-        }
-        // A compromised GM re-evaluates its Byzantine strategy every
-        // interval: the lie it serves is a function of time since the
-        // strike (ramps, oscillations, duty cycles, trim-edge hugging).
-        if self.nodes[node].vms[0].compromised {
-            if let Some(i) = self.nodes[node].vms[0].strike_idx {
+        if vm.running {
+            // A compromised GM re-evaluates its Byzantine strategy every
+            // interval: the lie it serves is a function of time since the
+            // strike (ramps, oscillations, duty cycles, trim-edge hugging).
+            let byzantine = vm.strike_idx.filter(|_| vm.compromised).map(|i| {
                 let strike = self.cfg.attack.strikes()[i];
                 let elapsed = t - (strike.at + self.cfg.warmup);
-                let offset = strike.offset_at(elapsed, self.cfg.aggregation.validity_threshold);
-                if let Some(m) = &mut self.nodes[node].vms[0].master {
-                    m.pot_offset = offset;
-                }
-                // A rogue master lies on every domain it serves,
-                // including captured foreign ones.
-                for m in self.nodes[node].vms[0].acquired.values_mut() {
-                    m.pot_offset = offset;
-                }
+                strike.offset_at(elapsed, self.cfg.aggregation.validity_threshold)
+            });
+            let (clock, out) = (&mut vm.nic.phc.at(t), &mut self.node_out);
+            vm.ptp.on_sync_tick(byzantine, clock, out);
+            if let Some(sync) = self.drain_node_out(t, node, 0) {
+                next = self.launch_sync(t, node, sync).unwrap_or(next);
             }
         }
+        self.queue.schedule_at(next, Ev::GmSyncTick { node });
+    }
+
+    /// Launches a grandmaster's home-domain Sync on the next S boundary
+    /// of the VM's own synchronized clock, at least LAUNCH_LEAD ahead
+    /// (paper: ETF qdisc + launch-time so all domains transmit within Π
+    /// of each other). Returns when the next tick is due if the Sync
+    /// made its deadline.
+    fn launch_sync(&mut self, t: SimTime, node: usize, sync: Transmission) -> Option<SimTime> {
+        let s = self.cfg.sync_interval;
+        let token = sync.token.expect("a Sync is an event message");
         let vm = &mut self.nodes[node].vms[0];
-        // Launch on the next S boundary of the VM's own synchronized
-        // clock, at least LAUNCH_LEAD ahead (paper: ETF qdisc +
-        // launch-time so all domains transmit within Π of each other).
-        let now_clock = vm.nic.phc.now(t);
-        let launch = (now_clock + LAUNCH_LEAD).ceil_to(s);
-        let (bytes, seq) = vm.master.as_mut().expect("slot 0 has master").make_sync();
-        if self.transient.deadline_missed() {
-            vm.master
-                .as_mut()
-                .expect("has master")
-                .sync_deadline_missed(seq);
-            self.log(
-                t,
-                ExperimentEvent::Transient {
-                    node,
-                    kind: TransientKind::DeadlineMiss,
-                },
-            );
-            self.queue.schedule_at(t + s, Ev::GmSyncTick { node });
-            return;
-        }
-        match self.nodes[node].vms[0].nic.launch(t, launch) {
+        let launch = (vm.nic.phc.now(t) + LAUNCH_LEAD).ceil_to(s);
+        let outcome = if self.transient.deadline_missed() {
+            LaunchOutcome::DeadlineMiss
+        } else {
+            vm.nic.launch(t, launch)
+        };
+        match outcome {
             LaunchOutcome::DepartsAt(depart) => {
-                let mac = self.nodes[node].vms[0].nic.mac;
-                let dev = self.nodes[node].vms[0].nic_device;
-                let frame = Self::ptp_frame(mac, bytes);
-                self.queue.schedule_at(
-                    depart,
-                    Ev::Transmit {
-                        from: PortAddr::new(dev, 0),
-                        frame,
-                        ctx: TxCtx::GmSync {
-                            node,
-                            domain: node as u8,
-                            seq,
-                        },
-                    },
-                );
+                let from = PortAddr::new(vm.nic_device, 0);
+                let frame = Self::ptp_frame(vm.nic.mac, sync.bytes);
+                let ctx = TxCtx::new(node, vm.nic_device, token);
+                self.queue
+                    .schedule_at(depart, Ev::Transmit { from, frame, ctx });
                 // Next tick lands LAUNCH_LEAD + margin before the next
                 // boundary so the ceil above resolves to it exactly.
-                self.queue.schedule_at(
-                    depart + s - LAUNCH_LEAD - Nanos::from_millis(5),
-                    Ev::GmSyncTick { node },
-                );
+                Some(depart + s - LAUNCH_LEAD - Nanos::from_millis(5))
             }
             LaunchOutcome::DeadlineMiss => {
-                self.nodes[node].vms[0]
-                    .master
-                    .as_mut()
-                    .expect("has master")
-                    .sync_deadline_missed(seq);
-                self.log(
-                    t,
-                    ExperimentEvent::Transient {
-                        node,
-                        kind: TransientKind::DeadlineMiss,
-                    },
-                );
-                self.queue.schedule_at(t + s, Ev::GmSyncTick { node });
+                vm.ptp.on_deadline_missed(token);
+                let kind = TransientKind::DeadlineMiss;
+                self.log(t, ExperimentEvent::Transient { node, kind });
+                None
             }
         }
     }
 
-    /// Originates one Sync per election-acquired foreign domain. These
-    /// go out driver-timed (not launch-scheduled): an interim master is
-    /// a degraded-mode stand-in, not a planned ETF emission.
-    fn emit_acquired_syncs(&mut self, t: SimTime, node: usize) {
-        let domains: Vec<u8> = self.nodes[node].vms[0].acquired.keys().copied().collect();
-        for d in domains {
-            let vm = &mut self.nodes[node].vms[0];
-            let Some(m) = vm.acquired.get_mut(&d) else {
-                continue;
-            };
-            let (bytes, seq) = m.make_sync();
-            let mac = vm.nic.mac;
-            let dev = vm.nic_device;
-            let frame = Self::ptp_frame(mac, bytes);
-            self.send_general(
-                t,
-                PortAddr::new(dev, 0),
-                frame,
-                TxCtx::GmSync {
-                    node,
-                    domain: d,
-                    seq,
-                },
-            );
-        }
-    }
-
-    /// One election round on `node`: expire stale Announce claims, run
-    /// the BMCA decision per domain, apply the transitions, and emit
-    /// this node's Announce for every domain it acts for.
+    /// One election round on `node`: the engine expires stale Announce
+    /// claims, decides per domain, follows the transitions with its
+    /// master functions and announces every domain it acts for.
     fn on_election_tick(&mut self, t: SimTime, node: usize) {
-        let interval = match self.nodes[node].vms[0].election.as_ref() {
-            Some(e) => e.announce_interval(),
-            None => return,
+        let vm = &mut self.nodes[node].vms[0];
+        let Some(interval) = vm.ptp.announce_interval() else {
+            return;
         };
         self.queue
             .schedule_at(t + interval, Ev::ElectionTick { node });
-        if !self.nodes[node].vms[0].running {
+        if !vm.running {
             return;
         }
-        let now = self.nodes[node].vms[0].nic.phc.now(t);
-        let events = self.nodes[node].vms[0]
-            .election
-            .as_mut()
-            .expect("checked above")
-            .step(now);
-        for ev in events {
-            self.apply_election_event(t, node, ev);
-        }
-        let acting = self.nodes[node].vms[0]
-            .election
-            .as_ref()
-            .expect("checked above")
-            .acting_domains();
-        for d in acting {
-            let msg = self.nodes[node].vms[0]
-                .election
-                .as_mut()
-                .expect("checked above")
-                .make_announce(d);
-            let bytes = msg.encode();
-            let mac = self.nodes[node].vms[0].nic.mac;
-            let dev = self.nodes[node].vms[0].nic_device;
-            let frame = Self::ptp_frame(mac, bytes);
-            self.send_general(t, PortAddr::new(dev, 0), frame, TxCtx::None);
-            self.counters.announce_tx += 1;
-        }
+        let (clock, out) = (&mut vm.nic.phc.at(t), &mut self.node_out);
+        vm.ptp.on_election_tick(clock, out);
+        // Everything an election round transmits is an Announce.
+        let announces = self
+            .node_out
+            .iter()
+            .filter(|o| matches!(o, NodeOutput::Send(_)));
+        self.counters.announce_tx += announces.count() as u64;
+        self.drain_node_out(t, node, 0);
     }
 
-    fn apply_election_event(&mut self, t: SimTime, node: usize, ev: ElectionEvent) {
+    fn on_election_event(&mut self, t: SimTime, node: usize, ev: ElectionEvent) {
         match ev {
-            ElectionEvent::Promoted { domain } => self.promote_acting(t, node, domain),
-            ElectionEvent::Demoted { domain } => {
-                if let Some(tracer) = self.tracer.as_mut() {
-                    tracer
-                        .instant(t, "demoted", TraceSub::Election, node_pid(node), 0)
-                        .arg_u64("domain", u64::from(domain));
-                }
-                if self.oracle.is_some() {
-                    self.observe(Observation::ElectionActing {
-                        at: t,
-                        domain: domain as usize,
-                        node,
-                        acting: false,
-                    });
-                }
-                let vm = &mut self.nodes[node].vms[0];
-                if domain as usize == node {
-                    vm.gm_active = false;
-                } else {
-                    vm.acquired.remove(&domain);
-                }
-            }
+            ElectionEvent::Promoted { domain } => self.on_acting_change(t, node, domain, true),
+            ElectionEvent::Demoted { domain } => self.on_acting_change(t, node, domain, false),
             ElectionEvent::Elected {
                 domain,
                 node: winner,
@@ -2251,14 +1646,15 @@ impl World {
         }
     }
 
-    /// Makes `node` the acting master of `domain`: home domain → resume
-    /// the static master function; foreign domain → instantiate an
-    /// interim one. Reroots the domain's relay tree at the node's switch
-    /// and stops the re-election stopwatch on the killed domain.
-    fn promote_acting(&mut self, t: SimTime, node: usize, domain: u8) {
+    /// `node` started or stopped acting as master of `domain` (its
+    /// engine already follows). A promotion reroots the domain's relay
+    /// tree at the node's switch and stops the re-election stopwatch on
+    /// the killed domain.
+    fn on_acting_change(&mut self, t: SimTime, node: usize, domain: u8, acting: bool) {
         if let Some(tracer) = self.tracer.as_mut() {
+            let name = if acting { "promoted" } else { "demoted" };
             tracer
-                .instant(t, "promoted", TraceSub::Election, node_pid(node), 0)
+                .instant(t, name, TraceSub::Election, node_pid(node), 0)
                 .arg_u64("domain", u64::from(domain));
         }
         if self.oracle.is_some() {
@@ -2266,22 +1662,13 @@ impl World {
                 at: t,
                 domain: domain as usize,
                 node,
-                acting: true,
+                acting,
             });
         }
-        let s = self.cfg.sync_interval;
-        let vm = &mut self.nodes[node].vms[0];
-        if domain as usize == node {
-            vm.gm_active = true;
-        } else {
-            let identity = ClockIdentity::for_index(vm.nic_device.0 as u32);
-            let port_id = PortIdentity::new(identity, 1);
-            vm.acquired
-                .entry(domain)
-                .or_insert_with(|| SyncMaster::new(domain, port_id, log2_interval(s)));
+        if !acting {
+            return;
         }
         if self.domain_roots[domain as usize] != node {
-            self.domain_roots[domain as usize] = node;
             self.reroot_domain(domain as usize, node);
         }
         if let Some((kill_at, killed)) = self.gm_kill {
@@ -2291,29 +1678,11 @@ impl World {
         }
     }
 
-    /// Rebuilds every switch's relay for `domain` around the new root:
-    /// the root's switch takes the Sync feed from its VM port, everyone
-    /// else slaves toward the root through the mesh. In-flight partial
-    /// Sync/Follow_Up sequences of the old tree are dropped (they belong
-    /// to the dead master anyway).
+    /// Moves `domain`'s relay tree to a new root switch.
     fn reroot_domain(&mut self, domain: usize, root: usize) {
-        let vpn = self.cfg.vms_per_node;
-        let n = self.cfg.nodes;
-        for y in 0..n {
-            let identity = ClockIdentity::for_index(self.switches[y].device.0 as u32);
-            let relay = if y == root {
-                let mut masters: Vec<u16> = (1..vpn as u16).collect();
-                for z in 0..n {
-                    if z != y {
-                        masters.push(u16::from(self.mesh_port[y][z].expect("mesh port")));
-                    }
-                }
-                BridgeRelay::new(domain as u8, identity, 0, masters)
-            } else {
-                let slave = u16::from(self.mesh_port[y][root].expect("mesh port"));
-                BridgeRelay::new(domain as u8, identity, slave, (0..vpn as u16).collect())
-            };
-            self.switches[y].relays[domain] = relay;
+        self.domain_roots[domain] = root;
+        for sw in &mut self.switches {
+            sw.bridge.reroot(domain, root);
         }
     }
 
@@ -2330,14 +1699,10 @@ impl World {
             return;
         }
         vm.running = false;
-        vm.gm_active = false;
+        vm.ptp.shut_down();
         self.counters.vm_failures += 1;
         self.counters.gm_failures += 1;
-        let acting: Vec<u8> = vm
-            .election
-            .as_ref()
-            .map(|e| e.acting_domains())
-            .unwrap_or_default();
+        let acting = vm.ptp.acting_domains();
         self.gm_kill = Some((t, node as u8));
         if self.oracle.is_some() {
             for d in acting {
@@ -2366,28 +1731,17 @@ impl World {
         self.queue
             .schedule_at(t + self.cfg.pdelay_interval, Ev::PdelayTick { port });
         let dev = port.device;
-        let (req, mac) = if let Some((node, slot)) = self.station_map.get(dev) {
+        if let Some((node, slot)) = self.station_map.get(dev) {
             let vm = &mut self.nodes[node].vms[slot];
             if !vm.running {
                 return;
             }
-            let (bytes, seq) = vm.pd.make_request();
-            (Some((bytes, seq)), vm.nic.mac)
+            vm.ptp.on_pdelay_tick(&mut self.node_out);
+            self.drain_node_out(t, node, slot);
         } else if let Some(sw) = self.switch_map.get(dev) {
-            let mac = MacAddr::for_nic(dev.0 as u32);
-            match self.switches[sw].pd.get_mut(&port.port.0) {
-                Some(svc) => {
-                    let (bytes, seq) = svc.make_request();
-                    (Some((bytes, seq)), mac)
-                }
-                None => (None, mac),
-            }
-        } else {
-            (None, MacAddr::BROADCAST)
-        };
-        if let Some((bytes, seq)) = req {
-            let frame = Self::ptp_frame(mac, bytes);
-            self.send_general(t, port, frame, TxCtx::PdelayReq { dev, seq });
+            let s = &mut self.switches[sw];
+            s.bridge.pdelay_tick(port.port.0, &mut self.bridge_out);
+            self.drain_bridge_out(t, sw, MacAddr::for_nic(dev.0 as u32));
         }
     }
 
@@ -2547,7 +1901,7 @@ impl World {
             payload: bytes::Bytes::copy_from_slice(&seq.to_be_bytes()),
         };
         let from = PortAddr::new(vm.nic_device, 0);
-        self.send_general(t, from, frame, TxCtx::None);
+        self.send_general(t, from, frame);
     }
 
     fn finalize_probe(&mut self, seq: u64) {
@@ -2579,12 +1933,8 @@ impl World {
             return; // already down (should not happen per constraints)
         }
         vm.running = false;
-        vm.gm_active = false;
-        let was_acting: Vec<u8> = vm
-            .election
-            .as_ref()
-            .map(|e| e.acting_domains())
-            .unwrap_or_default();
+        vm.ptp.shut_down();
+        let was_acting = vm.ptp.acting_domains();
         self.counters.vm_failures += 1;
         if f.slot == VmSlot::Grandmaster {
             self.counters.gm_failures += 1;
@@ -2616,21 +1966,13 @@ impl World {
             VmSlot::Grandmaster => 0,
             VmSlot::Redundant => 1,
         };
-        let n = self.cfg.nodes;
         let vm = &mut self.nodes[f.node].vms[slot];
         vm.running = true;
         vm.compromised = false;
         vm.strike_idx = None;
-        for s in &mut vm.slaves {
-            s.reset();
-        }
-        vm.aggregator.restart();
+        vm.ptp.reboot();
         vm.phc2sys.reset();
         vm.sync_servo.reset();
-        let dev = vm.nic_device;
-        let pid = PortIdentity::new(ClockIdentity::for_index(dev.0 as u32), 1);
-        vm.pd = LinkDelayService::new(pid);
-        let _ = n;
         self.log(
             t,
             ExperimentEvent::VmReboot {
@@ -2650,23 +1992,16 @@ impl World {
             let vm = &mut self.nodes[strike.target_node].vms[0];
             vm.compromised = true;
             vm.strike_idx = Some(i);
-            if let Some(m) = &mut vm.master {
-                m.pot_offset =
-                    strike.offset_at(Nanos::ZERO, self.cfg.aggregation.validity_threshold);
-            }
-            // The malicious ptp4l serves the domain unconditionally.
-            vm.gm_active = true;
+            vm.ptp
+                .compromise(strike.offset_at(Nanos::ZERO, self.cfg.aggregation.validity_threshold));
             // A rogue master additionally forges a best-possible BMCA
             // claim on its cyclic predecessor's domain, capturing it
             // through the election (no effect without election mode).
-            if self.cfg.election.is_some()
-                && matches!(strike.strategy, Some(ByzantineStrategy::RogueMaster { .. }))
-            {
+            if matches!(strike.strategy, Some(ByzantineStrategy::RogueMaster { .. })) {
                 let n = self.cfg.nodes;
                 let domain = ((strike.target_node + n - 1) % n) as u8;
-                if let Some(e) = self.nodes[strike.target_node].vms[0].election.as_mut() {
-                    e.capture(domain, 0);
-                    self.promote_acting(t, strike.target_node, domain);
+                if vm.ptp.capture(domain) {
+                    self.on_acting_change(t, strike.target_node, domain, true);
                 }
             }
         } else {
@@ -2798,8 +2133,6 @@ impl World {
 
     // ----- introspection (tests, examples) ------------------------------
 
-    /// Ground truth: the spread of the clock-sync VMs' PHCs at true time
-    /// `t` (running VMs only). Not available to any simulated component.
     /// Per-VM diagnostic snapshot: `(node, slot, true offset of the NIC
     /// PHC, servo frequency adjustment ppb, aggregation mode,
     /// aggregation count, no-quorum count, running)`.
@@ -2812,14 +2145,13 @@ impl World {
         for (n, node) in self.nodes.iter_mut().enumerate() {
             for (s, vm) in node.vms.iter_mut().enumerate() {
                 let off = vm.nic.phc.true_offset(t);
-                let shm = vm.aggregator.shmem();
-                let shm = shm.lock();
+                let shm = vm.ptp.shmem();
                 out.push((
                     n,
                     s,
                     off,
                     vm.nic.phc.freq_adj_ppb(),
-                    vm.aggregator.mode(),
+                    vm.ptp.mode(),
                     shm.aggregations,
                     shm.no_quorum,
                     vm.running,
@@ -2836,14 +2168,7 @@ impl World {
         let mut out = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let vm = &node.vms[0];
-            if !vm.running {
-                continue;
-            }
-            let acting = match &vm.election {
-                Some(e) => e.acting(domain),
-                None => i == domain as usize && vm.gm_active,
-            };
-            if acting {
+            if vm.running && vm.ptp.acting(domain) {
                 out.push(i);
             }
         }
@@ -2861,15 +2186,12 @@ impl World {
                 }
             }
         }
-        let min = readings.iter().min().copied().unwrap_or(ClockTime::ZERO);
-        let max = readings.iter().max().copied().unwrap_or(ClockTime::ZERO);
-        max - min
+        spread(&readings)
     }
 
     /// Diagnostic: mean aggregated offset (ns) of one VM's FTSHMEM.
     pub fn offset_bias(&self, node: usize, slot: usize) -> f64 {
-        let shm = self.nodes[node].vms[slot].aggregator.shmem();
-        let shm = shm.lock();
+        let shm = self.nodes[node].vms[slot].ptp.shmem();
         if shm.aggregations == 0 {
             0.0
         } else {
@@ -2887,9 +2209,7 @@ impl World {
                 readings.push(node.vms[0].nic.phc.now(t));
             }
         }
-        let min = readings.iter().min().copied().unwrap_or(ClockTime::ZERO);
-        let max = readings.iter().max().copied().unwrap_or(ClockTime::ZERO);
-        max - min
+        spread(&readings)
     }
 
     /// Ground truth: each node's `CLOCK_SYNCTIME` minus true time at `t`.
@@ -2911,9 +2231,7 @@ impl World {
             let host_now = node.host_phc.now(t);
             readings.push(node.device.synctime(host_now));
         }
-        let min = readings.iter().min().copied().unwrap_or(ClockTime::ZERO);
-        let max = readings.iter().max().copied().unwrap_or(ClockTime::ZERO);
-        max - min
+        spread(&readings)
     }
 
     /// The configured end of the run.
@@ -2922,8 +2240,6 @@ impl World {
     }
 
     /// Runs the world until `t` (inclusive), for step-wise tests.
-    ///
-    /// Same batch consumption as [`World::run`].
     pub fn run_until(&mut self, t: SimTime) {
         let mut batch = Vec::new();
         while self.queue.pop_batch(t, &mut batch) > 0 {
@@ -2945,6 +2261,13 @@ impl World {
     pub fn into_result(self) -> RunResult {
         self.finish()
     }
+}
+
+/// Largest minus smallest reading (zero for none).
+fn spread(readings: &[ClockTime]) -> Nanos {
+    let min = readings.iter().min().copied().unwrap_or(ClockTime::ZERO);
+    let max = readings.iter().max().copied().unwrap_or(ClockTime::ZERO);
+    max - min
 }
 
 /// Irwin–Hall Gaussian sample (ns), matching `tsn_time::jitter`.
@@ -2971,61 +2294,39 @@ use tsn_snapshot::{Reader, Snap, SnapError, SnapState, WorldSnapshot, Writer};
 
 impl Snap for TxCtx {
     fn put(&self, w: &mut Writer) {
-        match self {
-            TxCtx::None => 0u8.put(w),
-            TxCtx::GmSync { node, domain, seq } => {
-                1u8.put(w);
-                node.put(w);
-                domain.put(w);
-                seq.put(w);
-            }
-            TxCtx::BridgeSync { sw, domain, seq } => {
-                2u8.put(w);
-                sw.put(w);
-                domain.put(w);
-                seq.put(w);
-            }
-            TxCtx::PdelayReq { dev, seq } => {
-                3u8.put(w);
-                dev.put(w);
-                seq.put(w);
-            }
-            TxCtx::PdelayResp {
-                dev,
-                seq,
-                requesting,
-            } => {
-                4u8.put(w);
-                dev.put(w);
-                seq.put(w);
-                requesting.put(w);
-            }
+        let Some((key, token)) = self.0 else {
+            return 0u8.put(w);
+        };
+        match token {
+            TxToken::Sync { domain, seq } => (1u8, key, (domain, seq)).put(w),
+            TxToken::RelayedSync { domain, seq } => (2u8, key, (domain, seq)).put(w),
+            TxToken::PdelayReq { seq } => (3u8, key, seq).put(w),
+            TxToken::PdelayResp { seq, requesting } => (4u8, key, (seq, requesting)).put(w),
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::get(r)? {
-            0 => TxCtx::None,
-            1 => TxCtx::GmSync {
-                node: Snap::get(r)?,
+        let disc = u8::get(r)?;
+        if disc == 0 {
+            return Ok(TxCtx::NONE);
+        }
+        let key = usize::get(r)?;
+        let token = match disc {
+            1 => TxToken::Sync {
                 domain: Snap::get(r)?,
                 seq: Snap::get(r)?,
             },
-            2 => TxCtx::BridgeSync {
-                sw: Snap::get(r)?,
+            2 => TxToken::RelayedSync {
                 domain: Snap::get(r)?,
                 seq: Snap::get(r)?,
             },
-            3 => TxCtx::PdelayReq {
-                dev: Snap::get(r)?,
-                seq: Snap::get(r)?,
-            },
-            4 => TxCtx::PdelayResp {
-                dev: Snap::get(r)?,
+            3 => TxToken::PdelayReq { seq: Snap::get(r)? },
+            4 => TxToken::PdelayResp {
                 seq: Snap::get(r)?,
                 requesting: Snap::get(r)?,
             },
             _ => return Err(SnapError::Malformed("tx context discriminant")),
-        })
+        };
+        Ok(TxCtx(Some((key, token))))
     }
 }
 
@@ -3145,96 +2446,20 @@ impl Snap for Ev {
     }
 }
 
-impl Snap for RunCounters {
-    fn put(&self, w: &mut Writer) {
-        self.tx_timestamp_timeouts.put(w);
-        self.deadline_misses.put(w);
-        self.vm_failures.put(w);
-        self.gm_failures.put(w);
-        self.takeovers.put(w);
-        self.aggregations.put(w);
-        self.no_quorum.put(w);
-        self.strikes_succeeded.put(w);
-        self.strikes_failed.put(w);
-        self.frames_queued.put(w);
-        self.sync_transitions.put(w);
-        self.holdover_ns.put(w);
-        self.freerun_ns.put(w);
-        self.uncovered_failures.put(w);
-        self.unhandled_frames.put(w);
-        self.announce_tx.put(w);
-        self.elected_gm_changes.put(w);
-        self.reconvergence_ns.put(w);
-        // The fabric counters are deliberately *not* encoded here: they
-        // live in the fabric's own `SnapState` (appended to the world's
-        // state only when the fabric is enabled) and are copied into
-        // `RunCounters` at `finish()`. Encoding them here would change
-        // the state bytes of every `fabric = None` run.
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(RunCounters {
-            tx_timestamp_timeouts: Snap::get(r)?,
-            deadline_misses: Snap::get(r)?,
-            vm_failures: Snap::get(r)?,
-            gm_failures: Snap::get(r)?,
-            takeovers: Snap::get(r)?,
-            aggregations: Snap::get(r)?,
-            no_quorum: Snap::get(r)?,
-            strikes_succeeded: Snap::get(r)?,
-            strikes_failed: Snap::get(r)?,
-            frames_queued: Snap::get(r)?,
-            sync_transitions: Snap::get(r)?,
-            holdover_ns: Snap::get(r)?,
-            freerun_ns: Snap::get(r)?,
-            uncovered_failures: Snap::get(r)?,
-            unhandled_frames: Snap::get(r)?,
-            announce_tx: Snap::get(r)?,
-            elected_gm_changes: Snap::get(r)?,
-            reconvergence_ns: Snap::get(r)?,
-            fabric_frames_forwarded: 0,
-            fabric_frames_dropped: 0,
-            max_residence_ns: 0,
-            path_asymmetry_ns: 0,
-        })
-    }
-}
-
 impl SnapState for VmState {
     // `nic_device` and NIC static parameters (MAC, jitter model, line
-    // rate) come from configuration; master/slave/aggregator structure is
-    // fixed per slot.
+    // rate) come from configuration. The engine's state brackets the
+    // hypervisor-facing services: stream order, not struct order.
     fn save_state(&self, w: &mut Writer) {
         self.nic.phc.save_state(w);
         self.osc.save_state(w);
         self.running.put(w);
         self.compromised.put(w);
-        self.strike_idx.is_some().put(w);
-        if let Some(i) = self.strike_idx {
-            i.put(w);
-        }
-        self.master.is_some().put(w);
-        if let Some(m) = &self.master {
-            m.save_state(w);
-        }
-        self.gm_active.put(w);
-        for s in &self.slaves {
-            s.save_state(w);
-        }
-        self.aggregator.save_state(w);
-        self.pd.save_state(w);
+        self.strike_idx.put(w);
+        self.ptp.save_sync_state(w);
         self.phc2sys.save_state(w);
         self.sync_servo.save_state(w);
-        self.election.is_some().put(w);
-        if let Some(e) = &self.election {
-            e.save_state(w);
-        }
-        // Acquired masters are dynamic: encode domain keys so load can
-        // reconstruct each function before overwriting its state.
-        self.acquired.len().put(w);
-        for (d, m) in &self.acquired {
-            d.put(w);
-            m.save_state(w);
-        }
+        self.ptp.save_election_state(w);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
@@ -3242,46 +2467,11 @@ impl SnapState for VmState {
         self.osc.load_state(r)?;
         self.running = Snap::get(r)?;
         self.compromised = Snap::get(r)?;
-        self.strike_idx = if bool::get(r)? {
-            Some(usize::get(r)?)
-        } else {
-            None
-        };
-        if bool::get(r)? != self.master.is_some() {
-            return Err(SnapError::Malformed("sync master presence"));
-        }
-        if let Some(m) = &mut self.master {
-            m.load_state(r)?;
-        }
-        self.gm_active = Snap::get(r)?;
-        for s in &mut self.slaves {
-            s.load_state(r)?;
-        }
-        self.aggregator.load_state(r)?;
-        self.pd.load_state(r)?;
+        self.strike_idx = Snap::get(r)?;
+        self.ptp.load_sync_state(r)?;
         self.phc2sys.load_state(r)?;
         self.sync_servo.load_state(r)?;
-        if bool::get(r)? != self.election.is_some() {
-            return Err(SnapError::Malformed("election presence"));
-        }
-        if let Some(e) = &mut self.election {
-            e.load_state(r)?;
-        }
-        let n = usize::get(r)?;
-        let mut acquired = BTreeMap::new();
-        let identity = ClockIdentity::for_index(self.nic_device.0 as u32);
-        for _ in 0..n {
-            let d = u8::get(r)?;
-            // The log2 interval is part of the saved state; the
-            // placeholder is overwritten by load_state.
-            let mut m = SyncMaster::new(d, PortIdentity::new(identity, 1), -3);
-            m.load_state(r)?;
-            if acquired.insert(d, m).is_some() {
-                return Err(SnapError::Malformed("duplicate acquired domain"));
-            }
-        }
-        self.acquired = acquired;
-        Ok(())
+        self.ptp.load_election_state(r)
     }
 }
 
@@ -3313,33 +2503,18 @@ impl SnapState for NodeState {
 }
 
 impl SnapState for SwitchState {
-    // The fabric (FDB, residence model) is static configuration; per-port
-    // pdelay services are keyed by a fixed port set.
+    // The forwarding fabric (FDB, residence model) is static
+    // configuration.
     fn save_state(&self, w: &mut Writer) {
         self.phc.save_state(w);
         self.osc.save_state(w);
-        for relay in &self.relays {
-            relay.save_state(w);
-        }
-        let mut ports: Vec<u8> = self.pd.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            self.pd[&p].save_state(w);
-        }
+        self.bridge.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         self.phc.load_state(r)?;
         self.osc.load_state(r)?;
-        for relay in &mut self.relays {
-            relay.load_state(r)?;
-        }
-        let mut ports: Vec<u8> = self.pd.keys().copied().collect();
-        ports.sort_unstable();
-        for p in ports {
-            self.pd.get_mut(&p).expect("known port").load_state(r)?;
-        }
-        Ok(())
+        self.bridge.load_state(r)
     }
 }
 
@@ -3402,7 +2577,6 @@ impl SnapState for World {
         }
         for (d, &root) in roots.iter().enumerate() {
             if self.domain_roots[d] != root {
-                self.domain_roots[d] = root;
                 self.reroot_domain(d, root);
             }
         }

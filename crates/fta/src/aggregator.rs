@@ -36,8 +36,7 @@
 //! [`MultiDomainAggregator::take_transitions`].
 
 use crate::algorithm::{validity_flags, AggregationMethod};
-use crate::shmem::{FtShmem, OffsetSlot, SharedFtShmem};
-use std::sync::Arc;
+use crate::shmem::{FtShmem, OffsetSlot};
 use tsn_time::{ClockTime, Nanos, PiServo, ServoConfig, ServoOutput, SyncState};
 
 /// Sentinel for "never" (`adjust_last`-style negative infinity).
@@ -140,7 +139,7 @@ pub struct Aggregation {
 #[derive(Debug)]
 pub struct MultiDomainAggregator {
     config: AggregationConfig,
-    shmem: SharedFtShmem,
+    shmem: FtShmem,
     mode: AggregationMode,
     startup_ok_streak: u32,
     /// Domain this VM itself masters (grandmaster VMs); its self-offset
@@ -192,7 +191,7 @@ impl MultiDomainAggregator {
         );
         let servo = PiServo::new(servo_config, config.sync_interval);
         MultiDomainAggregator {
-            shmem: crate::shmem::shared(config.domains, servo),
+            shmem: FtShmem::new(config.domains, servo),
             config,
             mode: AggregationMode::Startup,
             startup_ok_streak: 0,
@@ -218,10 +217,9 @@ impl MultiDomainAggregator {
         self.self_domain = domain;
     }
 
-    /// The shared `FTSHMEM` handle (one per VM, shared by the M
-    /// instances).
-    pub fn shmem(&self) -> SharedFtShmem {
-        Arc::clone(&self.shmem)
+    /// The `FTSHMEM` region (one per VM, shared by the M instances).
+    pub fn shmem(&self) -> &FtShmem {
+        &self.shmem
     }
 
     /// Current mode.
@@ -262,16 +260,14 @@ impl MultiDomainAggregator {
         now: ClockTime,
     ) -> SubmitOutcome {
         assert!(domain < self.config.domains, "domain {domain} out of range");
-        let shmem = Arc::clone(&self.shmem);
-        let mut shm = shmem.lock();
-        shm.slots[domain] = Some(OffsetSlot {
+        self.shmem.slots[domain] = Some(OffsetSlot {
             offset,
             sync_rx_local,
             rate_ratio,
             stored_at: now,
         });
         // Paper Eq. 2.1: first instance past the boundary aggregates.
-        if shm.adjust_last + self.config.sync_interval > now {
+        if self.shmem.adjust_last + self.config.sync_interval > now {
             return SubmitOutcome::Stored;
         }
         // Degraded re-check backoff: after a failed interval, the next
@@ -281,7 +277,7 @@ impl MultiDomainAggregator {
         if self.sync_state.is_degraded() && now != self.last_fail_at && now < self.next_attempt {
             return SubmitOutcome::Stored;
         }
-        self.aggregate(&mut shm, now)
+        self.aggregate(now)
     }
 
     /// Forces an aggregation attempt (used by a grandmaster's own-domain
@@ -296,11 +292,9 @@ impl MultiDomainAggregator {
     /// starts over as Synchronized without emitting a transition, so
     /// observers never see an edge the machine does not define.
     pub fn restart(&mut self) {
-        let mut shm = self.shmem.lock();
-        shm.clear();
-        shm.servo.reset();
-        shm.adjust_last = FAR_PAST;
-        drop(shm);
+        self.shmem.clear();
+        self.shmem.servo.reset();
+        self.shmem.adjust_last = FAR_PAST;
         self.mode = AggregationMode::Startup;
         self.startup_ok_streak = 0;
         self.sync_state = SyncState::Synchronized;
@@ -362,9 +356,10 @@ impl MultiDomainAggregator {
         }
     }
 
-    fn aggregate(&mut self, shm: &mut FtShmem, now: ClockTime) -> SubmitOutcome {
+    fn aggregate(&mut self, now: ClockTime) -> SubmitOutcome {
         // Fresh offsets only: stale slots are fail-silent domains.
-        let fresh: Vec<Option<Nanos>> = shm
+        let fresh: Vec<Option<Nanos>> = self
+            .shmem
             .slots
             .iter()
             .map(|slot| {
@@ -377,7 +372,7 @@ impl MultiDomainAggregator {
                 })
             })
             .collect();
-        shm.valid = validity_flags(&fresh, self.config.validity_threshold);
+        self.shmem.valid = validity_flags(&fresh, self.config.validity_threshold);
 
         let aggregated = match self.mode {
             AggregationMode::Startup => self.startup_offset(&fresh),
@@ -385,7 +380,9 @@ impl MultiDomainAggregator {
                 let used: Vec<Nanos> = fresh
                     .iter()
                     .enumerate()
-                    .filter(|(i, o)| o.is_some() && (!self.config.exclude_invalid || shm.valid[*i]))
+                    .filter(|(i, o)| {
+                        o.is_some() && (!self.config.exclude_invalid || self.shmem.valid[*i])
+                    })
                     .filter_map(|(_, o)| *o)
                     .collect();
                 self.config.method.aggregate(&used)
@@ -393,7 +390,7 @@ impl MultiDomainAggregator {
         };
 
         let Some(offset) = aggregated else {
-            shm.no_quorum += 1;
+            self.shmem.no_quorum += 1;
             if self.mode == AggregationMode::FaultTolerant {
                 self.on_quorum_lost(now);
             }
@@ -416,10 +413,10 @@ impl MultiDomainAggregator {
             self.on_quorum_regained(now);
         }
 
-        let servo = shm.servo.sample(offset, now);
-        shm.adjust_last = now;
-        shm.aggregations += 1;
-        shm.offset_sum_ns += i128::from(offset.as_nanos());
+        let servo = self.shmem.servo.sample(offset, now);
+        self.shmem.adjust_last = now;
+        self.shmem.aggregations += 1;
+        self.shmem.offset_sum_ns += i128::from(offset.as_nanos());
         let used: Vec<(usize, Nanos)> = fresh
             .iter()
             .enumerate()
@@ -430,7 +427,7 @@ impl MultiDomainAggregator {
             servo,
             mode: self.mode,
             used,
-            valid: shm.valid.clone(),
+            valid: self.shmem.valid.clone(),
         })
     }
 
@@ -459,13 +456,10 @@ impl MultiDomainAggregator {
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 
 impl SnapState for MultiDomainAggregator {
-    // The shared region is saved through this aggregator (its owning
-    // VM), preserving the `Arc` identity on restore: `load_state`
-    // writes through the lock rather than replacing the region.
     fn save_state(&self, w: &mut Writer) {
         (matches!(self.mode, AggregationMode::FaultTolerant) as u8).put(w);
         self.startup_ok_streak.put(w);
-        self.shmem.lock().save_state(w);
+        self.shmem.save_state(w);
         self.sync_state.put(w);
         self.holdover_since.put(w);
         self.reacquire_streak.put(w);
@@ -487,7 +481,7 @@ impl SnapState for MultiDomainAggregator {
             _ => return Err(SnapError::Malformed("aggregation mode discriminant")),
         };
         self.startup_ok_streak = Snap::get(r)?;
-        self.shmem.lock().load_state(r)?;
+        self.shmem.load_state(r)?;
         self.sync_state = Snap::get(r)?;
         self.holdover_since = Snap::get(r)?;
         self.reacquire_streak = Snap::get(r)?;
@@ -676,7 +670,7 @@ mod tests {
         to_fta_mode(&mut agg, ClockTime::from_nanos(1_000_000));
         agg.restart();
         assert_eq!(agg.mode(), AggregationMode::Startup);
-        assert!(agg.shmem().lock().offsets().iter().all(Option::is_none));
+        assert!(agg.shmem().offsets().iter().all(Option::is_none));
     }
 
     #[test]

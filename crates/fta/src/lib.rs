@@ -50,4 +50,4 @@ pub use algorithm::{
     AggregationMethod,
 };
 pub use resilience::{containment_bound, ResilienceBound, ResilienceParams};
-pub use shmem::{shared, FtShmem, OffsetSlot, SharedFtShmem};
+pub use shmem::{FtShmem, OffsetSlot};

@@ -8,12 +8,11 @@
 //! clock frequency, and the state variables of a proportional integral
 //! (PI) controller."
 //!
-//! In the simulation the region is a struct behind a `parking_lot::Mutex`
-//! (modeling the process-shared futex between the `ptp4l` processes); the
-//! field layout follows the paper exactly.
+//! In the simulation the region is a plain struct owned by the VM's
+//! aggregator — the `M` instances run inside one single-threaded event
+//! loop, so the process-shared futex has nothing to model; the field
+//! layout follows the paper exactly.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
 use tsn_time::{ClockTime, Nanos, PiServo};
 
 /// One domain's latest master-offset entry.
@@ -80,15 +79,6 @@ impl FtShmem {
             *v = false;
         }
     }
-}
-
-/// Handle to a shared [`FtShmem`], cloneable across the M per-domain
-/// instances.
-pub type SharedFtShmem = Arc<Mutex<FtShmem>>;
-
-/// Creates a new shared region.
-pub fn shared(domains: usize, servo: PiServo) -> SharedFtShmem {
-    Arc::new(Mutex::new(FtShmem::new(domains, servo)))
 }
 
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
@@ -170,18 +160,5 @@ mod tests {
         shm.clear();
         assert!(shm.slots[0].is_none());
         assert!(!shm.valid[0]);
-    }
-
-    #[test]
-    fn shared_handle_is_cloneable() {
-        let shm = shared(4, servo());
-        let other = Arc::clone(&shm);
-        shm.lock().slots[1] = Some(OffsetSlot {
-            offset: Nanos::from_nanos(7),
-            sync_rx_local: ClockTime::ZERO,
-            rate_ratio: 1.0,
-            stored_at: ClockTime::ZERO,
-        });
-        assert_eq!(other.lock().offsets()[1], Some(Nanos::from_nanos(7)));
     }
 }

@@ -1,4 +1,6 @@
-//! Per-domain time-aware bridge relay (IEEE 802.1AS clause 11).
+//! The time-aware bridge (IEEE 802.1AS clause 11): the per-domain
+//! [`BridgeRelay`] and the [`Bridge`] engine that owns one relay per
+//! domain, the per-port link-delay services and the Announce relay.
 //!
 //! A time-aware bridge does not forward gPTP frames through its relay
 //! function: it *regenerates* them. For each domain the bridge has one
@@ -19,8 +21,11 @@
 //! `cumulativeScaledRateOffset` is updated the same way, so downstream
 //! systems can syntonize.
 
-use crate::msg::{Header, Message, MessageType};
-use crate::types::{rate_ratio, PortIdentity, PtpTimestamp};
+use crate::cmlds::LinkDelayService;
+use crate::msg::{Header, Message, MessageType, GPTP_MAJOR_SDO_ID, PTP_VERSION};
+use crate::types::{
+    rate_ratio, ClockIdentity, PortIdentity, PtpTimestamp, Transmission, TxTiming, TxToken,
+};
 use bytes::Bytes;
 use std::collections::HashMap;
 use tsn_time::{ClockTime, Nanos};
@@ -57,7 +62,7 @@ struct UpstreamFu {
 #[derive(Debug, Clone)]
 pub struct BridgeRelay {
     domain: u8,
-    clock: crate::types::ClockIdentity,
+    clock: ClockIdentity,
     slave_port: u16,
     master_ports: Vec<u16>,
     log_sync_interval: i8,
@@ -74,12 +79,7 @@ impl BridgeRelay {
     /// # Panics
     ///
     /// Panics if `slave_port` also appears in `master_ports`.
-    pub fn new(
-        domain: u8,
-        clock: crate::types::ClockIdentity,
-        slave_port: u16,
-        master_ports: Vec<u16>,
-    ) -> Self {
+    pub fn new(domain: u8, clock: ClockIdentity, slave_port: u16, master_ports: Vec<u16>) -> Self {
         assert!(
             !master_ports.contains(&slave_port),
             "port {slave_port} cannot be both slave and master"
@@ -261,6 +261,300 @@ impl BridgeRelay {
     }
 }
 
+/// One time-aware bridge: every domain's [`BridgeRelay`], one
+/// [`LinkDelayService`] per port, and the Announce relay.
+///
+/// Sans-IO like the relays it owns: the embedding feeds it received
+/// frames with their ingress port and hardware timestamp, egress
+/// timestamps of the event messages it emitted, and peer-delay ticks; it
+/// appends the [`Transmission`]s to perform to a caller-owned buffer.
+///
+/// Port layout: ports `0..station_ports` lead to the local end stations
+/// (port 0 to the one that may be a grandmaster), the following ports
+/// form the mesh toward the other bridges. Domain `d`'s relay tree is
+/// the two-level tree `GM -> root bridge -> {other bridges} -> stations`.
+#[derive(Debug, Clone)]
+pub struct Bridge {
+    identity: ClockIdentity,
+    /// This bridge's index among the mesh's bridges.
+    index: usize,
+    station_ports: u8,
+    /// `mesh[y]`: the port toward bridge `y` (`None` for `y == index`).
+    mesh: Vec<Option<u8>>,
+    /// One relay per domain.
+    relays: Vec<BridgeRelay>,
+    /// One link-delay service per port, indexed by port number.
+    pd: Vec<LinkDelayService>,
+    /// `true` in BMCA deployments: Announce is flooded through the mesh.
+    /// `false` under external port configuration, where Announce has no
+    /// role.
+    relays_announce: bool,
+}
+
+impl Bridge {
+    /// Creates bridge `index` of a mesh of `mesh.len()` bridges (one
+    /// gPTP domain per bridge), with every domain `d` rooted at bridge
+    /// `d` — the static external port configuration.
+    pub fn new(
+        identity: ClockIdentity,
+        index: usize,
+        station_ports: u8,
+        mesh: Vec<Option<u8>>,
+        relays_announce: bool,
+    ) -> Self {
+        let ports = station_ports + mesh.iter().flatten().count() as u8;
+        let mut bridge = Bridge {
+            identity,
+            index,
+            station_ports,
+            relays: Vec::with_capacity(mesh.len()),
+            mesh,
+            pd: (1..=u16::from(ports))
+                .map(|p| LinkDelayService::new(PortIdentity::new(identity, p)))
+                .collect(),
+            relays_announce,
+        };
+        for domain in 0..bridge.mesh.len() {
+            bridge.relays.push(bridge.relay_for(domain, domain));
+        }
+        bridge
+    }
+
+    /// The relay of `domain` when its grandmaster sits behind bridge
+    /// `root`: the root bridge takes the Sync feed from its grandmaster
+    /// station (port 0) and serves its other stations and every mesh
+    /// port; every other bridge slaves toward the root through the mesh
+    /// and serves its local stations only.
+    fn relay_for(&self, domain: usize, root: usize) -> BridgeRelay {
+        let stations = 0..u16::from(self.station_ports);
+        let (slave, masters) = if root == self.index {
+            let mesh = self.mesh.iter().flatten().map(|&p| u16::from(p));
+            (0, stations.skip(1).chain(mesh).collect())
+        } else {
+            let toward_root = self.mesh[root].expect("mesh port toward the root bridge");
+            (u16::from(toward_root), stations.collect())
+        };
+        BridgeRelay::new(domain as u8, self.identity, slave, masters)
+    }
+
+    /// Rebuilds `domain`'s relay around a new root bridge (grandmaster
+    /// handoff). In-flight Sync/Follow_Up sequences of the old tree are
+    /// dropped — they belong to the replaced master.
+    pub fn reroot(&mut self, domain: usize, root: usize) {
+        self.relays[domain] = self.relay_for(domain, root);
+    }
+
+    /// Handles a gPTP frame received on `port`. `rx_ts` is the hardware
+    /// receive timestamp (meaningful for event messages only). Returns
+    /// `false` if the bridge has no role for the message (Announce under
+    /// external port configuration, the E2E delay mechanism, Signaling).
+    pub fn receive(
+        &mut self,
+        port: u8,
+        bytes: &[u8],
+        rx_ts: ClockTime,
+        out: &mut Vec<Transmission>,
+    ) -> bool {
+        if MessageType::peek(bytes) == Some(MessageType::Announce) {
+            if !self.relays_announce {
+                return false;
+            }
+            // Announce floods the whole mesh (the election runs on one
+            // logical port per station); the path trace caps the flood.
+            if let Some(fwd) = forward_announce(bytes, self.identity) {
+                for p in (0..self.pd.len() as u8).filter(|&p| p != port) {
+                    out.push(Transmission::new(p, fwd.clone(), None, TxTiming::Residence));
+                }
+            }
+            return true;
+        }
+        let Some(pd) = self.pd.get_mut(usize::from(port)) else {
+            return true;
+        };
+        let Ok(msg) = Message::decode(bytes) else {
+            return true;
+        };
+        let ingress = u16::from(port);
+        match &msg {
+            Message::Sync { header, .. } => {
+                if let Some(relay) = self.relays.get_mut(usize::from(header.domain)) {
+                    let token = Some(TxToken::RelayedSync {
+                        domain: header.domain,
+                        seq: header.sequence_id,
+                    });
+                    for (p, bytes) in relay.handle_sync(&msg, ingress, rx_ts) {
+                        out.push(Transmission::new(
+                            p as u8,
+                            bytes,
+                            token,
+                            TxTiming::Residence,
+                        ));
+                    }
+                }
+            }
+            Message::FollowUp { header, .. } => {
+                if let Some(relay) = self.relays.get_mut(usize::from(header.domain)) {
+                    let link = pd.link_state();
+                    let emissions = relay.handle_follow_up(
+                        &msg,
+                        ingress,
+                        link.delay(),
+                        link.neighbor_rate_ratio,
+                    );
+                    out.extend(emissions.into_iter().map(follow_up));
+                }
+            }
+            Message::PdelayReq { .. }
+            | Message::PdelayResp { .. }
+            | Message::PdelayRespFollowUp { .. } => {
+                if let Some(ctx) = pd.handle(&msg, rx_ts) {
+                    let token = TxToken::PdelayResp {
+                        seq: ctx.seq,
+                        requesting: ctx.requesting_port,
+                    };
+                    out.push(Transmission::new(
+                        port,
+                        ctx.resp,
+                        Some(token),
+                        TxTiming::Turnaround,
+                    ));
+                }
+            }
+            // The gPTP profile: peer delay only, no runtime interval
+            // changes. (Announce never gets here.)
+            Message::Announce { .. }
+            | Message::DelayReq { .. }
+            | Message::DelayResp { .. }
+            | Message::Signaling { .. } => return false,
+        }
+        true
+    }
+
+    /// Reports the hardware egress timestamp of the event message
+    /// `token` was issued for, sent on `port`.
+    pub fn tx_timestamp(
+        &mut self,
+        port: u8,
+        token: TxToken,
+        ts: ClockTime,
+        out: &mut Vec<Transmission>,
+    ) {
+        match token {
+            TxToken::RelayedSync { domain, seq } => {
+                if let Some(relay) = self.relays.get_mut(usize::from(domain)) {
+                    let emissions = relay.sync_forwarded(seq, u16::from(port), ts);
+                    out.extend(emissions.into_iter().map(follow_up));
+                }
+            }
+            TxToken::PdelayReq { seq } => {
+                if let Some(pd) = self.pd.get_mut(usize::from(port)) {
+                    pd.request_sent(seq, ts);
+                }
+            }
+            TxToken::PdelayResp { seq, requesting } => {
+                if let Some(pd) = self.pd.get(usize::from(port)) {
+                    out.push(follow_up((
+                        u16::from(port),
+                        pd.make_resp_follow_up(seq, requesting, ts),
+                    )));
+                }
+            }
+            // Bridges regenerate Syncs, they never originate one.
+            TxToken::Sync { .. } => {}
+        }
+    }
+
+    /// Starts a peer-delay measurement round on `port`.
+    pub fn pdelay_tick(&mut self, port: u8, out: &mut Vec<Transmission>) {
+        if let Some(pd) = self.pd.get_mut(usize::from(port)) {
+            let (bytes, seq) = pd.make_request();
+            let token = Some(TxToken::PdelayReq { seq });
+            out.push(Transmission::new(port, bytes, token, TxTiming::Driver));
+        }
+    }
+}
+
+/// A software-generated general message (Follow_Up,
+/// Pdelay_Resp_Follow_Up) leaving on the emission's port.
+fn follow_up((port, bytes): Emission) -> Transmission {
+    Transmission::new(port as u8, bytes, None, TxTiming::Driver)
+}
+
+/// The Announce a bridge with identity `own` forwards for the received
+/// `bytes` — stepsRemoved + 1 and `own` appended to the path trace — or
+/// `None` when the frame is dropped: `own` already carried it (802.1AS
+/// clause 10.3.8.23 loop prevention) or it does not decode.
+fn forward_announce(bytes: &[u8], own: ClockIdentity) -> Option<Bytes> {
+    match patch_announce(bytes, own) {
+        Some(verdict) => verdict,
+        None => reencode_announce(bytes, own),
+    }
+}
+
+/// [`forward_announce`] without decode + re-encode, for Announces in the
+/// exact form [`Message::encode`] writes (every Announce a conforming
+/// peer of this implementation sends): the forwarded frame is the input
+/// with messageLength, stepsRemoved and the PATH_TRACE length patched and
+/// `own` appended. Strict byte guards pin that canonical form — exact
+/// length, the zero reserved fields the encoder writes, PATH_TRACE as the
+/// sole trailing TLV; on any mismatch the outer `None` sends the caller
+/// down the decode path, which defines the behavior.
+fn patch_announce(b: &[u8], own: ClockIdentity) -> Option<Option<Bytes>> {
+    // 34-byte header, 30-byte Announce body, then the PATH_TRACE TLV
+    // (type 0x0008, 8 bytes per identity).
+    if b.len() < 68 || b.len() > 0xFF00 || !(b.len() - 68).is_multiple_of(8) {
+        return None;
+    }
+    let ids = b.len() - 68;
+    let canonical = b[0] == (GPTP_MAJOR_SDO_ID << 4) | (MessageType::Announce as u8)
+        && b[1] == PTP_VERSION
+        && b[2..4] == (b.len() as u16).to_be_bytes()
+        && b[5] == 0 // minorSdoId
+        && b[16..20] == [0; 4] // messageTypeSpecific
+        && b[32] == 5 // Announce control field
+        && b[34..44] == [0; 10] // originTimestamp (always zero)
+        && b[46] == 0 // body reserved byte
+        && b[64..66] == [0x00, 0x08] // PATH_TRACE type
+        && b[66..68] == (ids as u16).to_be_bytes();
+    if !canonical {
+        return None;
+    }
+    if b[68..].chunks_exact(8).any(|id| id == own.0) {
+        return Some(None);
+    }
+    let mut out = Vec::with_capacity(b.len() + 8);
+    out.extend_from_slice(b);
+    out[2..4].copy_from_slice(&((b.len() + 8) as u16).to_be_bytes());
+    let steps = u16::from_be_bytes([b[61], b[62]]).saturating_add(1);
+    out[61..63].copy_from_slice(&steps.to_be_bytes());
+    out[66..68].copy_from_slice(&((ids + 8) as u16).to_be_bytes());
+    out.extend_from_slice(&own.0);
+    Some(Some(Bytes::from(out)))
+}
+
+/// [`forward_announce`] through the codec.
+fn reencode_announce(bytes: &[u8], own: ClockIdentity) -> Option<Bytes> {
+    let Ok(Message::Announce {
+        header,
+        mut path_trace,
+        mut body,
+    }) = Message::decode(bytes)
+    else {
+        return None;
+    };
+    if path_trace.contains(&own) {
+        return None;
+    }
+    path_trace.push(own);
+    body.steps_removed = body.steps_removed.saturating_add(1);
+    let fwd = Message::Announce {
+        header,
+        path_trace,
+        body,
+    };
+    Some(fwd.encode())
+}
+
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 
 impl Snap for UpstreamFu {
@@ -316,11 +610,35 @@ impl SnapState for BridgeRelay {
     }
 }
 
+impl SnapState for Bridge {
+    // Identity, port layout and relay-tree shape are configuration (the
+    // embedding re-roots before loading); relays go first, then the
+    // link-delay services in ascending port order.
+    fn save_state(&self, w: &mut Writer) {
+        for relay in &self.relays {
+            relay.save_state(w);
+        }
+        for pd in &self.pd {
+            pd.save_state(w);
+        }
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+        for relay in &mut self.relays {
+            relay.load_state(r)?;
+        }
+        for pd in &mut self.pd {
+            pd.load_state(r)?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::FollowUpTlv;
-    use crate::types::{ClockIdentity, Correction};
+    use crate::types::Correction;
 
     fn sync_msg(domain: u8, seq: u16) -> Message {
         Message::Sync {
@@ -490,5 +808,135 @@ mod tests {
     #[should_panic(expected = "cannot be both")]
     fn overlapping_roles_rejected() {
         BridgeRelay::new(1, ClockIdentity::for_index(10), 1, vec![1, 2]);
+    }
+
+    /// Bridge 1 of a three-bridge mesh, two stations per bridge: ports
+    /// 0/1 to the stations, 2 toward bridge 0, 3 toward bridge 2.
+    fn bridge(relays_announce: bool) -> Bridge {
+        let mesh = vec![Some(2), None, Some(3)];
+        Bridge::new(ClockIdentity::for_index(10), 1, 2, mesh, relays_announce)
+    }
+
+    #[test]
+    fn relay_tree_follows_the_root() {
+        let mut b = bridge(false);
+        let shape =
+            |b: &Bridge, d: usize| (b.relays[d].slave_port, b.relays[d].master_ports.clone());
+        // Static roots: domain d at bridge d.
+        assert_eq!(shape(&b, 0), (2, vec![0, 1]));
+        assert_eq!(shape(&b, 1), (0, vec![1, 2, 3]));
+        b.reroot(1, 2);
+        assert_eq!(shape(&b, 1), (3, vec![0, 1]));
+        b.reroot(0, 1);
+        assert_eq!(shape(&b, 0), (0, vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn sync_relayed_with_tokens_and_follow_up_on_tx_timestamp() {
+        let mut b = bridge(false);
+        let mut out = Vec::new();
+        let rx = ClockTime::from_nanos(1_000);
+        assert!(b.receive(2, &sync_msg(0, 7).encode(), rx, &mut out));
+        let ports: Vec<u8> = out.iter().map(|tx| tx.port).collect();
+        assert_eq!(ports, [0, 1]);
+        let token = out[0].token.expect("relayed Sync is an event message");
+        assert_eq!(token, TxToken::RelayedSync { domain: 0, seq: 7 });
+        assert!(out.iter().all(|tx| tx.timing == TxTiming::Residence));
+        out.clear();
+        // Unmeasured ingress link: the 2 µs assumption enters the
+        // correction (0 upstream + 2000 link + 500 residence).
+        assert!(b.receive(2, &fu_msg(0, 7, 0, 0, 0).encode(), rx, &mut out));
+        b.tx_timestamp(0, token, rx + Nanos::from_nanos(500), &mut out);
+        let [fu] = out.as_slice() else {
+            panic!("one follow-up for the departed port, got {out:?}");
+        };
+        assert_eq!((fu.port, fu.token, fu.timing), (0, None, TxTiming::Driver));
+        let m = Message::decode(&fu.bytes).unwrap();
+        assert_eq!(m.header().correction.to_nanos(), Nanos::from_nanos(2_500));
+    }
+
+    fn announce(trace: Vec<ClockIdentity>, steps_removed: u16, seq: u16, corr_ns: i64) -> Bytes {
+        let port = PortIdentity::new(ClockIdentity::for_index(1), 1);
+        let mut header = Header::new(MessageType::Announce, 2, port, seq, 0);
+        header.correction = Correction::from_nanos(Nanos::from_nanos(corr_ns));
+        let body = crate::msg::AnnounceBody {
+            current_utc_offset: 37,
+            priority1: 100,
+            quality: Default::default(),
+            priority2: 248,
+            gm_identity: ClockIdentity::for_index(1),
+            steps_removed,
+            time_source: 0xA0,
+        };
+        Message::Announce {
+            header,
+            body,
+            path_trace: trace,
+        }
+        .encode()
+    }
+
+    #[test]
+    fn announce_flooded_or_counted_by_deployment() {
+        let ann = announce(vec![ClockIdentity::for_index(1)], 0, 0, 0);
+        let mut out = Vec::new();
+        assert!(!bridge(false).receive(0, &ann, ClockTime::ZERO, &mut out));
+        assert!(out.is_empty());
+        assert!(bridge(true).receive(0, &ann, ClockTime::ZERO, &mut out));
+        let ports: Vec<u8> = out.iter().map(|tx| tx.port).collect();
+        assert_eq!(ports, [1, 2, 3]);
+        // Looping back: own identity is in the trace now.
+        let looped = out[0].bytes.clone();
+        out.clear();
+        assert!(bridge(true).receive(2, &looped, ClockTime::ZERO, &mut out));
+        assert!(out.is_empty());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// On every Announce the encoder can write, the byte patch and
+        /// the decode -> re-encode path forward identical bytes and take
+        /// identical loop-drop decisions.
+        #[test]
+        fn announce_patch_agrees_with_codec(
+            len in 0usize..=32,
+            own_at in proptest::option::of(0usize..32),
+            steps in prop_oneof![Just(u16::MAX), any::<u16>()],
+            seq in any::<u16>(),
+            corr_ns in -1_000_000i64..1_000_000,
+        ) {
+            let own = ClockIdentity::for_index(7);
+            let mut trace: Vec<_> = (0..len as u32).map(|i| ClockIdentity::for_index(100 + i)).collect();
+            if let Some(slot) = own_at.and_then(|i| trace.get_mut(i)) {
+                *slot = own;
+            }
+            let bytes = announce(trace, steps, seq, corr_ns);
+            prop_assert_eq!(patch_announce(&bytes, own), Some(reencode_announce(&bytes, own)));
+        }
+
+        /// Any byte out of the canonical form — wrong length field,
+        /// non-zero reserved field, extra TLV — takes the decode path.
+        #[test]
+        fn non_canonical_announce_takes_decode_path(
+            len in 0usize..=8,
+            // messageLength, minorSdoId, messageTypeSpecific,
+            // originTimestamp, reserved body byte, PATH_TRACE type/length.
+            at in prop_oneof![Just(3usize), Just(5), Just(19), Just(40), Just(46), Just(65), Just(67)],
+            extra_tlv in any::<bool>(),
+        ) {
+            let own = ClockIdentity::for_index(7);
+            let trace = (0..len as u32).map(|i| ClockIdentity::for_index(100 + i)).collect();
+            let mut bytes = announce(trace, 3, 9, 0).to_vec();
+            if extra_tlv {
+                bytes.extend_from_slice(&[0x00, 0x03, 0x00, 0x04, 1, 2, 3, 4]);
+                let total = (bytes.len() as u16).to_be_bytes();
+                bytes[2..4].copy_from_slice(&total);
+            } else {
+                bytes[at] ^= 0x01;
+            }
+            prop_assert_eq!(patch_announce(&bytes, own), None);
+            prop_assert_eq!(forward_announce(&bytes, own), reencode_announce(&bytes, own));
+        }
     }
 }

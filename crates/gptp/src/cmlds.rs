@@ -40,6 +40,17 @@ pub struct LinkState {
     pub neighbor_rate_ratio: f64,
 }
 
+/// Link delay assumed before the first peer-delay exchange completes.
+const DEFAULT_LINK_DELAY: Nanos = Nanos::from_nanos(2_000);
+
+impl LinkState {
+    /// The mean link delay to correct with: the measured value, or a
+    /// 2 µs assumption until the first measurement round completes.
+    pub fn delay(&self) -> Nanos {
+        self.mean_link_delay.unwrap_or(DEFAULT_LINK_DELAY)
+    }
+}
+
 impl LinkDelayService {
     /// Creates the service for the given CMLDS link-port identity.
     pub fn new(port: PortIdentity) -> Self {

@@ -18,6 +18,10 @@
 //!   estimation;
 //! * [`BridgeRelay`] — per-domain time-aware bridge regeneration with
 //!   correction-field and rate-ratio accumulation;
+//! * [`Bridge`] — the whole bridge: one relay per domain, one
+//!   [`LinkDelayService`] per port, the relay-tree shape and the
+//!   Announce relay (the end-station counterpart, `MultiDomainNode`,
+//!   lives in the `clocksync` crate next to the aggregator it drives);
 //! * [`Bmca`] — the best master clock algorithm (optional mode; the
 //!   paper's experiments use [`DevicePortRoles`] external port
 //!   configuration instead).
@@ -57,20 +61,19 @@ mod bmca;
 mod bridge;
 mod cmlds;
 mod config;
-mod e2e;
 pub mod msg;
 mod pdelay;
 mod port;
 mod types;
 
 pub use bmca::{Bmca, BmcaDecision, PortRole, PriorityVector};
-pub use bridge::{BridgeRelay, Emission};
+pub use bridge::{Bridge, BridgeRelay, Emission};
 pub use cmlds::{LinkDelayService, LinkState};
 pub use config::{derive_external_port_configuration, DevicePortRoles};
-pub use e2e::{E2eDelayInitiator, E2eDelayResponder, PathDelaySample};
 pub use msg::{DecodeError, IntervalRequestTlv, Message};
 pub use pdelay::{LinkDelaySample, PdelayInitiator, PdelayResponder, RespContext};
 pub use port::{OffsetSample, SyncMaster, SyncSlave};
 pub use types::{
-    rate_ratio, ClockIdentity, ClockQuality, Correction, PortIdentity, PtpTimestamp, SystemIdentity,
+    rate_ratio, ClockIdentity, ClockQuality, Correction, PortIdentity, PtpTimestamp,
+    SystemIdentity, Transmission, TxTiming, TxToken,
 };

@@ -28,7 +28,6 @@ pub struct SyncMaster {
     domain: u8,
     port: PortIdentity,
     log_sync_interval: i8,
-    // (interval may be changed at runtime via Signaling)
     one_step: bool,
     next_seq: u16,
     pending: Option<u16>,
@@ -183,34 +182,6 @@ impl SyncMaster {
             .encode(),
         )
     }
-
-    /// Handles a Signaling message targeting this port (or any port) and
-    /// applies a requested Sync-interval change (clause 10.6.4.3;
-    /// 127 = leave unchanged). Returns the new interval if it changed.
-    pub fn handle_signaling(&mut self, msg: &Message) -> Option<i8> {
-        let Message::Signaling {
-            header,
-            target_port,
-            tlv,
-        } = msg
-        else {
-            return None;
-        };
-        if header.domain != self.domain {
-            return None;
-        }
-        let any = PortIdentity::new(crate::types::ClockIdentity([0xFF; 8]), 0xFFFF);
-        if *target_port != self.port && *target_port != any {
-            return None;
-        }
-        if tlv.time_sync_interval == crate::msg::IntervalRequestTlv::UNCHANGED
-            || tlv.time_sync_interval == self.log_sync_interval
-        {
-            return None;
-        }
-        self.log_sync_interval = tlv.time_sync_interval;
-        Some(self.log_sync_interval)
-    }
 }
 
 /// A slave's view of one completed Sync/Follow_Up pair.
@@ -260,17 +231,6 @@ impl SyncSlave {
             missed_follow_ups: 0,
             last_sample: None,
             last_sync_rx: None,
-        }
-    }
-
-    /// `true` if no Sync has been received within `timeout` of `now`
-    /// (802.1AS `syncReceiptTimeout`, default 3 sync intervals): the
-    /// upstream master is silent and the time data for this domain is no
-    /// longer current.
-    pub fn sync_receipt_timed_out(&self, now: ClockTime, timeout: Nanos) -> bool {
-        match self.last_sync_rx {
-            Some(rx) => now - rx > timeout,
-            None => true,
         }
     }
 
@@ -668,78 +628,6 @@ mod tests {
         let mut master = SyncMaster::new(1, pid(1), -3);
         let (_b, seq) = master.make_sync();
         let _ = master.finalize_one_step(seq, ClockTime::ZERO);
-    }
-
-    #[test]
-    fn signaling_changes_sync_interval() {
-        use crate::msg::IntervalRequestTlv;
-        let mut master = SyncMaster::new(1, pid(1), -3);
-        let sig = Message::Signaling {
-            header: Header::new(MessageType::Signaling, 1, pid(9), 0, 0x7F),
-            target_port: pid(1),
-            tlv: IntervalRequestTlv {
-                link_delay_interval: IntervalRequestTlv::UNCHANGED,
-                time_sync_interval: -2,
-                announce_interval: IntervalRequestTlv::UNCHANGED,
-                flags: 0,
-            },
-        };
-        assert_eq!(master.handle_signaling(&sig), Some(-2));
-        assert_eq!(master.log_sync_interval(), -2);
-        // The next Sync advertises the new interval.
-        let (bytes, _) = master.make_sync();
-        let m = Message::decode(&bytes).unwrap();
-        assert_eq!(m.header().log_message_interval, -2);
-        // "Unchanged" request is a no-op.
-        let sig2 = Message::Signaling {
-            header: Header::new(MessageType::Signaling, 1, pid(9), 1, 0x7F),
-            target_port: pid(1),
-            tlv: IntervalRequestTlv {
-                link_delay_interval: IntervalRequestTlv::UNCHANGED,
-                time_sync_interval: IntervalRequestTlv::UNCHANGED,
-                announce_interval: IntervalRequestTlv::UNCHANGED,
-                flags: 0,
-            },
-        };
-        assert_eq!(master.handle_signaling(&sig2), None);
-    }
-
-    #[test]
-    fn signaling_for_other_port_or_domain_ignored() {
-        use crate::msg::IntervalRequestTlv;
-        let mut master = SyncMaster::new(1, pid(1), -3);
-        let mk = |domain, target| Message::Signaling {
-            header: Header::new(MessageType::Signaling, domain, pid(9), 0, 0x7F),
-            target_port: target,
-            tlv: IntervalRequestTlv {
-                link_delay_interval: IntervalRequestTlv::UNCHANGED,
-                time_sync_interval: -1,
-                announce_interval: IntervalRequestTlv::UNCHANGED,
-                flags: 0,
-            },
-        };
-        assert_eq!(master.handle_signaling(&mk(2, pid(1))), None);
-        assert_eq!(master.handle_signaling(&mk(1, pid(5))), None);
-        // All-ones target addresses any port.
-        let any = PortIdentity::new(ClockIdentity([0xFF; 8]), 0xFFFF);
-        assert_eq!(master.handle_signaling(&mk(1, any)), Some(-1));
-    }
-
-    #[test]
-    fn sync_receipt_timeout_detects_silent_master() {
-        let mut master = SyncMaster::new(1, pid(1), -3);
-        let mut slave = SyncSlave::new(1);
-        let timeout = Nanos::from_millis(375); // 3 × 125 ms
-                                               // Never heard anything: timed out.
-        assert!(slave.sync_receipt_timed_out(ClockTime::from_nanos(0), timeout));
-        let (sync_bytes, _) = master.make_sync();
-        let sync = Message::decode(&sync_bytes).unwrap();
-        slave.handle_sync(&sync, ClockTime::from_nanos(1_000_000));
-        assert!(!slave.sync_receipt_timed_out(ClockTime::from_nanos(300_000_000), timeout));
-        assert!(slave.sync_receipt_timed_out(ClockTime::from_nanos(500_000_000), timeout));
-        // Reset clears the receipt history.
-        slave.reset();
-        assert!(slave.sync_receipt_timed_out(ClockTime::from_nanos(1_000_001), timeout));
     }
 
     #[test]

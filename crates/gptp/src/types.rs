@@ -202,6 +202,78 @@ impl SystemIdentity {
     }
 }
 
+/// Identifies an emitted event message awaiting its hardware egress
+/// timestamp; the embedding hands it back to the issuing engine together
+/// with that timestamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxToken {
+    /// A Sync originated by an end station's master function.
+    Sync {
+        /// Domain of the originating master function.
+        domain: u8,
+        /// Sequence id of the Sync.
+        seq: u16,
+    },
+    /// A Sync regenerated by a bridge relay on one of its master ports.
+    RelayedSync {
+        /// Domain of the relay.
+        domain: u8,
+        /// Sequence id of the Sync.
+        seq: u16,
+    },
+    /// A Pdelay_Req (the timestamp is `t1`).
+    PdelayReq {
+        /// Sequence id of the request.
+        seq: u16,
+    },
+    /// A Pdelay_Resp (the timestamp is `t3`, sent in the follow-up).
+    PdelayResp {
+        /// Sequence id of the exchange.
+        seq: u16,
+        /// The requester, echoed in the follow-up.
+        requesting: PortIdentity,
+    },
+}
+
+/// When an emitted message leaves its port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxTiming {
+    /// Software-originated: after the driver's queuing latency.
+    Driver,
+    /// A grandmaster's home-domain Sync: launch-timed (ETF) on the next
+    /// synchronization-interval boundary of the sender's own clock.
+    Launch,
+    /// Relayed by a bridge on receipt: after the residence time.
+    Residence,
+    /// A Pdelay_Resp: after the responder's turnaround.
+    Turnaround,
+}
+
+/// One message an engine wants transmitted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Transmission {
+    /// Egress port number (0-based; end stations have only port 0).
+    pub port: u8,
+    /// Encoded gPTP message.
+    pub bytes: bytes::Bytes,
+    /// Present on event messages whose egress timestamp the engine needs.
+    pub token: Option<TxToken>,
+    /// Departure timing class.
+    pub timing: TxTiming,
+}
+
+impl Transmission {
+    /// `bytes` leaving on `port`.
+    pub fn new(port: u8, bytes: bytes::Bytes, token: Option<TxToken>, timing: TxTiming) -> Self {
+        Transmission {
+            port,
+            bytes,
+            token,
+            timing,
+        }
+    }
+}
+
 use tsn_snapshot::{Reader, Snap, SnapError, Writer};
 
 impl Snap for ClockIdentity {

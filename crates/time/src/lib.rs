@@ -59,7 +59,7 @@ mod units;
 
 pub use jitter::{quantize, sample_timestamp_error, JitterConfig};
 pub use oscillator::{Oscillator, OscillatorConfig};
-pub use phc::{Phc, PHC_MAX_ADJ_PPB};
+pub use phc::{Phc, PhcAt, PHC_MAX_ADJ_PPB};
 pub use servo::{PiServo, ServoConfig, ServoOutput, ServoState};
 pub use sync_state::SyncState;
 pub use units::{ClockTime, Nanos, Ppb, SimTime};

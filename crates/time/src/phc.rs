@@ -122,6 +122,17 @@ impl Phc {
         self.high_water_ns = i64::MIN;
     }
 
+    /// Applies a servo command at true time `t`: the phase step, if any,
+    /// then the frequency adjustment.
+    pub fn apply(&mut self, t: SimTime, cmd: crate::ServoOutput) {
+        if let crate::ServoOutput::Step { delta, .. } = cmd {
+            self.step(t, delta);
+        }
+        if let Some(ppb) = cmd.freq_adj_ppb() {
+            self.adj_frequency(t, ppb);
+        }
+    }
+
     /// Simulation hook: the underlying oscillator's deviation changed
     /// (wander step). Re-anchors so past readings are unaffected.
     pub fn set_oscillator_deviation(&mut self, t: SimTime, ppb: Ppb) {
@@ -254,6 +265,32 @@ mod proptests {
             prop_assert!(reading >= target);
             prop_assert!((reading - target).as_nanos() <= 2);
         }
+    }
+}
+
+/// A [`Phc`] pinned to one simulation instant: the local-clock handle
+/// the simulation lends to protocol engines, which know nothing of true
+/// time. Engines read it only where the modelled software reads its
+/// clock — a read is observable (it advances the PHC's monotonic
+/// high-water mark), so the embedding must not read on an engine's
+/// behalf "just in case".
+#[derive(Debug)]
+pub struct PhcAt<'a> {
+    phc: &'a mut Phc,
+    t: SimTime,
+}
+
+impl Phc {
+    /// This clock as readable at true time `t`.
+    pub fn at(&mut self, t: SimTime) -> PhcAt<'_> {
+        PhcAt { phc: self, t }
+    }
+}
+
+impl PhcAt<'_> {
+    /// Reads the clock (see [`Phc::now`]).
+    pub fn now(&mut self) -> ClockTime {
+        self.phc.now(self.t)
     }
 }
 

@@ -172,42 +172,3 @@ fn malicious_pot_shifts_offset_through_the_whole_pipeline() {
         .expect("sample");
     assert_eq!(sample.offset, Nanos::from_micros(24));
 }
-
-#[test]
-fn e2e_mechanism_agrees_with_pdelay_on_symmetric_paths() {
-    // The IEEE 1588 end-to-end mechanism measured over the same
-    // symmetric path yields the same delay the peer-delay service would,
-    // so offsets computed with either mechanism agree.
-    use tsn_gptp::{E2eDelayInitiator, E2eDelayResponder};
-
-    let slave_pid = PortIdentity::new(ClockIdentity::for_index(20), 1);
-    let master_pid = PortIdentity::new(ClockIdentity::for_index(21), 1);
-    let mut master_clock = Phc::new(ClockTime::from_nanos(2_000_000_000), 0.0);
-    let mut slave_clock = Phc::new(ClockTime::from_nanos(2_000_000_000 + 750), 0.0);
-
-    let path = Nanos::from_nanos(4_120);
-    let mut init = E2eDelayInitiator::new(0, slave_pid);
-    let resp = E2eDelayResponder::new(0, master_pid);
-
-    // One Sync exchange establishes (t1, t2).
-    let t_sync = SimTime::from_secs(5);
-    let t1 = master_clock.now(t_sync);
-    let t2 = slave_clock.now(t_sync + path);
-    init.note_sync(t1, t2);
-
-    // Delay_Req in the reverse direction.
-    let (req, seq) = init.make_request();
-    let t_req = SimTime::from_secs(6);
-    init.request_sent(seq, slave_clock.now(t_req));
-    let t4 = master_clock.now(t_req + path);
-    let req = Message::decode(&req).unwrap();
-    let resp_bytes = resp.handle_request(&req, t4).unwrap();
-    let resp_msg = Message::decode(&resp_bytes).unwrap();
-    let sample = init.handle_resp(&resp_msg).expect("exchange completes");
-
-    // Path delay recovered exactly despite the slave's +750 ns offset.
-    assert_eq!(sample.raw_delay, path);
-    // Offset computed E2E style: t2 − t1 − delay = slave shift.
-    let offset = (t2 - t1) - sample.raw_delay;
-    assert_eq!(offset, Nanos::from_nanos(750));
-}
