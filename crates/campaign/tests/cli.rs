@@ -489,3 +489,34 @@ fn snapshot_save_info_restore_verify_round_trip() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A snapshot stamped with the previous state schema is refused with an
+/// actionable message (exit 2), not decoded on a guess.
+#[test]
+fn snapshot_restore_of_old_state_schema_names_versions_and_remedy() {
+    let dir = scratch("snap-v4");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("w.snap");
+    let cfg = ["--seed", "7", "--duration-s", "4", "--warmup-s", "2"];
+
+    let mut save_args = vec!["save"];
+    save_args.extend(cfg);
+    save_args.extend(["--at", "1", "--out", file.to_str().unwrap()]);
+    assert!(snapshot(&save_args).status.success());
+
+    let mut snap = clocksync::WorldSnapshot::decode(&std::fs::read(&file).unwrap()).unwrap();
+    assert_eq!(snap.state_version, clocksync::snapshot::WORLD_STATE_VERSION);
+    snap.state_version = 4;
+    std::fs::write(&file, snap.encode()).unwrap();
+
+    let mut restore_args = vec!["restore", "--file", file.to_str().unwrap()];
+    restore_args.extend(cfg);
+    let restore = snapshot(&restore_args);
+    assert_eq!(restore.status.code(), Some(2), "{restore:?}");
+    let stderr = String::from_utf8_lossy(&restore.stderr);
+    for needle in ["state schema version 4", "reads version 5", "snapshot save"] {
+        assert!(stderr.contains(needle), "no {needle:?} in: {stderr}");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -138,9 +138,6 @@ pub struct TestbedConfig {
     pub synctime_read_sigma_ns: f64,
     /// Optional best-effort background traffic (congestion ablation).
     pub background: Option<BackgroundTraffic>,
-    /// Capture the last N gPTP frame events in a debugging ring buffer
-    /// (0 disables; rendering is available via `World::frame_trace`).
-    pub trace_capacity: usize,
 }
 
 /// Hypervisor monitor fault-detection mode.
@@ -252,7 +249,6 @@ impl TestbedConfig {
             wander_interval: Nanos::from_secs(10),
             r_max_ppb: 5_000.0,
             background: None,
-            trace_capacity: 0,
             phc_read_sigma_ns: 50.0,
             phc_read_spike_prob: 0.005,
             phc_read_spike_max: Nanos::from_micros(3),

@@ -522,13 +522,13 @@ impl MultiDomainNode {
             }
         }
     }
+}
 
-    // The VM's snapshot stream carries two runs of engine state with the
-    // hypervisor-facing services between them; these are the two halves.
-
-    /// Snapshot stream, first half: home master, `gm_active`, slaves,
-    /// aggregator, link-delay service.
-    pub(crate) fn save_sync_state(&self, w: &mut Writer) {
+impl SnapState for MultiDomainNode {
+    // Hand-written: which optional engines exist is configuration
+    // (checked against the stream's presence bytes), and the acquired
+    // master functions are created by the load itself.
+    fn save_state(&self, w: &mut Writer) {
         self.master.is_some().put(w);
         if let Some(m) = &self.master {
             m.save_state(w);
@@ -539,25 +539,6 @@ impl MultiDomainNode {
         }
         self.aggregator.save_state(w);
         self.pd.save_state(w);
-    }
-
-    pub(crate) fn load_sync_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        if bool::get(r)? != self.master.is_some() {
-            return Err(SnapError::Malformed("sync master presence"));
-        }
-        if let Some(m) = &mut self.master {
-            m.load_state(r)?;
-        }
-        self.gm_active = Snap::get(r)?;
-        for s in &mut self.slaves {
-            s.load_state(r)?;
-        }
-        self.aggregator.load_state(r)?;
-        self.pd.load_state(r)
-    }
-
-    /// Snapshot stream, second half: election, acquired masters.
-    pub(crate) fn save_election_state(&self, w: &mut Writer) {
         self.election.is_some().put(w);
         if let Some(e) = &self.election {
             e.save_state(w);
@@ -571,7 +552,19 @@ impl MultiDomainNode {
         }
     }
 
-    pub(crate) fn load_election_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+        if bool::get(r)? != self.master.is_some() {
+            return Err(SnapError::Malformed("sync master presence"));
+        }
+        if let Some(m) = &mut self.master {
+            m.load_state(r)?;
+        }
+        self.gm_active = Snap::get(r)?;
+        for s in &mut self.slaves {
+            s.load_state(r)?;
+        }
+        self.aggregator.load_state(r)?;
+        self.pd.load_state(r)?;
         if bool::get(r)? != self.election.is_some() {
             return Err(SnapError::Malformed("election presence"));
         }
@@ -579,7 +572,7 @@ impl MultiDomainNode {
             e.load_state(r)?;
         }
         self.acquired.clear();
-        for _ in 0..usize::get(r)? {
+        for _ in 0..r.take_count()? {
             let d = u8::get(r)?;
             // The log2 interval is part of the saved state.
             let mut m = SyncMaster::new(d, self.port, self.config.log_sync_interval);

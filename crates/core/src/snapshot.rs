@@ -13,8 +13,12 @@ use tsn_faults::{AttackPlan, KernelAssignment};
 use tsn_time::{Nanos, SimTime};
 
 /// Version of the world's encoded state schema. Bump whenever any
-/// `SnapState` implementation in the workspace changes its layout.
-pub const WORLD_STATE_VERSION: u32 = 4;
+/// `Snap`/`SnapState` field list in the workspace changes its layout,
+/// and re-record the two layout pins (`tests/fabric.rs` GOLDEN state
+/// hashes, `tests/snapshot_restore.rs::election_state_layout_is_pinned`).
+/// [`World::restore`](crate::World::restore) refuses any other version;
+/// state is not migrated.
+pub const WORLD_STATE_VERSION: u32 = 5;
 
 /// Fingerprint of a configuration (FNV-1a over its canonical `Debug`
 /// rendering), binding snapshots to the configuration that produced

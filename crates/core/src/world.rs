@@ -27,9 +27,7 @@ use tsn_faults::{
     VmSlot,
 };
 use tsn_fta::{Aggregation, AggregationMethod, AggregationMode};
-use tsn_gptp::{
-    msg::Message, msg::MessageType, Bridge, ClockIdentity, Transmission, TxTiming, TxToken,
-};
+use tsn_gptp::{msg::MessageType, Bridge, ClockIdentity, Transmission, TxTiming, TxToken};
 use tsn_hyp::{
     DependentClockDevice, Phc2Sys, SyncClockDiscipline, SyncTimeServo, VmId, VotingMonitor,
 };
@@ -38,8 +36,8 @@ use tsn_metrics::{
     TransientKind,
 };
 use tsn_netsim::{
-    ethertype, DelayModel, DeviceId, EthernetFrame, EventQueue, FrameTrace, LaunchOutcome, MacAddr,
-    Nic, PortAddr, PortNo, SeedSplitter, Switch, Topology, TraceDir, VlanTag,
+    ethertype, DelayModel, DeviceId, EthernetFrame, EventQueue, LaunchOutcome, MacAddr, Nic,
+    PortAddr, PortNo, SeedSplitter, Switch, Topology, VlanTag,
 };
 use tsn_netsim::{LinkFaultPlan, LinkFaults, LinkId};
 use tsn_oracle::{Observation, OracleConfig, OracleRegistry};
@@ -73,38 +71,16 @@ fn add_correction(frame: &mut EthernetFrame, residence_ns: i64) {
     frame.payload = bytes::Bytes::from(buf);
 }
 
-/// Egress-timestamp continuation of a transmission: for an event
-/// message, the issuing engine's [`TxToken`] (handed back with the
-/// timestamp) under the key the snapshot stream has always filed it by —
-/// node index for an originated Sync, switch index for a relayed one,
-/// device id for the peer-delay messages.
-#[derive(Debug, Clone, Copy)]
-struct TxCtx(Option<(usize, TxToken)>);
-
-impl TxCtx {
-    /// No continuation (general messages, probes, background).
-    const NONE: TxCtx = TxCtx(None);
-
-    /// The continuation of `token`, issued by the engine with index
-    /// `engine` (node or switch) on device `dev`.
-    fn new(engine: usize, dev: DeviceId, token: TxToken) -> TxCtx {
-        let key = match token {
-            TxToken::Sync { .. } | TxToken::RelayedSync { .. } => engine,
-            TxToken::PdelayReq { .. } | TxToken::PdelayResp { .. } => dev.0,
-        };
-        TxCtx(Some((key, token)))
-    }
-}
-
 /// World events.
 #[derive(Debug, Clone)]
 enum Ev {
-    /// Frame departs `from` (tx timestamping + ctx), then crosses the
-    /// link.
+    /// Frame departs `from`, then crosses the link. An event message
+    /// carries the issuing engine's token, handed back to it with the
+    /// egress timestamp.
     Transmit {
         from: PortAddr,
         frame: EthernetFrame,
-        ctx: TxCtx,
+        token: Option<TxToken>,
     },
     /// Frame arrives at `to`.
     Arrive { to: PortAddr, frame: EthernetFrame },
@@ -240,7 +216,7 @@ pub struct World {
     station_map: DevMap<(usize, usize)>,
     /// Switch device → switch index.
     switch_map: DevMap<usize>,
-    egress: PortTable<(EthernetFrame, TxCtx)>,
+    egress: PortTable<(EthernetFrame, Option<TxToken>)>,
     /// Per-port link lookup, resolved once at construction: the link id,
     /// the receiving port, whether transmission runs a→b, and the
     /// one-way delay model. Indexed like [`PortTable`]; `None` for
@@ -252,7 +228,6 @@ pub struct World {
     /// within the event that filled them, kept for their capacity.
     node_out: Vec<NodeOutput>,
     bridge_out: Vec<Transmission>,
-    trace: Option<FrameTrace>,
     schedule: Vec<FaultEvent>,
     transient: TransientFaults<StdRng>,
     frame_rng: StdRng,
@@ -295,8 +270,7 @@ pub struct World {
     oracle: Option<OracleRegistry>,
     /// Structured execution tracer, off by default (see
     /// [`World::enable_trace`]). Passive like the oracle and likewise
-    /// excluded from [`SnapState`]. Distinct from `trace` above, which
-    /// is the in-band gPTP frame capture.
+    /// excluded from [`SnapState`].
     tracer: Option<TraceSink>,
 }
 
@@ -556,7 +530,6 @@ impl World {
         });
         let end = SimTime::ZERO + cfg.warmup + cfg.duration;
 
-        let trace = (cfg.trace_capacity > 0).then(|| FrameTrace::new(cfg.trace_capacity));
         // Flat port-indexed tables for the frame hot path: one slot per
         // possible (device, port), resolved links precomputed.
         let n_devices = topo.devices().map(|d| d.0 + 1).max().unwrap_or(0);
@@ -582,7 +555,6 @@ impl World {
             port_stride,
             node_out: Vec::new(),
             bridge_out: Vec::new(),
-            trace,
             topo,
             nodes,
             switches,
@@ -919,7 +891,7 @@ impl World {
 
     fn handle(&mut self, t: SimTime, ev: Ev) {
         match ev {
-            Ev::Transmit { from, frame, ctx } => self.on_transmit(t, from, frame, ctx),
+            Ev::Transmit { from, frame, token } => self.on_transmit(t, from, frame, token),
             Ev::Arrive { to, frame } => self.on_arrive(t, to, frame),
             Ev::GmSyncTick { node } => self.on_gm_sync_tick(t, node),
             Ev::PdelayTick { port } => self.on_pdelay_tick(t, port),
@@ -985,11 +957,11 @@ impl World {
         if port.is_busy(t) {
             return;
         }
-        if let Some((_, (frame, ctx))) = port.pop_ready() {
+        if let Some((_, (frame, token))) = port.pop_ready() {
             if self.oracle.is_some() {
                 self.observe(Observation::FramePopped { at: t });
             }
-            self.depart(t, from, frame, ctx, true);
+            self.depart(t, from, frame, token, true);
         }
     }
 
@@ -1013,7 +985,7 @@ impl World {
             t + Nanos::from_nanos(gap as i64),
             Ev::BackgroundTick { port },
         );
-        self.on_transmit(t, port, frame, TxCtx::NONE);
+        self.on_transmit(t, port, frame, None);
     }
 
     // ----- transmission ----------------------------------------------
@@ -1022,24 +994,17 @@ impl World {
     /// driver latency.
     fn send_general(&mut self, t: SimTime, from: PortAddr, frame: EthernetFrame) {
         let latency = Nanos::from_nanos(self.frame_rng.gen_range(1_000..20_000));
-        let ctx = TxCtx::NONE;
+        let token = None;
         self.queue
-            .schedule_at(t + latency, Ev::Transmit { from, frame, ctx });
+            .schedule_at(t + latency, Ev::Transmit { from, frame, token });
     }
 
-    /// Queues a transmission of the protocol engine with index `engine`
-    /// (node or switch) on device `dev`, as a frame from `src`. When it
-    /// leaves is the simulation's to model: driver latency, responder
-    /// turnaround or bridge residence, one `frame_rng` draw each.
+    /// Queues a transmission of the protocol engine on device `dev`, as
+    /// a frame from `src`. When it leaves is the simulation's to model:
+    /// driver latency, responder turnaround or bridge residence, one
+    /// `frame_rng` draw each.
     /// (Launch-timed Syncs go through [`World::launch_sync`] instead.)
-    fn transmit(
-        &mut self,
-        t: SimTime,
-        dev: DeviceId,
-        engine: usize,
-        src: MacAddr,
-        tx: Transmission,
-    ) {
+    fn transmit(&mut self, t: SimTime, dev: DeviceId, src: MacAddr, tx: Transmission) {
         let delay = match tx.timing {
             TxTiming::Driver => Nanos::from_nanos(self.frame_rng.gen_range(1_000..20_000)),
             TxTiming::Launch => unreachable!("launch-timed Syncs go through launch_sync"),
@@ -1057,7 +1022,7 @@ impl World {
             Ev::Transmit {
                 from: PortAddr::new(dev, tx.port),
                 frame: Self::ptp_frame(src, tx.bytes),
-                ctx: tx.token.map_or(TxCtx::NONE, |k| TxCtx::new(engine, dev, k)),
+                token: tx.token,
             },
         );
     }
@@ -1077,7 +1042,7 @@ impl World {
         for o in out.drain(..) {
             match o {
                 NodeOutput::Send(tx) if tx.timing == TxTiming::Launch => launch = Some(tx),
-                NodeOutput::Send(tx) => self.transmit(t, dev, node, src, tx),
+                NodeOutput::Send(tx) => self.transmit(t, dev, src, tx),
                 NodeOutput::Aggregated(a) => self.apply_aggregation(t, node, slot, a),
                 NodeOutput::SyncState { from, to } => self.on_sync_state(t, node, slot, from, to),
                 NodeOutput::GmResumed => {
@@ -1101,7 +1066,7 @@ impl World {
         let dev = self.switches[sw].device;
         let mut out = std::mem::take(&mut self.bridge_out);
         for tx in out.drain(..) {
-            self.transmit(t, dev, sw, src, tx);
+            self.transmit(t, dev, src, tx);
         }
         self.bridge_out = out;
     }
@@ -1116,7 +1081,13 @@ impl World {
         }
     }
 
-    fn on_transmit(&mut self, t: SimTime, from: PortAddr, frame: EthernetFrame, ctx: TxCtx) {
+    fn on_transmit(
+        &mut self,
+        t: SimTime,
+        from: PortAddr,
+        frame: EthernetFrame,
+        token: Option<TxToken>,
+    ) {
         // Strict-priority egress queuing: if the port is serializing
         // another frame — or higher/earlier frames are already queued —
         // join the queue rather than jumping it.
@@ -1127,7 +1098,7 @@ impl World {
             .map(|p| (p.is_busy(t), !p.is_empty()))
             .unwrap_or((false, false));
         if busy || backlog {
-            self.egress.materialize(from).enqueue(prio, (frame, ctx));
+            self.egress.materialize(from).enqueue(prio, (frame, token));
             if self.oracle.is_some() {
                 self.observe(Observation::FrameEnqueued { at: t });
             }
@@ -1138,7 +1109,7 @@ impl World {
             }
             return;
         }
-        self.depart(t, from, frame, ctx, false);
+        self.depart(t, from, frame, token, false);
     }
 
     fn depart(
@@ -1146,7 +1117,7 @@ impl World {
         t: SimTime,
         from: PortAddr,
         frame: EthernetFrame,
-        ctx: TxCtx,
+        token: Option<TxToken>,
         queued: bool,
     ) {
         // A VM that died between queuing and departure transmits nothing;
@@ -1170,7 +1141,6 @@ impl World {
                 from_queue: queued,
             });
         }
-        self.trace_frame(t, from, TraceDir::Tx, &frame);
         self.trace_frame_event(t, from.device, true, &frame);
         // Occupy the wire for the frame's serialization time.
         let duration = frame.serialization_ns(1_000_000_000);
@@ -1182,7 +1152,7 @@ impl World {
         // An event message: its hardware egress timestamp goes back to
         // the engine that sent it (a bridge's follow-up leaves from the
         // address its event message left from).
-        if let TxCtx(Some((_, token))) = ctx {
+        if let Some(token) = token {
             if let Some((node, slot)) = station {
                 if matches!(token, TxToken::Sync { .. }) && self.transient.tx_timestamp_times_out()
                 {
@@ -1370,7 +1340,6 @@ impl World {
     // ----- reception ---------------------------------------------------
 
     fn on_arrive(&mut self, t: SimTime, to: PortAddr, frame: EthernetFrame) {
-        self.trace_frame(t, to, TraceDir::Rx, &frame);
         self.trace_frame_event(t, to.device, false, &frame);
         if let Some((node, slot)) = self.station_map.get(to.device) {
             self.arrive_at_station(t, node, slot, frame);
@@ -1445,7 +1414,7 @@ impl World {
                         Ev::Transmit {
                             from,
                             frame: frame.clone(),
-                            ctx: TxCtx::NONE,
+                            token: None,
                         },
                     );
                 }
@@ -1585,9 +1554,9 @@ impl World {
             LaunchOutcome::DepartsAt(depart) => {
                 let from = PortAddr::new(vm.nic_device, 0);
                 let frame = Self::ptp_frame(vm.nic.mac, sync.bytes);
-                let ctx = TxCtx::new(node, vm.nic_device, token);
+                let token = Some(token);
                 self.queue
-                    .schedule_at(depart, Ev::Transmit { from, frame, ctx });
+                    .schedule_at(depart, Ev::Transmit { from, frame, token });
                 // Next tick lands LAUNCH_LEAD + margin before the next
                 // boundary so the ceil above resolves to it exactly.
                 Some(depart + s - LAUNCH_LEAD - Nanos::from_millis(5))
@@ -2112,25 +2081,6 @@ impl World {
         }
     }
 
-    fn trace_frame(&mut self, t: SimTime, port: PortAddr, dir: TraceDir, frame: &EthernetFrame) {
-        let Some(trace) = &mut self.trace else {
-            return;
-        };
-        if frame.ethertype != ethertype::PTP {
-            return;
-        }
-        let summary = match Message::decode(&frame.payload) {
-            Ok(msg) => msg.to_string(),
-            Err(e) => format!("undecodable: {e}"),
-        };
-        trace.record(t, port, dir, summary);
-    }
-
-    /// The captured frame trace, if `trace_capacity > 0` was configured.
-    pub fn frame_trace(&self) -> Option<&FrameTrace> {
-        self.trace.as_ref()
-    }
-
     // ----- introspection (tests, examples) ------------------------------
 
     /// Per-VM diagnostic snapshot: `(node, slot, true offset of the NIC
@@ -2290,234 +2240,59 @@ fn log2_interval(interval: Nanos) -> i8 {
 // ----- checkpoint / restore ------------------------------------------
 
 use crate::snapshot::{config_fingerprint, warm_prefix_fingerprint, WORLD_STATE_VERSION};
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, WorldSnapshot, Writer};
+use tsn_snapshot::{
+    snap_enum, snap_state, Reader, Snap, SnapError, SnapState, WorldSnapshot, Writer,
+};
 
-impl Snap for TxCtx {
-    fn put(&self, w: &mut Writer) {
-        let Some((key, token)) = self.0 else {
-            return 0u8.put(w);
-        };
-        match token {
-            TxToken::Sync { domain, seq } => (1u8, key, (domain, seq)).put(w),
-            TxToken::RelayedSync { domain, seq } => (2u8, key, (domain, seq)).put(w),
-            TxToken::PdelayReq { seq } => (3u8, key, seq).put(w),
-            TxToken::PdelayResp { seq, requesting } => (4u8, key, (seq, requesting)).put(w),
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let disc = u8::get(r)?;
-        if disc == 0 {
-            return Ok(TxCtx::NONE);
-        }
-        let key = usize::get(r)?;
-        let token = match disc {
-            1 => TxToken::Sync {
-                domain: Snap::get(r)?,
-                seq: Snap::get(r)?,
-            },
-            2 => TxToken::RelayedSync {
-                domain: Snap::get(r)?,
-                seq: Snap::get(r)?,
-            },
-            3 => TxToken::PdelayReq { seq: Snap::get(r)? },
-            4 => TxToken::PdelayResp {
-                seq: Snap::get(r)?,
-                requesting: Snap::get(r)?,
-            },
-            _ => return Err(SnapError::Malformed("tx context discriminant")),
-        };
-        Ok(TxCtx(Some((key, token))))
-    }
-}
+snap_enum!(Ev {
+    0 => Transmit { from, frame, token },
+    1 => Arrive { to, frame },
+    2 => GmSyncTick { node },
+    3 => PdelayTick { port },
+    4 => Phc2SysTick { node, slot },
+    5 => MonitorTick { node },
+    6 => WanderTick,
+    7 => ProbeTick { seq },
+    8 => FaultAt(i),
+    9 => RebootAt(i),
+    10 => StrikeAt(i),
+    11 => PortFree { from },
+    12 => BackgroundTick { port },
+    13 => LinkWindow { i, down },
+    14 => ElectionTick { node },
+    15 => GmKill,
+});
 
-impl Snap for Ev {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            Ev::Transmit { from, frame, ctx } => {
-                0u8.put(w);
-                from.put(w);
-                frame.put(w);
-                ctx.put(w);
-            }
-            Ev::Arrive { to, frame } => {
-                1u8.put(w);
-                to.put(w);
-                frame.put(w);
-            }
-            Ev::GmSyncTick { node } => {
-                2u8.put(w);
-                node.put(w);
-            }
-            Ev::PdelayTick { port } => {
-                3u8.put(w);
-                port.put(w);
-            }
-            Ev::Phc2SysTick { node, slot } => {
-                4u8.put(w);
-                node.put(w);
-                slot.put(w);
-            }
-            Ev::MonitorTick { node } => {
-                5u8.put(w);
-                node.put(w);
-            }
-            Ev::WanderTick => 6u8.put(w),
-            Ev::ProbeTick { seq } => {
-                7u8.put(w);
-                seq.put(w);
-            }
-            Ev::FaultAt(i) => {
-                8u8.put(w);
-                i.put(w);
-            }
-            Ev::RebootAt(i) => {
-                9u8.put(w);
-                i.put(w);
-            }
-            Ev::StrikeAt(i) => {
-                10u8.put(w);
-                i.put(w);
-            }
-            Ev::PortFree { from } => {
-                11u8.put(w);
-                from.put(w);
-            }
-            Ev::BackgroundTick { port } => {
-                12u8.put(w);
-                port.put(w);
-            }
-            Ev::LinkWindow { i, down } => {
-                13u8.put(w);
-                i.put(w);
-                down.put(w);
-            }
-            Ev::ElectionTick { node } => {
-                14u8.put(w);
-                node.put(w);
-            }
-            Ev::GmKill => 15u8.put(w),
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::get(r)? {
-            0 => Ev::Transmit {
-                from: Snap::get(r)?,
-                frame: Snap::get(r)?,
-                ctx: Snap::get(r)?,
-            },
-            1 => Ev::Arrive {
-                to: Snap::get(r)?,
-                frame: Snap::get(r)?,
-            },
-            2 => Ev::GmSyncTick {
-                node: Snap::get(r)?,
-            },
-            3 => Ev::PdelayTick {
-                port: Snap::get(r)?,
-            },
-            4 => Ev::Phc2SysTick {
-                node: Snap::get(r)?,
-                slot: Snap::get(r)?,
-            },
-            5 => Ev::MonitorTick {
-                node: Snap::get(r)?,
-            },
-            6 => Ev::WanderTick,
-            7 => Ev::ProbeTick { seq: Snap::get(r)? },
-            8 => Ev::FaultAt(Snap::get(r)?),
-            9 => Ev::RebootAt(Snap::get(r)?),
-            10 => Ev::StrikeAt(Snap::get(r)?),
-            11 => Ev::PortFree {
-                from: Snap::get(r)?,
-            },
-            12 => Ev::BackgroundTick {
-                port: Snap::get(r)?,
-            },
-            13 => Ev::LinkWindow {
-                i: Snap::get(r)?,
-                down: Snap::get(r)?,
-            },
-            14 => Ev::ElectionTick {
-                node: Snap::get(r)?,
-            },
-            15 => Ev::GmKill,
-            _ => return Err(SnapError::Malformed("event discriminant")),
-        })
-    }
-}
+// `nic_device` and NIC static parameters (MAC, jitter model, line rate)
+// come from configuration.
+snap_state!(VmState {
+    nic.phc: state,
+    osc: state,
+    running,
+    compromised,
+    strike_idx,
+    ptp: state,
+    phc2sys: state,
+    sync_servo: state,
+});
 
-impl SnapState for VmState {
-    // `nic_device` and NIC static parameters (MAC, jitter model, line
-    // rate) come from configuration. The engine's state brackets the
-    // hypervisor-facing services: stream order, not struct order.
-    fn save_state(&self, w: &mut Writer) {
-        self.nic.phc.save_state(w);
-        self.osc.save_state(w);
-        self.running.put(w);
-        self.compromised.put(w);
-        self.strike_idx.put(w);
-        self.ptp.save_sync_state(w);
-        self.phc2sys.save_state(w);
-        self.sync_servo.save_state(w);
-        self.ptp.save_election_state(w);
-    }
+snap_state!(NodeState {
+    host_phc: state,
+    host_osc: state,
+    vms: each,
+    device: state,
+    voting: each,
+});
 
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.nic.phc.load_state(r)?;
-        self.osc.load_state(r)?;
-        self.running = Snap::get(r)?;
-        self.compromised = Snap::get(r)?;
-        self.strike_idx = Snap::get(r)?;
-        self.ptp.load_sync_state(r)?;
-        self.phc2sys.load_state(r)?;
-        self.sync_servo.load_state(r)?;
-        self.ptp.load_election_state(r)
-    }
-}
+// The forwarding fabric (FDB, residence model) is static configuration.
+snap_state!(SwitchState {
+    phc: state,
+    osc: state,
+    bridge: state,
+});
 
-impl SnapState for NodeState {
-    fn save_state(&self, w: &mut Writer) {
-        self.host_phc.save_state(w);
-        self.host_osc.save_state(w);
-        for vm in &self.vms {
-            vm.save_state(w);
-        }
-        self.device.save_state(w);
-        if let Some(v) = &self.voting {
-            v.save_state(w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.host_phc.load_state(r)?;
-        self.host_osc.load_state(r)?;
-        for vm in &mut self.vms {
-            vm.load_state(r)?;
-        }
-        self.device.load_state(r)?;
-        if let Some(v) = &mut self.voting {
-            v.load_state(r)?;
-        }
-        Ok(())
-    }
-}
-
-impl SnapState for SwitchState {
-    // The forwarding fabric (FDB, residence model) is static
-    // configuration.
-    fn save_state(&self, w: &mut Writer) {
-        self.phc.save_state(w);
-        self.osc.save_state(w);
-        self.bridge.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.phc.load_state(r)?;
-        self.osc.load_state(r)?;
-        self.bridge.load_state(r)
-    }
-}
-
+// Hand-written: the load reroots the relay trees between node and switch
+// state and validates what it reads against the constructed topology.
 impl SnapState for World {
     fn save_state(&self, w: &mut Writer) {
         self.queue.save_state(w);
@@ -2538,10 +2313,6 @@ impl SnapState for World {
             p.put(w);
             port.save_state(w);
         }
-        self.trace.is_some().put(w);
-        if let Some(tr) = &self.trace {
-            tr.save_state(w);
-        }
         self.transient.save_state(w);
         self.frame_rng.put(w);
         self.probes.put(w);
@@ -2553,11 +2324,7 @@ impl SnapState for World {
         self.counters.put(w);
         self.link_faults.save_state(w);
         self.linkfault_rng.put(w);
-        self.gm_kill.is_some().put(w);
-        if let Some((at, node)) = self.gm_kill {
-            at.put(w);
-            node.put(w);
-        }
+        self.gm_kill.put(w);
         // Fabric state rides at the very end, only when enabled — a
         // `fabric = None` world's state bytes are identical to a build
         // without the fabric subsystem.
@@ -2571,9 +2338,16 @@ impl SnapState for World {
         for node in &mut self.nodes {
             node.load_state(r)?;
         }
+        // A compromised VM evaluates its strike's strategy every tick.
+        let strikes = self.cfg.attack.strikes().len();
+        let mut vms = self.nodes.iter().flat_map(|node| &node.vms);
+        if vms.any(|vm| vm.strike_idx.is_some_and(|i| i >= strikes)) {
+            return Err(SnapError::Malformed("strike index outside attack plan"));
+        }
         let roots: Vec<usize> = Snap::get(r)?;
-        if roots.len() != self.domain_roots.len() {
-            return Err(SnapError::Malformed("domain root count"));
+        let n = self.nodes.len();
+        if roots.len() != self.domain_roots.len() || roots.iter().any(|&root| root >= n) {
+            return Err(SnapError::Malformed("domain root outside topology"));
         }
         for (d, &root) in roots.iter().enumerate() {
             if self.domain_roots[d] != root {
@@ -2595,12 +2369,6 @@ impl SnapState for World {
             }
             self.egress.materialize(p).load_state(r)?;
         }
-        if bool::get(r)? != self.trace.is_some() {
-            return Err(SnapError::Malformed("frame trace presence"));
-        }
-        if let Some(tr) = &mut self.trace {
-            tr.load_state(r)?;
-        }
         self.transient.load_state(r)?;
         self.frame_rng = Snap::get(r)?;
         self.probes = Snap::get(r)?;
@@ -2612,11 +2380,7 @@ impl SnapState for World {
         self.counters = Snap::get(r)?;
         self.link_faults.load_state(r)?;
         self.linkfault_rng = Snap::get(r)?;
-        self.gm_kill = if bool::get(r)? {
-            Some((Snap::get(r)?, Snap::get(r)?))
-        } else {
-            None
-        };
+        self.gm_kill = Snap::get(r)?;
         if let Some(fab) = &mut self.fabric {
             fab.load_state(r)?;
         }
@@ -2667,7 +2431,10 @@ impl World {
     /// prefix are re-armed from the rebuilt world's own schedule.
     pub fn restore(cfg: TestbedConfig, snap: &WorldSnapshot) -> Result<World, SnapError> {
         if snap.state_version != WORLD_STATE_VERSION {
-            return Err(SnapError::UnsupportedVersion(snap.state_version));
+            return Err(SnapError::StateVersionMismatch {
+                found: snap.state_version,
+                expected: WORLD_STATE_VERSION,
+            });
         }
         if snap.config_fingerprint != config_fingerprint(&cfg)
             && snap.config_fingerprint != warm_prefix_fingerprint(&cfg)
@@ -2686,6 +2453,10 @@ impl World {
         world.load_state(&mut r)?;
         r.finish()?;
         if world.queue.ctl_len() == 0 && world.queue.next_ctl_seq() == tsn_netsim::CTL_SEQ_BASE {
+            // A warm prefix ends before its first stripped intervention.
+            if ctl.iter().any(|&(at, ..)| at < world.queue.now()) {
+                return Err(SnapError::Malformed("intervention before snapshot time"));
+            }
             for (at, seq, ev) in ctl {
                 world.queue.insert_raw(at, seq, ev);
             }

@@ -24,7 +24,7 @@
 
 use tsn_gptp::msg::{AnnounceBody, Header, Message, MessageType};
 use tsn_gptp::{Bmca, ClockIdentity, ClockQuality, PortIdentity, SystemIdentity};
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+use tsn_snapshot::snap_state;
 use tsn_time::{ClockTime, Nanos};
 
 /// Configuration of the dynamic election mode.
@@ -137,23 +137,13 @@ struct DomainElection {
     announce_seq: u16,
 }
 
-impl SnapState for DomainElection {
-    fn save_state(&self, w: &mut Writer) {
-        self.bmca.save_state(w);
-        self.acting.put(w);
-        self.elected.put(w);
-        self.forged.put(w);
-        self.announce_seq.put(w);
-    }
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.bmca.load_state(r)?;
-        self.acting = Snap::get(r)?;
-        self.elected = Snap::get(r)?;
-        self.forged = Snap::get(r)?;
-        self.announce_seq = Snap::get(r)?;
-        Ok(())
-    }
-}
+snap_state!(DomainElection {
+    bmca: state,
+    acting,
+    elected,
+    forged,
+    announce_seq,
+});
 
 /// The complete election state of one node: a BMCA instance per domain,
 /// announce scheduling, and acting-master bookkeeping.
@@ -351,21 +341,10 @@ impl NodeElection {
     }
 }
 
-impl SnapState for NodeElection {
-    fn save_state(&self, w: &mut Writer) {
-        self.armed_at.put(w);
-        for d in &self.domains {
-            d.save_state(w);
-        }
-    }
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.armed_at = Snap::get(r)?;
-        for d in &mut self.domains {
-            d.load_state(r)?;
-        }
-        Ok(())
-    }
-}
+snap_state!(NodeElection {
+    armed_at,
+    domains: each
+});
 
 fn log2_interval(interval: Nanos) -> i8 {
     interval.as_secs_f64().log2().round() as i8
@@ -374,6 +353,7 @@ fn log2_interval(interval: Nanos) -> i8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsn_snapshot::{Reader, SnapState, Writer};
 
     fn identities(n: usize) -> Vec<ClockIdentity> {
         (0..n).map(|i| ClockIdentity::for_index(i as u32)).collect()

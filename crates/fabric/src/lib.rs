@@ -52,7 +52,6 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 use tsn_time::{Nanos, SimTime};
 
 pub mod fleet;
@@ -566,26 +565,14 @@ impl Fabric {
     }
 }
 
-impl SnapState for Fabric {
-    fn save_state(&self, w: &mut Writer) {
-        self.rng.put(w);
-        self.busy.put(w);
-        self.pending_tc.put(w);
-        self.forwarded.put(w);
-        self.dropped.put(w);
-        self.max_residence_ns.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.rng = Snap::get(r)?;
-        self.busy = Snap::get(r)?;
-        self.pending_tc = Snap::get(r)?;
-        self.forwarded = Snap::get(r)?;
-        self.dropped = Snap::get(r)?;
-        self.max_residence_ns = Snap::get(r)?;
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(Fabric {
+    rng,
+    busy,
+    pending_tc,
+    forwarded,
+    dropped,
+    max_residence_ns,
+});
 
 /// Wait until the protected window is open at `t_ns` under a gate
 /// `cycle` with a protected window of `window` ns at each cycle start.
@@ -615,6 +602,7 @@ fn draw_in(rng: &mut StdRng, min: i64, max: i64) -> i64 {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use tsn_snapshot::{Reader, SnapState, Writer};
 
     fn fabric_with(cfg: FabricConfig) -> Fabric {
         let mut link_rng = StdRng::seed_from_u64(7);

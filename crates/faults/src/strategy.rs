@@ -14,7 +14,6 @@
 //! elapsed since the strike landed, so runs are bit-reproducible across
 //! platforms and across cold/forked execution.
 
-use tsn_snapshot::{Reader, Snap, SnapError, Writer};
 use tsn_time::Nanos;
 
 use crate::attacker::PAPER_POT_OFFSET;
@@ -241,73 +240,6 @@ fn triangle(elapsed: Nanos, amplitude: Nanos, period: Nanos) -> Nanos {
     Nanos::from_nanos(clamp_i128(y))
 }
 
-impl Snap for ByzantineStrategy {
-    fn put(&self, w: &mut Writer) {
-        match *self {
-            ByzantineStrategy::ConstantOffset { offset } => {
-                0u8.put(w);
-                offset.put(w);
-            }
-            ByzantineStrategy::LinearRamp { slope_per_s } => {
-                1u8.put(w);
-                slope_per_s.put(w);
-            }
-            ByzantineStrategy::Oscillating { amplitude, period } => {
-                2u8.put(w);
-                amplitude.put(w);
-                period.put(w);
-            }
-            ByzantineStrategy::Intermittent { offset, on, off } => {
-                3u8.put(w);
-                offset.put(w);
-                on.put(w);
-                off.put(w);
-            }
-            ByzantineStrategy::TrimEdge { margin } => {
-                4u8.put(w);
-                margin.put(w);
-            }
-            ByzantineStrategy::Colluding { target } => {
-                5u8.put(w);
-                target.put(w);
-            }
-            ByzantineStrategy::RogueMaster { offset } => {
-                6u8.put(w);
-                offset.put(w);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::get(r)? {
-            0 => ByzantineStrategy::ConstantOffset {
-                offset: Snap::get(r)?,
-            },
-            1 => ByzantineStrategy::LinearRamp {
-                slope_per_s: Snap::get(r)?,
-            },
-            2 => ByzantineStrategy::Oscillating {
-                amplitude: Snap::get(r)?,
-                period: Snap::get(r)?,
-            },
-            3 => ByzantineStrategy::Intermittent {
-                offset: Snap::get(r)?,
-                on: Snap::get(r)?,
-                off: Snap::get(r)?,
-            },
-            4 => ByzantineStrategy::TrimEdge {
-                margin: Snap::get(r)?,
-            },
-            5 => ByzantineStrategy::Colluding {
-                target: Snap::get(r)?,
-            },
-            6 => ByzantineStrategy::RogueMaster {
-                offset: Snap::get(r)?,
-            },
-            _ => return Err(SnapError::Malformed("byzantine strategy discriminant")),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,17 +356,5 @@ mod tests {
             t.offset_at(Nanos::from_secs(3), VALIDITY),
             Nanos::from_micros(13)
         );
-    }
-
-    #[test]
-    fn snap_roundtrip() {
-        for n in ByzantineStrategy::NAMES {
-            let s = ByzantineStrategy::named(n).unwrap();
-            let mut w = Writer::new();
-            s.put(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(ByzantineStrategy::get(&mut r).unwrap(), s);
-        }
     }
 }

@@ -89,24 +89,13 @@ impl<R: Rng> TransientFaults<R> {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
-
-impl<R: Snap> SnapState for TransientFaults<R> {
-    // `config` is static; the RNG stream and realized-fault counters are
-    // the mutable state.
-    fn save_state(&self, w: &mut Writer) {
-        self.rng.put(w);
-        self.tx_timestamp_timeouts.put(w);
-        self.deadline_misses.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.rng = Snap::get(r)?;
-        self.tx_timestamp_timeouts = Snap::get(r)?;
-        self.deadline_misses = Snap::get(r)?;
-        Ok(())
-    }
-}
+// `config` is static; the RNG stream and realized-fault counters are the
+// mutable state.
+tsn_snapshot::snap_state!(impl[R: tsn_snapshot::Snap] TransientFaults<R> {
+    rng,
+    tx_timestamp_timeouts,
+    deadline_misses,
+});
 
 #[cfg(test)]
 mod tests {

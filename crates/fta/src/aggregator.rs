@@ -453,52 +453,23 @@ impl MultiDomainAggregator {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+tsn_snapshot::snap_enum!(AggregationMode {
+    0 => Startup,
+    1 => FaultTolerant,
+});
 
-impl SnapState for MultiDomainAggregator {
-    fn save_state(&self, w: &mut Writer) {
-        (matches!(self.mode, AggregationMode::FaultTolerant) as u8).put(w);
-        self.startup_ok_streak.put(w);
-        self.shmem.save_state(w);
-        self.sync_state.put(w);
-        self.holdover_since.put(w);
-        self.reacquire_streak.put(w);
-        self.recheck_backoff.put(w);
-        self.next_attempt.put(w);
-        self.last_fail_at.put(w);
-        (self.transitions.len() as u64).put(w);
-        for (at, from, to) in &self.transitions {
-            at.put(w);
-            from.put(w);
-            to.put(w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.mode = match u8::get(r)? {
-            0 => AggregationMode::Startup,
-            1 => AggregationMode::FaultTolerant,
-            _ => return Err(SnapError::Malformed("aggregation mode discriminant")),
-        };
-        self.startup_ok_streak = Snap::get(r)?;
-        self.shmem.load_state(r)?;
-        self.sync_state = Snap::get(r)?;
-        self.holdover_since = Snap::get(r)?;
-        self.reacquire_streak = Snap::get(r)?;
-        self.recheck_backoff = Snap::get(r)?;
-        self.next_attempt = Snap::get(r)?;
-        self.last_fail_at = Snap::get(r)?;
-        let n = u64::get(r)?;
-        self.transitions.clear();
-        for _ in 0..n {
-            let at = Snap::get(r)?;
-            let from = Snap::get(r)?;
-            let to = Snap::get(r)?;
-            self.transitions.push((at, from, to));
-        }
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(MultiDomainAggregator {
+    mode,
+    startup_ok_streak,
+    shmem: state,
+    sync_state,
+    holdover_since,
+    reacquire_streak,
+    recheck_backoff,
+    next_attempt,
+    last_fail_at,
+    transitions,
+});
 
 #[cfg(test)]
 mod tests {

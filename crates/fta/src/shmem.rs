@@ -81,47 +81,22 @@ impl FtShmem {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+tsn_snapshot::snap_struct!(OffsetSlot {
+    offset,
+    sync_rx_local,
+    rate_ratio,
+    stored_at,
+});
 
-impl Snap for OffsetSlot {
-    fn put(&self, w: &mut Writer) {
-        self.offset.put(w);
-        self.sync_rx_local.put(w);
-        self.rate_ratio.put(w);
-        self.stored_at.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(OffsetSlot {
-            offset: Snap::get(r)?,
-            sync_rx_local: Snap::get(r)?,
-            rate_ratio: Snap::get(r)?,
-            stored_at: Snap::get(r)?,
-        })
-    }
-}
-
-impl SnapState for FtShmem {
-    fn save_state(&self, w: &mut Writer) {
-        self.slots.put(w);
-        self.valid.put(w);
-        self.adjust_last.put(w);
-        self.servo.save_state(w);
-        self.aggregations.put(w);
-        self.offset_sum_ns.put(w);
-        self.no_quorum.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.slots = Snap::get(r)?;
-        self.valid = Snap::get(r)?;
-        self.adjust_last = Snap::get(r)?;
-        self.servo.load_state(r)?;
-        self.aggregations = Snap::get(r)?;
-        self.offset_sum_ns = Snap::get(r)?;
-        self.no_quorum = Snap::get(r)?;
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(FtShmem {
+    slots,
+    valid,
+    adjust_last,
+    servo: state,
+    aggregations,
+    offset_sum_ns,
+    no_quorum,
+});
 
 #[cfg(test)]
 mod tests {

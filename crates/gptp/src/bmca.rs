@@ -236,52 +236,23 @@ impl Bmca {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+use tsn_snapshot::{snap_state, snap_struct};
 
-impl Snap for PriorityVector {
-    fn put(&self, w: &mut Writer) {
-        self.system.put(w);
-        self.steps_removed.put(w);
-        self.source_port.put(w);
-        self.receiving_port.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PriorityVector {
-            system: Snap::get(r)?,
-            steps_removed: Snap::get(r)?,
-            source_port: Snap::get(r)?,
-            receiving_port: Snap::get(r)?,
-        })
-    }
-}
+snap_struct!(PriorityVector {
+    system,
+    steps_removed,
+    source_port,
+    receiving_port,
+});
+snap_struct!(ErBest {
+    vector,
+    last_announce
+});
 
-impl Snap for ErBest {
-    fn put(&self, w: &mut Writer) {
-        self.vector.put(w);
-        self.last_announce.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ErBest {
-            vector: Snap::get(r)?,
-            last_announce: Snap::get(r)?,
-        })
-    }
-}
-
-impl SnapState for Bmca {
-    // The port list and receipt timeout are construction-time
-    // configuration; `priority1` is mutable (rogue-master forging) and
-    // travels with the per-port best-master records.
-    fn save_state(&self, w: &mut Writer) {
-        self.own.priority1.put(w);
-        self.er_best.put(w);
-    }
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.own.priority1 = Snap::get(r)?;
-        self.er_best = Snap::get(r)?;
-        Ok(())
-    }
-}
+// The port list and receipt timeout are construction-time
+// configuration; `priority1` is mutable (rogue-master forging) and
+// travels with the per-port best-master records.
+snap_state!(Bmca { own.priority1, er_best });
 
 #[cfg(test)]
 mod tests {

@@ -555,84 +555,36 @@ fn reencode_announce(bytes: &[u8], own: ClockIdentity) -> Option<Bytes> {
     Some(fwd.encode())
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+use tsn_snapshot::{snap_state, snap_struct};
 
-impl Snap for UpstreamFu {
-    fn put(&self, w: &mut Writer) {
-        self.precise_origin.put(w);
-        self.correction.put(w);
-        self.cumulative_scaled_rate_offset.put(w);
-        self.rate_ratio_to_gm.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(UpstreamFu {
-            precise_origin: Snap::get(r)?,
-            correction: Snap::get(r)?,
-            cumulative_scaled_rate_offset: Snap::get(r)?,
-            rate_ratio_to_gm: Snap::get(r)?,
-        })
-    }
-}
+snap_struct!(UpstreamFu {
+    precise_origin,
+    correction,
+    cumulative_scaled_rate_offset,
+    rate_ratio_to_gm,
+});
+snap_struct!(SeqState {
+    rx_ts,
+    tx_ts,
+    upstream,
+    done,
+    order,
+});
 
-impl Snap for SeqState {
-    fn put(&self, w: &mut Writer) {
-        self.rx_ts.put(w);
-        self.tx_ts.put(w);
-        self.upstream.put(w);
-        self.done.put(w);
-        self.order.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(SeqState {
-            rx_ts: Snap::get(r)?,
-            tx_ts: Snap::get(r)?,
-            upstream: Snap::get(r)?,
-            done: Snap::get(r)?,
-            order: Snap::get(r)?,
-        })
-    }
-}
+snap_state!(BridgeRelay {
+    log_sync_interval,
+    seqs,
+    next_order,
+    dropped_forwards,
+});
 
-impl SnapState for BridgeRelay {
-    fn save_state(&self, w: &mut Writer) {
-        self.log_sync_interval.put(w);
-        self.seqs.put(w);
-        self.next_order.put(w);
-        self.dropped_forwards.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.log_sync_interval = Snap::get(r)?;
-        self.seqs = Snap::get(r)?;
-        self.next_order = Snap::get(r)?;
-        self.dropped_forwards = Snap::get(r)?;
-        Ok(())
-    }
-}
-
-impl SnapState for Bridge {
-    // Identity, port layout and relay-tree shape are configuration (the
-    // embedding re-roots before loading); relays go first, then the
-    // link-delay services in ascending port order.
-    fn save_state(&self, w: &mut Writer) {
-        for relay in &self.relays {
-            relay.save_state(w);
-        }
-        for pd in &self.pd {
-            pd.save_state(w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        for relay in &mut self.relays {
-            relay.load_state(r)?;
-        }
-        for pd in &mut self.pd {
-            pd.load_state(r)?;
-        }
-        Ok(())
-    }
-}
+// Identity, port layout and relay-tree shape are configuration (the
+// embedding re-roots before loading); relays go first, then the
+// link-delay services in ascending port order.
+snap_state!(Bridge {
+    relays: each,
+    pd: each
+});
 
 #[cfg(test)]
 mod tests {

@@ -118,20 +118,10 @@ impl LinkDelayService {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
-
-impl SnapState for LinkDelayService {
-    fn save_state(&self, w: &mut Writer) {
-        self.initiator.save_state(w);
-        self.rounds.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.initiator.load_state(r)?;
-        self.rounds = Snap::get(r)?;
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(LinkDelayService {
+    initiator: state,
+    rounds,
+});
 
 #[cfg(test)]
 mod tests {

@@ -23,8 +23,8 @@
 //!   Announce relay (the end-station counterpart, `MultiDomainNode`,
 //!   lives in the `clocksync` crate next to the aggregator it drives);
 //! * [`Bmca`] — the best master clock algorithm (optional mode; the
-//!   paper's experiments use [`DevicePortRoles`] external port
-//!   configuration instead).
+//!   paper's experiments use a static external port configuration —
+//!   the relay-tree shape [`Bridge`] is built with — instead).
 //!
 //! Multi-domain aggregation itself — the paper's contribution — lives in
 //! the `tsn-fta` crate and consumes the [`OffsetSample`]s produced here.
@@ -60,7 +60,6 @@
 mod bmca;
 mod bridge;
 mod cmlds;
-mod config;
 pub mod msg;
 mod pdelay;
 mod port;
@@ -69,7 +68,6 @@ mod types;
 pub use bmca::{Bmca, BmcaDecision, PortRole, PriorityVector};
 pub use bridge::{Bridge, BridgeRelay, Emission};
 pub use cmlds::{LinkDelayService, LinkState};
-pub use config::{derive_external_port_configuration, DevicePortRoles};
 pub use msg::{DecodeError, IntervalRequestTlv, Message};
 pub use pdelay::{LinkDelaySample, PdelayInitiator, PdelayResponder, RespContext};
 pub use port::{OffsetSample, SyncMaster, SyncSlave};

@@ -249,60 +249,20 @@ impl PdelayResponder {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+use tsn_snapshot::{snap_state, snap_struct};
 
-impl Snap for Inflight {
-    fn put(&self, w: &mut Writer) {
-        self.seq.put(w);
-        self.t1.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Inflight {
-            seq: Snap::get(r)?,
-            t1: Snap::get(r)?,
-        })
-    }
-}
+snap_struct!(Inflight { seq, t1 });
+snap_struct!(AwaitingFollowUp { seq, t1, t2, t4 });
 
-impl Snap for AwaitingFollowUp {
-    fn put(&self, w: &mut Writer) {
-        self.seq.put(w);
-        self.t1.put(w);
-        self.t2.put(w);
-        self.t4.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(AwaitingFollowUp {
-            seq: Snap::get(r)?,
-            t1: Snap::get(r)?,
-            t2: Snap::get(r)?,
-            t4: Snap::get(r)?,
-        })
-    }
-}
-
-impl SnapState for PdelayInitiator {
-    fn save_state(&self, w: &mut Writer) {
-        self.next_seq.put(w);
-        self.inflight.put(w);
-        self.awaiting_fu.put(w);
-        self.prev_t3_t4.put(w);
-        self.nrr.put(w);
-        self.filtered_delay.put(w);
-        self.lost_responses.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.next_seq = Snap::get(r)?;
-        self.inflight = Snap::get(r)?;
-        self.awaiting_fu = Snap::get(r)?;
-        self.prev_t3_t4 = Snap::get(r)?;
-        self.nrr = Snap::get(r)?;
-        self.filtered_delay = Snap::get(r)?;
-        self.lost_responses = Snap::get(r)?;
-        Ok(())
-    }
-}
+snap_state!(PdelayInitiator {
+    next_seq,
+    inflight,
+    awaiting_fu,
+    prev_t3_t4,
+    nrr,
+    filtered_delay,
+    lost_responses,
+});
 
 #[cfg(test)]
 mod tests {

@@ -354,83 +354,34 @@ impl SyncSlave {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+use tsn_snapshot::{snap_state, snap_struct};
 
-impl Snap for OffsetSample {
-    fn put(&self, w: &mut Writer) {
-        self.domain.put(w);
-        self.offset.put(w);
-        self.sync_rx_local.put(w);
-        self.corrected_origin.put(w);
-        self.rate_ratio.put(w);
-        self.source_port.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(OffsetSample {
-            domain: Snap::get(r)?,
-            offset: Snap::get(r)?,
-            sync_rx_local: Snap::get(r)?,
-            corrected_origin: Snap::get(r)?,
-            rate_ratio: Snap::get(r)?,
-            source_port: Snap::get(r)?,
-        })
-    }
-}
+snap_struct!(OffsetSample {
+    domain,
+    offset,
+    sync_rx_local,
+    corrected_origin,
+    rate_ratio,
+    source_port,
+});
+snap_struct!(PendingSync { seq, rx_ts, source });
 
-impl Snap for PendingSync {
-    fn put(&self, w: &mut Writer) {
-        self.seq.put(w);
-        self.rx_ts.put(w);
-        self.source.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PendingSync {
-            seq: Snap::get(r)?,
-            rx_ts: Snap::get(r)?,
-            source: Snap::get(r)?,
-        })
-    }
-}
+snap_state!(SyncMaster {
+    log_sync_interval,
+    one_step,
+    next_seq,
+    pending,
+    pot_offset,
+    tx_timestamp_timeouts,
+    tx_deadline_misses,
+});
 
-impl SnapState for SyncMaster {
-    fn save_state(&self, w: &mut Writer) {
-        self.log_sync_interval.put(w);
-        self.one_step.put(w);
-        self.next_seq.put(w);
-        self.pending.put(w);
-        self.pot_offset.put(w);
-        self.tx_timestamp_timeouts.put(w);
-        self.tx_deadline_misses.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.log_sync_interval = Snap::get(r)?;
-        self.one_step = Snap::get(r)?;
-        self.next_seq = Snap::get(r)?;
-        self.pending = Snap::get(r)?;
-        self.pot_offset = Snap::get(r)?;
-        self.tx_timestamp_timeouts = Snap::get(r)?;
-        self.tx_deadline_misses = Snap::get(r)?;
-        Ok(())
-    }
-}
-
-impl SnapState for SyncSlave {
-    fn save_state(&self, w: &mut Writer) {
-        self.pending.put(w);
-        self.missed_follow_ups.put(w);
-        self.last_sample.put(w);
-        self.last_sync_rx.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.pending = Snap::get(r)?;
-        self.missed_follow_ups = Snap::get(r)?;
-        self.last_sample = Snap::get(r)?;
-        self.last_sync_rx = Snap::get(r)?;
-        Ok(())
-    }
-}
+snap_state!(SyncSlave {
+    pending,
+    missed_follow_ups,
+    last_sample,
+    last_sync_rx,
+});
 
 #[cfg(test)]
 mod tests {

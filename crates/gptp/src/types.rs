@@ -274,83 +274,33 @@ impl Transmission {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, Writer};
+use tsn_snapshot::{snap_enum, snap_struct};
 
-impl Snap for ClockIdentity {
-    fn put(&self, w: &mut Writer) {
-        w.put_bytes(&self.0);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ClockIdentity(r.take(8)?.try_into().expect("8-byte take")))
-    }
-}
-
-impl Snap for PortIdentity {
-    fn put(&self, w: &mut Writer) {
-        self.clock.put(w);
-        self.port.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PortIdentity {
-            clock: Snap::get(r)?,
-            port: Snap::get(r)?,
-        })
-    }
-}
-
-impl Snap for PtpTimestamp {
-    fn put(&self, w: &mut Writer) {
-        self.seconds.put(w);
-        self.nanoseconds.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PtpTimestamp {
-            seconds: Snap::get(r)?,
-            nanoseconds: Snap::get(r)?,
-        })
-    }
-}
-
-impl Snap for Correction {
-    fn put(&self, w: &mut Writer) {
-        self.scaled().put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Correction::from_scaled(i64::get(r)?))
-    }
-}
-
-impl Snap for ClockQuality {
-    fn put(&self, w: &mut Writer) {
-        self.class.put(w);
-        self.accuracy.put(w);
-        self.variance.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ClockQuality {
-            class: Snap::get(r)?,
-            accuracy: Snap::get(r)?,
-            variance: Snap::get(r)?,
-        })
-    }
-}
-
-impl Snap for SystemIdentity {
-    fn put(&self, w: &mut Writer) {
-        self.priority1.put(w);
-        self.quality.put(w);
-        self.priority2.put(w);
-        self.identity.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(SystemIdentity {
-            priority1: Snap::get(r)?,
-            quality: Snap::get(r)?,
-            priority2: Snap::get(r)?,
-            identity: Snap::get(r)?,
-        })
-    }
-}
+snap_struct!(ClockIdentity { 0 });
+snap_struct!(PortIdentity { clock, port });
+snap_struct!(PtpTimestamp {
+    seconds,
+    nanoseconds
+});
+snap_struct!(Correction { 0 });
+snap_struct!(ClockQuality {
+    class,
+    accuracy,
+    variance
+});
+snap_struct!(SystemIdentity {
+    priority1,
+    quality,
+    priority2,
+    identity
+});
+// In the stream while an event message is between issue and egress.
+snap_enum!(TxToken {
+    0 => Sync { domain, seq },
+    1 => RelayedSync { domain, seq },
+    2 => PdelayReq { seq },
+    3 => PdelayResp { seq, requesting },
+});
 
 #[cfg(test)]
 mod tests {

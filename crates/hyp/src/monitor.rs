@@ -252,7 +252,9 @@ mod force_tests {
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 
 impl SnapState for DependentClockDevice {
-    // `config` is static; active/standbys evolve through takeovers.
+    // Hand-written: the ids index the embedding's per-VM tables, so load
+    // accepts only a re-arrangement of the constructed ones. `config` is
+    // static; active/standbys evolve through takeovers.
     fn save_state(&self, w: &mut Writer) {
         self.stshmem.save_state(w);
         self.active.put(w);
@@ -263,8 +265,18 @@ impl SnapState for DependentClockDevice {
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         self.stshmem.load_state(r)?;
-        self.active = Snap::get(r)?;
-        self.standbys = Snap::get(r)?;
+        let active: VmId = Snap::get(r)?;
+        let standbys: Vec<VmId> = Snap::get(r)?;
+        let sorted_ids = |active: VmId, standbys: &[VmId]| {
+            let mut ids: Vec<VmId> = standbys.iter().copied().chain([active]).collect();
+            ids.sort_unstable();
+            ids
+        };
+        if sorted_ids(active, &standbys) != sorted_ids(self.active, &self.standbys) {
+            return Err(SnapError::Malformed("dependent clock VM ids"));
+        }
+        self.active = active;
+        self.standbys = standbys;
         self.takeovers = Snap::get(r)?;
         self.uncovered_failures = Snap::get(r)?;
         Ok(())
@@ -272,6 +284,7 @@ impl SnapState for DependentClockDevice {
 }
 
 impl SnapState for VotingMonitor {
+    // Hand-written: the slot count is configuration and is checked.
     fn save_state(&self, w: &mut Writer) {
         self.slots.put(w);
     }

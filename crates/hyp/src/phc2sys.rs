@@ -155,33 +155,8 @@ impl SyncTimeServo {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
-
-impl SnapState for Phc2Sys {
-    fn save_state(&self, w: &mut Writer) {
-        self.last.put(w);
-        self.rate.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.last = Snap::get(r)?;
-        self.rate = Snap::get(r)?;
-        Ok(())
-    }
-}
-
-impl SnapState for SyncTimeServo {
-    fn save_state(&self, w: &mut Writer) {
-        self.servo.save_state(w);
-        self.rate.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.servo.load_state(r)?;
-        self.rate = Snap::get(r)?;
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(Phc2Sys { last, rate });
+tsn_snapshot::snap_state!(SyncTimeServo { servo: state, rate });
 
 #[cfg(test)]
 mod tests {

@@ -121,48 +121,19 @@ impl StShmem {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+tsn_snapshot::snap_struct!(VmId { 0 });
+tsn_snapshot::snap_struct!(ClockParams {
+    base_host,
+    base_sync,
+    rate,
+});
 
-impl Snap for VmId {
-    fn put(&self, w: &mut Writer) {
-        self.0.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(VmId(Snap::get(r)?))
-    }
-}
-
-impl Snap for ClockParams {
-    fn put(&self, w: &mut Writer) {
-        self.base_host.put(w);
-        self.base_sync.put(w);
-        self.rate.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ClockParams {
-            base_host: Snap::get(r)?,
-            base_sync: Snap::get(r)?,
-            rate: Snap::get(r)?,
-        })
-    }
-}
-
-impl SnapState for StShmem {
-    fn save_state(&self, w: &mut Writer) {
-        self.params.put(w);
-        self.seq.put(w);
-        self.writer.put(w);
-        self.last_update_host.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.params = Snap::get(r)?;
-        self.seq = Snap::get(r)?;
-        self.writer = Snap::get(r)?;
-        self.last_update_host = Snap::get(r)?;
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(StShmem {
+    params,
+    seq,
+    writer,
+    last_update_host,
+});
 
 #[cfg(test)]
 mod tests {

@@ -218,105 +218,24 @@ impl EventLog {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+use tsn_snapshot::{snap_enum, Reader, Snap, SnapError, SnapState, Writer};
 
-impl Snap for TransientKind {
-    fn put(&self, w: &mut Writer) {
-        let tag: u8 = match self {
-            TransientKind::TxTimestampTimeout => 0,
-            TransientKind::DeadlineMiss => 1,
-        };
-        tag.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match u8::get(r)? {
-            0 => Ok(TransientKind::TxTimestampTimeout),
-            1 => Ok(TransientKind::DeadlineMiss),
-            _ => Err(SnapError::Malformed("transient kind discriminant")),
-        }
-    }
-}
+snap_enum!(TransientKind {
+    0 => TxTimestampTimeout,
+    1 => DeadlineMiss,
+});
 
-impl Snap for ExperimentEvent {
-    fn put(&self, w: &mut Writer) {
-        match *self {
-            ExperimentEvent::VmFailure { node, grandmaster } => {
-                0u8.put(w);
-                node.put(w);
-                grandmaster.put(w);
-            }
-            ExperimentEvent::VmReboot { node, grandmaster } => {
-                1u8.put(w);
-                node.put(w);
-                grandmaster.put(w);
-            }
-            ExperimentEvent::Takeover { node } => {
-                2u8.put(w);
-                node.put(w);
-            }
-            ExperimentEvent::Transient { node, kind } => {
-                3u8.put(w);
-                node.put(w);
-                kind.put(w);
-            }
-            ExperimentEvent::Strike { node, succeeded } => {
-                4u8.put(w);
-                node.put(w);
-                succeeded.put(w);
-            }
-            ExperimentEvent::GmResumed { node } => {
-                5u8.put(w);
-                node.put(w);
-            }
-            ExperimentEvent::SyncStateChange {
-                node,
-                slot,
-                from,
-                to,
-            } => {
-                6u8.put(w);
-                node.put(w);
-                slot.put(w);
-                from.put(w);
-                to.put(w);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::get(r)? {
-            0 => ExperimentEvent::VmFailure {
-                node: Snap::get(r)?,
-                grandmaster: Snap::get(r)?,
-            },
-            1 => ExperimentEvent::VmReboot {
-                node: Snap::get(r)?,
-                grandmaster: Snap::get(r)?,
-            },
-            2 => ExperimentEvent::Takeover {
-                node: Snap::get(r)?,
-            },
-            3 => ExperimentEvent::Transient {
-                node: Snap::get(r)?,
-                kind: Snap::get(r)?,
-            },
-            4 => ExperimentEvent::Strike {
-                node: Snap::get(r)?,
-                succeeded: Snap::get(r)?,
-            },
-            5 => ExperimentEvent::GmResumed {
-                node: Snap::get(r)?,
-            },
-            6 => ExperimentEvent::SyncStateChange {
-                node: Snap::get(r)?,
-                slot: Snap::get(r)?,
-                from: Snap::get(r)?,
-                to: Snap::get(r)?,
-            },
-            _ => return Err(SnapError::Malformed("experiment event discriminant")),
-        })
-    }
-}
+snap_enum!(ExperimentEvent {
+    0 => VmFailure { node, grandmaster },
+    1 => VmReboot { node, grandmaster },
+    2 => Takeover { node },
+    3 => Transient { node, kind },
+    4 => Strike { node, succeeded },
+    5 => GmResumed { node },
+    6 => SyncStateChange { node, slot, from, to },
+});
 
+// Hand-written: time order is checked.
 impl SnapState for EventLog {
     fn save_state(&self, w: &mut Writer) {
         self.entries.put(w);

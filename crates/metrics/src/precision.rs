@@ -288,21 +288,13 @@ mod proptests {
 
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 
-impl Snap for PrecisionSample {
-    fn put(&self, w: &mut Writer) {
-        self.at.put(w);
-        self.value.put(w);
-        self.receivers.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PrecisionSample {
-            at: Snap::get(r)?,
-            value: Snap::get(r)?,
-            receivers: Snap::get(r)?,
-        })
-    }
-}
+tsn_snapshot::snap_struct!(PrecisionSample {
+    at,
+    value,
+    receivers
+});
 
+// Hand-written: time order is checked.
 impl SnapState for PrecisionSeries {
     fn save_state(&self, w: &mut Writer) {
         self.samples.put(w);

@@ -239,15 +239,9 @@ mod proptests {
 
 use tsn_snapshot::{Reader, Snap, SnapError, Writer};
 
-impl Snap for MacAddr {
-    fn put(&self, w: &mut Writer) {
-        w.put_bytes(&self.0);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(MacAddr(r.take(6)?.try_into().expect("6-byte take")))
-    }
-}
+tsn_snapshot::snap_struct!(MacAddr { 0 });
 
+// Hand-written: PCP and VID are range-checked.
 impl Snap for VlanTag {
     fn put(&self, w: &mut Writer) {
         self.pcp.put(w);
@@ -263,6 +257,7 @@ impl Snap for VlanTag {
     }
 }
 
+// Hand-written: the payload is a `Bytes` (length, then the raw bytes).
 impl Snap for EthernetFrame {
     fn put(&self, w: &mut Writer) {
         self.dst.put(w);

@@ -62,7 +62,6 @@ mod queue;
 mod rng;
 mod switch;
 mod topology;
-mod trace;
 
 pub use frame::{ethertype, DecodeFrameError, EthernetFrame, MacAddr, VlanTag};
 pub use linkfault::{AsymmetricDelay, BurstLoss, LinkDownWindow, LinkFaultPlan, LinkFaults};
@@ -72,4 +71,3 @@ pub use queue::{EventQueue, ReferenceQueue, WheelQueue, CTL_SEQ_BASE};
 pub use rng::SeedSplitter;
 pub use switch::{Fdb, Switch, Vid};
 pub use topology::{DelayModel, DeviceId, DeviceKind, Link, LinkId, PortAddr, PortNo, Topology};
-pub use trace::{FrameTrace, TraceDir, TraceEntry};

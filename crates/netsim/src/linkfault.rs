@@ -229,6 +229,7 @@ impl LinkFaults {
     }
 }
 
+// Hand-written: the per-link vector lengths are configuration and checked.
 impl SnapState for LinkFaults {
     fn save_state(&self, w: &mut Writer) {
         self.down.put(w);

@@ -196,6 +196,7 @@ mod proptests {
 
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 
+// Hand-written: the heap travels in canonical order and is rebuilt.
 impl<T: Snap> SnapState for EgressPort<T> {
     fn save_state(&self, w: &mut Writer) {
         self.busy_until.put(w);
@@ -217,7 +218,7 @@ impl<T: Snap> SnapState for EgressPort<T> {
         self.busy_until = Snap::get(r)?;
         self.next_seq = Snap::get(r)?;
         self.queued_frames = Snap::get(r)?;
-        let n = usize::get(r)?;
+        let n = r.take_count()?;
         self.heap = BinaryHeap::with_capacity(n);
         for _ in 0..n {
             let prio = u8::get(r)?;

@@ -353,7 +353,7 @@ impl<E: Snap> SnapState for ReferenceQueue<E> {
         self.next_seq = Snap::get(r)?;
         self.next_ctl = Snap::get(r)?;
         self.popped = Snap::get(r)?;
-        let n = usize::get(r)?;
+        let n = r.take_count()?;
         self.heap = BinaryHeap::with_capacity(n);
         for _ in 0..n {
             let at = SimTime::get(r)?;

@@ -696,7 +696,7 @@ impl<E: Snap> SnapState for WheelQueue<E> {
         self.pending = 0;
         self.ctl_pending = 0;
         self.elapsed = self.now.as_nanos();
-        let n = usize::get(r)?;
+        let n = r.take_count()?;
         for _ in 0..n {
             let at = SimTime::get(r)?;
             let seq = u64::get(r)?;

@@ -337,54 +337,6 @@ impl Topology {
         None
     }
 
-    /// Minimum-delay path from station `from` to station `to` (Dijkstra
-    /// over per-link minimum delays, traversing only bridges). Useful
-    /// when hop count and latency disagree (e.g. a short detour through
-    /// fast links). Returns the link sequence, or `None` if unreachable.
-    pub fn fastest_path(&self, from: DeviceId, to: DeviceId) -> Option<Vec<LinkId>> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        if from == to {
-            return Some(Vec::new());
-        }
-        let mut best: HashMap<DeviceId, i64> = HashMap::new();
-        let mut prev: HashMap<DeviceId, (DeviceId, LinkId)> = HashMap::new();
-        let mut heap: BinaryHeap<Reverse<(i64, usize)>> = BinaryHeap::new();
-        best.insert(from, 0);
-        heap.push(Reverse((0, from.0)));
-        while let Some(Reverse((cost, dev_idx))) = heap.pop() {
-            let dev = DeviceId(dev_idx);
-            if dev == to {
-                let mut path = Vec::new();
-                let mut cur = to;
-                while cur != from {
-                    let (p, l) = prev[&cur];
-                    path.push(l);
-                    cur = p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            if cost > best.get(&dev).copied().unwrap_or(i64::MAX) {
-                continue;
-            }
-            if dev != from && self.kind(dev) != DeviceKind::Bridge {
-                continue;
-            }
-            for port in self.wired_ports(dev) {
-                let (lid, link) = self.link_of(port).expect("wired");
-                let next = link.peer_of(port).device;
-                let ncost = cost + link.delay_from(port).min().as_nanos();
-                if ncost < best.get(&next).copied().unwrap_or(i64::MAX) {
-                    best.insert(next, ncost);
-                    prev.insert(next, (dev, lid));
-                    heap.push(Reverse((ncost, next.0)));
-                }
-            }
-        }
-        None
-    }
-
     /// Min/max one-way delay bounds along the shortest path between two
     /// stations, summing per-link bounds in the traversal direction and a
     /// per-bridge residence bound for each intermediate bridge.
@@ -426,98 +378,11 @@ impl Topology {
     pub fn links(&self) -> &[Link] {
         &self.links
     }
-
-    /// Builds a full mesh of `n` bridges (every pair directly linked)
-    /// with the given symmetric delay on every link; returns the bridge
-    /// ids. Mesh ports are allocated from `first_port` upward on each
-    /// bridge.
-    pub fn full_mesh_bridges(
-        &mut self,
-        n: usize,
-        first_port: u8,
-        delay: DelayModel,
-    ) -> Vec<DeviceId> {
-        let ids: Vec<DeviceId> = (0..n)
-            .map(|i| self.add_bridge(&format!("sw{}", i + 1)))
-            .collect();
-        let mut next_port = vec![first_port; n];
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let pa = next_port[a];
-                let pb = next_port[b];
-                next_port[a] += 1;
-                next_port[b] += 1;
-                self.connect(self.port(ids[a], pa), self.port(ids[b], pb), delay, delay);
-            }
-        }
-        ids
-    }
-
-    /// Builds a line (daisy chain) of `n` bridges; returns the bridge
-    /// ids. Each bridge uses `first_port` toward its predecessor and
-    /// `first_port + 1` toward its successor.
-    pub fn line_bridges(&mut self, n: usize, first_port: u8, delay: DelayModel) -> Vec<DeviceId> {
-        let ids: Vec<DeviceId> = (0..n)
-            .map(|i| self.add_bridge(&format!("sw{}", i + 1)))
-            .collect();
-        for w in ids.windows(2) {
-            self.connect(
-                self.port(w[0], first_port + 1),
-                self.port(w[1], first_port),
-                delay,
-                delay,
-            );
-        }
-        ids
-    }
-
-    /// `true` if every station can reach every other station through the
-    /// bridges.
-    pub fn fully_connected(&self) -> bool {
-        let stations: Vec<DeviceId> = self.stations().collect();
-        for i in 0..stations.len() {
-            for j in (i + 1)..stations.len() {
-                if self.shortest_path(stations[i], stations[j]).is_none() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, Writer};
-
-impl Snap for DeviceId {
-    fn put(&self, w: &mut Writer) {
-        self.0.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(DeviceId(usize::get(r)?))
-    }
-}
-
-impl Snap for PortNo {
-    fn put(&self, w: &mut Writer) {
-        self.0.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PortNo(u8::get(r)?))
-    }
-}
-
-impl Snap for PortAddr {
-    fn put(&self, w: &mut Writer) {
-        self.device.put(w);
-        self.port.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PortAddr {
-            device: Snap::get(r)?,
-            port: Snap::get(r)?,
-        })
-    }
-}
+tsn_snapshot::snap_struct!(DeviceId { 0 });
+tsn_snapshot::snap_struct!(PortNo { 0 });
+tsn_snapshot::snap_struct!(PortAddr { device, port });
 
 #[cfg(test)]
 mod tests {
@@ -608,64 +473,6 @@ mod tests {
         let d = delay(1);
         t.connect(t.port(a, 0), t.port(b, 0), d, d);
         t.connect(t.port(a, 0), t.port(c, 0), d, d);
-    }
-
-    #[test]
-    fn fastest_path_prefers_low_latency_detour() {
-        // a — sw1 — b via a slow direct link (10 µs) or a fast two-hop
-        // detour through sw2 (1 µs + 1 µs).
-        let mut t = Topology::new();
-        let a = t.add_station("a");
-        let b = t.add_station("b");
-        let sw1 = t.add_bridge("sw1");
-        let sw2 = t.add_bridge("sw2");
-        t.connect(t.port(a, 0), t.port(sw1, 0), delay(1), delay(1));
-        t.connect(t.port(b, 0), t.port(sw1, 1), delay(10), delay(10));
-        t.connect(t.port(sw1, 2), t.port(sw2, 0), delay(1), delay(1));
-        t.connect(t.port(sw2, 1), t.port(b, 1), delay(1), delay(1));
-        // Hop-count shortest: 2 links (via the slow one).
-        assert_eq!(t.shortest_path(a, b).unwrap().len(), 2);
-        // Delay shortest: 3 links via sw2 (1 + 1 + 1 < 1 + 10).
-        assert_eq!(t.fastest_path(a, b).unwrap().len(), 3);
-        // Same endpoint: empty path.
-        assert_eq!(t.fastest_path(a, a), Some(vec![]));
-    }
-
-    #[test]
-    fn full_mesh_builder_wires_every_pair() {
-        let mut t = Topology::new();
-        let sws = t.full_mesh_bridges(4, 2, delay(2));
-        assert_eq!(sws.len(), 4);
-        // 4 choose 2 = 6 links.
-        assert_eq!(t.links().len(), 6);
-        for &a in &sws {
-            for &b in &sws {
-                if a != b {
-                    assert_eq!(t.shortest_path(a, b).unwrap().len(), 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn line_builder_chains() {
-        let mut t = Topology::new();
-        let sws = t.line_bridges(5, 0, delay(1));
-        assert_eq!(t.links().len(), 4);
-        assert_eq!(t.shortest_path(sws[0], sws[4]).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn connectivity_check() {
-        let mut t = Topology::new();
-        let a = t.add_station("a");
-        let b = t.add_station("b");
-        let sw = t.add_bridge("sw");
-        let d = delay(1);
-        t.connect(t.port(a, 0), t.port(sw, 0), d, d);
-        assert!(!t.fully_connected(), "b is unwired");
-        t.connect(t.port(b, 0), t.port(sw, 1), d, d);
-        assert!(t.fully_connected());
     }
 
     #[test]

@@ -27,8 +27,16 @@ pub enum SnapError {
     },
     /// The input does not start with the snapshot magic.
     BadMagic,
-    /// The envelope version is newer than this build understands.
+    /// The envelope framing version is not the one this build reads.
     UnsupportedVersion(u32),
+    /// The snapshot's state schema is not the one this build reads. State
+    /// is not migrated: the snapshot has to be re-created.
+    StateVersionMismatch {
+        /// Schema version stamped on the snapshot.
+        found: u32,
+        /// Schema version of this build.
+        expected: u32,
+    },
     /// The embedded content hash does not match the decoded bytes.
     HashMismatch {
         /// Hash stored in the envelope.
@@ -48,8 +56,13 @@ impl fmt::Display for SnapError {
             }
             SnapError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
             SnapError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v}")
+                write!(f, "unsupported snapshot envelope version {v}")
             }
+            SnapError::StateVersionMismatch { found, expected } => write!(
+                f,
+                "snapshot has state schema version {found}, this build reads version {expected}: \
+                 re-create it with `snapshot save`"
+            ),
             SnapError::HashMismatch { expected, found } => write!(
                 f,
                 "snapshot content hash mismatch: stored {expected:016x}, computed {found:016x}"
@@ -123,6 +136,17 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Takes a collection's element count. No element encodes to zero
+    /// bytes, so a count beyond the bytes left is corrupt — refused here,
+    /// before anything is allocated for it.
+    pub fn take_count(&mut self) -> Result<usize, SnapError> {
+        let n = usize::get(self)?;
+        if n > self.remaining() {
+            return Err(SnapError::Malformed("collection length exceeds input"));
+        }
+        Ok(n)
     }
 
     /// Asserts that the whole input was consumed (trailing garbage is a
@@ -250,12 +274,7 @@ impl<T: Snap> Snap for Vec<T> {
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let n = usize::get(r)?;
-        // Guard against a corrupt length faulting the allocator: no
-        // element encodes to zero bytes, so `n` can't exceed what's left.
-        if n > r.remaining() {
-            return Err(SnapError::Malformed("collection length exceeds input"));
-        }
+        let n = r.take_count()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(T::get(r)?);
@@ -287,10 +306,7 @@ impl<K: Snap + Ord + Eq + Hash, V: Snap> Snap for HashMap<K, V> {
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let n = usize::get(r)?;
-        if n > r.remaining() {
-            return Err(SnapError::Malformed("collection length exceeds input"));
-        }
+        let n = r.take_count()?;
         let mut out = HashMap::with_capacity(n);
         for _ in 0..n {
             let k = K::get(r)?;
@@ -312,10 +328,7 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let n = usize::get(r)?;
-        if n > r.remaining() {
-            return Err(SnapError::Malformed("collection length exceeds input"));
-        }
+        let n = r.take_count()?;
         let mut out = BTreeMap::new();
         for _ in 0..n {
             let k = K::get(r)?;

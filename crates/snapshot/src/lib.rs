@@ -11,7 +11,8 @@
 //! - a binary state codec ([`Writer`]/[`Reader`]) with strict
 //!   determinism rules (see [`codec`]);
 //! - the [`Snap`] trait for value types and the [`SnapState`] trait for
-//!   stateful components, implemented across the `tsn-*` crates;
+//!   stateful components, implemented across the `tsn-*` crates —
+//!   almost always through the one-list-per-type [`forms`];
 //! - the versioned [`WorldSnapshot`] envelope with a FNV-1a content
 //!   hash over the encoded state.
 //!
@@ -31,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod forms;
 
 pub use codec::{Reader, Snap, SnapError, SnapState, Writer};
 
@@ -143,7 +145,8 @@ impl WorldSnapshot {
 
 // `Snap` for the workspace RNG lives here (not in `vendor/rand`) so the
 // vendored crate stays a pure reimplementation of the upstream API plus
-// minimal state accessors.
+// minimal state accessors. Hand-written: the all-zero state (a fixed
+// point of the generator) is refused.
 impl Snap for StdRng {
     fn put(&self, w: &mut Writer) {
         self.state().put(w);

@@ -131,20 +131,10 @@ impl Oscillator {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
-
-impl SnapState for Oscillator {
-    fn save_state(&self, w: &mut Writer) {
-        self.static_ppb.put(w);
-        self.wander_ppb.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.static_ppb = Snap::get(r)?;
-        self.wander_ppb = Snap::get(r)?;
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(Oscillator {
+    static_ppb,
+    wander_ppb,
+});
 
 #[cfg(test)]
 mod tests {

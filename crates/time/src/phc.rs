@@ -294,28 +294,14 @@ impl PhcAt<'_> {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
-
-impl SnapState for Phc {
-    fn save_state(&self, w: &mut Writer) {
-        self.anchor_true.put(w);
-        self.anchor_clock_ns.put(w);
-        self.osc_deviation_ppb.put(w);
-        self.freq_adj_ppb.put(w);
-        self.high_water_ns.put(w);
-        self.monotonic.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.anchor_true = Snap::get(r)?;
-        self.anchor_clock_ns = Snap::get(r)?;
-        self.osc_deviation_ppb = Snap::get(r)?;
-        self.freq_adj_ppb = Snap::get(r)?;
-        self.high_water_ns = Snap::get(r)?;
-        self.monotonic = Snap::get(r)?;
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(Phc {
+    anchor_true,
+    anchor_clock_ns,
+    osc_deviation_ppb,
+    freq_adj_ppb,
+    high_water_ns,
+    monotonic,
+});
 
 #[cfg(test)]
 mod tests {

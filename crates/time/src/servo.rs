@@ -283,45 +283,19 @@ impl PiServo {
     }
 }
 
-use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
+tsn_snapshot::snap_enum!(ServoState {
+    0 => Unlocked,
+    1 => Jump,
+    2 => Locked,
+});
 
-impl tsn_snapshot::Snap for ServoState {
-    fn put(&self, w: &mut Writer) {
-        let tag: u8 = match self {
-            ServoState::Unlocked => 0,
-            ServoState::Jump => 1,
-            ServoState::Locked => 2,
-        };
-        tag.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match u8::get(r)? {
-            0 => Ok(ServoState::Unlocked),
-            1 => Ok(ServoState::Jump),
-            2 => Ok(ServoState::Locked),
-            _ => Err(SnapError::Malformed("servo state discriminant")),
-        }
-    }
-}
-
-impl SnapState for PiServo {
-    fn save_state(&self, w: &mut Writer) {
-        self.state.put(w);
-        self.count.put(w);
-        self.first_offset.put(w);
-        self.first_local.put(w);
-        self.drift_ppb.put(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.state = Snap::get(r)?;
-        self.count = Snap::get(r)?;
-        self.first_offset = Snap::get(r)?;
-        self.first_local = Snap::get(r)?;
-        self.drift_ppb = Snap::get(r)?;
-        Ok(())
-    }
-}
+tsn_snapshot::snap_state!(PiServo {
+    state,
+    count,
+    first_offset,
+    first_local,
+    drift_ppb,
+});
 
 #[cfg(test)]
 mod tests {

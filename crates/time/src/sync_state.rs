@@ -10,7 +10,6 @@
 //! the transitions.
 
 use std::fmt;
-use tsn_snapshot::{Reader, Snap, SnapError, Writer};
 
 /// Degradation state of the aggregated `CLOCK_SYNCTIME` discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,24 +70,11 @@ impl fmt::Display for SyncState {
     }
 }
 
-impl Snap for SyncState {
-    fn put(&self, w: &mut Writer) {
-        let tag: u8 = match self {
-            SyncState::Synchronized => 0,
-            SyncState::Holdover => 1,
-            SyncState::Freerun => 2,
-        };
-        tag.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match u8::get(r)? {
-            0 => Ok(SyncState::Synchronized),
-            1 => Ok(SyncState::Holdover),
-            2 => Ok(SyncState::Freerun),
-            _ => Err(SnapError::Malformed("sync state discriminant")),
-        }
-    }
-}
+tsn_snapshot::snap_enum!(SyncState {
+    0 => Synchronized,
+    1 => Holdover,
+    2 => Freerun,
+});
 
 #[cfg(test)]
 mod tests {
@@ -130,7 +116,7 @@ mod tests {
 
     #[test]
     fn snap_roundtrip() {
-        use tsn_snapshot::{Reader, Writer};
+        use tsn_snapshot::{Reader, Snap, Writer};
         for s in [
             SyncState::Synchronized,
             SyncState::Holdover,

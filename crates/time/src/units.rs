@@ -380,32 +380,9 @@ pub type Ppb = f64;
 
 // --- Checkpoint codec ---------------------------------------------------
 
-impl tsn_snapshot::Snap for SimTime {
-    fn put(&self, w: &mut tsn_snapshot::Writer) {
-        self.as_nanos().put(w);
-    }
-    fn get(r: &mut tsn_snapshot::Reader<'_>) -> Result<Self, tsn_snapshot::SnapError> {
-        Ok(SimTime::from_nanos(u64::get(r)?))
-    }
-}
-
-impl tsn_snapshot::Snap for Nanos {
-    fn put(&self, w: &mut tsn_snapshot::Writer) {
-        self.as_nanos().put(w);
-    }
-    fn get(r: &mut tsn_snapshot::Reader<'_>) -> Result<Self, tsn_snapshot::SnapError> {
-        Ok(Nanos::from_nanos(i64::get(r)?))
-    }
-}
-
-impl tsn_snapshot::Snap for ClockTime {
-    fn put(&self, w: &mut tsn_snapshot::Writer) {
-        self.as_nanos().put(w);
-    }
-    fn get(r: &mut tsn_snapshot::Reader<'_>) -> Result<Self, tsn_snapshot::SnapError> {
-        Ok(ClockTime::from_nanos(i64::get(r)?))
-    }
-}
+tsn_snapshot::snap_struct!(SimTime { 0 });
+tsn_snapshot::snap_struct!(Nanos { 0 });
+tsn_snapshot::snap_struct!(ClockTime { 0 });
 
 #[cfg(test)]
 mod tests {

@@ -139,21 +139,3 @@ fn prior_work_baseline_gm_ensemble_diverges() {
         "prior-work baseline unexpectedly held the bound: {frac}"
     );
 }
-
-#[test]
-fn frame_trace_captures_gptp_traffic() {
-    let mut cfg = TestbedConfig::paper_default(77);
-    cfg.duration = Nanos::from_secs(2);
-    cfg.warmup = Nanos::from_secs(2);
-    cfg.trace_capacity = 512;
-    let mut world = World::new(cfg);
-    world.run_until(SimTime::from_secs(4));
-    let trace = world.frame_trace().expect("trace enabled");
-    assert!(trace.total > 100, "only {} frame events", trace.total);
-    let rendered = trace.render();
-    assert!(rendered.contains("Sync dom="), "no syncs in:\n{rendered}");
-    assert!(
-        rendered.contains("Follow_Up dom=") || rendered.contains("Pdelay"),
-        "unexpected trace:\n{rendered}"
-    );
-}

@@ -8,7 +8,10 @@
 
 use clocksync::snapshot::{checkpoint_time, warm_prefix_config};
 use clocksync::{TestbedConfig, World, WorldSnapshot};
+use proptest::prelude::*;
+use std::sync::OnceLock;
 use tsn_faults::{AttackPlan, CveId, KernelAssignment, Strike};
+use tsn_snapshot::{Snap, SnapError, Writer};
 use tsn_time::{Nanos, SimTime};
 
 fn short_cfg(seed: u64) -> TestbedConfig {
@@ -19,15 +22,30 @@ fn short_cfg(seed: u64) -> TestbedConfig {
     }
 }
 
-/// A strike shortly after the warm-up, well inside the short duration.
-fn short_attack() -> AttackPlan {
-    AttackPlan::new(vec![Strike {
+/// Election on; node 1's grandmaster is killed 2 s after the warm-up.
+fn failover_cfg() -> TestbedConfig {
+    let mut cfg = short_cfg(41);
+    cfg.election = Some(clocksync::election::ElectionConfig {
+        gm_failure_at: Some(Nanos::from_secs(2)),
+        gm_failure_node: 1,
+        ..clocksync::election::ElectionConfig::default()
+    });
+    cfg
+}
+
+/// Identical kernels and one strike shortly after the warm-up, well
+/// inside the short duration.
+fn attack_cfg() -> TestbedConfig {
+    let mut cfg = short_cfg(37);
+    cfg.attack = AttackPlan::new(vec![Strike {
         at: SimTime::from_secs(2),
         target_node: 3,
         cve: CveId::Cve2018_18955,
         pot_offset: Nanos::from_micros(-24),
         strategy: None,
-    }])
+    }]);
+    cfg.kernels = KernelAssignment::identical(cfg.nodes);
+    cfg
 }
 
 #[test]
@@ -84,9 +102,7 @@ fn restored_world_continues_identically() {
 
 #[test]
 fn forked_prefix_reproduces_cold_run_with_interventions() {
-    let mut cfg = short_cfg(37);
-    cfg.attack = short_attack();
-    cfg.kernels = KernelAssignment::identical(cfg.nodes);
+    let cfg = attack_cfg();
     let end = SimTime::ZERO + cfg.warmup + cfg.duration;
 
     // Cold: the full configuration from t = 0.
@@ -120,12 +136,7 @@ fn forked_prefix_reproduces_election_failover_run() {
     // during the warm prefix and is snapshotted; the scheduled GM kill is
     // stripped by the projection and re-armed on restore. The forked
     // continuation must reproduce the cold failover run byte-exactly.
-    let mut cfg = short_cfg(41);
-    cfg.election = Some(clocksync::election::ElectionConfig {
-        gm_failure_at: Some(Nanos::from_secs(2)),
-        gm_failure_node: 1,
-        ..clocksync::election::ElectionConfig::default()
-    });
+    let cfg = failover_cfg();
     let end = SimTime::ZERO + cfg.warmup + cfg.duration;
 
     let mut cold = World::new(cfg.clone());
@@ -147,4 +158,107 @@ fn forked_prefix_reproduces_election_failover_run() {
     assert_eq!(a.events, b.events);
     assert_eq!(a.counters, b.counters);
     assert!(a.counters.elected_gm_changes >= 1);
+}
+
+/// Layout pin for the election-on stream (`tests/fabric.rs` pins the
+/// election-off one): Announce state, acquired masters and the fired GM
+/// kill are all in these bytes. If this hash moves and the simulated
+/// behaviour did not, the state layout changed: bump
+/// `WORLD_STATE_VERSION`, then re-record this pin and the fabric one.
+#[test]
+fn election_state_layout_is_pinned() {
+    let mut world = World::new(failover_cfg());
+    world.run_until(SimTime::from_secs(10));
+    assert_eq!(world.acting_masters(1), vec![2], "failover happened");
+    assert_eq!(world.events_processed(), 48_744, "events");
+    assert_eq!(world.state_hash(), 0xf58e93850bd80a77, "state hash");
+}
+
+// ----- restore robustness: decodable-but-wrong payloads ----------------
+
+/// A world past its first strike, so one VM carries a strike index.
+fn struck_world() -> &'static (TestbedConfig, WorldSnapshot) {
+    static BASE: OnceLock<(TestbedConfig, WorldSnapshot)> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let mut world = World::new(attack_cfg());
+        world.run_until(SimTime::from_secs(9));
+        (attack_cfg(), world.snapshot())
+    })
+}
+
+fn encoded(field: &impl Snap) -> Vec<u8> {
+    let mut w = Writer::new();
+    field.put(&mut w);
+    w.into_bytes()
+}
+
+/// Restores the struck world's snapshot once per occurrence of `field`'s
+/// encoding in its payload, with the 8 bytes at `word` bytes into that
+/// occurrence replaced by `value`. The integration test cannot name a
+/// field's offset, but it knows the field's encoding: the occurrence
+/// that *is* the field must be refused as `why`, and no occurrence may
+/// panic.
+fn assert_patch_refused(field: &impl Snap, word: usize, value: u64, why: &'static str) {
+    let (cfg, snap) = struck_world();
+    let pattern = encoded(field);
+    let hits = snap.payload.windows(pattern.len()).enumerate();
+    let results: Vec<Result<(), SnapError>> = hits
+        .filter(|(_, w)| *w == pattern)
+        .map(|(at, _)| {
+            let mut bad = snap.clone();
+            bad.payload[at + word..at + word + 8].copy_from_slice(&value.to_le_bytes());
+            World::restore(cfg.clone(), &bad).map(drop)
+        })
+        .collect();
+    assert!(
+        results.contains(&Err(SnapError::Malformed(why))),
+        "{results:?}"
+    );
+}
+
+#[test]
+fn restore_rejects_domain_root_outside_topology() {
+    // `domain_roots` still holds the static assignment; word 0 is the
+    // vector's length, word 1 domain 0's root.
+    let roots: Vec<usize> = vec![0, 1, 2, 3];
+    assert_patch_refused(&roots, 8, 4, "domain root outside topology");
+}
+
+#[test]
+fn restore_rejects_foreign_dependent_clock_vm_ids() {
+    // `active` = VM 0, `standbys` = [VM 1]: VM 7 does not exist, and
+    // VM 1 twice is not a permutation either.
+    let ids = (0usize, vec![1usize]);
+    assert_patch_refused(&ids, 0, 7, "dependent clock VM ids");
+    assert_patch_refused(&ids, 0, 1, "dependent clock VM ids");
+}
+
+#[test]
+fn restore_rejects_strike_index_outside_attack_plan() {
+    // running, compromised, struck by strike 0 — the plan's only one.
+    let vm = (true, true, Some(0usize));
+    assert_patch_refused(&vm, 3, 1, "strike index outside attack plan");
+}
+
+proptest! {
+    /// Whatever a disk hands us: a truncated or bit-damaged payload makes
+    /// `World::restore` return — `Err`, or `Ok` when the damage happens to
+    /// decode — and never panic (ROADMAP 4c).
+    #[test]
+    fn restore_of_damaged_payload_never_panics(
+        at in any::<usize>(),
+        truncate in any::<bool>(),
+        mask in 1u8..=255,
+    ) {
+        let (cfg, snap) = struck_world();
+        let at = at % snap.payload.len();
+        let mut bad = snap.clone();
+        if truncate {
+            bad.payload.truncate(at);
+        } else {
+            bad.payload[at] ^= mask;
+        }
+        let restored = World::restore(cfg.clone(), &bad);
+        prop_assert!(!truncate || restored.is_err(), "restored from {} bytes", at);
+    }
 }

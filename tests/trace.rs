@@ -8,7 +8,7 @@
 //! transitions — as valid Chrome trace-event JSON.
 
 use clocksync::scenario::{self, RunOptions, ScenarioKind};
-use clocksync::trace::{Subsystem, TraceReport};
+use clocksync::trace::{ArgValue, Subsystem, TraceReport};
 use clocksync::{PartitionWindow, TestbedConfig, World};
 use tsn_time::{Nanos, SimTime};
 
@@ -98,6 +98,31 @@ fn baseline_trace_tells_the_run_story() {
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"cat\":\"fta\""));
     assert!(json.contains("\"process_name\""));
+}
+
+/// Sync, Follow_Up and the peer-delay exchange are all on the wire, in
+/// both directions, within 2 s of a paper-default run.
+#[test]
+fn gptp_message_types_are_seen_on_the_wire() {
+    let mut cfg = TestbedConfig::paper_default(77);
+    cfg.duration = Nanos::from_secs(2);
+    cfg.warmup = Nanos::from_secs(2);
+    let mut world = World::new(cfg);
+    world.enable_trace();
+    let report = world.run().trace.expect("tracing was enabled");
+    let seen = |dir: &str, ty: &str| {
+        report.events.iter().any(|e| {
+            e.name == dir
+                && e.ts <= SimTime::from_secs(2)
+                && e.args.contains(&("type", ArgValue::Str(ty.into())))
+        })
+    };
+    for dir in ["ptp_tx", "ptp_rx"] {
+        for ty in ["sync", "follow_up", "pdelay_req", "pdelay_resp"] {
+            assert!(seen(dir, ty), "no {ty} {dir} instant in the first 2 s");
+        }
+    }
+    assert!(count(&report, "ptp_tx") + count(&report, "ptp_rx") > 100);
 }
 
 #[test]
