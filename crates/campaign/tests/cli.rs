@@ -490,7 +490,7 @@ fn snapshot_save_info_restore_verify_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot stamped with the previous state schema is refused with an
+/// A snapshot stamped with an earlier state schema is refused with an
 /// actionable message (exit 2), not decoded on a guess.
 #[test]
 fn snapshot_restore_of_old_state_schema_names_versions_and_remedy() {
@@ -514,7 +514,8 @@ fn snapshot_restore_of_old_state_schema_names_versions_and_remedy() {
     let restore = snapshot(&restore_args);
     assert_eq!(restore.status.code(), Some(2), "{restore:?}");
     let stderr = String::from_utf8_lossy(&restore.stderr);
-    for needle in ["state schema version 4", "reads version 5", "snapshot save"] {
+    let reads = format!("reads version {}", clocksync::snapshot::WORLD_STATE_VERSION);
+    for needle in ["state schema version 4", reads.as_str(), "snapshot save"] {
         assert!(stderr.contains(needle), "no {needle:?} in: {stderr}");
     }
 

@@ -18,7 +18,7 @@ use tsn_time::{Nanos, SimTime};
 /// hashes, `tests/snapshot_restore.rs::election_state_layout_is_pinned`).
 /// [`World::restore`](crate::World::restore) refuses any other version;
 /// state is not migrated.
-pub const WORLD_STATE_VERSION: u32 = 5;
+pub const WORLD_STATE_VERSION: u32 = 6;
 
 /// Fingerprint of a configuration (FNV-1a over its canonical `Debug`
 /// rendering), binding snapshots to the configuration that produced

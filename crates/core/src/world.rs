@@ -37,7 +37,7 @@ use tsn_metrics::{
 };
 use tsn_netsim::{
     ethertype, DelayModel, DeviceId, EthernetFrame, EventQueue, LaunchOutcome, MacAddr, Nic,
-    PortAddr, PortNo, SeedSplitter, Switch, Topology, VlanTag,
+    PortAddr, PortNo, SeedSplitter, Switch, Topology, VlanTag, WakeUp,
 };
 use tsn_netsim::{LinkFaultPlan, LinkFaults, LinkId};
 use tsn_oracle::{Observation, OracleConfig, OracleRegistry};
@@ -64,11 +64,14 @@ fn add_correction(frame: &mut EthernetFrame, residence_ns: i64) {
     if frame.payload.len() < 16 {
         return;
     }
-    let mut buf = frame.payload.to_vec();
-    let cur = i64::from_be_bytes(buf[8..16].try_into().expect("slice of 8"));
-    let patched = cur.saturating_add(residence_ns.saturating_mul(65_536));
-    buf[8..16].copy_from_slice(&patched.to_be_bytes());
-    frame.payload = bytes::Bytes::from(buf);
+    let p = &frame.payload;
+    let cur = i64::from_be_bytes(p[8..16].try_into().expect("slice of 8"));
+    let patched = cur
+        .saturating_add(residence_ns.saturating_mul(65_536))
+        .to_be_bytes();
+    // Exact-size chain: collected into the new buffer in one pass.
+    let (head, tail) = (&p[..8], &p[16..]);
+    frame.payload = head.iter().chain(&patched).chain(tail).copied().collect();
 }
 
 /// World events.
@@ -102,7 +105,8 @@ enum Ev {
     RebootAt(usize),
     /// Attacker strike `i` of the plan.
     StrikeAt(usize),
-    /// An egress port finished serializing its in-flight frame.
+    /// An egress port finished serializing its in-flight frame and a
+    /// frame is waiting behind it (the port asked for this wake-up).
     PortFree { from: PortAddr },
     /// Best-effort background traffic generator tick for one port.
     BackgroundTick { port: PortAddr },
@@ -748,11 +752,8 @@ impl World {
 
     /// Runs the experiment to completion and returns the result.
     ///
-    /// Events are consumed in same-timestamp batches
-    /// ([`EventQueue::pop_batch`]): handling order is still exact
-    /// `(time, seq)` order, because anything a handler schedules at the
-    /// current timestamp draws a later sequence number and therefore
-    /// lands in the *next* batch at that same time.
+    /// Events are handled one at a time in exact `(time, seq)` order
+    /// ([`EventQueue::pop_until`]).
     pub fn run(mut self) -> RunResult {
         self.run_until(self.end);
         self.finish()
@@ -948,9 +949,35 @@ impl World {
         }
     }
 
+    /// Schedules the wake-up an egress port asked for (see
+    /// [`tsn_netsim::WakeUp`]): at the sequence number reserved when its
+    /// in-flight frame departed, so the event pops exactly where an
+    /// eagerly scheduled one would have.
+    fn schedule_wake(&mut self, from: PortAddr, wake: Option<WakeUp>) {
+        if let Some(WakeUp { at, seq }) = wake {
+            self.queue.insert_raw(at, seq, Ev::PortFree { from });
+        }
+    }
+
+    /// The wake-up `from` asked for: its in-flight frame is done.
     fn on_port_free(&mut self, t: SimTime, from: PortAddr) {
+        if let Some(tracer) = self.tracer.as_mut() {
+            // Ports ask to be woken only behind a waiting frame; a
+            // wake-up that finds the wire free and nothing queued was
+            // wasted, and worth a mark.
+            let port = self.egress.get(from);
+            if port.is_none_or(|p| !p.is_busy(t) && p.is_empty()) {
+                let lane = TraceSub::Netsim.lane();
+                tracer.instant(t, "port_free_idle", TraceSub::Netsim, SIM_PID, lane);
+            }
+        }
+        self.send_next_queued(t, from);
+    }
+
+    /// Starts the best queued frame of `from`, if the wire is free.
+    fn send_next_queued(&mut self, t: SimTime, from: PortAddr) {
         // A same-instant transmission may have grabbed the wire already;
-        // its own PortFree will drain the queue.
+        // its own wake-up will drain the queue.
         let Some(port) = self.egress.get_mut(from) else {
             return;
         };
@@ -1098,14 +1125,15 @@ impl World {
             .map(|p| (p.is_busy(t), !p.is_empty()))
             .unwrap_or((false, false));
         if busy || backlog {
-            self.egress.materialize(from).enqueue(prio, (frame, token));
+            let wake = self.egress.materialize(from).enqueue(prio, (frame, token));
+            self.schedule_wake(from, wake);
             if self.oracle.is_some() {
                 self.observe(Observation::FrameEnqueued { at: t });
             }
             if !busy {
                 // Port idle with a backlog (possible when a departure was
                 // dropped): drain it now in priority order.
-                self.on_port_free(t, from);
+                self.send_next_queued(t, from);
             }
             return;
         }
@@ -1131,7 +1159,7 @@ impl World {
                         from_queue: queued,
                     });
                 }
-                self.on_port_free(t, from);
+                self.send_next_queued(t, from);
                 return;
             }
         }
@@ -1142,12 +1170,14 @@ impl World {
             });
         }
         self.trace_frame_event(t, from.device, true, &frame);
-        // Occupy the wire for the frame's serialization time.
         let duration = frame.serialization_ns(1_000_000_000);
-        self.egress
-            .materialize(from)
-            .begin_transmission(t, duration);
-        self.queue.schedule_at(t + duration, Ev::PortFree { from });
+        // Occupy the wire for the frame's serialization time. The
+        // completion's place in the event order is fixed now; the event
+        // itself exists only if a frame comes to wait for it.
+        let wake_seq = self.queue.reserve_seq();
+        let port = self.egress.materialize(from);
+        let wake = port.begin_transmission(t, duration, wake_seq);
+        self.schedule_wake(from, wake);
 
         // An event message: its hardware egress timestamp goes back to
         // the engine that sent it (a bridge's follow-up leaves from the
@@ -1402,11 +1432,10 @@ impl World {
             }
             _ => {
                 // Fabric forwarding (measurement probes, etc.).
-                let mut rng = self.frame_rng.clone();
-                let out = self.switches[sw]
-                    .fabric
-                    .forward(PortNo(port), &frame, &mut rng);
-                self.frame_rng = rng;
+                let out =
+                    self.switches[sw]
+                        .fabric
+                        .forward(PortNo(port), &frame, &mut self.frame_rng);
                 for (egress, residence) in out {
                     let from = PortAddr::new(self.switches[sw].device, egress.0);
                     self.queue.schedule_at(
@@ -2191,18 +2220,15 @@ impl World {
 
     /// Runs the world until `t` (inclusive), for step-wise tests.
     pub fn run_until(&mut self, t: SimTime) {
-        let mut batch = Vec::new();
-        while self.queue.pop_batch(t, &mut batch) > 0 {
-            for (now, ev) in batch.drain(..) {
-                if self.oracle.is_some() {
-                    self.observe(Observation::Event { at: now });
-                }
-                if let Some(tracer) = self.tracer.as_mut() {
-                    let (kind, sub) = ev.kind();
-                    tracer.pop(now, kind, sub);
-                }
-                self.handle(now, ev);
+        while let Some((now, ev)) = self.queue.pop_until(t) {
+            if self.oracle.is_some() {
+                self.observe(Observation::Event { at: now });
             }
+            if let Some(tracer) = self.tracer.as_mut() {
+                let (kind, sub) = ev.kind();
+                tracer.pop(now, kind, sub);
+            }
+            self.handle(now, ev);
         }
     }
 
@@ -2229,7 +2255,7 @@ fn sample_gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> i64 {
     for _ in 0..12 {
         z += rng.gen::<f64>();
     }
-    (z * sigma).round() as i64
+    tsn_time::round_to_i64(z * sigma)
 }
 
 fn log2_interval(interval: Nanos) -> i8 {
@@ -2367,7 +2393,13 @@ impl SnapState for World {
             if self.egress.is_live(p) {
                 return Err(SnapError::Malformed("duplicate egress port"));
             }
-            self.egress.materialize(p).load_state(r)?;
+            let port = self.egress.materialize(p);
+            port.load_state(r)?;
+            // Materialising it later must not mint a sequence number.
+            let next_seq = self.queue.next_seq();
+            if port.unclaimed_wake_seq().is_some_and(|seq| seq >= next_seq) {
+                return Err(SnapError::Malformed("egress wake-up was never reserved"));
+            }
         }
         self.transient.load_state(r)?;
         self.frame_rng = Snap::get(r)?;
@@ -2549,6 +2581,67 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
+    }
+
+    /// Handles queued events until `events` have been processed.
+    fn step_to(w: &mut World, events: u64) {
+        while w.events_processed() < events {
+            let (now, ev) = w.queue.pop().expect("run ended early");
+            w.handle(now, ev);
+        }
+    }
+
+    /// Ports on the wire whose completion nobody has asked for yet:
+    /// `(port, reserved seq)`.
+    fn unclaimed_wakes(w: &World) -> Vec<(PortAddr, u64)> {
+        let busy = w.egress.live_ports().filter(|(_, p)| p.is_busy(w.now()));
+        busy.filter_map(|(addr, p)| Some((addr, p.unclaimed_wake_seq()?)))
+            .collect()
+    }
+
+    #[test]
+    fn restore_materialises_a_wake_up_the_snapshot_only_reserved() {
+        let mut cfg = TestbedConfig::quick(5);
+        cfg.warmup = Nanos::from_secs(1);
+        cfg.duration = Nanos::from_secs(2);
+        let end = SimTime::ZERO + cfg.warmup + cfg.duration;
+
+        // Cold run, event by event: find the first event that queues a
+        // frame behind one in flight, i.e. claims a wake-up that until
+        // then was only a reserved number on the port.
+        let mut cold = World::new(cfg.clone());
+        let (before, port, seq) = loop {
+            let pending = unclaimed_wakes(&cold);
+            let before = cold.events_processed();
+            step_to(&mut cold, before + 1);
+            let claimed = pending.into_iter().find(|&(addr, _)| {
+                let p = cold.egress.get(addr).expect("live port");
+                p.is_busy(cold.now()) && p.unclaimed_wake_seq().is_none()
+            });
+            if let Some((addr, seq)) = claimed {
+                break (before, addr, seq);
+            }
+            assert!(cold.now() < end, "no frame ever queued behind another");
+        };
+        cold.run_until(end);
+
+        // Snapshot just before that event: the wake-up is in no queue.
+        let mut warm = World::new(cfg.clone());
+        step_to(&mut warm, before);
+        assert!(unclaimed_wakes(&warm).contains(&(port, seq)));
+        let snap = warm.snapshot();
+        let decoded = WorldSnapshot::decode(&snap.encode()).expect("own encoding");
+        let mut restored = World::restore(cfg, &decoded).expect("own snapshot");
+        assert_eq!(restored.state_hash(), warm.state_hash());
+        // The restored world has to insert the event itself, under the
+        // restored number — and ends where the cold run ends.
+        step_to(&mut restored, before + 1);
+        assert!(!unclaimed_wakes(&restored).contains(&(port, seq)));
+        restored.run_until(end);
+        assert_eq!(restored.events_processed(), cold.events_processed());
+        assert_eq!(restored.state_hash(), cold.state_hash());
+        let series = |w: World| format!("{:?}", w.into_result().series);
+        assert_eq!(series(restored), series(cold));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::types::{
     rate_ratio, ClockIdentity, PortIdentity, PtpTimestamp, Transmission, TxTiming, TxToken,
 };
 use bytes::Bytes;
-use std::collections::HashMap;
+use tsn_snapshot::{Reader, Snap, SnapError, Writer};
 use tsn_time::{ClockTime, Nanos};
 
 /// Maximum in-flight Sync sequences tracked per relay before the oldest
@@ -37,11 +37,63 @@ const MAX_TRACKED: usize = 8;
 /// A `(egress port number, encoded message)` emission.
 pub type Emission = (u16, Bytes);
 
+/// A map with `u16` keys for a handful of entries — at most
+/// [`MAX_TRACKED`] sequences per relay, one tx timestamp per master
+/// port — kept as a key-sorted `Vec` and searched linearly. In a
+/// snapshot it is the count followed by the `(key, value)` pairs in
+/// ascending key order.
+#[derive(Debug, Clone)]
+struct SmallMap<V>(Vec<(u16, V)>);
+
+impl<V> SmallMap<V> {
+    const fn new() -> Self {
+        SmallMap(Vec::new())
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, key: u16) -> Option<&V> {
+        self.0.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    fn get_mut(&mut self, key: u16) -> Option<&mut V> {
+        self.0.iter_mut().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// Inserts `value` under `key`, replacing any previous value.
+    fn insert(&mut self, key: u16, value: V) {
+        match self.0.iter().position(|(k, _)| *k >= key) {
+            Some(i) if self.0[i].0 == key => self.0[i].1 = value,
+            Some(i) => self.0.insert(i, (key, value)),
+            None => self.0.push((key, value)),
+        }
+    }
+
+    fn remove(&mut self, key: u16) {
+        self.0.retain(|(k, _)| *k != key);
+    }
+}
+
+impl<V: Snap> Snap for SmallMap<V> {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        let entries: Vec<(u16, V)> = Snap::get(r)?;
+        if !entries.is_sorted_by(|a, b| a.0 < b.0) {
+            return Err(SnapError::Malformed("map keys not strictly ascending"));
+        }
+        Ok(SmallMap(entries))
+    }
+}
+
 #[derive(Debug, Clone)]
 struct SeqState {
     rx_ts: ClockTime,
     /// Per egress port: hardware tx timestamp of the regenerated Sync.
-    tx_ts: HashMap<u16, ClockTime>,
+    tx_ts: SmallMap<ClockTime>,
     /// Upstream Follow_Up content, once received.
     upstream: Option<UpstreamFu>,
     /// Egress ports already served.
@@ -66,7 +118,8 @@ pub struct BridgeRelay {
     slave_port: u16,
     master_ports: Vec<u16>,
     log_sync_interval: i8,
-    seqs: HashMap<u16, SeqState>,
+    /// In-flight sequences by sequence id.
+    seqs: SmallMap<SeqState>,
     next_order: u64,
     /// Count of Follow_Ups that could not be forwarded because the
     /// regenerated Sync's tx timestamp never became available.
@@ -90,7 +143,7 @@ impl BridgeRelay {
             slave_port,
             master_ports,
             log_sync_interval: -3,
-            seqs: HashMap::new(),
+            seqs: SmallMap::new(),
             next_order: 0,
             dropped_forwards: 0,
         }
@@ -121,17 +174,33 @@ impl BridgeRelay {
         ingress_port: u16,
         rx_ts: ClockTime,
     ) -> Vec<Emission> {
+        let mut out = Vec::new();
+        self.relay_sync(msg, ingress_port, rx_ts, |port, bytes| {
+            out.push((port, bytes))
+        });
+        out
+    }
+
+    /// [`BridgeRelay::handle_sync`], handing each regenerated `Sync` to
+    /// `emit` instead of collecting them.
+    fn relay_sync(
+        &mut self,
+        msg: &Message,
+        ingress_port: u16,
+        rx_ts: ClockTime,
+        mut emit: impl FnMut(u16, Bytes),
+    ) {
         let Message::Sync { header, .. } = msg else {
-            return Vec::new();
+            return;
         };
         if header.domain != self.domain || ingress_port != self.slave_port {
-            return Vec::new();
+            return;
         }
         self.log_sync_interval = header.log_message_interval;
         if self.seqs.len() >= MAX_TRACKED {
             // Evict the oldest incomplete sequence.
-            if let Some((&oldest, _)) = self.seqs.iter().min_by_key(|(_, s)| s.order) {
-                self.seqs.remove(&oldest);
+            if let Some(&(oldest, _)) = self.seqs.0.iter().min_by_key(|(_, s)| s.order) {
+                self.seqs.remove(oldest);
                 self.dropped_forwards += 1;
             }
         }
@@ -141,39 +210,48 @@ impl BridgeRelay {
             header.sequence_id,
             SeqState {
                 rx_ts,
-                tx_ts: HashMap::new(),
+                tx_ts: SmallMap::new(),
                 upstream: None,
                 done: Vec::new(),
                 order,
             },
         );
-        self.master_ports
-            .iter()
-            .map(|&p| {
-                let sync = Message::Sync {
-                    header: Header::new(
-                        MessageType::Sync,
-                        self.domain,
-                        PortIdentity::new(self.clock, p),
-                        header.sequence_id,
-                        header.log_message_interval,
-                    ),
-                    origin: PtpTimestamp::default(),
-                };
-                (p, sync.encode())
-            })
-            .collect()
+        for &p in &self.master_ports {
+            let sync = Message::Sync {
+                header: Header::new(
+                    MessageType::Sync,
+                    self.domain,
+                    PortIdentity::new(self.clock, p),
+                    header.sequence_id,
+                    header.log_message_interval,
+                ),
+                origin: PtpTimestamp::default(),
+            };
+            emit(p, sync.encode());
+        }
     }
 
     /// Reports the hardware egress timestamp of the regenerated `Sync`
     /// with id `seq` on `port`; returns the `Follow_Up` for that port if
     /// the upstream `Follow_Up` already arrived.
     pub fn sync_forwarded(&mut self, seq: u16, port: u16, tx_ts: ClockTime) -> Vec<Emission> {
-        let Some(state) = self.seqs.get_mut(&seq) else {
-            return Vec::new();
-        };
-        state.tx_ts.insert(port, tx_ts);
-        self.drain_ready(seq)
+        let mut out = Vec::new();
+        self.relay_sync_forwarded(seq, port, tx_ts, |port, bytes| out.push((port, bytes)));
+        out
+    }
+
+    /// [`BridgeRelay::sync_forwarded`] with an `emit` sink.
+    fn relay_sync_forwarded(
+        &mut self,
+        seq: u16,
+        port: u16,
+        tx_ts: ClockTime,
+        emit: impl FnMut(u16, Bytes),
+    ) {
+        if let Some(state) = self.seqs.get_mut(seq) {
+            state.tx_ts.insert(port, tx_ts);
+            self.drain_ready(seq, emit);
+        }
     }
 
     /// Handles the upstream `Follow_Up` (received on the slave port);
@@ -187,20 +265,40 @@ impl BridgeRelay {
         slave_link_delay: Nanos,
         slave_nrr: f64,
     ) -> Vec<Emission> {
+        let mut out = Vec::new();
+        self.relay_follow_up(
+            msg,
+            ingress_port,
+            slave_link_delay,
+            slave_nrr,
+            |port, bytes| out.push((port, bytes)),
+        );
+        out
+    }
+
+    /// [`BridgeRelay::handle_follow_up`] with an `emit` sink.
+    fn relay_follow_up(
+        &mut self,
+        msg: &Message,
+        ingress_port: u16,
+        slave_link_delay: Nanos,
+        slave_nrr: f64,
+        emit: impl FnMut(u16, Bytes),
+    ) {
         let Message::FollowUp {
             header,
             precise_origin,
             tlv,
         } = msg
         else {
-            return Vec::new();
+            return;
         };
         if header.domain != self.domain || ingress_port != self.slave_port {
-            return Vec::new();
+            return;
         }
         let seq = header.sequence_id;
-        let Some(state) = self.seqs.get_mut(&seq) else {
-            return Vec::new();
+        let Some(state) = self.seqs.get_mut(seq) else {
+            return;
         };
         let cumulative = rate_ratio::from_scaled(tlv.cumulative_scaled_rate_offset);
         let rate_ratio_to_gm = cumulative * slave_nrr;
@@ -213,22 +311,23 @@ impl BridgeRelay {
             cumulative_scaled_rate_offset: rate_ratio::to_scaled(rate_ratio_to_gm),
             rate_ratio_to_gm,
         });
-        self.drain_ready(seq)
+        self.drain_ready(seq, emit);
     }
 
-    fn drain_ready(&mut self, seq: u16) -> Vec<Emission> {
-        let Some(state) = self.seqs.get_mut(&seq) else {
-            return Vec::new();
+    /// Emits the Follow_Up of every master port of `seq` that has both
+    /// the upstream Follow_Up and its own Sync's tx timestamp.
+    fn drain_ready(&mut self, seq: u16, mut emit: impl FnMut(u16, Bytes)) {
+        let Some(state) = self.seqs.get_mut(seq) else {
+            return;
         };
         let Some(upstream) = state.upstream else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
         for &port in &self.master_ports {
             if state.done.contains(&port) {
                 continue;
             }
-            let Some(&tx_ts) = state.tx_ts.get(&port) else {
+            let Some(&tx_ts) = state.tx_ts.get(port) else {
                 continue;
             };
             let residence = (tx_ts - state.rx_ts).as_nanos() as f64;
@@ -251,13 +350,12 @@ impl BridgeRelay {
                     ..Default::default()
                 },
             };
-            out.push((port, fu.encode()));
+            emit(port, fu.encode());
             state.done.push(port);
         }
         if state.done.len() == self.master_ports.len() {
-            self.seqs.remove(&seq);
+            self.seqs.remove(seq);
         }
-        out
     }
 }
 
@@ -382,26 +480,23 @@ impl Bridge {
                         domain: header.domain,
                         seq: header.sequence_id,
                     });
-                    for (p, bytes) in relay.handle_sync(&msg, ingress, rx_ts) {
+                    relay.relay_sync(&msg, ingress, rx_ts, |p, bytes| {
                         out.push(Transmission::new(
                             p as u8,
                             bytes,
                             token,
                             TxTiming::Residence,
                         ));
-                    }
+                    });
                 }
             }
             Message::FollowUp { header, .. } => {
                 if let Some(relay) = self.relays.get_mut(usize::from(header.domain)) {
                     let link = pd.link_state();
-                    let emissions = relay.handle_follow_up(
-                        &msg,
-                        ingress,
-                        link.delay(),
-                        link.neighbor_rate_ratio,
-                    );
-                    out.extend(emissions.into_iter().map(follow_up));
+                    let (delay, nrr) = (link.delay(), link.neighbor_rate_ratio);
+                    relay.relay_follow_up(&msg, ingress, delay, nrr, |p, bytes| {
+                        out.push(follow_up((p, bytes)));
+                    });
                 }
             }
             Message::PdelayReq { .. }
@@ -442,8 +537,9 @@ impl Bridge {
         match token {
             TxToken::RelayedSync { domain, seq } => {
                 if let Some(relay) = self.relays.get_mut(usize::from(domain)) {
-                    let emissions = relay.sync_forwarded(seq, u16::from(port), ts);
-                    out.extend(emissions.into_iter().map(follow_up));
+                    relay.relay_sync_forwarded(seq, u16::from(port), ts, |p, bytes| {
+                        out.push(follow_up((p, bytes)));
+                    });
                 }
             }
             TxToken::PdelayReq { seq } => {
@@ -754,6 +850,33 @@ mod tests {
         }
         assert!(r.seqs.len() <= MAX_TRACKED);
         assert!(r.dropped_forwards > 0);
+    }
+
+    #[test]
+    fn small_map_is_key_sorted_in_memory_and_in_snapshots() {
+        let mut m = SmallMap::new();
+        for (k, v) in [(9u16, 1u64), (2, 7), (u16::MAX, 3), (2, 8), (0, 5)] {
+            m.insert(k, v);
+        }
+        m.remove(9);
+        assert_eq!((m.len(), m.get(2), m.get(9)), (3, Some(&8), None));
+        // The sorted-`(key, value)` list a hash map of the same content
+        // encodes to.
+        let sorted = vec![(0u16, 5u64), (2, 8), (u16::MAX, 3)];
+        let (mut a, mut b) = (Writer::new(), Writer::new());
+        m.put(&mut a);
+        sorted.put(&mut b);
+        let bytes = a.into_bytes();
+        assert_eq!(bytes, b.into_bytes());
+        let back: SmallMap<u64> = Snap::get(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back.0, sorted);
+        // Duplicate or descending keys decode as a list but not as a map.
+        for bad in [vec![(2u16, 0u64), (2, 1)], vec![(3, 0), (1, 0)]] {
+            let mut w = Writer::new();
+            bad.put(&mut w);
+            let got: Result<SmallMap<u64>, _> = Snap::get(&mut Reader::new(&w.into_bytes()));
+            assert!(matches!(got, Err(SnapError::Malformed(_))));
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ mod topology;
 pub use frame::{ethertype, DecodeFrameError, EthernetFrame, MacAddr, VlanTag};
 pub use linkfault::{AsymmetricDelay, BurstLoss, LinkDownWindow, LinkFaultPlan, LinkFaults};
 pub use nic::{LaunchOutcome, Nic};
-pub use qdisc::EgressPort;
+pub use qdisc::{EgressPort, WakeUp};
 pub use queue::{EventQueue, ReferenceQueue, WheelQueue, CTL_SEQ_BASE};
 pub use rng::SeedSplitter;
 pub use switch::{Fdb, Switch, Vid};

@@ -9,6 +9,18 @@
 //!
 //! The type is generic over the queued payload so the simulation world
 //! can carry its transmission context alongside the frame.
+//!
+//! # Wake-ups
+//!
+//! A port needs to be told when its in-flight frame completes only if a
+//! frame is waiting behind it — in the simulated traffic, about one
+//! departure in six. The port is sans-IO about it: the embedding hands
+//! [`EgressPort::begin_transmission`] the event-queue sequence number it
+//! *reserved* for the completion, and the port hands back a [`WakeUp`]
+//! — "call me at `(at, seq)`" — at the moment a frame is first waiting:
+//! from `begin_transmission` itself if the queue is already non-empty,
+//! else from the first [`EgressPort::enqueue`] behind the in-flight
+//! frame. A completion nobody waits for is never asked for.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,20 +52,34 @@ impl<T> Ord for QEntry<T> {
     }
 }
 
+/// A port's request to be woken when its in-flight frame completes:
+/// the embedding schedules its "port free" event at exactly `(at, seq)`
+/// (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WakeUp {
+    /// The instant the in-flight frame completes.
+    pub at: SimTime,
+    /// The sequence number reserved for the wake-up at departure.
+    pub seq: u64,
+}
+
 /// One egress port's transmission state.
 ///
 /// # Examples
 ///
 /// ```
-/// use tsn_netsim::EgressPort;
+/// use tsn_netsim::{EgressPort, WakeUp};
 /// use tsn_time::{Nanos, SimTime};
 ///
 /// let mut port: EgressPort<&str> = EgressPort::new();
 /// let t = SimTime::from_millis(1);
 /// assert!(!port.is_busy(t));
-/// port.begin_transmission(t, Nanos::from_micros(12));
-/// port.enqueue(0, "best effort");
-/// port.enqueue(7, "gptp sync");
+/// // Nothing is waiting: the port does not ask to be woken.
+/// assert_eq!(port.begin_transmission(t, Nanos::from_micros(12), 41), None);
+/// // The first frame behind the in-flight one asks, the second need not.
+/// let at = t + Nanos::from_micros(12);
+/// assert_eq!(port.enqueue(0, "best effort"), Some(WakeUp { at, seq: 41 }));
+/// assert_eq!(port.enqueue(7, "gptp sync"), None);
 /// // When the port frees, the PCP-7 frame goes first.
 /// assert_eq!(port.pop_ready(), Some((7, "gptp sync")));
 /// assert_eq!(port.pop_ready(), Some((0, "best effort")));
@@ -61,6 +87,10 @@ impl<T> Ord for QEntry<T> {
 #[derive(Debug)]
 pub struct EgressPort<T> {
     busy_until: SimTime,
+    /// Sequence number reserved for the in-flight frame's completion
+    /// while nobody has asked for it. Invariant: `Some` only with an
+    /// empty queue (the first waiting frame takes it).
+    wake: Option<u64>,
     heap: BinaryHeap<QEntry<T>>,
     next_seq: u64,
     /// Total frames that waited in the queue (diagnostic).
@@ -78,6 +108,7 @@ impl<T> EgressPort<T> {
     pub fn new() -> Self {
         EgressPort {
             busy_until: SimTime::ZERO,
+            wake: None,
             heap: BinaryHeap::new(),
             next_seq: 0,
             queued_frames: 0,
@@ -95,18 +126,33 @@ impl<T> EgressPort<T> {
     }
 
     /// Marks the port busy for `duration` starting at `now`.
+    /// `wake_seq` is the sequence number the caller reserved for the
+    /// completion; it comes back as a [`WakeUp`] right away if frames
+    /// are already waiting, else from the first [`EgressPort::enqueue`]
+    /// behind this transmission, else never.
     ///
     /// # Panics
     ///
     /// Panics if the port is already busy at `now` — the caller must
     /// serialize transmissions.
-    pub fn begin_transmission(&mut self, now: SimTime, duration: Nanos) {
+    pub fn begin_transmission(
+        &mut self,
+        now: SimTime,
+        duration: Nanos,
+        wake_seq: u64,
+    ) -> Option<WakeUp> {
         assert!(!self.is_busy(now), "port already transmitting");
         self.busy_until = now + duration;
+        self.wake = Some(wake_seq);
+        self.take_wake_if_waiting()
     }
 
-    /// Queues an item at `priority` (0–7, higher first).
-    pub fn enqueue(&mut self, priority: u8, item: T) {
+    /// Queues an item at `priority` (0–7, higher first). Returns the
+    /// wake-up request if this is the first item waiting behind the
+    /// in-flight frame. (Callers queue behind a frame on the wire or
+    /// behind a backlog — an idle, empty port transmits at once — so a
+    /// request, when there is one, is due in the future.)
+    pub fn enqueue(&mut self, priority: u8, item: T) -> Option<WakeUp> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queued_frames += 1;
@@ -114,6 +160,22 @@ impl<T> EgressPort<T> {
             key: (Reverse(priority), seq),
             item,
         });
+        self.take_wake_if_waiting()
+    }
+
+    fn take_wake_if_waiting(&mut self) -> Option<WakeUp> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let at = self.busy_until;
+        self.wake.take().map(|seq| WakeUp { at, seq })
+    }
+
+    /// The reserved wake-up nobody has asked for yet, if any (its
+    /// sequence number must predate the embedding's event counter —
+    /// restore validates that).
+    pub fn unclaimed_wake_seq(&self) -> Option<u64> {
+        self.wake
     }
 
     /// Pops the next item to transmit: highest priority, FIFO within a
@@ -185,7 +247,7 @@ mod proptests {
             let mut t = SimTime::from_nanos(0);
             for (i, d) in durations.iter().enumerate() {
                 prop_assert!(!port.is_busy(t));
-                port.begin_transmission(t, Nanos::from_nanos(*d));
+                prop_assert_eq!(port.begin_transmission(t, Nanos::from_nanos(*d), i as u64), None);
                 let end = port.busy_until();
                 prop_assert_eq!(end, t + Nanos::from_nanos(*d), "duration index {}", i);
                 t = end; // next transmission starts when this one ends
@@ -200,6 +262,7 @@ use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 impl<T: Snap> SnapState for EgressPort<T> {
     fn save_state(&self, w: &mut Writer) {
         self.busy_until.put(w);
+        self.wake.put(w);
         self.next_seq.put(w);
         self.queued_frames.put(w);
         // Canonical order: the heap key (priority descending, FIFO seq),
@@ -216,6 +279,7 @@ impl<T: Snap> SnapState for EgressPort<T> {
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         self.busy_until = Snap::get(r)?;
+        self.wake = Snap::get(r)?;
         self.next_seq = Snap::get(r)?;
         self.queued_frames = Snap::get(r)?;
         let n = r.take_count()?;
@@ -228,6 +292,12 @@ impl<T: Snap> SnapState for EgressPort<T> {
                 key: (Reverse(prio), seq),
                 item,
             });
+        }
+        // A reserved wake-up is handed out with the first waiting frame
+        // and exists only once a transmission began: anything else would
+        // strand the queue or wake a port that never sent.
+        if self.wake.is_some() && (!self.heap.is_empty() || self.busy_until == SimTime::ZERO) {
+            return Err(SnapError::Malformed("egress wake-up on an idle port"));
         }
         Ok(())
     }
@@ -248,7 +318,7 @@ mod tests {
     fn busy_window_tracks_duration() {
         let mut port: EgressPort<u32> = EgressPort::new();
         let t = SimTime::from_millis(5);
-        port.begin_transmission(t, Nanos::from_micros(12));
+        port.begin_transmission(t, Nanos::from_micros(12), 0);
         assert!(port.is_busy(t + Nanos::from_micros(11)));
         assert!(!port.is_busy(t + Nanos::from_micros(12)));
         assert_eq!(port.busy_until(), t + Nanos::from_micros(12));
@@ -271,8 +341,63 @@ mod tests {
     fn overlapping_transmissions_rejected() {
         let mut port: EgressPort<u32> = EgressPort::new();
         let t = SimTime::from_millis(1);
-        port.begin_transmission(t, Nanos::from_micros(10));
-        port.begin_transmission(t + Nanos::from_micros(5), Nanos::from_micros(10));
+        port.begin_transmission(t, Nanos::from_micros(10), 0);
+        port.begin_transmission(t + Nanos::from_micros(5), Nanos::from_micros(10), 1);
+    }
+
+    #[test]
+    fn wake_up_is_requested_once_and_only_for_a_waiting_frame() {
+        let mut port: EgressPort<u32> = EgressPort::new();
+        let t = SimTime::from_millis(1);
+        let d = Nanos::from_micros(10);
+        // Nobody waits: no request, and the next departure replaces the
+        // reservation.
+        assert_eq!(port.begin_transmission(t, d, 5), None);
+        assert_eq!(port.unclaimed_wake_seq(), Some(5));
+        assert_eq!(port.begin_transmission(t + d, d, 9), None);
+        // First waiting frame claims it, at the completion instant.
+        let wake = WakeUp {
+            at: t + d + d,
+            seq: 9,
+        };
+        assert_eq!(port.enqueue(0, 1), Some(wake));
+        assert_eq!(port.enqueue(7, 2), None);
+        assert_eq!(port.unclaimed_wake_seq(), None);
+        // Departing with a backlog asks immediately.
+        assert_eq!(port.pop_ready(), Some((7, 2)));
+        let wake = WakeUp {
+            at: wake.at + d,
+            seq: 12,
+        };
+        assert_eq!(port.begin_transmission(wake.at - d, d, 12), Some(wake));
+    }
+
+    fn encoded(port: &EgressPort<u32>) -> Vec<u8> {
+        let mut w = Writer::new();
+        port.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn unclaimed_wake_up_round_trips_and_a_stranding_one_is_rejected() {
+        let mut port: EgressPort<u32> = EgressPort::new();
+        port.begin_transmission(SimTime::from_millis(1), Nanos::from_micros(10), 77);
+        let bytes = encoded(&port);
+        let mut restored: EgressPort<u32> = EgressPort::new();
+        restored.load_state(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(restored.unclaimed_wake_seq(), Some(77));
+        assert_eq!(encoded(&restored), bytes);
+
+        // The same wake-up beside a waiting frame, or on a port that
+        // never transmitted, decodes but is refused.
+        port.enqueue(0, 3);
+        port.wake = Some(77);
+        let err = restored.load_state(&mut Reader::new(&encoded(&port)));
+        assert!(matches!(err, Err(SnapError::Malformed(_))), "{err:?}");
+        let mut idle: EgressPort<u32> = EgressPort::new();
+        idle.wake = Some(0);
+        let err = restored.load_state(&mut Reader::new(&encoded(&idle)));
+        assert!(matches!(err, Err(SnapError::Malformed(_))), "{err:?}");
     }
 
     #[test]

@@ -171,14 +171,32 @@ impl<E> ReferenceQueue<E> {
             .count()
     }
 
+    /// Next sequence number of the data space: every number handed out
+    /// so far — scheduled or reserved — is below it.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Next sequence number of the control space (equals
     /// [`CTL_SEQ_BASE`] while no control event has ever been scheduled).
     pub fn next_ctl_seq(&self) -> u64 {
         self.next_ctl
     }
 
-    /// Re-inserts an event with an explicit sequence number, bumping the
-    /// owning sequence counter past it. Restore-only: the caller is
+    /// Takes the sequence number the next
+    /// [`ReferenceQueue::schedule_at`] would have used, without
+    /// scheduling anything (see [`WheelQueue::reserve_seq`]).
+    ///
+    /// [`WheelQueue::reserve_seq`]: super::WheelQueue::reserve_seq
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Inserts an event under an explicit sequence number — one taken
+    /// from [`ReferenceQueue::reserve_seq`], or one a restore re-arms —
+    /// bumping the owning sequence counter past it. The caller is
     /// responsible for sequence uniqueness.
     ///
     /// # Panics
@@ -226,27 +244,15 @@ impl<E> ReferenceQueue<E> {
         Some((s.at, s.seq, s.event))
     }
 
-    /// Pops the entire batch of events sharing the earliest pending
-    /// timestamp, provided that timestamp is `<= until`; appends them to
-    /// `out` in `(time, seq)` order and returns how many were popped.
-    ///
-    /// Returns 0 — and leaves the queue untouched — when the queue is
-    /// empty or the next event lies beyond `until`. The world's event
-    /// loop consumes the queue in these same-timestamp batches.
-    pub fn pop_batch(&mut self, until: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let Some(t) = self.peek_time() else {
-            return 0;
-        };
-        if t > until {
-            return 0;
+    /// Pops the next event if its timestamp is `<= until` — the event
+    /// loop's form of [`ReferenceQueue::pop`]. Returns `None` — and
+    /// leaves the queue untouched — when the queue is empty or the next
+    /// event lies beyond `until`.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        if self.peek_time()? > until {
+            return None;
         }
-        let mut n = 0;
-        while self.peek_time() == Some(t) {
-            let (at, e) = self.pop().expect("peeked");
-            out.push((at, e));
-            n += 1;
-        }
-        n
+        self.pop()
     }
 
     /// Time of the next pending event, if any.
@@ -310,22 +316,24 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_exactly_one_timestamp() {
+    fn pop_until_stops_at_the_bound() {
         let mut q = ReferenceQueue::new();
         let t = SimTime::from_nanos(5);
         q.schedule_at(t, 1);
         q.schedule_at(SimTime::from_nanos(9), 3);
         q.schedule_at(t, 2);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(SimTime::from_nanos(100), &mut out), 2);
-        assert_eq!(out, vec![(t, 1), (t, 2)]);
+        let until = SimTime::from_nanos(8);
+        assert_eq!(q.pop_until(until), Some((t, 1)));
+        assert_eq!(q.pop_until(until), Some((t, 2)));
         // Beyond `until` nothing moves.
-        out.clear();
-        assert_eq!(q.pop_batch(SimTime::from_nanos(8), &mut out), 0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_batch(SimTime::from_nanos(9), &mut out), 1);
-        assert_eq!(out, vec![(SimTime::from_nanos(9), 3)]);
+        assert_eq!(q.pop_until(until), None);
+        assert_eq!((q.len(), q.now(), q.events_processed()), (1, t, 2));
+        assert_eq!(
+            q.pop_until(SimTime::from_nanos(9)),
+            Some((SimTime::from_nanos(9), 3))
+        );
         assert!(q.is_empty());
+        assert_eq!(q.pop_until(SimTime::from_nanos(100)), None);
     }
 }
 

@@ -18,7 +18,7 @@
 //!   wrap, which is what makes the ordering argument below airtight.
 //! * **past** — entries legally scheduled (`at >= now`) but behind the
 //!   wheel cursor `elapsed`, which can run ahead of `now` when a
-//!   bounded [`WheelQueue::pop_batch`] cascades entries downward and
+//!   bounded [`WheelQueue::pop_until`] cascades entries downward and
 //!   then stops because the next event lies beyond `until`.
 //!
 //! # Why slot-scan order preserves `(time, seq)`
@@ -33,20 +33,21 @@
 //! the **lowest occupied level**, and within that level in the **first
 //! occupied slot** at or ahead of the cursor (slots of one level cover
 //! disjoint, increasing intervals). A level-0 slot is 1 ns wide, so it
-//! holds exactly one timestamp: popping it yields the whole
-//! same-timestamp batch, which is then sorted by sequence number — the
-//! exact `(time, seq)` order of the reference heap, including the
-//! [`CTL_SEQ_BASE`](super::CTL_SEQ_BASE) split (control sequences are
-//! plain `u64`s above the base, so the same sort applies). Cascading a
+//! holds exactly one timestamp: a pop unlinks its minimum-sequence
+//! entry — the exact `(time, seq)` order of the reference heap,
+//! including the [`CTL_SEQ_BASE`](super::CTL_SEQ_BASE) split (control
+//! sequences are plain `u64`s above the base, so the same minimum
+//! applies) and entries filed out of sequence order
+//! ([`WheelQueue::insert_raw`] with a reserved number). Cascading a
 //! higher-level slot moves the cursor to the slot's start (still a
 //! lower bound for every pending entry) and re-files its entries at
 //! strictly lower levels, so cascades terminate and never reorder.
 //!
-//! The side heaps cannot interleave with a wheel batch: `past` times
-//! are `< elapsed`, wheel times are `>= elapsed`, and overflow times
-//! lie in a later super-window than every wheel time — the three
-//! containers partition pending events into disjoint time ranges, so a
-//! same-timestamp batch never spans containers.
+//! The side heaps cannot interleave with the wheel: `past` times are
+//! `< elapsed`, wheel times are `>= elapsed`, and overflow times lie in
+//! a later super-window than every wheel time — the three containers
+//! partition pending events into disjoint time ranges, so events
+//! sharing a timestamp never span containers.
 
 use super::CTL_SEQ_BASE;
 use std::cmp::Reverse;
@@ -133,8 +134,6 @@ pub struct WheelQueue<E> {
     elapsed: u64,
     past: BinaryHeap<HeapKey>,
     overflow: BinaryHeap<HeapKey>,
-    /// Reusable scratch for sorting a popped batch by sequence.
-    scratch: Vec<(u64, u32)>,
     now: SimTime,
     next_seq: u64,
     next_ctl: u64,
@@ -161,7 +160,6 @@ impl<E> WheelQueue<E> {
             elapsed: 0,
             past: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
-            scratch: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             next_ctl: CTL_SEQ_BASE,
@@ -341,8 +339,21 @@ impl<E> WheelQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Re-inserts an event with an explicit sequence number, bumping the
-    /// owning sequence counter past it. Restore-only: the caller is
+    /// Takes the sequence number the next [`WheelQueue::schedule_at`]
+    /// would have used, without scheduling anything. An event inserted
+    /// later under this number ([`WheelQueue::insert_raw`]) pops exactly
+    /// where one scheduled now would have; if none ever is, every other
+    /// event still keeps the `(time, seq)` it would have had.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Inserts an event under an explicit sequence number — one taken
+    /// from [`WheelQueue::reserve_seq`], or one a restore re-arms —
+    /// bumping the owning sequence counter past it. The caller is
     /// responsible for sequence uniqueness.
     ///
     /// # Panics
@@ -400,6 +411,12 @@ impl<E> WheelQueue<E> {
     /// Number of pending control events.
     pub fn ctl_len(&self) -> usize {
         self.ctl_pending
+    }
+
+    /// Next sequence number of the data space: every number handed out
+    /// so far — scheduled or reserved — is below it.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// Next sequence number of the control space (equals
@@ -494,34 +511,68 @@ impl<E> WheelQueue<E> {
     /// asserts identical `(time, seq, event)` sequences across queue
     /// implementations.
     pub fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
+        self.pop_bounded(u64::MAX)
+    }
+
+    /// Pops the next event if its timestamp is `<= until` — the event
+    /// loop's form of [`WheelQueue::pop`].
+    ///
+    /// Returns `None` — and pops nothing — when the queue is empty or
+    /// the next event lies beyond `until` (the cursor may still have
+    /// advanced internally from cascades; later inserts behind it land
+    /// in the `past` heap).
+    #[inline]
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        self.pop_bounded(until.as_nanos())
+            .map(|(at, _, event)| (at, event))
+    }
+
+    /// Frees slab cell `idx` as the popped event.
+    #[inline]
+    fn take_popped(&mut self, idx: u32) -> (SimTime, u64, E) {
+        let popped = self.release(idx);
+        self.now = popped.0;
+        self.popped += 1;
+        popped
+    }
+
+    #[inline]
+    fn pop_bounded(&mut self, until: u64) -> Option<(SimTime, u64, E)> {
         loop {
-            if let Some(&Reverse((_, _, idx))) = self.past.peek() {
+            if let Some(&Reverse((at, _, idx))) = self.past.peek() {
+                if at > until {
+                    return None;
+                }
                 self.past.pop();
-                let (at, seq, event) = self.release(idx);
-                self.now = at;
-                self.popped += 1;
-                return Some((at, seq, event));
+                return Some(self.take_popped(idx));
             }
             if let Some((level, slot)) = self.wheel_first() {
-                let deadline = self.slot_deadline(level, slot);
                 if level > 0 {
                     let head = self.slots[level][slot];
                     if self.slab[head as usize].next == NIL {
                         // Singleton slot at the lowest occupied level:
                         // its entry is the wheel minimum (module docs),
                         // so pop it directly instead of cascading it
-                        // down level by level. Equal timestamps always
-                        // share a slot, so the batch size is 1.
+                        // down level by level.
+                        let at = self.slab[head as usize].at.as_nanos();
+                        if at > until {
+                            return None;
+                        }
                         self.slots[level][slot] = NIL;
                         self.occ_clear(level, slot);
-                        self.elapsed = self.slab[head as usize].at.as_nanos();
-                        let (at, seq, event) = self.release(head);
-                        self.now = at;
-                        self.popped += 1;
-                        return Some((at, seq, event));
+                        self.elapsed = at;
+                        return Some(self.take_popped(head));
+                    }
+                    let deadline = self.slot_deadline(level, slot);
+                    if deadline > until {
+                        return None;
                     }
                     self.cascade(level, slot, deadline);
                     continue;
+                }
+                let deadline = self.slot_deadline(0, slot);
+                if deadline > until {
+                    return None;
                 }
                 self.elapsed = deadline;
                 // Unlink the minimum-sequence entry; the slot is 1 ns
@@ -546,112 +597,13 @@ impl<E> WheelQueue<E> {
                 if self.slots[0][slot] == NIL {
                     self.occ_clear(0, slot);
                 }
-                let (at, seq, event) = self.release(min_idx);
-                self.now = at;
-                self.popped += 1;
-                return Some((at, seq, event));
+                return Some(self.take_popped(min_idx));
             }
-            if let Some(&Reverse((at, _, _))) = self.overflow.peek() {
-                self.elapsed = at;
-                self.migrate_overflow();
-                continue;
+            let &Reverse((at, _, _)) = self.overflow.peek()?;
+            if at > until {
+                return None;
             }
-            return None;
-        }
-    }
-
-    /// Pops the entire batch of events sharing the earliest pending
-    /// timestamp, provided that timestamp is `<= until`; appends them to
-    /// `out` in `(time, seq)` order and returns how many were popped.
-    ///
-    /// Returns 0 — and pops nothing — when the queue is empty or the
-    /// next event lies beyond `until` (the cursor may still have
-    /// advanced internally from cascades; later inserts behind it land
-    /// in the `past` heap). The world's event loop consumes the queue
-    /// in these same-timestamp batches.
-    #[inline]
-    pub fn pop_batch(&mut self, until: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let until = until.as_nanos();
-        loop {
-            if let Some(&Reverse((t, _, _))) = self.past.peek() {
-                if t > until {
-                    return 0;
-                }
-                let mut n = 0;
-                while let Some(&Reverse((at, _, idx))) = self.past.peek() {
-                    if at != t {
-                        break;
-                    }
-                    self.past.pop();
-                    let (at, _, event) = self.release(idx);
-                    out.push((at, event));
-                    n += 1;
-                }
-                self.now = SimTime::from_nanos(t);
-                self.popped += n as u64;
-                return n;
-            }
-            if let Some((level, slot)) = self.wheel_first() {
-                if level > 0 {
-                    let head = self.slots[level][slot];
-                    if self.slab[head as usize].next == NIL {
-                        // Singleton slot at the lowest occupied level:
-                        // its entry is the wheel minimum (module docs),
-                        // so pop it directly instead of cascading it
-                        // down level by level. Equal timestamps always
-                        // share a slot, so the batch size is 1.
-                        let at = self.slab[head as usize].at.as_nanos();
-                        if at > until {
-                            return 0;
-                        }
-                        self.slots[level][slot] = NIL;
-                        self.occ_clear(level, slot);
-                        self.elapsed = at;
-                        let (at, _, event) = self.release(head);
-                        out.push((at, event));
-                        self.now = at;
-                        self.popped += 1;
-                        return 1;
-                    }
-                    let deadline = self.slot_deadline(level, slot);
-                    if deadline > until {
-                        return 0;
-                    }
-                    self.cascade(level, slot, deadline);
-                    continue;
-                }
-                let deadline = self.slot_deadline(0, slot);
-                if deadline > until {
-                    return 0;
-                }
-                self.elapsed = deadline;
-                let mut scratch = std::mem::take(&mut self.scratch);
-                scratch.clear();
-                let mut idx = self.slots[0][slot];
-                self.slots[0][slot] = NIL;
-                self.occ_clear(0, slot);
-                while idx != NIL {
-                    scratch.push((self.slab[idx as usize].seq, idx));
-                    idx = self.slab[idx as usize].next;
-                }
-                scratch.sort_unstable_by_key(|&(seq, _)| seq);
-                let n = scratch.len();
-                for &(_, idx) in &scratch {
-                    let (at, _, event) = self.release(idx);
-                    out.push((at, event));
-                }
-                self.scratch = scratch;
-                self.now = SimTime::from_nanos(deadline);
-                self.popped += n as u64;
-                return n;
-            }
-            let Some(&Reverse((t, _, _))) = self.overflow.peek() else {
-                return 0;
-            };
-            if t > until {
-                return 0;
-            }
-            self.elapsed = t;
+            self.elapsed = at;
             self.migrate_overflow();
         }
     }
@@ -798,14 +750,13 @@ mod tests {
     #[test]
     fn bounded_pop_then_past_insert_stays_ordered() {
         let mut q = WheelQueue::new();
-        // A level-2 entry whose slot starts at 98_304: a bounded pop up
-        // to 99_000 cascades the cursor to the slot start but pops
-        // nothing (the event itself is at 100_000).
+        // Two entries sharing the level-1 slot that starts at 99_840: a
+        // bounded pop up to 99_900 cascades the cursor to the slot start
+        // but pops nothing (the first event is at 100_000).
         q.schedule_at(SimTime::from_nanos(100_000), 1u64);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(SimTime::from_nanos(99_000), &mut out), 0);
-        assert!(out.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
+        q.schedule_at(SimTime::from_nanos(100_001), 3u64);
+        assert_eq!(q.pop_until(SimTime::from_nanos(99_900)), None);
+        assert_eq!((q.now(), q.elapsed), (SimTime::ZERO, 99_840));
         // Legal insert (>= now) behind the advanced cursor: must still
         // pop first, from the past heap.
         q.schedule_at(SimTime::from_nanos(50_000), 2u64);
@@ -815,22 +766,24 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_exactly_one_timestamp() {
+    fn pop_until_stops_at_the_bound() {
         let mut q = WheelQueue::new();
         let t = SimTime::from_nanos(5);
         q.schedule_at(t, 1);
         q.schedule_at(SimTime::from_nanos(9), 3);
         q.schedule_at(t, 2);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(SimTime::from_nanos(100), &mut out), 2);
-        assert_eq!(out, vec![(t, 1), (t, 2)]);
+        let until = SimTime::from_nanos(8);
+        assert_eq!(q.pop_until(until), Some((t, 1)));
+        assert_eq!(q.pop_until(until), Some((t, 2)));
         // Beyond `until` nothing moves.
-        out.clear();
-        assert_eq!(q.pop_batch(SimTime::from_nanos(8), &mut out), 0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_batch(SimTime::from_nanos(9), &mut out), 1);
-        assert_eq!(out, vec![(SimTime::from_nanos(9), 3)]);
+        assert_eq!(q.pop_until(until), None);
+        assert_eq!((q.len(), q.now(), q.events_processed()), (1, t, 2));
+        assert_eq!(
+            q.pop_until(SimTime::from_nanos(9)),
+            Some((SimTime::from_nanos(9), 3))
+        );
         assert!(q.is_empty());
+        assert_eq!(q.pop_until(SimTime::from_nanos(100)), None);
     }
 
     #[test]
@@ -840,10 +793,28 @@ mod tests {
         q.schedule_ctl_at(t, "ctl");
         q.schedule_at(t, "a");
         q.schedule_at(t, "b");
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(t, &mut out), 3);
-        let evs: Vec<&str> = out.into_iter().map(|(_, e)| e).collect();
+        let evs: Vec<&str> = std::iter::from_fn(|| q.pop_until(t).map(|(_, e)| e)).collect();
         assert_eq!(evs, vec!["a", "b", "ctl"]);
+    }
+
+    #[test]
+    fn reserved_seq_pops_where_the_eager_event_would_have() {
+        let mut q = WheelQueue::new();
+        let t = SimTime::from_nanos(700);
+        q.schedule_at(t, "before");
+        let reserved = q.reserve_seq();
+        q.schedule_at(t, "after");
+        // Materialised late, from a later instant, behind later numbers.
+        q.schedule_at(SimTime::from_nanos(600), "tick");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("tick"));
+        q.insert_raw(t, reserved, "reserved");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_seq()).collect();
+        assert_eq!(
+            order,
+            vec![(t, 0, "before"), (t, reserved, "reserved"), (t, 2, "after")]
+        );
+        // The counter is not bumped a second time.
+        assert_eq!(q.reserve_seq(), 4);
     }
 
     #[test]

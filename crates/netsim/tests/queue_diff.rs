@@ -5,10 +5,13 @@
 //! strict `(time, seq)` total order over interleaved data and control
 //! streams, plus a shared canonical snapshot encoding. These tests drive
 //! arbitrary interleavings of `schedule_at` / `schedule_in` /
-//! `schedule_ctl_at` / pops through both implementations at once and
-//! demand byte-identical behavior, including:
+//! `schedule_ctl_at` / `reserve_seq` + `insert_raw` / pops through both
+//! implementations at once and demand byte-identical behavior,
+//! including:
 //!
 //! * same-timestamp bursts (the tie-break order under test);
+//! * sequence numbers reserved now and materialised later, or never
+//!   (the egress ports' lazy wake-ups);
 //! * far-future timestamps that land in the wheel's overflow heap
 //!   (beyond the 2^36 ns super-window);
 //! * wheel-rollover boundaries (offsets straddling slot/level edges).
@@ -37,8 +40,14 @@ enum Op {
     Burst(u64, u8),
     /// Pop up to `k` events one at a time.
     Pop(u8),
-    /// Pop every batch up to `now + horizon` (the event-loop form).
-    PopBatch(u64),
+    /// Pop every event up to `now + horizon` (the event-loop form).
+    PopUntil(u64),
+    /// `reserve_seq()` for an event due at `now + offset`; nothing is
+    /// scheduled yet.
+    Reserve(u64),
+    /// `insert_raw` the oldest reservation that is still due (`at >=
+    /// now`); reservations whose instant has passed are never inserted.
+    Materialise,
 }
 
 /// Offsets chosen to exercise every wheel level and its edges: the wheel
@@ -69,7 +78,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         offset_strategy().prop_map(Op::Ctl),
         (offset_strategy(), 2u8..6).prop_map(|(o, k)| Op::Burst(o, k)),
         (1u8..8).prop_map(Op::Pop),
-        offset_strategy().prop_map(Op::PopBatch),
+        offset_strategy().prop_map(Op::PopUntil),
+        offset_strategy().prop_map(Op::Reserve),
+        Just(Op::Materialise),
     ]
 }
 
@@ -82,7 +93,9 @@ trait Queue {
     fn schedule_in(&mut self, delay: Nanos, event: u64);
     fn schedule_ctl_at(&mut self, at: SimTime, event: u64);
     fn pop_seq(&mut self) -> Option<(SimTime, u64, u64)>;
-    fn pop_batch(&mut self, until: SimTime, out: &mut Vec<(SimTime, u64)>) -> usize;
+    fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, u64)>;
+    fn reserve_seq(&mut self) -> u64;
+    fn insert_raw(&mut self, at: SimTime, seq: u64, event: u64);
     fn len(&self) -> usize;
 }
 
@@ -104,8 +117,14 @@ macro_rules! impl_queue {
             fn pop_seq(&mut self) -> Option<(SimTime, u64, u64)> {
                 <$t>::pop_seq(self)
             }
-            fn pop_batch(&mut self, until: SimTime, out: &mut Vec<(SimTime, u64)>) -> usize {
-                <$t>::pop_batch(self, until, out)
+            fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, u64)> {
+                <$t>::pop_until(self, until)
+            }
+            fn reserve_seq(&mut self) -> u64 {
+                <$t>::reserve_seq(self)
+            }
+            fn insert_raw(&mut self, at: SimTime, seq: u64, event: u64) {
+                <$t>::insert_raw(self, at, seq, event)
             }
             fn len(&self) -> usize {
                 <$t>::len(self)
@@ -123,6 +142,8 @@ impl_queue!(ReferenceQueue<u64>);
 /// assert the harness *does* catch a broken implementation.
 fn run_differential(a: &mut dyn Queue, b: &mut dyn Queue, ops: &[Op]) -> Result<(), String> {
     let mut payload = 0u64;
+    // Reserved `(due time, seq, payload)`, oldest first.
+    let mut reserved: std::collections::VecDeque<(SimTime, u64, u64)> = Default::default();
     for (step, op) in ops.iter().enumerate() {
         if a.now() != b.now() {
             return Err(format!("step {step}: now {:?} != {:?}", a.now(), b.now()));
@@ -166,20 +187,38 @@ fn run_differential(a: &mut dyn Queue, b: &mut dyn Queue, ops: &[Op]) -> Result<
                     }
                 }
             }
-            Op::PopBatch(h) => {
+            Op::PopUntil(h) => {
                 let until = SimTime::from_nanos(now.as_nanos() + h);
-                let (mut xs, mut ys) = (Vec::new(), Vec::new());
                 loop {
-                    let (n, m) = (a.pop_batch(until, &mut xs), b.pop_batch(until, &mut ys));
-                    if n != m {
-                        return Err(format!("step {step}: batch size {n} != {m}"));
+                    let (x, y) = (a.pop_until(until), b.pop_until(until));
+                    if x != y {
+                        return Err(format!("step {step}: pop_until {x:?} != {y:?}"));
                     }
-                    if n == 0 {
-                        break;
+                    match x {
+                        Some((at, _)) if at > until => {
+                            return Err(format!("step {step}: popped {at:?} past {until:?}"));
+                        }
+                        Some(_) => {}
+                        None => break,
                     }
                 }
-                if xs != ys {
-                    return Err(format!("step {step}: batches {xs:?} != {ys:?}"));
+            }
+            Op::Reserve(off) => {
+                let (x, y) = (a.reserve_seq(), b.reserve_seq());
+                if x != y {
+                    return Err(format!("step {step}: reserved seq {x} != {y}"));
+                }
+                let at = SimTime::from_nanos(now.as_nanos() + off);
+                reserved.push_back((at, x, payload));
+                payload += 1;
+            }
+            Op::Materialise => {
+                while let Some((at, seq, event)) = reserved.pop_front() {
+                    if at >= now {
+                        a.insert_raw(at, seq, event);
+                        b.insert_raw(at, seq, event);
+                        break;
+                    }
                 }
             }
         }
@@ -362,20 +401,19 @@ mod broken {
             self.now = e.at;
             Some((e.at, e.seq, e.event))
         }
-        fn pop_batch(&mut self, until: SimTime, out: &mut Vec<(SimTime, u64)>) -> usize {
-            let Some(t) = self.heap.peek().map(|e| e.at) else {
-                return 0;
-            };
-            if t > until {
-                return 0;
+        fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, u64)> {
+            if self.heap.peek()?.at > until {
+                return None;
             }
-            let mut n = 0;
-            while self.heap.peek().map(|e| e.at) == Some(t) {
-                let (at, _, ev) = self.pop_seq().expect("peeked");
-                out.push((at, ev));
-                n += 1;
-            }
-            n
+            self.pop_seq().map(|(at, _, ev)| (at, ev))
+        }
+        fn reserve_seq(&mut self) -> u64 {
+            self.next_seq += 1;
+            self.next_seq - 1
+        }
+        fn insert_raw(&mut self, at: SimTime, seq: u64, event: u64) {
+            assert!(at >= self.now);
+            self.heap.push(Entry { at, seq, event });
         }
         fn len(&self) -> usize {
             self.heap.len()

@@ -60,8 +60,34 @@ pub fn sample_timestamp_error<R: Rng + ?Sized>(config: &JitterConfig, rng: &mut 
         0.0
     };
     let g = config.granularity_ns.max(1) as f64;
-    let quantized = (noise / g).round() * g;
+    let quantized = round_to_i64(noise / g) as f64 * g;
     Nanos::from_nanos(quantized as i64)
+}
+
+/// `x.round() as i64`, bit for bit, without the call: on baseline x86-64
+/// `f64::round` is an out-of-line libm routine, and the simulation
+/// rounds one noise sample per hardware timestamp.
+///
+/// Below 2^52 in magnitude, truncation (`as i64`) and the remainder are
+/// both exact, so comparing the remainder against ±0.5 is the
+/// round-half-away-from-zero rule itself; larger values are integers
+/// already and, with NaN, take the library path.
+#[inline]
+pub fn round_to_i64(x: f64) -> i64 {
+    const EXACT_BELOW: f64 = 4_503_599_627_370_496.0; // 2^52
+    if x.abs() < EXACT_BELOW {
+        let whole = x as i64;
+        let rem = x - whole as f64;
+        if rem >= 0.5 {
+            whole + 1
+        } else if rem <= -0.5 {
+            whole - 1
+        } else {
+            whole
+        }
+    } else {
+        x.round() as i64
+    }
 }
 
 /// Quantizes an exact timestamp value to the counter granularity.
@@ -115,10 +141,69 @@ mod tests {
     }
 
     #[test]
+    fn round_to_i64_edge_cases() {
+        let below_half = 0.499_999_999_999_999_94; // largest f64 < 0.5
+        let two_52 = 4_503_599_627_370_496.0;
+        let cases = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            below_half,
+            -below_half,
+            two_52 - 0.5,
+            0.5 - two_52,
+            two_52,
+            -two_52,
+            two_52 + 1.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::EPSILON - 0.5,
+        ];
+        for x in cases {
+            assert_eq!(round_to_i64(x), x.round() as i64, "x = {x:e}");
+        }
+        assert_eq!(round_to_i64(below_half), 0);
+        assert_eq!(round_to_i64(-2.5), -3);
+    }
+
+    #[test]
     fn quantize_floors_to_counter_tick() {
         let cfg = JitterConfig::default();
         assert_eq!(quantize(15, &cfg), 8);
         assert_eq!(quantize(16, &cfg), 16);
         assert_eq!(quantize(-3, &cfg), -8);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::round_to_i64;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Bit-exact with the library rounding on every bit pattern, on
+        /// noise-sized values, and on and next to every half-way point.
+        #[test]
+        fn round_to_i64_matches_library_round(
+            bits in any::<u64>(),
+            noise in -1.0e6f64..1.0e6,
+            k in -(1i64 << 52)..(1i64 << 52),
+        ) {
+            let half = k as f64 + 0.5;
+            let (above, below) = (half.to_bits() + 1, half.to_bits() - 1);
+            let neighbours = [f64::from_bits(above), f64::from_bits(below)];
+            for x in [f64::from_bits(bits), noise, half, -half].into_iter().chain(neighbours) {
+                prop_assert_eq!(round_to_i64(x), x.round() as i64, "x = {:e}", x);
+            }
+        }
     }
 }

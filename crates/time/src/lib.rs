@@ -57,7 +57,7 @@ mod servo;
 mod sync_state;
 mod units;
 
-pub use jitter::{quantize, sample_timestamp_error, JitterConfig};
+pub use jitter::{quantize, round_to_i64, sample_timestamp_error, JitterConfig};
 pub use oscillator::{Oscillator, OscillatorConfig};
 pub use phc::{Phc, PhcAt, PHC_MAX_ADJ_PPB};
 pub use servo::{PiServo, ServoConfig, ServoOutput, ServoState};

@@ -170,8 +170,8 @@ fn election_state_layout_is_pinned() {
     let mut world = World::new(failover_cfg());
     world.run_until(SimTime::from_secs(10));
     assert_eq!(world.acting_masters(1), vec![2], "failover happened");
-    assert_eq!(world.events_processed(), 48_744, "events");
-    assert_eq!(world.state_hash(), 0xf58e93850bd80a77, "state hash");
+    assert_eq!(world.events_processed(), 39_661, "events");
+    assert_eq!(world.state_hash(), 0xfb10e5d6229f59dd, "state hash");
 }
 
 // ----- restore robustness: decodable-but-wrong payloads ----------------
@@ -238,6 +238,21 @@ fn restore_rejects_strike_index_outside_attack_plan() {
     // running, compromised, struck by strike 0 — the plan's only one.
     let vm = (true, true, Some(0usize));
     assert_patch_refused(&vm, 3, 1, "strike index outside attack plan");
+}
+
+#[test]
+fn restore_rejects_egress_wake_up_that_was_never_reserved() {
+    // The payload opens with the event queue: now, then the data
+    // sequence counter. Most ports that ever sent hold the number
+    // reserved for their last frame's completion (nobody queued behind
+    // it); with the counter rolled back those numbers were never handed
+    // out, and materialising one would mint a duplicate.
+    let (cfg, snap) = struck_world();
+    let mut bad = snap.clone();
+    bad.payload[8..16].copy_from_slice(&0u64.to_le_bytes());
+    let why = "egress wake-up was never reserved";
+    let restored = World::restore(cfg.clone(), &bad).map(drop);
+    assert_eq!(restored, Err(SnapError::Malformed(why)));
 }
 
 proptest! {

@@ -100,6 +100,32 @@ fn baseline_trace_tells_the_run_story() {
     assert!(json.contains("\"process_name\""));
 }
 
+/// An egress port is woken when its frame completes only if another
+/// frame waits behind it: wake-ups never outnumber the frames that ever
+/// queued, and none finds the wire free with nothing to send.
+#[test]
+fn egress_ports_are_woken_only_for_waiting_frames() {
+    let mut world = World::new(quick_cfg(7));
+    world.enable_trace();
+    let result = world.run();
+    let report = result.trace.expect("tracing was enabled");
+    assert_eq!(report.dropped, 0);
+    let pops = |kind| {
+        let found = report.pop_kinds.iter().find(|(k, _)| *k == kind);
+        found.map_or(0, |&(_, n)| n)
+    };
+    assert!(pops("port_free") > 0, "frames do queue in this run");
+    assert!(
+        pops("port_free") <= result.counters.frames_queued,
+        "{} wake-ups for {} queued frames",
+        pops("port_free"),
+        result.counters.frames_queued
+    );
+    // Eagerly scheduled completions would dwarf both: one per departure.
+    assert!(pops("port_free") * 2 < pops("transmit"));
+    assert_eq!(count(&report, "port_free_idle"), 0);
+}
+
 /// Sync, Follow_Up and the peer-delay exchange are all on the wire, in
 /// both directions, within 2 s of a paper-default run.
 #[test]
