@@ -9,10 +9,12 @@
 //! across machines).
 
 use crate::axis::AXES;
-use crate::json::Json;
+use crate::json::{Json, Number, Reader, Value};
 use crate::matrix::{Coord, RunPlan};
 use clocksync::scenario::ScenarioKind;
 use clocksync::{RunCounters, RunResult};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use tsn_metrics::{ExperimentEvent, SampleSummary};
 use tsn_time::SyncState;
 
@@ -61,46 +63,126 @@ pub struct TransitionRecord {
     pub to: SyncState,
 }
 
-/// Per-run precision statistics (all times in nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrecisionRecord {
-    /// Number of probe samples.
-    pub count: u64,
-    /// Mean measured precision Π*_s.
-    pub mean_ns: f64,
-    /// Standard deviation of Π*_s.
-    pub std_ns: f64,
-    /// Minimum sample.
-    pub min_ns: i64,
-    /// Maximum sample.
-    pub max_ns: i64,
-    /// Median sample.
-    pub p50_ns: i64,
-    /// 90th percentile.
-    pub p90_ns: i64,
-    /// 95th percentile.
-    pub p95_ns: i64,
-    /// 99th percentile.
-    pub p99_ns: i64,
+/// A scalar field type of a record table: how it is written to and read
+/// from artifact JSON.
+trait Scalar: Copy {
+    fn to_json(self) -> Json;
+    /// `None` unless the reader's next value is a number this type
+    /// holds losslessly.
+    fn read(r: &mut Reader<'_>) -> Option<Self>;
 }
 
-/// Derived bounds (all times in nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundsRecord {
-    /// Minimum path delay `d_min`.
-    pub d_min_ns: i64,
-    /// Maximum path delay `d_max`.
-    pub d_max_ns: i64,
-    /// Reading error `E`.
-    pub reading_error_ns: i64,
-    /// Drift offset `Γ`.
-    pub drift_offset_ns: i64,
-    /// Precision bound `Π`.
-    pub pi_ns: i64,
-    /// Measurement error `γ`.
-    pub gamma_ns: i64,
-    /// `Π + γ`, the bound the measured series is checked against.
-    pub pi_plus_gamma_ns: i64,
+fn read_number(r: &mut Reader<'_>) -> Option<Number> {
+    match r.value().ok()? {
+        Value::Number(n) => Some(n),
+        _ => None,
+    }
+}
+
+impl Scalar for u64 {
+    fn to_json(self) -> Json {
+        Json::UInt(self)
+    }
+    fn read(r: &mut Reader<'_>) -> Option<u64> {
+        read_number(r)?.as_u64()
+    }
+}
+
+impl Scalar for i64 {
+    fn to_json(self) -> Json {
+        Json::Int(self)
+    }
+    fn read(r: &mut Reader<'_>) -> Option<i64> {
+        read_number(r)?.as_i64()
+    }
+}
+
+impl Scalar for f64 {
+    fn to_json(self) -> Json {
+        Json::Float(self)
+    }
+    fn read(r: &mut Reader<'_>) -> Option<f64> {
+        read_number(r).map(Number::as_f64)
+    }
+}
+
+/// A flat record of scalar fields, declared once: the table emits the
+/// struct, its key list, its JSON rendering and its decoder. Row order
+/// is the artifact's key order.
+macro_rules! record_fields {
+    ($(#[$meta:meta])* $record:ident { $( $(#[$doc:meta])* $name:ident: $ty:ty, )* }) => {
+        $(#[$meta])*
+        pub struct $record {
+            $( $(#[$doc])* pub $name: $ty, )*
+        }
+
+        impl $record {
+            const KEYS: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            fn to_json(self) -> Json {
+                Json::object(vec![$( (stringify!($name), self.$name.to_json()) ),*])
+            }
+
+            /// Reads the record from the members of an object the
+            /// reader has just opened.
+            fn from_members(r: &mut Reader<'_>) -> Option<$record> {
+                let mut out = $record::default();
+                let fields: &mut [&mut dyn FnMut(&mut Reader<'_>) -> Option<()>] =
+                    &mut [$( &mut |r| {
+                        out.$name = Scalar::read(r)?;
+                        Some(())
+                    } ),*];
+                read_members(r, Self::KEYS, |i, r| fields[i](r))?;
+                Some(out)
+            }
+        }
+    };
+}
+
+record_fields! {
+    /// Per-run precision statistics (all times in nanoseconds).
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    PrecisionRecord {
+        /// Number of probe samples.
+        count: u64,
+        /// Mean measured precision Π*_s.
+        mean_ns: f64,
+        /// Standard deviation of Π*_s.
+        std_ns: f64,
+        /// Minimum sample.
+        min_ns: i64,
+        /// Maximum sample.
+        max_ns: i64,
+        /// Median sample.
+        p50_ns: i64,
+        /// 90th percentile.
+        p90_ns: i64,
+        /// 95th percentile.
+        p95_ns: i64,
+        /// 99th percentile.
+        p99_ns: i64,
+    }
+}
+
+record_fields! {
+    /// Derived bounds (all times in nanoseconds).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    BoundsRecord {
+        /// Minimum path delay `d_min`.
+        d_min_ns: i64,
+        /// Maximum path delay `d_max`.
+        d_max_ns: i64,
+        /// Reading error `E`.
+        reading_error_ns: i64,
+        /// Drift offset `Γ`.
+        drift_offset_ns: i64,
+        /// Precision bound `Π`.
+        pi_ns: i64,
+        /// Measurement error `γ`.
+        gamma_ns: i64,
+        /// `Π + γ`, the bound the measured series is checked against.
+        pi_plus_gamma_ns: i64,
+    }
 }
 
 /// One run's complete artifact record.
@@ -219,30 +301,7 @@ impl RunRecord {
                 .map(|(name, value)| (name, Json::UInt(value)))
                 .collect(),
         );
-        let b = &self.bounds;
-        let bounds = Json::object(vec![
-            ("d_min_ns", Json::Int(b.d_min_ns)),
-            ("d_max_ns", Json::Int(b.d_max_ns)),
-            ("reading_error_ns", Json::Int(b.reading_error_ns)),
-            ("drift_offset_ns", Json::Int(b.drift_offset_ns)),
-            ("pi_ns", Json::Int(b.pi_ns)),
-            ("gamma_ns", Json::Int(b.gamma_ns)),
-            ("pi_plus_gamma_ns", Json::Int(b.pi_plus_gamma_ns)),
-        ]);
-        let precision = match &self.precision {
-            None => Json::Null,
-            Some(p) => Json::object(vec![
-                ("count", Json::UInt(p.count)),
-                ("mean_ns", Json::Float(p.mean_ns)),
-                ("std_ns", Json::Float(p.std_ns)),
-                ("min_ns", Json::Int(p.min_ns)),
-                ("max_ns", Json::Int(p.max_ns)),
-                ("p50_ns", Json::Int(p.p50_ns)),
-                ("p90_ns", Json::Int(p.p90_ns)),
-                ("p95_ns", Json::Int(p.p95_ns)),
-                ("p99_ns", Json::Int(p.p99_ns)),
-            ]),
-        };
+        let precision = self.precision.map_or(Json::Null, PrecisionRecord::to_json);
         let transitions = Json::Array(
             self.transitions
                 .iter()
@@ -264,7 +323,7 @@ impl RunRecord {
             ("coord", coord),
             ("run_seed", Json::UInt(self.seed)),
             ("counters", counters),
-            ("bounds", bounds),
+            ("bounds", self.bounds.to_json()),
             ("precision", precision),
             (
                 "fraction_within_bound",
@@ -277,79 +336,70 @@ impl RunRecord {
     /// Decodes a record from its JSONL line. Returns `None` on any
     /// schema mismatch or malformed field (the caller treats the run as
     /// not-yet-completed and re-executes it).
+    ///
+    /// The line is read straight off the lexer ([`Reader`]), no tree in
+    /// between; the only allocations are `campaign`, `hash` and the
+    /// `transitions` vector. Accepted is any line that is one valid
+    /// JSON object holding every key of the schema with a value of the
+    /// right kind: keys may come in any order, unknown keys are skipped
+    /// (their values still have to be valid JSON), and the first of a
+    /// duplicated key counts.
     pub fn decode(line: &str) -> Option<RunRecord> {
-        let v = Json::parse(line.trim_end()).ok()?;
-        let schema = v.get("schema")?.as_u64()?;
-        if schema != ARTIFACT_SCHEMA {
-            return None;
-        }
-        let coord_v = v.get("coord")?;
-        let mut coord = Coord::new(
-            ScenarioKind::parse(coord_v.get("scenario")?.as_str()?)?,
-            coord_v.get("seed")?.as_u64()?,
-        );
-        // One rule per axis key: present, and either `null` (inactive)
-        // or a value of the axis's kind.
-        for a in AXES {
-            match coord_v.get(a.coord_key)? {
-                Json::Null => {}
-                x => (a.coord_set)(&mut coord, a.value_from_json(x)?)?,
+        const KEYS: &[&str] = &[
+            "schema",
+            "campaign",
+            "hash",
+            "coord",
+            "run_seed",
+            "counters",
+            "bounds",
+            "precision",
+            "fraction_within_bound",
+            "transitions",
+        ];
+        let mut record = RunRecord {
+            campaign: String::new(),
+            hash: String::new(),
+            coord: Coord::new(ScenarioKind::Baseline, 0),
+            seed: 0,
+            counters: RunCounters::default(),
+            bounds: BoundsRecord::default(),
+            precision: None,
+            fraction_within_bound: 0.0,
+            transitions: Vec::new(),
+        };
+        let mut r = Reader::new(line.trim_end());
+        read_object(&mut r, KEYS, |i, r| {
+            match KEYS[i] {
+                "schema" => (u64::read(r)? == ARTIFACT_SCHEMA).then_some(())?,
+                "campaign" => record.campaign = read_str(r)?.into_owned(),
+                "hash" => record.hash = read_str(r)?.into_owned(),
+                "coord" => record.coord = read_coord(r)?,
+                "run_seed" => record.seed = u64::read(r)?,
+                "counters" => record.counters = read_counters(r)?,
+                "bounds" => {
+                    expect(r, Value::BeginObject)?;
+                    record.bounds = BoundsRecord::from_members(r)?;
+                }
+                "precision" => {
+                    record.precision = match r.value().ok()? {
+                        Value::Null => None,
+                        Value::BeginObject => Some(PrecisionRecord::from_members(r)?),
+                        _ => return None,
+                    }
+                }
+                "fraction_within_bound" => record.fraction_within_bound = f64::read(r)?,
+                _ => {
+                    expect(r, Value::BeginArray)?;
+                    while r.next_element().ok()? {
+                        record.transitions.push(read_transition(r)?);
+                    }
+                }
             }
-        }
-        let c = v.get("counters")?;
-        let mut counters = RunCounters::default();
-        for (name, slot) in counters.fields_mut() {
-            *slot = c.get(name)?.as_u64()?;
-        }
-        let b = v.get("bounds")?;
-        let bounds = BoundsRecord {
-            d_min_ns: b.get("d_min_ns")?.as_i64()?,
-            d_max_ns: b.get("d_max_ns")?.as_i64()?,
-            reading_error_ns: b.get("reading_error_ns")?.as_i64()?,
-            drift_offset_ns: b.get("drift_offset_ns")?.as_i64()?,
-            pi_ns: b.get("pi_ns")?.as_i64()?,
-            gamma_ns: b.get("gamma_ns")?.as_i64()?,
-            pi_plus_gamma_ns: b.get("pi_plus_gamma_ns")?.as_i64()?,
-        };
-        let precision = match v.get("precision")? {
-            Json::Null => None,
-            p => Some(PrecisionRecord {
-                count: p.get("count")?.as_u64()?,
-                mean_ns: p.get("mean_ns")?.as_f64()?,
-                std_ns: p.get("std_ns")?.as_f64()?,
-                min_ns: p.get("min_ns")?.as_i64()?,
-                max_ns: p.get("max_ns")?.as_i64()?,
-                p50_ns: p.get("p50_ns")?.as_i64()?,
-                p90_ns: p.get("p90_ns")?.as_i64()?,
-                p95_ns: p.get("p95_ns")?.as_i64()?,
-                p99_ns: p.get("p99_ns")?.as_i64()?,
-            }),
-        };
-        let transitions = v
-            .get("transitions")?
-            .as_array()?
-            .iter()
-            .map(|t| {
-                Some(TransitionRecord {
-                    at_ns: t.get("at_ns")?.as_u64()?,
-                    node: t.get("node")?.as_u64()? as usize,
-                    slot: t.get("slot")?.as_u64()? as usize,
-                    from: SyncState::parse(t.get("from")?.as_str()?)?,
-                    to: SyncState::parse(t.get("to")?.as_str()?)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(RunRecord {
-            campaign: v.get("campaign")?.as_str()?.to_string(),
-            hash: v.get("hash")?.as_str()?.to_string(),
-            coord,
-            seed: v.get("run_seed")?.as_u64()?,
-            counters,
-            bounds,
-            precision,
-            fraction_within_bound: v.get("fraction_within_bound")?.as_f64()?,
-            transitions,
-        })
+            Some(())
+        })?;
+        r.end().ok()?;
+        Some(record)
     }
 
     /// Per-run scalar used for cross-seed aggregation of a precision
@@ -376,6 +426,130 @@ impl RunRecord {
 
 fn quantile_ns(result: &RunResult, q: f64) -> i64 {
     result.series.quantile(q).map(|n| n.as_nanos()).unwrap_or(0)
+}
+
+/// Reads the members of an object the reader has just opened:
+/// `field(i, r)` reads the value of the first member named `keys[i]`;
+/// members with another name, and later duplicates, are skipped
+/// (validated, not interpreted). `None` unless every key was found.
+/// The writer's key order is tried first, so a canonical line costs
+/// one comparison per key.
+fn read_members<'a>(
+    r: &mut Reader<'a>,
+    keys: &[&str],
+    mut field: impl FnMut(usize, &mut Reader<'a>) -> Option<()>,
+) -> Option<()> {
+    assert!(keys.len() <= 64, "one bit per key");
+    let mut seen = 0u64;
+    let mut next = 0;
+    while let Some(key) = r.next_key().ok()? {
+        let i = if keys.get(next).is_some_and(|k| *k == key) {
+            Some(next)
+        } else {
+            keys.iter().position(|k| *k == key)
+        };
+        match i {
+            Some(i) if seen & (1 << i) == 0 => {
+                seen |= 1 << i;
+                next = i + 1;
+                field(i, r)?;
+            }
+            _ => r.skip_value().ok()?,
+        }
+    }
+    (seen.count_ones() as usize == keys.len()).then_some(())
+}
+
+/// `None` unless the reader's next value is `wanted` (a scalar or an
+/// opening bracket).
+fn expect(r: &mut Reader<'_>, wanted: Value<'_>) -> Option<()> {
+    (r.value().ok()? == wanted).then_some(())
+}
+
+/// [`read_members`] of the reader's next value, which must be an
+/// object.
+fn read_object<'a>(
+    r: &mut Reader<'a>,
+    keys: &[&str],
+    field: impl FnMut(usize, &mut Reader<'a>) -> Option<()>,
+) -> Option<()> {
+    expect(r, Value::BeginObject)?;
+    read_members(r, keys, field)
+}
+
+fn read_str<'a>(r: &mut Reader<'a>) -> Option<Cow<'a, str>> {
+    match r.value().ok()? {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// The `coord` object: scenario and seed, then one key per axis of the
+/// table holding `null` (inactive) or a value of the axis's kind.
+fn read_coord(r: &mut Reader<'_>) -> Option<Coord> {
+    const KEYS: [&str; AXES.len() + 2] = {
+        let mut keys = ["scenario"; AXES.len() + 2];
+        keys[1] = "seed";
+        let mut i = 0;
+        while i < AXES.len() {
+            keys[i + 2] = AXES[i].coord_key;
+            i += 1;
+        }
+        keys
+    };
+    let mut coord = Coord::new(ScenarioKind::Baseline, 0);
+    read_object(r, &KEYS, |i, r| {
+        match i {
+            0 => coord.scenario = ScenarioKind::parse(&read_str(r)?)?,
+            1 => coord.seed = u64::read(r)?,
+            _ => {
+                let axis = &AXES[i - 2];
+                match r.value().ok()? {
+                    Value::Null => {}
+                    v => (axis.coord_set)(&mut coord, axis.value_from_lexed(v)?)?,
+                }
+            }
+        }
+        Some(())
+    })?;
+    Some(coord)
+}
+
+fn read_counters(r: &mut Reader<'_>) -> Option<RunCounters> {
+    static KEYS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    let keys = KEYS.get_or_init(|| RunCounters::default().fields().map(|(k, _)| k).collect());
+    let mut values = [0u64; 64];
+    read_object(r, keys, |i, r| {
+        values[i] = u64::read(r)?;
+        Some(())
+    })?;
+    let mut counters = RunCounters::default();
+    for ((_, slot), value) in counters.fields_mut().zip(values) {
+        *slot = value;
+    }
+    Some(counters)
+}
+
+fn read_transition(r: &mut Reader<'_>) -> Option<TransitionRecord> {
+    const KEYS: &[&str] = &["at_ns", "node", "slot", "from", "to"];
+    let mut t = TransitionRecord {
+        at_ns: 0,
+        node: 0,
+        slot: 0,
+        from: SyncState::Synchronized,
+        to: SyncState::Synchronized,
+    };
+    read_object(r, KEYS, |i, r| {
+        match KEYS[i] {
+            "at_ns" => t.at_ns = u64::read(r)?,
+            "node" => t.node = u64::read(r)? as usize,
+            "slot" => t.slot = u64::read(r)? as usize,
+            "from" => t.from = SyncState::parse(&read_str(r)?)?,
+            _ => t.to = SyncState::parse(&read_str(r)?)?,
+        }
+        Some(())
+    })?;
+    Some(t)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! label segments (and therefore of content hashes), of the spec and
 //! artifact JSON keys, and of the expansion odometer.
 
-use crate::json::Json;
+use crate::json::{Json, Value};
 use crate::spec::{
     discipline_name, parse_discipline, KernelChoice, SpecError, FLEET_TOPOLOGY_NAMES,
     TOPOLOGY_NAMES,
@@ -235,10 +235,18 @@ impl AxisDef {
         match self.kind {
             UInt(..) => x.as_u64().map(AxisValue::UInt),
             Bool => x.as_bool().map(AxisValue::Bool),
-            Name(names) => {
-                let s = x.as_str()?;
-                names.iter().find(|n| **n == s).map(|n| AxisValue::Name(n))
-            }
+            Name(names) => intern(names, x.as_str()?),
+        }
+    }
+
+    /// [`AxisDef::value_from_json`] for a value straight off the lexer
+    /// (the artifact decoder builds no tree).
+    pub(crate) fn value_from_lexed(&self, v: Value<'_>) -> Option<AxisValue> {
+        match (self.kind, v) {
+            (UInt(..), Value::Number(n)) => n.as_u64().map(AxisValue::UInt),
+            (Bool, Value::Bool(b)) => Some(AxisValue::Bool(b)),
+            (Name(names), Value::Str(s)) => intern(names, &s),
+            _ => None,
         }
     }
 
@@ -278,6 +286,11 @@ impl AxisDef {
         };
         Some(self.group.replacen("{}", &text, 1))
     }
+}
+
+/// The listed spelling equal to `s`, as the interned axis value.
+fn intern(names: &'static [&'static str], s: &str) -> Option<AxisValue> {
+    names.iter().find(|n| **n == s).map(|n| AxisValue::Name(n))
 }
 
 /// Spec key of the adversary-magnitude axis: the one axis

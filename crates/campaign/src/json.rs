@@ -2,7 +2,11 @@
 //! parser.
 //!
 //! The workspace builds hermetically without a serialization
-//! framework, so the campaign engine carries its own (tiny) JSON layer.
+//! framework, so the campaign engine carries its own (tiny) JSON layer:
+//! one writer ([`Json::render`] / [`Json::render_to`]) and one lexer
+//! (`Reader`, linear in the document) with two consumers — the tree
+//! builder [`Json::parse`] and the artifact decoder, which reads
+//! records straight off the lexer (DESIGN.md §5.5).
 //! Two properties matter here and are guaranteed by construction:
 //!
 //! * **Determinism** — objects keep insertion order and numbers have a
@@ -11,6 +15,7 @@
 //! * **Lossless integers** — `u64` seeds and hashes round-trip exactly
 //!   ([`Json::UInt`]/[`Json::Int`] are separate from [`Json::Float`]).
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON value.
@@ -50,30 +55,17 @@ impl Json {
 
     /// The value as `u64`, if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Json::UInt(v) => Some(v),
-            Json::Int(v) if v >= 0 => Some(v as u64),
-            _ => None,
-        }
+        self.as_number()?.as_u64()
     }
 
     /// The value as `i64`, if it is an integer in range.
     pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::Int(v) => Some(v),
-            Json::UInt(v) => i64::try_from(v).ok(),
-            _ => None,
-        }
+        self.as_number()?.as_i64()
     }
 
     /// The value as `f64` (integers are widened).
     pub fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Json::Float(v) => Some(v),
-            Json::Int(v) => Some(v as f64),
-            Json::UInt(v) => Some(v as f64),
-            _ => None,
-        }
+        self.as_number().map(Number::as_f64)
     }
 
     /// The value as a string slice.
@@ -100,141 +92,157 @@ impl Json {
         }
     }
 
-    /// Renders the value on one line (no trailing newline).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::UInt(v) => out.push_str(&v.to_string()),
-            Json::Float(v) => {
-                if v.is_finite() {
-                    // `{:?}` is Rust's shortest round-trip rendering and
-                    // always contains '.' or 'e', keeping the value a
-                    // float on re-parse.
-                    out.push_str(&format!("{v:?}"));
-                } else {
-                    // JSON has no NaN/Inf; campaigns never produce them,
-                    // but degrade deterministically if one slips through.
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
-            Json::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Object(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+    /// The value as the lexer's number, if it is one.
+    fn as_number(&self) -> Option<Number> {
+        match *self {
+            Json::Int(v) => Some(Number::Int(v)),
+            Json::UInt(v) => Some(Number::UInt(v)),
+            Json::Float(v) => Some(Number::Float(v)),
+            _ => None,
         }
     }
 
+    /// Renders the value on one line (no trailing newline).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        // `String`'s `fmt::Write` is infallible, and so are the integer
+        // and float formatters, the only ones the writer calls.
+        self.write(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
     /// Streams the canonical one-line rendering into an [`std::io::Write`]
-    /// sink, byte-identical to [`Json::render`] but without
-    /// materializing the whole document as one `String`. The artifact
-    /// writer uses this through a bounded `BufWriter` so encoding cost
-    /// stays flat as records grow.
+    /// sink, byte-identical to [`Json::render`] (both are the one
+    /// writer below) but without materializing the whole document as
+    /// one `String`. The artifact writer uses this through a bounded
+    /// `BufWriter` so encoding cost stays flat as records grow.
     pub fn render_to<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
+        let mut sink = IoSink { out, error: None };
+        self.write(&mut sink).map_err(|fmt::Error| {
+            sink.error
+                .unwrap_or_else(|| std::io::Error::other("formatter error"))
+        })
+    }
+
+    /// The one writer: escapes and numbers go straight into the sink.
+    fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.write_all(b"null"),
-            Json::Bool(true) => out.write_all(b"true"),
-            Json::Bool(false) => out.write_all(b"false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Int(v) => write!(out, "{v}"),
             Json::UInt(v) => write!(out, "{v}"),
-            Json::Float(v) => {
-                if v.is_finite() {
-                    write!(out, "{v:?}")
-                } else {
-                    out.write_all(b"null")
-                }
-            }
-            Json::Str(s) => {
-                let mut escaped = String::with_capacity(s.len() + 2);
-                write_escaped(s, &mut escaped);
-                out.write_all(escaped.as_bytes())
-            }
+            // `{:?}` is Rust's shortest round-trip rendering and always
+            // contains '.' or 'e', keeping the value a float on
+            // re-parse.
+            Json::Float(v) if v.is_finite() => write!(out, "{v:?}"),
+            // JSON has no NaN/Inf; campaigns never produce them, but
+            // degrade deterministically if one slips through.
+            Json::Float(_) => out.write_str("null"),
+            Json::Str(s) => write_escaped(s, out),
             Json::Array(items) => {
-                out.write_all(b"[")?;
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.write_all(b",")?;
+                        out.write_char(',')?;
                     }
-                    item.render_to(out)?;
+                    item.write(out)?;
                 }
-                out.write_all(b"]")
+                out.write_char(']')
             }
             Json::Object(pairs) => {
-                out.write_all(b"{")?;
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.write_all(b",")?;
+                        out.write_char(',')?;
                     }
-                    let mut escaped = String::with_capacity(k.len() + 2);
-                    write_escaped(k, &mut escaped);
-                    out.write_all(escaped.as_bytes())?;
-                    out.write_all(b":")?;
-                    v.render_to(out)?;
+                    write_escaped(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.write_all(b"}")
+                out.write_char('}')
             }
         }
     }
 
     /// Parses one JSON document (trailing whitespace allowed, nothing
-    /// else).
+    /// else): the tree-building consumer of [`Reader`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut r = Reader::new(text);
+        let value = Json::build(&mut r)?;
+        r.end()?;
         Ok(value)
+    }
+
+    /// Builds the tree of the reader's next value. Recursion is bounded
+    /// by the reader's [`MAX_DEPTH`] cap.
+    fn build(r: &mut Reader<'_>) -> Result<Json, JsonError> {
+        Ok(match r.value()? {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(b),
+            Value::Number(Number::Int(v)) => Json::Int(v),
+            Value::Number(Number::UInt(v)) => Json::UInt(v),
+            Value::Number(Number::Float(v)) => Json::Float(v),
+            Value::Str(s) => Json::Str(s.into_owned()),
+            Value::BeginArray => {
+                let mut items = Vec::new();
+                while r.next_element()? {
+                    items.push(Json::build(r)?);
+                }
+                Json::Array(items)
+            }
+            Value::BeginObject => {
+                let mut pairs = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    pairs.push((key.into_owned(), Json::build(r)?));
+                }
+                Json::Object(pairs)
+            }
+        })
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Adapts an [`std::io::Write`] sink to the writer's [`fmt::Write`],
+/// keeping the I/O error the formatter interface cannot carry.
+struct IoSink<'a, W> {
+    out: &'a mut W,
+    error: Option<std::io::Error>,
+}
+
+impl<W: std::io::Write> fmt::Write for IoSink<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.out.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
     }
-    out.push('"');
+}
+
+/// Writes `s` quoted: unescaped runs are copied whole, each character
+/// that needs an escape (all of them ASCII) is written in its place.
+fn write_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match named {
+            Some(escape) => out.write_str(escape)?,
+            None => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// A parse error with a byte offset.
@@ -254,19 +262,108 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Maximum container nesting the parser accepts. Campaign documents
+/// Maximum container nesting the reader accepts. Campaign documents
 /// nest a handful of levels; the cap turns a pathological input like
 /// `"[".repeat(1 << 20)` into a parse error instead of a recursion
-/// stack overflow.
+/// stack overflow in a consumer.
 const MAX_DEPTH: usize = 512;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// A number as the lexer classifies it: an integer spelling that fits
+/// is lossless (`-0` is `Int(0)`), everything else — a fraction, an
+/// exponent, a magnitude past `u64`/`i64` — is a float.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Number {
+    /// An integer written with a leading `-`.
+    Int(i64),
+    /// A non-negative integer.
+    UInt(u64),
+    /// A number with a fraction or exponent, or an integer too large
+    /// for 64 bits.
+    Float(f64),
 }
 
-impl<'a> Parser<'a> {
+impl Number {
+    /// The number as `u64`, if it is a non-negative integer.
+    pub(crate) fn as_u64(self) -> Option<u64> {
+        match self {
+            Number::UInt(v) => Some(v),
+            Number::Int(v) => u64::try_from(v).ok(),
+            Number::Float(_) => None,
+        }
+    }
+
+    /// The number as `i64`, if it is an integer in range.
+    pub(crate) fn as_i64(self) -> Option<i64> {
+        match self {
+            Number::Int(v) => Some(v),
+            Number::UInt(v) => i64::try_from(v).ok(),
+            Number::Float(_) => None,
+        }
+    }
+
+    /// The number as `f64` (integers are widened).
+    pub(crate) fn as_f64(self) -> f64 {
+        match self {
+            Number::Float(v) => v,
+            Number::Int(v) => v as f64,
+            Number::UInt(v) => v as f64,
+        }
+    }
+}
+
+/// What [`Reader::value`] found: a complete scalar, or the opening of a
+/// container whose contents the caller pulls next.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Value<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Number(Number),
+    /// A string, borrowed from the input unless it contains an escape.
+    Str(Cow<'a, str>),
+    /// `[` — pull the elements with [`Reader::next_element`].
+    BeginArray,
+    /// `{` — pull the members with [`Reader::next_key`].
+    BeginObject,
+}
+
+/// The JSON lexer: a pull reader over one document, linear in its
+/// length and allocation-free except for strings that contain escapes.
+///
+/// It has two consumers. [`Json::parse`] builds a tree from it;
+/// [`crate::artifact::RunRecord::decode`] drives it straight into the
+/// record. Both therefore accept exactly the same documents: every
+/// value read or skipped goes through [`Reader::value`], which is the
+/// only place strings, numbers and the depth cap are checked.
+///
+/// Protocol: [`Reader::value`] reads the next value; after
+/// [`Value::BeginArray`] call [`Reader::next_element`] before each
+/// element until it returns `false`, after [`Value::BeginObject`] call
+/// [`Reader::next_key`] before each member's value until it returns
+/// `None`; [`Reader::end`] after the root value.
+pub(crate) struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers currently open.
+    depth: usize,
+    /// The last token opened a container, so a closing bracket — but no
+    /// comma — may follow.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -275,7 +372,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -293,8 +390,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+    fn literal(&mut self, text: &str, value: Value<'a>) -> Result<Value<'a>, JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -302,131 +399,161 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Reads the next value: a scalar completely, a container up to and
+    /// including its opening bracket.
+    pub(crate) fn value(&mut self) -> Result<Value<'a>, JsonError> {
+        self.skip_ws();
         if self.depth >= MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        self.depth += 1;
-        let value = match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+        self.fresh = false;
+        match self.peek() {
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b'[') => Ok(self.open(Value::BeginArray)),
+            Some(b'{') => Ok(self.open(Value::BeginObject)),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
-        };
-        self.depth -= 1;
-        value
+        }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn open(&mut self, container: Value<'a>) -> Value<'a> {
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        container
+    }
+
+    /// Steps to the next item of the open container: `Ok(false)` after
+    /// consuming `close`, `Ok(true)` when an item follows (after a
+    /// comma, or directly after the opening bracket).
+    fn next_item(&mut self, close: u8, expected: &str) -> Result<bool, JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
             }
+            _ if fresh => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.err(expected)),
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+    /// Inside an array: whether another element follows (read it with
+    /// [`Reader::value`]) or the array was closed.
+    pub(crate) fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.next_item(b']', "expected ',' or ']'")
+    }
+
+    /// Inside an object: the next member's key (read its value with
+    /// [`Reader::value`]), or `None` once the object was closed.
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.next_item(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads and discards the next value, checking it exactly as
+    /// reading it would. Recursion is bounded by the [`MAX_DEPTH`] cap.
+    pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.value()? {
+            Value::BeginArray => {
+                while self.next_element()? {
+                    self.skip_value()?;
+                }
+            }
+            Value::BeginObject => {
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// After the root value: only whitespace may remain.
+    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
+    /// Reads a string one run at a time: the text between two
+    /// delimiters (`"` or `\`, both ASCII, so every cut is a character
+    /// boundary of the already-valid `&str`) is sliced, never
+    /// re-validated — the lexer stays linear in the document.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        let mut unescaped: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed for campaign
-                            // artifacts; reject rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
+            let run = self.pos;
+            let bytes = &text.as_bytes()[run..];
+            let Some(n) = bytes.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = text.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += n + 1;
+            let run = &text[run..run + n];
+            if bytes[n] == b'"' {
+                return Ok(match unescaped {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                });
             }
+            let out = unescaped.get_or_insert_with(String::new);
+            out.push_str(run);
+            out.push(match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let hex = text
+                        .as_bytes()
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    // Surrogate pairs are not needed for campaign
+                    // artifacts; reject rather than mis-decode.
+                    let c = char::from_u32(code)
+                        .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+                    self.pos += 4;
+                    c
+                }
+                _ => return Err(self.err("bad escape")),
+            });
+            self.pos += 1;
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Number, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -452,22 +579,23 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number chars are ASCII");
+        // Every byte consumed above is ASCII, so both ends are
+        // character boundaries.
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Some(stripped) = text.strip_prefix('-') {
                 if stripped.parse::<u64>().is_ok() || stripped.is_empty() {
                     return text
                         .parse::<i64>()
-                        .map(Json::Int)
+                        .map(Number::Int)
                         .map_err(|_| self.err("integer out of range"));
                 }
             } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::UInt(v));
+                return Ok(Number::UInt(v));
             }
         }
         text.parse::<f64>()
-            .map(Json::Float)
+            .map(Number::Float)
             .map_err(|_| self.err("malformed number"))
     }
 }
@@ -533,6 +661,36 @@ mod tests {
         // A comfortably nested document still parses.
         let ok = format!("{}1{}", "[".repeat(100), "]".repeat(100));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    /// Lexing cost is linear in the document. The budget is some 100×
+    /// what these inputs take; a lexer that re-validates the rest of
+    /// the input per character (which this one replaced) needs minutes
+    /// on the first two.
+    #[test]
+    fn lexing_is_linear_in_document_size() {
+        let one_string = format!("\"{}\"", "né".repeat(4 << 20 >> 1));
+        let short_strings = format!("[{}\"\"]", "\"ab\",".repeat(200_000));
+        let brackets = "[".repeat(1 << 20);
+        for (text, expected) in [
+            (&one_string, Ok(())),
+            (&short_strings, Ok(())),
+            (&brackets, Err("nesting too deep")),
+        ] {
+            let started = std::time::Instant::now();
+            let parsed = Json::parse(text);
+            let elapsed = started.elapsed();
+            match (&parsed, expected) {
+                (Ok(_), Ok(())) => {}
+                (Err(e), Err(message)) => assert_eq!(e.message, message),
+                _ => panic!("{} bytes: wrong verdict {:?}", text.len(), parsed.err()),
+            }
+            assert!(
+                elapsed < std::time::Duration::from_secs(5),
+                "{} bytes took {elapsed:?}",
+                text.len()
+            );
+        }
     }
 
     #[test]

@@ -366,6 +366,7 @@ pub fn execute_with(
     let mut failed: Vec<FailedRun> = Vec::new();
     let trace_dropped = AtomicU64::new(0);
     if !pending.is_empty() {
+        let order = dispatch_order(&pending, threads);
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let fresh: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::with_capacity(pending.len()));
@@ -377,8 +378,9 @@ pub fn execute_with(
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(plan) = pending.get(i) else { break };
+                    let turn = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = order.get(turn) else { break };
+                    let plan = pending[i];
                     let snap = group_of[i].and_then(|g| cache.snapshots.get(&group_fp[g]));
                     let started = Instant::now();
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -523,6 +525,23 @@ pub fn execute_with(
         quarantined,
         trace_dropped_events: trace_dropped.into_inner(),
     })
+}
+
+/// The order in which workers take the pending runs (indices into
+/// `pending`). One worker takes them in canonical order. Several take
+/// the longest simulations first, ties in canonical order, so the pool
+/// does not end with one worker on a long run it started last while the
+/// others idle. Only the schedule changes: records, progress counts and
+/// artifacts are keyed by the plan, not by who ran it when.
+fn dispatch_order(pending: &[&RunPlan], threads: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..pending.len()).collect();
+    if threads > 1 {
+        order.sort_by_key(|&i| {
+            let cfg = &pending[i].config;
+            std::cmp::Reverse(cfg.warmup + cfg.duration)
+        });
+    }
+    order
 }
 
 /// Executes one run, either cold from `t = 0` or forked from a shared
@@ -771,6 +790,19 @@ mod tests {
         assert_eq!(fmt_secs(12.2), "12s");
         assert_eq!(fmt_secs(75.0), "1m15s");
         assert_eq!(fmt_secs(3. * 3600. + 125.), "3h02m");
+    }
+
+    #[test]
+    fn several_workers_take_the_longest_runs_first() {
+        let spec = CampaignSpec::builtin("quick-baseline").expect("builtin");
+        let mut plans = expand(&spec).expect("valid spec");
+        plans.truncate(5);
+        for (plan, seconds) in plans.iter_mut().zip([3, 9, 3, 20, 9]) {
+            plan.config.duration = tsn_time::Nanos::from_secs(seconds);
+        }
+        let pending: Vec<&RunPlan> = plans.iter().collect();
+        assert_eq!(dispatch_order(&pending, 1), [0, 1, 2, 3, 4]);
+        assert_eq!(dispatch_order(&pending, 2), [3, 1, 4, 0, 2]);
     }
 
     #[test]

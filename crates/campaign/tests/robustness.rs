@@ -6,6 +6,9 @@
 //! * a bytewise-truncated artifact and a stale-schema artifact are
 //!   quarantined to `runs/corrupt/` and their runs re-executed instead
 //!   of aborting the resume;
+//! * a campaign killed mid-write — a stray `.tmp` with no artifact, a
+//!   zero-length artifact, an artifact cut inside a string — resumes
+//!   to a directory identical to one that was never interrupted;
 //! * the ring and tree fabric topologies run clean under `--check` and
 //!   fork byte-identically to cold execution.
 
@@ -172,6 +175,80 @@ fn truncated_artifact_is_quarantined_and_rerun() {
     // ...and the re-executed artifacts match the original bytes.
     assert_eq!(artifact_bytes(&dir), before);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir` except the quarantine, as sorted
+/// `(relative path, bytes)` — what `diff -r` compares.
+fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).expect("readable directory") {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                if path != dir.join("runs").join("corrupt") {
+                    stack.push(path);
+                }
+            } else {
+                let relative = path.strip_prefix(dir).unwrap().to_path_buf();
+                files.push((relative, std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn campaign_killed_mid_write_resumes_to_the_uninterrupted_directory() {
+    let spec = tiny_spec("kill-mid-write");
+    let clean_dir = scratch("kill-clean");
+    runner::execute(&spec, &opts(&clean_dir)).expect("uninterrupted campaign");
+    let dir = scratch("kill");
+    let first = runner::execute(&spec, &opts(&dir)).expect("first invocation");
+    assert_eq!(tree_bytes(&dir), tree_bytes(&clean_dir));
+
+    // Three ways a kill can leave a run behind: the temporary file
+    // written but never renamed, the artifact created but empty, and
+    // the artifact cut in the middle of a string.
+    let runs = dir.join("runs");
+    let plans = tsn_campaign::expand(&spec).expect("valid spec");
+    let artifact = |i: usize| runs.join(format!("run-{}.jsonl", plans[i].hash));
+    let whole = std::fs::read_to_string(artifact(0)).unwrap();
+    std::fs::write(artifact(0).with_extension("tmp"), &whole[..whole.len() / 3]).unwrap();
+    std::fs::remove_file(artifact(0)).unwrap();
+    std::fs::write(artifact(1), "").unwrap();
+    let whole = std::fs::read_to_string(artifact(2)).unwrap();
+    let mid_string = whole.find("\"campaign\":\"kill").expect("campaign member") + 14;
+    std::fs::write(artifact(2), &whole[..mid_string]).unwrap();
+
+    let resumed = runner::execute(&spec, &opts(&dir)).expect("resume after the kill");
+    assert_eq!(resumed.executed, 3, "exactly the damaged runs re-execute");
+    assert_eq!(resumed.skipped, 1);
+    assert_eq!(resumed.quarantined, 2, "the empty and the cut artifact");
+    assert_eq!(resumed.records, first.records);
+
+    let quarantine = runs.join("corrupt");
+    assert_eq!(
+        std::fs::read(quarantine.join(artifact(1).file_name().unwrap())).unwrap(),
+        b""
+    );
+    assert_eq!(
+        std::fs::read_to_string(quarantine.join(artifact(2).file_name().unwrap())).unwrap(),
+        whole[..mid_string]
+    );
+    assert_eq!(std::fs::read_dir(&quarantine).unwrap().count(), 2);
+    let files = tree_bytes(&dir);
+    assert!(
+        files
+            .iter()
+            .all(|(path, _)| path.extension() != Some("tmp".as_ref())),
+        "a temporary file survived the resume"
+    );
+    assert_eq!(files, tree_bytes(&clean_dir));
+
+    let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
