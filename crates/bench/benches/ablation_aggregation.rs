@@ -1,13 +1,12 @@
 //! Ablation ABL1: the aggregation function under a Byzantine grandmaster.
 //!
 //! Runs the testbed with one compromised GM (POT shifted −24 µs) and
-//! compares FTA (f = 1), plain mean, and median. Besides the runtime
-//! measurement, each variant's *quality* — fraction of precision samples
-//! within the bound — is printed once: the FTA and median mask the
-//! Byzantine GM, the mean does not (which is why the paper uses an FTA).
+//! compares FTA (f = 1), plain mean, and median by *quality* — the
+//! fraction of precision samples within the bound: the FTA and median
+//! mask the Byzantine GM, the mean does not (which is why the paper uses
+//! an FTA).
 
 use clocksync::{scenario, TestbedConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsn_faults::{AttackPlan, CveId, KernelAssignment, Strike, PAPER_POT_OFFSET};
 use tsn_fta::AggregationMethod;
 use tsn_time::{Nanos, SimTime};
@@ -35,7 +34,7 @@ fn variants() -> Vec<(&'static str, AggregationMethod)> {
     ]
 }
 
-fn quality_report() {
+fn main() {
     eprintln!("\n== ABL1 quality: one Byzantine GM (-24 us), 2 min ==");
     for (name, method) in variants() {
         let r = scenario::run(config(method, 7)).result;
@@ -49,18 +48,3 @@ fn quality_report() {
     }
     eprintln!();
 }
-
-fn bench(c: &mut Criterion) {
-    quality_report();
-    let mut group = c.benchmark_group("ablation_aggregation");
-    group.sample_size(10);
-    for (name, method) in variants() {
-        group.bench_with_input(BenchmarkId::new("run_2min", name), &method, |b, m| {
-            b.iter(|| scenario::run(config(*m, 7)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -13,7 +13,6 @@
 //!   and why its methodology pins the probe paths with a dedicated VLAN.
 
 use clocksync::{BackgroundTraffic, TestbedConfig, World};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsn_time::Nanos;
 
 fn config(load: f64, priority: bool, seed: u64) -> TestbedConfig {
@@ -29,7 +28,7 @@ fn config(load: f64, priority: bool, seed: u64) -> TestbedConfig {
     cfg
 }
 
-fn quality_report() {
+fn main() {
     eprintln!("\n== ABL6 quality: congestion (30 s runs) ==");
     eprintln!(
         "  {:<26} {:>12} {:>12} {:>12}",
@@ -58,29 +57,3 @@ fn quality_report() {
     eprintln!("  (synchronization holds at every load; the probe measurement degrades)");
     eprintln!();
 }
-
-fn bench(c: &mut Criterion) {
-    quality_report();
-    let mut group = c.benchmark_group("ablation_congestion");
-    group.sample_size(10);
-    // Short runs for the timing loop: background traffic multiplies the
-    // event count by ~50×, so full 60 s runs belong to the quality
-    // report only.
-    for load in [0.0f64, 0.3] {
-        group.bench_with_input(
-            BenchmarkId::new("run_10s_load", format!("{load}")),
-            &load,
-            |b, &load| {
-                b.iter(|| {
-                    let mut cfg = config(load, true, 5);
-                    cfg.duration = Nanos::from_secs(10);
-                    World::new(cfg).run()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -3,7 +3,6 @@
 //! prototype, versus the feed-forward design its §III-C proposes).
 
 use clocksync::{scenario, TestbedConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsn_faults::InjectorConfig;
 use tsn_hyp::SyncClockDiscipline;
 use tsn_time::Nanos;
@@ -27,7 +26,7 @@ fn config(monitor_ms: i64, discipline: SyncClockDiscipline, seed: u64) -> Testbe
     cfg
 }
 
-fn quality_report() {
+fn main() {
     eprintln!("\n== ABL4a quality: monitor period (10 min, dense faults) ==");
     for period in [62i64, 125, 500] {
         let r = scenario::run(config(period, SyncClockDiscipline::Feedback, 17)).result;
@@ -79,18 +78,3 @@ fn quality_report() {
     }
     eprintln!();
 }
-
-fn bench(c: &mut Criterion) {
-    quality_report();
-    let mut group = c.benchmark_group("ablation_monitor");
-    group.sample_size(10);
-    for period in [62i64, 500] {
-        group.bench_with_input(BenchmarkId::new("run_10min", period), &period, |b, &p| {
-            b.iter(|| scenario::run(config(p, SyncClockDiscipline::Feedback, 17)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

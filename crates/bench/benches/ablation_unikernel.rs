@@ -11,7 +11,6 @@
 //! missing from the FTA — shrinks.
 
 use clocksync::{scenario, TestbedConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsn_faults::{InjectorConfig, TransientFaultConfig};
 use tsn_metrics::ExperimentEvent;
 use tsn_time::Nanos;
@@ -61,7 +60,7 @@ fn config(p: Profile, seed: u64) -> TestbedConfig {
     cfg
 }
 
-fn quality_report() {
+fn main() {
     eprintln!("\n== ABL5 quality: Linux VMs vs unikernel clock-sync VMs (20 min, dense faults) ==");
     for p in profiles() {
         let r = scenario::run(config(p, 19)).result;
@@ -82,18 +81,3 @@ fn quality_report() {
     }
     eprintln!();
 }
-
-fn bench(c: &mut Criterion) {
-    quality_report();
-    let mut group = c.benchmark_group("ablation_unikernel");
-    group.sample_size(10);
-    for p in profiles() {
-        group.bench_with_input(BenchmarkId::new("run_20min", p.name), &p, |b, p| {
-            b.iter(|| scenario::run(config(*p, 19)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

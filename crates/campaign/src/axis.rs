@@ -297,6 +297,8 @@ fn intern(names: &'static [&'static str], s: &str) -> Option<AxisValue> {
 /// [`crate::frontier`] has an analytical containment bound for.
 pub const MAGNITUDE_AXIS: &str = "adv_offset_ns";
 
+/// [`clocksync::MIN_SYNC_INTERVAL`] in the sync-interval axis's unit.
+const MIN_SYNC_INTERVAL_MS: u64 = clocksync::MIN_SYNC_INTERVAL.as_nanos() as u64 / 1_000_000;
 const KERNEL_NAMES: &[&str] = &[KernelChoice::Identical.name(), KernelChoice::Diverse.name()];
 const DISCIPLINE_NAMES: &[&str] = &[
     discipline_name(SyncClockDiscipline::FeedForward),
@@ -314,10 +316,23 @@ macro_rules! axes {
     (@flag Post) => { false };
     (@flag Bisect) => { true };
     (@flag Fixed) => { false };
+    (@effective $coord:ident, $ty:ty, _) => {};
+    (@effective $coord:ident, $ty:ty, $default:expr) => {
+        impl Coord {
+            /// The axis's effective value: the coordinate's, or the
+            /// table's default while the axis is inactive — what a run
+            /// uses when another member of the axis's family switched
+            /// the subsystem on.
+            pub fn $coord(&self) -> $ty {
+                self.$coord.unwrap_or($default)
+            }
+        }
+    };
     ($(
         $(#[$doc:meta])*
         $grid:ident / $coord:ident : $ty:ty, $spec:expr, $ckey:tt, $lkey:tt,
-        $segment:ident, $group:literal, $family:tt, $phase:ident, $bisect:ident, $kind:expr;
+        $segment:ident, $group:literal, $family:tt, $phase:ident, $bisect:ident, $kind:expr,
+        $default:tt;
     )*) => {
         /// The parameter grid. Every axis except `seeds` may be empty,
         /// meaning "keep the base/scenario value"; the run matrix is the
@@ -370,109 +385,113 @@ macro_rules! axes {
             coord_get: |c| c.$coord.map(AxisType::to_value),
             coord_set: |c, v| <$ty as AxisType>::from_value(v).map(|v| c.$coord = Some(v)),
         }),*];
+
+        $(axes!(@effective $coord, $ty, $default);)*
     };
 }
 
 // Columns: grid field / coord field : type, spec key, coord key (`_`:
 // same as spec key), label key (`_`: same as coord key), label segment
 // Always | IfActive, group-label format, family (`_`: none), Prefix |
-// Post (intervention-only), Bisect | Fixed, legal values.
+// Post (intervention-only), Bisect | Fixed, legal values, default
+// while inactive in an active family (`_`: none; read through the
+// `Coord` method of the coord field's name).
 axes! {
     /// Domain count M (sets `nodes` and `aggregation.domains`, ABL2).
     domains / domains: usize, "domains", _, _,
-    Always, "M={}", _, Prefix, Fixed, UInt(4, 16, " (FTA needs N > 3f)");
+    Always, "M={}", _, Prefix, Fixed, UInt(4, 16, " (FTA needs N > 3f)"), _;
     /// Sync interval S in milliseconds (staleness follows as 4·S, ABL3).
     sync_interval_ms / sync_interval_ms: u64, "sync_interval_ms", _, "sync_ms",
-    Always, "S={}ms", _, Prefix, Bisect, UInt(8, 60_000, " (ms; 2^-7 s is the fastest logSyncInterval the World models)");
+    Always, "S={}ms", _, Prefix, Bisect, UInt(MIN_SYNC_INTERVAL_MS, 60_000, " (ms; 2^-7 s is the fastest logSyncInterval the World models)"), _;
     /// Kernel assignment (overrides the scenario's choice).
     kernels / kernel: KernelChoice, "kernels", "kernel", _,
-    Always, "kernels={}", _, Post, Fixed, Name(KERNEL_NAMES);
+    Always, "kernels={}", _, Post, Fixed, Name(KERNEL_NAMES), _;
     /// Injector rate: random redundant-VM shutdowns per node per hour
     /// (sets `random_per_hour_max`, enabling the injector if needed).
     fault_rate_per_hour / fault_rate_per_hour: u32, "fault_rate_per_hour", _, "rate",
-    Always, "rate={}/h", _, Post, Fixed, UInt(0, 3_600, " (one shutdown per node per second)");
+    Always, "rate={}/h", _, Post, Fixed, UInt(0, 3_600, " (one shutdown per node per second)"), _;
     /// `CLOCK_SYNCTIME` discipline.
     disciplines / discipline: SyncClockDiscipline, "disciplines", "discipline", _,
-    Always, "{}", _, Prefix, Fixed, Name(DISCIPLINE_NAMES);
+    Always, "{}", _, Prefix, Fixed, Name(DISCIPLINE_NAMES), _;
     /// Adversary strategy preset ([`ByzantineStrategy::NAMES`]
     /// spelling), applied to the compromised GMs from strike time
     /// onward (activates the attack; default `constant`).
     strategies / strategy: &'static str, "strategies", "strategy", _,
-    Always, "adv={}", Attack, Post, Fixed, Name(&ByzantineStrategy::NAMES);
+    Always, "adv={}", Attack, Post, Fixed, Name(&ByzantineStrategy::NAMES), "constant";
     /// Number of compromised GM domains (`0` is the honest control
     /// cell; `f + 1` and beyond are negative-control cells; activates
     /// the attack; default 1).
     compromised / compromised: usize, "compromised", _, "byz",
-    Always, "byz={}", Attack, Post, Fixed, UInt(0, 3, " (the 3 strikeable GM domains)");
+    Always, "byz={}", Attack, Post, Fixed, UInt(0, 3, " (the 3 strikeable GM domains)"), 1;
     /// Per-link i.i.d. frame-loss probability, in permille (‰).
     loss_permille / loss_permille: u32, "loss_permille", _, "loss_pm",
-    Always, "loss={}pm", _, Post, Bisect, UInt(0, 999, " (permille; a loss of 1.0 would sever every link)");
+    Always, "loss={}pm", _, Post, Bisect, UInt(0, 999, " (permille; a loss of 1.0 would sever every link)"), _;
     /// Partition duration in seconds: node 0 is cut off the switch
     /// mesh 2 s after the warm-up for this long (`0` means no cut).
     partition_s / partition_s: u64, "partition_s", _, _,
-    Always, "partition={}s", _, Post, Bisect, UInt(0, 604_800, " (s; one week)");
+    Always, "partition={}s", _, Post, Bisect, UInt(0, 604_800, " (s; one week)"), _;
     /// Dynamic BMCA grandmaster election on/off. Omitted, the election
     /// activates implicitly whenever any other election axis is
     /// active; an explicit `false` keeps the paper's static assignment
     /// and ignores those axes (the honest control).
     election / election: bool, "election", _, _,
-    IfActive, "election={}", Election, Prefix, Fixed, Bool;
+    IfActive, "election={}", Election, Prefix, Fixed, Bool, _;
     /// Announce interval of acting masters, in milliseconds (activates
     /// the election; default 250 ms).
     announce_interval_ms / announce_interval_ms: u64, "announce_interval_ms", _, "announce_ms",
-    IfActive, "announce={}ms", Election, Prefix, Fixed, UInt(1, 60_000, " (ms; receipt timeouts are a few intervals)");
+    IfActive, "announce={}ms", Election, Prefix, Fixed, UInt(1, 60_000, " (ms; receipt timeouts are a few intervals)"), 250;
     /// Scheduled grandmaster kill: seconds after the warm-up at which
     /// node 0's GM VM is permanently shut down, forcing domain 0 to
     /// re-elect its second-best master (activates the election).
     gm_failure_at_s / gm_failure_at_s: u64, "gm_failure_at_s", _, "gm_kill_s",
-    IfActive, "gm-kill={}s", Election, Post, Fixed, UInt(0, 604_800, " (s; one week)");
+    IfActive, "gm-kill={}s", Election, Post, Fixed, UInt(0, 604_800, " (s; one week)"), _;
     /// Number of rogue masters: compromised nodes (highest indices)
     /// that forge a best-possible priority vector on their foreign
     /// target domain (`0` is the honest control; activates the
     /// election).
     rogue_master / rogue_master: usize, "rogue_master", _, "rogue",
-    IfActive, "rogue={}", Election, Post, Fixed, UInt(0, 3, " (the 3 capturable foreign domains)");
+    IfActive, "rogue={}", Election, Post, Fixed, UInt(0, 3, " (the 3 capturable foreign domains)"), _;
     /// Fabric depth: hops through the TSN switches between sender and
     /// receiver (activates the fabric; default 1 hop).
     hops / hops: u32, "hops", _, _,
-    IfActive, "hops={}", Fabric, Prefix, Fixed, UInt(1, 64, "");
+    IfActive, "hops={}", Fabric, Prefix, Fixed, UInt(1, 64, ""), 1;
     /// Best-effort cross-traffic load on each fabric egress port, in
     /// percent of the gate-open window (activates the fabric).
     cross_traffic_pct / cross_traffic_pct: u32, "cross_traffic_pct", _, "xload_pct",
-    IfActive, "xload={}%", Fabric, Prefix, Fixed, UInt(0, 95, " (the 95 % gate-load ceiling)");
+    IfActive, "xload={}%", Fabric, Prefix, Fixed, UInt(0, 95, " (the 95 % gate-load ceiling)"), 0;
     /// Directional link-delay asymmetry per fabric hop, in nanoseconds
     /// (activates the fabric).
     asymmetry_ns / asymmetry_ns: u64, "asymmetry_ns", _, "asym_ns",
-    IfActive, "asym={}ns", Fabric, Prefix, Fixed, UInt(0, 1_000_000, " (1 ms per hop is not a plausible link)");
+    IfActive, "asym={}ns", Fabric, Prefix, Fixed, UInt(0, 1_000_000, " (1 ms per hop is not a plausible link)"), 0;
     /// Transparent-clock mode: `true` accumulates per-hop residence
     /// into the gPTP correction field, `false` leaves the raw
     /// end-to-end queuing error (activates the fabric).
     tc_mode / tc_mode: bool, "tc_mode", _, "tc",
-    IfActive, "tc={}", Fabric, Prefix, Fixed, Bool;
+    IfActive, "tc={}", Fabric, Prefix, Fixed, Bool, false;
     /// Fabric topology ([`TOPOLOGY_NAMES`] spelling; activates the
     /// fabric). Omitted, fabric runs use a line of switches.
     topology / topology: &'static str, "topology", _, "topo",
-    IfActive, "topo={}", Fabric, Prefix, Fixed, Name(&TOPOLOGY_NAMES);
+    IfActive, "topo={}", Fabric, Prefix, Fixed, Name(&TOPOLOGY_NAMES), _;
     /// Adversary shift magnitude in nanoseconds: replaces the strategy
     /// preset's dominant waveform parameter via
     /// [`ByzantineStrategy::with_magnitude`] (activates the attack).
     /// This is the continuous axis `campaign frontier` bisects.
     adv_offset_ns / adv_offset_ns: u64, MAGNITUDE_AXIS, _, "adv_ns",
-    IfActive, "adv_ns={}", Attack, Post, Bisect, UInt(1, 10_000_000, " (a zero magnitude is the honest cell; 10 ms dwarfs every bound)");
+    IfActive, "adv_ns={}", Attack, Post, Bisect, UInt(1, 10_000_000, " (a zero magnitude is the honest cell; 10 ms dwarfs every bound)"), _;
     /// Aggregation trim degree `f`: replaces the preset's `f` in the
     /// configured fault-tolerant method (FTA or midpoint). Acts from
     /// t = 0, so it is prefix-relevant.
     fta_f / fta_f: usize, "fta_f", _, _,
-    IfActive, "f={}", _, Prefix, Fixed, UInt(1, 7, " (2f+1 domains of at most 16)");
+    IfActive, "f={}", _, Prefix, Fixed, UInt(1, 7, " (2f+1 domains of at most 16)"), _;
     /// Fleet size: number of ECDs attached to a *generated* switch
     /// fleet (activates the fleet; default 256). Mutually exclusive
     /// with the explicit `hops`/`topology` axes — the generator owns
     /// the fabric's depth and shape.
     fleet_nodes / fleet_nodes: u32, "fleet_nodes", _, "fleet_n",
-    IfActive, "fleet_n={}", Fleet, Prefix, Fixed, UInt(2, 65_536, "");
+    IfActive, "fleet_n={}", Fleet, Prefix, Fixed, UInt(2, 65_536, ""), 256;
     /// Fleet topology shape ([`FLEET_TOPOLOGY_NAMES`] spelling;
     /// activates the fleet). Omitted, fleet runs use a line of
     /// switches.
     fleet_topology / fleet_topology: &'static str, "fleet_topology", _, "fleet_topo",
-    IfActive, "fleet_topo={}", Fleet, Prefix, Fixed, Name(&FLEET_TOPOLOGY_NAMES);
+    IfActive, "fleet_topo={}", Fleet, Prefix, Fixed, Name(&FLEET_TOPOLOGY_NAMES), "line";
 }

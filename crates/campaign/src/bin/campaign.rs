@@ -44,6 +44,9 @@
 //! per-scenario hot-spot report (`--json` for the machine-readable
 //! table). Artifacts are byte-identical either way.
 
+mod flags;
+
+use flags::{Flags, Wording};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsn_campaign::json::Json;
@@ -116,57 +119,13 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// A tiny strict flag parser: every flag takes one value except the
-/// listed boolean switches; unknown flags are errors.
-struct Flags {
-    pairs: Vec<(String, String)>,
-    switches: Vec<String>,
-}
-
-impl Flags {
-    fn parse(args: &[String], known: &[&str], known_switches: &[&str]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut switches = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if a == "--help" || a == "-h" {
-                return Err("help requested".to_string());
-            }
-            if known_switches.contains(&a.as_str()) {
-                switches.push(a.clone());
-            } else if known.contains(&a.as_str()) {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .clone();
-                pairs.push((a.clone(), v));
-            } else {
-                return Err(format!("unknown argument {a:?}"));
-            }
-        }
-        Ok(Flags { pairs, switches })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.switches.iter().any(|s| s == key)
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("malformed value {v:?} for {key}"))
-            })
-            .transpose()
-    }
-}
+/// `campaign`'s flag-error text; `--help` after a subcommand is an
+/// error that prints the usage.
+const FLAGS: Wording = Wording {
+    missing_value: "needs a value",
+    unknown: "unknown argument",
+    help: Some("help requested"),
+};
 
 fn load_spec(flags: &Flags) -> Result<CampaignSpec, String> {
     match (flags.get("--builtin"), flags.get("--spec")) {
@@ -182,7 +141,7 @@ fn load_spec(flags: &Flags) -> Result<CampaignSpec, String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(
+    let flags = FLAGS.parse(
         args,
         &[
             "--builtin",
@@ -285,7 +244,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_frontier(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(
+    let flags = FLAGS.parse(
         args,
         &["--builtin", "--spec", "--dir", "--threads"],
         &["--quiet", "--check", "--no-fork"],
@@ -411,7 +370,7 @@ fn frontier_doc_of_dir(dir: &Path) -> Option<Result<(String, frontier::FrontierD
 }
 
 fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["--dir"], &["--json"])?;
+    let flags = FLAGS.parse(args, &["--dir"], &["--json"])?;
     let dir = PathBuf::from(flags.get("--dir").ok_or("--dir is required")?);
     // A frontier directory has no manifest — its summary is the
     // frontier document itself.
@@ -436,7 +395,7 @@ fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["--trace"], &["--json"])?;
+    let flags = FLAGS.parse(args, &["--trace"], &["--json"])?;
     let dir = PathBuf::from(flags.get("--trace").ok_or("--trace is required")?);
     let entries = profile::load(&dir).map_err(|e| e.to_string())?;
     if entries.is_empty() {
@@ -467,7 +426,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(
+    let flags = FLAGS.parse(
         args,
         &[
             "--baseline",
@@ -537,7 +496,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_spec(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["--builtin"], &[])?;
+    let flags = FLAGS.parse(args, &["--builtin"], &[])?;
     let name = flags.get("--builtin").ok_or("--builtin is required")?;
     if let Some(spec) = CampaignSpec::builtin(name) {
         print!("{}", spec.render());

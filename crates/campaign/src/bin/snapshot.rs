@@ -20,8 +20,11 @@
 //! where nondeterminism crept in. Exits 0 when the runs stay identical,
 //! 1 on divergence, 2 on usage errors.
 
+mod flags;
+
 use clocksync::scenario::ScenarioKind;
 use clocksync::{TestbedConfig, World, WorldSnapshot};
+use flags::{Flags, Wording};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tsn_time::{Nanos, SimTime};
@@ -68,43 +71,12 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Strict `--key value` / `--switch` parser (same shape as the
-/// `campaign` binary's): unknown flags are errors, not typos-in-waiting.
-struct Flags {
-    pairs: Vec<(String, String)>,
-}
-
-impl Flags {
-    fn parse(args: &[String], known_value_flags: &[&str]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if known_value_flags.contains(&arg.as_str()) {
-                let value = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
-                pairs.push((arg.clone(), value.clone()));
-            } else {
-                return Err(format!("unknown flag {arg:?}"));
-            }
-        }
-        Ok(Flags { pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("malformed value {v:?} for {key}"))
-            })
-            .transpose()
-    }
-}
+/// `snapshot`'s flag-error text.
+const FLAGS: Wording = Wording {
+    missing_value: "requires a value",
+    unknown: "unknown flag",
+    help: None,
+};
 
 const CONFIG_FLAGS: [&str; 5] = [
     "--preset",
@@ -157,7 +129,7 @@ fn print_info(snap: &WorldSnapshot) {
 fn cmd_save(args: &[String]) -> Result<ExitCode, String> {
     let mut known = CONFIG_FLAGS.to_vec();
     known.extend(["--at", "--out"]);
-    let flags = Flags::parse(args, &known)?;
+    let flags = FLAGS.parse(args, &known, &[])?;
     let cfg = build_config(&flags)?;
     let at = SimTime::from_secs(
         flags
@@ -184,7 +156,7 @@ fn cmd_save(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["--file"])?;
+    let flags = FLAGS.parse(args, &["--file"], &[])?;
     let snap = read_snapshot(flags.get("--file").ok_or("--file FILE is required")?)?;
     print_info(&snap);
     Ok(ExitCode::SUCCESS)
@@ -193,7 +165,7 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_restore(args: &[String]) -> Result<ExitCode, String> {
     let mut known = CONFIG_FLAGS.to_vec();
     known.push("--file");
-    let flags = Flags::parse(args, &known)?;
+    let flags = FLAGS.parse(args, &known, &[])?;
     let snap = read_snapshot(flags.get("--file").ok_or("--file FILE is required")?)?;
     let cfg = build_config(&flags)?;
 
@@ -215,7 +187,7 @@ fn cmd_restore(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     let mut known = CONFIG_FLAGS.to_vec();
     known.extend(["--at", "--epoch-s"]);
-    let flags = Flags::parse(args, &known)?;
+    let flags = FLAGS.parse(args, &known, &[])?;
     let cfg = build_config(&flags)?;
     let epoch = Nanos::from_secs(flags.get_parsed::<i64>("--epoch-s")?.unwrap_or(1).max(1));
 

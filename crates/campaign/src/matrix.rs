@@ -99,7 +99,7 @@ impl Coord {
         if self.election_active() {
             label.push_str(&format!(
                 "/election=on/announce_ms={}",
-                self.announce_interval_ms.unwrap_or(250)
+                self.announce_interval_ms()
             ));
         }
         // The fabric carries every inter-node gPTP frame from t = 0, so
@@ -107,10 +107,10 @@ impl Coord {
         if self.fabric_active() {
             label.push_str(&format!(
                 "/fabric=on/hops={}/xload_pct={}/asym_ns={}/tc={}",
-                self.hops.unwrap_or(1),
-                self.cross_traffic_pct.unwrap_or(0),
-                self.asymmetry_ns.unwrap_or(0),
-                self.tc_mode.unwrap_or(false),
+                self.hops(),
+                self.cross_traffic_pct(),
+                self.asymmetry_ns(),
+                self.tc_mode(),
             ));
             // Label-conditional, NOT defaulted: rendering `/topo=line`
             // for every fabric run would silently change the derived
@@ -126,8 +126,8 @@ impl Coord {
         if self.fleet_active() {
             label.push_str(&format!(
                 "/fleet=on/n={}/topo={}",
-                self.fleet_nodes.unwrap_or(crate::spec::DEFAULT_FLEET_NODES),
-                self.fleet_topology.unwrap_or("line"),
+                self.fleet_nodes(),
+                self.fleet_topology(),
             ));
         }
         label
@@ -140,8 +140,8 @@ impl Coord {
     pub fn fleet_seed(&self) -> u64 {
         SeedSplitter::new(self.seed).seed(&format!(
             "fleet/n={}/topo={}",
-            self.fleet_nodes.unwrap_or(crate::spec::DEFAULT_FLEET_NODES),
-            self.fleet_topology.unwrap_or("line"),
+            self.fleet_nodes(),
+            self.fleet_topology(),
         ))
     }
 
@@ -300,13 +300,13 @@ pub fn materialize(
     // defaulted; an active magnitude axis rescales the preset's
     // dominant waveform parameter (the frontier's probe axis).
     if coord.family_active(Family::Attack) {
-        let name = coord.strategy.unwrap_or("constant");
+        let name = coord.strategy();
         let strategy = match coord.adv_offset_ns {
             Some(m) => ByzantineStrategy::with_magnitude(name, Nanos::from_nanos(m as i64)),
             None => ByzantineStrategy::named(name),
         }
         .ok_or_else(|| SpecError::Value("grid.strategies[]".to_string(), name.to_string()))?;
-        let byz = coord.compromised.unwrap_or(1).min(cfg.nodes - 1);
+        let byz = coord.compromised().min(cfg.nodes - 1);
         let strikes = (0..byz)
             .map(|k| Strike {
                 at: SimTime::from_secs(2),
@@ -331,10 +331,10 @@ pub fn materialize(
     // Election axes: any of them activates dynamic BMCA election unless
     // an explicit `election=false` cell keeps the static control.
     if coord.election_active() {
-        let mut el = clocksync::election::ElectionConfig::default();
-        if let Some(ms) = coord.announce_interval_ms {
-            el.announce_interval = Nanos::from_millis(ms as i64);
-        }
+        let mut el = clocksync::election::ElectionConfig {
+            announce_interval: Nanos::from_millis(coord.announce_interval_ms() as i64),
+            ..Default::default()
+        };
         if let Some(s) = coord.gm_failure_at_s {
             el.gm_failure_at = Some(Nanos::from_secs(s as i64));
             el.gm_failure_node = 0;
@@ -373,18 +373,18 @@ pub fn materialize(
                     "mutually exclusive with grid.hops and grid.topology".to_string(),
                 ));
             }
-            let shape_name = coord.fleet_topology.unwrap_or("line");
+            let shape_name = coord.fleet_topology();
             let shape = clocksync::fabric::FleetShape::parse(shape_name).ok_or_else(|| {
                 SpecError::Value("grid.fleet_topology[]".to_string(), shape_name.to_string())
             })?;
-            let nodes = coord
-                .fleet_nodes
-                .unwrap_or(crate::spec::DEFAULT_FLEET_NODES);
-            let fleet =
-                clocksync::fabric::FleetTopology::generate(nodes, shape, coord.fleet_seed());
+            let fleet = clocksync::fabric::FleetTopology::generate(
+                coord.fleet_nodes(),
+                shape,
+                coord.fleet_seed(),
+            );
             fleet.condense(&clocksync::fabric::FabricConfig::default())
         } else {
-            let mut fabric = clocksync::fabric::FabricConfig::line(coord.hops.unwrap_or(1));
+            let mut fabric = clocksync::fabric::FabricConfig::line(coord.hops());
             if let Some(t) = coord.topology {
                 fabric.topology = crate::spec::parse_topology(t).ok_or_else(|| {
                     SpecError::Value("grid.topology[]".to_string(), t.to_string())
@@ -392,13 +392,9 @@ pub fn materialize(
             }
             fabric
         };
-        if let Some(pct) = coord.cross_traffic_pct {
-            fabric.cross_traffic_load = f64::from(pct) / 100.0;
-        }
-        if let Some(ns) = coord.asymmetry_ns {
-            fabric.asymmetry_ns = Nanos::from_nanos(ns as i64);
-        }
-        fabric.transparent_clock = coord.tc_mode.unwrap_or(false);
+        fabric.cross_traffic_load = f64::from(coord.cross_traffic_pct()) / 100.0;
+        fabric.asymmetry_ns = Nanos::from_nanos(coord.asymmetry_ns() as i64);
+        fabric.transparent_clock = coord.tc_mode();
         cfg.fabric = Some(fabric);
     }
     cfg.validate();

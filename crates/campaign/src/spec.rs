@@ -202,9 +202,6 @@ pub fn parse_topology(name: &str) -> Option<clocksync::fabric::FabricTopology> {
 /// [`clocksync::fabric::FleetShape`]'s variants).
 pub const FLEET_TOPOLOGY_NAMES: [&str; 4] = ["line", "ring", "tree", "fat-tree"];
 
-/// The default fleet size when only the `fleet_topology` axis is active.
-pub const DEFAULT_FLEET_NODES: u32 = 256;
-
 pub use crate::axis::Grid;
 
 impl Grid {

@@ -1,0 +1,162 @@
+//! Every built-in spec, end to end: clean under the invariant oracle,
+//! byte-identical between cold and forked execution and between one
+//! worker and auto threads, resumable without re-executing anything,
+//! and summarizable through the streaming pipeline.
+//!
+//! The loops run over `CampaignSpec::BUILTINS` and
+//! `FrontierSpec::BUILTINS` — the lists `campaign list` prints — so a
+//! new builtin is covered the day it is added.
+
+mod common;
+
+use common::{artifact_bytes, fork_opts, opts, scratch};
+use std::path::Path;
+use std::process::Command;
+use tsn_campaign::json::Json;
+use tsn_campaign::{
+    frontier, runner, summary, CampaignSpec, DiffTolerance, DiffVerdict, FrontierSpec,
+    RunRecordReader, RunnerOptions, StreamSummarizer,
+};
+
+#[test]
+fn the_loops_cover_every_name_campaign_list_prints() {
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .arg("list")
+        .output()
+        .expect("campaign binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let listed: Vec<String> = String::from_utf8(out.stdout)
+        .expect("utf-8 listing")
+        .lines()
+        .map(|l| l.split_whitespace().next().expect("a name").to_string())
+        .collect();
+    let looped: Vec<&str> = CampaignSpec::BUILTINS
+        .into_iter()
+        .chain(FrontierSpec::BUILTINS)
+        .collect();
+    assert_eq!(listed, looped);
+}
+
+#[test]
+fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
+    for name in CampaignSpec::BUILTINS {
+        let spec = CampaignSpec::builtin(name).expect("builtin exists");
+        let total = spec.total_runs();
+        let cold_dir = scratch(&format!("{name}-cold"));
+        let fork_dir = scratch(&format!("{name}-fork"));
+        let serial_dir = scratch(&format!("{name}-serial"));
+
+        // Cold, auto threads, oracle armed.
+        let checked = RunnerOptions {
+            check: true,
+            threads: 0,
+            ..opts(&cold_dir)
+        };
+        let cold = runner::execute(&spec, &checked).expect("cold campaign");
+        assert_eq!(cold.executed, total, "{name}");
+        assert!(cold.violations.is_empty(), "{name}: {:?}", cold.violations);
+        assert!(cold.failed.is_empty(), "{name}: {:?}", cold.failed);
+        assert_eq!(cold.quarantined, 0, "{name}");
+        let bytes = artifact_bytes(&cold_dir);
+        assert_eq!(bytes.len(), total, "{name}: one artifact per run");
+
+        // Forked from warm prefixes, and cold on a single worker.
+        let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
+        assert!(forked.failed.is_empty(), "{name}: {:?}", forked.failed);
+        assert!(
+            bytes == artifact_bytes(&fork_dir),
+            "{name}: forked artifacts differ from cold artifacts"
+        );
+        let serial = RunnerOptions {
+            threads: 1,
+            ..opts(&serial_dir)
+        };
+        runner::execute(&spec, &serial).expect("single-worker campaign");
+        assert!(
+            bytes == artifact_bytes(&serial_dir),
+            "{name}: artifacts depend on the thread count"
+        );
+
+        // Resume re-executes nothing and leaves the artifacts alone.
+        let resumed = runner::execute(&spec, &opts(&cold_dir)).expect("resume");
+        assert_eq!((resumed.executed, resumed.skipped), (0, total), "{name}");
+        assert!(bytes == artifact_bytes(&cold_dir), "{name}: resume rewrote");
+
+        // The streaming pipeline folds every record into a summary.
+        let mut summarizer = StreamSummarizer::new();
+        for record in RunRecordReader::open(&spec, &cold_dir).expect("valid spec") {
+            summarizer.push(&record.expect("artifact decodes"));
+        }
+        let groups = summarizer.finish();
+        assert_eq!(groups.iter().map(|g| g.runs).sum::<usize>(), total);
+        let text = summary::render(&groups);
+        for g in &groups {
+            assert!(text.contains(&g.key.group_label()), "{name}: {text}");
+        }
+        Json::parse(&summary::render_json(&groups)).expect("summary JSON parses");
+        // Two executions of one spec diff as parity (`campaign diff`
+        // exit 0), whatever axes the builtin sweeps.
+        let parity = summary::diff(
+            &groups,
+            &summary::summarize(&forked.records),
+            DiffTolerance::default(),
+        );
+        assert_eq!(parity.verdict, DiffVerdict::Parity, "{name}");
+
+        for dir in [cold_dir, fork_dir, serial_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+#[test]
+fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
+    let doc_bytes = |dir: &Path| std::fs::read(dir.join("frontier.json")).expect("frontier.json");
+    for name in FrontierSpec::BUILTINS {
+        let spec = FrontierSpec::builtin(name).expect("builtin exists");
+        let cold_dir = scratch(&format!("{name}-cold"));
+        let fork_dir = scratch(&format!("{name}-fork"));
+        let serial_dir = scratch(&format!("{name}-serial"));
+
+        // Cold (the oracle needs the warm prefix), auto threads.
+        let checked = RunnerOptions {
+            check: true,
+            threads: 0,
+            ..opts(&cold_dir)
+        };
+        let cold = frontier::execute(&spec, &checked).expect("cold frontier");
+        assert!(cold.executed > 0, "{name}");
+        assert!(cold.violations.is_empty(), "{name}: {:?}", cold.violations);
+        assert!(cold.failed.is_empty(), "{name}: {:?}", cold.failed);
+        assert!(cold.doc.consistent(), "{name}: a cell breaks its bound");
+        let (doc, runs) = (doc_bytes(&cold_dir), artifact_bytes(&cold_dir));
+
+        frontier::execute(&spec, &fork_opts(&fork_dir)).expect("forked frontier");
+        assert!(
+            doc == doc_bytes(&fork_dir),
+            "{name}: fork moved the document"
+        );
+        assert!(
+            runs == artifact_bytes(&fork_dir),
+            "{name}: forked probe artifacts differ from cold ones"
+        );
+        let serial = RunnerOptions {
+            threads: 1,
+            ..opts(&serial_dir)
+        };
+        frontier::execute(&spec, &serial).expect("single-worker frontier");
+        assert!(doc == doc_bytes(&serial_dir), "{name}: threads moved it");
+        assert!(runs == artifact_bytes(&serial_dir), "{name}");
+
+        let resumed = frontier::execute(&spec, &opts(&cold_dir)).expect("resume");
+        assert_eq!(resumed.executed, 0, "{name}: resume re-executed probes");
+        assert!(doc == doc_bytes(&cold_dir), "{name}: resume rewrote");
+
+        // A frontier's summary is its document.
+        assert!(cold.doc.render_text().contains("x tighter"), "{name}");
+
+        for dir in [cold_dir, fork_dir, serial_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}

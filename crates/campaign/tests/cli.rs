@@ -2,7 +2,9 @@
 //! 2 instead of panicking, and the `snapshot` binary's save / info /
 //! restore / verify loop must close.
 
-use std::path::PathBuf;
+mod common;
+
+use common::{artifact_bytes, scratch};
 use std::process::{Command, Output};
 
 fn campaign(args: &[&str]) -> Output {
@@ -17,12 +19,6 @@ fn snapshot(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("snapshot binary runs")
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tsn-campaign-cli-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
@@ -79,6 +75,48 @@ fn summarize_of_zero_run_manifest_exits_two_instead_of_panicking() {
     assert!(stderr.contains("error:"), "no error message: {stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The two binaries share one flag parser but keep their own error
+/// text; every flag error exits 2 with `error: <text>` and the usage.
+#[test]
+fn flag_errors_keep_each_binarys_wording() {
+    type Bin = fn(&[&str]) -> Output;
+    let cases: [(Bin, &[&str], &str); 8] = [
+        (
+            campaign,
+            &["run", "--frobnicate"],
+            "unknown argument \"--frobnicate\"",
+        ),
+        (campaign, &["run", "--dir"], "--dir needs a value"),
+        (campaign, &["summarize", "--help"], "help requested"),
+        (
+            campaign,
+            &["run", "--builtin", "quick-baseline", "--threads", "two"],
+            "malformed value \"two\" for --threads",
+        ),
+        (
+            snapshot,
+            &["info", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+        (snapshot, &["info", "--file"], "--file requires a value"),
+        (snapshot, &["verify", "--help"], "unknown flag \"--help\""),
+        (
+            snapshot,
+            &["verify", "--seed", "x"],
+            "malformed value \"x\" for --seed",
+        ),
+    ];
+    for (bin, args, message) in cases {
+        let out = bin(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {message}\nusage:\n")),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 /// `campaign run` on a spec that must be rejected before any run
@@ -218,24 +256,10 @@ fn run_with_trace_emits_valid_traces_and_identical_artifacts() {
     assert_eq!(plain.status.code(), Some(0), "{plain:?}");
 
     // Artifact bytes are unchanged by tracing.
-    let read = |d: &std::path::Path| {
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(d.join("runs"))
-            .expect("runs dir")
-            .map(|e| {
-                let e = e.unwrap();
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-            .collect();
-        files.sort();
-        files
-    };
-    let artifacts = read(&traced_dir);
+    let artifacts = artifact_bytes(&traced_dir);
     assert_eq!(
         artifacts,
-        read(&plain_dir),
+        artifact_bytes(&plain_dir),
         "--trace changed artifact bytes"
     );
 
@@ -335,23 +359,9 @@ fn run_with_check_is_clean_and_leaves_artifacts_untouched() {
     ]);
     assert_eq!(plain.status.code(), Some(0), "{plain:?}");
 
-    let read = |d: &std::path::Path| {
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(d.join("runs"))
-            .expect("runs dir")
-            .map(|e| {
-                let e = e.unwrap();
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-            .collect();
-        files.sort();
-        files
-    };
     assert_eq!(
-        read(&checked_dir),
-        read(&plain_dir),
+        artifact_bytes(&checked_dir),
+        artifact_bytes(&plain_dir),
         "--check changed artifact bytes"
     );
 

@@ -7,8 +7,10 @@
 //!   derived seed produces (the pool adds nothing and loses nothing);
 //! * two independent executions of the same spec diff as parity.
 
+mod common;
+
 use clocksync::scenario::{self, ScenarioKind};
-use std::path::{Path, PathBuf};
+use common::{artifact_bytes, opts, scratch};
 use tsn_campaign::{
     artifact::RunRecord, runner, summary, BaseSpec, CampaignSpec, DiffTolerance, DiffVerdict, Grid,
     RunnerOptions,
@@ -35,54 +37,28 @@ fn tiny_spec() -> CampaignSpec {
     }
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tsn-campaign-determinism-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn opts(dir: &Path, threads: usize) -> RunnerOptions {
-    RunnerOptions {
-        dir: dir.to_path_buf(),
-        threads,
-        quiet: true,
-        fork: false,
-        check: false,
-        trace: None,
-        trace_max_events: None,
-        panic_label: None,
-    }
-}
-
-fn artifact_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("runs"))
-        .expect("runs dir exists")
-        .filter_map(|e| {
-            let e = e.unwrap();
-            // Skip `runs/corrupt/`, where damaged artifacts are quarantined.
-            e.path().is_file().then(|| {
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-        })
-        .collect();
-    files.sort();
-    files
-}
-
 #[test]
 fn byte_identical_artifacts_across_thread_counts() {
     let spec = tiny_spec();
     let serial_dir = scratch("serial");
     let parallel_dir = scratch("parallel");
 
-    let serial = runner::execute(&spec, &opts(&serial_dir, 1)).expect("serial campaign");
-    let parallel = runner::execute(&spec, &opts(&parallel_dir, 4)).expect("parallel campaign");
+    let serial = runner::execute(
+        &spec,
+        &RunnerOptions {
+            threads: 1,
+            ..opts(&serial_dir)
+        },
+    )
+    .expect("serial campaign");
+    let parallel = runner::execute(
+        &spec,
+        &RunnerOptions {
+            threads: 4,
+            ..opts(&parallel_dir)
+        },
+    )
+    .expect("parallel campaign");
     assert_eq!(serial.threads, 1);
     assert_eq!(parallel.threads, 4);
     assert_eq!(serial.executed, 8);
@@ -121,12 +97,12 @@ fn resume_skips_all_completed_runs() {
     let spec = tiny_spec();
     let dir = scratch("resume");
 
-    let first = runner::execute(&spec, &opts(&dir, 2)).expect("first invocation");
+    let first = runner::execute(&spec, &opts(&dir)).expect("first invocation");
     assert_eq!(first.executed, 8);
     assert_eq!(first.skipped, 0);
     let before = artifact_bytes(&dir);
 
-    let second = runner::execute(&spec, &opts(&dir, 2)).expect("second invocation");
+    let second = runner::execute(&spec, &opts(&dir)).expect("second invocation");
     assert_eq!(second.executed, 0, "resume must not re-execute");
     assert_eq!(second.skipped, 8);
     assert_eq!(second.records, first.records);
@@ -139,7 +115,7 @@ fn resume_skips_all_completed_runs() {
     // A corrupted artifact is re-executed (and only that one).
     let victim = dir.join("runs").join(&before[0].0);
     std::fs::write(&victim, "garbage\n").unwrap();
-    let third = runner::execute(&spec, &opts(&dir, 2)).expect("third invocation");
+    let third = runner::execute(&spec, &opts(&dir)).expect("third invocation");
     assert_eq!(third.executed, 1);
     assert_eq!(third.skipped, 7);
     assert_eq!(artifact_bytes(&dir), before, "repaired artifact must match");
@@ -155,7 +131,14 @@ fn resume_skips_all_completed_runs() {
 fn pool_runs_equal_direct_scenario_runs() {
     let spec = tiny_spec();
     let dir = scratch("direct");
-    let report = runner::execute(&spec, &opts(&dir, 4)).expect("campaign");
+    let report = runner::execute(
+        &spec,
+        &RunnerOptions {
+            threads: 4,
+            ..opts(&dir)
+        },
+    )
+    .expect("campaign");
 
     for plan in tsn_campaign::expand(&spec)
         .expect("valid spec")

@@ -4,17 +4,10 @@
 //! under `--check`, and election runs must be byte-identical between
 //! cold and forked execution.
 
-use std::path::{Path, PathBuf};
-use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid, RunnerOptions};
+mod common;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tsn-campaign-election-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use common::{artifact_bytes, fork_opts, opts, scratch};
+use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid, RunnerOptions};
 
 /// One seed, election on, GM 0 killed 8 s after warm-up, with and
 /// without a rogue master: two runs sharing a warm prefix.
@@ -70,14 +63,9 @@ fn election_failover_is_in_artifacts_and_oracles_stay_silent() {
     let dir = scratch("accept");
     let trace_dir = scratch("accept-trace");
     let opts = RunnerOptions {
-        dir: dir.clone(),
-        threads: 2,
-        quiet: true,
-        fork: false,
         check: true,
         trace: Some(trace_dir.clone()),
-        trace_max_events: None,
-        panic_label: None,
+        ..opts(&dir)
     };
     let report = runner::execute(&spec, &opts).expect("campaign runs");
     assert_eq!(report.executed, 2);
@@ -150,42 +138,17 @@ fn election_runs_fork_byte_identically() {
     let spec = election_spec("election-fork");
     let cold_dir = scratch("cold");
     let fork_dir = scratch("fork");
-    let opts = |dir: &Path, fork: bool| RunnerOptions {
-        dir: dir.to_path_buf(),
-        threads: 2,
-        quiet: true,
-        fork,
-        check: false,
-        trace: None,
-        trace_max_events: None,
-        panic_label: None,
-    };
-
-    let cold = runner::execute(&spec, &opts(&cold_dir, false)).expect("cold campaign");
+    let cold = runner::execute(&spec, &opts(&cold_dir)).expect("cold campaign");
     assert_eq!(cold.executed, 2);
-    let forked = runner::execute(&spec, &opts(&fork_dir, true)).expect("forked campaign");
+    let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
     // The kill and the rogue strike are post-warmup interventions, so
     // both runs share one Announce-traffic warm prefix.
     assert_eq!(forked.forked_groups, 1);
     assert!(forked.prefix_events_skipped > 0);
 
-    let bytes = |dir: &Path| -> Vec<(String, Vec<u8>)> {
-        let mut files: Vec<_> = std::fs::read_dir(dir.join("runs"))
-            .expect("runs dir exists")
-            .map(|e| {
-                let e = e.unwrap();
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-            .collect();
-        files.sort();
-        files
-    };
     assert_eq!(
-        bytes(&cold_dir),
-        bytes(&fork_dir),
+        artifact_bytes(&cold_dir),
+        artifact_bytes(&fork_dir),
         "forked election artifacts differ from cold artifacts"
     );
 

@@ -3,9 +3,11 @@
 //! artifacts **byte-identical** to cold execution while simulating the
 //! shared prefix exactly once per group.
 
+mod common;
+
 use clocksync::scenario::ScenarioKind;
-use std::path::{Path, PathBuf};
-use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid, RunnerOptions};
+use common::{artifact_bytes, fork_opts, opts, scratch};
+use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid};
 use tsn_time::SyncState;
 
 /// Baseline plus an intervention scenario: with prefix-relative seed
@@ -26,52 +28,18 @@ fn fork_spec() -> CampaignSpec {
     }
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tsn-campaign-fork-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn opts(dir: &Path, fork: bool) -> RunnerOptions {
-    RunnerOptions {
-        dir: dir.to_path_buf(),
-        threads: 2,
-        quiet: true,
-        fork,
-        check: false,
-        trace: None,
-        trace_max_events: None,
-        panic_label: None,
-    }
-}
-
-fn artifact_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("runs"))
-        .expect("runs dir exists")
-        .map(|e| {
-            let e = e.unwrap();
-            (
-                e.file_name().to_string_lossy().into_owned(),
-                std::fs::read(e.path()).unwrap(),
-            )
-        })
-        .collect();
-    files.sort();
-    files
-}
-
 #[test]
 fn forked_campaign_matches_cold_campaign_byte_for_byte() {
     let spec = fork_spec();
     let cold_dir = scratch("cold");
     let fork_dir = scratch("fork");
 
-    let cold = runner::execute(&spec, &opts(&cold_dir, false)).expect("cold campaign");
+    let cold = runner::execute(&spec, &opts(&cold_dir)).expect("cold campaign");
     assert_eq!(cold.executed, 4);
     assert_eq!(cold.forked_groups, 0);
     assert_eq!(cold.prefix_events_skipped, 0);
 
-    let forked = runner::execute(&spec, &opts(&fork_dir, true)).expect("forked campaign");
+    let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
     assert_eq!(forked.executed, 4);
     // One group per seed, each sharing Baseline + CyberIdenticalKernels.
     assert_eq!(forked.forked_groups, 2);
@@ -120,9 +88,9 @@ fn degradation_walk_is_in_artifacts_and_fork_stable() {
     let cold_dir = scratch("deg-cold");
     let fork_dir = scratch("deg-fork");
 
-    let cold = runner::execute(&spec, &opts(&cold_dir, false)).expect("cold campaign");
+    let cold = runner::execute(&spec, &opts(&cold_dir)).expect("cold campaign");
     assert_eq!(cold.executed, 2);
-    let forked = runner::execute(&spec, &opts(&fork_dir, true)).expect("forked campaign");
+    let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
     // Both variants (partitioned and not) share the seed's warm prefix.
     assert_eq!(forked.forked_groups, 1);
     assert_eq!(
@@ -181,11 +149,11 @@ fn fork_resume_skips_completed_runs() {
     let spec = fork_spec();
     let dir = scratch("resume");
 
-    let first = runner::execute(&spec, &opts(&dir, true)).expect("first invocation");
+    let first = runner::execute(&spec, &fork_opts(&dir)).expect("first invocation");
     assert_eq!(first.executed, 4);
 
     // Everything resumed: no runs pending, so no prefixes simulated.
-    let second = runner::execute(&spec, &opts(&dir, true)).expect("second invocation");
+    let second = runner::execute(&spec, &fork_opts(&dir)).expect("second invocation");
     assert_eq!(second.executed, 0);
     assert_eq!(second.skipped, 4);
     assert_eq!(second.forked_groups, 0);

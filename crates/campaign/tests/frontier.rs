@@ -12,20 +12,14 @@
 //!   forked and cold execution, and across a resume into a completed
 //!   directory.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::{artifact_bytes, fork_opts, opts, scratch};
+use std::path::Path;
 use tsn_campaign::{
     frontier::{self, FrontierAxis, FrontierCell},
-    BaseSpec, BisectOutcome, FrontierSpec, RunnerOptions,
+    BaseSpec, BisectOutcome, FrontierSpec,
 };
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tsn-campaign-frontier-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// One breakable cell (colluding c = f + 1) and one analytically
 /// unbreakable cell (colluding c = f), one seed, short horizon: the
@@ -62,24 +56,11 @@ fn accept_spec() -> FrontierSpec {
     }
 }
 
-fn opts(dir: &Path, fork: bool) -> RunnerOptions {
-    RunnerOptions {
-        dir: dir.to_path_buf(),
-        threads: 2,
-        quiet: true,
-        fork,
-        check: false,
-        trace: None,
-        trace_max_events: None,
-        panic_label: None,
-    }
-}
-
 #[test]
 fn frontier_localizes_tighter_than_the_grid_with_fewer_runs() {
     let spec = accept_spec();
     let dir = scratch("accept");
-    let report = frontier::execute(&spec, &opts(&dir, true)).expect("frontier runs");
+    let report = frontier::execute(&spec, &fork_opts(&dir)).expect("frontier runs");
     assert!(
         report.failed.is_empty(),
         "probes failed: {:?}",
@@ -162,10 +143,10 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
     let dir_b = scratch("det-b");
     let dir_cold = scratch("det-cold");
 
-    let first = frontier::execute(&spec, &opts(&dir_a, true)).expect("first run");
+    let first = frontier::execute(&spec, &fork_opts(&dir_a)).expect("first run");
     assert!(first.executed > 0);
-    frontier::execute(&spec, &opts(&dir_b, true)).expect("second run");
-    let cold = frontier::execute(&spec, &opts(&dir_cold, false)).expect("cold run");
+    frontier::execute(&spec, &fork_opts(&dir_b)).expect("second run");
+    let cold = frontier::execute(&spec, &opts(&dir_cold)).expect("cold run");
     assert_eq!(cold.forked_groups, 0);
 
     let artifact = |dir: &Path| std::fs::read(dir.join("frontier.json")).expect("frontier.json");
@@ -181,29 +162,17 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
     );
 
     // Every probe artifact is also byte-identical between fork and cold.
-    let runs = |dir: &Path| -> Vec<(String, Vec<u8>)> {
-        let mut files: Vec<_> = std::fs::read_dir(dir.join("runs"))
-            .expect("runs dir")
-            .filter_map(|e| {
-                let e = e.unwrap();
-                e.path().is_file().then(|| {
-                    (
-                        e.file_name().to_string_lossy().into_owned(),
-                        std::fs::read(e.path()).unwrap(),
-                    )
-                })
-            })
-            .collect();
-        files.sort();
-        files
-    };
-    assert_eq!(runs(&dir_a), runs(&dir_cold), "probe artifacts differ");
+    assert_eq!(
+        artifact_bytes(&dir_a),
+        artifact_bytes(&dir_cold),
+        "probe artifacts differ"
+    );
 
     // Resuming a completed directory re-executes nothing and leaves the
     // document bytes untouched (total_runs is spec-derived, not
     // invocation-derived).
     let before = artifact(&dir_a);
-    let resumed = frontier::execute(&spec, &opts(&dir_a, true)).expect("resume");
+    let resumed = frontier::execute(&spec, &fork_opts(&dir_a)).expect("resume");
     assert_eq!(resumed.executed, 0, "resume re-executed probes");
     assert_eq!(resumed.skipped, first.executed + first.skipped);
     assert_eq!(resumed.doc, first.doc);

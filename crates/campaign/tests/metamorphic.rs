@@ -13,49 +13,13 @@
 //!   values, not on their timestamps. Shifting a whole series in time
 //!   leaves every statistic bit-identical.
 
+mod common;
+
 use clocksync::scenario::ScenarioKind;
-use std::path::{Path, PathBuf};
-use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid, RunnerOptions};
+use common::{artifact_bytes, opts, scratch};
+use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid};
 use tsn_metrics::{PrecisionSample, PrecisionSeries};
 use tsn_time::Nanos;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tsn-campaign-metamorphic-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn opts(dir: &Path) -> RunnerOptions {
-    RunnerOptions {
-        dir: dir.to_path_buf(),
-        threads: 2,
-        quiet: true,
-        fork: false,
-        check: false,
-        trace: None,
-        trace_max_events: None,
-        panic_label: None,
-    }
-}
-
-/// The campaign's `runs/` directory as sorted (name, bytes) pairs.
-fn artifact_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("runs"))
-        .expect("runs dir exists")
-        .map(|e| {
-            let e = e.unwrap();
-            (
-                e.file_name().to_string_lossy().into_owned(),
-                std::fs::read(e.path()).unwrap(),
-            )
-        })
-        .collect();
-    files.sort();
-    files
-}
 
 fn spec_with_axes(domains: Vec<usize>, seeds: Vec<u64>) -> CampaignSpec {
     CampaignSpec {

@@ -12,18 +12,12 @@
 //! * the ring and tree fabric topologies run clean under `--check` and
 //!   fork byte-identically to cold execution.
 
+mod common;
+
 use clocksync::scenario::ScenarioKind;
+use common::{artifact_bytes, fork_opts, opts, scratch};
 use std::path::{Path, PathBuf};
 use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid, RunnerOptions};
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tsn-campaign-robustness-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn tiny_spec(name: &str) -> CampaignSpec {
     CampaignSpec {
@@ -39,36 +33,6 @@ fn tiny_spec(name: &str) -> CampaignSpec {
             ..Grid::default()
         },
     }
-}
-
-fn opts(dir: &Path) -> RunnerOptions {
-    RunnerOptions {
-        dir: dir.to_path_buf(),
-        threads: 2,
-        quiet: true,
-        fork: false,
-        check: false,
-        trace: None,
-        trace_max_events: None,
-        panic_label: None,
-    }
-}
-
-fn artifact_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("runs"))
-        .expect("runs dir exists")
-        .filter_map(|e| {
-            let e = e.unwrap();
-            e.path().is_file().then(|| {
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-        })
-        .collect();
-    files.sort();
-    files
 }
 
 #[test]
@@ -294,14 +258,7 @@ fn ring_and_tree_fabrics_run_clean_and_fork_identically() {
 
     // Forked execution produces byte-identical artifacts.
     let fork_dir = scratch("topo-fork");
-    let forked = runner::execute(
-        &spec,
-        &RunnerOptions {
-            fork: true,
-            ..opts(&fork_dir)
-        },
-    )
-    .expect("forked campaign");
+    let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
     assert!(forked.forked_groups > 0, "no warm-prefix group formed");
     assert!(forked.prefix_events_skipped > 0);
     assert_eq!(

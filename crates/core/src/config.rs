@@ -12,6 +12,13 @@ use tsn_hyp::{MonitorConfig, SyncClockDiscipline};
 use tsn_netsim::LinkFaultPlan;
 use tsn_time::{JitterConfig, Nanos, OscillatorConfig, ServoConfig};
 
+/// The shortest synchronization interval the World models: 2^-7 s,
+/// the fastest `logSyncInterval` it advertises, rounded up to a whole
+/// millisecond. A grandmaster's next tick is placed one interval minus
+/// the launch lead after the departure it just scheduled; much below
+/// this limit that lands before the current event.
+pub const MIN_SYNC_INTERVAL: Nanos = Nanos::from_millis(8);
+
 /// Full configuration of one experiment run.
 ///
 /// Serializable, so experiment setups can be stored as config files and
@@ -295,6 +302,11 @@ impl TestbedConfig {
             "aggregation sync interval must match the testbed's"
         );
         assert!(
+            self.sync_interval >= MIN_SYNC_INTERVAL,
+            "sync interval {} is below the {MIN_SYNC_INTERVAL} the World models",
+            self.sync_interval
+        );
+        assert!(
             self.link_base_min <= self.link_base_max,
             "link range inverted"
         );
@@ -377,6 +389,23 @@ mod tests {
     fn mismatched_domains_rejected() {
         let mut c = TestbedConfig::paper_default(1);
         c.aggregation.domains = 3;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "sync interval 7.000ms is below the 8.000ms the World models")]
+    fn sync_interval_below_the_modelled_minimum_rejected() {
+        let mut c = TestbedConfig::quick(1);
+        c.sync_interval = Nanos::from_millis(7);
+        c.aggregation.sync_interval = c.sync_interval;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "loss probability 1 outside [0, 1)")]
+    fn link_loss_of_one_rejected() {
+        let mut c = TestbedConfig::quick(1);
+        c.link_faults = Some(tsn_netsim::LinkFaultPlan::with_loss(1.0));
         c.validate();
     }
 

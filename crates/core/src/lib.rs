@@ -43,6 +43,7 @@ mod world;
 
 pub use config::{
     BackgroundTraffic, CorruptPublisher, HypMonitorMode, PartitionWindow, TestbedConfig,
+    MIN_SYNC_INTERVAL,
 };
 pub use world::{RunCounters, RunResult, World};
 

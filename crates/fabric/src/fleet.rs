@@ -44,8 +44,9 @@ pub enum FleetShape {
     Ring,
     /// Balanced binary tree (heap-shaped): logarithmic diameter.
     Tree,
-    /// Three-stage edge/aggregation/core fat-tree: constant diameter
-    /// (≤ 4 inter-switch hops edge to edge).
+    /// Three-stage edge/aggregation/core fat-tree. As wired by
+    /// [`FleetTopology::generate`] its diameter is ≈ edge switches / 4
+    /// (4 hops at 256 ECDs, 16 at 1 024, 64 at 4 096), not constant.
     FatTree,
 }
 
@@ -185,7 +186,9 @@ impl FleetTopology {
                 // aggregation tier of half as many, a core tier of a
                 // quarter. Each edge dual-homes into two aggregation
                 // switches; each aggregation switch homes into two
-                // cores — diameter ≤ 4 regardless of fleet size.
+                // cores. Edge `e` only reaches aggregation switches
+                // `e % agg` and `e + 1`, so the tiers are rings of
+                // neighbours and the diameter grows like edge / 4.
                 let agg = (edge_count / 2).max(1);
                 let core = (agg / 2).max(1);
                 let agg_base = edge_count;
@@ -410,7 +413,7 @@ mod tests {
         assert!(tree.diameter() <= 2 * 4, "heap of 16 has depth 4");
         let fat = FleetTopology::generate(256, FleetShape::FatTree, 1);
         assert_eq!(fat.switch_count(), 16 + 8 + 4);
-        assert!(fat.diameter() <= 4, "three-stage Clos caps at 4 hops");
+        assert_eq!(fat.diameter(), 4, "16 edge switches: edge / 4");
         for t in [line, ring, tree, fat] {
             t.validate();
         }
@@ -439,6 +442,41 @@ mod tests {
         let cfg = fleet.condense(&FabricConfig::default());
         assert_eq!(cfg.hops, 64);
         cfg.validate();
+    }
+
+    /// What each fleet condenses to — `(hops, residence_min_ns,
+    /// residence_max_ns)` per shape, seed 42. The fat-tree's depth
+    /// grows like edge/4 (each edge switch only reaches aggregation
+    /// switches `e % agg` and `e + 1`), so it hits the 64-hop clamp at
+    /// 4 096 ECDs just as the line and the ring do. This table is the
+    /// safety net for replacing the generator with closed forms.
+    #[test]
+    fn condensed_depth_and_residence_are_pinned_per_size_and_shape() {
+        // Columns in `FleetShape::ALL` order: line, ring, tree, fat-tree.
+        type Condensed = (u32, i64, i64);
+        #[rustfmt::skip]
+        const TABLE: [(u32, [Condensed; 4]); 8] = [
+            (2,      [(1, 602, 602),  (1, 602, 602),  (1, 602, 602),  (2, 486, 602)]),
+            (16,     [(1, 602, 602),  (1, 602, 602),  (1, 602, 602),  (2, 486, 602)]),
+            (17,     [(1, 598, 602),  (1, 598, 602),  (1, 598, 602),  (2, 486, 602)]),
+            (33,     [(2, 486, 602),  (1, 486, 602),  (2, 486, 602),  (2, 464, 602)]),
+            (256,    [(15, 410, 783), (8, 410, 783),  (7, 410, 783),  (4, 409, 899)]),
+            (1_024,  [(63, 406, 899), (32, 406, 899), (11, 406, 899), (16, 400, 899)]),
+            (4_096,  [(64, 400, 899), (64, 400, 899), (15, 400, 899), (64, 400, 899)]),
+            (65_536, [(64, 400, 900), (64, 400, 900), (23, 400, 900), (64, 400, 900)]),
+        ];
+        let base = FabricConfig::default();
+        for (nodes, row) in TABLE {
+            for (shape, expected) in FleetShape::ALL.into_iter().zip(row) {
+                let cfg = FleetTopology::generate(nodes, shape, 42).condense(&base);
+                let got = (
+                    cfg.hops,
+                    cfg.residence_min.as_nanos(),
+                    cfg.residence_max.as_nanos(),
+                );
+                assert_eq!(got, expected, "{nodes} ECDs, {}", shape.name());
+            }
+        }
     }
 
     #[test]

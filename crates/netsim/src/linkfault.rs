@@ -121,9 +121,11 @@ impl LinkFaultPlan {
                 Err(format!("{name} probability {p} outside [0, 1]"))
             }
         };
-        prob("loss", self.loss)?;
-        if self.loss >= 1.0 {
-            return Err("loss probability 1.0 would sever every link".into());
+        if !(0.0..1.0).contains(&self.loss) {
+            return Err(format!(
+                "loss probability {} outside [0, 1) (a loss of 1.0 would sever every link)",
+                self.loss
+            ));
         }
         if let Some(b) = &self.burst {
             prob("burst enter", b.p_enter)?;

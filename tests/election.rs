@@ -148,3 +148,32 @@ fn election_off_keeps_static_assignment() {
     }
     assert_eq!(world.into_result().counters.announce_tx, 0);
 }
+
+/// The behaviour pin: the `quick-election-failover` shape (quick
+/// preset, seed 7, 5 s warm-up + 20 s, GM of node 0 killed at 8 s) pops
+/// exactly the `events` that the root `BENCH_baseline.json` records. A
+/// different count means simulator behaviour changed; if that is
+/// deliberate, update the file in the same change — the repo
+/// benchmark's start-up guard reads the same field.
+#[test]
+fn pinned_failover_workload_pops_the_baseline_event_count() {
+    let mut cfg = TestbedConfig::quick(7);
+    cfg.warmup = Nanos::from_secs(5);
+    cfg.duration = Nanos::from_secs(20);
+    cfg.election = Some(ElectionConfig {
+        gm_failure_at: Some(Nanos::from_secs(8)),
+        gm_failure_node: 0,
+        ..ElectionConfig::default()
+    });
+    let mut world = World::new(cfg);
+    let end = world.end_time();
+    world.run_until(end);
+
+    let baseline = include_str!("../BENCH_baseline.json");
+    let (_, tail) = baseline
+        .split_once("\"events\":")
+        .expect("BENCH_baseline.json has an events field");
+    let digits = tail.split(|c: char| !c.is_ascii_digit()).next().unwrap();
+    let expected: u64 = digits.parse().expect("events is an unsigned integer");
+    assert_eq!(world.events_processed(), expected);
+}
