@@ -893,7 +893,7 @@ impl World {
     fn handle(&mut self, t: SimTime, ev: Ev) {
         match ev {
             Ev::Transmit { from, frame, token } => self.on_transmit(t, from, frame, token),
-            Ev::Arrive { to, frame } => self.on_arrive(t, to, frame),
+            Ev::Arrive { to, frame } => self.on_arrive(t, to, &frame),
             Ev::GmSyncTick { node } => self.on_gm_sync_tick(t, node),
             Ev::PdelayTick { port } => self.on_pdelay_tick(t, port),
             Ev::Phc2SysTick { node, slot } => self.on_phc2sys_tick(t, node, slot),
@@ -1369,8 +1369,8 @@ impl World {
 
     // ----- reception ---------------------------------------------------
 
-    fn on_arrive(&mut self, t: SimTime, to: PortAddr, frame: EthernetFrame) {
-        self.trace_frame_event(t, to.device, false, &frame);
+    fn on_arrive(&mut self, t: SimTime, to: PortAddr, frame: &EthernetFrame) {
+        self.trace_frame_event(t, to.device, false, frame);
         if let Some((node, slot)) = self.station_map.get(to.device) {
             self.arrive_at_station(t, node, slot, frame);
         } else if let Some(sw) = self.switch_map.get(to.device) {
@@ -1378,7 +1378,7 @@ impl World {
         }
     }
 
-    fn arrive_at_station(&mut self, t: SimTime, node: usize, slot: usize, frame: EthernetFrame) {
+    fn arrive_at_station(&mut self, t: SimTime, node: usize, slot: usize, frame: &EthernetFrame) {
         if !self.nodes[node].vms[slot].running {
             return;
         }
@@ -1406,7 +1406,7 @@ impl World {
         }
     }
 
-    fn arrive_at_switch(&mut self, t: SimTime, sw: usize, port: u8, frame: EthernetFrame) {
+    fn arrive_at_switch(&mut self, t: SimTime, sw: usize, port: u8, frame: &EthernetFrame) {
         match frame.ethertype {
             // Background traffic only loads the egress ports it crossed.
             ethertype::BACKGROUND => {}
@@ -1435,7 +1435,7 @@ impl World {
                 let out =
                     self.switches[sw]
                         .fabric
-                        .forward(PortNo(port), &frame, &mut self.frame_rng);
+                        .forward(PortNo(port), frame, &mut self.frame_rng);
                 for (egress, residence) in out {
                     let from = PortAddr::new(self.switches[sw].device, egress.0);
                     self.queue.schedule_at(
@@ -2506,6 +2506,15 @@ mod tests {
         assert_eq!(log2_interval(Nanos::from_millis(125)), -3);
         assert_eq!(log2_interval(Nanos::from_secs(1)), 0);
         assert_eq!(log2_interval(Nanos::from_millis(250)), -2);
+    }
+
+    /// Every slab cell of the event queue holds an `Ev`, and every
+    /// schedule and pop moves one: a field that grows it slows every
+    /// workload (ROADMAP: inline payloads cost 20–32 %).
+    #[test]
+    fn event_stays_72_bytes() {
+        assert_eq!(std::mem::size_of::<Ev>(), 72);
+        assert_eq!(std::mem::size_of::<Option<Ev>>(), 72);
     }
 
     fn tiny_world(seed: u64) -> World {

@@ -35,7 +35,7 @@
 //! backoff. Transitions are queued for the embedding world to collect via
 //! [`MultiDomainAggregator::take_transitions`].
 
-use crate::algorithm::{validity_flags, AggregationMethod};
+use crate::algorithm::{fill, validity_flags, with_scratch, AggregationMethod};
 use crate::shmem::{FtShmem, OffsetSlot};
 use tsn_time::{ClockTime, Nanos, PiServo, ServoConfig, ServoOutput, SyncState};
 
@@ -357,36 +357,33 @@ impl MultiDomainAggregator {
     }
 
     fn aggregate(&mut self, now: ClockTime) -> SubmitOutcome {
-        // Fresh offsets only: stale slots are fail-silent domains.
-        let fresh: Vec<Option<Nanos>> = self
-            .shmem
-            .slots
-            .iter()
-            .map(|slot| {
-                slot.and_then(|s| {
-                    if now - s.stored_at <= self.config.staleness {
-                        Some(s.offset)
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect();
-        self.shmem.valid = validity_flags(&fresh, self.config.validity_threshold);
+        with_scratch(self.shmem.slots.len(), |scratch| {
+            // Fresh offsets only: stale slots are fail-silent domains.
+            let fresh = fill(
+                scratch,
+                self.shmem.slots.iter().map(|slot| {
+                    slot.filter(|s| now - s.stored_at <= self.config.staleness)
+                        .map(|s| s.offset)
+                }),
+            );
+            self.aggregate_fresh(now, fresh)
+        })
+    }
+
+    /// [`Self::aggregate`] over the per-domain fresh offsets.
+    fn aggregate_fresh(&mut self, now: ClockTime, fresh: &[Option<Nanos>]) -> SubmitOutcome {
+        self.shmem.valid = validity_flags(fresh, self.config.validity_threshold);
 
         let aggregated = match self.mode {
-            AggregationMode::Startup => self.startup_offset(&fresh),
-            AggregationMode::FaultTolerant => {
-                let used: Vec<Nanos> = fresh
+            AggregationMode::Startup => self.startup_offset(fresh),
+            AggregationMode::FaultTolerant => with_scratch(fresh.len(), |scratch| {
+                let used = fresh
                     .iter()
                     .enumerate()
-                    .filter(|(i, o)| {
-                        o.is_some() && (!self.config.exclude_invalid || self.shmem.valid[*i])
-                    })
-                    .filter_map(|(_, o)| *o)
-                    .collect();
-                self.config.method.aggregate(&used)
-            }
+                    .filter(|(i, _)| !self.config.exclude_invalid || self.shmem.valid[*i])
+                    .filter_map(|(_, o)| *o);
+                self.config.method.aggregate(fill(scratch, used))
+            }),
         };
 
         let Some(offset) = aggregated else {

@@ -13,6 +13,41 @@
 
 use tsn_time::Nanos;
 
+/// Values a round's scratch buffer holds on the stack: four times the
+/// paper's `M = 4` domains.
+const STACK_VALUES: usize = 16;
+
+/// Calls `f` with a default-filled scratch buffer of `len` values — on
+/// the stack up to [`STACK_VALUES`], so an aggregation round allocates
+/// nothing for its temporaries; a longer one comes from the heap.
+pub(crate) fn with_scratch<T: Copy + Default, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+    let mut stack = [T::default(); STACK_VALUES];
+    match stack.get_mut(..len) {
+        Some(scratch) => f(scratch),
+        None => f(&mut vec![T::default(); len]),
+    }
+}
+
+/// Writes `values` into the front of `scratch` and returns the part
+/// written.
+pub(crate) fn fill<T>(scratch: &mut [T], values: impl Iterator<Item = T>) -> &mut [T] {
+    let mut n = 0;
+    for (slot, v) in scratch.iter_mut().zip(values) {
+        *slot = v;
+        n += 1;
+    }
+    &mut scratch[..n]
+}
+
+/// Calls `f` with the offsets in ascending order, as plain nanoseconds.
+fn with_sorted<R>(offsets: &[Nanos], f: impl FnOnce(&[i64]) -> R) -> R {
+    with_scratch(offsets.len(), |scratch| {
+        let sorted = fill(scratch, offsets.iter().map(|o| o.as_nanos()));
+        sorted.sort_unstable();
+        f(sorted)
+    })
+}
+
 /// The aggregation function applied to the per-domain GM offsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregationMethod {
@@ -85,13 +120,13 @@ pub fn fault_tolerant_average(offsets: &[Nanos], f: usize) -> Option<Nanos> {
     if offsets.len() < 2 * f + 1 {
         return None;
     }
-    let mut sorted: Vec<i64> = offsets.iter().map(|o| o.as_nanos()).collect();
-    sorted.sort_unstable();
-    let kept = &sorted[f..sorted.len() - f];
-    let sum: i128 = kept.iter().map(|&v| i128::from(v)).sum();
-    // Round-half-away-from-zero division keeps the average unbiased.
-    let n = kept.len() as i128;
-    let avg = (sum + if sum >= 0 { n / 2 } else { -(n / 2) }) / n;
+    let avg = with_sorted(offsets, |sorted| {
+        let kept = &sorted[f..sorted.len() - f];
+        let sum: i128 = kept.iter().map(|&v| i128::from(v)).sum();
+        // Round-half-away-from-zero division keeps the average unbiased.
+        let n = kept.len() as i128;
+        (sum + if sum >= 0 { n / 2 } else { -(n / 2) }) / n
+    });
     Some(Nanos::from_nanos(avg as i64))
 }
 
@@ -106,10 +141,10 @@ pub fn fault_tolerant_midpoint(offsets: &[Nanos], f: usize) -> Option<Nanos> {
     if offsets.len() < 2 * f + 1 {
         return None;
     }
-    let mut sorted: Vec<i64> = offsets.iter().map(|o| o.as_nanos()).collect();
-    sorted.sort_unstable();
-    let kept = &sorted[f..sorted.len() - f];
-    let mid = (i128::from(kept[0]) + i128::from(kept[kept.len() - 1])) / 2;
+    let mid = with_sorted(offsets, |sorted| {
+        let kept = &sorted[f..sorted.len() - f];
+        (i128::from(kept[0]) + i128::from(kept[kept.len() - 1])) / 2
+    });
     Some(Nanos::from_nanos(mid as i64))
 }
 
@@ -152,14 +187,14 @@ pub fn median(offsets: &[Nanos]) -> Option<Nanos> {
     if offsets.is_empty() {
         return None;
     }
-    let mut sorted: Vec<i64> = offsets.iter().map(|o| o.as_nanos()).collect();
-    sorted.sort_unstable();
-    let mid = sorted.len() / 2;
-    let m = if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        (sorted[mid - 1] + sorted[mid]) / 2
-    };
+    let m = with_sorted(offsets, |sorted| {
+        let mid = sorted.len() / 2;
+        if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            (sorted[mid - 1] + sorted[mid]) / 2
+        }
+    });
     Some(Nanos::from_nanos(m))
 }
 
@@ -171,8 +206,8 @@ pub fn median(offsets: &[Nanos]) -> Option<Nanos> {
 /// all offsets is at most `threshold`. Missing (stale/down) domains are
 /// flagged invalid.
 pub fn validity_flags(offsets: &[Option<Nanos>], threshold: Nanos) -> Vec<bool> {
-    let present: Vec<Nanos> = offsets.iter().flatten().copied().collect();
-    let Some(med) = median(&present) else {
+    let present = offsets.iter().flatten().copied();
+    let Some(med) = with_scratch(offsets.len(), |scratch| median(fill(scratch, present))) else {
         return vec![false; offsets.len()];
     };
     offsets

@@ -143,7 +143,7 @@ impl Header {
         }
     }
 
-    fn encode_into(&self, buf: &mut BytesMut, message_length: u16) {
+    fn encode_into(&self, buf: &mut impl BufMut, message_length: u16) {
         buf.put_u8((GPTP_MAJOR_SDO_ID << 4) | (self.message_type as u8));
         buf.put_u8(PTP_VERSION);
         buf.put_u16(message_length);
@@ -174,9 +174,10 @@ impl Header {
         }
         let domain = b[4];
         let flags = u16::from_be_bytes([b[6], b[7]]);
-        let correction =
-            Correction::from_scaled(i64::from_be_bytes(b[8..16].try_into().expect("slice of 8")));
-        let clock = ClockIdentity(b[20..28].try_into().expect("slice of 8"));
+        let correction = Correction::from_scaled(i64::from_be_bytes(
+            be_array(b, 8).ok_or(DecodeError::Truncated)?,
+        ));
+        let clock = ClockIdentity(be_array(b, 20).ok_or(DecodeError::Truncated)?);
         let port = u16::from_be_bytes([b[28], b[29]]);
         let sequence_id = u16::from_be_bytes([b[30], b[31]]);
         let log_message_interval = b[33] as i8;
@@ -215,7 +216,7 @@ impl IntervalRequestTlv {
     /// "Leave every interval unchanged."
     pub const UNCHANGED: i8 = 127;
 
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u16(0x0003); // ORGANIZATION_EXTENSION
         buf.put_u16(12); // lengthField
         buf.put_slice(&[0x00, 0x80, 0xC2]); // organizationId
@@ -260,7 +261,7 @@ pub struct FollowUpTlv {
 const FOLLOW_UP_TLV_LEN: usize = 32;
 
 impl FollowUpTlv {
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u16(0x0003); // ORGANIZATION_EXTENSION
         buf.put_u16(28); // lengthField
         buf.put_slice(&[0x00, 0x80, 0xC2]); // organizationId
@@ -284,15 +285,12 @@ impl FollowUpTlv {
         if b[0..2] != [0x00, 0x03] || b[4..7] != [0x00, 0x80, 0xC2] {
             return Err(DecodeError::BadTlv);
         }
+        let bad = DecodeError::BadTlv;
         Ok(FollowUpTlv {
-            cumulative_scaled_rate_offset: i32::from_be_bytes(
-                b[10..14].try_into().expect("slice of 4"),
-            ),
+            cumulative_scaled_rate_offset: i32::from_be_bytes(be_array(b, 10).ok_or(bad)?),
             gm_time_base_indicator: u16::from_be_bytes([b[14], b[15]]),
-            last_gm_phase_change: i64::from_be_bytes(b[20..28].try_into().expect("slice of 8")),
-            scaled_last_gm_freq_change: i32::from_be_bytes(
-                b[28..32].try_into().expect("slice of 4"),
-            ),
+            last_gm_phase_change: i64::from_be_bytes(be_array(b, 20).ok_or(bad)?),
+            scaled_last_gm_freq_change: i32::from_be_bytes(be_array(b, 28).ok_or(bad)?),
         })
     }
 }
@@ -423,7 +421,36 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put_timestamp(buf: &mut BytesMut, ts: PtpTimestamp) {
+/// Capacity of [`StackBuf`]: the largest fixed-size message is the
+/// 76-byte Follow_Up.
+const STACK_BUF_LEN: usize = 96;
+
+/// Fixed-capacity stack buffer for the fixed-size messages: appending
+/// is a bounds-checked copy with no growth path and no allocation.
+struct StackBuf {
+    bytes: [u8; STACK_BUF_LEN],
+    len: usize,
+}
+
+impl Default for StackBuf {
+    fn default() -> Self {
+        StackBuf {
+            bytes: [0; STACK_BUF_LEN],
+            len: 0,
+        }
+    }
+}
+
+impl BufMut for StackBuf {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        let end = self.len + src.len();
+        self.bytes[self.len..end].copy_from_slice(src);
+        self.len = end;
+    }
+}
+
+fn put_timestamp(buf: &mut impl BufMut, ts: PtpTimestamp) {
     buf.put_u16((ts.seconds >> 32) as u16);
     buf.put_u32(ts.seconds as u32);
     buf.put_u32(ts.nanoseconds);
@@ -438,11 +465,19 @@ fn get_timestamp(b: &[u8]) -> PtpTimestamp {
     }
 }
 
-fn get_port_identity(b: &[u8]) -> PortIdentity {
-    PortIdentity::new(
-        ClockIdentity(b[0..8].try_into().expect("slice of 8")),
-        u16::from_be_bytes([b[8], b[9]]),
-    )
+/// The `N` bytes of `b` starting at `at`, or `None` when `b` is too
+/// short — the decoder's only fixed-width read, so a wrong length check
+/// surfaces as a decode error, never as a panic.
+fn be_array<const N: usize>(b: &[u8], at: usize) -> Option<[u8; N]> {
+    b.get(at..)?.first_chunk().copied()
+}
+
+fn get_port_identity(b: &[u8]) -> Result<PortIdentity, DecodeError> {
+    let port: [u8; 2] = be_array(b, 8).ok_or(DecodeError::Truncated)?;
+    Ok(PortIdentity::new(
+        ClockIdentity(be_array(b, 0).ok_or(DecodeError::Truncated)?),
+        u16::from_be_bytes(port),
+    ))
 }
 
 impl fmt::Display for Message {
@@ -514,39 +549,56 @@ impl Message {
     }
 
     /// Encodes the message to wire bytes.
+    ///
+    /// Every message but Announce has a fixed size of at most
+    /// [`STACK_BUF_LEN`] bytes: it is written into a stack buffer and
+    /// copied once into the shared allocation, so a frame costs one
+    /// allocation. Announce carries a variable-length path trace and
+    /// goes through a growable buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(96);
+        if let Message::Announce { path_trace, .. } = self {
+            let mut buf = BytesMut::with_capacity(68 + 8 * path_trace.len());
+            self.encode_into(&mut buf);
+            return buf.freeze();
+        }
+        let mut buf = StackBuf::default();
+        self.encode_into(&mut buf);
+        Bytes::copy_from_slice(&buf.bytes[..buf.len])
+    }
+
+    /// The encoder proper, shared by the stack and the growable path.
+    fn encode_into(&self, buf: &mut impl BufMut) {
         match self {
             Message::Sync { header, origin } => {
-                header.encode_into(&mut buf, 44);
-                put_timestamp(&mut buf, *origin);
+                header.encode_into(buf, 44);
+                put_timestamp(buf, *origin);
             }
             Message::FollowUp {
                 header,
                 precise_origin,
                 tlv,
             } => {
-                header.encode_into(&mut buf, (44 + FOLLOW_UP_TLV_LEN) as u16);
-                put_timestamp(&mut buf, *precise_origin);
-                tlv.encode_into(&mut buf);
+                header.encode_into(buf, (44 + FOLLOW_UP_TLV_LEN) as u16);
+                put_timestamp(buf, *precise_origin);
+                tlv.encode_into(buf);
             }
             Message::DelayReq { header } => {
-                header.encode_into(&mut buf, 44);
-                put_timestamp(&mut buf, PtpTimestamp::default());
+                header.encode_into(buf, 44);
+                put_timestamp(buf, PtpTimestamp::default());
             }
             Message::DelayResp {
                 header,
                 receive_timestamp,
                 requesting_port,
             } => {
-                header.encode_into(&mut buf, 54);
-                put_timestamp(&mut buf, *receive_timestamp);
+                header.encode_into(buf, 54);
+                put_timestamp(buf, *receive_timestamp);
                 buf.put_slice(&requesting_port.clock.0);
                 buf.put_u16(requesting_port.port);
             }
             Message::PdelayReq { header } => {
-                header.encode_into(&mut buf, 54);
-                put_timestamp(&mut buf, PtpTimestamp::default());
+                header.encode_into(buf, 54);
+                put_timestamp(buf, PtpTimestamp::default());
                 buf.put_slice(&[0u8; 10]);
             }
             Message::PdelayResp {
@@ -554,8 +606,8 @@ impl Message {
                 request_receipt,
                 requesting_port,
             } => {
-                header.encode_into(&mut buf, 54);
-                put_timestamp(&mut buf, *request_receipt);
+                header.encode_into(buf, 54);
+                put_timestamp(buf, *request_receipt);
                 buf.put_slice(&requesting_port.clock.0);
                 buf.put_u16(requesting_port.port);
             }
@@ -564,8 +616,8 @@ impl Message {
                 response_origin,
                 requesting_port,
             } => {
-                header.encode_into(&mut buf, 54);
-                put_timestamp(&mut buf, *response_origin);
+                header.encode_into(buf, 54);
+                put_timestamp(buf, *response_origin);
                 buf.put_slice(&requesting_port.clock.0);
                 buf.put_u16(requesting_port.port);
             }
@@ -574,18 +626,18 @@ impl Message {
                 target_port,
                 tlv,
             } => {
-                header.encode_into(&mut buf, (34 + 10 + 16) as u16);
+                header.encode_into(buf, (34 + 10 + 16) as u16);
                 buf.put_slice(&target_port.clock.0);
                 buf.put_u16(target_port.port);
-                tlv.encode_into(&mut buf);
+                tlv.encode_into(buf);
             }
             Message::Announce {
                 header,
                 body,
                 path_trace,
             } => {
-                header.encode_into(&mut buf, (64 + 4 + 8 * path_trace.len()) as u16);
-                put_timestamp(&mut buf, PtpTimestamp::default());
+                header.encode_into(buf, (64 + 4 + 8 * path_trace.len()) as u16);
+                put_timestamp(buf, PtpTimestamp::default());
                 buf.put_i16(body.current_utc_offset);
                 buf.put_u8(0); // reserved
                 buf.put_u8(body.priority1);
@@ -604,7 +656,6 @@ impl Message {
                 }
             }
         }
-        buf.freeze()
     }
 
     /// Decodes a message from wire bytes.
@@ -649,7 +700,7 @@ impl Message {
                 Ok(Message::DelayResp {
                     header,
                     receive_timestamp: get_timestamp(body),
-                    requesting_port: get_port_identity(&body[10..]),
+                    requesting_port: get_port_identity(&body[10..])?,
                 })
             }
             MessageType::PdelayReq => {
@@ -665,7 +716,7 @@ impl Message {
                 Ok(Message::PdelayResp {
                     header,
                     request_receipt: get_timestamp(body),
-                    requesting_port: get_port_identity(&body[10..]),
+                    requesting_port: get_port_identity(&body[10..])?,
                 })
             }
             MessageType::PdelayRespFollowUp => {
@@ -675,7 +726,7 @@ impl Message {
                 Ok(Message::PdelayRespFollowUp {
                     header,
                     response_origin: get_timestamp(body),
-                    requesting_port: get_port_identity(&body[10..]),
+                    requesting_port: get_port_identity(&body[10..])?,
                 })
             }
             MessageType::Signaling => {
@@ -684,7 +735,7 @@ impl Message {
                 }
                 Ok(Message::Signaling {
                     header,
-                    target_port: get_port_identity(body),
+                    target_port: get_port_identity(body)?,
                     tlv: IntervalRequestTlv::decode(&body[10..])?,
                 })
             }
@@ -699,9 +750,8 @@ impl Message {
                     if len % 8 != 0 || body.len() < 34 + len {
                         return Err(DecodeError::BadTlv);
                     }
-                    for chunk in body[34..34 + len].chunks_exact(8) {
-                        path_trace.push(ClockIdentity(chunk.try_into().expect("chunk of 8")));
-                    }
+                    let (ids, _) = body[34..34 + len].as_chunks();
+                    path_trace.extend(ids.iter().copied().map(ClockIdentity));
                 }
                 Ok(Message::Announce {
                     header,
@@ -715,7 +765,9 @@ impl Message {
                             variance: u16::from_be_bytes([body[16], body[17]]),
                         },
                         priority2: body[18],
-                        gm_identity: ClockIdentity(body[19..27].try_into().expect("slice of 8")),
+                        gm_identity: ClockIdentity(
+                            be_array(body, 19).ok_or(DecodeError::Truncated)?,
+                        ),
                         steps_removed: u16::from_be_bytes([body[27], body[28]]),
                         time_source: body[29],
                     },
@@ -1124,9 +1176,18 @@ mod proptests {
             prop_assert_eq!(back, msg);
         }
 
+        /// The stack-buffer encoder writes the same bytes as the
+        /// growable `BytesMut` encoder it replaced on the frame path.
+        #[test]
+        fn stack_and_growable_encoders_agree(msg in arb_message()) {
+            let mut growable = BytesMut::new();
+            msg.encode_into(&mut growable);
+            prop_assert_eq!(msg.encode(), growable.freeze());
+        }
+
         /// The decoder never panics on arbitrary byte soup.
         #[test]
-        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
+        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = Message::decode(&bytes);
         }
 

@@ -17,7 +17,7 @@
 use crate::msg::{Header, Message, MessageType};
 use crate::types::{PortIdentity, PtpTimestamp};
 use bytes::Bytes;
-use tsn_time::{ClockTime, Nanos};
+use tsn_time::{round_to_i64, ClockTime, Nanos};
 
 /// Default EMA weight for the mean link delay filter.
 const DELAY_FILTER_WEIGHT: f64 = 0.25;
@@ -84,7 +84,7 @@ impl PdelayInitiator {
     /// completed.
     pub fn mean_link_delay(&self) -> Option<Nanos> {
         self.filtered_delay
-            .map(|d| Nanos::from_nanos(d.round() as i64))
+            .map(|d| Nanos::from_nanos(round_to_i64(d)))
     }
 
     /// Current neighbor rate ratio estimate.
@@ -181,8 +181,8 @@ impl PdelayInitiator {
         };
         self.filtered_delay = Some(filtered);
         Some(LinkDelaySample {
-            mean_link_delay: Nanos::from_nanos(filtered.round() as i64),
-            raw_delay: Nanos::from_nanos(raw.round() as i64),
+            mean_link_delay: Nanos::from_nanos(round_to_i64(filtered)),
+            raw_delay: Nanos::from_nanos(round_to_i64(raw)),
             neighbor_rate_ratio: self.nrr,
         })
     }

@@ -1,7 +1,7 @@
 //! Core IEEE 802.1AS / IEEE 1588 data types.
 
 use std::fmt;
-use tsn_time::{ClockTime, Nanos};
+use tsn_time::{round_to_i64, ClockTime, Nanos};
 
 /// An EUI-64 clock identity (IEEE 1588 clause 7.5.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,7 +111,7 @@ impl Correction {
 
     /// From fractional nanoseconds.
     pub fn from_nanos_f64(ns: f64) -> Correction {
-        Correction((ns * 65536.0).round() as i64)
+        Correction(round_to_i64(ns * 65536.0))
     }
 
     /// To the nearest whole nanosecond duration.
@@ -121,7 +121,7 @@ impl Correction {
 
     /// Adds fractional nanoseconds.
     pub fn add_nanos_f64(self, ns: f64) -> Correction {
-        Correction(self.0 + (ns * 65536.0).round() as i64)
+        Correction(self.0 + round_to_i64(ns * 65536.0))
     }
 }
 

@@ -8,7 +8,7 @@
 //! a torn read is impossible (ACRN uses the MMU to give all VMs the same
 //! view; the paper relies on this for fail-consistency).
 
-use tsn_time::{ClockTime, Nanos};
+use tsn_time::{round_to_i64, ClockTime, Nanos};
 
 /// Identifies a VM on one ECD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,7 +39,7 @@ impl ClockParams {
     /// Evaluates `CLOCK_SYNCTIME` at host clock reading `host_now`.
     pub fn synctime(&self, host_now: ClockTime) -> ClockTime {
         let dt = (host_now - self.base_host).as_nanos() as f64;
-        self.base_sync + Nanos::from_nanos((dt * self.rate).round() as i64)
+        self.base_sync + Nanos::from_nanos(round_to_i64(dt * self.rate))
     }
 }
 
@@ -117,7 +117,7 @@ impl StShmem {
     /// `CLOCK_SYNCTIME` between the two reads.
     pub fn duration_between(&self, h1: ClockTime, h2: ClockTime) -> Nanos {
         let dt = (h2 - h1).as_nanos() as f64;
-        Nanos::from_nanos((dt * self.params.rate).round() as i64)
+        Nanos::from_nanos(round_to_i64(dt * self.params.rate))
     }
 }
 

@@ -189,30 +189,40 @@ impl<E> WheelQueue<E> {
         self.pending == 0
     }
 
+    /// Stores a scheduled event in a slab cell. A recycled cell is
+    /// filled field by field, so the event is written once, straight
+    /// into the slab (an `Entry` temporary assigned over the cell is a
+    /// second copy of every event).
     #[inline]
     fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
-        let cell = Entry {
-            at,
-            seq,
-            next: NIL,
-            event: Some(event),
-        };
         if self.free_head != NIL {
             let idx = self.free_head;
-            self.free_head = self.slab[idx as usize].next;
-            self.slab[idx as usize] = cell;
+            let cell = &mut self.slab[idx as usize];
+            self.free_head = cell.next;
+            cell.at = at;
+            cell.seq = seq;
+            cell.next = NIL;
+            cell.event = Some(event);
             idx
         } else {
             assert!(self.slab.len() < NIL as usize, "slab index space exhausted");
-            self.slab.push(cell);
+            self.slab.push(Entry {
+                at,
+                seq,
+                next: NIL,
+                event: Some(event),
+            });
             (self.slab.len() - 1) as u32
         }
     }
 
+    /// Retires the unlinked cell `idx` as the popped event: free list,
+    /// counters and the clock. The event stays in the cell for the
+    /// caller to move straight into its own return value, so a pop
+    /// reads the event once.
     #[inline]
-    fn release(&mut self, idx: u32) -> (SimTime, u64, E) {
+    fn retire(&mut self, idx: u32) -> (SimTime, u64, &mut Option<E>) {
         let cell = &mut self.slab[idx as usize];
-        let event = cell.event.take().expect("releasing a free slab cell");
         let (at, seq) = (cell.at, cell.seq);
         cell.next = self.free_head;
         self.free_head = idx;
@@ -220,7 +230,9 @@ impl<E> WheelQueue<E> {
         if seq >= CTL_SEQ_BASE {
             self.ctl_pending -= 1;
         }
-        (at, seq, event)
+        self.now = at;
+        self.popped += 1;
+        (at, seq, &mut cell.event)
     }
 
     #[inline]
@@ -502,7 +514,7 @@ impl<E> WheelQueue<E> {
 
     /// Pops the next event, advancing the current time to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_seq().map(|(at, _, event)| (at, event))
+        self.pop_until(SimTime::from_nanos(u64::MAX))
     }
 
     /// Pops the next event together with its tie-break sequence number.
@@ -511,7 +523,9 @@ impl<E> WheelQueue<E> {
     /// asserts identical `(time, seq, event)` sequences across queue
     /// implementations.
     pub fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
-        self.pop_bounded(u64::MAX)
+        let idx = self.pop_bounded(u64::MAX)?;
+        let (at, seq, event) = self.retire(idx);
+        Some((at, seq, event.take().expect("popped a free slab cell")))
     }
 
     /// Pops the next event if its timestamp is `<= until` — the event
@@ -523,28 +537,23 @@ impl<E> WheelQueue<E> {
     /// in the `past` heap).
     #[inline]
     pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        self.pop_bounded(until.as_nanos())
-            .map(|(at, _, event)| (at, event))
+        let idx = self.pop_bounded(until.as_nanos())?;
+        let (at, _, event) = self.retire(idx);
+        Some((at, event.take().expect("popped a free slab cell")))
     }
 
-    /// Frees slab cell `idx` as the popped event.
+    /// Unlinks the next event's slab cell if its timestamp is `<= until`
+    /// and returns its index; the cell stays live until the caller
+    /// retires it.
     #[inline]
-    fn take_popped(&mut self, idx: u32) -> (SimTime, u64, E) {
-        let popped = self.release(idx);
-        self.now = popped.0;
-        self.popped += 1;
-        popped
-    }
-
-    #[inline]
-    fn pop_bounded(&mut self, until: u64) -> Option<(SimTime, u64, E)> {
+    fn pop_bounded(&mut self, until: u64) -> Option<u32> {
         loop {
             if let Some(&Reverse((at, _, idx))) = self.past.peek() {
                 if at > until {
                     return None;
                 }
                 self.past.pop();
-                return Some(self.take_popped(idx));
+                return Some(idx);
             }
             if let Some((level, slot)) = self.wheel_first() {
                 if level > 0 {
@@ -561,7 +570,7 @@ impl<E> WheelQueue<E> {
                         self.slots[level][slot] = NIL;
                         self.occ_clear(level, slot);
                         self.elapsed = at;
-                        return Some(self.take_popped(head));
+                        return Some(head);
                     }
                     let deadline = self.slot_deadline(level, slot);
                     if deadline > until {
@@ -597,7 +606,7 @@ impl<E> WheelQueue<E> {
                 if self.slots[0][slot] == NIL {
                     self.occ_clear(0, slot);
                 }
-                return Some(self.take_popped(min_idx));
+                return Some(min_idx);
             }
             let &Reverse((at, _, _)) = self.overflow.peek()?;
             if at > until {

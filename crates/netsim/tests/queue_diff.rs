@@ -438,3 +438,144 @@ fn harness_catches_broken_tiebreak() {
     let mut reference: ReferenceQueue<u64> = ReferenceQueue::new();
     run_differential(&mut wheel, &mut reference, &ops).expect("honest pair must agree");
 }
+
+// ---------------------------------------------------------------------
+// Event ownership: every event is dropped exactly once.
+// ---------------------------------------------------------------------
+
+/// The differential tests above carry `u64` events, which have no
+/// destructor. The production event owns a frame payload, and the wheel
+/// moves events in and out of recycled slab cells by hand — so this
+/// drives every entry point with an event that counts its own drops.
+mod drops {
+    use std::cell::RefCell;
+    use tsn_netsim::{ReferenceQueue, WheelQueue};
+    use tsn_snapshot::codec::{Reader, Snap, SnapError, SnapState, Writer};
+    use tsn_time::{Nanos, SimTime};
+
+    thread_local! {
+        /// Drop count per event ever created on this test thread.
+        static DROPS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// An event that records its own drop.
+    #[derive(Debug)]
+    struct Tracked(usize);
+
+    impl Tracked {
+        fn new() -> Tracked {
+            DROPS.with_borrow_mut(|d| {
+                d.push(0);
+                Tracked(d.len() - 1)
+            })
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            DROPS.with_borrow_mut(|d| d[self.0] += 1);
+        }
+    }
+
+    /// Decoding makes a new event; the encoded one stays where it was.
+    impl Snap for Tracked {
+        fn put(&self, w: &mut Writer) {
+            self.0.put(w);
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+            usize::get(r).map(|_| Tracked::new())
+        }
+    }
+
+    /// Events not yet dropped; panics if any was dropped twice.
+    fn alive() -> usize {
+        DROPS.with_borrow(|d| {
+            assert!(d.iter().all(|&n| n <= 1), "an event was dropped twice");
+            d.iter().filter(|&&n| n == 0).count()
+        })
+    }
+
+    macro_rules! drop_test {
+        ($name:ident, $queue:ident) => {
+            #[test]
+            fn $name() {
+                let at = |ns: u64| SimTime::from_nanos(ns);
+                let mut q: $queue<Tracked> = $queue::new();
+                // Every container: level 0, higher levels, a shared
+                // timestamp, a far-future (overflow) entry, control
+                // events, and a reserved number materialised late.
+                for ns in [3, 3, 3, 400, 70_000, 9_000_000, 1 << 30, (1 << 36) + 5] {
+                    q.schedule_at(at(ns), Tracked::new());
+                }
+                q.schedule_in(Nanos::from_nanos(50), Tracked::new());
+                q.schedule_ctl_at(at(3), Tracked::new());
+                q.schedule_ctl_at(at(80_000), Tracked::new());
+                let reserved = q.reserve_seq();
+                q.schedule_at(at(600), Tracked::new());
+                q.insert_raw(at(600), reserved, Tracked::new());
+                assert_eq!(alive(), q.len(), "scheduling dropped a pending event");
+
+                // Popped events arrive alive and die once with their owner.
+                for _ in 0..3 {
+                    let popped = q.pop().expect("pending events");
+                    assert_eq!(alive(), q.len() + 1, "pop dropped the event it returned");
+                    drop(popped);
+                    assert_eq!(alive(), q.len());
+                }
+                // A bounded pop that cascades but returns nothing, then
+                // an insert behind the cursor (the wheel's `past` heap).
+                while let Some(popped) = q.pop_until(at(650)) {
+                    assert_eq!(alive(), q.len() + 1);
+                    drop(popped);
+                }
+                assert!(q.pop_until(at(69_000)).is_none());
+                q.schedule_at(at(1_000), Tracked::new());
+                assert_eq!(alive(), q.len());
+
+                // Snapshot: restoring decodes new events and drops the
+                // ones the target held, each once; the source keeps its own.
+                let mut w = Writer::new();
+                q.save_state(&mut w);
+                let bytes = w.into_bytes();
+                assert_eq!(alive(), q.len(), "encoding dropped an event");
+                let mut restored: $queue<Tracked> = $queue::new();
+                restored.schedule_at(at(7), Tracked::new());
+                restored
+                    .load_state(&mut Reader::new(&bytes))
+                    .expect("own encoding");
+                assert_eq!(restored.len(), q.len());
+                assert_eq!(alive(), q.len() + restored.len());
+
+                // drain_ctl hands the control events over and re-files
+                // the rest.
+                let ctl = restored.drain_ctl();
+                assert_eq!(ctl.len(), 1);
+                assert_eq!(alive(), q.len() + restored.len() + ctl.len());
+                drop(ctl);
+                assert_eq!(alive(), q.len() + restored.len());
+
+                // Freed slab cells are reused for later events.
+                while let Some(popped) = restored.pop() {
+                    drop(popped);
+                    assert_eq!(alive(), q.len() + restored.len());
+                }
+                for ns in 0..40 {
+                    restored.schedule_in(Nanos::from_nanos(ns * 300), Tracked::new());
+                }
+                drop(restored.pop_seq());
+                assert_eq!(alive(), q.len() + restored.len());
+
+                // Dropping a non-empty queue drops what it still holds.
+                assert!(!q.is_empty() && !restored.is_empty());
+                drop(q);
+                assert_eq!(alive(), restored.len());
+                drop(restored);
+                assert_eq!(alive(), 0);
+                DROPS.with_borrow(|d| assert!(d.iter().all(|&n| n == 1)));
+            }
+        };
+    }
+
+    drop_test!(wheel_drops_every_event_exactly_once, WheelQueue);
+    drop_test!(reference_drops_every_event_exactly_once, ReferenceQueue);
+}

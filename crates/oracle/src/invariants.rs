@@ -979,6 +979,58 @@ mod tests {
         assert!(l.records()[0].witness.contains("enqueued=3"));
     }
 
+    /// Feeds `forwarded` + `dropped` crossings and, if given, the
+    /// end-of-run totals `(forwarded, dropped)`; returns the log.
+    fn fabric_books(forwarded: u64, dropped: u64, totals: Option<(u64, u64)>) -> ViolationLog {
+        let mut inv = FabricConservation::new();
+        let mut l = log();
+        let at = SimTime::from_secs(1);
+        for i in 0..forwarded + dropped {
+            let dropped = i >= forwarded;
+            inv.observe(&Observation::FabricCrossing { at, dropped }, &mut l);
+        }
+        if let Some((forwarded, dropped)) = totals {
+            let at = SimTime::from_secs(2);
+            inv.observe(
+                &Observation::FabricTotals {
+                    at,
+                    forwarded,
+                    dropped,
+                },
+                &mut l,
+            );
+        }
+        inv.finish(&mut l);
+        l
+    }
+
+    #[test]
+    fn fabric_conservation_accepts_matching_totals() {
+        assert!(fabric_books(5, 2, Some((5, 2))).is_empty());
+        // A run without a fabric reports nothing and observes nothing.
+        assert!(fabric_books(0, 0, None).is_empty());
+    }
+
+    #[test]
+    fn fabric_conservation_flags_a_withheld_crossing() {
+        let l = fabric_books(4, 2, Some((5, 2)));
+        assert_eq!(l.len(), 1);
+        let v = &l.records()[0];
+        assert_eq!(v.witness, "observed forwarded=4 != counter forwarded=5");
+        assert_eq!(v.at, SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn fabric_conservation_flags_crossings_without_totals() {
+        let l = fabric_books(3, 1, None);
+        assert_eq!(l.len(), 1);
+        assert!(
+            l.records()[0].witness.contains("no end-of-run totals"),
+            "{}",
+            l.records()[0].witness
+        );
+    }
+
     fn aggregated<'a>(
         offset: i64,
         used: &'a [(usize, Nanos)],

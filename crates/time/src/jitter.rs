@@ -78,13 +78,9 @@ pub fn round_to_i64(x: f64) -> i64 {
     if x.abs() < EXACT_BELOW {
         let whole = x as i64;
         let rem = x - whole as f64;
-        if rem >= 0.5 {
-            whole + 1
-        } else if rem <= -0.5 {
-            whole - 1
-        } else {
-            whole
-        }
+        // Arithmetic, not `if`: the fraction of a clock reading is as
+        // good as random, so a branch on it mispredicts every other call.
+        whole + i64::from(rem >= 0.5) - i64::from(rem <= -0.5)
     } else {
         x.round() as i64
     }

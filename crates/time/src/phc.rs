@@ -15,6 +15,7 @@
 //! across explicit steps) and strictly increasing while the total rate is
 //! positive.
 
+use crate::jitter::round_to_i64;
 use crate::units::{ClockTime, Nanos, Ppb, SimTime};
 
 /// Hardware frequency-adjustment range of the modeled PHC, in ppb.
@@ -99,7 +100,7 @@ impl Phc {
             self.anchor_true
         );
         let dt = (t - self.anchor_true).as_nanos() as f64;
-        (self.anchor_clock_ns + dt * self.rate()).round() as i64
+        round_to_i64(self.anchor_clock_ns + dt * self.rate())
     }
 
     /// Sets the servo frequency adjustment at true time `t`, clamped to

@@ -3,8 +3,8 @@
 //! random redundant clock-sync VM shutdowns, under the constraint that a
 //! node never loses both of its clock-synchronization VMs at once.
 //!
-//! The full 24 h takes about a minute of wall-clock time in release
-//! mode; pass a smaller hour count to go faster.
+//! The full 24 h takes about 20 s of wall-clock time in release mode;
+//! pass a smaller hour count to go faster.
 //!
 //! ```sh
 //! cargo run --release --example fault_injection_24h [hours]
