@@ -16,11 +16,12 @@
 //!   per-run seeds derive from the grid coordinate exactly as in a
 //!   plain campaign, so the same [`FrontierSpec`] + seeds reproduce
 //!   `frontier.json` byte-for-byte (`tests/frontier.rs` proves it).
-//! * **Work sharing** — every refinement round executes through
-//!   [`runner::execute_with`] with one shared [`SnapshotCache`]: the
-//!   magnitude axis is intervention-only, so all probes of a cell fork
-//!   the same warm prefix that round 1 simulated, and only the frontier
-//!   region is simulated densely.
+//! * **Work sharing** — every probe executes through
+//!   [`runner::execute_with`] with one shared [`SnapshotCache`]. A probe
+//!   is one run per seed and shares no prefix within itself; but the
+//!   axis, the strategy and the compromised count are intervention-only,
+//!   so the first probe of a `(seed, f)` pair simulates that warm prefix
+//!   into the cache and every later probe of any cell forks it.
 //! * **Fewer runs than the grid** — a fixed sweep in the style of the
 //!   `adversary-sweep` builtin spends [`GRID_REFERENCE_RUNS`] runs for
 //!   a spacing of `span / (runs/seeds − 1)`; bisection reaches a
@@ -953,8 +954,9 @@ pub struct FrontierReport {
 /// Writes `frontier-spec.json`, one `runs/run-<hash>.jsonl` per probe
 /// run (content-addressed exactly like a plain campaign, so re-running
 /// resumes), and the `frontier.json` document. One [`SnapshotCache`]
-/// spans every refinement round, so later rounds fork the warm prefixes
-/// the first round simulated.
+/// spans every probe: with [`RunnerOptions::fork`] each distinct warm
+/// prefix (one per seed and trim degree) is simulated once, by the first
+/// probe that needs it, and forked by all the others.
 pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<FrontierReport> {
     spec.validate()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}")))?;
@@ -1040,7 +1042,7 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
             let probe_spec = spec
                 .probe_spec(&spec.cells[i], probe)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            let report = runner::execute_with(&probe_spec, &inner_opts, &mut cache, false)?;
+            let report = runner::execute_with(&probe_spec, &inner_opts, Some(&mut cache), false)?;
             executed += report.executed;
             skipped += report.skipped;
             forked_groups += report.forked_groups;

@@ -110,13 +110,14 @@ pub struct CampaignReport {
     pub skipped: usize,
     /// Worker threads used (1 when everything was resumed).
     pub threads: usize,
-    /// Warm-prefix groups of two or more runs that forked a shared
-    /// checkpoint (0 unless [`RunnerOptions::fork`] was set).
+    /// Warm-prefix groups that forked a checkpoint: groups of two or
+    /// more runs, and with a shared [`SnapshotCache`] single runs too
+    /// (0 unless [`RunnerOptions::fork`] was set).
     pub forked_groups: usize,
-    /// Prefix simulations executed for those groups (one per group).
+    /// Prefix simulations executed (one per group not yet in the cache).
     pub prefix_runs: usize,
-    /// Events that were *not* re-simulated thanks to forking: for each
-    /// group, (members − 1) × events in the shared prefix.
+    /// Events that were *not* re-simulated thanks to forking: per group,
+    /// prefix events × (members − 1), or × members from the cache.
     pub prefix_events_skipped: u64,
     /// Invariant violations reported by the oracle, in canonical matrix
     /// order (empty unless [`RunnerOptions::check`] was set). Only runs
@@ -159,8 +160,9 @@ impl std::fmt::Display for FailedRun {
 
 /// Warm-prefix snapshots keyed by [`warm_prefix_fingerprint`], reusable
 /// across [`execute_with`] invocations. The frontier explorer threads
-/// one cache through its refinement rounds so a round probing a single
-/// new magnitude per cell still forks the prefix simulated in round 1.
+/// one cache through all its probes: each probe is a campaign of one run
+/// per seed, the first one simulates the seed's prefix into the cache,
+/// and every later probe of any cell with that prefix forks it.
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     snapshots: HashMap<u64, WorldSnapshot>,
@@ -204,24 +206,27 @@ impl std::fmt::Display for RunViolation {
 /// Writes `manifest.json` and one `runs/run-<hash>.jsonl` per run, then
 /// returns every record in canonical order.
 pub fn execute(spec: &CampaignSpec, opts: &RunnerOptions) -> io::Result<CampaignReport> {
-    execute_with(spec, opts, &mut SnapshotCache::new(), true)
+    execute_with(spec, opts, None, true)
 }
 
 /// [`execute`] with an external warm-prefix snapshot cache and control
 /// over the manifest write.
 ///
-/// The cache outlives the invocation: prefixes simulated here are
-/// inserted, and pending runs whose fingerprint is already cached fork
-/// from it even when they are the only member of their group. The
-/// frontier explorer calls this once per refinement round with
-/// `write_manifest = false` (it writes its own `frontier.json` instead)
-/// so every round shares the prefixes of the first.
+/// A cache handed in outlives the invocation, so a prefix is worth
+/// keeping even for a run that is the only member of its group: it
+/// simulates the prefix into the cache and forks it, and whichever
+/// later invocation has a run with that fingerprint forks it too. The
+/// frontier explorer calls this once per probe with `write_manifest =
+/// false` (it writes its own `frontier.json` instead).
 pub fn execute_with(
     spec: &CampaignSpec,
     opts: &RunnerOptions,
-    cache: &mut SnapshotCache,
+    cache: Option<&mut SnapshotCache>,
     write_manifest: bool,
 ) -> io::Result<CampaignReport> {
+    let cache_outlives = cache.is_some();
+    let mut throw_away = SnapshotCache::new();
+    let cache = cache.unwrap_or(&mut throw_away);
     let plans = expand(spec)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}")))?;
     let runs_dir = opts.dir.join("runs");
@@ -267,9 +272,10 @@ pub fn execute_with(
 
     // Fork mode: group pending runs whose configurations project to the
     // same warm prefix. A group forks when it has two or more members
-    // (the prefix is simulated once, phase 1) or when the cache already
-    // holds its prefix from an earlier invocation; other singleton
-    // groups gain nothing and run cold.
+    // (the prefix is simulated once, phase 1), when the cache already
+    // holds its prefix from an earlier invocation, or when the cache
+    // will carry its prefix to a later one; a singleton group of a
+    // throw-away cache gains nothing and runs cold.
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut group_fp: Vec<u64> = Vec::new();
     let mut group_of: Vec<Option<usize>> = vec![None; pending.len()];
@@ -299,7 +305,8 @@ pub fn execute_with(
             group_of[i] = Some(g);
         }
         for (g, group) in groups.iter_mut().enumerate() {
-            if group.len() < 2 && !cache.snapshots.contains_key(&group_fp[g]) {
+            let useful = cache_outlives || cache.snapshots.contains_key(&group_fp[g]);
+            if group.len() < 2 && !useful {
                 for &i in group.iter() {
                     group_of[i] = None;
                 }

@@ -131,7 +131,9 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
         assert!(cold.doc.consistent(), "{name}: a cell breaks its bound");
         let (doc, runs) = (doc_bytes(&cold_dir), artifact_bytes(&cold_dir));
 
-        frontier::execute(&spec, &fork_opts(&fork_dir)).expect("forked frontier");
+        let forked = frontier::execute(&spec, &fork_opts(&fork_dir)).expect("forked frontier");
+        assert_eq!(cold.forked_groups, 0, "{name}: the oracle runs cold");
+        assert!(forked.forked_groups > 0, "{name}: nothing forked");
         assert!(
             doc == doc_bytes(&fork_dir),
             "{name}: fork moved the document"

@@ -10,7 +10,9 @@
 //!   maximum;
 //! * `frontier.json` is byte-identical across fresh directories, across
 //!   forked and cold execution, and across a resume into a completed
-//!   directory.
+//!   directory — and forked execution really forks: one prefix
+//!   simulation per seed and trim degree, every probe run restored from
+//!   it.
 
 mod common;
 
@@ -145,6 +147,13 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
 
     let first = frontier::execute(&spec, &fork_opts(&dir_a)).expect("first run");
     assert!(first.executed > 0);
+    // Every probe is a campaign of one run per seed, so nothing forks
+    // within a probe: the first probe of each (seed, f) simulates that
+    // warm prefix into the shared cache and all later probes fork it.
+    let trim_degrees: std::collections::BTreeSet<_> = spec.cells.iter().map(|c| c.f).collect();
+    assert_eq!(first.prefix_runs, spec.seeds.len() * trim_degrees.len());
+    assert_eq!(first.forked_groups, first.executed, "a probe ran cold");
+    assert!(first.prefix_events_skipped > 0);
     frontier::execute(&spec, &fork_opts(&dir_b)).expect("second run");
     let cold = frontier::execute(&spec, &opts(&dir_cold)).expect("cold run");
     assert_eq!(cold.forked_groups, 0);

@@ -196,17 +196,6 @@ pub struct BackgroundTraffic {
     pub priority_isolation: bool,
 }
 
-impl BackgroundTraffic {
-    /// Full-MTU background at the given load, with TSN priorities on.
-    pub fn mtu_load(load: f64) -> Self {
-        BackgroundTraffic {
-            load,
-            frame_bytes: 1500,
-            priority_isolation: true,
-        }
-    }
-}
-
 impl TestbedConfig {
     /// The paper's testbed: 4 ECDs, 4 domains, S = 125 ms, link/residence
     /// latencies calibrated so the derived bounds land near the paper's

@@ -77,8 +77,7 @@ run_counters! {
     /// Active-VM failures the monitors could not cover (no standby).
     state uncovered_failures,
     /// gPTP frames received by a handler with no role for them in the
-    /// active configuration (Announce outside election mode, E2E
-    /// delay-mechanism and Signaling messages).
+    /// active configuration (Announce outside election mode).
     state unhandled_frames,
     /// Announce messages originated by acting masters (election mode).
     state announce_tx,

@@ -12,8 +12,11 @@
 //!
 //! * [`TestbedConfig`] — the full experiment configuration
 //!   ([`TestbedConfig::paper_default`] reproduces §III-A1);
-//! * [`World`] — the simulation world (topology of Fig. 2, gPTP engines,
-//!   FTSHMEM aggregation, dependent clocks, faults, attacker, probes);
+//! * [`testbed::Testbed`] — everything simulated, built from the
+//!   configuration (topology of Fig. 2, clocks, gPTP engines, FTSHMEM
+//!   aggregation, hypervisor nodes, links, fault schedule);
+//! * [`World`] — the simulation world: the event queue that drives the
+//!   testbed, plus faults, attacker, probes and the passive observers;
 //! * [`scenario`] — ready-made runners for the paper's experiments.
 //!
 //! # Quickstart
@@ -36,16 +39,20 @@
 mod config;
 mod counters;
 mod densemap;
+mod interventions;
 pub mod node;
+mod probe;
 pub mod scenario;
 pub mod snapshot;
+pub mod testbed;
 mod world;
 
 pub use config::{
     BackgroundTraffic, CorruptPublisher, HypMonitorMode, PartitionWindow, TestbedConfig,
     MIN_SYNC_INTERVAL,
 };
-pub use world::{RunCounters, RunResult, World};
+pub use probe::RunResult;
+pub use world::{RunCounters, World};
 
 pub use tsn_snapshot::WorldSnapshot;
 

@@ -116,7 +116,7 @@ pub enum NodeOutput {
     /// already follow), or changed its view of a domain's grandmaster.
     Election(ElectionEvent),
     /// A frame the active configuration has no role for (Announce under
-    /// external port configuration, the E2E delay mechanism, Signaling).
+    /// external port configuration).
     Unhandled,
 }
 
@@ -514,11 +514,6 @@ impl MultiDomainNode {
                 } else if let Some(e) = self.election.as_mut() {
                     e.on_announce(header.domain, &msg, clock.now());
                 }
-            }
-            // The gPTP profile: peer delay, no E2E mechanism, no runtime
-            // interval changes.
-            Message::DelayReq { .. } | Message::DelayResp { .. } | Message::Signaling { .. } => {
-                out.push(NodeOutput::Unhandled);
             }
         }
     }

@@ -8,7 +8,8 @@
 //! the paper's defaults.
 
 use crate::config::TestbedConfig;
-use crate::world::{RunResult, World};
+use crate::probe::RunResult;
+use crate::world::World;
 use tsn_faults::{AttackPlan, InjectorConfig, KernelAssignment};
 use tsn_time::Nanos;
 

@@ -265,6 +265,22 @@ pub struct Traversal {
     pub dropped: bool,
 }
 
+/// What became of one gPTP frame handed to [`Fabric::cross`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crossing {
+    /// Delay and residence of the traversal, or the drop.
+    pub traversal: Traversal,
+    /// The frame was a Sync, the class whose residence is measured.
+    pub sync: bool,
+}
+
+/// gPTP `messageType` nibbles (IEEE 1588 Table 36) the fabric tells
+/// apart; everything else crosses as [`FrameClass::General`].
+const SYNC: u8 = 0x0;
+const PDELAY_REQ: u8 = 0x2;
+const PDELAY_RESP: u8 = 0x3;
+const FOLLOW_UP: u8 = 0x8;
+
 /// One fabric hop's static draw: symmetric propagation base (the
 /// configured asymmetry is added to the `a → b` direction on top) and
 /// store-and-forward residence.
@@ -384,6 +400,52 @@ impl Fabric {
         self.chains[self.pair_index(a, b)].len() as u32
     }
 
+    /// Carries one encoded gPTP message, `wire_len` bytes on the wire,
+    /// from edge switch `from` to edge switch `to`: classifies it by
+    /// its `messageType`, traverses, and keeps the transparent-clock
+    /// books — a Sync's measured residence is remembered at traversal
+    /// and added to the correction field of the matching Follow_Up
+    /// (same domain and sequence id) when that crosses the same
+    /// segment, by rewriting `payload`.
+    pub fn cross<P: AsRef<[u8]> + FromIterator<u8>>(
+        &mut self,
+        now: SimTime,
+        from: usize,
+        to: usize,
+        wire_len: usize,
+        payload: &mut P,
+    ) -> Crossing {
+        let bytes = payload.as_ref();
+        let kind = bytes.first().map(|b| b & 0x0F);
+        let class = match kind {
+            Some(SYNC) => FrameClass::Sync,
+            Some(PDELAY_REQ | PDELAY_RESP) => FrameClass::Pdelay,
+            _ => FrameClass::General,
+        };
+        let ser_ns = self.cfg.serialization_ns(wire_len);
+        let traversal = self.traverse(now, from, to, ser_ns, class);
+        if self.cfg.transparent_clock && !traversal.dropped {
+            let domain = bytes.get(4).copied().unwrap_or(0);
+            // Sequence id: header bytes 30..32.
+            let seq = bytes
+                .get(30..32)
+                .map_or(0, |b| u16::from_be_bytes([b[0], b[1]]));
+            match kind {
+                Some(SYNC) => self.record_pending(from, to, domain, seq, traversal.residence_ns),
+                Some(FOLLOW_UP) => {
+                    if let Some(residence_ns) = self.take_pending(from, to, domain, seq) {
+                        add_correction(payload, residence_ns);
+                    }
+                }
+                _ => {}
+            }
+        }
+        Crossing {
+            traversal,
+            sync: class == FrameClass::Sync,
+        }
+    }
+
     /// Sends one protected-class frame of serialization time `ser_ns`
     /// across the fabric from edge switch `from` to edge switch `to`.
     pub fn traverse(
@@ -471,14 +533,7 @@ impl Fabric {
 
     /// Records a Sync's measured fabric residence until its Follow_Up
     /// crosses the same pair in the same direction.
-    pub fn record_pending(
-        &mut self,
-        from: usize,
-        to: usize,
-        domain: u8,
-        seq: u16,
-        residence_ns: i64,
-    ) {
+    fn record_pending(&mut self, from: usize, to: usize, domain: u8, seq: u16, residence_ns: i64) {
         if self.pending_tc.len() >= PENDING_TC_CAP {
             self.pending_tc.pop_first();
         }
@@ -488,7 +543,7 @@ impl Fabric {
 
     /// Takes the pending correction recorded for `(from, to, domain,
     /// seq)`, if any.
-    pub fn take_pending(&mut self, from: usize, to: usize, domain: u8, seq: u16) -> Option<i64> {
+    fn take_pending(&mut self, from: usize, to: usize, domain: u8, seq: u16) -> Option<i64> {
         let key = self.pending_key(from, to, domain, seq);
         self.pending_tc.remove(&key)
     }
@@ -573,6 +628,23 @@ tsn_snapshot::snap_state!(Fabric {
     dropped,
     max_residence_ns,
 });
+
+/// Adds `residence_ns` to the correction field of an encoded gPTP
+/// message (header bytes 8..16, nanoseconds scaled by 2^16 — IEEE 1588
+/// clause 13.3.2.7), as a chain of transparent clocks would.
+fn add_correction<P: AsRef<[u8]> + FromIterator<u8>>(payload: &mut P, residence_ns: i64) {
+    let p = payload.as_ref();
+    if p.len() < 16 {
+        return;
+    }
+    let cur = i64::from_be_bytes(p[8..16].try_into().expect("slice of 8"));
+    let patched = cur
+        .saturating_add(residence_ns.saturating_mul(65_536))
+        .to_be_bytes();
+    // Exact-size chain: collected into the new buffer in one pass.
+    let (head, tail) = (&p[..8], &p[16..]);
+    *payload = head.iter().chain(&patched).chain(tail).copied().collect();
+}
 
 /// Wait until the protected window is open at `t_ns` under a gate
 /// `cycle` with a protected window of `window` ns at each cycle start.
@@ -732,6 +804,80 @@ mod tests {
             }
         }
         assert!(dropped, "a saturated port must eventually drop");
+    }
+
+    /// A 44-byte gPTP message: `kind` nibble, domain 2, correction 5 ns,
+    /// sequence id `seq`.
+    fn message(kind: u8, seq: u16) -> Vec<u8> {
+        let mut m = vec![0u8; 44];
+        m[0] = 0x10 | kind;
+        m[4] = 2;
+        m[8..16].copy_from_slice(&(5i64 << 16).to_be_bytes());
+        m[30..32].copy_from_slice(&seq.to_be_bytes());
+        m
+    }
+
+    fn correction_ns(m: &[u8]) -> i64 {
+        i64::from_be_bytes(m[8..16].try_into().unwrap()) >> 16
+    }
+
+    #[test]
+    fn crossing_patches_the_follow_up_that_matches_a_measured_sync() {
+        let mut f = fabric_with(FabricConfig {
+            transparent_clock: true,
+            ..FabricConfig::line(2)
+        });
+        let now = SimTime::from_millis(3);
+        let mut sync = message(SYNC, 77);
+        let s = f.cross(now, 0, 2, 64, &mut sync);
+        assert!(s.sync && !s.traversal.dropped);
+        assert_eq!(sync, message(SYNC, 77), "a Sync crosses unchanged");
+        // Another sequence id, the reverse direction: no match.
+        let mut other = message(FOLLOW_UP, 78);
+        let mut reverse = message(FOLLOW_UP, 77);
+        assert!(!f.cross(now, 0, 2, 64, &mut other).sync);
+        f.cross(now, 2, 0, 64, &mut reverse);
+        assert_eq!(correction_ns(&other), 5);
+        assert_eq!(correction_ns(&reverse), 5);
+        // The match takes the Sync's residence on top of its own 5 ns,
+        // the rest of the message untouched, exactly once.
+        let mut follow_up = message(FOLLOW_UP, 77);
+        f.cross(now, 0, 2, 64, &mut follow_up);
+        assert_eq!(correction_ns(&follow_up), 5 + s.traversal.residence_ns);
+        let mut expected = message(FOLLOW_UP, 77);
+        expected[8..16].copy_from_slice(&follow_up[8..16]);
+        assert_eq!(follow_up, expected);
+        let mut again = message(FOLLOW_UP, 77);
+        f.cross(now, 0, 2, 64, &mut again);
+        assert_eq!(correction_ns(&again), 5);
+    }
+
+    #[test]
+    fn crossing_end_to_end_or_dropped_keeps_no_books() {
+        let mut e2e = fabric_with(FabricConfig::line(2));
+        let now = SimTime::from_millis(3);
+        e2e.cross(now, 0, 2, 64, &mut message(SYNC, 9));
+        let mut follow_up = message(FOLLOW_UP, 9);
+        e2e.cross(now, 0, 2, 64, &mut follow_up);
+        assert_eq!(follow_up, message(FOLLOW_UP, 9));
+        assert!(e2e.pending_tc.is_empty());
+        // A Sync dropped at a saturated hop leaves nothing to patch in.
+        let mut tc = fabric_with(FabricConfig {
+            transparent_clock: true,
+            drop_horizon: Nanos::from_micros(50),
+            ..FabricConfig::line(1)
+        });
+        let dropped = (0..200u16).find(|&seq| {
+            let c = tc.cross(now, 0, 1, 1_500, &mut message(SYNC, seq));
+            c.traversal.dropped
+        });
+        let seq = dropped.expect("a saturated port must eventually drop");
+        assert_eq!(tc.take_pending(0, 1, 2, seq), None);
+        assert_eq!(tc.frames_dropped(), 1);
+        // A runt is classified and carried, never indexed out of range.
+        let mut runt = vec![0x10 | FOLLOW_UP];
+        assert!(!tc.cross(SimTime::from_secs(1), 1, 0, 64, &mut runt).sync);
+        assert_eq!(runt, [0x10 | FOLLOW_UP]);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl Bmca {
         }
     }
 
-    /// The local system identity.
-    pub fn own_identity(&self) -> &SystemIdentity {
-        &self.own
-    }
-
     /// Overrides the local `priority1`, e.g. when a rogue master forges
     /// a best-possible vector after compromise. Does not touch the
     /// per-port best-master records; the next [`Bmca::decide`] compares

@@ -445,7 +445,7 @@ impl Bridge {
     /// Handles a gPTP frame received on `port`. `rx_ts` is the hardware
     /// receive timestamp (meaningful for event messages only). Returns
     /// `false` if the bridge has no role for the message (Announce under
-    /// external port configuration, the E2E delay mechanism, Signaling).
+    /// external port configuration).
     pub fn receive(
         &mut self,
         port: u8,
@@ -515,12 +515,10 @@ impl Bridge {
                     ));
                 }
             }
-            // The gPTP profile: peer delay only, no runtime interval
-            // changes. (Announce never gets here.)
-            Message::Announce { .. }
-            | Message::DelayReq { .. }
-            | Message::DelayResp { .. }
-            | Message::Signaling { .. } => return false,
+            // Announce under external port configuration (with the
+            // election on it takes the fast relay path and never gets
+            // here).
+            Message::Announce { .. } => return false,
         }
         true
     }

@@ -30,37 +30,27 @@ pub const FLAG_PTP_TIMESCALE: u16 = 0x0008;
 pub enum MessageType {
     /// Event: Sync.
     Sync = 0x0,
-    /// Event: Delay_Req (IEEE 1588 end-to-end mechanism; plain PTP —
-    /// gPTP proper always uses the peer-delay mechanism).
-    DelayReq = 0x1,
     /// Event: Pdelay_Req.
     PdelayReq = 0x2,
     /// Event: Pdelay_Resp.
     PdelayResp = 0x3,
     /// General: Follow_Up.
     FollowUp = 0x8,
-    /// General: Delay_Resp (end-to-end mechanism).
-    DelayResp = 0x9,
     /// General: Pdelay_Resp_Follow_Up.
     PdelayRespFollowUp = 0xA,
     /// General: Announce.
     Announce = 0xB,
-    /// General: Signaling (carries the 802.1AS message-interval request).
-    Signaling = 0xC,
 }
 
 impl MessageType {
     fn from_nibble(n: u8) -> Option<MessageType> {
         Some(match n {
             0x0 => MessageType::Sync,
-            0x1 => MessageType::DelayReq,
             0x2 => MessageType::PdelayReq,
             0x3 => MessageType::PdelayResp,
             0x8 => MessageType::FollowUp,
-            0x9 => MessageType::DelayResp,
             0xA => MessageType::PdelayRespFollowUp,
             0xB => MessageType::Announce,
-            0xC => MessageType::Signaling,
             _ => return None,
         })
     }
@@ -69,14 +59,11 @@ impl MessageType {
     pub fn name(self) -> &'static str {
         match self {
             MessageType::Sync => "sync",
-            MessageType::DelayReq => "delay_req",
             MessageType::PdelayReq => "pdelay_req",
             MessageType::PdelayResp => "pdelay_resp",
             MessageType::FollowUp => "follow_up",
-            MessageType::DelayResp => "delay_resp",
             MessageType::PdelayRespFollowUp => "pdelay_resp_follow_up",
             MessageType::Announce => "announce",
-            MessageType::Signaling => "signaling",
         }
     }
 
@@ -88,13 +75,19 @@ impl MessageType {
         MessageType::from_nibble(*payload.first()? & 0x0F)
     }
 
+    /// `true` for event messages (hardware-timestamped on rx/tx).
+    pub fn is_event(self) -> bool {
+        matches!(
+            self,
+            MessageType::Sync | MessageType::PdelayReq | MessageType::PdelayResp
+        )
+    }
+
     /// IEEE 1588 controlField value for this type.
     fn control_field(self) -> u8 {
         match self {
             MessageType::Sync => 0,
-            MessageType::DelayReq => 1,
             MessageType::FollowUp => 2,
-            MessageType::DelayResp => 3,
             _ => 5,
         }
     }
@@ -196,54 +189,6 @@ impl Header {
     }
 }
 
-/// The 802.1AS message-interval request TLV (clause 10.6.4.3), carried
-/// in Signaling messages: a downstream system asks its neighbor to
-/// change its transmission intervals (log2 seconds; 126 = "initial",
-/// 127 = "leave unchanged").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntervalRequestTlv {
-    /// Requested Pdelay_Req interval.
-    pub link_delay_interval: i8,
-    /// Requested Sync interval.
-    pub time_sync_interval: i8,
-    /// Requested Announce interval.
-    pub announce_interval: i8,
-    /// Flags (computeNeighborRateRatio / computeMeanLinkDelay).
-    pub flags: u8,
-}
-
-impl IntervalRequestTlv {
-    /// "Leave every interval unchanged."
-    pub const UNCHANGED: i8 = 127;
-
-    fn encode_into(&self, buf: &mut impl BufMut) {
-        buf.put_u16(0x0003); // ORGANIZATION_EXTENSION
-        buf.put_u16(12); // lengthField
-        buf.put_slice(&[0x00, 0x80, 0xC2]); // organizationId
-        buf.put_slice(&[0x00, 0x00, 0x02]); // organizationSubType 2
-        buf.put_i8(self.link_delay_interval);
-        buf.put_i8(self.time_sync_interval);
-        buf.put_i8(self.announce_interval);
-        buf.put_u8(self.flags);
-        buf.put_slice(&[0u8; 2]); // reserved
-    }
-
-    fn decode(b: &[u8]) -> Result<IntervalRequestTlv, DecodeError> {
-        if b.len() < 16 {
-            return Err(DecodeError::BadTlv);
-        }
-        if b[0..2] != [0x00, 0x03] || b[4..7] != [0x00, 0x80, 0xC2] || b[7..10] != [0, 0, 2] {
-            return Err(DecodeError::BadTlv);
-        }
-        Ok(IntervalRequestTlv {
-            link_delay_interval: b[10] as i8,
-            time_sync_interval: b[11] as i8,
-            announce_interval: b[12] as i8,
-            flags: b[13],
-        })
-    }
-}
-
 /// The 802.1AS Follow_Up information TLV (clause 11.4.4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FollowUpTlv {
@@ -335,20 +280,6 @@ pub enum Message {
         /// Follow_Up information TLV.
         tlv: FollowUpTlv,
     },
-    /// Delay_Req (end-to-end mechanism).
-    DelayReq {
-        /// Common header.
-        header: Header,
-    },
-    /// Delay_Resp carrying the master's receive timestamp (t4).
-    DelayResp {
-        /// Common header.
-        header: Header,
-        /// t4 at the master.
-        receive_timestamp: PtpTimestamp,
-        /// Identity of the requesting (slave) port.
-        requesting_port: PortIdentity,
-    },
     /// Pdelay_Req.
     PdelayReq {
         /// Common header.
@@ -371,15 +302,6 @@ pub enum Message {
         response_origin: PtpTimestamp,
         /// Identity of the requesting port.
         requesting_port: PortIdentity,
-    },
-    /// Signaling with a message-interval request TLV.
-    Signaling {
-        /// Common header.
-        header: Header,
-        /// The port the request targets (all-ones = any).
-        target_port: PortIdentity,
-        /// The interval request.
-        tlv: IntervalRequestTlv,
     },
     /// Announce (used when BMCA is enabled; the paper's experiments use
     /// external port configuration instead).
@@ -497,12 +419,6 @@ impl fmt::Display for Message {
                 precise_origin.to_clock_time(),
                 h.correction.to_nanos()
             ),
-            Message::DelayReq { .. } => {
-                write!(f, "Delay_Req dom={} seq={}", h.domain, h.sequence_id)
-            }
-            Message::DelayResp { .. } => {
-                write!(f, "Delay_Resp dom={} seq={}", h.domain, h.sequence_id)
-            }
             Message::PdelayReq { .. } => {
                 write!(f, "Pdelay_Req seq={} from={}", h.sequence_id, h.source_port)
             }
@@ -517,11 +433,6 @@ impl fmt::Display for Message {
                 f,
                 "Pdelay_Resp_Follow_Up seq={} from={}",
                 h.sequence_id, h.source_port
-            ),
-            Message::Signaling { tlv, .. } => write!(
-                f,
-                "Signaling dom={} sync_ival={}",
-                h.domain, tlv.time_sync_interval
             ),
             Message::Announce { body, .. } => write!(
                 f,
@@ -538,12 +449,9 @@ impl Message {
         match self {
             Message::Sync { header, .. }
             | Message::FollowUp { header, .. }
-            | Message::DelayReq { header }
-            | Message::DelayResp { header, .. }
             | Message::PdelayReq { header }
             | Message::PdelayResp { header, .. }
             | Message::PdelayRespFollowUp { header, .. }
-            | Message::Signaling { header, .. }
             | Message::Announce { header, .. } => header,
         }
     }
@@ -582,20 +490,6 @@ impl Message {
                 put_timestamp(buf, *precise_origin);
                 tlv.encode_into(buf);
             }
-            Message::DelayReq { header } => {
-                header.encode_into(buf, 44);
-                put_timestamp(buf, PtpTimestamp::default());
-            }
-            Message::DelayResp {
-                header,
-                receive_timestamp,
-                requesting_port,
-            } => {
-                header.encode_into(buf, 54);
-                put_timestamp(buf, *receive_timestamp);
-                buf.put_slice(&requesting_port.clock.0);
-                buf.put_u16(requesting_port.port);
-            }
             Message::PdelayReq { header } => {
                 header.encode_into(buf, 54);
                 put_timestamp(buf, PtpTimestamp::default());
@@ -620,16 +514,6 @@ impl Message {
                 put_timestamp(buf, *response_origin);
                 buf.put_slice(&requesting_port.clock.0);
                 buf.put_u16(requesting_port.port);
-            }
-            Message::Signaling {
-                header,
-                target_port,
-                tlv,
-            } => {
-                header.encode_into(buf, (34 + 10 + 16) as u16);
-                buf.put_slice(&target_port.clock.0);
-                buf.put_u16(target_port.port);
-                tlv.encode_into(buf);
             }
             Message::Announce {
                 header,
@@ -687,22 +571,6 @@ impl Message {
                     tlv: FollowUpTlv::decode(&body[10..])?,
                 })
             }
-            MessageType::DelayReq => {
-                if body.len() < 10 {
-                    return Err(DecodeError::Truncated);
-                }
-                Ok(Message::DelayReq { header })
-            }
-            MessageType::DelayResp => {
-                if body.len() < 20 {
-                    return Err(DecodeError::Truncated);
-                }
-                Ok(Message::DelayResp {
-                    header,
-                    receive_timestamp: get_timestamp(body),
-                    requesting_port: get_port_identity(&body[10..])?,
-                })
-            }
             MessageType::PdelayReq => {
                 if body.len() < 20 {
                     return Err(DecodeError::Truncated);
@@ -727,16 +595,6 @@ impl Message {
                     header,
                     response_origin: get_timestamp(body),
                     requesting_port: get_port_identity(&body[10..])?,
-                })
-            }
-            MessageType::Signaling => {
-                if body.len() < 26 {
-                    return Err(DecodeError::Truncated);
-                }
-                Ok(Message::Signaling {
-                    header,
-                    target_port: get_port_identity(body)?,
-                    tlv: IntervalRequestTlv::decode(&body[10..])?,
                 })
             }
             MessageType::Announce => {
@@ -778,13 +636,7 @@ impl Message {
 
     /// `true` for event messages (hardware-timestamped on rx/tx).
     pub fn is_event(&self) -> bool {
-        matches!(
-            self.header().message_type,
-            MessageType::Sync
-                | MessageType::DelayReq
-                | MessageType::PdelayReq
-                | MessageType::PdelayResp
-        )
+        self.header().message_type.is_event()
     }
 }
 
@@ -833,18 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_req_resp_roundtrip() {
-        roundtrip(Message::DelayReq {
-            header: Header::new(MessageType::DelayReq, 0, port_id(2), 17, 0),
-        });
-        roundtrip(Message::DelayResp {
-            header: Header::new(MessageType::DelayResp, 0, port_id(1), 17, 0),
-            receive_timestamp: PtpTimestamp::from_clock_time(ClockTime::from_nanos(424_242)),
-            requesting_port: port_id(2),
-        });
-    }
-
-    #[test]
     fn pdelay_triple_roundtrip() {
         roundtrip(Message::PdelayReq {
             header: Header::new(MessageType::PdelayReq, 0, port_id(2), 9, 0),
@@ -858,20 +698,6 @@ mod tests {
             header: Header::new(MessageType::PdelayRespFollowUp, 0, port_id(3), 9, 0),
             response_origin: PtpTimestamp::from_clock_time(ClockTime::from_nanos(99)),
             requesting_port: port_id(2),
-        });
-    }
-
-    #[test]
-    fn signaling_roundtrip() {
-        roundtrip(Message::Signaling {
-            header: Header::new(MessageType::Signaling, 2, port_id(3), 5, 0x7F),
-            target_port: port_id(7),
-            tlv: IntervalRequestTlv {
-                link_delay_interval: 0,
-                time_sync_interval: -3,
-                announce_interval: IntervalRequestTlv::UNCHANGED,
-                flags: 0b11,
-            },
         });
     }
 
@@ -936,8 +762,14 @@ mod tests {
             origin: PtpTimestamp::default(),
         };
         let mut bytes = msg.encode().to_vec();
-        bytes[0] = (bytes[0] & 0xF0) | 0x5; // management-ish type, unsupported
-        assert_eq!(Message::decode(&bytes), Err(DecodeError::UnknownType(5)));
+        // Reserved, and the types 802.1AS does not use: the end-to-end
+        // delay pair, Signaling, Management.
+        for nibble in [0x5, 0x1, 0x9, 0xC, 0xD] {
+            bytes[0] = (bytes[0] & 0xF0) | nibble;
+            let unknown = Err(DecodeError::UnknownType(nibble));
+            assert_eq!(Message::decode(&bytes), unknown);
+            assert_eq!(MessageType::peek(&bytes), None);
+        }
     }
 
     #[test]
@@ -1075,19 +907,6 @@ mod proptests {
                         },
                     }
                 }),
-            arb_header(MessageType::DelayReq).prop_map(|header| Message::DelayReq { header }),
-            (
-                arb_header(MessageType::DelayResp),
-                arb_timestamp(),
-                arb_port_identity()
-            )
-                .prop_map(|(header, receive_timestamp, requesting_port)| {
-                    Message::DelayResp {
-                        header,
-                        receive_timestamp,
-                        requesting_port,
-                    }
-                }),
             arb_header(MessageType::PdelayReq).prop_map(|header| Message::PdelayReq { header }),
             (
                 arb_header(MessageType::PdelayResp),
@@ -1112,24 +931,6 @@ mod proptests {
                         response_origin,
                         requesting_port,
                     }
-                }),
-            (
-                arb_header(MessageType::Signaling),
-                arb_port_identity(),
-                any::<i8>(),
-                any::<i8>(),
-                any::<i8>(),
-                any::<u8>()
-            )
-                .prop_map(|(header, target_port, l, t, a, flags)| Message::Signaling {
-                    header,
-                    target_port,
-                    tlv: IntervalRequestTlv {
-                        link_delay_interval: l,
-                        time_sync_interval: t,
-                        announce_interval: a,
-                        flags,
-                    },
                 }),
             (
                 arb_header(MessageType::Announce),

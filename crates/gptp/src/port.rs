@@ -64,11 +64,6 @@ impl SyncMaster {
         self.domain
     }
 
-    /// The master's port identity.
-    pub fn port_identity(&self) -> PortIdentity {
-        self.port
-    }
-
     /// Builds the next `Sync`; returns the encoded bytes and its
     /// sequence id.
     ///

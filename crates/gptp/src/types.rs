@@ -109,11 +109,6 @@ impl Correction {
         Correction(ns.as_nanos() << 16)
     }
 
-    /// From fractional nanoseconds.
-    pub fn from_nanos_f64(ns: f64) -> Correction {
-        Correction(round_to_i64(ns * 65536.0))
-    }
-
     /// To the nearest whole nanosecond duration.
     pub fn to_nanos(self) -> Nanos {
         Nanos::from_nanos((self.0 + (1 << 15)) >> 16)

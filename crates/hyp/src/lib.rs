@@ -11,7 +11,9 @@
 //! * [`DependentClockDevice`] — per-ECD active/standby bookkeeping with
 //!   the fail-silent freshness monitor and takeover interrupt;
 //! * [`VotingMonitor`] — the fail-consistent (2f+1) voting detector for
-//!   platforms with enough passthrough NICs.
+//!   platforms with enough passthrough NICs;
+//! * [`HypNode`] — all of the above for one ECD behind two timer entry
+//!   points, with the publish/takeover policy that connects them.
 
 //! # Example
 //!
@@ -34,9 +36,11 @@
 #![warn(missing_docs)]
 
 mod monitor;
+mod node;
 mod phc2sys;
 mod stshmem;
 
 pub use monitor::{DependentClockDevice, MonitorConfig, Takeover, VotingMonitor};
+pub use node::HypNode;
 pub use phc2sys::{Phc2Sys, SyncClockDiscipline, SyncTimeServo};
 pub use stshmem::{ClockParams, StShmem, VmId};

@@ -127,13 +127,18 @@ impl DependentClockDevice {
             self.uncovered_failures += 1;
             return None;
         };
+        Some(self.promote(pos))
+    }
+
+    /// Makes standby `pos` the active maintainer.
+    fn promote(&mut self, pos: usize) -> Takeover {
         let to = self.standbys.remove(pos);
         let from = std::mem::replace(&mut self.active, to);
         // The failed VM rejoins as the last standby once it reboots; we
         // keep it in the list so promotion order is deterministic.
         self.standbys.push(from);
         self.takeovers += 1;
-        Some(Takeover { from, to })
+        Takeover { from, to }
     }
 
     /// Reads `CLOCK_SYNCTIME` at host reading `host_now`.
@@ -146,13 +151,12 @@ impl DependentClockDevice {
     /// silent). Promotes the first standby for which `is_ok` holds.
     pub fn force_takeover(&mut self, mut is_ok: impl FnMut(VmId) -> bool) -> Option<Takeover> {
         let pos = self.standbys.iter().position(|&vm| is_ok(vm))?;
-        let to = self.standbys.remove(pos);
-        let from = std::mem::replace(&mut self.active, to);
-        self.standbys.push(from);
-        self.takeovers += 1;
-        Some(Takeover { from, to })
+        Some(self.promote(pos))
     }
 }
+
+/// Most clock-sync VMs one [`VotingMonitor`] can vote on.
+const MAX_VMS: usize = 64;
 
 /// The fail-consistent voting monitor (requires `2f + 1` clock-sync VMs).
 ///
@@ -170,7 +174,12 @@ pub struct VotingMonitor {
 
 impl VotingMonitor {
     /// Creates a monitor for `vms` clock-sync VMs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vms` exceeds the 64 a vote's bit mask can name.
     pub fn new(vms: usize, threshold: Nanos, freshness_timeout: Nanos) -> Self {
+        assert!(vms <= MAX_VMS, "at most {MAX_VMS} clock-sync VMs per ECD");
         VotingMonitor {
             threshold,
             freshness_timeout,
@@ -187,36 +196,37 @@ impl VotingMonitor {
         self.slots[vm.0] = Some((params, host_now));
     }
 
-    /// Votes at host time `host_now`, returning a faulty flag per VM.
-    /// With fewer than 3 live candidates no vote is possible and all
-    /// live VMs are presumed correct.
-    pub fn vote(&self, host_now: ClockTime) -> Vec<bool> {
-        let readings: Vec<Option<i64>> = self
-            .slots
-            .iter()
-            .map(|slot| {
-                slot.and_then(|(params, updated)| {
-                    if host_now - updated <= self.freshness_timeout {
-                        Some(params.synctime(host_now).as_nanos())
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect();
-        let mut live: Vec<i64> = readings.iter().flatten().copied().collect();
-        if live.len() < 3 {
-            return readings.iter().map(Option::is_none).collect();
+    /// Votes at host time `host_now`: bit `i` of the result is set when
+    /// VM `i` is faulty. With fewer than 3 live candidates no vote is
+    /// possible and all live VMs are presumed correct. Runs on every
+    /// monitor tick, so it works on the stack.
+    pub fn vote(&self, host_now: ClockTime) -> u64 {
+        let reading = |slot: &Option<(ClockParams, ClockTime)>| {
+            let (params, updated) = (*slot)?;
+            let fresh = host_now - updated <= self.freshness_timeout;
+            fresh.then(|| params.synctime(host_now).as_nanos())
+        };
+        let mut live = [0i64; MAX_VMS];
+        let mut n_live = 0;
+        for v in self.slots.iter().filter_map(reading) {
+            live[n_live] = v;
+            n_live += 1;
         }
-        live.sort_unstable();
-        let median = live[live.len() / 2];
-        readings
-            .iter()
-            .map(|r| match r {
-                Some(v) => (v - median).abs() > self.threshold.as_nanos(),
-                None => true,
-            })
-            .collect()
+        // A median needs a majority to exist.
+        let median = (n_live >= 3).then(|| {
+            live[..n_live].sort_unstable();
+            live[n_live / 2]
+        });
+        let mut faulty = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            let bad = match (reading(slot), median) {
+                (None, _) => true,
+                (Some(_), None) => false,
+                (Some(v), Some(m)) => (v - m).abs() > self.threshold.as_nanos(),
+            };
+            faulty |= u64::from(bad) << i;
+        }
+        faulty
     }
 }
 
@@ -418,7 +428,7 @@ mod tests {
         vm.publish_candidate(VmId(0), params_at(100), t);
         vm.publish_candidate(VmId(1), params_at(-24_000), t); // faulty
         vm.publish_candidate(VmId(2), params_at(200), t);
-        assert_eq!(vm.vote(t), vec![false, true, false]);
+        assert_eq!(vm.vote(t), 0b010);
     }
 
     #[test]
@@ -428,7 +438,7 @@ mod tests {
         vm.publish_candidate(VmId(1), params_at(0), ClockTime::ZERO);
         vm.publish_candidate(VmId(2), params_at(0), ClockTime::ZERO);
         let late = ClockTime::from_nanos(10_000_000_000);
-        assert_eq!(vm.vote(late), vec![true, true, true]);
+        assert_eq!(vm.vote(late), 0b111);
     }
 
     #[test]
@@ -440,6 +450,6 @@ mod tests {
         // Two live candidates disagree: no majority exists; both presumed
         // correct (this is exactly why fail-silent needs only f+1 but
         // fail-consistent needs 2f+1).
-        assert_eq!(vm.vote(t), vec![false, false, true]);
+        assert_eq!(vm.vote(t), 0b100);
     }
 }

@@ -131,6 +131,19 @@ impl EthernetFrame {
         14 + if self.vlan.is_some() { 4 } else { 0 } + self.payload.len()
     }
 
+    /// 802.1Q traffic class: the explicit PCP if tagged, else by
+    /// ethertype (gPTP highest; background best-effort).
+    pub fn traffic_class(&self) -> u8 {
+        if let Some(tag) = self.vlan {
+            return tag.pcp;
+        }
+        match self.ethertype {
+            ethertype::PTP => 7,
+            ethertype::MEASUREMENT => 6,
+            _ => 0,
+        }
+    }
+
     /// Serialization time at the given line rate in bits per second,
     /// including preamble+SFD (8 B), FCS (4 B) and minimum 64 B framing.
     pub fn serialization_ns(&self, bits_per_sec: u64) -> tsn_time::Nanos {

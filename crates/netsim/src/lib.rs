@@ -22,7 +22,10 @@
 //!   transmission (including deadline-miss faults);
 //! * [`LinkFaultPlan`]/[`LinkFaults`] — per-link i.i.d. and
 //!   Gilbert–Elliott burst loss, asymmetric delay injection, and timed
-//!   link-down windows (arXiv:1609.06771's degradation surface).
+//!   link-down windows (arXiv:1609.06771's degradation surface);
+//! * [`LinkLayer`] — link crossing as one step: a departing frame
+//!   arrives at the far port at a sampled instant, or is lost to a
+//!   fault (never before the warm-up ends).
 //!
 //! The simulator is *sans-IO with respect to protocols*: `tsn-gptp`'s
 //! engines are pure state machines; the experiment world in the
@@ -55,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod frame;
+mod link;
 mod linkfault;
 mod nic;
 mod qdisc;
@@ -64,6 +68,7 @@ mod switch;
 mod topology;
 
 pub use frame::{ethertype, DecodeFrameError, EthernetFrame, MacAddr, VlanTag};
+pub use link::{Crossing, LinkLayer, Loss};
 pub use linkfault::{AsymmetricDelay, BurstLoss, LinkDownWindow, LinkFaultPlan, LinkFaults};
 pub use nic::{LaunchOutcome, Nic};
 pub use qdisc::{EgressPort, WakeUp};

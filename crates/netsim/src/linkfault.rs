@@ -14,10 +14,11 @@
 //!   partitions.
 //!
 //! The plan ([`LinkFaultPlan`]) is pure configuration; the runtime
-//! state ([`LinkFaults`]) is owned by the experiment world, which draws
-//! from a dedicated RNG stream **only while a fault model is active**
-//! so that enabling the plan cannot perturb the warm prefix shared with
-//! fault-free runs (fork-based campaign execution stays byte-identical).
+//! state ([`LinkFaults`]) is owned by the [`LinkLayer`](crate::LinkLayer),
+//! which draws from a dedicated RNG stream **only while a fault model is
+//! active** and never before the warm-up ends, so that enabling the plan
+//! cannot perturb the warm prefix shared with fault-free runs
+//! (fork-based campaign execution stays byte-identical).
 
 use crate::topology::LinkId;
 use rand::Rng;
@@ -95,17 +96,6 @@ impl LinkFaultPlan {
         }
     }
 
-    /// `true` when the plan injects nothing at all.
-    pub fn is_noop(&self) -> bool {
-        self.loss <= 0.0
-            && self.burst.is_none()
-            && self
-                .asymmetry
-                .iter()
-                .all(|a| a.extra_ab == Nanos::ZERO && a.extra_ba == Nanos::ZERO)
-            && self.down.is_empty()
-    }
-
     /// `true` when any probabilistic model (i.i.d. or burst loss) is
     /// configured — i.e. whether frame crossings consume randomness.
     pub fn draws_randomness(&self) -> bool {
@@ -149,11 +139,12 @@ impl LinkFaultPlan {
     }
 }
 
-/// Runtime link-fault state, owned by the experiment world.
+/// Runtime link-fault state, owned by the [`LinkLayer`](crate::LinkLayer).
 ///
-/// The world is responsible for toggling down windows (it schedules
-/// them as control events so forked continuations re-arm them) and for
-/// passing its dedicated link-fault RNG stream into [`LinkFaults::drops`].
+/// The embedding toggles down windows (the experiment world schedules
+/// them as control events so forked continuations re-arm them); the
+/// layer passes its dedicated link-fault RNG stream into
+/// [`LinkFaults::drops`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkFaults {
     plan: LinkFaultPlan,
@@ -172,11 +163,6 @@ impl LinkFaults {
             down: vec![0; links],
             in_burst: vec![false; links],
         }
-    }
-
-    /// The configured plan.
-    pub fn plan(&self) -> &LinkFaultPlan {
-        &self.plan
     }
 
     /// Applies one endpoint of a down window.

@@ -48,14 +48,9 @@ impl Nic {
         }
     }
 
-    /// Hardware receive timestamp for a frame arriving at true time `t`.
-    pub fn rx_timestamp<R: Rng + ?Sized>(&mut self, t: SimTime, rng: &mut R) -> ClockTime {
-        let exact = self.phc.now(t);
-        exact + sample_timestamp_error(&self.ts_jitter, rng)
-    }
-
-    /// Hardware transmit timestamp for a frame departing at true time `t`.
-    pub fn tx_timestamp<R: Rng + ?Sized>(&mut self, t: SimTime, rng: &mut R) -> ClockTime {
+    /// Hardware timestamp of a frame crossing the MAC — arriving or
+    /// departing — at true time `t`.
+    pub fn timestamp<R: Rng + ?Sized>(&mut self, t: SimTime, rng: &mut R) -> ClockTime {
         let exact = self.phc.now(t);
         exact + sample_timestamp_error(&self.ts_jitter, rng)
     }
@@ -119,7 +114,7 @@ mod tests {
         let mut n = nic();
         let mut rng = StdRng::seed_from_u64(1);
         let t = SimTime::from_secs(1);
-        let rx = n.rx_timestamp(t, &mut rng);
+        let rx = n.timestamp(t, &mut rng);
         // +2 ppm drift over 1 s = +2 µs.
         assert_eq!(rx.as_nanos(), 1_000_002_000);
     }

@@ -258,11 +258,6 @@ impl Topology {
         self.devices[id.0].mac
     }
 
-    /// Number of devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// All device ids.
     pub fn devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
         (0..self.devices.len()).map(DeviceId)

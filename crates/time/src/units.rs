@@ -69,11 +69,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> Nanos {
         Nanos(i64::try_from(self.0.saturating_sub(earlier.0)).unwrap_or(i64::MAX))
     }
-
-    /// Checked addition of a signed duration; `None` on under/overflow.
-    pub fn checked_add(self, d: Nanos) -> Option<SimTime> {
-        self.0.checked_add_signed(d.0).map(SimTime)
-    }
 }
 
 impl Add<Nanos> for SimTime {

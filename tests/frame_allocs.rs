@@ -2,12 +2,14 @@
 //!
 //! Almost every event of a run is a frame hop, and most allocations
 //! are frame payloads: one per encoded gPTP message, none for moving an
-//! event through the queue, none for an FTA round's temporaries. What
-//! is left beside the payloads is the bridge relay's per-Sync state
-//! (two small `Vec`s) and the vectors an `Aggregation` result owns.
-//! Wall time on a shared box is too noisy to catch a regression here;
-//! allocations per event repeat exactly: 0.682 on this run, 1.242 with
-//! two allocations per encode and five temporaries per FTA round.
+//! event through the queue, none for an FTA round's temporaries, none
+//! for a hypervisor monitor tick. What is left beside the payloads is
+//! the bridge relay's per-Sync state (two small `Vec`s) and the vectors
+//! an `Aggregation` result owns. Wall time on a shared box is too noisy
+//! to catch a regression here; allocations per event repeat exactly:
+//! 0.647 on this run, 0.682 with the monitor tick's two `Vec<bool>`,
+//! 1.242 with two allocations per encode and five temporaries per FTA
+//! round on top.
 //!
 //! The file holds exactly one test so no concurrent test pollutes the
 //! allocator counters.
@@ -43,7 +45,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn a_fault_injection_run_allocates_less_than_once_per_event() {
-    const BUDGET: f64 = 0.70;
+    const BUDGET: f64 = 0.66;
 
     let mut cfg = TestbedConfig::paper_default(7);
     cfg.duration = Nanos::from_secs(60);
