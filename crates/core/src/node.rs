@@ -37,7 +37,7 @@ use tsn_election::{ElectionEvent, NodeElection};
 use tsn_fta::{
     Aggregation, AggregationConfig, AggregationMode, FtShmem, MultiDomainAggregator, SubmitOutcome,
 };
-use tsn_gptp::msg::Message;
+use tsn_gptp::msg::{Message, MessageType};
 use tsn_gptp::{
     ClockIdentity, LinkDelayService, PortIdentity, SyncMaster, SyncSlave, Transmission, TxTiming,
 };
@@ -116,7 +116,7 @@ pub enum NodeOutput {
     /// already follow), or changed its view of a domain's grandmaster.
     Election(ElectionEvent),
     /// A frame the active configuration has no role for (Announce under
-    /// external port configuration).
+    /// external port configuration) or that does not decode.
     Unhandled,
 }
 
@@ -455,7 +455,17 @@ impl MultiDomainNode {
         clock: &mut PhcAt<'_>,
         out: &mut Vec<NodeOutput>,
     ) {
+        // A VM with no election has no use for an Announce: settle it
+        // from the type nibble, before `Message::decode` allocates its
+        // path trace.
+        if self.election.is_none() && MessageType::peek(bytes) == Some(MessageType::Announce) {
+            if !self.config.election {
+                out.push(NodeOutput::Unhandled);
+            }
+            return;
+        }
         let Ok(msg) = Message::decode(bytes) else {
+            out.push(NodeOutput::Unhandled);
             return;
         };
         match &msg {
@@ -789,18 +799,56 @@ mod tests {
         assert!(tick(&mut client, &mut clock, SimTime::ZERO).is_empty());
     }
 
+    /// A frame that does not decode — garbage, an unknown `messageType`
+    /// nibble, a truncated Sync — reaches no engine and is reported, so
+    /// the embedding can count it.
     #[test]
     fn garbage_frames_ignored() {
         let mut node = MultiDomainNode::new(NodeConfig::paper_default(), 3, None);
         let mut clock = Phc::new(ClockTime::ZERO, 0.0);
-        let outs = frame(
-            &mut node,
-            &mut clock,
-            SimTime::ZERO,
-            b"not a ptp frame",
-            ClockTime::ZERO,
-        );
-        assert!(outs.is_empty());
+        let port = PortIdentity::new(ClockIdentity::for_index(77), 1);
+        let (sync, _) = SyncMaster::new(0, port, -3).make_sync();
+        let mut unknown = sync.to_vec();
+        unknown[0] = (unknown[0] & 0xF0) | 0x7;
+        let truncated = &sync[..sync.len() - 1];
+        for bytes in [b"not a ptp frame".as_slice(), &unknown, truncated] {
+            let outs = frame(&mut node, &mut clock, SimTime::ZERO, bytes, ClockTime::ZERO);
+            assert!(
+                matches!(outs.as_slice(), [NodeOutput::Unhandled]),
+                "{outs:?}"
+            );
+        }
+        let outs = frame(&mut node, &mut clock, SimTime::ZERO, &sync, ClockTime::ZERO);
+        assert!(outs.is_empty(), "{outs:?}");
+    }
+
+    #[test]
+    fn announce_without_an_election_never_reaches_the_decoder() {
+        let ids: Vec<_> = (0..4).map(ClockIdentity::for_index).collect();
+        let mut gm = NodeElection::new(1, ids, &ElectionConfig::default());
+        let announce = gm.make_announce(1).encode();
+        // Cut inside the path trace: the type nibble is all that is read.
+        let cut = &announce[..announce.len() - 3];
+        let mut clock = Phc::new(ClockTime::ZERO, 0.0);
+        let mut hear = |election: bool, bytes: &[u8]| {
+            let cfg = NodeConfig {
+                election,
+                ..NodeConfig::paper_default()
+            };
+            let mut vm = MultiDomainNode::new(cfg, 3, None);
+            frame(&mut vm, &mut clock, SimTime::ZERO, bytes, ClockTime::ZERO)
+        };
+        // A BMCA deployment's plain VM drops it by design ...
+        assert!(hear(true, &announce).is_empty());
+        assert!(hear(true, cut).is_empty());
+        // ... external port configuration has no role for it.
+        for bytes in [&announce[..], cut] {
+            let outs = hear(false, bytes);
+            assert!(
+                matches!(outs.as_slice(), [NodeOutput::Unhandled]),
+                "{outs:?}"
+            );
+        }
     }
 
     #[test]

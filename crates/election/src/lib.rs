@@ -34,7 +34,11 @@ pub struct ElectionConfig {
     /// (802.1AS default: 1 s; the testbed defaults to 250 ms so
     /// failover fits in short runs).
     pub announce_interval: Nanos,
-    /// Announce receipt timeout, in intervals (802.1AS default: 3).
+    /// Announce receipt timeout, in intervals (802.1AS default: 3,
+    /// range 2–255). Bridges relay one copy of an Announce to each
+    /// station (`tsn_gptp::Bridge::receive`), so this is the number of
+    /// consecutive losses a claim survives; `tests/bmca_flap.rs` derives
+    /// what a lossy network needs.
     pub timeout_intervals: u32,
     /// Scheduled grandmaster kill switch: measured-axis time (after
     /// warm-up) at which [`ElectionConfig::gm_failure_node`]'s GM VM is
@@ -176,8 +180,9 @@ impl NodeElection {
                 };
                 DomainElection {
                     domain: d as u8,
-                    // Single logical port 1: the VM NIC. The switch mesh
-                    // floods Announce, so one port sees every claimant.
+                    // Single logical port 1: the VM NIC. Bridges relay an
+                    // Announce down its sender's tree to every station,
+                    // so one port sees every claimant.
                     bmca: Bmca::new(own, vec![1], cfg.receipt_timeout()),
                     // Static prior: node d acts for domain d.
                     acting: node == d,

@@ -52,6 +52,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
+use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 use tsn_time::{Nanos, SimTime};
 
 pub mod fleet;
@@ -310,7 +311,7 @@ pub struct Fabric {
     /// draws never perturb the world's frame RNG).
     rng: StdRng,
     /// Per-(pair, direction, hop) egress busy horizon, ns.
-    busy: BTreeMap<u64, i64>,
+    busy: BusyTable,
     /// Pending transparent-clock corrections keyed by
     /// (pair, direction, domain, sequence).
     pending_tc: BTreeMap<u64, i64>,
@@ -362,9 +363,9 @@ impl Fabric {
         Fabric {
             cfg,
             switches,
+            busy: BusyTable::new(&chains),
             chains,
             rng: xtraffic_rng,
-            busy: BTreeMap::new(),
             pending_tc: BTreeMap::new(),
             forwarded: 0,
             dropped: 0,
@@ -490,6 +491,7 @@ impl Fabric {
         let t0 = now.as_nanos() as i64;
         let mut t = t0;
         let mut meas = 0i64;
+        let ports = self.busy.ports(pair, dir_ab);
         for h in 0..self.chains[pair].len() {
             let hop = self.chains[pair][h];
             t += hop.base_ns + if dir_ab { asym } else { 0 };
@@ -504,8 +506,8 @@ impl Fabric {
                 t += self.rng.gen_range(0..hol_max.max(1));
             }
             // Serialize behind any protected frame ahead on this port.
-            let key = busy_key(pair, dir_ab, h);
-            let start = t.max(self.busy.get(&key).copied().unwrap_or(i64::MIN));
+            let busy = &mut self.busy.horizon[ports + h];
+            let start = t.max(*busy);
             if start - arrive > drop_ns {
                 self.dropped += 1;
                 return Traversal {
@@ -515,7 +517,7 @@ impl Fabric {
                 };
             }
             t = start + ser_ns;
-            self.busy.insert(key, t);
+            *busy = t;
             let mut hop_res = t - arrive;
             if measure {
                 hop_res += self.tc_noise();
@@ -620,9 +622,82 @@ impl Fabric {
     }
 }
 
+/// The egress busy horizon of every fabric port, one slot per
+/// (pair, direction, hop) in ascending [`busy_key`] order, so a
+/// traversal indexes where a map would search. A port no frame has left
+/// yet holds [`BusyTable::NEVER`].
+///
+/// In a snapshot it is the `BTreeMap<u64, i64>` of the used ports:
+/// their count, then `(busy_key, horizon)` in ascending key order.
+#[derive(Debug, Clone)]
+struct BusyTable {
+    /// Every slot's [`busy_key`], ascending.
+    keys: Vec<u64>,
+    /// Slot of hop 0 of each (pair, direction) chain, at
+    /// `2 · pair + dir_ab`; the chain's other hops follow it.
+    first: Vec<usize>,
+    horizon: Vec<i64>,
+}
+
+impl BusyTable {
+    /// Earlier than any frame: `max` with it is the identity.
+    const NEVER: i64 = i64::MIN;
+
+    fn new(chains: &[Vec<Hop>]) -> Self {
+        let (mut keys, mut first) = (Vec::new(), Vec::new());
+        for (pair, chain) in chains.iter().enumerate() {
+            for dir_ab in [false, true] {
+                first.push(keys.len());
+                keys.extend((0..chain.len()).map(|hop| busy_key(pair, dir_ab, hop)));
+            }
+        }
+        debug_assert!(keys.is_sorted());
+        BusyTable {
+            horizon: vec![Self::NEVER; keys.len()],
+            keys,
+            first,
+        }
+    }
+
+    fn ports(&self, pair: usize, dir_ab: bool) -> usize {
+        self.first[2 * pair + usize::from(dir_ab)]
+    }
+}
+
+impl SnapState for BusyTable {
+    fn save_state(&self, w: &mut Writer) {
+        let used = self.keys.iter().zip(&self.horizon);
+        let used = used.filter(|(_, &horizon)| horizon != Self::NEVER);
+        used.clone().count().put(w);
+        for (key, horizon) in used {
+            key.put(w);
+            horizon.put(w);
+        }
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+        self.horizon.fill(Self::NEVER);
+        for _ in 0..r.take_count()? {
+            let (key, horizon) = <(u64, i64)>::get(r)?;
+            let slot = self
+                .keys
+                .binary_search(&key)
+                .map_err(|_| SnapError::Malformed("busy key outside the topology"))?;
+            if horizon == Self::NEVER {
+                return Err(SnapError::Malformed("busy horizon of an unused port"));
+            }
+            if self.horizon[slot] != Self::NEVER {
+                return Err(SnapError::Malformed("duplicate map key"));
+            }
+            self.horizon[slot] = horizon;
+        }
+        Ok(())
+    }
+}
+
 tsn_snapshot::snap_state!(Fabric {
     rng,
-    busy,
+    busy: state,
     pending_tc,
     forwarded,
     dropped,
@@ -674,7 +749,6 @@ fn draw_in(rng: &mut StdRng, min: i64, max: i64) -> i64 {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use tsn_snapshot::{Reader, SnapState, Writer};
 
     fn fabric_with(cfg: FabricConfig) -> Fabric {
         let mut link_rng = StdRng::seed_from_u64(7);
@@ -970,6 +1044,73 @@ mod tests {
                 b.traverse(now, 0, 2, 720, FrameClass::Sync)
             );
         }
+    }
+
+    #[test]
+    fn busy_table_encodes_as_the_map_of_its_used_ports() {
+        let state = |t: &BusyTable| {
+            let mut w = Writer::new();
+            t.save_state(&mut w);
+            w.into_bytes()
+        };
+        let mut f = fabric_with(FabricConfig::line(2));
+        let empty = f.busy.clone();
+        assert_eq!(state(&empty), state_of_map(&BTreeMap::new()));
+        // Both directions, a long and a short pair, one pair twice.
+        for (i, (from, to)) in [(0, 3), (2, 1), (3, 0), (1, 2), (0, 3)].iter().enumerate() {
+            let now = SimTime::from_nanos(1_000_000 + i as u64 * 300);
+            assert!(
+                !f.traverse(now, *from, *to, 720, FrameClass::General)
+                    .dropped
+            );
+        }
+        // The same contents, keyed the way the map was.
+        let mut map = BTreeMap::new();
+        for (a, b, hops) in [(0, 3, 6), (1, 2, 2)] {
+            for dir_ab in [true, false] {
+                let pair = f.pair_index(a, b);
+                for hop in 0..hops {
+                    let horizon = f.busy.horizon[f.busy.ports(pair, dir_ab) + hop];
+                    assert_ne!(horizon, BusyTable::NEVER);
+                    map.insert(busy_key(pair, dir_ab, hop), horizon);
+                }
+            }
+        }
+        let bytes = state(&f.busy);
+        assert_eq!(bytes, state_of_map(&map));
+        let mut back = empty.clone();
+        back.load_state(&mut Reader::new(&bytes)).expect("load");
+        assert_eq!(back.horizon, f.busy.horizon);
+
+        // A key outside the topology (pair, direction or hop), a
+        // duplicate and the sentinel are refused, not indexed.
+        let outside = [
+            busy_key(6, false, 0),
+            busy_key(0, false, 2),
+            busy_key(0, true, 0) | 1 << 17,
+        ];
+        for key in outside {
+            let bytes = state_of_map(&BTreeMap::from([(key, 5)]));
+            let got = empty.clone().load_state(&mut Reader::new(&bytes));
+            assert_eq!(
+                got,
+                Err(SnapError::Malformed("busy key outside the topology"))
+            );
+        }
+        let mut twice = Writer::new();
+        vec![(busy_key(0, true, 1), 5i64); 2].put(&mut twice);
+        let got = empty
+            .clone()
+            .load_state(&mut Reader::new(&twice.into_bytes()));
+        assert_eq!(got, Err(SnapError::Malformed("duplicate map key")));
+        let never = state_of_map(&BTreeMap::from([(busy_key(0, true, 1), BusyTable::NEVER)]));
+        assert!(empty.clone().load_state(&mut Reader::new(&never)).is_err());
+    }
+
+    fn state_of_map(map: &BTreeMap<u64, i64>) -> Vec<u8> {
+        let mut w = Writer::new();
+        map.put(&mut w);
+        w.into_bytes()
     }
 
     #[test]

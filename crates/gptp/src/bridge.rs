@@ -383,9 +383,9 @@ pub struct Bridge {
     relays: Vec<BridgeRelay>,
     /// One link-delay service per port, indexed by port number.
     pd: Vec<LinkDelayService>,
-    /// `true` in BMCA deployments: Announce is flooded through the mesh.
-    /// `false` under external port configuration, where Announce has no
-    /// role.
+    /// `true` in BMCA deployments: Announce is relayed down the
+    /// sender's tree (see [`Bridge::receive`]). `false` under external
+    /// port configuration, where Announce has no role.
     relays_announce: bool,
 }
 
@@ -445,7 +445,7 @@ impl Bridge {
     /// Handles a gPTP frame received on `port`. `rx_ts` is the hardware
     /// receive timestamp (meaningful for event messages only). Returns
     /// `false` if the bridge has no role for the message (Announce under
-    /// external port configuration).
+    /// external port configuration) or cannot decode it.
     pub fn receive(
         &mut self,
         port: u8,
@@ -457,10 +457,21 @@ impl Bridge {
             if !self.relays_announce {
                 return false;
             }
-            // Announce floods the whole mesh (the election runs on one
-            // logical port per station); the path trace caps the flood.
+            // Split horizon over the full mesh: an Announce from a local
+            // station goes to every other port, one from another bridge
+            // to the local stations only — the tree `relay_for` builds
+            // for Sync, rooted at whichever bridge the sender hangs off,
+            // so every station hears it once and no bridge needs to
+            // know the domain's root. A mesh port never feeds a mesh
+            // port, which is what makes it loop-free; the path trace
+            // stays as the guard 802.1AS prescribes.
             if let Some(fwd) = forward_announce(bytes, self.identity) {
-                for p in (0..self.pd.len() as u8).filter(|&p| p != port) {
+                let relay_to = if port < self.station_ports {
+                    self.pd.len() as u8
+                } else {
+                    self.station_ports
+                };
+                for p in (0..relay_to).filter(|&p| p != port) {
                     out.push(Transmission::new(p, fwd.clone(), None, TxTiming::Residence));
                 }
             }
@@ -470,7 +481,7 @@ impl Bridge {
             return true;
         };
         let Ok(msg) = Message::decode(bytes) else {
-            return true;
+            return false;
         };
         let ingress = u16::from(port);
         match &msg {
@@ -963,6 +974,43 @@ mod tests {
         out.clear();
         assert!(bridge(true).receive(2, &looped, ClockTime::ZERO, &mut out));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn announce_relay_is_split_horizon() {
+        let relayed_to = |ingress: u8, trace: Vec<ClockIdentity>| {
+            let mut out = Vec::new();
+            let ann = announce(trace, 0, 0, 0);
+            assert!(bridge(true).receive(ingress, &ann, ClockTime::ZERO, &mut out));
+            out.iter().map(|tx| tx.port).collect::<Vec<u8>>()
+        };
+        let sender = vec![ClockIdentity::for_index(1)];
+        // From a local station: the other station and the whole mesh.
+        assert_eq!(relayed_to(0, sender.clone()), [1, 2, 3]);
+        assert_eq!(relayed_to(1, sender.clone()), [0, 2, 3]);
+        // From another bridge: the local stations, never a mesh port.
+        assert_eq!(relayed_to(2, sender.clone()), [0, 1]);
+        assert_eq!(relayed_to(3, sender), [0, 1]);
+        // Own identity in the trace: nowhere, whatever the ingress.
+        let looped = vec![ClockIdentity::for_index(1), ClockIdentity::for_index(10)];
+        assert_eq!(relayed_to(0, looped.clone()), []);
+        assert_eq!(relayed_to(3, looped), []);
+    }
+
+    #[test]
+    fn undecodable_frame_is_reported() {
+        let mut out = Vec::new();
+        let sync = sync_msg(0, 7).encode();
+        let mut unknown = sync.to_vec();
+        unknown[0] = (unknown[0] & 0xF0) | 0x7; // no such messageType
+        let truncated = &sync[..sync.len() - 1];
+        for b in [bridge(false), bridge(true)].iter_mut() {
+            assert!(!b.receive(2, &unknown, ClockTime::ZERO, &mut out));
+            assert!(!b.receive(2, truncated, ClockTime::ZERO, &mut out));
+            assert!(b.receive(2, &sync, ClockTime::ZERO, &mut out));
+            assert_eq!(out.len(), 2, "only the intact Sync is relayed");
+            out.clear();
+        }
     }
 
     use proptest::prelude::*;

@@ -24,11 +24,40 @@ use tsn_time::Nanos;
 /// change away and one change back per domain.
 const FLAP_BOUND: u64 = 2 * 4; // two changes per domain of the quick topology
 
+/// The announce receipt timeout this loss plan needs, in intervals
+/// (802.1AS allows 2–255; [`ElectionConfig::default`] stays at 3).
+///
+/// Bridges relay an Announce down the sender's tree, so a listener gets
+/// one copy per interval, over three links (station – bridge – bridge –
+/// station). The burst chain advances per crossing and 10–20 other
+/// frames cross a link between two Announces of one master (the chain's
+/// memory is 0.73 per crossing), so successive Announces are lost
+/// independently: per link
+/// `π_burst·0.9 + (1 − π_burst)·0.02 = 0.085` with
+/// `π_burst = 0.02 / (0.02 + 0.25)`, per path `q = 1 − 0.915³ = 0.234`.
+/// A claim expires after `k` consecutive losses; a run of them starts
+/// with probability `(1 − q)·qᵏ` in each of the 12 listener pairs
+/// (4 domains × 3 foreign GM VMs) × 48 intervals (12 s at 250 ms) = 576
+/// windows, and each expiry costs about two changes (away and back):
+///
+/// * `k = 3`: 576 × 0.766 × 0.0129 ≈ 5.7 expiries ≈ 11 changes — over
+///   the bound (measured: 16 and 12 on seeds 61/62);
+/// * `k = 4`: 576 × 0.766 × 0.0030 ≈ 1.3 expiries ≈ 3 changes
+///   (measured: 0 and 6).
+///
+/// Before the split-horizon relay the mesh flooded ~5 time-spread
+/// copies of every Announce over each station's last link, an
+/// accidental repetition code that hid this at `k = 3`.
+const RECEIPT_TIMEOUT_INTERVALS: u32 = 4;
+
 fn lossy_election_cfg(seed: u64) -> TestbedConfig {
     let mut cfg = TestbedConfig::quick(seed);
     cfg.warmup = Nanos::from_secs(5);
     cfg.duration = Nanos::from_secs(12);
-    cfg.election = Some(ElectionConfig::default());
+    cfg.election = Some(ElectionConfig {
+        timeout_intervals: RECEIPT_TIMEOUT_INTERVALS,
+        ..ElectionConfig::default()
+    });
     // A loss floor plus hard Gilbert–Elliott bursts: while the chain is
     // in its burst state most frames die, so consecutive Announces on
     // the same path are lost together.

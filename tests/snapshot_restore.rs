@@ -165,13 +165,17 @@ fn forked_prefix_reproduces_election_failover_run() {
 /// kill are all in these bytes. If this hash moves and the simulated
 /// behaviour did not, the state layout changed: bump
 /// `WORLD_STATE_VERSION`, then re-record this pin and the fabric one.
+///
+/// Re-recorded once with `WORLD_STATE_VERSION` still 6 (39,661 events,
+/// `fb10e5d6229f59dd` before): bridges stopped flooding Announce over
+/// the mesh — simulated behaviour moved, the layout did not.
 #[test]
 fn election_state_layout_is_pinned() {
     let mut world = World::new(failover_cfg());
     world.run_until(SimTime::from_secs(10));
     assert_eq!(world.acting_masters(1), vec![2], "failover happened");
-    assert_eq!(world.events_processed(), 39_661, "events");
-    assert_eq!(world.state_hash(), 0xfb10e5d6229f59dd, "state hash");
+    assert_eq!(world.events_processed(), 16_835, "events");
+    assert_eq!(world.state_hash(), 0x12b41a5b1ec3bb98, "state hash");
 }
 
 // ----- restore robustness: decodable-but-wrong payloads ----------------
@@ -192,14 +196,24 @@ fn encoded(field: &impl Snap) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Restores the struck world's snapshot once per occurrence of `field`'s
-/// encoding in its payload, with the 8 bytes at `word` bytes into that
-/// occurrence replaced by `value`. The integration test cannot name a
-/// field's offset, but it knows the field's encoding: the occurrence
-/// that *is* the field must be refused as `why`, and no occurrence may
-/// panic.
+/// [`assert_patch_refused_in`] the struck world.
 fn assert_patch_refused(field: &impl Snap, word: usize, value: u64, why: &'static str) {
-    let (cfg, snap) = struck_world();
+    assert_patch_refused_in(struck_world(), field, word, value, why);
+}
+
+/// Restores `base`'s snapshot once per occurrence of `field`'s encoding
+/// in its payload, with the 8 bytes at `word` bytes into that occurrence
+/// replaced by `value`. The integration test cannot name a field's
+/// offset, but it knows the field's encoding: the occurrence that *is*
+/// the field must be refused as `why`, and no occurrence may panic.
+fn assert_patch_refused_in(
+    base: &(TestbedConfig, WorldSnapshot),
+    field: &impl Snap,
+    word: usize,
+    value: u64,
+    why: &'static str,
+) {
+    let (cfg, snap) = base;
     let pattern = encoded(field);
     let hits = snap.payload.windows(pattern.len()).enumerate();
     let results: Vec<Result<(), SnapError>> = hits
@@ -238,6 +252,26 @@ fn restore_rejects_strike_index_outside_attack_plan() {
     // running, compromised, struck by strike 0 — the plan's only one.
     let vm = (true, true, Some(0usize));
     assert_patch_refused(&vm, 3, 1, "strike index outside attack plan");
+}
+
+#[test]
+fn restore_rejects_fabric_busy_key_outside_topology() {
+    let mut cfg = short_cfg(43);
+    cfg.fabric = Some(clocksync::fabric::FabricConfig::line(2));
+    let mut world = World::new(cfg.clone());
+    world.run_until(SimTime::from_secs(3));
+    let base = (cfg, world.snapshot());
+    // A fabric port's key is pair << 32 | direction << 16 | hop. Four
+    // switches make pairs 0..=5; (2, 3) is the last, two hops deep.
+    let last_port = 5u64 << 32 | 1 << 16 | 1;
+    let why = "busy key outside the topology";
+    for outside in [
+        6 << 32 | 1 << 16 | 1,
+        5 << 32 | 1 << 16 | 2,
+        5 << 32 | 2 << 16,
+    ] {
+        assert_patch_refused_in(&base, &last_port, 0, outside, why);
+    }
 }
 
 #[test]
