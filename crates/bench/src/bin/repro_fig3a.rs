@@ -10,7 +10,7 @@
 //! ```
 
 use clocksync::scenario;
-use tsn_bench::{print_summary, window_max, write_artifact, ReproArgs};
+use tsn_bench::{print_summary, shape_check_line, window_max, write_artifact, ReproArgs};
 use tsn_metrics::{render_series, series_csv};
 use tsn_time::Nanos;
 
@@ -32,22 +32,15 @@ fn main() {
     println!("\n{plot}");
 
     let bound = r.bounds.pi_plus_gamma();
-    let pre = window_max(r, 15, 21).expect("pre-attack samples");
-    let masked = window_max(r, 23, 31).expect("post-strike-1 samples");
-    let broken = window_max(r, 33, 39).unwrap_or(masked);
     println!("shape check (paper Fig. 3a):");
-    println!(
-        "  before attack:    max = {pre}  (within bound: {})",
-        pre <= bound
-    );
-    println!(
-        "  strike 1 masked:  max = {masked}  (within bound: {})",
-        masked <= bound
-    );
-    println!(
-        "  strike 2 breaks:  max = {broken}  (within bound: {})",
-        broken <= bound
-    );
+    for (what, from_min, to_min) in [
+        ("before attack", 15, 21),
+        ("strike 1 masked", 23, 31),
+        ("strike 2 breaks", 33, 39),
+    ] {
+        let max = window_max(r, from_min, to_min);
+        println!("{}", shape_check_line(what, max, bound));
+    }
 
     write_artifact(&args.out, "fig3a.csv", &series_csv(&windows));
     write_artifact(&args.out, "fig3a.txt", &plot);

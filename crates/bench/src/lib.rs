@@ -140,9 +140,40 @@ pub fn window_max(r: &RunResult, from_min: u64, to_min: u64) -> Option<Nanos> {
     r.series.window(from, to).stats().map(|s| s.max)
 }
 
+/// One line of a figure's shape check: the worst precision of a window
+/// ([`window_max`]) against `bound`, or `n/a` for a window the run was
+/// too short to reach.
+pub fn shape_check_line(what: &str, max: Option<Nanos>, bound: Nanos) -> String {
+    let what = format!("{what}:");
+    match max {
+        Some(max) => format!("  {what:<18}max = {max}  (within bound: {})", max <= bound),
+        None => format!("  {what:<18}n/a (run shorter than the window)"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shape_check_line_prints_the_max_or_says_the_window_is_empty() {
+        let bound = Nanos::from_nanos(12_000);
+        assert_eq!(
+            shape_check_line("before attack", Some(Nanos::from_nanos(950)), bound),
+            format!(
+                "  before attack:    max = {}  (within bound: true)",
+                Nanos::from_nanos(950)
+            )
+        );
+        assert!(
+            shape_check_line("strike 2 breaks", Some(Nanos::from_nanos(12_001)), bound)
+                .ends_with("(within bound: false)")
+        );
+        assert_eq!(
+            shape_check_line("strike 1 masked", None, bound),
+            "  strike 1 masked:  n/a (run shorter than the window)"
+        );
+    }
 
     fn parse(args: &[&str]) -> Result<ReproParse, String> {
         ReproArgs::try_parse(args.iter().map(|s| s.to_string()))

@@ -83,7 +83,7 @@ pub enum Family {
     Election,
     /// The multi-hop TSN switch fabric.
     Fabric,
-    /// A generated switch fleet (which also activates the fabric).
+    /// A condensed switch fleet (which also activates the fabric).
     Fleet,
 }
 
@@ -483,9 +483,9 @@ axes! {
     /// t = 0, so it is prefix-relevant.
     fta_f / fta_f: usize, "fta_f", _, _,
     IfActive, "f={}", _, Prefix, Fixed, UInt(1, 7, " (2f+1 domains of at most 16)"), _;
-    /// Fleet size: number of ECDs attached to a *generated* switch
+    /// Fleet size: number of ECDs attached to a *condensed* switch
     /// fleet (activates the fleet; default 256). Mutually exclusive
-    /// with the explicit `hops`/`topology` axes — the generator owns
+    /// with the explicit `hops`/`topology` axes — the fleet owns
     /// the fabric's depth and shape.
     fleet_nodes / fleet_nodes: u32, "fleet_nodes", _, "fleet_n",
     IfActive, "fleet_n={}", Fleet, Prefix, Fixed, UInt(2, 65_536, ""), 256;

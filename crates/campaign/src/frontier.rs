@@ -741,7 +741,7 @@ impl FrontierDoc {
             .and_then(Json::as_array)
             .ok_or_else(|| SpecError::Field("cells".to_string()))?
             .iter()
-            .map(|c| parse_cell(c, &spec))
+            .map(parse_cell)
             .collect::<Result<Vec<CellDoc>, SpecError>>()?;
         Ok(FrontierDoc {
             spec,
@@ -821,7 +821,7 @@ impl FrontierDoc {
     }
 }
 
-fn parse_cell(c: &Json, spec: &FrontierSpec) -> Result<CellDoc, SpecError> {
+fn parse_cell(c: &Json) -> Result<CellDoc, SpecError> {
     let strategy = c
         .get("strategy")
         .and_then(Json::as_str)
@@ -893,7 +893,6 @@ fn parse_cell(c: &Json, spec: &FrontierSpec) -> Result<CellDoc, SpecError> {
             ))
         }
     };
-    let _ = spec; // spec-scoped context only needed for endpoint outcomes
     let empirical = EmpiricalDoc {
         outcome,
         probes: e

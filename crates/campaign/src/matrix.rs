@@ -53,16 +53,16 @@ impl Coord {
     /// ([`tsn_fabric::FabricConfig::line`] of 1 hop, no cross-traffic,
     /// symmetric links, end-to-end mode, line topology). An active
     /// fleet ([`Coord::fleet_active`]) also activates the fabric: the
-    /// generated switch fleet condenses into the fabric configuration.
+    /// switch fleet condenses into the fabric configuration.
     pub fn fabric_active(&self) -> bool {
         self.family_active(Family::Fabric) || self.fleet_active()
     }
 
-    /// Whether this coordinate runs behind a *generated* switch fleet:
+    /// Whether this coordinate runs behind a *condensed* switch fleet:
     /// either fleet axis activates it with the other defaulted (256
     /// nodes, line shape). The fabric's structural axes (`hops`,
     /// `topology`) are mutually exclusive with the fleet axes — the
-    /// generator owns depth and shape.
+    /// fleet owns depth and shape.
     pub fn fleet_active(&self) -> bool {
         self.family_active(Family::Fleet)
     }
@@ -119,7 +119,7 @@ impl Coord {
                 label.push_str(&format!("/topo={t}"));
             }
         }
-        // A generated fleet replaces the fabric's structural knobs from
+        // A fleet replaces the fabric's structural knobs from
         // t = 0, so its effective size and shape are prefix-relevant.
         // (No pre-fleet campaign carries these axes, so rendering the
         // defaults here cannot move an existing derived seed.)
@@ -133,10 +133,10 @@ impl Coord {
         label
     }
 
-    /// The seed of the fleet-topology generator: split from the *grid*
-    /// seed and the effective fleet axes only, so generation is a pure
-    /// function of `(spec, seed)` — independent of enumeration order,
-    /// thread count, and every non-fleet axis.
+    /// The seed of the fleet's per-switch residence draws: split from
+    /// the *grid* seed and the effective fleet axes only, so the fleet
+    /// is a pure function of `(spec, seed)` — independent of enumeration
+    /// order, thread count, and every non-fleet axis.
     pub fn fleet_seed(&self) -> u64 {
         SeedSplitter::new(self.seed).seed(&format!(
             "fleet/n={}/topo={}",
@@ -359,12 +359,13 @@ pub fn materialize(
     // Fabric axes: any of them routes inter-node gPTP traffic through a
     // fabric of TSN switches, with unset axes at their neutral defaults
     // (line topology, 1 hop, no cross-traffic, symmetric links,
-    // end-to-end mode). An active fleet generates the switch fleet
-    // instead and condenses it into the fabric configuration — its
-    // structural knobs (depth, shape, residence spread) come from the
-    // generated topology, so the explicit `hops`/`topology` axes are
-    // rejected alongside it ([`CampaignSpec::validate`] enforces this
-    // for specs; a hand-built coordinate gets the same error here).
+    // end-to-end mode). An active fleet condenses into the fabric
+    // configuration instead — its structural knobs (depth, shape,
+    // residence spread) come from the fleet's size and shape
+    // (`tsn_fabric::fleet::condense`), so the explicit `hops`/`topology`
+    // axes are rejected alongside it ([`CampaignSpec::validate`]
+    // enforces this for specs; a hand-built coordinate gets the same
+    // error here).
     if coord.fabric_active() {
         let mut fabric = if coord.fleet_active() {
             if coord.hops.is_some() || coord.topology.is_some() {
@@ -377,12 +378,12 @@ pub fn materialize(
             let shape = clocksync::fabric::FleetShape::parse(shape_name).ok_or_else(|| {
                 SpecError::Value("grid.fleet_topology[]".to_string(), shape_name.to_string())
             })?;
-            let fleet = clocksync::fabric::FleetTopology::generate(
+            clocksync::fabric::fleet::condense(
                 coord.fleet_nodes(),
                 shape,
                 coord.fleet_seed(),
-            );
-            fleet.condense(&clocksync::fabric::FabricConfig::default())
+                &clocksync::fabric::FabricConfig::default(),
+            )
         } else {
             let mut fabric = clocksync::fabric::FabricConfig::line(coord.hops());
             if let Some(t) = coord.topology {
@@ -612,10 +613,10 @@ mod tests {
             fleet_topology: Some("fat-tree"),
             ..Coord::new(ScenarioKind::Baseline, 1)
         };
-        // Fleet axes activate the fabric with a condensed generated
-        // topology: shape maps into the fabric's coarse topology enum,
-        // depth is the fleet diameter, residences come from the drawn
-        // per-switch values.
+        // Fleet axes activate the fabric with a condensed topology:
+        // shape maps into the fabric's coarse topology enum, depth is
+        // the fleet diameter, residences come from the drawn per-switch
+        // values.
         assert!(coord.fleet_active() && coord.fabric_active());
         let cfg = materialize(&base, coord, 7).expect("valid coord");
         let fabric = cfg.fabric.expect("fabric on");
@@ -628,7 +629,7 @@ mod tests {
         let fabric = cfg.fabric.expect("fabric on");
         assert!((fabric.cross_traffic_load - 0.40).abs() < 1e-12);
         assert!(fabric.transparent_clock);
-        // Explicit depth/shape axes conflict with the generator.
+        // Explicit depth/shape axes conflict with the fleet.
         coord.hops = Some(3);
         let err = materialize(&base, coord, 7).expect_err("fleet+hops conflict");
         assert!(matches!(err, SpecError::Value(ref f, _)

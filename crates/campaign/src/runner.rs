@@ -23,8 +23,7 @@ use clocksync::{World, WorldSnapshot};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Runner options.
@@ -66,8 +65,9 @@ pub struct RunnerOptions {
     /// fails a `--check` campaign.
     pub trace_max_events: Option<usize>,
     /// Test-injection hook: the run whose coordinate label equals this
-    /// string panics instead of simulating, exercising the per-run panic
-    /// isolation path (the campaign must finish, siblings unperturbed).
+    /// string — or the warm prefix whose `Coord::prefix_label` does —
+    /// panics instead of simulating, exercising the panic isolation
+    /// paths (the campaign must finish, siblings unperturbed).
     pub panic_label: Option<String>,
 }
 
@@ -150,6 +150,17 @@ pub struct FailedRun {
     pub hash: String,
     /// The panic payload, when it was a string (the common case).
     pub message: String,
+}
+
+impl FailedRun {
+    fn new(plan: &RunPlan, message: &str) -> FailedRun {
+        FailedRun {
+            index: plan.index,
+            label: plan.coord.label(),
+            hash: plan.hash.clone(),
+            message: message.to_string(),
+        }
+    }
 }
 
 impl std::fmt::Display for FailedRun {
@@ -276,9 +287,6 @@ pub fn execute_with(
     // holds its prefix from an earlier invocation, or when the cache
     // will carry its prefix to a later one; a singleton group of a
     // throw-away cache gains nothing and runs cold.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut group_fp: Vec<u64> = Vec::new();
-    let mut group_of: Vec<Option<usize>> = vec![None; pending.len()];
     let cold = opts.check || opts.trace.is_some();
     if opts.fork && cold && !opts.quiet && !pending.is_empty() {
         if opts.check {
@@ -287,241 +295,131 @@ pub fn execute_with(
             eprintln!("trace: tracing enabled, running cold (fork disabled)");
         }
     }
+    let mut groups: Vec<ForkGroup> = Vec::new();
     if opts.fork && !cold {
         for (i, plan) in pending.iter().enumerate() {
-            if checkpoint_time(&plan.config).is_none() {
+            let Some(at) = checkpoint_time(&plan.config) else {
                 continue; // no warm-up, nothing to share
-            }
-            let fp = warm_prefix_fingerprint(&plan.config);
-            let g = match group_fp.iter().position(|&f| f == fp) {
-                Some(g) => g,
-                None => {
-                    group_fp.push(fp);
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                }
             };
-            groups[g].push(i);
-            group_of[i] = Some(g);
-        }
-        for (g, group) in groups.iter_mut().enumerate() {
-            let useful = cache_outlives || cache.snapshots.contains_key(&group_fp[g]);
-            if group.len() < 2 && !useful {
-                for &i in group.iter() {
-                    group_of[i] = None;
-                }
-                group.clear();
+            let fingerprint = warm_prefix_fingerprint(&plan.config);
+            match groups.iter_mut().find(|g| g.fingerprint == fingerprint) {
+                Some(group) => group.members.push(i),
+                None => groups.push(ForkGroup {
+                    fingerprint,
+                    at,
+                    members: vec![i],
+                }),
             }
+        }
+        groups.retain(|g| {
+            g.members.len() >= 2 || cache_outlives || cache.snapshots.contains_key(&g.fingerprint)
+        });
+    }
+    // Groups served from the cache skip the prefix for every member (it
+    // was simulated in an earlier invocation); the rest simulate it once.
+    let mut prefix_events_skipped = 0u64;
+    let mut to_simulate: Vec<&ForkGroup> = Vec::new();
+    for group in &groups {
+        match cache.snapshots.get(&group.fingerprint) {
+            Some(snap) => {
+                prefix_events_skipped += group.members.len() as u64 * snap.events_processed
+            }
+            None => to_simulate.push(group),
         }
     }
-    // Fresh prefixes to simulate vs. groups served from the cache.
-    let to_simulate: Vec<usize> = (0..groups.len())
-        .filter(|&g| !groups[g].is_empty() && !cache.snapshots.contains_key(&group_fp[g]))
-        .collect();
-    let forked_groups = (0..groups.len()).filter(|&g| !groups[g].is_empty()).count();
+    let forked_groups = groups.len();
     let prefix_runs = to_simulate.len();
-    let mut prefix_events_skipped = 0u64;
+    let mut failed: Vec<FailedRun> = Vec::new();
 
     // Phase 1: one shared-prefix simulation per uncached forkable group.
-    if !to_simulate.is_empty() {
-        if !opts.quiet {
-            let members: usize = to_simulate.iter().map(|&g| groups[g].len()).sum();
-            eprintln!("fork: simulating {prefix_runs} shared warm prefix(es) for {members} run(s)");
-        }
-        let next = AtomicUsize::new(0);
-        let made: Mutex<Vec<(usize, WorldSnapshot)>> =
-            Mutex::new(Vec::with_capacity(to_simulate.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(to_simulate.len()) {
-                scope.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&g) = to_simulate.get(j) else { break };
-                    let cfg = &pending[groups[g][0]].config;
-                    let at = checkpoint_time(cfg).expect("forkable groups have a warm-up");
-                    let mut world = World::new(warm_prefix_config(cfg));
-                    world.run_until(at);
-                    made.lock()
-                        .expect("prefix lock")
-                        .push((g, world.snapshot()));
-                });
-            }
-        });
-        for (g, snap) in made.into_inner().expect("prefix lock") {
-            prefix_events_skipped += (groups[g].len() as u64 - 1) * snap.events_processed;
-            cache.snapshots.insert(group_fp[g], snap);
-        }
+    // A prefix that panics fails every run of its group and no other.
+    if !to_simulate.is_empty() && !opts.quiet {
+        let members: usize = to_simulate.iter().map(|g| g.members.len()).sum();
+        eprintln!("fork: simulating {prefix_runs} shared warm prefix(es) for {members} run(s)");
     }
-    // Groups served entirely from the cache skip the prefix for every
-    // member (the simulation happened in an earlier invocation).
-    for &g in (0..groups.len())
-        .filter(|&g| !groups[g].is_empty() && !to_simulate.contains(&g))
-        .collect::<Vec<_>>()
-        .iter()
-    {
-        if let Some(snap) = cache.snapshots.get(&group_fp[g]) {
-            prefix_events_skipped += groups[g].len() as u64 * snap.events_processed;
+    let in_order: Vec<usize> = (0..to_simulate.len()).collect();
+    let simulate = |j: usize| {
+        let group = to_simulate[j];
+        let first = pending[group.members[0]];
+        injected_panic(opts, &first.coord.prefix_label());
+        let mut world = World::new(warm_prefix_config(&first.config));
+        world.run_until(group.at);
+        Ok(world.snapshot())
+    };
+    for (j, outcome) in pool(threads, &in_order, simulate, |_| {})? {
+        let group = to_simulate[j];
+        match outcome {
+            Ok(snap) => {
+                prefix_events_skipped += (group.members.len() as u64 - 1) * snap.events_processed;
+                cache.snapshots.insert(group.fingerprint, snap);
+            }
+            Err(message) => {
+                let members = group.members.iter();
+                failed.extend(members.map(|&i| FailedRun::new(pending[i], &message)));
+            }
         }
     }
 
-    // Phase 2: every pending run — forked members restore the group's
-    // checkpoint and continue; the rest run cold from t = 0. Either way
-    // the artifact bytes are identical (checked by tests/fork.rs). A
-    // panicking run is caught, recorded as failed, and its worker moves
-    // on — one diverging simulation must not poison the pool.
+    // Phase 2: every pending run whose prefix did not fail — forked
+    // members restore the group's checkpoint and continue; the rest run
+    // cold from t = 0. Either way the artifact bytes are identical
+    // (checked by tests/fork.rs). A panicking run is caught, recorded
+    // as failed, and its worker moves on — one diverging simulation
+    // must not poison the pool.
     let cache = &*cache; // immutable from here: workers only read snapshots
+    let mut snaps: Vec<Option<&WorldSnapshot>> = vec![None; pending.len()];
+    for group in &groups {
+        for &i in &group.members {
+            snaps[i] = cache.snapshots.get(&group.fingerprint);
+        }
+    }
+    let mut order = dispatch_order(&pending, threads);
+    order.retain(|&i| !failed.iter().any(|f| f.index == pending[i].index));
+    let loud = !opts.quiet && !order.is_empty();
+    if loud && skipped > 0 {
+        eprintln!("resume: {skipped} run(s) already complete, skipping");
+    }
+    let started = Instant::now();
+    let run = |i: usize| {
+        injected_panic(opts, &pending[i].coord.label());
+        run_one(spec, pending[i], snaps[i], opts, &runs_dir)
+    };
+    let outcomes = pool(threads, &order, run, |completed| {
+        if loud {
+            progress_line(completed, order.len(), started);
+        }
+    })?;
+    if loud {
+        eprintln!(); // ends the progress line
+    }
+
+    // Merge in canonical matrix order: `pending` is in plan order and the
+    // pool hands its outcomes back sorted by pending index.
     let mut violations: Vec<RunViolation> = Vec::new();
-    let mut failed: Vec<FailedRun> = Vec::new();
-    let trace_dropped = AtomicU64::new(0);
-    if !pending.is_empty() {
-        let order = dispatch_order(&pending, threads);
-        let next = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let fresh: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::with_capacity(pending.len()));
-        let found: Mutex<Vec<(usize, RunViolation)>> = Mutex::new(Vec::new());
-        let panicked: Mutex<Vec<FailedRun>> = Mutex::new(Vec::new());
-        let profiles: Mutex<Vec<(usize, ProfileEntry)>> = Mutex::new(Vec::new());
-        let io_error: Mutex<Option<io::Error>> = Mutex::new(None);
-        let progress = Progress::new(pending.len(), skipped, opts.quiet);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let turn = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = order.get(turn) else { break };
-                    let plan = pending[i];
-                    let snap = group_of[i].and_then(|g| cache.snapshots.get(&group_fp[g]));
-                    let started = Instant::now();
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if opts.panic_label.as_deref() == Some(plan.coord.label().as_str()) {
-                            panic!("injected test panic");
-                        }
-                        run_one(
-                            spec,
-                            plan,
-                            snap,
-                            opts.check,
-                            opts.trace.is_some(),
-                            opts.trace_max_events,
-                        )
-                    }));
-                    let (record, run_violations, trace_report) = match outcome {
-                        Ok(Ok(out)) => out,
-                        Ok(Err(e)) => {
-                            let mut slot = io_error.lock().expect("io_error lock");
-                            slot.get_or_insert(e);
-                            break;
-                        }
-                        Err(payload) => {
-                            let message = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".to_string());
-                            panicked.lock().expect("failed lock").push(FailedRun {
-                                index: plan.index,
-                                label: plan.coord.label(),
-                                hash: plan.hash.clone(),
-                                message,
-                            });
-                            let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            progress.report(completed);
-                            continue;
-                        }
-                    };
-                    let wall_s = started.elapsed().as_secs_f64();
-                    if let Err(e) = write_record_atomic(&artifact_path(&runs_dir, plan), &record) {
-                        let mut slot = io_error.lock().expect("io_error lock");
-                        slot.get_or_insert(e);
-                        break;
-                    }
-                    if let (Some(trace_dir), Some(report)) = (&opts.trace, trace_report) {
-                        if report.dropped > 0 {
-                            trace_dropped.fetch_add(report.dropped, Ordering::Relaxed);
-                        }
-                        let path = trace_dir.join(format!("trace-{}.json", plan.hash));
-                        if let Err(e) = write_atomic(&path, &report.to_chrome_json()) {
-                            let mut slot = io_error.lock().expect("io_error lock");
-                            slot.get_or_insert(e);
-                            break;
-                        }
-                        let entry = ProfileEntry::new(
-                            plan.index,
-                            &plan.coord.label(),
-                            plan.coord.scenario.name(),
-                            &plan.hash,
-                            wall_s,
-                            &report,
-                        );
-                        profiles
-                            .lock()
-                            .expect("profiles lock")
-                            .push((plan.index, entry));
-                    }
-                    if !run_violations.is_empty() {
-                        let label = plan.coord.label();
-                        let mut sink = found.lock().expect("violations lock");
-                        sink.extend(run_violations.into_iter().map(|record| {
-                            (
-                                plan.index,
-                                RunViolation {
-                                    run: label.clone(),
-                                    record,
-                                },
-                            )
-                        }));
-                    }
-                    fresh
-                        .lock()
-                        .expect("records lock")
-                        .push((plan.index, record));
-                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    progress.report(completed);
-                });
+    let mut profiles: Vec<ProfileEntry> = Vec::new();
+    for (i, outcome) in outcomes {
+        match outcome {
+            Ok((record, found, profile)) => {
+                records[pending[i].index] = Some(record);
+                violations.extend(found);
+                profiles.extend(profile);
             }
-        });
-        progress.finish();
-        if let Some(e) = io_error.into_inner().expect("io_error lock") {
-            return Err(e);
+            Err(message) => failed.push(FailedRun::new(pending[i], &message)),
         }
-        for (index, record) in fresh.into_inner().expect("records lock") {
-            records[index] = Some(record);
-        }
-        let mut found = found.into_inner().expect("violations lock");
-        found.sort_by_key(|(index, _)| *index); // stable: keeps per-run order
-        violations = found.into_iter().map(|(_, v)| v).collect();
-        failed = panicked.into_inner().expect("failed lock");
-        failed.sort_by_key(|f| f.index);
-        if let Some(trace_dir) = &opts.trace {
-            let mut profiles = profiles.into_inner().expect("profiles lock");
-            profiles.sort_by_key(|(index, _)| *index);
-            let mut stream = String::new();
-            for (_, entry) in &profiles {
-                stream.push_str(&entry.encode());
-                stream.push('\n');
-            }
+    }
+    failed.sort_by_key(|f| f.index);
+    if let Some(trace_dir) = &opts.trace {
+        if !pending.is_empty() {
+            let stream: String = profiles.iter().map(|p| p.encode() + "\n").collect();
             write_atomic(&trace_dir.join(crate::profile::PROFILE_FILE), &stream)?;
         }
     }
 
-    let executed = pending.len() - failed.len();
-    // Failed runs have no record (and no artifact, so resume retries
-    // them); any other hole is an internal error.
-    let records = plans
-        .iter()
-        .zip(records)
-        .filter(|(plan, record)| record.is_some() || !failed.iter().any(|f| f.index == plan.index))
-        .map(|(plan, record)| {
-            record.ok_or_else(|| {
-                io::Error::other(format!(
-                    "run {} produced no artifact (expected {})",
-                    plan.coord.label(),
-                    artifact_path(&runs_dir, plan).display()
-                ))
-            })
-        })
-        .collect::<io::Result<Vec<RunRecord>>>()?;
     Ok(CampaignReport {
-        records,
-        executed,
+        // Every pending run is in `failed` (no record, and no artifact,
+        // so resume retries it) or the pool handed its record back.
+        records: records.into_iter().flatten().collect(),
+        executed: pending.len() - failed.len(),
         skipped,
         threads,
         forked_groups,
@@ -530,8 +428,82 @@ pub fn execute_with(
         violations,
         failed,
         quarantined,
-        trace_dropped_events: trace_dropped.into_inner(),
+        trace_dropped_events: profiles.iter().map(|p| p.dropped).sum(),
     })
+}
+
+/// Pending runs (indices into the pending list) that share one warm
+/// prefix, simulated once to `at` and forked by every member.
+struct ForkGroup {
+    fingerprint: u64,
+    at: tsn_time::SimTime,
+    members: Vec<usize>,
+}
+
+/// The [`RunnerOptions::panic_label`] test hook.
+fn injected_panic(opts: &RunnerOptions, label: &str) {
+    if opts.panic_label.as_deref() == Some(label) {
+        panic!("injected test panic");
+    }
+}
+
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// The runner's one worker pool: calls `work(i)` for every `i` in
+/// `order` on up to `threads` scoped workers and returns every
+/// `(i, outcome)` sorted by `i` — the same list for any worker count
+/// and schedule. A worker keeps what it made and hands it back through
+/// its join handle; shared are only the cursor and the completed count
+/// `report` is called with (they publish no data, hence `Relaxed`).
+///
+/// An item that panics becomes `Err(message)` for that `i` alone and
+/// its worker moves on. An item's `io::Error` is the call's error: no
+/// worker starts another item.
+fn pool<T: Send>(
+    threads: usize,
+    order: &[usize],
+    work: impl Fn(usize) -> io::Result<T> + Sync,
+    report: impl Fn(usize) + Sync,
+) -> io::Result<Vec<(usize, Result<T, String>)>> {
+    let next = AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
+    let worker = || {
+        let mut made = Vec::new();
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(i)));
+            made.push(match outcome {
+                Ok(Ok(output)) => (i, Ok(output)),
+                Ok(Err(e)) => {
+                    next.store(order.len(), Ordering::Relaxed);
+                    return Err(e);
+                }
+                Err(payload) => (i, Err(panic_message(payload))),
+            });
+            report(done.fetch_add(1, Ordering::Relaxed) + 1);
+        }
+        Ok(made)
+    };
+    let mut merged = Vec::with_capacity(order.len());
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(order.len()))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        // Join every worker before returning the first error.
+        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        for made in joined {
+            // A worker can only unwind out of `report`.
+            merged.extend(made.map_err(|p| io::Error::other(panic_message(p)))??);
+        }
+        Ok::<(), io::Error>(())
+    })?;
+    merged.sort_by_key(|&(i, _)| i);
+    Ok(merged)
 }
 
 /// The order in which workers take the pending runs (indices into
@@ -552,22 +524,19 @@ fn dispatch_order(pending: &[&RunPlan], threads: usize) -> Vec<usize> {
 }
 
 /// Executes one run, either cold from `t = 0` or forked from a shared
-/// warm-prefix checkpoint. Both paths end in the same [`RunRecord`];
-/// the cold path additionally arms the invariant oracle (`check`) and
-/// the structured tracer (`trace`) on request and returns whatever they
-/// reported (both observers are passive, so the record is unaffected).
+/// warm-prefix checkpoint, and writes its artifact. Both paths end in
+/// the same [`RunRecord`]; the cold path additionally arms the oracle
+/// and the tracer on request, returning what the former reported and
+/// writing the latter's file with its profile entry (both observers
+/// are passive, so the record is unaffected).
 fn run_one(
     spec: &CampaignSpec,
     plan: &RunPlan,
     snap: Option<&WorldSnapshot>,
-    check: bool,
-    trace: bool,
-    trace_max_events: Option<usize>,
-) -> io::Result<(
-    RunRecord,
-    Vec<tsn_metrics::ViolationRecord>,
-    Option<tsn_trace::TraceReport>,
-)> {
+    opts: &RunnerOptions,
+    runs_dir: &Path,
+) -> io::Result<(RunRecord, Vec<RunViolation>, Option<ProfileEntry>)> {
+    let started = Instant::now();
     let result = match snap {
         Some(snap) => {
             let mut world = World::restore(plan.config.clone(), snap).map_err(|e| {
@@ -582,11 +551,11 @@ fn run_one(
         }
         None => {
             let mut world = World::new(plan.config.clone());
-            if check {
+            if opts.check {
                 world.enable_oracle();
             }
-            if trace {
-                match trace_max_events {
+            if opts.trace.is_some() {
+                match opts.trace_max_events {
                     Some(cap) => world.enable_trace_capped(cap),
                     None => world.enable_trace(),
                 }
@@ -594,8 +563,28 @@ fn run_one(
             world.run()
         }
     };
+    let wall_s = started.elapsed().as_secs_f64();
     let record = RunRecord::new(&spec.name, plan, &result);
-    Ok((record, result.violations, result.trace))
+    write_record_atomic(&artifact_path(runs_dir, plan), &record)?;
+    let label = plan.coord.label();
+    let mut profile = None;
+    if let (Some(trace_dir), Some(report)) = (&opts.trace, &result.trace) {
+        let path = trace_dir.join(format!("trace-{}.json", plan.hash));
+        write_atomic(&path, &report.to_chrome_json())?;
+        let scenario = plan.coord.scenario.name();
+        profile = Some(ProfileEntry::new(
+            plan.index, &label, scenario, &plan.hash, wall_s, report,
+        ));
+    }
+    let violations = result
+        .violations
+        .into_iter()
+        .map(|record| RunViolation {
+            run: label.clone(),
+            record,
+        })
+        .collect();
+    Ok((record, violations, profile))
 }
 
 /// Streaming reader over a previously executed campaign's artifacts, in
@@ -727,54 +716,22 @@ fn manifest(spec: &CampaignSpec, plans: &[RunPlan]) -> crate::json::Json {
     ])
 }
 
-/// Serialized progress reporting on stderr: completed/total and an ETA
+/// One progress line on stderr: completed/total and an ETA
 /// extrapolated from the mean run time so far. Wall-clock time feeds
 /// only this display, never the artifacts.
-struct Progress {
-    total: usize,
-    skipped: usize,
-    started: Instant,
-    quiet: bool,
-    line: Mutex<()>,
-}
-
-impl Progress {
-    fn new(total: usize, skipped: usize, quiet: bool) -> Progress {
-        let p = Progress {
-            total,
-            skipped,
-            started: Instant::now(),
-            quiet,
-            line: Mutex::new(()),
-        };
-        if !p.quiet && p.skipped > 0 {
-            eprintln!("resume: {} run(s) already complete, skipping", p.skipped);
-        }
-        p
-    }
-
-    fn report(&self, completed: usize) {
-        if self.quiet {
-            return;
-        }
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let per_run = elapsed / completed as f64;
-        let eta = per_run * (self.total - completed) as f64;
-        let _guard = self.line.lock().expect("progress lock");
-        eprint!(
-            "\r[{completed}/{}] runs complete, elapsed {}, ETA {}   ",
-            self.total,
-            fmt_secs(elapsed),
-            fmt_secs(eta),
-        );
-        let _ = io::stderr().flush();
-    }
-
-    fn finish(&self) {
-        if !self.quiet && self.total > 0 {
-            eprintln!();
-        }
-    }
+fn progress_line(completed: usize, total: usize, started: Instant) {
+    let elapsed = started.elapsed().as_secs_f64();
+    let eta = elapsed / completed as f64 * (total - completed) as f64;
+    // Workers report concurrently: one locked write per line. A closed
+    // stderr must not fail the run that reports to it.
+    let mut stderr = io::stderr().lock();
+    let _ = write!(
+        stderr,
+        "\r[{completed}/{total}] runs complete, elapsed {}, ETA {}   ",
+        fmt_secs(elapsed),
+        fmt_secs(eta),
+    );
+    let _ = stderr.flush();
 }
 
 fn fmt_secs(s: f64) -> String {
@@ -810,6 +767,124 @@ mod tests {
         let pending: Vec<&RunPlan> = plans.iter().collect();
         assert_eq!(dispatch_order(&pending, 1), [0, 1, 2, 3, 4]);
         assert_eq!(dispatch_order(&pending, 2), [3, 1, 4, 0, 2]);
+    }
+
+    /// The pool on plain numbers, no `World`: a panic stays with its
+    /// item, an `io::Error` fails the call, and the merged output does
+    /// not depend on how many workers made it or in what order.
+    #[test]
+    fn pool_isolates_a_panic_fails_on_io_error_and_merges_by_index() {
+        let order = [7, 2, 9, 0, 5, 3, 8, 1, 6, 4]; // any schedule
+        let square = |i: usize| match i {
+            3 => panic!("item three"),
+            _ => Ok(i * i),
+        };
+        let one = pool(1, &order, square, |_| {}).expect("no io error");
+        let expected: Vec<(usize, Result<usize, String>)> = (0..10)
+            .map(|i| match i {
+                3 => (3, Err("item three".to_string())),
+                _ => (i, Ok(i * i)),
+            })
+            .collect();
+        assert_eq!(one, expected);
+        let reported = AtomicUsize::new(0);
+        let four = pool(4, &order, square, |completed| {
+            reported.fetch_max(completed, Ordering::Relaxed);
+        })
+        .expect("no io error");
+        assert_eq!(four, expected, "4 workers merge to what 1 worker made");
+        assert_eq!(reported.into_inner(), 10, "every item is reported");
+
+        let denied = |i: usize| match i {
+            5 => Err(io::Error::new(io::ErrorKind::PermissionDenied, "item five")),
+            _ => Ok(i),
+        };
+        for threads in [1, 4] {
+            let err = pool(threads, &order, denied, |_| {}).expect_err("io error");
+            assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+            assert_eq!(err.to_string(), "item five");
+        }
+        let none = pool(4, &[], square, |_| {}).expect("nothing to do");
+        assert!(none.is_empty());
+    }
+
+    fn artifacts(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("runs"))
+            .expect("runs dir")
+            .map(|e| e.expect("dir entry").path())
+            .map(|p| {
+                let name = p.file_name().expect("file name").to_string_lossy();
+                (name.into_owned(), std::fs::read(&p).expect("artifact"))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A warm prefix that panics is isolated like a run that panics:
+    /// its group fails, with the prefix's message and no artifact, the
+    /// sibling group's bytes are a clean campaign's, and resume retries.
+    #[test]
+    fn panicking_prefix_fails_its_group_and_no_other() {
+        let spec = CampaignSpec {
+            name: "prefix-panic".to_string(),
+            base: crate::BaseSpec {
+                preset: crate::Preset::Quick,
+                duration_s: Some(6),
+                warmup_s: Some(3),
+            },
+            scenarios: vec![
+                clocksync::scenario::ScenarioKind::Baseline,
+                clocksync::scenario::ScenarioKind::CyberIdenticalKernels,
+            ],
+            grid: crate::Grid {
+                seeds: vec![1, 2],
+                ..crate::Grid::default()
+            },
+        };
+        let tmp = std::env::temp_dir().join(format!("tsn-campaign-pp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        let fork_opts = |dir: &str| RunnerOptions {
+            threads: 2,
+            quiet: true,
+            fork: true,
+            ..RunnerOptions::new(tmp.join(dir))
+        };
+        let clean = execute(&spec, &fork_opts("clean")).expect("clean campaign");
+        assert_eq!((clean.executed, clean.forked_groups), (4, 2));
+        let clean_bytes = artifacts(&tmp.join("clean"));
+
+        let plans = expand(&spec).expect("valid spec");
+        let victims: Vec<&RunPlan> = plans.iter().filter(|p| p.coord.seed == 2).collect();
+        assert_eq!(victims.len(), 2);
+        let report = execute(
+            &spec,
+            &RunnerOptions {
+                panic_label: Some(victims[0].coord.prefix_label()),
+                ..fork_opts("panic")
+            },
+        )
+        .expect("campaign must finish despite the prefix panic");
+        assert_eq!((report.executed, report.records.len()), (2, 2));
+        assert_eq!((report.forked_groups, report.prefix_runs), (2, 2));
+        assert_eq!(report.failed.len(), 2);
+        for (failed, victim) in report.failed.iter().zip(&victims) {
+            assert_eq!(failed.index, victim.index);
+            assert_eq!(failed.label, victim.coord.label());
+            assert_eq!(failed.hash, victim.hash);
+            assert_eq!(failed.message, "injected test panic");
+        }
+        let with_panic = artifacts(&tmp.join("panic"));
+        assert_eq!(with_panic.len(), 2, "the failed group left an artifact");
+        for pair in &with_panic {
+            assert!(clean_bytes.contains(pair), "{} perturbed", pair.0);
+        }
+
+        let resumed = execute(&spec, &fork_opts("panic")).expect("resume");
+        assert_eq!((resumed.executed, resumed.skipped), (2, 2));
+        assert!(resumed.failed.is_empty());
+        assert_eq!(artifacts(&tmp.join("panic")), clean_bytes);
+        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl CampaignSpec {
         {
             return Err(SpecError::Invalid(
                 "fleet_nodes/fleet_topology cannot combine with the hops/topology axes \
-                 (the fleet generator owns the fabric's depth and shape)"
+                 (the fleet owns the fabric's depth and shape)"
                     .to_string(),
             ));
         }
@@ -509,7 +509,7 @@ impl CampaignSpec {
     ///   ring, tree} × hops ∈ {1, 3, 6} through the TSN switch fabric ×
     ///   30 % cross-traffic × transparent clocks {off, on} × 2 seeds
     ///   (36 runs; `specs/fabric_sweep.json` is its file form);
-    /// * `fleet-sweep` — the fleet-scale sweep: generated switch fleets
+    /// * `fleet-sweep` — the fleet-scale sweep: condensed switch fleets
     ///   of {256, 1024} ECDs × all four [`FLEET_TOPOLOGY_NAMES`] shapes
     ///   × 2 seeds (16 runs; `specs/fleet_sweep.json` is its file
     ///   form). Exercises the streaming artifact pipeline at bounded

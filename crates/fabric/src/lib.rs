@@ -56,7 +56,7 @@ use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 use tsn_time::{Nanos, SimTime};
 
 pub mod fleet;
-pub use fleet::{FleetShape, FleetSwitch, FleetTopology};
+pub use fleet::FleetShape;
 
 /// Shape of the switch fabric inserted between edge switches.
 ///
