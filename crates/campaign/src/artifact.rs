@@ -8,12 +8,13 @@
 //! the determinism test asserts, and which makes artifacts diffable
 //! across machines).
 
-use crate::axis::AXES;
-use crate::json::{Json, Number, Reader, Value};
+use crate::axis::{AxisValue, AXES};
+use crate::json::{write_escaped, write_float, Number, ObjectWriter, Reader, Value};
 use crate::matrix::{Coord, RunPlan};
 use clocksync::scenario::ScenarioKind;
 use clocksync::{RunCounters, RunResult};
 use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::sync::OnceLock;
 use tsn_metrics::{ExperimentEvent, SampleSummary};
 use tsn_time::SyncState;
@@ -63,10 +64,22 @@ pub struct TransitionRecord {
     pub to: SyncState,
 }
 
+impl TransitionRecord {
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let mut object = ObjectWriter::open(out)?;
+        self.at_ns.write(object.key("at_ns")?)?;
+        (self.node as u64).write(object.key("node")?)?;
+        (self.slot as u64).write(object.key("slot")?)?;
+        write_escaped(self.from.name(), object.key("from")?)?;
+        write_escaped(self.to.name(), object.key("to")?)?;
+        object.close()
+    }
+}
+
 /// A scalar field type of a record table: how it is written to and read
 /// from artifact JSON.
 trait Scalar: Copy {
-    fn to_json(self) -> Json;
+    fn write<W: fmt::Write>(self, out: &mut W) -> fmt::Result;
     /// `None` unless the reader's next value is a number this type
     /// holds losslessly.
     fn read(r: &mut Reader<'_>) -> Option<Self>;
@@ -80,8 +93,8 @@ fn read_number(r: &mut Reader<'_>) -> Option<Number> {
 }
 
 impl Scalar for u64 {
-    fn to_json(self) -> Json {
-        Json::UInt(self)
+    fn write<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        write!(out, "{self}")
     }
     fn read(r: &mut Reader<'_>) -> Option<u64> {
         read_number(r)?.as_u64()
@@ -89,8 +102,8 @@ impl Scalar for u64 {
 }
 
 impl Scalar for i64 {
-    fn to_json(self) -> Json {
-        Json::Int(self)
+    fn write<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        write!(out, "{self}")
     }
     fn read(r: &mut Reader<'_>) -> Option<i64> {
         read_number(r)?.as_i64()
@@ -98,8 +111,8 @@ impl Scalar for i64 {
 }
 
 impl Scalar for f64 {
-    fn to_json(self) -> Json {
-        Json::Float(self)
+    fn write<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        write_float(self, out)
     }
     fn read(r: &mut Reader<'_>) -> Option<f64> {
         read_number(r).map(Number::as_f64)
@@ -107,8 +120,8 @@ impl Scalar for f64 {
 }
 
 /// A flat record of scalar fields, declared once: the table emits the
-/// struct, its key list, its JSON rendering and its decoder. Row order
-/// is the artifact's key order.
+/// struct, its key list, its writer and its decoder. Row order is the
+/// artifact's key order.
 macro_rules! record_fields {
     ($(#[$meta:meta])* $record:ident { $( $(#[$doc:meta])* $name:ident: $ty:ty, )* }) => {
         $(#[$meta])*
@@ -119,8 +132,10 @@ macro_rules! record_fields {
         impl $record {
             const KEYS: &'static [&'static str] = &[$(stringify!($name)),*];
 
-            fn to_json(self) -> Json {
-                Json::object(vec![$( (stringify!($name), self.$name.to_json()) ),*])
+            fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+                let mut object = ObjectWriter::open(out)?;
+                $( self.$name.write(object.key(stringify!($name))?)?; )*
+                object.close()
             }
 
             /// Reads the record from the members of an object the
@@ -265,7 +280,12 @@ impl RunRecord {
 
     /// Encodes the record as one JSONL line (with trailing newline).
     pub fn encode(&self) -> String {
-        let mut line = self.to_json().render();
+        // A dry run sizes the line, so the `String` is allocated once.
+        let mut size = ByteCount(1);
+        self.write_to(&mut size).expect("counting cannot fail");
+        let mut line = String::with_capacity(size.0);
+        self.write_to(&mut line)
+            .expect("writing to a String cannot fail");
         line.push('\n');
         line
     }
@@ -274,63 +294,48 @@ impl RunRecord {
     /// byte-identical to [`RunRecord::encode`]. The runner writes
     /// artifacts through this via a bounded `BufWriter`.
     pub fn encode_to<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        self.to_json().render_to(out)?;
-        out.write_all(b"\n")
+        let mut sink = IoSink { out, error: None };
+        self.write_to(&mut sink)
+            .and_then(|()| sink.write_char('\n'))
+            .map_err(|fmt::Error| {
+                sink.error
+                    .unwrap_or_else(|| std::io::Error::other("formatter error"))
+            })
     }
 
-    /// The record as a JSON document (the single source of truth for
-    /// both encoders).
-    fn to_json(&self) -> Json {
-        // Scenario and seed, then one key per axis of the table: the
-        // value, or `null` when the axis is inactive.
-        let mut coord = vec![
-            (
-                "scenario",
-                Json::Str(self.coord.scenario.name().to_string()),
-            ),
-            ("seed", Json::UInt(self.coord.seed)),
-        ];
-        coord.extend(
-            AXES.iter()
-                .map(|a| (a.coord_key, a.coord_to_json(&self.coord))),
-        );
-        let coord = Json::object(coord);
-        let counters = Json::object(
-            self.counters
-                .fields()
-                .map(|(name, value)| (name, Json::UInt(value)))
-                .collect(),
-        );
-        let precision = self.precision.map_or(Json::Null, PrecisionRecord::to_json);
-        let transitions = Json::Array(
-            self.transitions
-                .iter()
-                .map(|t| {
-                    Json::object(vec![
-                        ("at_ns", Json::UInt(t.at_ns)),
-                        ("node", Json::UInt(t.node as u64)),
-                        ("slot", Json::UInt(t.slot as u64)),
-                        ("from", Json::Str(t.from.name().to_string())),
-                        ("to", Json::Str(t.to.name().to_string())),
-                    ])
-                })
-                .collect(),
-        );
-        Json::object(vec![
-            ("schema", Json::UInt(ARTIFACT_SCHEMA)),
-            ("campaign", Json::Str(self.campaign.clone())),
-            ("hash", Json::Str(self.hash.clone())),
-            ("coord", coord),
-            ("run_seed", Json::UInt(self.seed)),
-            ("counters", counters),
-            ("bounds", self.bounds.to_json()),
-            ("precision", precision),
-            (
-                "fraction_within_bound",
-                Json::Float(self.fraction_within_bound),
-            ),
-            ("transitions", transitions),
-        ])
+    /// The one writer of the line: every member goes straight into the
+    /// sink, in the order [`RunRecord::decode`] tries first, from where
+    /// the fields are declared — the axis table, `RunCounters::fields`
+    /// and the `record_fields!` tables.
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let mut record = ObjectWriter::open(out)?;
+        ARTIFACT_SCHEMA.write(record.key("schema")?)?;
+        write_escaped(&self.campaign, record.key("campaign")?)?;
+        write_escaped(&self.hash, record.key("hash")?)?;
+        write_coord(&self.coord, record.key("coord")?)?;
+        self.seed.write(record.key("run_seed")?)?;
+        let mut counters = ObjectWriter::open(record.key("counters")?)?;
+        for (name, value) in self.counters.fields() {
+            value.write(counters.key(name)?)?;
+        }
+        counters.close()?;
+        self.bounds.write_to(record.key("bounds")?)?;
+        match &self.precision {
+            Some(p) => p.write_to(record.key("precision")?)?,
+            None => record.key("precision")?.write_str("null")?,
+        }
+        self.fraction_within_bound
+            .write(record.key("fraction_within_bound")?)?;
+        let out = record.key("transitions")?;
+        out.write_char('[')?;
+        for (i, t) in self.transitions.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            t.write_to(out)?;
+        }
+        out.write_char(']')?;
+        record.close()
     }
 
     /// Decodes a record from its JSONL line. Returns `None` on any
@@ -428,12 +433,58 @@ fn quantile_ns(result: &RunResult, q: f64) -> i64 {
     result.series.quantile(q).map(|n| n.as_nanos()).unwrap_or(0)
 }
 
+/// Adapts an [`std::io::Write`] sink to the writer's [`fmt::Write`],
+/// keeping the I/O error the formatter interface cannot carry.
+struct IoSink<'a, W> {
+    out: &'a mut W,
+    error: Option<std::io::Error>,
+}
+
+impl<W: std::io::Write> fmt::Write for IoSink<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.out.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// A sink that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// The `coord` object: scenario and seed, then one key per axis of the
+/// table holding the axis's value, or `null` while it is inactive.
+fn write_coord<W: fmt::Write>(coord: &Coord, out: &mut W) -> fmt::Result {
+    let mut object = ObjectWriter::open(out)?;
+    write_escaped(coord.scenario.name(), object.key("scenario")?)?;
+    coord.seed.write(object.key("seed")?)?;
+    for axis in AXES {
+        let out = object.key(axis.coord_key)?;
+        match (axis.coord_get)(coord) {
+            None => out.write_str("null")?,
+            Some(AxisValue::UInt(v)) => v.write(out)?,
+            Some(AxisValue::Bool(b)) => out.write_str(if b { "true" } else { "false" })?,
+            Some(AxisValue::Name(name)) => write_escaped(name, out)?,
+        }
+    }
+    object.close()
+}
+
 /// Reads the members of an object the reader has just opened:
 /// `field(i, r)` reads the value of the first member named `keys[i]`;
 /// members with another name, and later duplicates, are skipped
 /// (validated, not interpreted). `None` unless every key was found.
-/// The writer's key order is tried first, so a canonical line costs
-/// one comparison per key.
+/// The key the writer puts next is tried first, in the writer's exact
+/// spelling, so a canonical line costs one slice comparison per key;
+/// any other spelling takes the general path through
+/// [`Reader::next_key`].
 fn read_members<'a>(
     r: &mut Reader<'a>,
     keys: &[&str],
@@ -442,10 +493,13 @@ fn read_members<'a>(
     assert!(keys.len() <= 64, "one bit per key");
     let mut seen = 0u64;
     let mut next = 0;
-    while let Some(key) = r.next_key().ok()? {
-        let i = if keys.get(next).is_some_and(|k| *k == key) {
+    loop {
+        let i = if keys.get(next).is_some_and(|k| r.canonical_key(k)) {
             Some(next)
         } else {
+            let Some(key) = r.next_key().ok()? else {
+                break;
+            };
             keys.iter().position(|k| *k == key)
         };
         match i {

@@ -260,11 +260,6 @@ impl AxisDef {
         Json::Array(self.grid_values(grid).map(AxisValue::to_json).collect())
     }
 
-    /// The axis's artifact JSON: the coordinate's value or `null`.
-    pub(crate) fn coord_to_json(&self, coord: &Coord) -> Json {
-        (self.coord_get)(coord).map_or(Json::Null, AxisValue::to_json)
-    }
-
     /// Appends the axis's `/key=value` label segment (`-` for an
     /// inactive always-rendered axis, nothing for an inactive
     /// conditional one).

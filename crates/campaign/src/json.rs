@@ -3,10 +3,12 @@
 //!
 //! The workspace builds hermetically without a serialization
 //! framework, so the campaign engine carries its own (tiny) JSON layer:
-//! one writer ([`Json::render`] / [`Json::render_to`]) and one lexer
-//! (`Reader`, linear in the document) with two consumers — the tree
-//! builder [`Json::parse`] and the artifact decoder, which reads
-//! records straight off the lexer (DESIGN.md §5.5).
+//! one set of writing primitives (`write_escaped`, `write_float`,
+//! `ObjectWriter`) with two users — the tree writer [`Json::render`]
+//! and the artifact encoder, which writes records straight from their
+//! field tables — and one lexer (`Reader`, linear in the document) with
+//! two consumers — the tree builder [`Json::parse`] and the artifact
+//! decoder, which reads records straight off the lexer (DESIGN.md §5.5).
 //! Two properties matter here and are guaranteed by construction:
 //!
 //! * **Determinism** — objects keep insertion order and numbers have a
@@ -112,20 +114,7 @@ impl Json {
         out
     }
 
-    /// Streams the canonical one-line rendering into an [`std::io::Write`]
-    /// sink, byte-identical to [`Json::render`] (both are the one
-    /// writer below) but without materializing the whole document as
-    /// one `String`. The artifact writer uses this through a bounded
-    /// `BufWriter` so encoding cost stays flat as records grow.
-    pub fn render_to<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        let mut sink = IoSink { out, error: None };
-        self.write(&mut sink).map_err(|fmt::Error| {
-            sink.error
-                .unwrap_or_else(|| std::io::Error::other("formatter error"))
-        })
-    }
-
-    /// The one writer: escapes and numbers go straight into the sink.
+    /// The tree writer: escapes and numbers go straight into the sink.
     fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
             Json::Null => out.write_str("null"),
@@ -133,13 +122,7 @@ impl Json {
             Json::Bool(false) => out.write_str("false"),
             Json::Int(v) => write!(out, "{v}"),
             Json::UInt(v) => write!(out, "{v}"),
-            // `{:?}` is Rust's shortest round-trip rendering and always
-            // contains '.' or 'e', keeping the value a float on
-            // re-parse.
-            Json::Float(v) if v.is_finite() => write!(out, "{v:?}"),
-            // JSON has no NaN/Inf; campaigns never produce them, but
-            // degrade deterministically if one slips through.
-            Json::Float(_) => out.write_str("null"),
+            Json::Float(v) => write_float(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Array(items) => {
                 out.write_char('[')?;
@@ -152,16 +135,11 @@ impl Json {
                 out.write_char(']')
             }
             Json::Object(pairs) => {
-                out.write_char('{')?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    write_escaped(k, out)?;
-                    out.write_char(':')?;
-                    v.write(out)?;
+                let mut object = ObjectWriter::open(out)?;
+                for (k, v) in pairs {
+                    v.write(object.key(k)?)?;
                 }
-                out.write_char('}')
+                object.close()
             }
         }
     }
@@ -203,25 +181,52 @@ impl Json {
     }
 }
 
-/// Adapts an [`std::io::Write`] sink to the writer's [`fmt::Write`],
-/// keeping the I/O error the formatter interface cannot carry.
-struct IoSink<'a, W> {
+/// Writes one object a member at a time: the braces, separators and
+/// quoted keys of every object either writer emits, [`Json::Object`]s
+/// included.
+pub(crate) struct ObjectWriter<'a, W> {
     out: &'a mut W,
-    error: Option<std::io::Error>,
+    first: bool,
 }
 
-impl<W: std::io::Write> fmt::Write for IoSink<'_, W> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.out.write_all(s.as_bytes()).map_err(|e| {
-            self.error = Some(e);
-            fmt::Error
-        })
+impl<'a, W: fmt::Write> ObjectWriter<'a, W> {
+    /// Writes the opening brace.
+    pub(crate) fn open(out: &'a mut W) -> Result<ObjectWriter<'a, W>, fmt::Error> {
+        out.write_char('{')?;
+        Ok(ObjectWriter { out, first: true })
+    }
+
+    /// Writes the next member's key and returns the sink for its value.
+    pub(crate) fn key(&mut self, key: &str) -> Result<&mut W, fmt::Error> {
+        if !std::mem::take(&mut self.first) {
+            self.out.write_char(',')?;
+        }
+        write_escaped(key, self.out)?;
+        self.out.write_char(':')?;
+        Ok(self.out)
+    }
+
+    /// Writes the closing brace.
+    pub(crate) fn close(self) -> fmt::Result {
+        self.out.write_char('}')
+    }
+}
+
+/// Writes a float: `{:?}` is Rust's shortest round-trip rendering and
+/// always contains '.' or 'e', keeping the value a float on re-parse.
+/// JSON has no NaN/Inf; campaigns never produce them, but a non-finite
+/// value degrades deterministically to `null`.
+pub(crate) fn write_float<W: fmt::Write>(v: f64, out: &mut W) -> fmt::Result {
+    if v.is_finite() {
+        write!(out, "{v:?}")
+    } else {
+        out.write_str("null")
     }
 }
 
 /// Writes `s` quoted: unescaped runs are copied whole, each character
 /// that needs an escape (all of them ASCII) is written in its place.
-fn write_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+pub(crate) fn write_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
     out.write_char('"')?;
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -364,7 +369,11 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn err(&self, message: &str) -> JsonError {
+    /// The error at the current offset. Out of line and marked cold, so
+    /// the lexer's hot path carries only the branch to it.
+    #[cold]
+    #[inline(never)]
+    fn err(&self, message: impl fmt::Display) -> JsonError {
         JsonError {
             message: message.to_string(),
             offset: self.pos,
@@ -386,7 +395,7 @@ impl<'a> Reader<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
+            Err(self.err(format_args!("expected {:?}", b as char)))
         }
     }
 
@@ -395,7 +404,7 @@ impl<'a> Reader<'a> {
             self.pos += text.len();
             Ok(value)
         } else {
-            Err(self.err(&format!("expected {text}")))
+            Err(self.err(format_args!("expected {text}")))
         }
     }
 
@@ -465,6 +474,30 @@ impl<'a> Reader<'a> {
         self.skip_ws();
         self.expect(b':')?;
         Ok(Some(key))
+    }
+
+    /// Inside an object: consumes the next member's key if it is `key`
+    /// spelled exactly as the writer spells it — `"key":` right after
+    /// the opening brace, `,"key":` after a member — and says whether
+    /// it did. Anything else (whitespace, an escape, another key, the
+    /// closing brace) consumes nothing and is left to
+    /// [`Reader::next_key`]. `key` must need no escape.
+    pub(crate) fn canonical_key(&mut self, key: &str) -> bool {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let rest = if self.fresh {
+            Some(rest)
+        } else {
+            rest.strip_prefix(b",")
+        };
+        let matched = rest
+            .and_then(|r| r.strip_prefix(b"\""))
+            .and_then(|r| r.strip_prefix(key.as_bytes()))
+            .is_some_and(|r| r.starts_with(b"\":"));
+        if matched {
+            self.pos += key.len() + 3 + usize::from(!self.fresh);
+            self.fresh = false;
+        }
+        matched
     }
 
     /// Reads and discards the next value, checking it exactly as
@@ -553,50 +586,70 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a number in RFC 8259's grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. An
+    /// integer is accumulated while its digits are scanned; `str::parse`
+    /// runs only for a fraction, an exponent or a magnitude past 64 bits.
     fn number(&mut self) -> Result<Number, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        // `None` once the magnitude no longer fits 64 bits.
+        let mut magnitude = Some(0u64);
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while let Some(d @ b'0'..=b'9') = self.peek() {
+                    magnitude =
+                        magnitude.and_then(|m| m.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+                    self.pos += 1;
+                }
             }
+            _ => return Err(self.err("malformed number")),
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
+        let fraction = self.peek() == Some(b'.');
+        if fraction {
+            self.pos += 1;
+            self.digits()?;
+        }
+        let exponent = matches!(self.peek(), Some(b'e' | b'E'));
+        if exponent {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            self.digits()?;
+        }
+        match (fraction || exponent, negative, magnitude) {
+            (false, false, Some(m)) => return Ok(Number::UInt(m)),
+            // `-0` is the integer 0, `-2^63` is `i64::MIN`, and a
+            // magnitude between `2^63` and `2^64` is out of range.
+            (false, true, Some(m)) => {
+                return 0i64
+                    .checked_sub_unsigned(m)
+                    .map(Number::Int)
+                    .ok_or_else(|| self.err("integer out of range"))
             }
+            _ => {}
         }
         // Every byte consumed above is ASCII, so both ends are
         // character boundaries.
-        let text = &self.text[start..self.pos];
-        if !is_float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if stripped.parse::<u64>().is_ok() || stripped.is_empty() {
-                    return text
-                        .parse::<i64>()
-                        .map(Number::Int)
-                        .map_err(|_| self.err("integer out of range"));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Number::UInt(v));
-            }
-        }
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Number::Float)
             .map_err(|_| self.err("malformed number"))
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("malformed number"));
+        }
+        Ok(())
     }
 }
 
@@ -693,23 +746,91 @@ mod tests {
         }
     }
 
+    /// Numbers follow RFC 8259: no leading zeros, digits on both sides
+    /// of a point, digits after an exponent, a sign only in front.
     #[test]
-    fn render_to_matches_render_byte_for_byte() {
-        let v = Json::object(vec![
-            ("seed", Json::UInt(u64::MAX)),
-            ("neg", Json::Int(-42)),
-            ("pi", Json::Float(3.25)),
-            ("bad", Json::Float(f64::NAN)),
-            ("s", Json::Str("a\"b\\c\nd\u{1}".to_string())),
+    fn numbers_follow_the_rfc_grammar() {
+        for (text, expected) in [
+            ("0", Json::UInt(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::UInt(10)),
+            ("-7", Json::Int(-7)),
+            ("0.5", Json::Float(0.5)),
+            ("-0.0", Json::Float(-0.0)),
+            ("1.5e-3", Json::Float(1.5e-3)),
+            ("1E+2", Json::Float(100.0)),
+            ("1e2", Json::Float(100.0)),
+            ("18446744073709551615", Json::UInt(u64::MAX)),
+            ("18446744073709551616", Json::Float(18446744073709551616.0)),
+            ("-9223372036854775808", Json::Int(i64::MIN)),
             (
-                "arr",
-                Json::Array(vec![Json::Null, Json::Bool(true), Json::Bool(false)]),
+                "-18446744073709551616",
+                Json::Float(-18446744073709551616.0),
             ),
-            ("empty", Json::object(vec![])),
-        ]);
-        let mut streamed = Vec::new();
-        v.render_to(&mut streamed).unwrap();
-        assert_eq!(streamed, v.render().into_bytes());
+        ] {
+            assert_eq!(Json::parse(text), Ok(expected), "{text}");
+        }
+        for text in [
+            "007", "00", "-01", "01.5", "1.", "-", "-.5", ".5", "+1", "1e", "1e+", "1.e2", "--1",
+            "-a",
+        ] {
+            assert!(Json::parse(text).is_err(), "{text} parsed");
+            assert!(
+                Json::parse(&format!("[{text}]")).is_err(),
+                "[{text}] parsed"
+            );
+        }
+        assert_eq!(
+            Json::parse("-").unwrap_err().message,
+            "malformed number",
+            "a bare sign is not an integer out of range"
+        );
+        assert_eq!(
+            Json::parse("-9223372036854775809").unwrap_err().message,
+            "integer out of range"
+        );
+    }
+
+    /// Only the exact canonical spelling of the expected key is taken;
+    /// everything else is left untouched for `next_key`.
+    #[test]
+    fn canonical_key_takes_only_the_exact_spelling() {
+        // Skips `members` members, then tries `key`: the value read
+        // after it, or `None` with nothing consumed.
+        let try_key = |text: &str, members: usize, key: &str| {
+            let mut r = Reader::new(text);
+            assert_eq!(r.value(), Ok(Value::BeginObject));
+            for _ in 0..members {
+                r.next_key().unwrap().expect("a member");
+                r.skip_value().unwrap();
+            }
+            let pos = r.pos;
+            if !r.canonical_key(key) {
+                assert_eq!(r.pos, pos, "{text}: consumed without a match");
+                return None;
+            }
+            match r.value() {
+                Ok(Value::Number(n)) => n.as_u64(),
+                other => panic!("{text}: {other:?} after the key"),
+            }
+        };
+        assert_eq!(try_key(r#"{"a":1,"b":2}"#, 0, "a"), Some(1));
+        assert_eq!(try_key(r#"{"a":1,"b":2}"#, 1, "b"), Some(2));
+        for (text, members, key) in [
+            (r#"{"a":1,"b":2}"#, 0, "b"),
+            (r#"{"ab":1}"#, 0, "a"),
+            (r#"{ "a":1}"#, 0, "a"),
+            (r#"{"a" :1}"#, 0, "a"),
+            ("{\"\\u0061\":1}", 0, "a"),
+            (r#"{,"a":1}"#, 0, "a"),
+            (r#"{"a":1, "b":2}"#, 1, "b"),
+            (r#"{"a":1,"b" :2}"#, 1, "b"),
+            (r#"{"a":1"b":2}"#, 1, "b"),
+            (r#"{"a":1}"#, 1, "a"),
+            ("{}", 0, "a"),
+        ] {
+            assert_eq!(try_key(text, members, key), None, "{text}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! `RunRecord::decode` against its tree-based oracle.
+//! `RunRecord::decode` and `RunRecord::encode` against their tree-based
+//! oracles.
 //!
 //! The decoder in `src/artifact.rs` reads a record straight off the
 //! JSON lexer. [`oracle_decode`] below is the decoder it replaced,
@@ -10,10 +11,15 @@
 //! lives here, not in `src/`, because nothing but this comparison uses
 //! it (the role `ReferenceQueue` plays for the timing wheel).
 //!
+//! The encoder writes a record straight from its field tables.
+//! [`oracle_encode`] is the encoder it replaced, verbatim: build the
+//! record's [`Json`] tree, render it. It is the specification of the
+//! artifact's bytes.
+//!
 //! The properties generate every record shape `encode` can produce and
 //! then damage the line the ways a file can be damaged or a foreign
 //! writer can differ, and require the two decoders to return the same
-//! `Option<RunRecord>` each time.
+//! `Option<RunRecord>` each time, and the two encoders the same bytes.
 
 use clocksync::scenario::ScenarioKind;
 use clocksync::RunCounters;
@@ -105,9 +111,99 @@ fn oracle_decode(line: &str) -> Option<RunRecord> {
     })
 }
 
+/// The tree writer `RunRecord::encode` had up to the table-driven
+/// writer, unchanged but for spelling out what private helpers did —
+/// an axis value's `Json`, and the `to_json` of `BoundsRecord` and
+/// `PrecisionRecord` — through public fields.
+fn oracle_encode(record: &RunRecord) -> String {
+    // Scenario and seed, then one key per axis of the table: the
+    // value, or `null` when the axis is inactive.
+    let mut coord = vec![
+        (
+            "scenario",
+            Json::Str(record.coord.scenario.name().to_string()),
+        ),
+        ("seed", Json::UInt(record.coord.seed)),
+    ];
+    coord.extend(AXES.iter().map(|a| {
+        let value = match (a.coord_get)(&record.coord) {
+            None => Json::Null,
+            Some(AxisValue::UInt(v)) => Json::UInt(v),
+            Some(AxisValue::Bool(v)) => Json::Bool(v),
+            Some(AxisValue::Name(v)) => Json::Str(v.to_string()),
+        };
+        (a.coord_key, value)
+    }));
+    let coord = Json::object(coord);
+    let counters = Json::object(
+        record
+            .counters
+            .fields()
+            .map(|(name, value)| (name, Json::UInt(value)))
+            .collect(),
+    );
+    let b = &record.bounds;
+    let bounds = Json::object(vec![
+        ("d_min_ns", Json::Int(b.d_min_ns)),
+        ("d_max_ns", Json::Int(b.d_max_ns)),
+        ("reading_error_ns", Json::Int(b.reading_error_ns)),
+        ("drift_offset_ns", Json::Int(b.drift_offset_ns)),
+        ("pi_ns", Json::Int(b.pi_ns)),
+        ("gamma_ns", Json::Int(b.gamma_ns)),
+        ("pi_plus_gamma_ns", Json::Int(b.pi_plus_gamma_ns)),
+    ]);
+    let precision = record.precision.map_or(Json::Null, |p| {
+        Json::object(vec![
+            ("count", Json::UInt(p.count)),
+            ("mean_ns", Json::Float(p.mean_ns)),
+            ("std_ns", Json::Float(p.std_ns)),
+            ("min_ns", Json::Int(p.min_ns)),
+            ("max_ns", Json::Int(p.max_ns)),
+            ("p50_ns", Json::Int(p.p50_ns)),
+            ("p90_ns", Json::Int(p.p90_ns)),
+            ("p95_ns", Json::Int(p.p95_ns)),
+            ("p99_ns", Json::Int(p.p99_ns)),
+        ])
+    });
+    let transitions = Json::Array(
+        record
+            .transitions
+            .iter()
+            .map(|t| {
+                Json::object(vec![
+                    ("at_ns", Json::UInt(t.at_ns)),
+                    ("node", Json::UInt(t.node as u64)),
+                    ("slot", Json::UInt(t.slot as u64)),
+                    ("from", Json::Str(t.from.name().to_string())),
+                    ("to", Json::Str(t.to.name().to_string())),
+                ])
+            })
+            .collect(),
+    );
+    let mut line = Json::object(vec![
+        ("schema", Json::UInt(ARTIFACT_SCHEMA)),
+        ("campaign", Json::Str(record.campaign.clone())),
+        ("hash", Json::Str(record.hash.clone())),
+        ("coord", coord),
+        ("run_seed", Json::UInt(record.seed)),
+        ("counters", counters),
+        ("bounds", bounds),
+        ("precision", precision),
+        (
+            "fraction_within_bound",
+            Json::Float(record.fraction_within_bound),
+        ),
+        ("transitions", transitions),
+    ])
+    .render();
+    line.push('\n');
+    line
+}
+
 /// Number spellings the lexer has a rule for: `-0` is the integer 0,
 /// an exponent or a magnitude past 64 bits makes a float, a bare `-`
-/// and an `i64` underflow are errors, leading zeros are tolerated.
+/// and an `i64` underflow are errors, and so are the spellings RFC 8259
+/// leaves out (leading zeros, a point without digits on both sides).
 const NUMBER_SPELLINGS: &[&str] = &[
     "-0",
     "1e2",
@@ -244,6 +340,39 @@ fn gen_record(rng: &mut StdRng) -> RunRecord {
                 to: gen_state(rng),
             })
             .collect(),
+    }
+}
+
+/// [`gen_record`] with the values a writer most easily gets wrong
+/// forced in more often: non-finite floats of both signs, both zeros,
+/// and a `hash` that needs escapes the way `campaign` can.
+fn gen_edge_record(rng: &mut StdRng) -> RunRecord {
+    fn edge(rng: &mut StdRng, v: &mut f64) {
+        if rng.gen_range(0..3) == 0 {
+            *v = pick(
+                rng,
+                &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0],
+            );
+        }
+    }
+    let mut record = gen_record(rng);
+    if rng.gen() {
+        record.hash = gen_string(rng);
+    }
+    edge(rng, &mut record.fraction_within_bound);
+    if let Some(p) = record.precision.as_mut() {
+        edge(rng, &mut p.mean_ns);
+        edge(rng, &mut p.std_ns);
+    }
+    record
+}
+
+struct ArbEdgeRecord;
+
+impl proptest::strategy::Strategy for ArbEdgeRecord {
+    type Value = RunRecord;
+    fn generate(&self, rng: &mut StdRng) -> RunRecord {
+        gen_edge_record(rng)
     }
 }
 
@@ -480,6 +609,21 @@ proptest! {
     #[test]
     fn streaming_decode_agrees_with_the_tree_oracle(line in ArbLine) {
         agree(&line)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+    /// The table-driven writer writes the tree writer's bytes, through
+    /// both entry points.
+    #[test]
+    fn encode_agrees_with_the_tree_oracle(record in ArbEdgeRecord) {
+        let expected = oracle_encode(&record);
+        prop_assert_eq!(&record.encode(), &expected);
+        let mut streamed = Vec::new();
+        record.encode_to(&mut streamed).expect("writing to memory cannot fail");
+        prop_assert_eq!(String::from_utf8(streamed).expect("the line is UTF-8"), expected);
     }
 }
 

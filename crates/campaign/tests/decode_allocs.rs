@@ -1,26 +1,42 @@
-//! Allocation pin for `RunRecord::decode`.
+//! Allocation pins for `RunRecord::decode` and `RunRecord::encode_to`.
 //!
 //! The decoder reads a record straight off the JSON lexer, so what it
 //! allocates is what the record owns: the `campaign` and `hash` strings
 //! (the `transitions` vector stays unallocated while empty). A decoder
 //! that builds a tree first allocates per key and per container — some
-//! 135 allocations and 15 KB for the same line.
+//! 135 allocations and 15 KB for the same line. The encoder writes a
+//! record straight from its field tables, so into a reused buffer it
+//! allocates nothing; a tree writer allocates some 70 key strings and
+//! their vectors per record.
 //!
-//! The file holds exactly one test so no concurrent test pollutes the
-//! allocator counters.
+//! Allocations are counted per thread, so the tests in this file do not
+//! see each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use tsn_campaign::artifact::{BoundsRecord, PrecisionRecord, RunRecord};
+use std::cell::Cell;
+use tsn_campaign::artifact::{BoundsRecord, PrecisionRecord, RunRecord, TransitionRecord};
 use tsn_campaign::Coord;
+use tsn_time::SyncState;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A const-initialised `Cell` has no destructor, so this cannot fail
+    // while the thread is being torn down; `try_with` keeps it so.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -29,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,12 +53,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[test]
-fn decoding_a_record_allocates_only_what_the_record_owns() {
-    const RECORDS: usize = 1_000;
-    const PER_RECORD: usize = 4;
+const RECORDS: usize = 1_000;
 
-    let record = RunRecord {
+fn record() -> RunRecord {
+    RunRecord {
         campaign: "decode-allocs".to_string(),
         hash: "00ff00ff00ff00ff".to_string(),
         coord: Coord {
@@ -68,20 +82,69 @@ fn decoding_a_record_allocates_only_what_the_record_owns() {
         }),
         fraction_within_bound: 0.9833,
         transitions: Vec::new(),
-    };
+    }
+}
+
+#[test]
+fn decoding_a_record_allocates_only_what_the_record_owns() {
+    const PER_RECORD: usize = 4;
+
+    let record = record();
     let line = record.encode();
     // One-time set-up (the counter key list) happens on the first call.
     assert_eq!(RunRecord::decode(&line).as_ref(), Some(&record));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..RECORDS {
         let decoded = RunRecord::decode(std::hint::black_box(&line));
         assert!(std::hint::black_box(decoded).is_some());
     }
-    let per_record = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / RECORDS as f64;
+    let per_record = (allocations() - before) as f64 / RECORDS as f64;
     assert!(
         per_record <= PER_RECORD as f64,
         "{per_record} allocations per decoded record (budget {PER_RECORD}) — \
          the decode path is building intermediate values again"
     );
+}
+
+#[test]
+fn encoding_a_record_allocates_nothing_into_a_reused_sink() {
+    let mut record = record();
+    record.transitions.push(TransitionRecord {
+        at_ns: 7_000_000_000,
+        node: 3,
+        slot: 1,
+        from: SyncState::Synchronized,
+        to: SyncState::Holdover,
+    });
+    record.campaign = "needs \"escapes\"\n and ünïcode".to_string();
+    let mut sink = Vec::new();
+    // Warm-up: the sink grows to the line's size once.
+    record
+        .encode_to(&mut sink)
+        .expect("writing to memory cannot fail");
+
+    let before = allocations();
+    for _ in 0..RECORDS {
+        sink.clear();
+        std::hint::black_box(&record)
+            .encode_to(&mut sink)
+            .expect("writing to memory cannot fail");
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "encode_to allocated per record — the writer is building intermediate values again"
+    );
+
+    let before = allocations();
+    for _ in 0..RECORDS {
+        std::hint::black_box(std::hint::black_box(&record).encode());
+    }
+    assert_eq!(
+        allocations() - before,
+        RECORDS,
+        "encode allocates its String and nothing else"
+    );
+    assert_eq!(record.encode().as_bytes(), sink);
 }

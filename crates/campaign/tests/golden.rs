@@ -48,6 +48,28 @@ fn summarize_json_matches_golden_file() {
     );
 }
 
+/// Every committed artifact line decodes, and the record re-encodes to
+/// the same bytes: the fixture pins the writer as well as the reader.
+#[test]
+fn golden_artifacts_decode_and_reencode_identically() {
+    let runs = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-campaign/runs");
+    let mut lines = 0;
+    for entry in std::fs::read_dir(&runs).expect("the fixture's runs/ is committed") {
+        let path = entry.expect("directory entry").path();
+        let line = std::fs::read_to_string(&path).expect("artifact is UTF-8");
+        let record = tsn_campaign::RunRecord::decode(&line)
+            .unwrap_or_else(|| panic!("{} does not decode", path.display()));
+        assert_eq!(
+            record.encode(),
+            line,
+            "{} re-encodes differently",
+            path.display()
+        );
+        lines += 1;
+    }
+    assert_eq!(lines, 4, "baseline + cyber × seeds 1–2");
+}
+
 #[test]
 fn golden_summary_parses_and_has_the_pinned_fields() {
     // Belt and braces: the golden file itself must stay parseable and

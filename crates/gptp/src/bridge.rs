@@ -465,15 +465,18 @@ impl Bridge {
             // know the domain's root. A mesh port never feeds a mesh
             // port, which is what makes it loop-free; the path trace
             // stays as the guard 802.1AS prescribes.
-            if let Some(fwd) = forward_announce(bytes, self.identity) {
-                let relay_to = if port < self.station_ports {
-                    self.pd.len() as u8
-                } else {
-                    self.station_ports
-                };
-                for p in (0..relay_to).filter(|&p| p != port) {
-                    out.push(Transmission::new(p, fwd.clone(), None, TxTiming::Residence));
-                }
+            let fwd = match forward_announce(bytes, self.identity) {
+                AnnounceRelay::Forward(fwd) => fwd,
+                AnnounceRelay::Loop => return true,
+                AnnounceRelay::Undecodable => return false,
+            };
+            let relay_to = if port < self.station_ports {
+                self.pd.len() as u8
+            } else {
+                self.station_ports
+            };
+            for p in (0..relay_to).filter(|&p| p != port) {
+                out.push(Transmission::new(p, fwd.clone(), None, TxTiming::Residence));
             }
             return true;
         }
@@ -585,15 +588,23 @@ fn follow_up((port, bytes): Emission) -> Transmission {
     Transmission::new(port as u8, bytes, None, TxTiming::Driver)
 }
 
-/// The Announce a bridge with identity `own` forwards for the received
-/// `bytes` — stepsRemoved + 1 and `own` appended to the path trace — or
-/// `None` when the frame is dropped: `own` already carried it (802.1AS
-/// clause 10.3.8.23 loop prevention) or it does not decode.
-fn forward_announce(bytes: &[u8], own: ClockIdentity) -> Option<Bytes> {
-    match patch_announce(bytes, own) {
-        Some(verdict) => verdict,
-        None => reencode_announce(bytes, own),
-    }
+/// What a bridge does with a received Announce.
+#[derive(Debug, PartialEq)]
+enum AnnounceRelay {
+    /// Relay this frame: stepsRemoved + 1, the bridge's own identity
+    /// appended to the path trace.
+    Forward(Bytes),
+    /// Drop it silently: the bridge already carried it (802.1AS clause
+    /// 10.3.8.23 loop prevention).
+    Loop,
+    /// Drop it and report it: the frame does not decode.
+    Undecodable,
+}
+
+/// The verdict of a bridge with identity `own` on the received Announce
+/// `bytes`.
+fn forward_announce(bytes: &[u8], own: ClockIdentity) -> AnnounceRelay {
+    patch_announce(bytes, own).unwrap_or_else(|| reencode_announce(bytes, own))
 }
 
 /// [`forward_announce`] without decode + re-encode, for Announces in the
@@ -602,9 +613,9 @@ fn forward_announce(bytes: &[u8], own: ClockIdentity) -> Option<Bytes> {
 /// with messageLength, stepsRemoved and the PATH_TRACE length patched and
 /// `own` appended. Strict byte guards pin that canonical form — exact
 /// length, the zero reserved fields the encoder writes, PATH_TRACE as the
-/// sole trailing TLV; on any mismatch the outer `None` sends the caller
-/// down the decode path, which defines the behavior.
-fn patch_announce(b: &[u8], own: ClockIdentity) -> Option<Option<Bytes>> {
+/// sole trailing TLV; on any mismatch `None` sends the caller down the
+/// decode path, which defines the behavior.
+fn patch_announce(b: &[u8], own: ClockIdentity) -> Option<AnnounceRelay> {
     // 34-byte header, 30-byte Announce body, then the PATH_TRACE TLV
     // (type 0x0008, 8 bytes per identity).
     if b.len() < 68 || b.len() > 0xFF00 || !(b.len() - 68).is_multiple_of(8) {
@@ -625,7 +636,7 @@ fn patch_announce(b: &[u8], own: ClockIdentity) -> Option<Option<Bytes>> {
         return None;
     }
     if b[68..].chunks_exact(8).any(|id| id == own.0) {
-        return Some(None);
+        return Some(AnnounceRelay::Loop);
     }
     let mut out = Vec::with_capacity(b.len() + 8);
     out.extend_from_slice(b);
@@ -634,21 +645,21 @@ fn patch_announce(b: &[u8], own: ClockIdentity) -> Option<Option<Bytes>> {
     out[61..63].copy_from_slice(&steps.to_be_bytes());
     out[66..68].copy_from_slice(&((ids + 8) as u16).to_be_bytes());
     out.extend_from_slice(&own.0);
-    Some(Some(Bytes::from(out)))
+    Some(AnnounceRelay::Forward(Bytes::from(out)))
 }
 
 /// [`forward_announce`] through the codec.
-fn reencode_announce(bytes: &[u8], own: ClockIdentity) -> Option<Bytes> {
+fn reencode_announce(bytes: &[u8], own: ClockIdentity) -> AnnounceRelay {
     let Ok(Message::Announce {
         header,
         mut path_trace,
         mut body,
     }) = Message::decode(bytes)
     else {
-        return None;
+        return AnnounceRelay::Undecodable;
     };
     if path_trace.contains(&own) {
-        return None;
+        return AnnounceRelay::Loop;
     }
     path_trace.push(own);
     body.steps_removed = body.steps_removed.saturating_add(1);
@@ -657,7 +668,7 @@ fn reencode_announce(bytes: &[u8], own: ClockIdentity) -> Option<Bytes> {
         path_trace,
         body,
     };
-    Some(fwd.encode())
+    AnnounceRelay::Forward(fwd.encode())
 }
 
 use tsn_snapshot::{snap_state, snap_struct};
@@ -1013,6 +1024,40 @@ mod tests {
         }
     }
 
+    /// A relaying bridge reports an Announce it cannot decode (a loop
+    /// is dropped silently); a TLV the codec does not know is ignored
+    /// by it, so that Announce is relayed with a fresh path trace.
+    #[test]
+    fn relaying_bridge_reports_an_undecodable_announce() {
+        let own = ClockIdentity::for_index(10);
+        let sender = ClockIdentity::for_index(1);
+        let ann = announce(vec![sender], 0, 0, 0);
+        let truncated = &ann[..50];
+        let mut bad_trace = ann.to_vec();
+        bad_trace[67] = 7; // PATH_TRACE length: not a whole identity
+        let mut unknown_tlv = ann.to_vec();
+        unknown_tlv[64..66].copy_from_slice(&[0x00, 0x03]);
+        let looped = announce(vec![sender, own], 0, 0, 0);
+        for (frame, verdict) in [
+            (truncated, AnnounceRelay::Undecodable),
+            (&bad_trace[..], AnnounceRelay::Undecodable),
+            (&looped[..], AnnounceRelay::Loop),
+        ] {
+            assert_eq!(forward_announce(frame, own), verdict);
+            let mut out = Vec::new();
+            let handled = bridge(true).receive(0, frame, ClockTime::ZERO, &mut out);
+            assert_eq!(handled, verdict == AnnounceRelay::Loop, "{verdict:?}");
+            assert!(out.is_empty());
+        }
+        let mut out = Vec::new();
+        assert!(bridge(true).receive(0, &unknown_tlv, ClockTime::ZERO, &mut out));
+        assert_eq!(out.len(), 3);
+        let Message::Announce { path_trace, .. } = Message::decode(&out[0].bytes).unwrap() else {
+            panic!("an Announce is relayed as an Announce");
+        };
+        assert_eq!(path_trace, [own]);
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -1033,7 +1078,11 @@ mod tests {
                 *slot = own;
             }
             let bytes = announce(trace, steps, seq, corr_ns);
-            prop_assert_eq!(patch_announce(&bytes, own), Some(reencode_announce(&bytes, own)));
+            let verdict = reencode_announce(&bytes, own);
+            let looped = own_at.is_some_and(|i| i < len);
+            prop_assert_eq!(verdict == AnnounceRelay::Loop, looped);
+            prop_assert!(verdict != AnnounceRelay::Undecodable);
+            prop_assert_eq!(patch_announce(&bytes, own), Some(verdict));
         }
 
         /// Any byte out of the canonical form — wrong length field,
