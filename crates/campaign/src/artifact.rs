@@ -9,11 +9,10 @@
 //! across machines).
 
 use crate::axis::{AxisValue, AXES};
-use crate::json::{write_escaped, write_float, Number, ObjectWriter, Reader, Value};
+use crate::json::{write_escaped, write_float, ObjectWriter, Reader};
 use crate::matrix::{Coord, RunPlan};
 use clocksync::scenario::ScenarioKind;
 use clocksync::{RunCounters, RunResult};
-use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::sync::OnceLock;
 use tsn_metrics::{ExperimentEvent, SampleSummary};
@@ -85,19 +84,12 @@ trait Scalar: Copy {
     fn read(r: &mut Reader<'_>) -> Option<Self>;
 }
 
-fn read_number(r: &mut Reader<'_>) -> Option<Number> {
-    match r.value().ok()? {
-        Value::Number(n) => Some(n),
-        _ => None,
-    }
-}
-
 impl Scalar for u64 {
     fn write<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
         write!(out, "{self}")
     }
     fn read(r: &mut Reader<'_>) -> Option<u64> {
-        read_number(r)?.as_u64()
+        r.u64().ok()
     }
 }
 
@@ -106,7 +98,7 @@ impl Scalar for i64 {
         write!(out, "{self}")
     }
     fn read(r: &mut Reader<'_>) -> Option<i64> {
-        read_number(r)?.as_i64()
+        r.i64().ok()
     }
 }
 
@@ -115,7 +107,7 @@ impl Scalar for f64 {
         write_float(self, out)
     }
     fn read(r: &mut Reader<'_>) -> Option<f64> {
-        read_number(r).map(Number::as_f64)
+        r.f64().ok()
     }
 }
 
@@ -377,25 +369,26 @@ impl RunRecord {
         read_object(&mut r, KEYS, |i, r| {
             match KEYS[i] {
                 "schema" => (u64::read(r)? == ARTIFACT_SCHEMA).then_some(())?,
-                "campaign" => record.campaign = read_str(r)?.into_owned(),
-                "hash" => record.hash = read_str(r)?.into_owned(),
+                "campaign" => record.campaign = r.str().ok()?.into_owned(),
+                "hash" => record.hash = r.str().ok()?.into_owned(),
                 "coord" => record.coord = read_coord(r)?,
                 "run_seed" => record.seed = u64::read(r)?,
                 "counters" => record.counters = read_counters(r)?,
                 "bounds" => {
-                    expect(r, Value::BeginObject)?;
+                    r.begin_object().ok()?;
                     record.bounds = BoundsRecord::from_members(r)?;
                 }
                 "precision" => {
-                    record.precision = match r.value().ok()? {
-                        Value::Null => None,
-                        Value::BeginObject => Some(PrecisionRecord::from_members(r)?),
-                        _ => return None,
+                    record.precision = if r.null().ok()? {
+                        None
+                    } else {
+                        r.begin_object().ok()?;
+                        Some(PrecisionRecord::from_members(r)?)
                     }
                 }
                 "fraction_within_bound" => record.fraction_within_bound = f64::read(r)?,
                 _ => {
-                    expect(r, Value::BeginArray)?;
+                    r.begin_array().ok()?;
                     while r.next_element().ok()? {
                         record.transitions.push(read_transition(r)?);
                     }
@@ -514,12 +507,6 @@ fn read_members<'a>(
     (seen.count_ones() as usize == keys.len()).then_some(())
 }
 
-/// `None` unless the reader's next value is `wanted` (a scalar or an
-/// opening bracket).
-fn expect(r: &mut Reader<'_>, wanted: Value<'_>) -> Option<()> {
-    (r.value().ok()? == wanted).then_some(())
-}
-
 /// [`read_members`] of the reader's next value, which must be an
 /// object.
 fn read_object<'a>(
@@ -527,15 +514,8 @@ fn read_object<'a>(
     keys: &[&str],
     field: impl FnMut(usize, &mut Reader<'a>) -> Option<()>,
 ) -> Option<()> {
-    expect(r, Value::BeginObject)?;
+    r.begin_object().ok()?;
     read_members(r, keys, field)
-}
-
-fn read_str<'a>(r: &mut Reader<'a>) -> Option<Cow<'a, str>> {
-    match r.value().ok()? {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
 }
 
 /// The `coord` object: scenario and seed, then one key per axis of the
@@ -554,13 +534,12 @@ fn read_coord(r: &mut Reader<'_>) -> Option<Coord> {
     let mut coord = Coord::new(ScenarioKind::Baseline, 0);
     read_object(r, &KEYS, |i, r| {
         match i {
-            0 => coord.scenario = ScenarioKind::parse(&read_str(r)?)?,
+            0 => coord.scenario = ScenarioKind::parse(&r.str().ok()?)?,
             1 => coord.seed = u64::read(r)?,
             _ => {
                 let axis = &AXES[i - 2];
-                match r.value().ok()? {
-                    Value::Null => {}
-                    v => (axis.coord_set)(&mut coord, axis.value_from_lexed(v)?)?,
+                if !r.null().ok()? {
+                    (axis.coord_set)(&mut coord, axis.read_value(r)?)?;
                 }
             }
         }
@@ -598,8 +577,8 @@ fn read_transition(r: &mut Reader<'_>) -> Option<TransitionRecord> {
             "at_ns" => t.at_ns = u64::read(r)?,
             "node" => t.node = u64::read(r)? as usize,
             "slot" => t.slot = u64::read(r)? as usize,
-            "from" => t.from = SyncState::parse(&read_str(r)?)?,
-            _ => t.to = SyncState::parse(&read_str(r)?)?,
+            "from" => t.from = SyncState::parse(&r.str().ok()?)?,
+            _ => t.to = SyncState::parse(&r.str().ok()?)?,
         }
         Some(())
     })?;

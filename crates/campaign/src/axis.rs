@@ -15,7 +15,7 @@
 //! label segments (and therefore of content hashes), of the spec and
 //! artifact JSON keys, and of the expansion odometer.
 
-use crate::json::{Json, Value};
+use crate::json::{Json, Reader};
 use crate::spec::{
     discipline_name, parse_discipline, KernelChoice, SpecError, FLEET_TOPOLOGY_NAMES,
     TOPOLOGY_NAMES,
@@ -239,14 +239,13 @@ impl AxisDef {
         }
     }
 
-    /// [`AxisDef::value_from_json`] for a value straight off the lexer
-    /// (the artifact decoder builds no tree).
-    pub(crate) fn value_from_lexed(&self, v: Value<'_>) -> Option<AxisValue> {
-        match (self.kind, v) {
-            (UInt(..), Value::Number(n)) => n.as_u64().map(AxisValue::UInt),
-            (Bool, Value::Bool(b)) => Some(AxisValue::Bool(b)),
-            (Name(names), Value::Str(s)) => intern(names, &s),
-            _ => None,
+    /// [`AxisDef::value_from_json`] for the lexer's next value, read as
+    /// the axis's kind (the artifact decoder builds no tree).
+    pub(crate) fn read_value(&self, r: &mut Reader<'_>) -> Option<AxisValue> {
+        match self.kind {
+            UInt(..) => r.u64().ok().map(AxisValue::UInt),
+            Bool => r.bool().ok().map(AxisValue::Bool),
+            Name(names) => intern(names, &r.str().ok()?),
         }
     }
 

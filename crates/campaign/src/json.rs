@@ -148,14 +148,14 @@ impl Json {
     /// else): the tree-building consumer of [`Reader`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut r = Reader::new(text);
-        let value = Json::build(&mut r)?;
-        r.end()?;
+        let value = Json::build(&mut r).map_err(|e| *e)?;
+        r.end().map_err(|e| *e)?;
         Ok(value)
     }
 
     /// Builds the tree of the reader's next value. Recursion is bounded
     /// by the reader's [`MAX_DEPTH`] cap.
-    fn build(r: &mut Reader<'_>) -> Result<Json, JsonError> {
+    fn build(r: &mut Reader<'_>) -> Lexed<Json> {
         Ok(match r.value()? {
             Value::Null => Json::Null,
             Value::Bool(b) => Json::Bool(b),
@@ -273,6 +273,11 @@ impl std::error::Error for JsonError {}
 /// stack overflow in a consumer.
 const MAX_DEPTH: usize = 512;
 
+/// What the lexer's reads return. The error is boxed so that a read's
+/// result fits in registers: the error path is cold, and every hot
+/// return would otherwise go through memory.
+pub(crate) type Lexed<T> = Result<T, Box<JsonError>>;
+
 /// A number as the lexer classifies it: an integer spelling that fits
 /// is lossless (`-0` is `Int(0)`), everything else — a fraction, an
 /// exponent, a magnitude past `u64`/`i64` — is a float.
@@ -339,13 +344,19 @@ pub(crate) enum Value<'a> {
 ///
 /// It has two consumers. [`Json::parse`] builds a tree from it;
 /// [`crate::artifact::RunRecord::decode`] drives it straight into the
-/// record. Both therefore accept exactly the same documents: every
-/// value read or skipped goes through [`Reader::value`], which is the
-/// only place strings, numbers and the depth cap are checked.
+/// record, reading each field as its kind ([`Reader::u64`],
+/// [`Reader::i64`], [`Reader::f64`], [`Reader::null`], [`Reader::bool`],
+/// [`Reader::str`], [`Reader::begin_object`], [`Reader::begin_array`]).
+/// Both accept exactly the same documents: [`Reader::value`] looks at
+/// a value's first byte and calls the typed read of that kind, so
+/// every value is checked by the same code — whitespace, the depth cap,
+/// literals, strings and the one number grammar — whichever way it is
+/// read or skipped.
 ///
-/// Protocol: [`Reader::value`] reads the next value; after
-/// [`Value::BeginArray`] call [`Reader::next_element`] before each
-/// element until it returns `false`, after [`Value::BeginObject`] call
+/// Protocol: [`Reader::value`] (or a typed read) reads the next value;
+/// after [`Value::BeginArray`] ([`Reader::begin_array`]) call
+/// [`Reader::next_element`] before each element until it returns
+/// `false`, after [`Value::BeginObject`] ([`Reader::begin_object`]) call
 /// [`Reader::next_key`] before each member's value until it returns
 /// `None`; [`Reader::end`] after the root value.
 pub(crate) struct Reader<'a> {
@@ -373,11 +384,11 @@ impl<'a> Reader<'a> {
     /// the lexer's hot path carries only the branch to it.
     #[cold]
     #[inline(never)]
-    fn err(&self, message: impl fmt::Display) -> JsonError {
-        JsonError {
+    fn err(&self, message: impl fmt::Display) -> Box<JsonError> {
+        Box::new(JsonError {
             message: message.to_string(),
             offset: self.pos,
-        }
+        })
     }
 
     fn peek(&self) -> Option<u8> {
@@ -390,7 +401,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn expect(&mut self, b: u8) -> Lexed<()> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -399,47 +410,120 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Value<'a>) -> Result<Value<'a>, JsonError> {
+    fn literal(&mut self, text: &str) -> Lexed<()> {
         if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(format_args!("expected {text}")))
         }
     }
 
-    /// Reads the next value: a scalar completely, a container up to and
-    /// including its opening bracket.
-    pub(crate) fn value(&mut self) -> Result<Value<'a>, JsonError> {
+    /// The start of every value, read or typed: whitespace, the depth
+    /// cap, then the value's first byte (not consumed).
+    fn start_value(&mut self) -> Lexed<u8> {
         self.skip_ws();
         if self.depth >= MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         self.fresh = false;
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => Ok(self.open(Value::BeginArray)),
-            Some(b'{') => Ok(self.open(Value::BeginObject)),
-            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
+        self.peek()
+            .ok_or_else(|| self.err("unexpected end of input"))
+    }
+
+    /// Reads the next value: a scalar completely, a container up to and
+    /// including its opening bracket, through the typed read of its
+    /// kind.
+    pub(crate) fn value(&mut self) -> Lexed<Value<'a>> {
+        Ok(match self.start_value()? {
+            b'n' => {
+                self.null()?;
+                Value::Null
+            }
+            b't' | b'f' => Value::Bool(self.bool()?),
+            b'"' => Value::Str(self.str()?),
+            b'-' | b'0'..=b'9' => Value::Number(self.number()?),
+            b'[' => {
+                self.begin_array()?;
+                Value::BeginArray
+            }
+            b'{' => {
+                self.begin_object()?;
+                Value::BeginObject
+            }
+            _ => return Err(self.err("unexpected character")),
+        })
+    }
+
+    /// Consumes the next value if it is `null` and says whether it was;
+    /// any other value is left unread (whitespace before it excepted).
+    pub(crate) fn null(&mut self) -> Lexed<bool> {
+        if self.start_value()? != b'n' {
+            return Ok(false);
+        }
+        self.literal("null").map(|()| true)
+    }
+
+    /// Reads the next value as `true` or `false`.
+    pub(crate) fn bool(&mut self) -> Lexed<bool> {
+        match self.start_value()? {
+            b't' => self.literal("true").map(|()| true),
+            b'f' => self.literal("false").map(|()| false),
+            _ => Err(self.err("expected true or false")),
         }
     }
 
-    fn open(&mut self, container: Value<'a>) -> Value<'a> {
+    /// Reads the next value as a string, borrowed from the input unless
+    /// it contains an escape.
+    pub(crate) fn str(&mut self) -> Lexed<Cow<'a, str>> {
+        self.start_value()?;
+        self.string()
+    }
+
+    /// Reads the next value as an integer that fits a `u64` (`-0`
+    /// included).
+    pub(crate) fn u64(&mut self) -> Lexed<u64> {
+        self.number()?
+            .as_u64()
+            .ok_or_else(|| self.err("expected an unsigned integer"))
+    }
+
+    /// Reads the next value as an integer that fits an `i64`.
+    pub(crate) fn i64(&mut self) -> Lexed<i64> {
+        self.number()?
+            .as_i64()
+            .ok_or_else(|| self.err("expected an integer"))
+    }
+
+    /// Reads the next value as any number, integers widened.
+    pub(crate) fn f64(&mut self) -> Lexed<f64> {
+        self.number().map(Number::as_f64)
+    }
+
+    /// Reads the opening `[` of the next value, which must be an array.
+    pub(crate) fn begin_array(&mut self) -> Lexed<()> {
+        self.open(b'[')
+    }
+
+    /// Reads the opening `{` of the next value, which must be an object.
+    pub(crate) fn begin_object(&mut self) -> Lexed<()> {
+        self.open(b'{')
+    }
+
+    fn open(&mut self, bracket: u8) -> Lexed<()> {
+        if self.start_value()? != bracket {
+            return Err(self.err(format_args!("expected {:?}", bracket as char)));
+        }
         self.pos += 1;
         self.depth += 1;
         self.fresh = true;
-        container
+        Ok(())
     }
 
     /// Steps to the next item of the open container: `Ok(false)` after
     /// consuming `close`, `Ok(true)` when an item follows (after a
     /// comma, or directly after the opening bracket).
-    fn next_item(&mut self, close: u8, expected: &str) -> Result<bool, JsonError> {
+    fn next_item(&mut self, close: u8, expected: &str) -> Lexed<bool> {
         self.skip_ws();
         let fresh = std::mem::replace(&mut self.fresh, false);
         match self.peek() {
@@ -459,13 +543,13 @@ impl<'a> Reader<'a> {
 
     /// Inside an array: whether another element follows (read it with
     /// [`Reader::value`]) or the array was closed.
-    pub(crate) fn next_element(&mut self) -> Result<bool, JsonError> {
+    pub(crate) fn next_element(&mut self) -> Lexed<bool> {
         self.next_item(b']', "expected ',' or ']'")
     }
 
     /// Inside an object: the next member's key (read its value with
     /// [`Reader::value`]), or `None` once the object was closed.
-    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+    pub(crate) fn next_key(&mut self) -> Lexed<Option<Cow<'a, str>>> {
         if !self.next_item(b'}', "expected ',' or '}'")? {
             return Ok(None);
         }
@@ -502,7 +586,7 @@ impl<'a> Reader<'a> {
 
     /// Reads and discards the next value, checking it exactly as
     /// reading it would. Recursion is bounded by the [`MAX_DEPTH`] cap.
-    pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn skip_value(&mut self) -> Lexed<()> {
         match self.value()? {
             Value::BeginArray => {
                 while self.next_element()? {
@@ -520,7 +604,7 @@ impl<'a> Reader<'a> {
     }
 
     /// After the root value: only whitespace may remain.
-    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn end(&mut self) -> Lexed<()> {
         self.skip_ws();
         if self.pos != self.text.len() {
             return Err(self.err("trailing characters after document"));
@@ -531,11 +615,28 @@ impl<'a> Reader<'a> {
     /// Reads a string one run at a time: the text between two
     /// delimiters (`"` or `\`, both ASCII, so every cut is a character
     /// boundary of the already-valid `&str`) is sliced, never
-    /// re-validated — the lexer stays linear in the document.
-    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    /// re-validated — the lexer stays linear in the document. A string
+    /// without escapes is one run, borrowed; the first escape hands the
+    /// rest to [`Reader::unescape`].
+    #[inline]
+    fn string(&mut self) -> Lexed<Cow<'a, str>> {
         self.expect(b'"')?;
-        let text = self.text;
-        let mut unescaped: Option<String> = None;
+        let (text, run) = (self.text, self.pos);
+        let bytes = &text.as_bytes()[run..];
+        match bytes.iter().position(|&b| b == b'"' || b == b'\\') {
+            Some(n) if bytes[n] == b'"' => {
+                self.pos += n + 1;
+                Ok(Cow::Borrowed(&text[run..run + n]))
+            }
+            _ => self.unescape().map(Cow::Owned),
+        }
+    }
+
+    /// [`Reader::string`] of a string that holds an escape (or is not
+    /// terminated): the string, unescaped into a `String` of its own.
+    #[inline(never)]
+    fn unescape(&mut self) -> Lexed<String> {
+        let (text, mut out) = (self.text, String::new());
         loop {
             let run = self.pos;
             let bytes = &text.as_bytes()[run..];
@@ -544,18 +645,10 @@ impl<'a> Reader<'a> {
                 return Err(self.err("unterminated string"));
             };
             self.pos += n + 1;
-            let run = &text[run..run + n];
+            out.push_str(&text[run..run + n]);
             if bytes[n] == b'"' {
-                return Ok(match unescaped {
-                    None => Cow::Borrowed(run),
-                    Some(mut out) => {
-                        out.push_str(run);
-                        Cow::Owned(out)
-                    }
-                });
+                return Ok(out);
             }
-            let out = unescaped.get_or_insert_with(String::new);
-            out.push_str(run);
             out.push(match self.peek() {
                 Some(b'"') => '"',
                 Some(b'\\') => '\\',
@@ -586,51 +679,75 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a number in RFC 8259's grammar,
-    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. An
-    /// integer is accumulated while its digits are scanned; `str::parse`
-    /// runs only for a fraction, an exponent or a magnitude past 64 bits.
-    fn number(&mut self) -> Result<Number, JsonError> {
+    /// Reads the next value as a number in RFC 8259's grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: the one
+    /// number lexer every numeric read goes through. The integer part is
+    /// accumulated while it is scanned, without checks — 19 digits
+    /// cannot overflow a `u64`, and only a longer run is folded again
+    /// with checked arithmetic. A fraction or an exponent, and a
+    /// magnitude past 64 bits, make a float ([`Reader::float`]). Forced
+    /// inline: integers are most of what an artifact holds.
+    #[inline(always)]
+    fn number(&mut self) -> Lexed<Number> {
+        if !matches!(self.start_value()?, b'-' | b'0'..=b'9') {
+            return Err(self.err("expected a number"));
+        }
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         self.pos += usize::from(negative);
-        // `None` once the magnitude no longer fits 64 bits.
-        let mut magnitude = Some(0u64);
+        let first_digit = self.pos;
+        let mut magnitude = 0u64;
         match self.peek() {
             Some(b'0') => self.pos += 1,
             Some(b'1'..=b'9') => {
-                while let Some(d @ b'0'..=b'9') = self.peek() {
-                    magnitude =
-                        magnitude.and_then(|m| m.checked_mul(10)?.checked_add(u64::from(d - b'0')));
-                    self.pos += 1;
+                let bytes = self.text.as_bytes();
+                let mut pos = first_digit;
+                while let Some(d @ b'0'..=b'9') = bytes.get(pos).copied() {
+                    magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                    pos += 1;
                 }
+                self.pos = pos;
             }
             _ => return Err(self.err("malformed number")),
         }
-        let fraction = self.peek() == Some(b'.');
-        if fraction {
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return self.float(start);
+        }
+        let digits = &self.text.as_bytes()[first_digit..self.pos];
+        let magnitude = if digits.len() <= 19 {
+            Some(magnitude)
+        } else {
+            digits.iter().try_fold(0u64, |m, &d| {
+                m.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+            })
+        };
+        match (negative, magnitude) {
+            (false, Some(m)) => Ok(Number::UInt(m)),
+            // `-0` is the integer 0, `-2^63` is `i64::MIN`, and a
+            // magnitude between `2^63` and `2^64` is out of range.
+            (true, Some(m)) => 0i64
+                .checked_sub_unsigned(m)
+                .map(Number::Int)
+                .ok_or_else(|| self.err("integer out of range")),
+            (_, None) => self.float(start),
+        }
+    }
+
+    /// [`Reader::number`] from the end of the integer part on: an
+    /// optional fraction and exponent, then `str::parse` of the whole
+    /// spelling from `start`.
+    #[inline(never)]
+    fn float(&mut self, start: usize) -> Lexed<Number> {
+        if self.peek() == Some(b'.') {
             self.pos += 1;
             self.digits()?;
         }
-        let exponent = matches!(self.peek(), Some(b'e' | b'E'));
-        if exponent {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
             self.digits()?;
-        }
-        match (fraction || exponent, negative, magnitude) {
-            (false, false, Some(m)) => return Ok(Number::UInt(m)),
-            // `-0` is the integer 0, `-2^63` is `i64::MIN`, and a
-            // magnitude between `2^63` and `2^64` is out of range.
-            (false, true, Some(m)) => {
-                return 0i64
-                    .checked_sub_unsigned(m)
-                    .map(Number::Int)
-                    .ok_or_else(|| self.err("integer out of range"))
-            }
-            _ => {}
         }
         // Every byte consumed above is ASCII, so both ends are
         // character boundaries.
@@ -641,7 +758,7 @@ impl<'a> Reader<'a> {
     }
 
     /// One or more decimal digits.
-    fn digits(&mut self) -> Result<(), JsonError> {
+    fn digits(&mut self) -> Lexed<()> {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
@@ -760,8 +877,11 @@ mod tests {
             ("1.5e-3", Json::Float(1.5e-3)),
             ("1E+2", Json::Float(100.0)),
             ("1e2", Json::Float(100.0)),
+            ("1234567890123456789", Json::UInt(1234567890123456789)),
+            ("12345678901234567890", Json::UInt(12345678901234567890)),
             ("18446744073709551615", Json::UInt(u64::MAX)),
             ("18446744073709551616", Json::Float(18446744073709551616.0)),
+            ("99999999999999999999", Json::Float(1e20)),
             ("-9223372036854775808", Json::Int(i64::MIN)),
             (
                 "-18446744073709551616",
@@ -785,10 +905,106 @@ mod tests {
             "malformed number",
             "a bare sign is not an integer out of range"
         );
-        assert_eq!(
-            Json::parse("-9223372036854775809").unwrap_err().message,
-            "integer out of range"
-        );
+        for text in ["-9223372036854775809", "-12345678901234567890"] {
+            assert_eq!(
+                Json::parse(text).unwrap_err().message,
+                "integer out of range"
+            );
+        }
+    }
+
+    /// A typed read takes exactly what `value()` takes — the same value
+    /// converted the way `Json::as_*` converts it, and the reader left
+    /// at the same offset — and fails wherever `value()` fails or the
+    /// value is of another kind.
+    #[test]
+    fn typed_reads_are_value_read_as_a_kind() {
+        for text in [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "07",
+            "7.0",
+            "7e0",
+            "7E+0",
+            "-0.0",
+            "0.5",
+            "1e999",
+            "1234567890123456789",
+            "12345678901234567890",
+            "18446744073709551616",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "-",
+            "null",
+            "nul",
+            "nullx",
+            "Null",
+            "true",
+            "false",
+            "tru",
+            "\"s\"",
+            "\"\\u0073\"",
+            "\"s",
+            "[1]",
+            "{}",
+            " \t7",
+            "x",
+            "",
+        ] {
+            let mut r = Reader::new(text);
+            let value = r.value();
+            let (pos, value) = (r.pos, value.ok());
+            let read = |typed: fn(&mut Reader<'static>) -> Option<Json>| {
+                let mut r = Reader::new(text);
+                typed(&mut r).map(|v| (r.pos, v))
+            };
+            let number = |n: fn(Number) -> Option<Json>| match &value {
+                Some(Value::Number(v)) => n(*v).map(|v| (pos, v)),
+                _ => None,
+            };
+            assert_eq!(
+                read(|r| r.u64().ok().map(Json::UInt)),
+                number(|n| n.as_u64().map(Json::UInt)),
+                "u64 of {text:?}"
+            );
+            assert_eq!(
+                read(|r| r.i64().ok().map(Json::Int)),
+                number(|n| n.as_i64().map(Json::Int)),
+                "i64 of {text:?}"
+            );
+            assert_eq!(
+                read(|r| r.f64().ok().map(Json::Float)),
+                number(|n| Some(Json::Float(n.as_f64()))),
+                "f64 of {text:?}"
+            );
+            let expected = match &value {
+                Some(Value::Bool(b)) => Some((pos, Json::Bool(*b))),
+                _ => None,
+            };
+            assert_eq!(
+                read(|r| r.bool().ok().map(Json::Bool)),
+                expected,
+                "bool of {text:?}"
+            );
+            let expected = match &value {
+                Some(Value::Str(s)) => Some((pos, Json::Str(s.to_string()))),
+                _ => None,
+            };
+            let string = |r: &mut Reader<'static>| r.str().ok().map(|s| Json::Str(s.into_owned()));
+            assert_eq!(read(string), expected, "str of {text:?}");
+            // `null()` consumes a `null` and nothing else.
+            let mut r = Reader::new(text);
+            match (r.null(), &value) {
+                (Ok(true), Some(Value::Null)) => assert_eq!(r.pos, pos, "{text:?}"),
+                (Ok(false), Some(v)) => assert_ne!(*v, Value::Null, "{text:?}"),
+                // Left unread, to fail in the read that follows.
+                (Ok(false) | Err(_), None) => {}
+                (got, _) => panic!("null() of {text:?}: {got:?} where value() gave {value:?}"),
+            }
+        }
     }
 
     /// Only the exact canonical spelling of the expected key is taken;

@@ -601,6 +601,128 @@ fn agree(line: &str) -> Result<bool, String> {
     Ok(got.is_some())
 }
 
+/// `line` with the value of its first `"key":` member replaced by
+/// `value` (the value must be a scalar: it ends at the next `,` or `}`).
+fn with_value(line: &str, key: &str, value: &str) -> String {
+    let at = line.find(&format!("\"{key}\":")).expect("key in line") + key.len() + 3;
+    let end = at + line[at..].find([',', '}']).expect("scalar value");
+    format!("{}{value}{}", &line[..at], &line[end..])
+}
+
+/// The spellings each typed read has a rule for, put where a `u64`, an
+/// `i64`, an `f64`, an axis value, `null` or a string is read, plus
+/// whitespace and escapes around keys and the trailing whitespace that
+/// only `trim_end` removes. Both decoders must agree on every one.
+#[test]
+fn typed_reads_agree_on_targeted_damage() -> Result<(), String> {
+    let mut rng = <StdRng as proptest::rand::SeedableRng>::seed_from_u64(26);
+    let mut record = gen_record(&mut rng);
+    record.coord.hops = Some(3);
+    record.coord.election = Some(true);
+    record.coord.domains = None;
+    record.precision = Some(PrecisionRecord::default());
+    record.fraction_within_bound = 0.5;
+    record.transitions = vec![TransitionRecord {
+        at_ns: 7,
+        node: 1,
+        slot: 0,
+        from: SyncState::Synchronized,
+        to: SyncState::Holdover,
+    }];
+    let line = record.encode();
+    assert_eq!(RunRecord::decode(&line), Some(record));
+
+    const SPELLINGS: &[&str] = &[
+        "1234567890123456789",
+        "12345678901234567890",
+        "99999999999999999999",
+        "18446744073709551615",
+        "18446744073709551616",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "-0",
+        "0",
+        "07",
+        "-07",
+        "7.0",
+        "7e0",
+        "7E+0",
+        "-7",
+        "null",
+        "nul",
+        "nullx",
+        "Null",
+        "true",
+        "\"7\"",
+    ];
+    // A `u64` at each level, an `i64`, two `f64`s, an active integer
+    // axis, an inactive one, a switch axis, `precision` and a string.
+    const KEYS: &[&str] = &[
+        "schema",
+        "run_seed",
+        "seed",
+        "tx_timestamp_timeouts",
+        "at_ns",
+        "d_min_ns",
+        "mean_ns",
+        "fraction_within_bound",
+        "hops",
+        "domains",
+        "election",
+        "precision",
+        "from",
+    ];
+    let mut decoded = 0;
+    for key in KEYS {
+        let value_at = line.find(&format!("\"{key}\":")).expect("key in line");
+        let mut damaged: Vec<String> = SPELLINGS
+            .iter()
+            .filter(|_| *key != "precision")
+            .map(|s| with_value(&line, key, s))
+            .collect();
+        if *key == "precision" {
+            damaged.extend(["null", "nul", "nullx", "Null", "0"].map(|s| {
+                let end = value_at + line[value_at..].find('}').expect("object end") + 1;
+                format!("{}\"precision\":{s}{}", &line[..value_at], &line[end..])
+            }));
+        }
+        // Whitespace before the key, around the colon and before the
+        // value, and the key spelled with a `\uXXXX` escape.
+        let (head, tail) = line.split_at(value_at);
+        let rest = &tail[key.len() + 3..];
+        for ws in [" ", "\t", "\n", "\r\n "] {
+            damaged.push(format!("{head}{ws}\"{key}\":{rest}"));
+            damaged.push(format!("{head}\"{key}\"{ws}:{rest}"));
+            damaged.push(format!("{head}\"{key}\":{ws}{rest}"));
+        }
+        damaged.push(format!(
+            "{head}\"\\u{:04x}{}\":{rest}",
+            key.as_bytes()[0],
+            &key[1..]
+        ));
+        for text in &damaged {
+            if agree(text)? {
+                decoded += 1;
+            }
+        }
+    }
+    for end in [
+        "\u{a0}",
+        "\u{2028}",
+        "\u{a0}\n",
+        "\n\u{2028}",
+        "\u{b}",
+        "\u{c}\n",
+        " \n",
+    ] {
+        assert!(agree(&format!("{}{end}", line.trim_end()))?, "{end:?}");
+    }
+    assert!(decoded > 100, "only {decoded} damaged lines decoded");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12_000))]
 

@@ -397,6 +397,7 @@ impl World {
             TxTiming::Launch => unreachable!("launch-timed Syncs go through launch_sync"),
             TxTiming::Turnaround => Nanos::from_nanos(self.tb.frame_rng.gen_range(50_000..300_000)),
             TxTiming::Residence => {
+                // Unreachable: only `drain_bridge_out` passes `Residence`, with a switch's `dev`.
                 let sw = self.tb.switch_map.get(dev).expect("only bridges relay");
                 self.tb.switches[sw]
                     .fabric
@@ -599,6 +600,7 @@ impl World {
         sw_to: usize,
         frame: &mut EthernetFrame,
     ) -> Option<Nanos> {
+        // Unreachable: the one caller, `depart`, checks `self.tb.fabric.is_some()` first.
         let fab = self.tb.fabric.as_mut().expect("fabric checked by caller");
         let crossing = fab.cross(t, sw_from, sw_to, frame.wire_len(), &mut frame.payload);
         let tr = crossing.traversal;
@@ -632,6 +634,7 @@ impl World {
         let nic = match tb.station_map.get(dev) {
             Some((node, slot)) => &mut tb.nodes[node].vms[slot].nic,
             None => {
+                // Unreachable: every caller passes a station's NIC or a switch's `device`.
                 let sw = tb.switch_map.get(dev).expect("station or switch");
                 &mut tb.switches[sw].clock
             }
@@ -823,6 +826,7 @@ impl World {
     /// made its deadline.
     fn launch_sync(&mut self, t: SimTime, node: usize, sync: Transmission) -> Option<SimTime> {
         let s = self.cfg.sync_interval;
+        // Unreachable: `MultiDomainNode::on_sync_tick` issues every `Launch` send with a token.
         let token = sync.token.expect("a Sync is an event message");
         let vm = &mut self.tb.nodes[node].vms[0];
         let launch = (vm.nic.phc.now(t) + LAUNCH_LEAD).ceil_to(s);
@@ -1358,6 +1362,52 @@ mod tests {
             "fabric-conservation",
             |_| ()
         ));
+    }
+
+    /// ROADMAP 7: a host PHC stepped backward behind the World's back
+    /// (half a monitor period, so the clock still advances) must fail
+    /// `SynctimeContinuity`.
+    #[test]
+    fn a_host_clock_stepped_backward_is_witnessed() {
+        let step = |w: &mut World| {
+            let back = -w.cfg.monitor.period / 2;
+            w.tb.nodes[0].host_phc.step(SimTime::from_secs(6), back);
+        };
+        assert!(witness_after(tiny_world(2), "synctime-continuity", step));
+        assert!(!witness_after(tiny_world(2), "synctime-continuity", |_| ()));
+    }
+
+    /// ROADMAP 7: one VM's servo is swapped, state and all, for one that
+    /// never steps, and its clock is put 5 ms off. With its clamp raised
+    /// behind the oracle's back the correction must fail `ServoClamp`;
+    /// with the clamp intact it saturates at ± 900 ppm and must not.
+    #[test]
+    fn a_servo_past_its_clamp_is_witnessed() {
+        fn drive(w: &mut World, max_frequency_ppb: f64) {
+            let c = &w.cfg;
+            let servo = tsn_time::ServoConfig {
+                max_frequency_ppb,
+                step_threshold: Nanos::ZERO,
+                ..c.servo
+            };
+            let cfg = crate::node::NodeConfig {
+                aggregation: c.aggregation,
+                servo,
+                log_sync_interval: log2_interval(c.sync_interval),
+                gm_mutual_sync: c.gm_mutual_sync,
+                election: false,
+            };
+            let (t, vm) = (SimTime::from_secs(6), &mut w.tb.nodes[1].vms[1]);
+            let mut state = Writer::new();
+            vm.ptp.save_state(&mut state);
+            vm.ptp = crate::node::MultiDomainNode::new(cfg, vm.nic_device.0 as u32, None);
+            let state = state.into_bytes();
+            assert!(vm.ptp.load_state(&mut Reader::new(&state)).is_ok());
+            vm.nic.phc.step(t, Nanos::from_millis(5));
+        }
+        let witness = |max| witness_after(tiny_world(2), "servo-clamp", |w| drive(w, max));
+        assert!(witness(1e9));
+        assert!(!witness(9e5));
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! Non-finite values are filtered at `push`, mirroring `from_values`.
 
 use crate::summary::SampleSummary;
-use std::collections::BTreeMap;
 
 /// Buckets per power of two in sketch mode (2⁷ sub-buckets ≈ 0.8 %
 /// worst-case relative error on reconstructed quantiles).
@@ -35,8 +34,14 @@ const SUBBUCKET_BITS: u32 = 7;
 pub struct StreamingSummary {
     /// Exact-mode buffer (first [`StreamingSummary::EXACT_CAP`] values).
     exact: Vec<f64>,
-    /// Sketch-mode buckets: key → count. Empty while exact.
-    buckets: BTreeMap<i64, u64>,
+    /// Sketch-mode buckets: `(key, count)` sorted by key. Empty while
+    /// exact. A push into a bucket that exists is a binary search.
+    buckets: Vec<(i64, u64)>,
+    /// Keys of sketch-mode pushes whose bucket is not in `buckets` yet,
+    /// one entry per push. They are sorted and merged into `buckets` in
+    /// one pass once there are as many as there are buckets, so a new
+    /// bucket costs O(log n) amortized, however many there are.
+    pending: Vec<i64>,
     /// Running count of finite values (both modes).
     count: usize,
     /// Running sum (same left-to-right accumulation order as
@@ -73,6 +78,7 @@ impl StreamingSummary {
 
     /// Pushes one value. Non-finite values are dropped (the same
     /// filtering [`SampleSummary::from_values`] applies).
+    #[inline]
     pub fn push(&mut self, v: f64) {
         if !v.is_finite() {
             return;
@@ -88,17 +94,43 @@ impl StreamingSummary {
         self.sum += v;
         self.sum_sq += v * v;
         if self.is_sketching() {
-            *self.buckets.entry(bucket_key(v)).or_insert(0) += 1;
+            let key = bucket_key(v);
+            match self.buckets.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(i) => self.buckets[i].1 += 1,
+                Err(_) => {
+                    self.pending.push(key);
+                    if self.pending.len() >= self.buckets.len() {
+                        self.fold_pending();
+                    }
+                }
+            }
         } else {
             self.exact.push(v);
             if self.exact.len() > Self::EXACT_CAP {
                 // Degrade: fold the buffer into buckets and drop it.
-                for &x in &self.exact {
-                    *self.buckets.entry(bucket_key(x)).or_insert(0) += 1;
-                }
+                self.pending = self.exact.iter().map(|&x| bucket_key(x)).collect();
                 self.exact = Vec::new();
+                self.fold_pending();
             }
         }
+    }
+
+    /// Merges the pending keys into `buckets`: one sort of the keys,
+    /// then one pass over both sorted lists (a pending key is never in
+    /// `buckets` already).
+    #[cold]
+    fn fold_pending(&mut self) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable();
+        let runs = pending.chunk_by(|a, b| a == b);
+        let mut merged = Vec::with_capacity(self.buckets.len() + runs.clone().count());
+        let mut old = self.buckets.iter().copied().peekable();
+        for run in runs {
+            merged.extend(std::iter::from_fn(|| old.next_if(|&(k, _)| k < run[0])));
+            merged.push((run[0], run.len() as u64));
+        }
+        merged.extend(old);
+        self.buckets = merged;
     }
 
     /// Finalizes into a [`SampleSummary`]; `None` when no finite value
@@ -110,6 +142,11 @@ impl StreamingSummary {
         }
         if !self.is_sketching() {
             return SampleSummary::from_values(&self.exact);
+        }
+        if !self.pending.is_empty() {
+            let mut folded = self.clone();
+            folded.fold_pending();
+            return folded.finalize();
         }
         let n = self.count as f64;
         let mean = self.sum / n;
@@ -134,7 +171,7 @@ impl StreamingSummary {
             .max(1)
             .min(self.count as u64);
         let mut seen = 0u64;
-        for (&key, &cnt) in &self.buckets {
+        for &(key, cnt) in &self.buckets {
             seen += cnt;
             if seen >= rank {
                 return bucket_midpoint(key).clamp(self.min, self.max);
@@ -145,8 +182,8 @@ impl StreamingSummary {
 }
 
 /// Maps a finite value to its logarithmic bucket key. Keys order the
-/// same way the values do (negative < zero < positive), so a `BTreeMap`
-/// walk visits buckets in ascending value order.
+/// same way the values do (negative < zero < positive), so a walk of the
+/// key-sorted buckets visits them in ascending value order.
 fn bucket_key(v: f64) -> i64 {
     if v == 0.0 {
         return 0;
