@@ -28,7 +28,8 @@
 //! empirical-vs-analytical report. Forking is on by default there (the
 //! rounds exist to share warm prefixes); `--no-fork` runs cold.
 //! `summarize` and `diff` recognize frontier directories by their
-//! `frontier.json` and compare brackets instead of group summaries.
+//! `frontier-spec.json`, replay the bisection over the probe artifacts
+//! in `runs/`, and compare brackets instead of group summaries.
 //! Exit is nonzero when any cell is inconsistent with the analytical
 //! bound, a run failed, or (`--check`) the oracle reported violations.
 //!
@@ -352,9 +353,10 @@ fn load_summaries(dir: &Path) -> Result<Vec<summary::GroupSummary>, String> {
     Ok(summarizer.finish())
 }
 
-/// Reads a frontier directory's `frontier.json`, when present.
-fn frontier_doc_of_dir(dir: &Path) -> Option<Result<(String, frontier::FrontierDoc), String>> {
-    let path = dir.join("frontier.json");
+/// The document of a frontier directory — one with a
+/// `frontier-spec.json` — replayed from its probe artifacts.
+fn frontier_doc_of_dir(dir: &Path) -> Option<Result<frontier::FrontierDoc, String>> {
+    let path = dir.join("frontier-spec.json");
     if !path.exists() {
         return None;
     }
@@ -362,10 +364,9 @@ fn frontier_doc_of_dir(dir: &Path) -> Option<Result<(String, frontier::FrontierD
         std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))
             .and_then(|text| {
-                frontier::FrontierDoc::parse(&text)
-                    .map(|doc| (text, doc))
-                    .map_err(|e| format!("{}: {e}", path.display()))
-            }),
+                FrontierSpec::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+            })
+            .and_then(|spec| frontier::load(&spec, dir).map_err(|e| e.to_string())),
     )
 }
 
@@ -376,9 +377,9 @@ fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
     // frontier document itself.
     if !dir.join("manifest.json").exists() {
         if let Some(loaded) = frontier_doc_of_dir(&dir) {
-            let (text, doc) = loaded?;
+            let doc = loaded?;
             if flags.has("--json") {
-                print!("{text}");
+                print!("{}", doc.render());
             } else {
                 print!("{}", doc.render_text());
             }
@@ -449,8 +450,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         frontier_doc_of_dir(&baseline),
         frontier_doc_of_dir(&candidate),
     ) {
-        let (_, base) = base?;
-        let (_, cand) = cand?;
+        let (base, cand) = (base?, cand?);
         let tol_ns = flags
             .get_parsed::<u64>("--tol-frontier-ns")?
             .unwrap_or(base.spec.axis.resolution);

@@ -15,7 +15,10 @@
 //! * **Determinism** — probe selection is pure bisection (no RNG) and
 //!   per-run seeds derive from the grid coordinate exactly as in a
 //!   plain campaign, so the same [`FrontierSpec`] + seeds reproduce
-//!   `frontier.json` byte-for-byte (`tests/frontier.rs` proves it).
+//!   `frontier.json` byte-for-byte (`tests/builtins.rs` proves it). A
+//!   frontier directory is therefore its spec plus its probe artifacts:
+//!   [`load`] replays the bisection over the artifacts and re-derives
+//!   the document, so `frontier.json` is written and never parsed.
 //! * **Work sharing** — every probe executes through
 //!   [`runner::execute_with`] with one shared [`SnapshotCache`]. A probe
 //!   is one run per seed and shares no prefix within itself; but the
@@ -28,13 +31,15 @@
 //!   bracket of `resolution` width in `2 + ⌈log₂(span/resolution)⌉`
 //!   probes per cell. Both counts are reported so the trade is visible.
 
+use crate::artifact::RunRecord;
 use crate::axis::{AxisDef, AxisValue, MAGNITUDE_AXIS};
 use crate::json::Json;
 use crate::runner::{self, FailedRun, RunViolation, RunnerOptions, SnapshotCache};
 use crate::spec::{BaseSpec, CampaignSpec, Grid, Preset, SpecError};
 use clocksync::scenario::ScenarioKind;
 use std::io;
-use tsn_fta::{containment_bound, AggregationMethod, ResilienceParams};
+use std::path::Path;
+use tsn_fta::{containment_bound, AggregationMethod, ResilienceBound, ResilienceParams};
 use tsn_time::Nanos;
 
 /// Schema version of `frontier.json` and frontier spec files.
@@ -525,33 +530,12 @@ impl Bisection {
     }
 }
 
-/// The analytical side of one cell, in the units of `frontier.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnalyticalDoc {
-    /// Benign precision bound Π used in the derivation.
-    pub pi_ns: i64,
-    /// Clock reading error γ used in the derivation.
-    pub gamma_ns: i64,
-    /// Whether the aggregation can form a quorum at all.
-    pub quorum: bool,
-    /// Values surviving the trim.
-    pub kept: usize,
-    /// Faulty values surviving into the average.
-    pub steered: usize,
-    /// Magnitudes strictly below this cannot break containment.
-    pub contained_below_ns: Option<i64>,
-    /// Analytical point estimate of the frontier.
-    pub break_point_ns: Option<i64>,
-    /// Magnitudes at or above this are guaranteed to break containment.
-    pub broken_above_ns: Option<i64>,
-}
-
 /// The empirical side of one cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmpiricalDoc {
-    /// How the search settled (`None` when every probe of the cell
-    /// failed before the endpoints settled — see
-    /// [`FrontierReport::failed`]).
+    /// How the search settled (`None` when a probe failed before the
+    /// search settled: it panicked — see [`FrontierReport::failed`] — or,
+    /// for [`load`], its artifact is missing or unreadable).
     pub outcome: Option<BisectOutcome>,
     /// Probes evaluated.
     pub probes: usize,
@@ -566,8 +550,10 @@ pub struct CellDoc {
     pub cell: FrontierCell,
     /// Trim degree actually in effect (cell override or preset).
     pub effective_f: usize,
-    /// Analytical bound (only for the magnitude axis).
-    pub analytical: Option<AnalyticalDoc>,
+    /// The bound [`containment_bound`] returned (only for the magnitude
+    /// axis), with the parameters it was computed from — Π and γ are
+    /// those of the cell's first probe record.
+    pub analytical: Option<(ResilienceParams, ResilienceBound)>,
     /// Empirical search result.
     pub empirical: EmpiricalDoc,
     /// Artifact hash of a run witnessing containment at the bracket's
@@ -577,7 +563,7 @@ pub struct CellDoc {
     /// broken end.
     pub witness_broken: Option<String>,
     /// Empirical boundary consistent with the analytical bound: no
-    /// break observed below `contained_below_ns`, and analytically
+    /// break observed below `contained_below`, and analytically
     /// unbreakable cells observed contained throughout.
     pub consistent: bool,
 }
@@ -621,7 +607,8 @@ impl FrontierDoc {
 
     /// The canonical JSON form of `frontier.json`.
     pub fn to_json(&self) -> Json {
-        let opt_ns = |v: Option<i64>| v.map_or(Json::Null, Json::Int);
+        let opt_ns = |v: Option<Nanos>| v.map_or(Json::Null, |ns| Json::Int(ns.as_nanos()));
+        let opt_at = |v: Option<u64>| v.map_or(Json::Null, Json::UInt);
         let opt_hash = |v: &Option<String>| v.as_ref().map_or(Json::Null, |h| Json::Str(h.clone()));
         Json::object(vec![
             ("schema", Json::UInt(FRONTIER_SCHEMA)),
@@ -642,32 +629,25 @@ impl FrontierDoc {
                         .map(|c| {
                             let analytical = match &c.analytical {
                                 None => Json::Null,
-                                Some(a) => Json::object(vec![
-                                    ("pi_ns", Json::Int(a.pi_ns)),
-                                    ("gamma_ns", Json::Int(a.gamma_ns)),
-                                    ("quorum", Json::Bool(a.quorum)),
-                                    ("kept", Json::UInt(a.kept as u64)),
-                                    ("steered", Json::UInt(a.steered as u64)),
-                                    ("contained_below_ns", opt_ns(a.contained_below_ns)),
-                                    ("break_point_ns", opt_ns(a.break_point_ns)),
-                                    ("broken_above_ns", opt_ns(a.broken_above_ns)),
+                                Some((p, b)) => Json::object(vec![
+                                    ("pi_ns", Json::Int(p.pi.as_nanos())),
+                                    ("gamma_ns", Json::Int(p.gamma.as_nanos())),
+                                    ("quorum", Json::Bool(b.quorum)),
+                                    ("kept", Json::UInt(b.kept as u64)),
+                                    ("steered", Json::UInt(b.steered as u64)),
+                                    ("contained_below_ns", opt_ns(b.contained_below)),
+                                    ("break_point_ns", opt_ns(b.break_point)),
+                                    ("broken_above_ns", opt_ns(b.broken_above)),
                                 ]),
                             };
-                            let (outcome, contained_at, broken_at) = match c.empirical.outcome {
-                                None => ("failed", Json::Null, Json::Null),
-                                Some(BisectOutcome::BrokenAtMin) => {
-                                    ("broken_at_min", Json::Null, Json::UInt(self.spec.axis.min))
-                                }
-                                Some(BisectOutcome::ContainedThroughout) => (
-                                    "contained_throughout",
-                                    Json::UInt(self.spec.axis.max),
-                                    Json::Null,
-                                ),
-                                Some(BisectOutcome::Bracket {
-                                    contained_at,
-                                    broken_at,
-                                }) => ("bracket", Json::UInt(contained_at), Json::UInt(broken_at)),
+                            let outcome = match c.empirical.outcome {
+                                None => "failed",
+                                Some(BisectOutcome::BrokenAtMin) => "broken_at_min",
+                                Some(BisectOutcome::ContainedThroughout) => "contained_throughout",
+                                Some(BisectOutcome::Bracket { .. }) => "bracket",
                             };
+                            let (contained_at, broken_at) =
+                                bracket_ends(c.empirical.outcome, &self.spec.axis);
                             Json::object(vec![
                                 ("strategy", Json::Str(c.cell.strategy.clone())),
                                 ("compromised", Json::UInt(c.cell.compromised as u64)),
@@ -677,8 +657,8 @@ impl FrontierDoc {
                                     "empirical",
                                     Json::object(vec![
                                         ("outcome", Json::Str(outcome.to_string())),
-                                        ("contained_at", contained_at),
-                                        ("broken_at", broken_at),
+                                        ("contained_at", opt_at(contained_at)),
+                                        ("broken_at", opt_at(broken_at)),
                                         ("probes", Json::UInt(c.empirical.probes as u64)),
                                         ("runs", Json::UInt(c.empirical.runs as u64)),
                                     ]),
@@ -705,53 +685,6 @@ impl FrontierDoc {
         format!("{}\n", self.to_json().render())
     }
 
-    /// Parses a `frontier.json` document.
-    pub fn parse(text: &str) -> Result<FrontierDoc, SpecError> {
-        let v = Json::parse(text)?;
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SpecError::Field("schema".to_string()))?;
-        if schema != FRONTIER_SCHEMA {
-            return Err(SpecError::Invalid(format!(
-                "unsupported frontier schema {schema} (expected {FRONTIER_SCHEMA})"
-            )));
-        }
-        let spec = FrontierSpec::from_json(
-            v.get("spec")
-                .ok_or_else(|| SpecError::Field("spec".to_string()))?,
-        )?;
-        let grid = v
-            .get("grid")
-            .ok_or_else(|| SpecError::Field("grid".to_string()))?;
-        let grid_runs =
-            grid.get("runs")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("grid.runs".to_string()))? as usize;
-        let grid_spacing = grid
-            .get("spacing_ns")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SpecError::Field("grid.spacing_ns".to_string()))?;
-        let total_runs =
-            v.get("total_runs")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("total_runs".to_string()))? as usize;
-        let cells = v
-            .get("cells")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SpecError::Field("cells".to_string()))?
-            .iter()
-            .map(parse_cell)
-            .collect::<Result<Vec<CellDoc>, SpecError>>()?;
-        Ok(FrontierDoc {
-            spec,
-            grid_runs,
-            grid_spacing,
-            total_runs,
-            cells,
-        })
-    }
-
     /// Renders the human-readable frontier report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -772,9 +705,12 @@ impl FrontierDoc {
             );
             let analytical = match &c.analytical {
                 None => "-".to_string(),
-                Some(a) => match (a.contained_below_ns, a.broken_above_ns) {
+                Some((_, b)) => match (b.contained_below, b.broken_above) {
                     (Some(lo), Some(hi)) => {
-                        let pt = a.break_point_ns.map_or("-".to_string(), |p| p.to_string());
+                        let pt = b
+                            .break_point
+                            .map_or("-".to_string(), |p| p.as_nanos().to_string());
+                        let (lo, hi) = (lo.as_nanos(), hi.as_nanos());
                         format!("contained<{lo} break~{pt} broken>={hi}")
                     }
                     _ => "unbreakable".to_string(),
@@ -821,112 +757,6 @@ impl FrontierDoc {
     }
 }
 
-fn parse_cell(c: &Json) -> Result<CellDoc, SpecError> {
-    let strategy = c
-        .get("strategy")
-        .and_then(Json::as_str)
-        .ok_or_else(|| SpecError::Field("cells[].strategy".to_string()))?
-        .to_string();
-    let compromised =
-        c.get("compromised")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SpecError::Field("cells[].compromised".to_string()))? as usize;
-    let effective_f = c
-        .get("f")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| SpecError::Field("cells[].f".to_string()))? as usize;
-    let analytical = match c.get("analytical") {
-        None | Some(Json::Null) => None,
-        Some(a) => Some(AnalyticalDoc {
-            pi_ns: a
-                .get("pi_ns")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| SpecError::Field("analytical.pi_ns".to_string()))?,
-            gamma_ns: a
-                .get("gamma_ns")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| SpecError::Field("analytical.gamma_ns".to_string()))?,
-            quorum: a
-                .get("quorum")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| SpecError::Field("analytical.quorum".to_string()))?,
-            kept: a
-                .get("kept")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("analytical.kept".to_string()))?
-                as usize,
-            steered: a
-                .get("steered")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("analytical.steered".to_string()))?
-                as usize,
-            contained_below_ns: a.get("contained_below_ns").and_then(Json::as_i64),
-            break_point_ns: a.get("break_point_ns").and_then(Json::as_i64),
-            broken_above_ns: a.get("broken_above_ns").and_then(Json::as_i64),
-        }),
-    };
-    let e = c
-        .get("empirical")
-        .ok_or_else(|| SpecError::Field("cells[].empirical".to_string()))?;
-    let outcome = match e
-        .get("outcome")
-        .and_then(Json::as_str)
-        .ok_or_else(|| SpecError::Field("empirical.outcome".to_string()))?
-    {
-        "failed" => None,
-        "broken_at_min" => Some(BisectOutcome::BrokenAtMin),
-        "contained_throughout" => Some(BisectOutcome::ContainedThroughout),
-        "bracket" => Some(BisectOutcome::Bracket {
-            contained_at: e
-                .get("contained_at")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("empirical.contained_at".to_string()))?,
-            broken_at: e
-                .get("broken_at")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("empirical.broken_at".to_string()))?,
-        }),
-        other => {
-            return Err(SpecError::Value(
-                "empirical.outcome".to_string(),
-                other.to_string(),
-            ))
-        }
-    };
-    let empirical = EmpiricalDoc {
-        outcome,
-        probes: e
-            .get("probes")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SpecError::Field("empirical.probes".to_string()))?
-            as usize,
-        runs: e
-            .get("runs")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SpecError::Field("empirical.runs".to_string()))? as usize,
-    };
-    let w = c
-        .get("witness")
-        .ok_or_else(|| SpecError::Field("cells[].witness".to_string()))?;
-    let hash_of = |v: Option<&Json>| v.and_then(Json::as_str).map(|s| s.to_string());
-    Ok(CellDoc {
-        cell: FrontierCell {
-            strategy,
-            compromised,
-            f: Some(effective_f),
-        },
-        effective_f,
-        analytical,
-        empirical,
-        witness_contained: hash_of(w.get("contained")),
-        witness_broken: hash_of(w.get("broken")),
-        consistent: c
-            .get("consistent")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| SpecError::Field("cells[].consistent".to_string()))?,
-    })
-}
-
 /// What one frontier exploration did.
 #[derive(Debug)]
 pub struct FrontierReport {
@@ -962,6 +792,99 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
     std::fs::create_dir_all(&opts.dir)?;
     runner::write_atomic(&opts.dir.join("frontier-spec.json"), &spec.render())?;
 
+    let inner_opts = RunnerOptions {
+        dir: opts.dir.clone(),
+        threads: opts.threads,
+        quiet: true,
+        fork: opts.fork,
+        check: opts.check,
+        trace: None,
+        trace_max_events: None,
+        panic_label: opts.panic_label.clone(),
+    };
+    let mut cache = SnapshotCache::new();
+    let mut executed = 0usize;
+    let mut skipped = 0usize;
+    let mut forked_groups = 0usize;
+    let mut prefix_runs = 0usize;
+    let mut prefix_events_skipped = 0u64;
+    let mut violations: Vec<RunViolation> = Vec::new();
+    let mut failed: Vec<FailedRun> = Vec::new();
+    let doc = explore(spec, opts.quiet, |probe_spec| {
+        let report = runner::execute_with(probe_spec, &inner_opts, Some(&mut cache), false)?;
+        executed += report.executed;
+        skipped += report.skipped;
+        forked_groups += report.forked_groups;
+        prefix_runs += report.prefix_runs;
+        prefix_events_skipped += report.prefix_events_skipped;
+        violations.extend(report.violations);
+        if report.failed.is_empty() {
+            Ok(Some(report.records))
+        } else {
+            failed.extend(report.failed);
+            Ok(None)
+        }
+    })?;
+    runner::write_atomic(&opts.dir.join("frontier.json"), &doc.render())?;
+    if !opts.quiet {
+        eprintln!(
+            "frontier: {} simulated run(s) required ({} executed now, {} resumed) vs {} for \
+             the fixed grid; artifact {}",
+            doc.total_runs,
+            executed,
+            skipped,
+            doc.grid_runs,
+            opts.dir.join("frontier.json").display()
+        );
+    }
+    Ok(FrontierReport {
+        doc,
+        executed,
+        skipped,
+        forked_groups,
+        prefix_runs,
+        prefix_events_skipped,
+        violations,
+        failed,
+    })
+}
+
+/// Re-derives the document [`execute`] wrote into `dir` from the probe
+/// artifacts alone: the same bisection, with each probe's records read
+/// back instead of simulated. A probe with a missing or unreadable
+/// artifact counts as failed, as a panicking probe does in [`execute`],
+/// so the document renders `dir`'s `frontier.json` byte for byte.
+///
+/// # Errors
+///
+/// `InvalidInput` for an invalid spec, `NotFound` when `dir` has no
+/// `runs/` directory (nothing was explored there).
+pub fn load(spec: &FrontierSpec, dir: &Path) -> io::Result<FrontierDoc> {
+    spec.validate()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}")))?;
+    if !dir.join("runs").is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "frontier at {} has no runs/ directory (explore it first)",
+                dir.display()
+            ),
+        ));
+    }
+    explore(spec, true, |probe_spec| {
+        Ok(runner::load(probe_spec, dir).ok())
+    })
+}
+
+/// Bisects every cell of `spec`, round by round in spec order, and
+/// assembles the document. `probe` maps a probe's campaign spec to its
+/// records in canonical order, or to `None` when the probe failed: the
+/// cell is then frozen (outcome `failed`) and the others go on.
+fn explore(
+    spec: &FrontierSpec,
+    quiet: bool,
+    mut probe: impl FnMut(&CampaignSpec) -> io::Result<Option<Vec<RunRecord>>>,
+) -> io::Result<FrontierDoc> {
     // Per-seed defaults the cells inherit from the base configuration.
     let base_cfg = spec.base.materialize(spec.seeds[0]);
     let domains = base_cfg.aggregation.domains;
@@ -996,24 +919,6 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
         })
         .collect();
 
-    let inner_opts = RunnerOptions {
-        dir: opts.dir.clone(),
-        threads: opts.threads,
-        quiet: true,
-        fork: opts.fork,
-        check: opts.check,
-        trace: None,
-        trace_max_events: None,
-        panic_label: opts.panic_label.clone(),
-    };
-    let mut cache = SnapshotCache::new();
-    let mut executed = 0usize;
-    let mut skipped = 0usize;
-    let mut forked_groups = 0usize;
-    let mut prefix_runs = 0usize;
-    let mut prefix_events_skipped = 0u64;
-    let mut violations: Vec<RunViolation> = Vec::new();
-    let mut failed: Vec<FailedRun> = Vec::new();
     let mut round = 0usize;
     loop {
         let active: Vec<(usize, u64)> = states
@@ -1026,7 +931,7 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
             break;
         }
         round += 1;
-        if !opts.quiet {
+        if !quiet {
             eprintln!(
                 "frontier: round {round}: probing {} cell(s): {}",
                 active.len(),
@@ -1037,65 +942,47 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
                     .join(", ")
             );
         }
-        for (i, probe) in active {
+        for (i, value) in active {
             let probe_spec = spec
-                .probe_spec(&spec.cells[i], probe)
+                .probe_spec(&spec.cells[i], value)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            let report = runner::execute_with(&probe_spec, &inner_opts, Some(&mut cache), false)?;
-            executed += report.executed;
-            skipped += report.skipped;
-            forked_groups += report.forked_groups;
-            prefix_runs += report.prefix_runs;
-            prefix_events_skipped += report.prefix_events_skipped;
-            violations.extend(report.violations);
-            if !report.failed.is_empty() {
-                // A panicking probe leaves the cell unsettled; freeze it
-                // (outcome "failed") and keep exploring the other cells.
-                failed.extend(report.failed);
-                states[i].failed = true;
+            let state = &mut states[i];
+            let Some(records) = probe(&probe_spec)? else {
+                // A failed probe leaves the cell unsettled; freeze it and
+                // keep exploring the other cells.
+                state.failed = true;
                 continue;
+            };
+            let broken = records.iter().any(|r| r.fraction_within_bound < 1.0);
+            if state.bounds.is_none() {
+                let b = &records[0].bounds;
+                state.bounds = Some((b.pi_ns, b.gamma_ns));
             }
-            let broken = report.records.iter().any(|r| r.fraction_within_bound < 1.0);
-            if states[i].bounds.is_none() {
-                let b = &report.records[0].bounds;
-                states[i].bounds = Some((b.pi_ns, b.gamma_ns));
-            }
-            states[i].probed.push((
-                probe,
-                report
-                    .records
+            state.probed.push((
+                value,
+                records
                     .iter()
                     .map(|r| (r.hash.clone(), r.fraction_within_bound))
                     .collect(),
             ));
-            states[i].bisect.report(probe, broken);
+            state.bisect.report(value, broken);
         }
     }
 
-    // Assemble the document.
     let mut cells = Vec::with_capacity(spec.cells.len());
     for (cell, state) in spec.cells.iter().zip(&states) {
         let effective_f = cell.f.unwrap_or(preset_f);
         let analytical = if spec.axis.name == MAGNITUDE_AXIS {
             state.bounds.map(|(pi_ns, gamma_ns)| {
-                let bound = containment_bound(&ResilienceParams {
+                let params = ResilienceParams {
                     domains,
                     f: effective_f,
                     compromised: cell.compromised,
                     partitioned: 0,
                     pi: Nanos::from_nanos(pi_ns),
                     gamma: Nanos::from_nanos(gamma_ns),
-                });
-                AnalyticalDoc {
-                    pi_ns,
-                    gamma_ns,
-                    quorum: bound.quorum,
-                    kept: bound.kept,
-                    steered: bound.steered,
-                    contained_below_ns: bound.contained_below.map(Nanos::as_nanos),
-                    break_point_ns: bound.break_point.map(Nanos::as_nanos),
-                    broken_above_ns: bound.broken_above.map(Nanos::as_nanos),
-                }
+                };
+                (params, containment_bound(&params))
             })
         } else {
             None
@@ -1105,27 +992,13 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
         } else {
             state.bisect.outcome()
         };
-        let witness_at = |probe: u64, want_broken: bool| -> Option<String> {
-            state
-                .probed
-                .iter()
-                .find(|(p, _)| *p == probe)
-                .and_then(|(_, runs)| {
-                    runs.iter()
-                        .find(|(_, frac)| (*frac < 1.0) == want_broken)
-                        .map(|(hash, _)| hash.clone())
-                })
+        let witness_at = |probe: Option<u64>, want_broken: bool| -> Option<String> {
+            let (_, runs) = state.probed.iter().find(|(p, _)| Some(*p) == probe)?;
+            let (hash, _) = runs.iter().find(|(_, frac)| (*frac < 1.0) == want_broken)?;
+            Some(hash.clone())
         };
-        let (witness_contained, witness_broken) = match outcome {
-            None => (None, None),
-            Some(BisectOutcome::BrokenAtMin) => (None, witness_at(spec.axis.min, true)),
-            Some(BisectOutcome::ContainedThroughout) => (witness_at(spec.axis.max, false), None),
-            Some(BisectOutcome::Bracket {
-                contained_at,
-                broken_at,
-            }) => (witness_at(contained_at, false), witness_at(broken_at, true)),
-        };
-        let consistent = consistent_with(analytical.as_ref(), outcome, &spec.axis);
+        let (contained_at, broken_at) = bracket_ends(outcome, &spec.axis);
+        let consistent = consistent_with(analytical.as_ref().map(|(_, b)| b), outcome, &spec.axis);
         cells.push(CellDoc {
             cell: cell.clone(),
             effective_f,
@@ -1135,40 +1008,33 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
                 probes: state.bisect.probes(),
                 runs: state.bisect.probes() * spec.seeds.len(),
             },
-            witness_contained,
-            witness_broken,
+            witness_contained: witness_at(contained_at, false),
+            witness_broken: witness_at(broken_at, true),
             consistent,
         });
     }
-    let doc = FrontierDoc {
+    Ok(FrontierDoc {
         spec: spec.clone(),
         grid_runs: GRID_REFERENCE_RUNS,
         grid_spacing: spec.grid_spacing(),
         total_runs: cells.iter().map(|c| c.empirical.runs).sum(),
         cells,
-    };
-    runner::write_atomic(&opts.dir.join("frontier.json"), &doc.render())?;
-    if !opts.quiet {
-        eprintln!(
-            "frontier: {} simulated run(s) required ({} executed now, {} resumed) vs {} for \
-             the fixed grid; artifact {}",
-            doc.total_runs,
-            executed,
-            skipped,
-            doc.grid_runs,
-            opts.dir.join("frontier.json").display()
-        );
-    }
-    Ok(FrontierReport {
-        doc,
-        executed,
-        skipped,
-        forked_groups,
-        prefix_runs,
-        prefix_events_skipped,
-        violations,
-        failed,
     })
+}
+
+/// The bracket ends `(contained_at, broken_at)` of an outcome: an
+/// endpoint outcome has one end, the axis min or max it settled at, and
+/// a failed cell (`None`) has neither.
+fn bracket_ends(outcome: Option<BisectOutcome>, axis: &FrontierAxis) -> (Option<u64>, Option<u64>) {
+    match outcome {
+        None => (None, None),
+        Some(BisectOutcome::BrokenAtMin) => (None, Some(axis.min)),
+        Some(BisectOutcome::ContainedThroughout) => (Some(axis.max), None),
+        Some(BisectOutcome::Bracket {
+            contained_at,
+            broken_at,
+        }) => (Some(contained_at), Some(broken_at)),
+    }
 }
 
 /// "Bound violated ⇒ containment actually observed broken": the
@@ -1179,24 +1045,19 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
 /// for the model's ideal adversary, so a weaker preset staying
 /// contained longer is not an inconsistency.)
 fn consistent_with(
-    analytical: Option<&AnalyticalDoc>,
+    bound: Option<&ResilienceBound>,
     outcome: Option<BisectOutcome>,
     axis: &FrontierAxis,
 ) -> bool {
-    let Some(a) = analytical else { return true };
-    let Some(outcome) = outcome else { return true };
-    if !a.quorum {
-        return true; // degraded regardless of the adversary
+    let Some(bound) = bound else { return true };
+    if outcome.is_none() || !bound.quorum {
+        return true; // nothing observed, or degraded regardless of the adversary
     }
-    match a.contained_below_ns {
-        None => outcome == BisectOutcome::ContainedThroughout, // unbreakable
-        Some(contained_below) => {
-            let broken_at = match outcome {
-                BisectOutcome::BrokenAtMin => Some(axis.min),
-                BisectOutcome::ContainedThroughout => None,
-                BisectOutcome::Bracket { broken_at, .. } => Some(broken_at),
-            };
-            broken_at.is_none_or(|b| b as i64 >= contained_below)
+    match bound.contained_below {
+        None => outcome == Some(BisectOutcome::ContainedThroughout), // unbreakable
+        Some(floor) => {
+            let (_, broken_at) = bracket_ends(outcome, axis);
+            broken_at.is_none_or(|b| b as i64 >= floor.as_nanos())
         }
     }
 }
@@ -1379,16 +1240,18 @@ mod tests {
             max: 64_000,
             resolution: 500,
         };
-        let breakable = AnalyticalDoc {
-            pi_ns: 12_000,
-            gamma_ns: 1_500,
-            quorum: true,
-            kept: 2,
-            steered: 1,
-            contained_below_ns: Some(3_000),
-            break_point_ns: Some(27_000),
-            broken_above_ns: Some(51_000),
+        let bound = |compromised| {
+            containment_bound(&ResilienceParams {
+                domains: 4,
+                f: 1,
+                compromised,
+                partitioned: 0,
+                pi: Nanos::from_nanos(12_000),
+                gamma: Nanos::from_nanos(1_500),
+            })
         };
+        // Contained below 3 000 ns, break point 27 000 ns.
+        let breakable = bound(2);
         let bracket = |lo, hi| {
             Some(BisectOutcome::Bracket {
                 contained_at: lo,
@@ -1412,13 +1275,7 @@ mod tests {
             &axis
         ));
         // Unbreakable cells must be observed contained.
-        let unbreakable = AnalyticalDoc {
-            steered: 0,
-            contained_below_ns: None,
-            break_point_ns: None,
-            broken_above_ns: None,
-            ..breakable
-        };
+        let unbreakable = bound(1);
         assert!(consistent_with(
             Some(&unbreakable),
             Some(BisectOutcome::ContainedThroughout),
@@ -1464,16 +1321,64 @@ mod tests {
         }
     }
 
+    /// A frontier directory is its spec plus its artifacts: `load`
+    /// replays the bisection to the document `execute` wrote, and a
+    /// probe whose artifact is gone fails its cell, as a panicking probe
+    /// does (`tests/cli.rs` replays a directory where one panicked).
     #[test]
-    fn doc_roundtrips_through_json() {
-        let doc = doc_with_bracket(31_000, 31_400);
-        let back = FrontierDoc::parse(&doc.render()).unwrap();
-        assert_eq!(back.total_runs, doc.total_runs);
-        assert_eq!(back.cells[0].empirical, doc.cells[0].empirical);
-        assert_eq!(back.cells[0].witness_broken, doc.cells[0].witness_broken);
-        assert!(back.consistent());
-        // The text report renders without panicking and names the cell.
-        assert!(doc.render_text().contains("colluding c=2"));
+    fn load_replays_the_written_document() {
+        let cell = |compromised| FrontierCell {
+            strategy: "colluding".to_string(),
+            compromised,
+            f: None,
+        };
+        let spec = FrontierSpec {
+            name: "frontier-load".to_string(),
+            base: BaseSpec {
+                preset: Preset::Quick,
+                duration_s: Some(6),
+                warmup_s: Some(3),
+            },
+            seeds: vec![1],
+            cells: vec![cell(2), cell(1)],
+            axis: FrontierAxis {
+                name: MAGNITUDE_AXIS.to_string(),
+                min: 1_000,
+                max: 64_000,
+                resolution: 16_000,
+            },
+            budget_per_cell: 4,
+        };
+        let dir = std::env::temp_dir().join(format!("tsn-frontier-load-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunnerOptions {
+            threads: 2,
+            quiet: true,
+            fork: true,
+            ..RunnerOptions::new(&dir)
+        };
+        let report = execute(&spec, &opts).expect("the exploration finishes");
+        let loaded = load(&spec, &dir).expect("the directory loads");
+        assert_eq!(loaded, report.doc);
+        let written = std::fs::read_to_string(dir.join("frontier.json")).unwrap();
+        assert_eq!(loaded.render(), written);
+
+        let probe = spec.probe_spec(&spec.cells[0], spec.axis.min).unwrap();
+        let lost = crate::matrix::expand(&probe).unwrap().remove(0).hash;
+        std::fs::remove_file(dir.join("runs").join(format!("run-{lost}.jsonl"))).unwrap();
+        let reloaded = load(&spec, &dir).expect("the directory loads");
+        assert_eq!(reloaded.cells[0].empirical.outcome, None);
+        assert_eq!(reloaded.cells[0].empirical.probes, 0);
+        assert_eq!(reloaded.cells[1], loaded.cells[1]);
+        let text = reloaded.render_text();
+        assert!(
+            text.contains("colluding c=2 f=1") && text.contains("failed"),
+            "{text}"
+        );
+
+        let missing = load(&spec, &dir.join("nowhere")).unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

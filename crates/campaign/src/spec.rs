@@ -374,7 +374,7 @@ impl CampaignSpec {
                     .to_string(),
             ));
         }
-        if !self.grid.gm_failure_at_s.is_empty() {
+        if let Some(&latest) = self.grid.gm_failure_at_s.iter().max() {
             let Some(duration) = self.base.duration_s else {
                 return Err(SpecError::Invalid(
                     "gm_failure_at_s axis requires an explicit base.duration_s \
@@ -382,7 +382,6 @@ impl CampaignSpec {
                         .to_string(),
                 ));
             };
-            let latest = *self.grid.gm_failure_at_s.iter().max().expect("non-empty");
             if i64::try_from(latest).map_or(true, |latest| latest >= duration) {
                 return Err(SpecError::Invalid(format!(
                     "gm_failure_at_s axis reaches {latest} s, beyond the {duration} s \
@@ -390,7 +389,7 @@ impl CampaignSpec {
                 )));
             }
         }
-        if !self.grid.partition_s.is_empty() {
+        if let Some(&longest) = self.grid.partition_s.iter().max() {
             // Check against the window the axis actually generates
             // (same schedule `matrix::materialize` installs) — no
             // hardcoded start, no silently assumed duration.
@@ -401,7 +400,6 @@ impl CampaignSpec {
                         .to_string(),
                 ));
             };
-            let longest = *self.grid.partition_s.iter().max().expect("non-empty");
             let window = partition_window(longest);
             let end = window.until.as_nanos() / 1_000_000_000;
             if end >= duration {

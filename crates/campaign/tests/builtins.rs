@@ -1,7 +1,8 @@
 //! Every built-in spec, end to end: clean under the invariant oracle,
 //! byte-identical between cold and forked execution and between one
 //! worker and auto threads, resumable without re-executing anything,
-//! and summarizable through the streaming pipeline.
+//! and summarizable through the streaming pipeline (a frontier through
+//! `frontier::load`, which replays its bisection over the artifacts).
 //!
 //! The loops run over `CampaignSpec::BUILTINS` and
 //! `FrontierSpec::BUILTINS` — the lists `campaign list` prints — so a
@@ -10,6 +11,7 @@
 mod common;
 
 use common::{artifact_bytes, fork_opts, opts, scratch};
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 use tsn_campaign::json::Json;
@@ -131,9 +133,22 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
         assert!(cold.doc.consistent(), "{name}: a cell breaks its bound");
         let (doc, runs) = (doc_bytes(&cold_dir), artifact_bytes(&cold_dir));
 
+        // Every probe is a campaign of one run per seed, so nothing forks
+        // within a probe: the first probe of each (seed, f) simulates that
+        // warm prefix into the shared cache and every probe run forks it.
         let forked = frontier::execute(&spec, &fork_opts(&fork_dir)).expect("forked frontier");
         assert_eq!(cold.forked_groups, 0, "{name}: the oracle runs cold");
-        assert!(forked.forked_groups > 0, "{name}: nothing forked");
+        let trim_degrees: BTreeSet<_> = spec.cells.iter().map(|c| c.f).collect();
+        assert_eq!(
+            forked.prefix_runs,
+            spec.seeds.len() * trim_degrees.len(),
+            "{name}"
+        );
+        assert_eq!(
+            forked.forked_groups, forked.executed,
+            "{name}: a probe ran cold"
+        );
+        assert!(forked.prefix_events_skipped > 0, "{name}");
         assert!(
             doc == doc_bytes(&fork_dir),
             "{name}: fork moved the document"
@@ -150,11 +165,22 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
         assert!(doc == doc_bytes(&serial_dir), "{name}: threads moved it");
         assert!(runs == artifact_bytes(&serial_dir), "{name}");
 
+        // Resume re-executes nothing and re-derives the same document
+        // (total_runs is spec-derived, not invocation-derived).
         let resumed = frontier::execute(&spec, &opts(&cold_dir)).expect("resume");
         assert_eq!(resumed.executed, 0, "{name}: resume re-executed probes");
+        assert_eq!(resumed.skipped, cold.executed + cold.skipped, "{name}");
+        assert_eq!(resumed.doc, cold.doc, "{name}");
         assert!(doc == doc_bytes(&cold_dir), "{name}: resume rewrote");
 
-        // A frontier's summary is its document.
+        // A frontier's summary is its document, replayed from the spec
+        // and the probe artifacts alone.
+        let loaded = frontier::load(&spec, &cold_dir).expect("frontier dir loads");
+        assert_eq!(loaded, cold.doc, "{name}");
+        assert!(
+            loaded.render().into_bytes() == doc,
+            "{name}: replay moved it"
+        );
         assert!(cold.doc.render_text().contains("x tighter"), "{name}");
 
         for dir in [cold_dir, fork_dir, serial_dir] {

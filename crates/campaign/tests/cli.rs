@@ -1,10 +1,12 @@
 //! CLI contract tests: error paths must print a clear message and exit
-//! 2 instead of panicking, and the `snapshot` binary's save / info /
-//! restore / verify loop must close.
+//! 2 instead of panicking, `summarize` and `diff` read a frontier
+//! directory, and the `snapshot` binary's save / info / restore / verify
+//! loop must close.
 
 mod common;
 
-use common::{artifact_bytes, scratch};
+use common::{artifact_bytes, fork_opts, scratch};
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn campaign(args: &[&str]) -> Output {
@@ -451,6 +453,100 @@ fn run_with_tiny_trace_cap_reports_truncation_and_fails_check() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frontier directory is its spec plus its artifacts: `summarize`
+/// replays the bisection and prints exactly the document `frontier`
+/// wrote, and `diff` compares two directories bracket by bracket — also
+/// when a probe panicked and left its cell `failed`.
+#[test]
+fn summarize_and_diff_replay_a_frontier_directory() {
+    use tsn_campaign::frontier::{self, FrontierAxis, FrontierCell};
+    use tsn_campaign::{BaseSpec, FrontierSpec, Preset, RunnerOptions};
+
+    let cell = |compromised| FrontierCell {
+        strategy: "colluding".to_string(),
+        compromised,
+        f: None,
+    };
+    let spec = FrontierSpec {
+        name: "frontier-cli".to_string(),
+        base: BaseSpec {
+            preset: Preset::Quick,
+            duration_s: Some(6),
+            warmup_s: Some(3),
+        },
+        seeds: vec![1],
+        cells: vec![cell(2), cell(1)],
+        axis: FrontierAxis {
+            name: "adv_offset_ns".to_string(),
+            min: 1_000,
+            max: 64_000,
+            resolution: 8_000,
+        },
+        budget_per_cell: 6,
+    };
+    let root = scratch("frontier");
+    let (clean, copy, panicked) = (root.join("clean"), root.join("copy"), root.join("panicked"));
+    let report = frontier::execute(&spec, &fork_opts(&clean)).expect("clean frontier");
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    // The copy is the spec plus the artifacts: nothing reads frontier.json.
+    std::fs::create_dir_all(copy.join("runs")).unwrap();
+    std::fs::copy(
+        clean.join("frontier-spec.json"),
+        copy.join("frontier-spec.json"),
+    )
+    .unwrap();
+    for (name, bytes) in artifact_bytes(&clean) {
+        std::fs::write(copy.join("runs").join(name), bytes).unwrap();
+    }
+
+    let summarize = |dir: &Path, json: bool| {
+        let mut args = vec!["summarize", "--dir", dir.to_str().unwrap()];
+        if json {
+            args.push("--json");
+        }
+        let out = campaign(&args);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let written = |dir: &Path| std::fs::read_to_string(dir.join("frontier.json")).unwrap();
+    assert_eq!(summarize(&clean, true), written(&clean));
+    assert_eq!(summarize(&clean, false), report.doc.render_text());
+
+    let diff = |baseline: &Path, candidate: &Path| {
+        campaign(&[
+            "diff",
+            "--baseline",
+            baseline.to_str().unwrap(),
+            "--candidate",
+            candidate.to_str().unwrap(),
+        ])
+    };
+    let parity = diff(&clean, &copy);
+    assert_eq!(parity.status.code(), Some(0), "{parity:?}");
+
+    // The unbreakable cell's probe at the axis maximum panics.
+    let victim = spec.probe_spec(&spec.cells[1], spec.axis.max).unwrap();
+    let victim = tsn_campaign::expand(&victim).unwrap().remove(0);
+    let opts = RunnerOptions {
+        panic_label: Some(victim.coord.label()),
+        ..fork_opts(&panicked)
+    };
+    let failed = frontier::execute(&spec, &opts).expect("the exploration finishes");
+    assert_eq!(failed.failed.len(), 1);
+    assert!(summarize(&panicked, false).contains("failed"));
+    assert_eq!(summarize(&panicked, true), written(&panicked));
+
+    let regression = diff(&clean, &panicked);
+    assert_eq!(regression.status.code(), Some(1), "{regression:?}");
+    let stdout = String::from_utf8_lossy(&regression.stdout);
+    assert!(
+        stdout.contains("colluding c=1 f=1: outcome changed"),
+        "{stdout}"
+    );
+
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -114,10 +114,11 @@ fn frontier_localizes_tighter_than_the_grid_with_fewer_runs() {
     }
 
     // The break sits at or above the analytical containment guarantee.
-    let analytical = breakable.analytical.as_ref().expect("magnitude axis");
-    let contained_below = analytical
-        .contained_below_ns
-        .expect("c > f cells are breakable");
+    let (_, bound) = breakable.analytical.as_ref().expect("magnitude axis");
+    let contained_below = bound
+        .contained_below
+        .expect("c > f cells are breakable")
+        .as_nanos();
     assert!(
         broken_at as i64 >= contained_below,
         "containment broke at {broken_at} ns, below the {contained_below} ns guarantee"
@@ -126,9 +127,9 @@ fn frontier_localizes_tighter_than_the_grid_with_fewer_runs() {
     // c = f keeps the adversary below quorum: analytically unbreakable,
     // and the search settles it with just the two endpoint probes.
     let unbreakable = &doc.cells[1];
-    let a = unbreakable.analytical.as_ref().expect("magnitude axis");
-    assert_eq!(a.steered, 0);
-    assert_eq!(a.contained_below_ns, None);
+    let (_, bound) = unbreakable.analytical.as_ref().expect("magnitude axis");
+    assert_eq!(bound.steered, 0);
+    assert_eq!(bound.contained_below, None);
     assert_eq!(
         unbreakable.empirical.outcome,
         Some(BisectOutcome::ContainedThroughout)
@@ -187,10 +188,11 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
     assert_eq!(resumed.doc, first.doc);
     assert_eq!(artifact(&dir_a), before, "resume rewrote frontier.json");
 
-    // The parsed document round-trips to the exact same bytes.
-    let parsed = tsn_campaign::FrontierDoc::parse(&String::from_utf8(before.clone()).unwrap())
-        .expect("frontier.json parses");
-    assert_eq!(parsed.render().into_bytes(), before);
+    // Replaying the bisection from the probe artifacts renders the exact
+    // same bytes.
+    let loaded = frontier::load(&spec, &dir_a).expect("frontier dir loads");
+    assert_eq!(loaded, first.doc);
+    assert_eq!(loaded.render().into_bytes(), before);
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);

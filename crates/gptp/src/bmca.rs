@@ -206,6 +206,7 @@ impl Bmca {
                 slave_port: None,
             }
         } else {
+            // Unreachable: `is_grandmaster` is `true` whenever `best_port` is `None`.
             let (bp, bv) = best_port.expect("not GM implies some better vector");
             for &p in &self.ports {
                 let role = if p == bp {

@@ -133,6 +133,8 @@ impl BridgeRelay {
     ///
     /// Panics if `slave_port` also appears in `master_ports`.
     pub fn new(domain: u8, clock: ClockIdentity, slave_port: u16, master_ports: Vec<u16>) -> Self {
+        // Unreachable from `Bridge::relay_for`: a root slaves on station port 0 and skips it,
+        // any other bridge on a mesh port, numbered past every station port.
         assert!(
             !master_ports.contains(&slave_port),
             "port {slave_port} cannot be both slave and master"
@@ -429,6 +431,7 @@ impl Bridge {
             let mesh = self.mesh.iter().flatten().map(|&p| u16::from(p));
             (0, stations.skip(1).chain(mesh).collect())
         } else {
+            // Unreachable: `mesh[y]` is `None` only for `y == self.index`, the branch above.
             let toward_root = self.mesh[root].expect("mesh port toward the root bridge");
             (u16::from(toward_root), stations.collect())
         };

@@ -156,6 +156,7 @@ impl SyncMaster {
     ///
     /// Panics if the master is in two-step mode.
     pub fn finalize_one_step(&mut self, seq: u16, tx_ts: ClockTime) -> Option<Bytes> {
+        // Unreachable in a run: only this crate's tests call `set_one_step` or this.
         assert!(self.one_step, "finalize_one_step requires one-step mode");
         if self.pending != Some(seq) {
             return None;

@@ -72,6 +72,8 @@ impl PtpTimestamp {
     /// positive epochs so this does not occur in experiments).
     pub fn from_clock_time(t: ClockTime) -> PtpTimestamp {
         let ns = t.as_nanos();
+        // Unreachable in the testbed: PHCs start at 1 s ± 1 ms, and no strategy
+        // preset or axis value shifts a POT back by more than 10 ms.
         assert!(ns >= 0, "cannot encode negative clock time {ns}");
         PtpTimestamp {
             seconds: (ns / 1_000_000_000) as u64,
