@@ -35,7 +35,7 @@ use crate::artifact::RunRecord;
 use crate::axis::{AxisDef, AxisValue, MAGNITUDE_AXIS};
 use crate::json::Json;
 use crate::runner::{self, FailedRun, RunViolation, RunnerOptions, SnapshotCache};
-use crate::spec::{BaseSpec, CampaignSpec, Grid, Preset, SpecError};
+use crate::spec::{field, BaseSpec, CampaignSpec, Grid, SpecError};
 use clocksync::scenario::ScenarioKind;
 use std::io;
 use std::path::Path;
@@ -108,54 +108,22 @@ pub struct FrontierSpec {
 }
 
 impl FrontierSpec {
-    /// Names of the built-in frontier specs.
-    pub const BUILTINS: [&'static str; 1] = ["frontier-sweep"];
-
-    /// A built-in frontier spec by name.
+    /// Names of the built-in frontier specs:
     ///
     /// * `frontier-sweep` — the ROADMAP item 5 search: magnitude axis
     ///   1 µs..64 µs at 684 ns resolution (4× tighter than a 48-run
     ///   grid's 2739 ns spacing) over colluding c ∈ {1, 2} and constant
-    ///   c = 2, 2 seeds (`specs/frontier_sweep.json` is its file form).
+    ///   c = 2, 2 seeds.
+    pub const BUILTINS: [&'static str; 1] = ["frontier-sweep"];
+
+    /// A built-in frontier spec by name: its committed file, like
+    /// [`CampaignSpec::builtin`].
     pub fn builtin(name: &str) -> Option<FrontierSpec> {
-        let spec = match name {
-            "frontier-sweep" => FrontierSpec {
-                name: "frontier-sweep".to_string(),
-                base: BaseSpec {
-                    preset: Preset::Quick,
-                    duration_s: Some(20),
-                    warmup_s: Some(5),
-                },
-                seeds: vec![21, 22],
-                cells: vec![
-                    FrontierCell {
-                        strategy: "colluding".to_string(),
-                        compromised: 2,
-                        f: None,
-                    },
-                    FrontierCell {
-                        strategy: "colluding".to_string(),
-                        compromised: 1,
-                        f: None,
-                    },
-                    FrontierCell {
-                        strategy: "constant".to_string(),
-                        compromised: 2,
-                        f: None,
-                    },
-                ],
-                axis: FrontierAxis {
-                    name: MAGNITUDE_AXIS.to_string(),
-                    min: 1_000,
-                    max: 64_000,
-                    resolution: 684,
-                },
-                budget_per_cell: 12,
-            },
+        let text = match name {
+            "frontier-sweep" => include_str!("../../../specs/frontier_sweep.json"),
             _ => return None,
         };
-        debug_assert!(spec.validate().is_ok());
-        Some(spec)
+        FrontierSpec::parse(text).ok()
     }
 
     /// The synthetic one-probe campaign spec for a cell: the cell's
@@ -286,97 +254,45 @@ impl FrontierSpec {
     }
 
     fn from_json(v: &Json) -> Result<FrontierSpec, SpecError> {
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SpecError::Field("schema".to_string()))?;
+        let schema = field(v, "schema", Json::as_u64)?;
         if schema != FRONTIER_SCHEMA {
             return Err(SpecError::Invalid(format!(
                 "unsupported frontier schema {schema} (expected {FRONTIER_SCHEMA})"
             )));
         }
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::Field("name".to_string()))?
-            .to_string();
-        let base = BaseSpec::from_json(
-            v.get("base")
-                .ok_or_else(|| SpecError::Field("base".to_string()))?,
-        )?;
-        let seeds = v
-            .get("seeds")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SpecError::Field("seeds".to_string()))?
+        let name = field(v, "name", Json::as_str)?.to_string();
+        let base = BaseSpec::from_json(field(v, "base", Some)?)?;
+        let seeds = field(v, "seeds", Json::as_array)?
             .iter()
-            .map(|s| {
-                s.as_u64()
-                    .ok_or_else(|| SpecError::Field("seeds[]".to_string()))
-            })
+            .map(|s| s.as_u64().ok_or_else(|| SpecError::field("seeds[]")))
             .collect::<Result<Vec<u64>, _>>()?;
-        let axis_v = v
-            .get("axis")
-            .ok_or_else(|| SpecError::Field("axis".to_string()))?;
+        let axis_v = field(v, "axis", Some)?;
         let axis = FrontierAxis {
-            name: axis_v
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| SpecError::Field("axis.name".to_string()))?
-                .to_string(),
-            min: axis_v
-                .get("min")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("axis.min".to_string()))?,
-            max: axis_v
-                .get("max")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("axis.max".to_string()))?,
-            resolution: axis_v
-                .get("resolution")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::Field("axis.resolution".to_string()))?,
+            name: field(axis_v, "axis.name", Json::as_str)?.to_string(),
+            min: field(axis_v, "axis.min", Json::as_u64)?,
+            max: field(axis_v, "axis.max", Json::as_u64)?,
+            resolution: field(axis_v, "axis.resolution", Json::as_u64)?,
         };
-        let cells = v
-            .get("cells")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SpecError::Field("cells".to_string()))?
+        let cells = field(v, "cells", Json::as_array)?
             .iter()
             .map(|c| {
-                let strategy = c
-                    .get("strategy")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| SpecError::Field("cells[].strategy".to_string()))?;
+                let strategy = field(c, "cells[].strategy", Json::as_str)?;
                 if !tsn_faults::ByzantineStrategy::NAMES.contains(&strategy) {
-                    return Err(SpecError::Value(
-                        "cells[].strategy".to_string(),
-                        strategy.to_string(),
-                    ));
+                    return Err(SpecError::value("cells[].strategy", strategy));
                 }
-                let compromised = c
-                    .get("compromised")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| SpecError::Field("cells[].compromised".to_string()))?
-                    as usize;
+                let compromised = field(c, "cells[].compromised", Json::as_u64)? as usize;
                 let f = match c.get("f") {
                     None => None,
-                    Some(f) => Some(
-                        f.as_u64()
-                            .ok_or_else(|| SpecError::Field("cells[].f".to_string()))?
-                            as usize,
-                    ),
+                    Some(f) => Some(f.as_u64().ok_or_else(|| SpecError::field("cells[].f"))?),
                 };
                 Ok(FrontierCell {
                     strategy: strategy.to_string(),
                     compromised,
-                    f,
+                    f: f.map(|f| f as usize),
                 })
             })
             .collect::<Result<Vec<FrontierCell>, SpecError>>()?;
-        let budget_per_cell = v
-            .get("budget_per_cell")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SpecError::Field("budget_per_cell".to_string()))?
-            as usize;
+        let budget_per_cell = field(v, "budget_per_cell", Json::as_u64)? as usize;
         Ok(FrontierSpec {
             name,
             base,
@@ -1138,6 +1054,7 @@ pub fn diff(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Preset;
 
     #[test]
     fn bisection_brackets_a_monotone_threshold() {

@@ -166,7 +166,10 @@ impl ScenarioProfile {
     /// Share of this scenario's activity attributed to `name`, in
     /// `[0, 1]`.
     pub fn subsystem_share(&self, name: &str) -> f64 {
-        let total: u64 = self.subsystems.iter().map(|(_, n)| n).sum();
+        let total = self
+            .subsystems
+            .iter()
+            .fold(0u64, |sum, (_, n)| sum.saturating_add(*n));
         if total == 0 {
             return 0.0;
         }
@@ -198,13 +201,14 @@ pub fn aggregate(entries: &[ProfileEntry]) -> Vec<ScenarioProfile> {
                 out.last_mut().expect("just pushed")
             }
         };
+        // Counts come from a file: they saturate rather than overflow.
         agg.runs += 1;
         agg.wall_s += e.wall_s;
-        agg.sim_events += e.sim_events;
-        agg.dropped += e.dropped;
+        agg.sim_events = agg.sim_events.saturating_add(e.sim_events);
+        agg.dropped = agg.dropped.saturating_add(e.dropped);
         for (name, n) in &e.subsystems {
             match agg.subsystems.iter_mut().find(|(s, _)| s == name) {
-                Some((_, total)) => *total += n,
+                Some((_, total)) => *total = total.saturating_add(*n),
                 None => agg.subsystems.push((name.clone(), *n)),
             }
         }

@@ -11,7 +11,6 @@ use crate::axis::{Family, AXES};
 use crate::json::{Json, JsonError};
 use clocksync::scenario::ScenarioKind;
 use clocksync::{PartitionWindow, TestbedConfig};
-use tsn_faults::ByzantineStrategy;
 use tsn_hyp::SyncClockDiscipline;
 use tsn_time::Nanos;
 
@@ -95,30 +94,16 @@ impl BaseSpec {
     }
 
     pub(crate) fn from_json(v: &Json) -> Result<BaseSpec, SpecError> {
-        let preset = v
-            .get("preset")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::field("base.preset"))?;
-        let preset =
-            Preset::parse(preset).ok_or_else(|| SpecError::value("base.preset", preset))?;
-        let duration_s = match v.get("duration_s") {
-            None => None,
-            Some(d) => Some(
-                d.as_i64()
-                    .ok_or_else(|| SpecError::field("base.duration_s"))?,
-            ),
-        };
-        let warmup_s = match v.get("warmup_s") {
-            None => None,
-            Some(w) => Some(
-                w.as_i64()
-                    .ok_or_else(|| SpecError::field("base.warmup_s"))?,
-            ),
+        let preset = field(v, "base.preset", Json::as_str)?;
+        let seconds = |path: &str| {
+            let key = path.trim_start_matches("base.");
+            let read = |s: &Json| s.as_i64().ok_or_else(|| SpecError::field(path));
+            v.get(key).map(read).transpose()
         };
         Ok(BaseSpec {
-            preset,
-            duration_s,
-            warmup_s,
+            preset: Preset::parse(preset).ok_or_else(|| SpecError::value("base.preset", preset))?,
+            duration_s: seconds("base.duration_s")?,
+            warmup_s: seconds("base.warmup_s")?,
         })
     }
 }
@@ -286,13 +271,26 @@ pub enum SpecError {
 }
 
 impl SpecError {
-    fn field(name: &str) -> SpecError {
+    pub(crate) fn field(name: &str) -> SpecError {
         SpecError::Field(name.to_string())
     }
 
-    fn value(name: &str, got: &str) -> SpecError {
+    pub(crate) fn value(name: &str, got: &str) -> SpecError {
         SpecError::Value(name.to_string(), got.to_string())
     }
+}
+
+/// `v`'s member named by the last segment of `path`, read by `read`; a
+/// [`SpecError::Field`] naming `path` when it is missing or mistyped.
+pub(crate) fn field<'a, T>(
+    v: &'a Json,
+    path: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, SpecError> {
+    let key = path.rsplit('.').next().unwrap_or(path);
+    v.get(key)
+        .and_then(read)
+        .ok_or_else(|| SpecError::field(path))
 }
 
 impl std::fmt::Display for SpecError {
@@ -449,23 +447,16 @@ impl CampaignSpec {
                 )));
             }
         }
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::field("name"))?
-            .to_string();
-        let base = BaseSpec::from_json(v.get("base").ok_or_else(|| SpecError::field("base"))?)?;
-        let scenarios = v
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SpecError::field("scenarios"))?
+        let name = field(&v, "name", Json::as_str)?.to_string();
+        let base = BaseSpec::from_json(field(&v, "base", Some)?)?;
+        let scenarios = field(&v, "scenarios", Json::as_array)?
             .iter()
             .map(|s| {
                 let name = s.as_str().ok_or_else(|| SpecError::field("scenarios[]"))?;
                 ScenarioKind::parse(name).ok_or_else(|| SpecError::value("scenarios[]", name))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let grid = Grid::from_json(v.get("grid").ok_or_else(|| SpecError::field("grid"))?)?;
+        let grid = Grid::from_json(field(&v, "grid", Some)?)?;
         let spec = CampaignSpec {
             name,
             base,
@@ -476,7 +467,29 @@ impl CampaignSpec {
         Ok(spec)
     }
 
-    /// Names of the built-in specs (see [`CampaignSpec::builtin`]).
+    /// Names of the built-in specs (see [`CampaignSpec::builtin`]):
+    ///
+    /// * `quick-baseline` — 8 seeds × 2 disciplines of the quick
+    ///   baseline (16 runs; the acceptance smoke campaign);
+    /// * `repro-all` — all five paper scenarios × 3 seeds;
+    /// * `abl2-domains` — domains M ∈ {4,5,6,7} × 4 seeds (ABL2);
+    /// * `abl3-sync-interval` — S ∈ {62,125,250,500} ms × 4 seeds,
+    ///   staleness = 4·S (ABL3);
+    /// * `adversary-sweep` — every [`tsn_faults::ByzantineStrategy`]
+    ///   preset × compromised ∈ {1, 2} (≤ f and f + 1) × loss ∈
+    ///   {0, 20} ‰ × 2 seeds, reporting worst-case observed precision
+    ///   per cell (48 runs);
+    /// * `election-sweep` — dynamic BMCA election with a scheduled kill
+    ///   of node 0's GM at +10 s × rogue masters ∈ {0, 1} × 2 seeds
+    ///   (4 runs);
+    /// * `fabric-sweep` — the network depth sweep: topology ∈ {line,
+    ///   ring, tree} × hops ∈ {1, 3, 6} through the TSN switch fabric ×
+    ///   30 % cross-traffic × transparent clocks {off, on} × 2 seeds
+    ///   (36 runs);
+    /// * `fleet-sweep` — the fleet-scale sweep: condensed switch fleets
+    ///   of {256, 1024} ECDs × all four [`FLEET_TOPOLOGY_NAMES`] shapes
+    ///   × 2 seeds (16 runs). Exercises the streaming artifact pipeline
+    ///   at bounded memory.
     pub const BUILTINS: [&'static str; 8] = [
         "quick-baseline",
         "repro-all",
@@ -488,147 +501,23 @@ impl CampaignSpec {
         "fleet-sweep",
     ];
 
-    /// A built-in spec by name.
-    ///
-    /// * `quick-baseline` — 8 seeds × 2 disciplines of the quick
-    ///   baseline (16 runs; the acceptance smoke campaign);
-    /// * `repro-all` — all five paper scenarios × 3 seeds;
-    /// * `abl2-domains` — domains M ∈ {4,5,6,7} × 4 seeds (ABL2);
-    /// * `abl3-sync-interval` — S ∈ {62,125,250,500} ms × 4 seeds,
-    ///   staleness = 4·S (ABL3);
-    /// * `adversary-sweep` — every [`ByzantineStrategy`] preset ×
-    ///   compromised ∈ {1, 2} (≤ f and f + 1) × loss ∈ {0, 20} ‰ ×
-    ///   2 seeds, reporting worst-case observed precision per cell
-    ///   (48 runs; `specs/adversary_sweep.json` is its file form);
-    /// * `election-sweep` — dynamic BMCA election with a scheduled kill
-    ///   of node 0's GM at +10 s × rogue masters ∈ {0, 1} × 2 seeds
-    ///   (4 runs; `specs/election_sweep.json` is its file form);
-    /// * `fabric-sweep` — the network depth sweep: topology ∈ {line,
-    ///   ring, tree} × hops ∈ {1, 3, 6} through the TSN switch fabric ×
-    ///   30 % cross-traffic × transparent clocks {off, on} × 2 seeds
-    ///   (36 runs; `specs/fabric_sweep.json` is its file form);
-    /// * `fleet-sweep` — the fleet-scale sweep: condensed switch fleets
-    ///   of {256, 1024} ECDs × all four [`FLEET_TOPOLOGY_NAMES`] shapes
-    ///   × 2 seeds (16 runs; `specs/fleet_sweep.json` is its file
-    ///   form). Exercises the streaming artifact pipeline at bounded
-    ///   memory.
+    /// A built-in spec by name: its committed file `specs/<name>.json`
+    /// (`-` written `_`), compiled in and parsed. `None` for an unknown
+    /// name; every committed file parses and is canonical
+    /// (`tests/axis_table.rs`).
     pub fn builtin(name: &str) -> Option<CampaignSpec> {
-        let spec = match name {
-            "quick-baseline" => CampaignSpec {
-                name: "quick-baseline".to_string(),
-                base: BaseSpec::quick(60),
-                scenarios: vec![ScenarioKind::Baseline],
-                grid: Grid {
-                    seeds: (1..=8).collect(),
-                    disciplines: vec![
-                        SyncClockDiscipline::Feedback,
-                        SyncClockDiscipline::FeedForward,
-                    ],
-                    ..Grid::default()
-                },
-            },
-            "repro-all" => CampaignSpec {
-                name: "repro-all".to_string(),
-                base: BaseSpec {
-                    preset: Preset::Quick,
-                    duration_s: Some(300),
-                    warmup_s: Some(30),
-                },
-                scenarios: ScenarioKind::ALL.to_vec(),
-                grid: Grid {
-                    seeds: vec![7, 8, 9],
-                    ..Grid::default()
-                },
-            },
-            "abl2-domains" => CampaignSpec {
-                name: "abl2-domains".to_string(),
-                base: BaseSpec::quick(90),
-                scenarios: vec![ScenarioKind::Baseline],
-                grid: Grid {
-                    seeds: vec![11, 12, 13, 14],
-                    domains: vec![4, 5, 6, 7],
-                    ..Grid::default()
-                },
-            },
-            "abl3-sync-interval" => CampaignSpec {
-                name: "abl3-sync-interval".to_string(),
-                base: BaseSpec::quick(90),
-                scenarios: vec![ScenarioKind::Baseline],
-                grid: Grid {
-                    seeds: vec![13, 14, 15, 16],
-                    sync_interval_ms: vec![62, 125, 250, 500],
-                    ..Grid::default()
-                },
-            },
-            "adversary-sweep" => CampaignSpec {
-                name: "adversary-sweep".to_string(),
-                base: BaseSpec {
-                    preset: Preset::Quick,
-                    duration_s: Some(30),
-                    warmup_s: Some(10),
-                },
-                scenarios: vec![ScenarioKind::Baseline],
-                grid: Grid {
-                    seeds: vec![21, 22],
-                    strategies: ByzantineStrategy::NAMES.to_vec(),
-                    compromised: vec![1, 2],
-                    loss_permille: vec![0, 20],
-                    ..Grid::default()
-                },
-            },
-            "election-sweep" => CampaignSpec {
-                name: "election-sweep".to_string(),
-                base: BaseSpec {
-                    preset: Preset::Quick,
-                    duration_s: Some(30),
-                    warmup_s: Some(10),
-                },
-                scenarios: vec![ScenarioKind::Baseline],
-                grid: Grid {
-                    seeds: vec![1, 2],
-                    election: vec![true],
-                    announce_interval_ms: vec![250],
-                    gm_failure_at_s: vec![10],
-                    rogue_master: vec![0, 1],
-                    ..Grid::default()
-                },
-            },
-            "fabric-sweep" => CampaignSpec {
-                name: "fabric-sweep".to_string(),
-                base: BaseSpec {
-                    preset: Preset::Quick,
-                    duration_s: Some(15),
-                    warmup_s: Some(5),
-                },
-                scenarios: vec![ScenarioKind::Baseline],
-                grid: Grid {
-                    seeds: vec![7, 8],
-                    hops: vec![1, 3, 6],
-                    cross_traffic_pct: vec![30],
-                    tc_mode: vec![false, true],
-                    topology: TOPOLOGY_NAMES.to_vec(),
-                    ..Grid::default()
-                },
-            },
-            "fleet-sweep" => CampaignSpec {
-                name: "fleet-sweep".to_string(),
-                base: BaseSpec {
-                    preset: Preset::Quick,
-                    duration_s: Some(15),
-                    warmup_s: Some(5),
-                },
-                scenarios: vec![ScenarioKind::Baseline],
-                grid: Grid {
-                    seeds: vec![3, 4],
-                    fleet_nodes: vec![256, 1024],
-                    fleet_topology: FLEET_TOPOLOGY_NAMES.to_vec(),
-                    ..Grid::default()
-                },
-            },
+        let text = match name {
+            "quick-baseline" => include_str!("../../../specs/quick_baseline.json"),
+            "repro-all" => include_str!("../../../specs/repro_all.json"),
+            "abl2-domains" => include_str!("../../../specs/abl2_domains.json"),
+            "abl3-sync-interval" => include_str!("../../../specs/abl3_sync_interval.json"),
+            "adversary-sweep" => include_str!("../../../specs/adversary_sweep.json"),
+            "election-sweep" => include_str!("../../../specs/election_sweep.json"),
+            "fabric-sweep" => include_str!("../../../specs/fabric_sweep.json"),
+            "fleet-sweep" => include_str!("../../../specs/fleet_sweep.json"),
             _ => return None,
         };
-        debug_assert!(spec.validate().is_ok());
-        Some(spec)
+        CampaignSpec::parse(text).ok()
     }
 }
 

@@ -256,13 +256,19 @@ fn committed_spec_files_equal_their_builtins() {
         let path = specs.join(format!("{}.json", name.replace('-', "_")));
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
     };
+    // A builtin *is* its file, parsed; the file must be canonical, so
+    // that `campaign spec --builtin` prints it byte for byte.
     for name in CampaignSpec::BUILTINS {
-        let spec = CampaignSpec::builtin(name).expect("builtin exists");
-        assert_eq!(spec.render(), file(name), "specs file of {name} drifted");
+        let text = file(name);
+        let spec = CampaignSpec::parse(&text).expect("spec file parses");
+        assert_eq!(spec.render(), text, "specs file of {name} is not canonical");
+        assert_eq!(CampaignSpec::builtin(name), Some(spec));
     }
     for name in FrontierSpec::BUILTINS {
-        let spec = FrontierSpec::builtin(name).expect("builtin exists");
-        assert_eq!(spec.render(), file(name), "specs file of {name} drifted");
+        let text = file(name);
+        let spec = FrontierSpec::parse(&text).expect("spec file parses");
+        assert_eq!(spec.render(), text, "specs file of {name} is not canonical");
+        assert_eq!(FrontierSpec::builtin(name), Some(spec));
     }
 }
 

@@ -10,14 +10,22 @@
 //!   zero-length artifact, an artifact cut inside a string — resumes
 //!   to a directory identical to one that was never interrupted;
 //! * the ring and tree fabric topologies run clean under `--check` and
-//!   fork byte-identically to cold execution.
+//!   fork byte-identically to cold execution;
+//! * no spec text and no trace directory panics a reader: every
+//!   truncation and random byte flips of each committed spec file
+//!   through `CampaignSpec::parse` / `FrontierSpec::parse` (and
+//!   `expand` when the parse succeeds), and arbitrary `profile.jsonl`
+//!   bytes through `campaign profile`'s load, aggregate and render.
 
 mod common;
 
 use clocksync::scenario::ScenarioKind;
 use common::{artifact_bytes, fork_opts, opts, scratch};
+use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid, RunnerOptions};
+use tsn_campaign::{
+    profile, runner, BaseSpec, CampaignSpec, FrontierSpec, Grid, ProfileEntry, RunnerOptions,
+};
 
 fn tiny_spec(name: &str) -> CampaignSpec {
     CampaignSpec {
@@ -278,4 +286,131 @@ fn ring_and_tree_fabrics_run_clean_and_fork_identically() {
 
     let _ = std::fs::remove_dir_all(&check_dir);
     let _ = std::fs::remove_dir_all(&fork_dir);
+}
+
+/// Every committed spec file, as bytes.
+fn spec_files() -> Vec<Vec<u8>> {
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&specs)
+        .expect("specs/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| std::fs::read(p).expect("spec file"))
+        .collect()
+}
+
+/// Feeds `bytes` to both spec readers and expands whatever parses: an
+/// `Err` is fine, a panic is not.
+fn read_spec(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    if let Ok(spec) = CampaignSpec::parse(&text) {
+        let _ = tsn_campaign::expand(&spec);
+    }
+    if let Ok(spec) = FrontierSpec::parse(&text) {
+        for cell in &spec.cells {
+            if let Ok(probe) = spec.probe_spec(cell, spec.axis.min) {
+                let _ = tsn_campaign::expand(&probe);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_truncation_of_a_committed_spec_file_is_an_error_not_a_panic() {
+    let files = spec_files();
+    assert!(files.len() >= 9, "specs/ holds every builtin");
+    for file in &files {
+        for end in 0..=file.len() {
+            read_spec(&file[..end]);
+        }
+    }
+}
+
+/// One `profile.jsonl` line: a well-formed entry with arbitrary counts.
+fn profile_line(sim_events: u64, dropped: u64, netsim: u64) -> String {
+    ProfileEntry {
+        index: 0,
+        label: "seed=1".to_string(),
+        scenario: "baseline".to_string(),
+        hash: "0123".to_string(),
+        wall_s: 0.5,
+        sim_events,
+        recorded: 0,
+        dropped,
+        subsystems: vec![("netsim".to_string(), netsim)],
+    }
+    .encode()
+}
+
+/// What `campaign profile --trace DIR` does with a trace directory.
+fn profile_report(dir: &Path) {
+    if let Ok(entries) = profile::load(dir) {
+        let aggregates = profile::aggregate(&entries);
+        let _ = profile::render(&aggregates);
+        let _ = profile::render_json(&aggregates);
+    }
+}
+
+/// Regression: `aggregate` summed counts with `+`, so two entries whose
+/// event counts add past `u64::MAX` panicked (`attempt to add with
+/// overflow`) in a debug build instead of reporting.
+#[test]
+fn profile_counts_that_overflow_when_summed_saturate() {
+    let dir = scratch("profile-overflow");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let line = profile_line(u64::MAX, u64::MAX, u64::MAX);
+    std::fs::write(dir.join(profile::PROFILE_FILE), format!("{line}\n{line}\n")).unwrap();
+    let entries = profile::load(&dir).expect("well-formed lines");
+    let aggregates = profile::aggregate(&entries);
+    assert_eq!(aggregates[0].sim_events, u64::MAX);
+    assert_eq!(aggregates[0].subsystem_share("netsim"), 1.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn spec_files_with_flipped_bytes_never_panic(
+        pick in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        let files = spec_files();
+        let mut bytes = files[pick % files.len()].clone();
+        for (at, mask) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+        }
+        read_spec(&bytes);
+    }
+
+    #[test]
+    fn a_trace_dir_of_arbitrary_profile_bytes_never_panics(
+        noise in proptest::collection::vec(any::<u8>(), 0..200),
+        counts in (any::<u64>(), any::<u64>(), any::<u64>()),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..3),
+    ) {
+        let dir = scratch("profile-prop");
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join(profile::PROFILE_FILE);
+        // Raw noise, then two well-formed lines with arbitrary counts,
+        // then those lines with a few bytes flipped.
+        std::fs::write(&path, &noise).unwrap();
+        profile_report(&dir);
+        let (a, b, c) = counts;
+        let mut lines = format!("{}\n{}\n", profile_line(a, b, c), profile_line(c, a, b));
+        std::fs::write(&path, &lines).unwrap();
+        profile_report(&dir);
+        let mut bytes = std::mem::take(&mut lines).into_bytes();
+        for (at, mask) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        profile_report(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

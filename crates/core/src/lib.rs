@@ -17,7 +17,9 @@
 //!   aggregation, hypervisor nodes, links, fault schedule);
 //! * [`World`] — the simulation world: the event queue that drives the
 //!   testbed, plus faults, attacker, probes and the passive observers;
-//! * [`scenario`] — ready-made runners for the paper's experiments.
+//! * [`scenario`] — ready-made runners for the paper's experiments;
+//! * [`repro`] — the argument parser and printers the figure
+//!   regenerators (the `examples/`) share.
 //!
 //! # Quickstart
 //!
@@ -42,6 +44,7 @@ mod densemap;
 mod interventions;
 pub mod node;
 mod probe;
+pub mod repro;
 pub mod scenario;
 pub mod snapshot;
 pub mod testbed;
@@ -67,3 +70,79 @@ pub use tsn_netsim as netsim;
 pub use tsn_oracle as oracle;
 pub use tsn_time as time;
 pub use tsn_trace as trace;
+
+/// Tests of the [`repro`] argument parser and shape-check line.
+#[cfg(test)]
+mod tests {
+    use crate::repro::*;
+    use std::path::PathBuf;
+    use tsn_time::Nanos;
+
+    #[test]
+    fn shape_check_line_prints_the_max_or_says_the_window_is_empty() {
+        let bound = Nanos::from_nanos(12_000);
+        assert_eq!(
+            shape_check_line("before attack", Some(Nanos::from_nanos(950)), bound),
+            format!(
+                "  before attack:    max = {}  (within bound: true)",
+                Nanos::from_nanos(950)
+            )
+        );
+        assert!(
+            shape_check_line("strike 2 breaks", Some(Nanos::from_nanos(12_001)), bound)
+                .ends_with("(within bound: false)")
+        );
+        assert_eq!(
+            shape_check_line("strike 1 masked", None, bound),
+            "  strike 1 masked:  n/a (run shorter than the window)"
+        );
+    }
+
+    fn parse(args: &[&str]) -> Result<ReproParse, String> {
+        ReproArgs::try_parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn defaults_when_no_args() {
+        let ReproParse::Args(a) = parse(&[]).unwrap() else {
+            panic!("expected args");
+        };
+        assert_eq!((a.seed, a.seed(7)), (None, 7));
+        assert_eq!(a.minutes, None);
+        assert_eq!(a.duration(60), Nanos::from_secs(3600));
+        assert_eq!(a.out, PathBuf::from("target/repro"));
+    }
+
+    #[test]
+    fn parses_all_flags() {
+        let ReproParse::Args(a) =
+            parse(&["--seed", "99", "--minutes", "3", "--out", "/tmp/x"]).unwrap()
+        else {
+            panic!("expected args");
+        };
+        assert_eq!(a.seed(7), 99);
+        assert_eq!(a.minutes, Some(3));
+        assert_eq!(a.out, PathBuf::from("/tmp/x"));
+        assert_eq!(a.duration(60), Nanos::from_secs(180));
+    }
+
+    #[test]
+    fn malformed_values_error_instead_of_silently_defaulting() {
+        assert!(parse(&["--seed", "banana"]).unwrap_err().contains("--seed"));
+        assert!(parse(&["--minutes", "-3"])
+            .unwrap_err()
+            .contains("--minutes"));
+        assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--frobnicate"])
+            .unwrap_err()
+            .contains("unknown argument"));
+        // A bare number was the examples' old positional duration.
+        assert!(parse(&["4"]).unwrap_err().contains("unknown argument"));
+    }
+
+    #[test]
+    fn help_is_recognized() {
+        assert!(matches!(parse(&["--help"]).unwrap(), ReproParse::Help));
+        assert!(matches!(parse(&["-h"]).unwrap(), ReproParse::Help));
+    }
+}

@@ -206,6 +206,35 @@ fn two_acting_masters_on_one_domain_are_witnessed() {
     assert!(!witness_after(failover(false), invariant, |_| ()));
 }
 
+/// ROADMAP 7: node 0's grandmaster is killed at 6 s while the GM VMs
+/// of every candidate behind it are down (fail-silent, as the injector
+/// stops a VM), so no node can take domain 0 over: the re-election
+/// outlasts `receipt_timeout + 4·interval`, which must fail
+/// `ElectionConvergence`; the same kill with the candidates up must
+/// not.
+#[test]
+fn a_blown_election_convergence_bound_is_witnessed() {
+    let failover = || {
+        let mut cfg = TestbedConfig::paper_default(2);
+        cfg.duration = Nanos::from_secs(5);
+        cfg.warmup = Nanos::from_secs(5);
+        cfg.election = Some(tsn_election::ElectionConfig {
+            gm_failure_at: Some(Nanos::from_secs(1)),
+            ..Default::default()
+        });
+        World::new(cfg)
+    };
+    let candidates_down = |w: &mut World| {
+        for node in &mut w.tb.nodes[1..] {
+            node.vms[0].running = false;
+            node.vms[0].ptp.shut_down();
+        }
+    };
+    let invariant = "election-convergence";
+    assert!(witness_after(failover(), invariant, candidates_down));
+    assert!(!witness_after(failover(), invariant, |_| ()));
+}
+
 #[test]
 fn bounds_derivation_internally_consistent() {
     let w = tiny_world(3);

@@ -12,14 +12,17 @@
 //!   asymmetry the paper's measurement error γ formalizes, and why its
 //!   methodology pins probe paths to a dedicated VLAN.
 //!
+//! This is ablation ABL6 (EXPERIMENTS.md); each variant runs 1 min.
+//!
 //! ```sh
-//! cargo run --release --example congested_network
+//! cargo run --release --example congested_network -- [--minutes 1] [--seed 5]
 //! ```
 
+use clocksync::repro::ReproArgs;
 use clocksync::{BackgroundTraffic, TestbedConfig, World};
-use tsn_time::Nanos;
 
 fn main() {
+    let args = ReproArgs::parse();
     println!(
         "{:<24} {:>14} {:>14} {:>14} {:>12}",
         "variant", "true spread", "measured avg", "measured max", "queued"
@@ -31,8 +34,8 @@ fn main() {
         ("load 0.6, no priority", 0.6, false),
         ("load 0.9, TSN priority", 0.9, true),
     ] {
-        let mut cfg = TestbedConfig::paper_default(5);
-        cfg.duration = Nanos::from_secs(60);
+        let mut cfg = TestbedConfig::paper_default(args.seed(5));
+        cfg.duration = args.duration(1);
         if load > 0.0 {
             cfg.background = Some(BackgroundTraffic {
                 load,

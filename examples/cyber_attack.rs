@@ -1,77 +1,92 @@
-//! The paper's cyber-resilience experiment (Fig. 3a/3b): an attacker
-//! roots two virtual grandmasters via CVE-2018-18955 and replaces their
-//! `ptp4l` with malicious instances shifting `preciseOriginTimestamp`
-//! by −24 µs.
+//! The paper's cyber-resilience experiment (Fig. 3a/3b, TXT1): an
+//! attacker roots two virtual grandmasters via CVE-2018-18955 and
+//! replaces their `ptp4l` with malicious instances shifting
+//! `preciseOriginTimestamp` by −24 µs.
 //!
-//! * identical kernels → both exploits land → the FTA (f = 1) is
-//!   overwhelmed after the second strike and the precision bound is
+//! * Fig. 3a, identical kernels → both exploits land (GM c1_4 at
+//!   00:21:42 h, GM c1_1 at 00:31:52 h): the FTA (f = 1) masks the
+//!   first, the second overwhelms it and the precision bound is
 //!   violated;
-//! * diverse kernels → the second exploit fails → the single Byzantine
-//!   GM stays masked.
+//! * Fig. 3b, diverse kernels → only c1_4 runs the exploitable v4.19.1,
+//!   the second exploit fails and the single Byzantine GM stays masked;
+//! * TXT1: the bound derivation of the experiment's topology (paper:
+//!   d_min = 4120 ns, d_max = 9188 ns, E = 5068 ns, Γ = 1.25 µs,
+//!   Π = 12.636 µs, γ = 1313 ns). The absolute values depend on the
+//!   drawn link latencies, as they did on the paper's cabling; the chain
+//!   E = d_max − d_min, Γ = 2·r_max·S, Π = 2(E + Γ) is what is reproduced.
+//!
+//! Writes `fig3a.{csv,txt}` and `fig3b.{csv,txt}` to `--out`.
 //!
 //! ```sh
-//! cargo run --release --example cyber_attack [minutes]
+//! cargo run --release --example cyber_attack -- [--minutes 60] [--seed 7] [--out target/repro]
 //! ```
 
-use clocksync::scenario;
-use clocksync::RunResult;
-use tsn_time::{Nanos, SimTime};
+use clocksync::repro::{
+    bound_plot, print_bounds, print_summary, shape_check_line, window_max, write_artifact,
+    ReproArgs,
+};
+use clocksync::{scenario, RunResult};
+use tsn_metrics::{series_csv, ExperimentEvent, WindowStat};
+use tsn_time::Nanos;
 
-fn summarize(label: &str, r: &RunResult) {
-    println!("=== {label} ===");
-    println!(
-        "  strikes: {} succeeded, {} failed",
-        r.counters.strikes_succeeded, r.counters.strikes_failed
-    );
+/// Prints the figure's summary block; returns its one-minute windows
+/// and their plot.
+fn summary_and_plot(r: &RunResult) -> (Vec<WindowStat>, String) {
+    print_summary(r);
+    let windows = r.series.aggregate(Nanos::from_secs(60));
+    let plot = bound_plot(r, &windows, 72);
+    (windows, plot)
+}
+
+/// The strike timestamps, on the measured axis.
+fn print_strikes(r: &RunResult) {
     for (t, e) in r.events.entries() {
-        if matches!(e, tsn_metrics::ExperimentEvent::Strike { .. }) {
-            let shifted = *t - r.warmup;
-            println!("  {shifted} {e}");
+        if matches!(e, ExperimentEvent::Strike { .. }) {
+            println!("  {} {e}", *t - r.warmup);
         }
     }
-    let bound = r.bounds.pi_plus_gamma();
-    println!("  Π = {}  γ = {}", r.bounds.pi, r.bounds.gamma);
-    // Minute-by-minute maxima around the strikes.
-    for window_min in [20u64, 21, 22, 30, 31, 32, 35] {
-        let from = SimTime::ZERO + r.warmup + Nanos::from_secs((window_min * 60) as i64);
-        let w = r.series.window(from, from + Nanos::from_secs(60));
-        if let Some(s) = w.stats() {
-            let flag = if s.max > bound {
-                "  << bound violated"
-            } else {
-                ""
-            };
-            println!(
-                "  min {window_min:>2}: avg = {:>9.0} ns   max = {}{flag}",
-                s.mean, s.max
-            );
-        }
-    }
-    println!(
-        "  fraction of samples within Π + γ: {:.4}\n",
-        r.series.fraction_within(bound)
-    );
 }
 
 fn main() {
-    let minutes: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(40);
-    let duration = Nanos::from_secs((minutes * 60) as i64);
+    let args = ReproArgs::parse();
+    let (seed, duration) = (args.seed(7), args.duration(60));
 
-    let identical = scenario::cyber_identical_kernels(7, duration);
-    summarize(
-        "Fig. 3a — identical (exploitable) kernels on all GMs",
-        &identical.result,
+    println!("Fig. 3a — identical kernels, attack at 00:21:42 / 00:31:52\n");
+    let r = &scenario::cyber_identical_kernels(seed, duration).result;
+    let (windows, plot) = summary_and_plot(r);
+    println!("\n{plot}");
+    let bound = r.bounds.pi_plus_gamma();
+    println!("shape check (paper Fig. 3a):");
+    for (what, from_min, to_min) in [
+        ("before attack", 15, 21),
+        ("strike 1 masked", 23, 31),
+        ("strike 2 breaks", 33, 39),
+    ] {
+        let max = window_max(r, from_min, to_min);
+        println!("{}", shape_check_line(what, max, bound));
+    }
+    write_artifact(&args.out, "fig3a.csv", &series_csv(&windows));
+    write_artifact(&args.out, "fig3a.txt", &plot);
+    print_strikes(r);
+    let txt1 = r.bounds;
+
+    println!("\nFig. 3b — diverse kernels, same attacker\n");
+    let r = &scenario::cyber_diverse_kernels(seed, duration).result;
+    let (windows, plot) = summary_and_plot(r);
+    println!(
+        "strikes: {} succeeded (c1_4), {} failed (c1_1)",
+        r.counters.strikes_succeeded, r.counters.strikes_failed
     );
-
-    let diverse = scenario::cyber_diverse_kernels(7, duration);
-    summarize(
-        "Fig. 3b — diverse kernels (only GM c1_4 exploitable)",
-        &diverse.result,
+    println!("\n{plot}");
+    println!(
+        "shape check (paper Fig. 3b): all samples within bound: {}",
+        r.series.fraction_within(r.bounds.pi_plus_gamma()) == 1.0
     );
+    write_artifact(&args.out, "fig3b.csv", &series_csv(&windows));
+    write_artifact(&args.out, "fig3b.txt", &plot);
+    print_strikes(r);
 
-    println!("Conclusion: OS diversification keeps the number of");
-    println!("compromised GMs within the FTA's Byzantine tolerance (f = 1).");
+    println!();
+    let paper = ["4120ns", "9188ns", "5068ns", "1250ns", "12.636us", "1313ns"];
+    print_bounds("exp 1 (cyber)", &txt1, paper);
 }
