@@ -15,7 +15,7 @@ use clocksync::scenario::ScenarioKind;
 use clocksync::{RunCounters, RunResult};
 use std::fmt::{self, Write as _};
 use std::sync::OnceLock;
-use tsn_metrics::{ExperimentEvent, SampleSummary};
+use tsn_metrics::ExperimentEvent;
 use tsn_time::SyncState;
 
 /// Artifact schema version, bumped on incompatible format changes.
@@ -411,15 +411,6 @@ impl RunRecord {
     pub fn violation_rate(&self) -> f64 {
         1.0 - self.fraction_within_bound
     }
-
-    /// Cross-seed summary of one scalar over a set of runs.
-    pub fn summarize(
-        records: &[&RunRecord],
-        f: impl Fn(&RunRecord) -> Option<f64>,
-    ) -> Option<SampleSummary> {
-        let values: Vec<f64> = records.iter().filter_map(|r| f(r)).collect();
-        SampleSummary::from_values(&values)
-    }
 }
 
 fn quantile_ns(result: &RunResult, q: f64) -> i64 {
@@ -696,20 +687,5 @@ mod tests {
         r.precision = None;
         let back = RunRecord::decode(&r.encode()).unwrap();
         assert_eq!(back.precision, None);
-    }
-
-    #[test]
-    fn summarize_skips_missing_precision() {
-        let mut a = record();
-        a.fraction_within_bound = 0.9;
-        let mut b = record();
-        b.precision = None;
-        b.fraction_within_bound = 1.0;
-        let refs = vec![&a, &b];
-        let s = RunRecord::summarize(&refs, |r| r.precision_scalar(|p| p.mean_ns)).unwrap();
-        assert_eq!(s.count, 1);
-        let v = RunRecord::summarize(&refs, |r| Some(r.violation_rate())).unwrap();
-        assert_eq!(v.count, 2);
-        assert!((v.mean - 0.05).abs() < 1e-12);
     }
 }

@@ -7,10 +7,7 @@
 //! campaign frontier  (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--check] [--no-fork]
 //! campaign summarize --dir DIR [--json]
 //! campaign profile   --trace DIR [--json]
-//! campaign diff      --baseline DIR --candidate DIR [--tol-violation F]
-//!                    [--tol-p95-rel F] [--tol-p95-ns F] [--tol-dwell-ms F]
-//!                    [--tol-transitions F] [--tol-uncovered F]
-//!                    [--tol-reconvergence-ns F] [--tol-frontier-ns N]
+//! campaign diff      --baseline DIR --candidate DIR
 //! campaign spec      --builtin NAME
 //! campaign list
 //! ```
@@ -19,7 +16,8 @@
 //! content-addressed, the alias only states intent. `summarize` and
 //! `diff` read the spec back from each campaign directory's
 //! `manifest.json`, so they need no spec argument. `diff` exits 0 on
-//! parity, 1 on regression, 2 on error/incomparable campaigns.
+//! parity, 1 on regression, 2 on error/incomparable campaigns; its
+//! tolerances are fixed (`summary::diff`, `frontier::diff`).
 //!
 //! `frontier` explores a resilience-frontier spec
 //! (`tsn_campaign::frontier`): per discrete adversary cell it bisects
@@ -45,15 +43,11 @@
 //! per-scenario hot-spot report (`--json` for the machine-readable
 //! table). Artifacts are byte-identical either way.
 
-mod flags;
-
-use flags::{Flags, Wording};
+use clocksync::repro::Flags;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsn_campaign::json::Json;
-use tsn_campaign::{
-    frontier, profile, runner, summary, CampaignSpec, DiffTolerance, FrontierSpec, RunnerOptions,
-};
+use tsn_campaign::{frontier, profile, runner, summary, CampaignSpec, FrontierSpec, RunnerOptions};
 
 const USAGE: &str = "usage:
   campaign run       (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--fork] [--check] [--trace DIR] [--trace-cap N]
@@ -61,9 +55,7 @@ const USAGE: &str = "usage:
   campaign frontier  (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--check] [--no-fork]
   campaign summarize --dir DIR [--json]
   campaign profile   --trace DIR [--json]
-  campaign diff      --baseline DIR --candidate DIR [--tol-violation F] [--tol-p95-rel F] [--tol-p95-ns F]
-                     [--tol-dwell-ms F] [--tol-transitions F] [--tol-uncovered F] [--tol-reconvergence-ns F]
-                     [--tol-frontier-ns N]
+  campaign diff      --baseline DIR --candidate DIR
   campaign spec      --builtin NAME
   campaign list
 
@@ -120,14 +112,6 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// `campaign`'s flag-error text; `--help` after a subcommand is an
-/// error that prints the usage.
-const FLAGS: Wording = Wording {
-    missing_value: "needs a value",
-    unknown: "unknown argument",
-    help: Some("help requested"),
-};
-
 fn load_spec(flags: &Flags) -> Result<CampaignSpec, String> {
     match (flags.get("--builtin"), flags.get("--spec")) {
         (Some(name), None) => CampaignSpec::builtin(name)
@@ -142,7 +126,7 @@ fn load_spec(flags: &Flags) -> Result<CampaignSpec, String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let flags = FLAGS.parse(
+    let flags = Flags::parse(
         args,
         &[
             "--builtin",
@@ -245,7 +229,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_frontier(args: &[String]) -> Result<ExitCode, String> {
-    let flags = FLAGS.parse(
+    let flags = Flags::parse(
         args,
         &["--builtin", "--spec", "--dir", "--threads"],
         &["--quiet", "--check", "--no-fork"],
@@ -371,7 +355,7 @@ fn frontier_doc_of_dir(dir: &Path) -> Option<Result<frontier::FrontierDoc, Strin
 }
 
 fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
-    let flags = FLAGS.parse(args, &["--dir"], &["--json"])?;
+    let flags = Flags::parse(args, &["--dir"], &["--json"])?;
     let dir = PathBuf::from(flags.get("--dir").ok_or("--dir is required")?);
     // A frontier directory has no manifest — its summary is the
     // frontier document itself.
@@ -396,7 +380,7 @@ fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
-    let flags = FLAGS.parse(args, &["--trace"], &["--json"])?;
+    let flags = Flags::parse(args, &["--trace"], &["--json"])?;
     let dir = PathBuf::from(flags.get("--trace").ok_or("--trace is required")?);
     let entries = profile::load(&dir).map_err(|e| e.to_string())?;
     if entries.is_empty() {
@@ -427,22 +411,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let flags = FLAGS.parse(
-        args,
-        &[
-            "--baseline",
-            "--candidate",
-            "--tol-violation",
-            "--tol-p95-rel",
-            "--tol-p95-ns",
-            "--tol-dwell-ms",
-            "--tol-transitions",
-            "--tol-uncovered",
-            "--tol-reconvergence-ns",
-            "--tol-frontier-ns",
-        ],
-        &[],
-    )?;
+    let flags = Flags::parse(args, &["--baseline", "--candidate"], &[])?;
     let baseline = PathBuf::from(flags.get("--baseline").ok_or("--baseline is required")?);
     let candidate = PathBuf::from(flags.get("--candidate").ok_or("--candidate is required")?);
     // Two frontier directories diff by bracket, not by group summary.
@@ -450,44 +419,14 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         frontier_doc_of_dir(&baseline),
         frontier_doc_of_dir(&candidate),
     ) {
-        let (base, cand) = (base?, cand?);
-        let tol_ns = flags
-            .get_parsed::<u64>("--tol-frontier-ns")?
-            .unwrap_or(base.spec.axis.resolution);
-        let (verdict, lines) = frontier::diff(&base, &cand, tol_ns);
+        let (verdict, lines) = frontier::diff(&base?, &cand?);
         for line in &lines {
             println!("{line}");
         }
         println!("verdict: {verdict:?}");
         return Ok(ExitCode::from(verdict.exit_code() as u8));
     }
-    let mut tol = DiffTolerance::default();
-    if let Some(v) = flags.get_parsed("--tol-violation")? {
-        tol.violation_abs = v;
-    }
-    if let Some(v) = flags.get_parsed("--tol-p95-rel")? {
-        tol.p95_rel = v;
-    }
-    if let Some(v) = flags.get_parsed("--tol-p95-ns")? {
-        tol.p95_abs_ns = v;
-    }
-    if let Some(v) = flags.get_parsed("--tol-dwell-ms")? {
-        tol.dwell_ms_abs = v;
-    }
-    if let Some(v) = flags.get_parsed("--tol-transitions")? {
-        tol.transitions_abs = v;
-    }
-    if let Some(v) = flags.get_parsed("--tol-uncovered")? {
-        tol.uncovered_abs = v;
-    }
-    if let Some(v) = flags.get_parsed("--tol-reconvergence-ns")? {
-        tol.reconvergence_abs_ns = v;
-    }
-    let report = summary::diff(
-        &load_summaries(&baseline)?,
-        &load_summaries(&candidate)?,
-        tol,
-    );
+    let report = summary::diff(&load_summaries(&baseline)?, &load_summaries(&candidate)?);
     for line in &report.lines {
         println!("{line}");
     }
@@ -496,7 +435,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_spec(args: &[String]) -> Result<ExitCode, String> {
-    let flags = FLAGS.parse(args, &["--builtin"], &[])?;
+    let flags = Flags::parse(args, &["--builtin"], &[])?;
     let name = flags.get("--builtin").ok_or("--builtin is required")?;
     if let Some(spec) = CampaignSpec::builtin(name) {
         print!("{}", spec.render());

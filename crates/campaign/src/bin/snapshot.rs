@@ -20,11 +20,9 @@
 //! where nondeterminism crept in. Exits 0 when the runs stay identical,
 //! 1 on divergence, 2 on usage errors.
 
-mod flags;
-
+use clocksync::repro::Flags;
 use clocksync::scenario::ScenarioKind;
 use clocksync::{TestbedConfig, World, WorldSnapshot};
-use flags::{Flags, Wording};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tsn_time::{Nanos, SimTime};
@@ -70,13 +68,6 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
-
-/// `snapshot`'s flag-error text.
-const FLAGS: Wording = Wording {
-    missing_value: "requires a value",
-    unknown: "unknown flag",
-    help: None,
-};
 
 const CONFIG_FLAGS: [&str; 5] = [
     "--preset",
@@ -129,7 +120,7 @@ fn print_info(snap: &WorldSnapshot) {
 fn cmd_save(args: &[String]) -> Result<ExitCode, String> {
     let mut known = CONFIG_FLAGS.to_vec();
     known.extend(["--at", "--out"]);
-    let flags = FLAGS.parse(args, &known, &[])?;
+    let flags = Flags::parse(args, &known, &[])?;
     let cfg = build_config(&flags)?;
     let at = SimTime::from_secs(
         flags
@@ -156,7 +147,7 @@ fn cmd_save(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
-    let flags = FLAGS.parse(args, &["--file"], &[])?;
+    let flags = Flags::parse(args, &["--file"], &[])?;
     let snap = read_snapshot(flags.get("--file").ok_or("--file FILE is required")?)?;
     print_info(&snap);
     Ok(ExitCode::SUCCESS)
@@ -165,7 +156,7 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_restore(args: &[String]) -> Result<ExitCode, String> {
     let mut known = CONFIG_FLAGS.to_vec();
     known.push("--file");
-    let flags = FLAGS.parse(args, &known, &[])?;
+    let flags = Flags::parse(args, &known, &[])?;
     let snap = read_snapshot(flags.get("--file").ok_or("--file FILE is required")?)?;
     let cfg = build_config(&flags)?;
 
@@ -187,7 +178,7 @@ fn cmd_restore(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     let mut known = CONFIG_FLAGS.to_vec();
     known.extend(["--at", "--epoch-s"]);
-    let flags = FLAGS.parse(args, &known, &[])?;
+    let flags = Flags::parse(args, &known, &[])?;
     let cfg = build_config(&flags)?;
     let epoch = Nanos::from_secs(flags.get_parsed::<i64>("--epoch-s")?.unwrap_or(1).max(1));
 

@@ -982,14 +982,12 @@ fn consistent_with(
 ///
 /// `INCOMPARABLE` when specs disagree on axis or cells; `REGRESSION`
 /// when any cell's outcome kind changed, a bracket end moved by more
-/// than `tol_ns`, or consistency was lost; `OK` otherwise. The returned
-/// lines explain every verdict-relevant difference.
-pub fn diff(
-    base: &FrontierDoc,
-    cand: &FrontierDoc,
-    tol_ns: u64,
-) -> (crate::summary::DiffVerdict, Vec<String>) {
+/// than the baseline axis's resolution, or consistency was lost; `OK`
+/// otherwise. The returned lines explain every verdict-relevant
+/// difference.
+pub fn diff(base: &FrontierDoc, cand: &FrontierDoc) -> (crate::summary::DiffVerdict, Vec<String>) {
     use crate::summary::DiffVerdict;
+    let tol_ns = base.spec.axis.resolution;
     let mut lines = Vec::new();
     if base.spec.axis != cand.spec.axis {
         lines.push(format!(
@@ -1303,15 +1301,15 @@ mod tests {
         use crate::summary::DiffVerdict;
         let base = doc_with_bracket(31_000, 31_400);
         let same = doc_with_bracket(31_100, 31_500);
-        let (verdict, _) = diff(&base, &same, 500);
+        let (verdict, _) = diff(&base, &same);
         assert_eq!(verdict, DiffVerdict::Parity);
         let moved = doc_with_bracket(40_000, 40_400);
-        let (verdict, lines) = diff(&base, &moved, 500);
+        let (verdict, lines) = diff(&base, &moved);
         assert_eq!(verdict, DiffVerdict::Regression);
         assert!(lines.iter().any(|l| l.contains("bracket moved")));
         let mut incomparable = doc_with_bracket(31_000, 31_400);
         incomparable.spec.axis.max = 128_000;
-        let (verdict, _) = diff(&base, &incomparable, 500);
+        let (verdict, _) = diff(&base, &incomparable);
         assert_eq!(verdict, DiffVerdict::Incomparable);
     }
 }

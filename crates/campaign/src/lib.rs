@@ -13,7 +13,7 @@
 //! artifact per run plus a campaign manifest. Re-invoking the same spec
 //! resumes: completed runs are recognized by content hash and skipped.
 //! [`summary::summarize`] aggregates results across seeds and
-//! [`summary::diff`] compares two campaigns with explicit tolerances.
+//! [`summary::diff`] compares two campaigns against fixed tolerances.
 //!
 //! Everything an artifact contains is a pure function of the spec, so
 //! campaigns are bit-reproducible regardless of thread count or
@@ -50,4 +50,4 @@ pub use runner::{
     CampaignReport, FailedRun, RunRecordReader, RunViolation, RunnerOptions, SnapshotCache,
 };
 pub use spec::{BaseSpec, CampaignSpec, Grid, KernelChoice, Preset};
-pub use summary::{DiffTolerance, DiffVerdict, GroupSummary, StreamSummarizer};
+pub use summary::{DiffVerdict, GroupSummary, StreamSummarizer};

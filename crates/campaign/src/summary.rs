@@ -5,110 +5,110 @@
 //! rate, fault counters) are aggregated across seeds with
 //! [`SampleSummary`]. The diff mode compares two summarized campaigns
 //! group by group and classifies the result as parity or regression
-//! with explicit tolerances.
+//! against fixed tolerances (`RULES`).
 
 use crate::artifact::RunRecord;
 use crate::json::Json;
 use crate::matrix::Coord;
 use tsn_metrics::{SampleSummary, StreamingSummary};
 
-/// Cross-seed aggregates of one grid point.
-#[derive(Debug, Clone)]
-pub struct GroupSummary {
-    /// The grid point, with the seed cleared: the unit of cross-seed
-    /// grouping.
-    pub key: Coord,
-    /// Number of runs (seeds) aggregated.
-    pub runs: usize,
-    /// Per-run mean Π*_s, aggregated across seeds (ns).
-    pub pi_star_mean: Option<SampleSummary>,
-    /// Per-run median Π*_s across seeds (ns).
-    pub pi_star_p50: Option<SampleSummary>,
-    /// Per-run p95 of Π*_s across seeds (ns).
-    pub pi_star_p95: Option<SampleSummary>,
-    /// Per-run p99 of Π*_s across seeds (ns).
-    pub pi_star_p99: Option<SampleSummary>,
-    /// Per-run maximum Π*_s across seeds (ns).
-    pub pi_star_max: Option<SampleSummary>,
-    /// Per-run bound-violation rate (fraction outside Π + γ).
-    pub violation_rate: Option<SampleSummary>,
-    /// Injected fail-silent VM shutdowns per run.
-    pub vm_failures: Option<SampleSummary>,
-    /// Injected GM shutdowns per run.
-    pub gm_failures: Option<SampleSummary>,
-    /// Monitor takeovers per run.
-    pub takeovers: Option<SampleSummary>,
-    /// Degradation-machine edges (SyncState transitions) per run.
-    pub sync_transitions: Option<SampleSummary>,
-    /// Total Holdover + Freerun dwell per run (ms).
-    pub degraded_dwell_ms: Option<SampleSummary>,
-    /// Failures the monitor could not cover with a standby, per run.
-    pub uncovered_failures: Option<SampleSummary>,
-    /// Elected-GM changes (BMCA winner churn) per run.
-    pub elected_gm_changes: Option<SampleSummary>,
-    /// Kill-to-re-election latency per run (ms; 0 when no GM was
-    /// killed).
-    pub reconvergence_ms: Option<SampleSummary>,
-    /// Frames delivered to a port with no handler per run.
-    pub unhandled_frames: Option<SampleSummary>,
-    /// Frames the fabric forwarded per run.
-    pub fabric_forwarded: Option<SampleSummary>,
-    /// Frames the fabric dropped (gate overruns) per run.
-    pub fabric_dropped: Option<SampleSummary>,
-    /// Worst per-frame switch residence per run (ns).
-    pub max_residence_ns: Option<SampleSummary>,
-    /// Accumulated forward/reverse path asymmetry per run (ns).
-    pub path_asymmetry_ns: Option<SampleSummary>,
-    /// Mean derived bound Π + γ across seeds (ns).
-    pub bound_ns_mean: f64,
+/// The cross-seed metrics, declared once: each row is a
+/// [`GroupSummary`] field, its `--json` key and the per-run value it
+/// aggregates (`None` — a run without a precision record — is not
+/// pushed). The table emits the struct, `metric_values`, the `finish`
+/// mapping and the key list `render_json` loops over; row order is the
+/// JSON key order.
+macro_rules! metrics {
+    (|$r:ident| $( $(#[$doc:meta])* $field:ident $key:literal = $value:expr; )*) => {
+        /// Cross-seed aggregates of one grid point.
+        #[derive(Debug, Clone)]
+        pub struct GroupSummary {
+            /// The grid point, with the seed cleared: the unit of
+            /// cross-seed grouping.
+            pub key: Coord,
+            /// Number of runs (seeds) aggregated.
+            pub runs: usize,
+            $( $(#[$doc])* pub $field: Option<SampleSummary>, )*
+            /// Mean derived bound Π + γ across seeds (ns).
+            pub bound_ns_mean: f64,
+        }
+
+        /// Number of per-run scalar metrics aggregated per group.
+        const METRIC_COUNT: usize = [$($key),*].len();
+
+        /// One run's metric scalars, in row order.
+        fn metric_values($r: &RunRecord) -> [Option<f64>; METRIC_COUNT] {
+            [$($value),*]
+        }
+
+        impl GroupSummary {
+            fn finish(key: Coord, accum: GroupAccum) -> GroupSummary {
+                let [$($field),*] = accum.metrics.map(|m| m.finalize());
+                GroupSummary {
+                    key,
+                    runs: accum.runs,
+                    $($field,)*
+                    bound_ns_mean: accum.bound_sum / accum.runs as f64,
+                }
+            }
+
+            /// The statistics with their `--json` keys, in row order.
+            fn metrics(&self) -> [(&'static str, &Option<SampleSummary>); METRIC_COUNT] {
+                [$(($key, &self.$field)),*]
+            }
+        }
+    };
 }
 
-/// Number of per-run scalar metrics aggregated per group.
-const METRIC_COUNT: usize = 19;
-
-/// Extracts the per-run metric scalars, in the exact order of the
-/// [`GroupSummary`] statistic fields (`pi_star_mean` … `path_asymmetry_ns`).
-/// `None` slots (a run without a precision record) are simply not
-/// pushed, matching the old `filter_map` collection.
-fn metric_values(r: &RunRecord) -> [Option<f64>; METRIC_COUNT] {
-    [
-        r.precision_scalar(|p| p.mean_ns),
-        r.precision_scalar(|p| p.p50_ns as f64),
-        r.precision_scalar(|p| p.p95_ns as f64),
-        r.precision_scalar(|p| p.p99_ns as f64),
-        r.precision_scalar(|p| p.max_ns as f64),
-        Some(r.violation_rate()),
-        Some(r.counters.vm_failures as f64),
-        Some(r.counters.gm_failures as f64),
-        Some(r.counters.takeovers as f64),
-        Some(r.counters.sync_transitions as f64),
-        Some((r.counters.holdover_ns + r.counters.freerun_ns) as f64 / 1e6),
-        Some(r.counters.uncovered_failures as f64),
-        Some(r.counters.elected_gm_changes as f64),
-        Some(r.counters.reconvergence_ns as f64 / 1e6),
-        Some(r.counters.unhandled_frames as f64),
-        Some(r.counters.fabric_frames_forwarded as f64),
-        Some(r.counters.fabric_frames_dropped as f64),
-        Some(r.counters.max_residence_ns as f64),
-        Some(r.counters.path_asymmetry_ns as f64),
-    ]
+metrics! { |r|
+    /// Per-run mean Π*_s, aggregated across seeds (ns).
+    pi_star_mean "pi_star_mean_ns" = r.precision_scalar(|p| p.mean_ns);
+    /// Per-run median Π*_s across seeds (ns).
+    pi_star_p50 "pi_star_p50_ns" = r.precision_scalar(|p| p.p50_ns as f64);
+    /// Per-run p95 of Π*_s across seeds (ns).
+    pi_star_p95 "pi_star_p95_ns" = r.precision_scalar(|p| p.p95_ns as f64);
+    /// Per-run p99 of Π*_s across seeds (ns).
+    pi_star_p99 "pi_star_p99_ns" = r.precision_scalar(|p| p.p99_ns as f64);
+    /// Per-run maximum Π*_s across seeds (ns).
+    pi_star_max "pi_star_max_ns" = r.precision_scalar(|p| p.max_ns as f64);
+    /// Per-run bound-violation rate (fraction outside Π + γ).
+    violation_rate "violation_rate" = Some(r.violation_rate());
+    /// Injected fail-silent VM shutdowns per run.
+    vm_failures "vm_failures" = Some(r.counters.vm_failures as f64);
+    /// Injected GM shutdowns per run.
+    gm_failures "gm_failures" = Some(r.counters.gm_failures as f64);
+    /// Monitor takeovers per run.
+    takeovers "takeovers" = Some(r.counters.takeovers as f64);
+    /// Degradation-machine edges (SyncState transitions) per run.
+    sync_transitions "sync_transitions" = Some(r.counters.sync_transitions as f64);
+    /// Total Holdover + Freerun dwell per run (ms).
+    degraded_dwell_ms "degraded_dwell_ms" =
+        Some((r.counters.holdover_ns + r.counters.freerun_ns) as f64 / 1e6);
+    /// Failures the monitor could not cover with a standby, per run.
+    uncovered_failures "uncovered_failures" = Some(r.counters.uncovered_failures as f64);
+    /// Elected-GM changes (BMCA winner churn) per run.
+    elected_gm_changes "elected_gm_changes" = Some(r.counters.elected_gm_changes as f64);
+    /// Kill-to-re-election latency per run (ms; 0 when no GM was
+    /// killed).
+    reconvergence_ms "reconvergence_ms" = Some(r.counters.reconvergence_ns as f64 / 1e6);
+    /// Frames delivered to a port with no handler per run.
+    unhandled_frames "unhandled_frames" = Some(r.counters.unhandled_frames as f64);
+    /// Frames the fabric forwarded per run.
+    fabric_forwarded "fabric_forwarded" = Some(r.counters.fabric_frames_forwarded as f64);
+    /// Frames the fabric dropped (gate overruns) per run.
+    fabric_dropped "fabric_dropped" = Some(r.counters.fabric_frames_dropped as f64);
+    /// Worst per-frame switch residence per run (ns).
+    max_residence_ns "max_residence_ns" = Some(r.counters.max_residence_ns as f64);
+    /// Accumulated forward/reverse path asymmetry per run (ns).
+    path_asymmetry_ns "path_asymmetry_ns" = Some(r.counters.path_asymmetry_ns as f64);
 }
 
 /// Bounded-memory accumulator for one group.
+#[derive(Default)]
 struct GroupAccum {
     runs: usize,
     bound_sum: f64,
     metrics: [StreamingSummary; METRIC_COUNT],
-}
-
-impl GroupAccum {
-    fn new() -> GroupAccum {
-        GroupAccum {
-            runs: 0,
-            bound_sum: 0.0,
-            metrics: std::array::from_fn(|_| StreamingSummary::new()),
-        }
-    }
 }
 
 /// Streaming cross-seed summarizer: accepts run records one at a time
@@ -118,22 +118,17 @@ impl GroupAccum {
 /// old in-memory path ([`StreamingSummary::EXACT_CAP`] runs) summarize
 /// byte-identically, and fleet-scale groups degrade to a bounded
 /// sketch.
+#[derive(Default)]
 pub struct StreamSummarizer {
     // Vec keyed by linear search: groups stay in first-appearance
     // (canonical matrix) order, and campaigns have few groups.
     groups: Vec<(Coord, GroupAccum)>,
 }
 
-impl Default for StreamSummarizer {
-    fn default() -> Self {
-        StreamSummarizer::new()
-    }
-}
-
 impl StreamSummarizer {
     /// An empty summarizer.
     pub fn new() -> StreamSummarizer {
-        StreamSummarizer { groups: Vec::new() }
+        StreamSummarizer::default()
     }
 
     /// Folds one run record into its group.
@@ -142,7 +137,7 @@ impl StreamSummarizer {
         let idx = match self.groups.iter().position(|(k, _)| *k == key) {
             Some(i) => i,
             None => {
-                self.groups.push((key, GroupAccum::new()));
+                self.groups.push((key, GroupAccum::default()));
                 self.groups.len() - 1
             }
         };
@@ -160,33 +155,7 @@ impl StreamSummarizer {
     pub fn finish(self) -> Vec<GroupSummary> {
         self.groups
             .into_iter()
-            .map(|(key, accum)| {
-                let f = |i: usize| accum.metrics[i].finalize();
-                GroupSummary {
-                    key,
-                    runs: accum.runs,
-                    pi_star_mean: f(0),
-                    pi_star_p50: f(1),
-                    pi_star_p95: f(2),
-                    pi_star_p99: f(3),
-                    pi_star_max: f(4),
-                    violation_rate: f(5),
-                    vm_failures: f(6),
-                    gm_failures: f(7),
-                    takeovers: f(8),
-                    sync_transitions: f(9),
-                    degraded_dwell_ms: f(10),
-                    uncovered_failures: f(11),
-                    elected_gm_changes: f(12),
-                    reconvergence_ms: f(13),
-                    unhandled_frames: f(14),
-                    fabric_forwarded: f(15),
-                    fabric_dropped: f(16),
-                    max_residence_ns: f(17),
-                    path_asymmetry_ns: f(18),
-                    bound_ns_mean: accum.bound_sum / accum.runs as f64,
-                }
-            })
+            .map(|(key, accum)| GroupSummary::finish(key, accum))
             .collect()
     }
 }
@@ -295,76 +264,85 @@ pub fn render_json(groups: &[GroupSummary]) -> String {
         groups
             .iter()
             .map(|g| {
-                Json::object(vec![
+                let mut members = vec![
                     ("group", Json::Str(g.key.group_label())),
                     ("runs", Json::UInt(g.runs as u64)),
                     ("bound_ns_mean", Json::Float(g.bound_ns_mean)),
-                    ("pi_star_mean_ns", stat(&g.pi_star_mean)),
-                    ("pi_star_p50_ns", stat(&g.pi_star_p50)),
-                    ("pi_star_p95_ns", stat(&g.pi_star_p95)),
-                    ("pi_star_p99_ns", stat(&g.pi_star_p99)),
-                    ("pi_star_max_ns", stat(&g.pi_star_max)),
-                    ("violation_rate", stat(&g.violation_rate)),
-                    ("vm_failures", stat(&g.vm_failures)),
-                    ("gm_failures", stat(&g.gm_failures)),
-                    ("takeovers", stat(&g.takeovers)),
-                    ("sync_transitions", stat(&g.sync_transitions)),
-                    ("degraded_dwell_ms", stat(&g.degraded_dwell_ms)),
-                    ("uncovered_failures", stat(&g.uncovered_failures)),
-                    ("elected_gm_changes", stat(&g.elected_gm_changes)),
-                    ("reconvergence_ms", stat(&g.reconvergence_ms)),
-                    ("unhandled_frames", stat(&g.unhandled_frames)),
-                    ("fabric_forwarded", stat(&g.fabric_forwarded)),
-                    ("fabric_dropped", stat(&g.fabric_dropped)),
-                    ("max_residence_ns", stat(&g.max_residence_ns)),
-                    ("path_asymmetry_ns", stat(&g.path_asymmetry_ns)),
-                ])
+                ];
+                members.extend(g.metrics().map(|(key, s)| (key, stat(s))));
+                Json::object(members)
             })
             .collect(),
     )
     .render()
 }
 
-/// Diff tolerances (a campaign is stochastic; exact equality across
-/// code changes is not the bar — staying within these margins is).
-#[derive(Debug, Clone, Copy)]
-pub struct DiffTolerance {
-    /// Absolute slack on the mean violation rate (default 0.02).
-    pub violation_abs: f64,
-    /// Relative slack on the mean per-run p95 of Π*_s (default 10%).
-    pub p95_rel: f64,
-    /// Absolute slack on the same (default 500 ns), so near-zero
-    /// baselines don't flag noise.
-    pub p95_abs_ns: f64,
-    /// Absolute slack on the mean degraded dwell per run, in ms
-    /// (default 250 ms): sub-interval jitter in when a holdover entry
-    /// or re-acquisition lands is noise, not a regression.
-    pub dwell_ms_abs: f64,
-    /// Absolute slack on the mean degradation edges per run (default 2,
-    /// one extra Holdover ⇄ Synchronized bounce).
-    pub transitions_abs: f64,
-    /// Absolute slack on the mean uncovered failures per run
-    /// (default 0: any new uncovered window is a regression).
-    pub uncovered_abs: f64,
-    /// Absolute slack on the mean kill-to-re-election latency per run,
-    /// in ns (default 50 ms): a slower BMCA reconvergence beyond this
-    /// is a regression even when precision stats look fine.
-    pub reconvergence_abs_ns: f64,
-}
+/// A metric's statistics, read off a [`GroupSummary`].
+type Metric = fn(&GroupSummary) -> &Option<SampleSummary>;
+/// Why candidate mean `c` regresses against baseline mean `b` at
+/// tolerance `tol` (`|b, c, tol|`), or `None` within it.
+type Reason = fn(f64, f64, f64) -> Option<String>;
 
-impl Default for DiffTolerance {
-    fn default() -> Self {
-        DiffTolerance {
-            violation_abs: 0.02,
-            p95_rel: 0.10,
-            p95_abs_ns: 500.0,
-            dwell_ms_abs: 250.0,
-            transitions_abs: 2.0,
-            uncovered_abs: 0.0,
-            reconvergence_abs_ns: 50_000_000.0,
-        }
-    }
-}
+/// The rules of `diff` — tried in order; a group reports the first it
+/// breaks. A campaign is stochastic: exact equality across code changes
+/// is not the bar, staying within these margins is.
+const RULES: [(Metric, f64, Reason); 6] = [
+    (
+        |g| &g.violation_rate,
+        0.02,
+        |b, c, tol| {
+            (c > b + tol).then(|| format!("violation rate {b:.4} -> {c:.4} (tol +{tol:.4})"))
+        },
+    ),
+    // 10 % of the baseline plus 500 ns, so near-zero baselines don't
+    // flag noise.
+    (
+        |g| &g.pi_star_p95,
+        500.0,
+        |b, c, tol| {
+            let limit = b * (1.0 + 0.10) + tol;
+            (c > limit).then(|| format!("Pi* p95 {b:.0} ns -> {c:.0} ns (limit {limit:.0} ns)"))
+        },
+    ),
+    // Jitter in when a holdover starts or ends is noise.
+    (
+        |g| &g.degraded_dwell_ms,
+        250.0,
+        |b, c, tol| {
+            (c > b + tol)
+                .then(|| format!("degraded dwell {b:.1} ms -> {c:.1} ms (tol +{tol:.0} ms)"))
+        },
+    ),
+    // One extra Holdover ⇄ Synchronized bounce.
+    (
+        |g| &g.sync_transitions,
+        2.0,
+        |b, c, tol| {
+            (c > b + tol).then(|| format!("degradation edges {b:.1} -> {c:.1} (tol +{tol:.1})"))
+        },
+    ),
+    // Any new uncovered window is a regression.
+    (
+        |g| &g.uncovered_failures,
+        0.0,
+        |b, c, tol| {
+            (c > b + tol).then(|| format!("uncovered failures {b:.2} -> {c:.2} (tol +{tol:.2})"))
+        },
+    ),
+    // 50 ms in ns: slower BMCA reconvergence regresses on its own.
+    (
+        |g| &g.reconvergence_ms,
+        50_000_000.0,
+        |b, c, tol| {
+            (c * 1e6 > b * 1e6 + tol).then(|| {
+                format!(
+                    "reconvergence {b:.1} ms -> {c:.1} ms (tol +{:.1} ms)",
+                    tol / 1e6
+                )
+            })
+        },
+    ),
+];
 
 /// Verdict of a baseline comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -398,13 +376,8 @@ pub struct DiffReport {
 }
 
 /// Compares summarized campaigns: every baseline group must exist in
-/// the candidate; each group's violation rate and p95 are checked
-/// against `tol`.
-pub fn diff(
-    baseline: &[GroupSummary],
-    candidate: &[GroupSummary],
-    tol: DiffTolerance,
-) -> DiffReport {
+/// the candidate, and each group is checked against the `RULES`.
+pub fn diff(baseline: &[GroupSummary], candidate: &[GroupSummary]) -> DiffReport {
     let mut lines = Vec::new();
     let mut verdict = DiffVerdict::Parity;
     for b in baseline {
@@ -416,68 +389,10 @@ pub fn diff(
             verdict = DiffVerdict::Incomparable;
             continue;
         };
-        let mut worst: Option<String> = None;
-        if let (Some(bv), Some(cv)) = (&b.violation_rate, &c.violation_rate) {
-            if cv.mean > bv.mean + tol.violation_abs {
-                worst = Some(format!(
-                    "violation rate {:.4} -> {:.4} (tol +{:.4})",
-                    bv.mean, cv.mean, tol.violation_abs
-                ));
-            }
-        }
-        if worst.is_none() {
-            if let (Some(bp), Some(cp)) = (&b.pi_star_p95, &c.pi_star_p95) {
-                let limit = bp.mean * (1.0 + tol.p95_rel) + tol.p95_abs_ns;
-                if cp.mean > limit {
-                    worst = Some(format!(
-                        "Pi* p95 {:.0} ns -> {:.0} ns (limit {:.0} ns)",
-                        bp.mean, cp.mean, limit
-                    ));
-                }
-            }
-        }
-        if worst.is_none() {
-            if let (Some(bd), Some(cd)) = (&b.degraded_dwell_ms, &c.degraded_dwell_ms) {
-                if cd.mean > bd.mean + tol.dwell_ms_abs {
-                    worst = Some(format!(
-                        "degraded dwell {:.1} ms -> {:.1} ms (tol +{:.0} ms)",
-                        bd.mean, cd.mean, tol.dwell_ms_abs
-                    ));
-                }
-            }
-        }
-        if worst.is_none() {
-            if let (Some(bt), Some(ct)) = (&b.sync_transitions, &c.sync_transitions) {
-                if ct.mean > bt.mean + tol.transitions_abs {
-                    worst = Some(format!(
-                        "degradation edges {:.1} -> {:.1} (tol +{:.1})",
-                        bt.mean, ct.mean, tol.transitions_abs
-                    ));
-                }
-            }
-        }
-        if worst.is_none() {
-            if let (Some(bu), Some(cu)) = (&b.uncovered_failures, &c.uncovered_failures) {
-                if cu.mean > bu.mean + tol.uncovered_abs {
-                    worst = Some(format!(
-                        "uncovered failures {:.2} -> {:.2} (tol +{:.2})",
-                        bu.mean, cu.mean, tol.uncovered_abs
-                    ));
-                }
-            }
-        }
-        if worst.is_none() {
-            if let (Some(br), Some(cr)) = (&b.reconvergence_ms, &c.reconvergence_ms) {
-                if cr.mean * 1e6 > br.mean * 1e6 + tol.reconvergence_abs_ns {
-                    worst = Some(format!(
-                        "reconvergence {:.1} ms -> {:.1} ms (tol +{:.1} ms)",
-                        br.mean,
-                        cr.mean,
-                        tol.reconvergence_abs_ns / 1e6
-                    ));
-                }
-            }
-        }
+        let worst = RULES.iter().find_map(|(metric, tol, reason)| {
+            let (bs, cs) = (metric(b).as_ref()?, metric(c).as_ref()?);
+            reason(bs.mean, cs.mean, *tol)
+        });
         match worst {
             Some(reason) => {
                 lines.push(format!("REGRESS  {}: {reason}", b.key.group_label()));
@@ -567,6 +482,15 @@ mod tests {
         assert_eq!(groups[1].pi_star_p95.as_ref().unwrap().mean, 2000.0);
         assert!(render(&groups).contains("feed_forward"));
         assert!(render_json(&groups).contains("\"runs\":4"));
+        // A run without a precision record counts toward the run-level
+        // metrics only.
+        let mut recs = records(4000, 0.9);
+        recs[0].precision = None;
+        let g = &summarize(&recs)[0];
+        assert_eq!(g.pi_star_mean.as_ref().unwrap().count, 3);
+        let v = g.violation_rate.as_ref().unwrap();
+        assert_eq!(v.count, 4);
+        assert!((v.mean - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -574,18 +498,18 @@ mod tests {
         let base = summarize(&records(4000, 1.0));
         // Slightly different but within tolerance.
         let ok = summarize(&records(4200, 0.99));
-        let d = diff(&base, &ok, DiffTolerance::default());
+        let d = diff(&base, &ok);
         assert_eq!(d.verdict, DiffVerdict::Parity);
         assert_eq!(d.verdict.exit_code(), 0);
         // p95 blowup → regression.
         let bad = summarize(&records(9000, 1.0));
-        let d = diff(&base, &bad, DiffTolerance::default());
+        let d = diff(&base, &bad);
         assert_eq!(d.verdict, DiffVerdict::Regression);
         assert_eq!(d.verdict.exit_code(), 1);
         assert!(d.lines.iter().any(|l| l.starts_with("REGRESS")));
         // Violation-rate blowup → regression even with identical p95.
         let bad = summarize(&records(4000, 0.90));
-        let d = diff(&base, &bad, DiffTolerance::default());
+        let d = diff(&base, &bad);
         assert_eq!(d.verdict, DiffVerdict::Regression);
     }
 
@@ -598,13 +522,13 @@ mod tests {
             r.counters.sync_transitions = 3;
             r.counters.holdover_ns = 400_000_000; // 400 ms
         }
-        let d = diff(&base, &summarize(&worse), DiffTolerance::default());
+        let d = diff(&base, &summarize(&worse));
         assert_eq!(d.verdict, DiffVerdict::Regression);
         assert!(d.lines.iter().any(|l| l.contains("degraded dwell")));
         // A single new uncovered failure regresses at zero tolerance.
         let mut uncovered: Vec<RunRecord> = records(4000, 1.0);
         uncovered[0].counters.uncovered_failures = 1;
-        let d = diff(&base, &summarize(&uncovered), DiffTolerance::default());
+        let d = diff(&base, &summarize(&uncovered));
         assert_eq!(d.verdict, DiffVerdict::Regression);
         assert!(d.lines.iter().any(|l| l.contains("uncovered failures")));
         // Small dwell within tolerance stays parity.
@@ -612,7 +536,7 @@ mod tests {
         for r in &mut ok {
             r.counters.holdover_ns = 100_000_000; // 100 ms < 250 ms slack
         }
-        let d = diff(&base, &summarize(&ok), DiffTolerance::default());
+        let d = diff(&base, &summarize(&ok));
         assert_eq!(d.verdict, DiffVerdict::Parity);
     }
 
@@ -625,16 +549,14 @@ mod tests {
         for r in &mut slow {
             r.counters.reconvergence_ns = 80_000_000;
         }
-        let d = diff(&base, &summarize(&slow), DiffTolerance::default());
+        let d = diff(&base, &summarize(&slow));
         assert_eq!(d.verdict, DiffVerdict::Regression);
         assert!(d.lines.iter().any(|l| l.contains("reconvergence")));
-        // Within a loosened tolerance it is parity again (the
-        // --tol-reconvergence-ns CLI path).
-        let tol = DiffTolerance {
-            reconvergence_abs_ns: 100_000_000.0,
-            ..DiffTolerance::default()
-        };
-        let d = diff(&base, &summarize(&slow), tol);
+        // 40 ms slower stays within the slack.
+        for r in &mut slow {
+            r.counters.reconvergence_ns = 40_000_000;
+        }
+        let d = diff(&base, &summarize(&slow));
         assert_eq!(d.verdict, DiffVerdict::Parity);
     }
 
@@ -693,6 +615,89 @@ mod tests {
         }
     }
 
+    /// The feedback group of `records(4000, 1.0)` — Π* p95 mean 4000 ns,
+    /// every other diffed mean 0 — with `set` applied to it.
+    fn one_group(set: impl Fn(&mut GroupSummary)) -> Vec<GroupSummary> {
+        let mut g = summarize(&records(4000, 1.0)).remove(0);
+        set(&mut g);
+        vec![g]
+    }
+
+    fn mean(s: &mut Option<SampleSummary>) -> &mut f64 {
+        &mut s.as_mut().expect("summarized").mean
+    }
+
+    fn diff_lines(candidate: impl Fn(&mut GroupSummary)) -> (DiffVerdict, Vec<String>) {
+        let d = diff(&one_group(|_| {}), &one_group(candidate));
+        (d.verdict, d.lines)
+    }
+
+    /// Pins every rule of `diff`: its message, its tolerance (a candidate
+    /// exactly at it is parity) and the order rules are tried in.
+    #[test]
+    fn diff_rules_pin_message_tolerance_and_order() {
+        type Set = fn(&mut GroupSummary);
+        let g = "baseline feedback";
+        let regressions: [(Set, String); 8] = [
+            (
+                |g| *mean(&mut g.violation_rate) = 0.03,
+                format!("REGRESS  {g}: violation rate 0.0000 -> 0.0300 (tol +0.0200)"),
+            ),
+            (
+                |g| *mean(&mut g.pi_star_p95) = 5000.0,
+                format!("REGRESS  {g}: Pi* p95 4000 ns -> 5000 ns (limit 4900 ns)"),
+            ),
+            (
+                |g| *mean(&mut g.degraded_dwell_ms) = 250.5,
+                format!("REGRESS  {g}: degraded dwell 0.0 ms -> 250.5 ms (tol +250 ms)"),
+            ),
+            (
+                |g| *mean(&mut g.sync_transitions) = 2.5,
+                format!("REGRESS  {g}: degradation edges 0.0 -> 2.5 (tol +2.0)"),
+            ),
+            (
+                |g| *mean(&mut g.uncovered_failures) = 0.25,
+                format!("REGRESS  {g}: uncovered failures 0.00 -> 0.25 (tol +0.00)"),
+            ),
+            (
+                |g| *mean(&mut g.reconvergence_ms) = 50.25,
+                format!("REGRESS  {g}: reconvergence 0.0 ms -> 50.2 ms (tol +50.0 ms)"),
+            ),
+            // Two rules broken: the first in rule order is reported.
+            (
+                |g| {
+                    *mean(&mut g.violation_rate) = 0.5;
+                    *mean(&mut g.pi_star_p95) = 9000.0;
+                },
+                format!("REGRESS  {g}: violation rate 0.0000 -> 0.5000 (tol +0.0200)"),
+            ),
+            (
+                |g| {
+                    *mean(&mut g.degraded_dwell_ms) = 1000.0;
+                    *mean(&mut g.sync_transitions) = 10.0;
+                },
+                format!("REGRESS  {g}: degraded dwell 0.0 ms -> 1000.0 ms (tol +250 ms)"),
+            ),
+        ];
+        for (set, line) in regressions {
+            assert_eq!(diff_lines(set), (DiffVerdict::Regression, vec![line]));
+        }
+        let at_tolerance: [Set; 6] = [
+            |g| *mean(&mut g.violation_rate) = 0.02,
+            |g| *mean(&mut g.pi_star_p95) = 4000.0 * (1.0 + 0.10) + 500.0,
+            |g| *mean(&mut g.degraded_dwell_ms) = 250.0,
+            |g| *mean(&mut g.sync_transitions) = 2.0,
+            |g| *mean(&mut g.uncovered_failures) = 0.0,
+            |g| *mean(&mut g.reconvergence_ms) = 50.0,
+        ];
+        for set in at_tolerance {
+            assert_eq!(
+                diff_lines(set),
+                (DiffVerdict::Parity, vec![format!("ok       {g}")])
+            );
+        }
+    }
+
     #[test]
     fn diff_flags_missing_groups() {
         let base = summarize(&records(4000, 1.0));
@@ -700,7 +705,7 @@ mod tests {
             .into_iter()
             .filter(|r| r.coord.discipline == Some(SyncClockDiscipline::Feedback))
             .collect();
-        let d = diff(&base, &summarize(&partial), DiffTolerance::default());
+        let d = diff(&base, &summarize(&partial));
         assert_eq!(d.verdict, DiffVerdict::Incomparable);
         assert_eq!(d.verdict.exit_code(), 2);
     }

@@ -1,8 +1,14 @@
 //! Every built-in spec, end to end: clean under the invariant oracle,
-//! byte-identical between cold and forked execution and between one
-//! worker and auto threads, resumable without re-executing anything,
-//! and summarizable through the streaming pipeline (a frontier through
-//! `frontier::load`, which replays its bisection over the artifacts).
+//! byte-identical between cold and forked execution, resumable without
+//! re-executing anything, and summarizable through the streaming
+//! pipeline (a frontier through `frontier::load`, which replays its
+//! bisection over the artifacts).
+//!
+//! Each builtin runs once cold and once forked, not again on one
+//! worker: thread-count independence is the runner's property, not a
+//! spec's, and `determinism.rs::byte_identical_artifacts_across_thread_counts`
+//! and `runner::tests::pool_isolates_a_panic_fails_on_io_error_and_merges_by_index`
+//! pin it.
 //!
 //! The loops run over `CampaignSpec::BUILTINS` and
 //! `FrontierSpec::BUILTINS` — the lists `campaign list` prints — so a
@@ -16,8 +22,8 @@ use std::path::Path;
 use std::process::Command;
 use tsn_campaign::json::Json;
 use tsn_campaign::{
-    frontier, runner, summary, CampaignSpec, DiffTolerance, DiffVerdict, FrontierSpec,
-    RunRecordReader, RunnerOptions, StreamSummarizer,
+    frontier, runner, summary, CampaignSpec, DiffVerdict, FrontierSpec, RunRecordReader,
+    RunnerOptions, StreamSummarizer,
 };
 
 #[test]
@@ -46,7 +52,6 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         let total = spec.total_runs();
         let cold_dir = scratch(&format!("{name}-cold"));
         let fork_dir = scratch(&format!("{name}-fork"));
-        let serial_dir = scratch(&format!("{name}-serial"));
 
         // Cold, auto threads, oracle armed.
         let checked = RunnerOptions {
@@ -62,21 +67,12 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         let bytes = artifact_bytes(&cold_dir);
         assert_eq!(bytes.len(), total, "{name}: one artifact per run");
 
-        // Forked from warm prefixes, and cold on a single worker.
+        // Forked from warm prefixes.
         let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
         assert!(forked.failed.is_empty(), "{name}: {:?}", forked.failed);
         assert!(
             bytes == artifact_bytes(&fork_dir),
             "{name}: forked artifacts differ from cold artifacts"
-        );
-        let serial = RunnerOptions {
-            threads: 1,
-            ..opts(&serial_dir)
-        };
-        runner::execute(&spec, &serial).expect("single-worker campaign");
-        assert!(
-            bytes == artifact_bytes(&serial_dir),
-            "{name}: artifacts depend on the thread count"
         );
 
         // Resume re-executes nothing and leaves the artifacts alone.
@@ -98,14 +94,10 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         Json::parse(&summary::render_json(&groups)).expect("summary JSON parses");
         // Two executions of one spec diff as parity (`campaign diff`
         // exit 0), whatever axes the builtin sweeps.
-        let parity = summary::diff(
-            &groups,
-            &summary::summarize(&forked.records),
-            DiffTolerance::default(),
-        );
+        let parity = summary::diff(&groups, &summary::summarize(&forked.records));
         assert_eq!(parity.verdict, DiffVerdict::Parity, "{name}");
 
-        for dir in [cold_dir, fork_dir, serial_dir] {
+        for dir in [cold_dir, fork_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
@@ -118,7 +110,6 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
         let spec = FrontierSpec::builtin(name).expect("builtin exists");
         let cold_dir = scratch(&format!("{name}-cold"));
         let fork_dir = scratch(&format!("{name}-fork"));
-        let serial_dir = scratch(&format!("{name}-serial"));
 
         // Cold (the oracle needs the warm prefix), auto threads.
         let checked = RunnerOptions {
@@ -157,13 +148,6 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
             runs == artifact_bytes(&fork_dir),
             "{name}: forked probe artifacts differ from cold ones"
         );
-        let serial = RunnerOptions {
-            threads: 1,
-            ..opts(&serial_dir)
-        };
-        frontier::execute(&spec, &serial).expect("single-worker frontier");
-        assert!(doc == doc_bytes(&serial_dir), "{name}: threads moved it");
-        assert!(runs == artifact_bytes(&serial_dir), "{name}");
 
         // Resume re-executes nothing and re-derives the same document
         // (total_runs is spec-derived, not invocation-derived).
@@ -183,7 +167,7 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
         );
         assert!(cold.doc.render_text().contains("x tighter"), "{name}");
 
-        for dir in [cold_dir, fork_dir, serial_dir] {
+        for dir in [cold_dir, fork_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

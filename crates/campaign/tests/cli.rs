@@ -79,8 +79,9 @@ fn summarize_of_zero_run_manifest_exits_two_instead_of_panicking() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The two binaries share one flag parser but keep their own error
-/// text; every flag error exits 2 with `error: <text>` and the usage.
+/// Both binaries use the regenerators' flag parser
+/// (`clocksync::repro::Flags`), so each says the same thing; every flag
+/// error exits 2 with `error: <text>` and the usage.
 #[test]
 fn flag_errors_keep_each_binarys_wording() {
     type Bin = fn(&[&str]) -> Output;
@@ -100,10 +101,10 @@ fn flag_errors_keep_each_binarys_wording() {
         (
             snapshot,
             &["info", "--frobnicate"],
-            "unknown flag \"--frobnicate\"",
+            "unknown argument \"--frobnicate\"",
         ),
-        (snapshot, &["info", "--file"], "--file requires a value"),
-        (snapshot, &["verify", "--help"], "unknown flag \"--help\""),
+        (snapshot, &["info", "--file"], "--file needs a value"),
+        (snapshot, &["verify", "--help"], "help requested"),
         (
             snapshot,
             &["verify", "--seed", "x"],

@@ -12,8 +12,7 @@ mod common;
 use clocksync::scenario::{self, ScenarioKind};
 use common::{artifact_bytes, opts, scratch};
 use tsn_campaign::{
-    artifact::RunRecord, runner, summary, BaseSpec, CampaignSpec, DiffTolerance, DiffVerdict, Grid,
-    RunnerOptions,
+    artifact::RunRecord, runner, summary, BaseSpec, CampaignSpec, DiffVerdict, Grid, RunnerOptions,
 };
 use tsn_hyp::SyncClockDiscipline;
 
@@ -83,7 +82,6 @@ fn byte_identical_artifacts_across_thread_counts() {
     let d = summary::diff(
         &summary::summarize(&serial.records),
         &summary::summarize(&parallel.records),
-        DiffTolerance::default(),
     );
     assert_eq!(d.verdict, DiffVerdict::Parity);
     assert_eq!(d.verdict.exit_code(), 0);

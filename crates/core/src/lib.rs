@@ -19,7 +19,8 @@
 //!   testbed, plus faults, attacker, probes and the passive observers;
 //! * [`scenario`] — ready-made runners for the paper's experiments;
 //! * [`repro`] — the argument parser and printers the figure
-//!   regenerators (the `examples/`) share.
+//!   regenerators (the `examples/`) share; its flag parser is also the
+//!   `campaign` and `snapshot` binaries'.
 //!
 //! # Quickstart
 //!
@@ -128,16 +129,21 @@ mod tests {
 
     #[test]
     fn malformed_values_error_instead_of_silently_defaulting() {
-        assert!(parse(&["--seed", "banana"]).unwrap_err().contains("--seed"));
-        assert!(parse(&["--minutes", "-3"])
-            .unwrap_err()
-            .contains("--minutes"));
-        assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--frobnicate"])
-            .unwrap_err()
-            .contains("unknown argument"));
+        assert_eq!(
+            parse(&["--seed", "banana"]).unwrap_err(),
+            "malformed value \"banana\" for --seed"
+        );
+        assert_eq!(
+            parse(&["--minutes", "-3"]).unwrap_err(),
+            "malformed value \"-3\" for --minutes"
+        );
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
+        assert_eq!(
+            parse(&["--frobnicate"]).unwrap_err(),
+            "unknown argument \"--frobnicate\""
+        );
         // A bare number was the examples' old positional duration.
-        assert!(parse(&["4"]).unwrap_err().contains("unknown argument"));
+        assert_eq!(parse(&["4"]).unwrap_err(), "unknown argument \"4\"");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! `fault_injection_24h`, `congested_network`, `ablations` and
 //! `clock_stability` examples. Each runs its experiment once, prints a
 //! text rendering plus the comparison against the paper's reported
-//! values, and writes artifacts for external plotting.
+//! values, and writes artifacts for external plotting. Its strict
+//! [`Flags`] parser is also the `campaign` and `snapshot` binaries'.
 
 use crate::RunResult;
 use std::path::{Path, PathBuf};
@@ -26,6 +27,67 @@ pub const REPRO_USAGE: &str = "options:
   --minutes N   duration in minutes (overrides the program's default)
   --out DIR     CSV artifact directory (default target/repro)
   --help        print this help";
+
+/// Strictly parsed command-line flags: every flag takes one value
+/// except the listed switches, and an unknown argument is an error, not
+/// a typo in waiting.
+pub struct Flags {
+    pairs: Vec<(String, String)>,
+    switches: Vec<String>,
+}
+
+impl Flags {
+    /// Parses `args` against the known value flags and switches. An
+    /// unlisted `--help`/`-h` is the error `help requested` (every front
+    /// end prints its usage with an error).
+    pub fn parse(
+        args: &[String],
+        known: &[&str],
+        known_switches: &[&str],
+    ) -> Result<Flags, String> {
+        let mut flags = Flags {
+            pairs: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if known_switches.contains(&a.as_str()) {
+                flags.switches.push(a.clone());
+            } else if known.contains(&a.as_str()) {
+                let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+                flags.pairs.push((a.clone(), v.clone()));
+            } else if a == "--help" || a == "-h" {
+                return Err("help requested".to_string());
+            } else {
+                return Err(format!("unknown argument {a:?}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The value of flag `key`, if given.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.pairs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether switch `key` was given.
+    pub fn has(&self, key: &str) -> bool {
+        self.switches.iter().any(|s| s == key)
+    }
+
+    /// The value of flag `key` parsed as `T`, if given.
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("malformed value {v:?} for {key}"))
+            })
+            .transpose()
+    }
+}
 
 impl ReproArgs {
     /// Parses `--seed N`, `--minutes N`, `--out DIR` (all optional)
@@ -51,35 +113,16 @@ impl ReproArgs {
     /// values and unknown arguments instead of silently swallowing
     /// them (a mistyped `--seed` must not run the wrong experiment).
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<ReproParse, String> {
-        let mut parsed = ReproArgs {
-            seed: None,
-            minutes: None,
-            out: PathBuf::from("target/repro"),
-        };
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-            match a.as_str() {
-                "--help" | "-h" => return Ok(ReproParse::Help),
-                "--seed" => {
-                    let v = value("--seed")?;
-                    parsed.seed = Some(
-                        v.parse()
-                            .map_err(|_| format!("malformed --seed value {v:?}"))?,
-                    );
-                }
-                "--minutes" => {
-                    let v = value("--minutes")?;
-                    parsed.minutes = Some(
-                        v.parse()
-                            .map_err(|_| format!("malformed --minutes value {v:?}"))?,
-                    );
-                }
-                "--out" => parsed.out = PathBuf::from(value("--out")?),
-                other => return Err(format!("unknown argument {other:?}")),
-            }
+        let args: Vec<String> = args.into_iter().collect();
+        let flags = Flags::parse(&args, &["--seed", "--minutes", "--out"], &["--help", "-h"])?;
+        if flags.has("--help") || flags.has("-h") {
+            return Ok(ReproParse::Help);
         }
-        Ok(ReproParse::Args(parsed))
+        Ok(ReproParse::Args(ReproArgs {
+            seed: flags.get_parsed("--seed")?,
+            minutes: flags.get_parsed("--minutes")?,
+            out: PathBuf::from(flags.get("--out").unwrap_or("target/repro")),
+        }))
     }
 
     /// The experiment seed: the override or `default`.

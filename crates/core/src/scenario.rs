@@ -101,58 +101,6 @@ impl ScenarioKind {
     }
 }
 
-/// Error returned by [`run_named`] for an unknown scenario name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownScenario(pub String);
-
-impl std::fmt::Display for UnknownScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown scenario {:?} (known: {})",
-            self.0,
-            ScenarioKind::ALL.map(|k| k.name()).join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownScenario {}
-
-/// Optional passive observers to arm on the [`World`] before a run.
-///
-/// Both are strictly passive (no randomness, no scheduled events), so
-/// any combination yields byte-identical state hashes and artifacts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Arm the runtime invariant oracle ([`World::enable_oracle`]).
-    pub oracle: bool,
-    /// Arm the structured execution tracer ([`World::enable_trace`]).
-    pub trace: bool,
-    /// Override the tracer's bounded-sink event cap (`None` keeps the
-    /// [`tsn_trace::TraceConfig`] default of 2^20). Events past the cap
-    /// are dropped and counted, never silently lost: the drop count
-    /// surfaces in the [`tsn_trace::TraceReport`].
-    pub trace_max_events: Option<usize>,
-}
-
-/// The run-by-name entry point: applies the named scenario to `config`
-/// and runs it. This is the single function an orchestrator needs: a
-/// scenario name plus a [`TestbedConfig`] yields a [`RunResult`].
-pub fn run_named(name: &str, config: TestbedConfig) -> Result<ScenarioOutcome, UnknownScenario> {
-    run_named_with(name, config, RunOptions::default())
-}
-
-/// [`run_named`] with explicit observer options.
-pub fn run_named_with(
-    name: &str,
-    mut config: TestbedConfig,
-    opts: RunOptions,
-) -> Result<ScenarioOutcome, UnknownScenario> {
-    let kind = ScenarioKind::parse(name).ok_or_else(|| UnknownScenario(name.to_string()))?;
-    kind.apply(&mut config);
-    Ok(run_with(config, opts))
-}
-
 /// Runs the testbed with no faults and no attack (sanity baseline).
 pub fn baseline(config: TestbedConfig) -> ScenarioOutcome {
     run(config)
@@ -190,24 +138,11 @@ fn from_paper_default(kind: ScenarioKind, seed: u64, duration: Nanos) -> Scenari
     run(cfg)
 }
 
-/// Runs an arbitrary configuration.
+/// Runs an arbitrary configuration. To arm the oracle or the tracer,
+/// build the [`World`] and call [`World::enable_oracle`] or
+/// [`World::enable_trace`] before running it.
 pub fn run(config: TestbedConfig) -> ScenarioOutcome {
-    run_with(config, RunOptions::default())
-}
-
-/// Runs an arbitrary configuration with explicit observer options.
-pub fn run_with(config: TestbedConfig, opts: RunOptions) -> ScenarioOutcome {
-    let mut world = World::new(config.clone());
-    if opts.oracle {
-        world.enable_oracle();
-    }
-    if opts.trace {
-        match opts.trace_max_events {
-            Some(cap) => world.enable_trace_capped(cap),
-            None => world.enable_trace(),
-        }
-    }
-    let result = world.run();
+    let result = World::new(config.clone()).run();
     ScenarioOutcome { config, result }
 }
 
@@ -236,13 +171,5 @@ mod tests {
         assert_eq!(fi.nodes, cfg.nodes);
         assert_eq!(fi.duration, cfg.duration);
         cfg.validate();
-    }
-
-    #[test]
-    fn run_named_rejects_unknown() {
-        let Err(err) = run_named("bogus", TestbedConfig::quick(1)) else {
-            panic!("unknown scenario must be rejected");
-        };
-        assert!(err.to_string().contains("bogus"));
     }
 }

@@ -305,14 +305,6 @@ impl NodeElection {
         }
     }
 
-    /// `true` if this node captured `domain` as a rogue master.
-    pub fn is_captured(&self, domain: u8) -> bool {
-        self.domains
-            .get(domain as usize)
-            .map(|d| d.forged.is_some())
-            .unwrap_or(false)
-    }
-
     /// Builds the next Announce this node originates for `domain`
     /// (acting masters only; the caller schedules transmission).
     pub fn make_announce(&mut self, domain: u8) -> Message {
@@ -458,7 +450,6 @@ mod tests {
         let mut rogue = NodeElection::new(3, ids.clone(), &cfg());
         rogue.capture(2, 0);
         assert!(rogue.acting(2));
-        assert!(rogue.is_captured(2));
         let msg = rogue.make_announce(2);
         // A victim that currently follows the legitimate home master
         // switches to the rogue: priority1 0 beats 100.

@@ -109,16 +109,6 @@ impl StShmem {
     pub fn age(&self, host_now: ClockTime) -> Nanos {
         host_now - self.last_update_host
     }
-
-    /// Measures the synchronized-time duration between two host-clock
-    /// readings — a RADclock-style *difference clock* (the paper's
-    /// §III-C discussion): because only the rate enters, the result is
-    /// immune to phase corrections (steps, takeovers) of the absolute
-    /// `CLOCK_SYNCTIME` between the two reads.
-    pub fn duration_between(&self, h1: ClockTime, h2: ClockTime) -> Nanos {
-        let dt = (h2 - h1).as_nanos() as f64;
-        Nanos::from_nanos(round_to_i64(dt * self.params.rate))
-    }
 }
 
 tsn_snapshot::snap_struct!(VmId { 0 });
@@ -176,37 +166,6 @@ mod tests {
         let mut shm = StShmem::new();
         shm.write(VmId(0), ClockParams::identity(), ClockTime::from_nanos(100));
         assert_eq!(shm.age(ClockTime::from_nanos(350)), Nanos::from_nanos(250));
-    }
-
-    #[test]
-    fn difference_clock_ignores_phase_steps() {
-        let mut shm = StShmem::new();
-        shm.write(
-            VmId(0),
-            ClockParams {
-                base_host: ClockTime::ZERO,
-                base_sync: ClockTime::from_nanos(1_000_000),
-                rate: 1.0 + 20e-6,
-            },
-            ClockTime::ZERO,
-        );
-        let h1 = ClockTime::from_nanos(1_000_000_000);
-        // A takeover re-bases the absolute clock by 5 µs...
-        shm.write(
-            VmId(1),
-            ClockParams {
-                base_host: ClockTime::from_nanos(1_500_000_000),
-                base_sync: ClockTime::from_nanos(1_501_005_000),
-                rate: 1.0 + 20e-6,
-            },
-            ClockTime::from_nanos(1_500_000_000),
-        );
-        let h2 = ClockTime::from_nanos(2_000_000_000);
-        // ...but the measured duration only uses the rate: 1 s · (1+20ppm).
-        assert_eq!(
-            shm.duration_between(h1, h2),
-            Nanos::from_nanos(1_000_020_000)
-        );
     }
 
     #[test]

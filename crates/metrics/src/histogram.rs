@@ -61,16 +61,6 @@ impl Histogram {
     pub fn bin_start(&self, i: usize) -> u64 {
         i as u64 * self.bin_width
     }
-
-    /// Index of the fullest bin.
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -88,6 +78,7 @@ mod tests {
         assert_eq!(h.counts()[1], 1);
         assert_eq!(h.counts()[9], 1);
         assert_eq!(h.total(), 4);
+        assert_eq!(h.bin_start(9), 900);
     }
 
     #[test]
@@ -104,16 +95,6 @@ mod tests {
         let mut h = Histogram::new(100, 10);
         h.record(Nanos::from_nanos(-5));
         assert_eq!(h.counts()[0], 1);
-    }
-
-    #[test]
-    fn mode_bin_found() {
-        let mut h = Histogram::new(50, 20);
-        for v in [322, 310, 330, 900] {
-            h.record(Nanos::from_nanos(v));
-        }
-        assert_eq!(h.mode_bin(), 6); // 300..350
-        assert_eq!(h.bin_start(6), 300);
     }
 
     #[test]

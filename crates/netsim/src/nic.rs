@@ -12,7 +12,7 @@
 
 use crate::frame::MacAddr;
 use rand::Rng;
-use tsn_time::{sample_timestamp_error, ClockTime, JitterConfig, Nanos, Phc, SimTime};
+use tsn_time::{sample_timestamp_error, ClockTime, JitterConfig, Phc, SimTime};
 
 /// Outcome of requesting a launch-time transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,12 +66,6 @@ impl Nic {
             None => LaunchOutcome::DeadlineMiss,
         }
     }
-
-    /// Immediate transmission (no launch time): departs after a small
-    /// driver/DMA latency drawn from `[200, 1200)` ns.
-    pub fn transmit_now<R: Rng + ?Sized>(&mut self, now: SimTime, rng: &mut R) -> SimTime {
-        now + Nanos::from_nanos(rng.gen_range(200..1200))
-    }
 }
 
 #[cfg(test)]
@@ -79,6 +73,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tsn_time::Nanos;
 
     fn nic() -> Nic {
         let mut n = Nic::new(MacAddr::for_nic(1), Phc::new(ClockTime::ZERO, 2_000.0));
@@ -117,17 +112,5 @@ mod tests {
         let rx = n.timestamp(t, &mut rng);
         // +2 ppm drift over 1 s = +2 µs.
         assert_eq!(rx.as_nanos(), 1_000_002_000);
-    }
-
-    #[test]
-    fn transmit_now_has_bounded_driver_latency() {
-        let mut n = nic();
-        let mut rng = StdRng::seed_from_u64(2);
-        let now = SimTime::from_secs(3);
-        for _ in 0..100 {
-            let t = n.transmit_now(now, &mut rng);
-            let d = t - now;
-            assert!(d >= Nanos::from_nanos(200) && d < Nanos::from_nanos(1200));
-        }
     }
 }

@@ -316,16 +316,6 @@ impl ClockTime {
         ClockTime(self.0.div_euclid(interval.as_nanos()) * interval.as_nanos())
     }
 
-    /// The next multiple of `interval` strictly after this reading.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is not positive.
-    pub fn next_multiple_of(self, interval: Nanos) -> ClockTime {
-        let floored = self.floor_to(interval);
-        floored + interval
-    }
-
     /// The smallest multiple of `interval` at or after this reading.
     ///
     /// # Panics
@@ -498,11 +488,12 @@ mod tests {
         let s = Nanos::from_millis(125);
         let t = ClockTime::from_nanos(300_000_000);
         assert_eq!(t.floor_to(s), ClockTime::from_nanos(250_000_000));
-        assert_eq!(t.next_multiple_of(s), ClockTime::from_nanos(375_000_000));
+        // Off a multiple, the ceiling is the next multiple.
+        assert_eq!(t.ceil_to(s), ClockTime::from_nanos(375_000_000));
         // Negative readings floor toward negative infinity.
         let neg = ClockTime::from_nanos(-1);
         assert_eq!(neg.floor_to(s), ClockTime::from_nanos(-125_000_000));
-        assert_eq!(neg.next_multiple_of(s), ClockTime::ZERO);
+        assert_eq!(neg.ceil_to(s), ClockTime::ZERO);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! tx/rx, FTA rounds with trim decisions, servo updates, sync-state
 //! transitions — as valid Chrome trace-event JSON.
 
-use clocksync::scenario::{self, RunOptions, ScenarioKind};
+use clocksync::scenario::ScenarioKind;
 use clocksync::trace::{ArgValue, Subsystem, TraceReport};
 use clocksync::{PartitionWindow, TestbedConfig, World};
 use tsn_time::{Nanos, SimTime};
@@ -170,24 +170,6 @@ fn partition_window_is_traced_as_span() {
     assert_eq!(span.cat, Subsystem::Netsim);
     let dur = span.dur.expect("window closed as a complete span");
     assert!(dur > Nanos::ZERO);
-}
-
-#[test]
-fn scenario_runner_arms_the_tracer_on_request() {
-    let outcome = scenario::run_named_with(
-        "baseline",
-        quick_cfg(9),
-        RunOptions {
-            oracle: false,
-            trace: true,
-            ..RunOptions::default()
-        },
-    )
-    .expect("known scenario");
-    assert!(outcome.result.trace.is_some());
-
-    let outcome = scenario::run_named("baseline", quick_cfg(9)).expect("known scenario");
-    assert!(outcome.result.trace.is_none());
 }
 
 #[test]
