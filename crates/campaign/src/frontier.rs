@@ -709,60 +709,48 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
     runner::write_atomic(&opts.dir.join("frontier-spec.json"), &spec.render())?;
 
     let inner_opts = RunnerOptions {
-        dir: opts.dir.clone(),
-        threads: opts.threads,
         quiet: true,
-        fork: opts.fork,
-        check: opts.check,
         trace: None,
         trace_max_events: None,
-        panic_label: opts.panic_label.clone(),
+        ..opts.clone()
     };
     let mut cache = SnapshotCache::new();
-    let mut executed = 0usize;
-    let mut skipped = 0usize;
-    let mut forked_groups = 0usize;
-    let mut prefix_runs = 0usize;
-    let mut prefix_events_skipped = 0u64;
-    let mut violations: Vec<RunViolation> = Vec::new();
-    let mut failed: Vec<FailedRun> = Vec::new();
+    // Every probe's report, its records handed to the exploration.
+    let mut probes: Vec<runner::CampaignReport> = Vec::new();
     let doc = explore(spec, opts.quiet, |probe_spec| {
-        let report = runner::execute_with(probe_spec, &inner_opts, Some(&mut cache), false)?;
-        executed += report.executed;
-        skipped += report.skipped;
-        forked_groups += report.forked_groups;
-        prefix_runs += report.prefix_runs;
-        prefix_events_skipped += report.prefix_events_skipped;
-        violations.extend(report.violations);
-        if report.failed.is_empty() {
-            Ok(Some(report.records))
-        } else {
-            failed.extend(report.failed);
-            Ok(None)
-        }
+        let mut report = runner::execute_with(probe_spec, &inner_opts, Some(&mut cache), false)?;
+        let records = std::mem::take(&mut report.records);
+        let ok = report.failed.is_empty();
+        probes.push(report);
+        Ok(ok.then_some(records))
     })?;
     runner::write_atomic(&opts.dir.join("frontier.json"), &doc.render())?;
+    let sum = |count: fn(&runner::CampaignReport) -> usize| probes.iter().map(count).sum();
+    let report = FrontierReport {
+        executed: sum(|r| r.executed),
+        skipped: sum(|r| r.skipped),
+        forked_groups: sum(|r| r.forked_groups),
+        prefix_runs: sum(|r| r.prefix_runs),
+        prefix_events_skipped: probes.iter().map(|r| r.prefix_events_skipped).sum(),
+        violations: probes
+            .iter_mut()
+            .flat_map(|r| r.violations.drain(..))
+            .collect(),
+        failed: probes.iter_mut().flat_map(|r| r.failed.drain(..)).collect(),
+        doc,
+    };
     if !opts.quiet {
         eprintln!(
             "frontier: {} simulated run(s) required ({} executed now, {} resumed) vs {} for \
              the fixed grid; artifact {}",
-            doc.total_runs,
-            executed,
-            skipped,
-            doc.grid_runs,
+            report.doc.total_runs,
+            report.executed,
+            report.skipped,
+            report.doc.grid_runs,
             opts.dir.join("frontier.json").display()
         );
     }
-    Ok(FrontierReport {
-        doc,
-        executed,
-        skipped,
-        forked_groups,
-        prefix_runs,
-        prefix_events_skipped,
-        violations,
-        failed,
-    })
+    Ok(report)
 }
 
 /// Re-derives the document [`execute`] wrote into `dir` from the probe

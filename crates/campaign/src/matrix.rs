@@ -294,8 +294,21 @@ pub fn materialize(
         fi.random_per_hour_min = fi.random_per_hour_min.min(rate);
         cfg.fault_injection = Some(fi);
     }
-    // Adversary axes: `compromised` GMs (highest node indices, like the
-    // paper's node-3 strike) all run the same strategy from +2 s. Any
+    // `count` strikes from +2 s on the highest node indices, like the
+    // paper's node-3 strike, all running `strategy`.
+    let strikes = |nodes: usize, count: usize, strategy: ByzantineStrategy| {
+        let each = (0..count)
+            .map(|k| Strike {
+                at: SimTime::from_secs(2),
+                target_node: nodes - 1 - k,
+                cve: CveId::Cve2018_18955,
+                pot_offset: PAPER_POT_OFFSET,
+                strategy: Some(strategy),
+            })
+            .collect();
+        AttackPlan::new(each)
+    };
+    // Adversary axes: `compromised` GMs all run the same strategy. Any
     // of the three axes alone activates the attack with the others
     // defaulted; an active magnitude axis rescales the preset's
     // dominant waveform parameter (the frontier's probe axis).
@@ -307,16 +320,7 @@ pub fn materialize(
         }
         .ok_or_else(|| SpecError::Value("grid.strategies[]".to_string(), name.to_string()))?;
         let byz = coord.compromised().min(cfg.nodes - 1);
-        let strikes = (0..byz)
-            .map(|k| Strike {
-                at: SimTime::from_secs(2),
-                target_node: cfg.nodes - 1 - k,
-                cve: CveId::Cve2018_18955,
-                pot_offset: PAPER_POT_OFFSET,
-                strategy: Some(strategy),
-            })
-            .collect();
-        cfg.attack = AttackPlan::new(strikes);
+        cfg.attack = strikes(cfg.nodes, byz, strategy);
     }
     if let Some(permille) = coord.loss_permille {
         if permille > 0 {
@@ -341,19 +345,10 @@ pub fn materialize(
         }
         cfg.election = Some(el);
         if let Some(rogues) = coord.rogue_master {
-            let rogues = rogues.min(cfg.nodes - 1);
-            let strikes = (0..rogues)
-                .map(|k| Strike {
-                    at: SimTime::from_secs(2),
-                    target_node: cfg.nodes - 1 - k,
-                    cve: CveId::Cve2018_18955,
-                    pot_offset: PAPER_POT_OFFSET,
-                    strategy: Some(ByzantineStrategy::RogueMaster {
-                        offset: PAPER_POT_OFFSET,
-                    }),
-                })
-                .collect();
-            cfg.attack = AttackPlan::new(strikes);
+            let rogue = ByzantineStrategy::RogueMaster {
+                offset: PAPER_POT_OFFSET,
+            };
+            cfg.attack = strikes(cfg.nodes, rogues.min(cfg.nodes - 1), rogue);
         }
     }
     // Fabric axes: any of them routes inter-node gPTP traffic through a

@@ -137,7 +137,7 @@ pub fn load(dir: &Path) -> io::Result<Vec<ProfileEntry>> {
 }
 
 /// Aggregate profile of one scenario across its runs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioProfile {
     /// Scenario name.
     pub scenario: String,
@@ -192,11 +192,7 @@ pub fn aggregate(entries: &[ProfileEntry]) -> Vec<ScenarioProfile> {
             None => {
                 out.push(ScenarioProfile {
                     scenario: e.scenario.clone(),
-                    runs: 0,
-                    wall_s: 0.0,
-                    sim_events: 0,
-                    dropped: 0,
-                    subsystems: Vec::new(),
+                    ..ScenarioProfile::default()
                 });
                 out.last_mut().expect("just pushed")
             }
@@ -299,10 +295,10 @@ pub fn render_json(aggregates: &[ScenarioProfile]) -> String {
 mod tests {
     use super::*;
     use tsn_time::SimTime;
-    use tsn_trace::{Subsystem, TraceConfig, TraceSink};
+    use tsn_trace::{Subsystem, TraceSink, DEFAULT_MAX_EVENTS};
 
     fn entry(scenario: &str, wall_s: f64, pops: u64) -> ProfileEntry {
-        let mut sink = TraceSink::new(TraceConfig::default());
+        let mut sink = TraceSink::new(DEFAULT_MAX_EVENTS);
         for i in 0..pops {
             sink.pop(SimTime::from_millis(i), "transmit", Subsystem::Netsim);
         }

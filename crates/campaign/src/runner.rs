@@ -1,7 +1,7 @@
 //! Parallel, resumable campaign execution.
 //!
 //! The unit of parallelism is one single-threaded simulation
-//! ([`clocksync::scenario::run`]); the runner fans the run matrix out
+//! ([`clocksync::World::run`]); the runner fans the run matrix out
 //! over a `std::thread::scope` worker pool fed by a shared atomic
 //! index. Determinism does not depend on scheduling: each run's seed
 //! and artifact content are pure functions of its grid coordinate (see

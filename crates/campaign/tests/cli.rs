@@ -1,7 +1,7 @@
 //! CLI contract tests: error paths must print a clear message and exit
 //! 2 instead of panicking, `summarize` and `diff` read a frontier
-//! directory, and the `snapshot` binary's save / info / restore / verify
-//! loop must close.
+//! directory, and `campaign snapshot`'s save / info / restore / verify
+//! loop must close on any campaign run.
 
 mod common;
 
@@ -17,10 +17,7 @@ fn campaign(args: &[&str]) -> Output {
 }
 
 fn snapshot(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_snapshot"))
-        .args(args)
-        .output()
-        .expect("snapshot binary runs")
+    campaign(&[&["snapshot"], args].concat())
 }
 
 #[test]
@@ -79,7 +76,7 @@ fn summarize_of_zero_run_manifest_exits_two_instead_of_panicking() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Both binaries use the regenerators' flag parser
+/// Every subcommand uses the regenerators' flag parser
 /// (`clocksync::repro::Flags`), so each says the same thing; every flag
 /// error exits 2 with `error: <text>` and the usage.
 #[test]
@@ -105,11 +102,7 @@ fn flag_errors_keep_each_binarys_wording() {
         ),
         (snapshot, &["info", "--file"], "--file needs a value"),
         (snapshot, &["verify", "--help"], "help requested"),
-        (
-            snapshot,
-            &["verify", "--seed", "x"],
-            "malformed value \"x\" for --seed",
-        ),
+        (snapshot, &["verify", "--run"], "--run needs a value"),
     ];
     for (bin, args, message) in cases {
         let out = bin(args);
@@ -550,50 +543,110 @@ fn summarize_and_diff_replay_a_frontier_directory() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A short campaign spec: the quick preset, a 4 s run after a 2 s
+/// warm-up, seeds 7 and 8, with `grid` merged into the grid.
+fn short_spec(name: &str, grid: &str) -> String {
+    format!(
+        r#"{{"name":"{name}","base":{{"preset":"quick","duration_s":4,"warmup_s":2}},"scenarios":["baseline"],"grid":{{"seeds":[7,8]{grid}}}}}"#
+    )
+}
+
+/// Writes `spec` into `dir`; returns the file's path and the content
+/// hash of each run, in `matrix::expand` order.
+fn spec_file(dir: &Path, spec: &str) -> (String, Vec<String>) {
+    let path = dir.join("spec.json");
+    std::fs::write(&path, spec).unwrap();
+    let parsed = tsn_campaign::CampaignSpec::parse(spec).unwrap();
+    let hashes = tsn_campaign::expand(&parsed)
+        .unwrap()
+        .into_iter()
+        .map(|p| p.hash)
+        .collect();
+    (path.to_str().unwrap().to_string(), hashes)
+}
+
 #[test]
 fn snapshot_save_info_restore_verify_round_trip() {
     let dir = scratch("snap");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("w.snap");
-    let cfg = [
-        "--preset",
-        "quick",
-        "--seed",
-        "7",
-        "--duration-s",
-        "4",
-        "--warmup-s",
-        "2",
-    ];
+    let file = file.to_str().unwrap();
+    let (spec, hashes) = spec_file(&dir, &short_spec("snap", ""));
+    let run = ["--spec", spec.as_str(), "--run", hashes[0].as_str()];
 
-    let mut save_args = vec!["save"];
-    save_args.extend(cfg);
-    save_args.extend(["--at", "2", "--out", file.to_str().unwrap()]);
-    let save = snapshot(&save_args);
+    let save = snapshot(&[&["save"], &run[..], &["--at", "2", "--out", file]].concat());
     assert!(save.status.success(), "{:?}", save);
 
-    let info = snapshot(&["info", "--file", file.to_str().unwrap()]);
+    let info = snapshot(&["info", "--file", file]);
     assert!(info.status.success());
     let text = String::from_utf8_lossy(&info.stdout);
     assert!(text.contains("state_hash"), "no state hash: {text}");
 
-    let mut restore_args = vec!["restore", "--file", file.to_str().unwrap()];
-    restore_args.extend(cfg);
-    let restore = snapshot(&restore_args);
+    let restore = snapshot(&[&["restore", "--file", file], &run[..]].concat());
     assert!(restore.status.success(), "{:?}", restore);
 
-    // Restoring under a different configuration is refused (exit 2).
-    let wrong = snapshot(&["restore", "--file", file.to_str().unwrap(), "--seed", "8"]);
-    assert_eq!(wrong.status.code(), Some(2));
+    // Restoring into another run's configuration is refused (exit 2).
+    let other = ["--spec", spec.as_str(), "--run", hashes[1].as_str()];
+    let wrong = snapshot(&[&["restore", "--file", file], &other[..]].concat());
+    assert_eq!(wrong.status.code(), Some(2), "{wrong:?}");
 
-    let mut verify_args = vec!["verify"];
-    verify_args.extend(cfg);
-    verify_args.extend(["--epoch-s", "1"]);
-    let verify = snapshot(&verify_args);
+    let verify = snapshot(&[&["verify"], &run[..], &["--epoch-s", "1"]].concat());
     assert!(verify.status.success(), "{:?}", verify);
     let text = String::from_utf8_lossy(&verify.stdout);
     assert!(text.contains("no divergence"), "unexpected: {text}");
 
+    // A hash the spec does not expand to names the spec.
+    let missing = ["--spec", spec.as_str(), "--run", "0123456789abcdef"];
+    let out = snapshot(&[&["verify"], &missing[..]].concat());
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("spec \"snap\" has no run \"0123456789abcdef\""),
+        "{stderr}"
+    );
+
+    // A run is named only by its spec and hash: the old config flags
+    // are unknown arguments.
+    for flag in [
+        "--preset",
+        "--scenario",
+        "--seed",
+        "--duration-s",
+        "--warmup-s",
+    ] {
+        let out = snapshot(
+            &[
+                &["save"],
+                &run[..],
+                &[flag, "7", "--at", "2", "--out", file],
+            ]
+            .concat(),
+        );
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: unknown argument {flag:?}\n")),
+            "{stderr}"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `campaign snapshot verify` reaches worlds that only a grid axis can
+/// configure: dynamic BMCA election, and a multi-hop switch fabric.
+#[test]
+fn snapshot_verify_reaches_election_and_fabric_runs() {
+    let dir = scratch("snap-axes");
+    std::fs::create_dir_all(&dir).unwrap();
+    for grid in [r#","election":[true]"#, r#","hops":[3]"#] {
+        let (spec, hashes) = spec_file(&dir, &short_spec("snap-axes", grid));
+        let run = ["--spec", spec.as_str(), "--run", hashes[0].as_str()];
+        let verify = snapshot(&[&["verify"], &run[..], &["--epoch-s", "1"]].concat());
+        assert!(verify.status.success(), "{grid}: {verify:?}");
+        let text = String::from_utf8_lossy(&verify.stdout);
+        assert!(text.contains("no divergence"), "{grid}: {text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -604,25 +657,30 @@ fn snapshot_restore_of_old_state_schema_names_versions_and_remedy() {
     let dir = scratch("snap-v4");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("w.snap");
-    let cfg = ["--seed", "7", "--duration-s", "4", "--warmup-s", "2"];
+    let (spec, hashes) = spec_file(&dir, &short_spec("snap-v4", ""));
+    let run = ["--spec", spec.as_str(), "--run", hashes[0].as_str()];
+    let path = file.to_str().unwrap();
 
-    let mut save_args = vec!["save"];
-    save_args.extend(cfg);
-    save_args.extend(["--at", "1", "--out", file.to_str().unwrap()]);
-    assert!(snapshot(&save_args).status.success());
+    assert!(
+        snapshot(&[&["save"], &run[..], &["--at", "1", "--out", path]].concat())
+            .status
+            .success()
+    );
 
     let mut snap = clocksync::WorldSnapshot::decode(&std::fs::read(&file).unwrap()).unwrap();
     assert_eq!(snap.state_version, clocksync::snapshot::WORLD_STATE_VERSION);
     snap.state_version = 4;
     std::fs::write(&file, snap.encode()).unwrap();
 
-    let mut restore_args = vec!["restore", "--file", file.to_str().unwrap()];
-    restore_args.extend(cfg);
-    let restore = snapshot(&restore_args);
+    let restore = snapshot(&[&["restore", "--file", path], &run[..]].concat());
     assert_eq!(restore.status.code(), Some(2), "{restore:?}");
     let stderr = String::from_utf8_lossy(&restore.stderr);
     let reads = format!("reads version {}", clocksync::snapshot::WORLD_STATE_VERSION);
-    for needle in ["state schema version 4", reads.as_str(), "snapshot save"] {
+    for needle in [
+        "state schema version 4",
+        reads.as_str(),
+        "campaign snapshot save",
+    ] {
         assert!(stderr.contains(needle), "no {needle:?} in: {stderr}");
     }
 

@@ -3,13 +3,15 @@
 //! * the same spec produces **byte-identical** artifacts at 1 thread
 //!   and at N threads;
 //! * re-invoking a completed campaign resumes with zero re-execution;
-//! * each artifact equals what a direct `scenario::run` with the same
-//!   derived seed produces (the pool adds nothing and loses nothing);
+//! * each artifact equals what a direct `World::new(config).run()` with
+//!   the same derived seed produces (the pool adds nothing and loses
+//!   nothing);
 //! * two independent executions of the same spec diff as parity.
 
 mod common;
 
-use clocksync::scenario::{self, ScenarioKind};
+use clocksync::scenario::ScenarioKind;
+use clocksync::World;
 use common::{artifact_bytes, opts, scratch};
 use tsn_campaign::{
     artifact::RunRecord, runner, summary, BaseSpec, CampaignSpec, DiffVerdict, Grid, RunnerOptions,
@@ -145,8 +147,8 @@ fn pool_runs_equal_direct_scenario_runs() {
     {
         // The derived seed is baked into the materialized config.
         assert_eq!(plan.config.seed, plan.seed);
-        let outcome = scenario::run(plan.config.clone());
-        let direct = RunRecord::new(&spec.name, plan, &outcome.result);
+        let result = World::new(plan.config.clone()).run();
+        let direct = RunRecord::new(&spec.name, plan, &result);
         let from_pool = &report.records[plan.index];
         assert_eq!(&direct, from_pool, "pool result differs from direct run");
         let on_disk =

@@ -69,7 +69,7 @@ fn pi_statistics_are_time_translation_invariant() {
     cfg.duration = Nanos::from_secs(10);
     cfg.warmup = Nanos::from_secs(3);
     cfg.probe_interval = Nanos::from_millis(200);
-    let series = clocksync::scenario::run(cfg).result.series;
+    let series = clocksync::World::new(cfg).run().series;
     assert!(series.len() > 10, "run produced too few Π* samples");
 
     // Translate every sample by a constant Δ (one extra warm-up's worth)

@@ -17,23 +17,24 @@
 //!   aggregation, hypervisor nodes, links, fault schedule);
 //! * [`World`] — the simulation world: the event queue that drives the
 //!   testbed, plus faults, attacker, probes and the passive observers;
-//! * [`scenario`] — ready-made runners for the paper's experiments;
+//! * [`scenario`] — the paper's experiments as named layers over a
+//!   configuration ([`scenario::ScenarioKind`]);
 //! * [`repro`] — the argument parser and printers the figure
 //!   regenerators (the `examples/`) share; its flag parser is also the
-//!   `campaign` and `snapshot` binaries'.
+//!   `campaign` binary's.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use clocksync::{scenario, TestbedConfig};
+//! use clocksync::{TestbedConfig, World};
 //! use tsn_time::Nanos;
 //!
 //! let mut cfg = TestbedConfig::quick(42);
 //! cfg.duration = Nanos::from_secs(30);
-//! let outcome = scenario::baseline(cfg);
+//! let result = World::new(cfg).run();
 //! // Synchronized: measured precision stays within the derived bound.
-//! let bound = outcome.result.bounds.pi_plus_gamma();
-//! assert!(outcome.result.series.fraction_within(bound) > 0.99);
+//! let bound = result.bounds.pi_plus_gamma();
+//! assert!(result.series.fraction_within(bound) > 0.99);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -17,7 +17,7 @@ use tsn_metrics::{
 use tsn_netsim::{ethertype, DeviceId, EthernetFrame, MacAddr, PortAddr, VlanTag};
 use tsn_oracle::{Observation, OracleConfig, OracleRegistry};
 use tsn_time::{ClockTime, Nanos, ServoOutput, SimTime};
-use tsn_trace::{node_pid, Subsystem as TraceSub, TraceConfig, TraceSink, SIM_PID};
+use tsn_trace::{node_pid, Subsystem as TraceSub, TraceSink, DEFAULT_MAX_EVENTS, SIM_PID};
 
 /// The result of one experiment run.
 pub struct RunResult {
@@ -117,7 +117,7 @@ impl World {
     /// snapshots and artifacts stay byte-identical with it on or off.
     /// The sealed trace is returned in [`RunResult::trace`].
     pub fn enable_trace(&mut self) {
-        self.enable_trace_capped(TraceConfig::default().max_events);
+        self.enable_trace_capped(DEFAULT_MAX_EVENTS);
     }
 
     /// [`World::enable_trace`] with an explicit bounded-sink event cap
@@ -125,10 +125,7 @@ impl World {
     /// default cap; raising it trades memory for completeness, and the
     /// sink's drop counter reports any truncation either way.
     pub fn enable_trace_capped(&mut self, max_events: usize) {
-        self.tracer = Some(TraceSink::new(TraceConfig {
-            max_events,
-            ..TraceConfig::default()
-        }));
+        self.tracer = Some(TraceSink::new(max_events));
     }
 
     /// `true` when [`World::enable_trace`] was called.
@@ -175,9 +172,16 @@ impl World {
         let violations = match self.oracle.take() {
             Some(mut oracle) => {
                 let residual: u64 = self.egress.values().map(|p| p.len() as u64).sum();
+                let stalled: u64 = self
+                    .egress
+                    .values()
+                    .filter(|p| !p.is_busy(self.end))
+                    .map(|p| p.len() as u64)
+                    .sum();
                 oracle.observe(&Observation::RunEnd {
                     at: self.end,
                     residual_frames: residual,
+                    stalled_frames: stalled,
                 });
                 if self.tb.fabric.is_some() {
                     oracle.observe(&Observation::FabricTotals {

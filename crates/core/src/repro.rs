@@ -3,7 +3,7 @@
 //! `clock_stability` examples. Each runs its experiment once, prints a
 //! text rendering plus the comparison against the paper's reported
 //! values, and writes artifacts for external plotting. Its strict
-//! [`Flags`] parser is also the `campaign` and `snapshot` binaries'.
+//! [`Flags`] parser is also the `campaign` binary's.
 
 use crate::RunResult;
 use std::path::{Path, PathBuf};

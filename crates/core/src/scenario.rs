@@ -1,25 +1,13 @@
-//! Ready-made experiment scenarios mirroring the paper's evaluation.
+//! The named experiment scenarios of the paper's evaluation.
 //!
 //! Each scenario is a named layer of settings over a [`TestbedConfig`]:
 //! [`ScenarioKind::apply`] materializes the layer onto an arbitrary base
 //! configuration, which is what the campaign engine (`tsn-campaign`)
-//! uses to run scenario × parameter-grid sweeps, and the classic
-//! `fn(seed, duration)` entry points below remain as conveniences over
-//! the paper's defaults.
+//! uses to run scenario × parameter-grid sweeps. To run one, apply it
+//! and build the world: `World::new(cfg).run()` ([`crate::World`]).
 
 use crate::config::TestbedConfig;
-use crate::probe::RunResult;
-use crate::world::World;
 use tsn_faults::{AttackPlan, InjectorConfig, KernelAssignment};
-use tsn_time::Nanos;
-
-/// A finished scenario run.
-pub struct ScenarioOutcome {
-    /// The configuration that produced it.
-    pub config: TestbedConfig,
-    /// The run's result.
-    pub result: RunResult,
-}
 
 /// The named experiment scenarios of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,51 +87,6 @@ impl ScenarioKind {
             }
         }
     }
-}
-
-/// Runs the testbed with no faults and no attack (sanity baseline).
-pub fn baseline(config: TestbedConfig) -> ScenarioOutcome {
-    run(config)
-}
-
-/// The paper's first cyber-resilience experiment (Fig. 3a); see
-/// [`ScenarioKind::CyberIdenticalKernels`].
-pub fn cyber_identical_kernels(seed: u64, duration: Nanos) -> ScenarioOutcome {
-    from_paper_default(ScenarioKind::CyberIdenticalKernels, seed, duration)
-}
-
-/// The paper's second cyber-resilience experiment (Fig. 3b); see
-/// [`ScenarioKind::CyberDiverseKernels`].
-pub fn cyber_diverse_kernels(seed: u64, duration: Nanos) -> ScenarioOutcome {
-    from_paper_default(ScenarioKind::CyberDiverseKernels, seed, duration)
-}
-
-/// The paper's 24 h fault-injection experiment (Fig. 4/5); see
-/// [`ScenarioKind::FaultInjection`]. Pass a shorter `duration` for
-/// tests; the figure regenerators use the full 24 h.
-pub fn fault_injection(seed: u64, duration: Nanos) -> ScenarioOutcome {
-    from_paper_default(ScenarioKind::FaultInjection, seed, duration)
-}
-
-/// The prior-work baseline the paper critiques; see
-/// [`ScenarioKind::PriorWorkBaseline`].
-pub fn prior_work_baseline(seed: u64, duration: Nanos) -> ScenarioOutcome {
-    from_paper_default(ScenarioKind::PriorWorkBaseline, seed, duration)
-}
-
-fn from_paper_default(kind: ScenarioKind, seed: u64, duration: Nanos) -> ScenarioOutcome {
-    let mut cfg = TestbedConfig::paper_default(seed);
-    cfg.duration = duration;
-    kind.apply(&mut cfg);
-    run(cfg)
-}
-
-/// Runs an arbitrary configuration. To arm the oracle or the tracer,
-/// build the [`World`] and call [`World::enable_oracle`] or
-/// [`World::enable_trace`] before running it.
-pub fn run(config: TestbedConfig) -> ScenarioOutcome {
-    let result = World::new(config.clone()).run();
-    ScenarioOutcome { config, result }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use rand::Rng;
 use tsn_election::NodeElection;
 use tsn_fabric::Fabric;
 use tsn_faults::{FaultEvent, FaultSchedule, TransientFaults};
-use tsn_gptp::{Bridge, ClockIdentity};
+use tsn_gptp::{log2_interval, Bridge, ClockIdentity};
 use tsn_hyp::HypNode;
 use tsn_metrics::BoundsReport;
 use tsn_netsim::{
@@ -395,11 +395,6 @@ impl Testbed {
         let (lo, hi) = fab.path_bounds(na, nb, ser_ns, cfg.nodes as i64);
         (p.0 + lo, p.1 + hi)
     }
-}
-
-pub(crate) fn log2_interval(interval: Nanos) -> i8 {
-    let secs = interval.as_secs_f64();
-    secs.log2().round() as i8
 }
 
 // `nic_device` and NIC static parameters (MAC, jitter model, line rate)

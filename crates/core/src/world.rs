@@ -1203,8 +1203,8 @@ impl World {
     }
 
     /// FNV-1a hash of the complete encoded state — equal hashes mean
-    /// byte-identical worlds. The divergence check of `snapshot verify`
-    /// compares these per epoch.
+    /// byte-identical worlds. The divergence check of `campaign snapshot
+    /// verify` compares these per epoch.
     pub fn state_hash(&self) -> u64 {
         let mut w = Writer::new();
         self.save_state(&mut w);

@@ -3,7 +3,8 @@
 //! breaks, and its clean control must not.
 
 use super::*;
-use crate::testbed::{log2_interval, MEASUREMENT_VID};
+use crate::testbed::MEASUREMENT_VID;
+use tsn_gptp::log2_interval;
 use tsn_netsim::VlanTag;
 
 #[test]
@@ -84,6 +85,32 @@ fn a_frame_leaked_into_an_egress_queue_is_witnessed() {
     };
     assert!(witness_after(tiny_world(2), "frame-conservation", leak));
     assert!(!witness_after(tiny_world(2), "frame-conservation", |_| ()));
+}
+
+/// ROADMAP 7: a frame queued behind an in-flight one, observed, whose
+/// wake-up is dropped waits behind a wire nobody frees: it must fail
+/// `FrameConservation`; queued by `on_transmit` it must not. (A port
+/// that sends again drains its backlog then, so the seam uses a NIC's
+/// unwired second port, which no engine sends from.)
+#[test]
+fn a_lost_egress_wake_up_is_witnessed() {
+    let queue_behind = |lose_wake: bool| {
+        move |w: &mut World| {
+            let t = SimTime::from_secs(6);
+            let port = PortAddr::new(w.tb.nodes[0].vms[0].nic_device, 1);
+            w.on_transmit(t, port, ptp_frame(), None);
+            if lose_wake {
+                let wake = w.egress.materialize(port).enqueue(7, (ptp_frame(), None));
+                assert!(wake.is_some_and(|wake| wake.at > t));
+                w.observe(|| Observation::FrameEnqueued { at: t });
+            } else {
+                w.on_transmit(t, port, ptp_frame(), None);
+            }
+        }
+    };
+    let witness = |lose| witness_after(tiny_world(2), "frame-conservation", queue_behind(lose));
+    assert!(witness(true));
+    assert!(!witness(false));
 }
 
 /// ROADMAP 5(a): a fabric crossing without its observation (a leak
@@ -178,6 +205,24 @@ fn an_illegal_sync_state_edge_is_witnessed() {
     assert!(!witness_after(tiny_world(2), "sync-state-legality", |_| ()));
 }
 
+/// `tiny_world(2)` with the dynamic election on and node 0's grandmaster
+/// killed at 6 s; with `partition`, node 1 is islanded from 5.5 s on.
+fn failover(partition: bool) -> World {
+    let mut cfg = TestbedConfig::paper_default(2);
+    cfg.duration = Nanos::from_secs(5);
+    cfg.warmup = Nanos::from_secs(5);
+    cfg.election = Some(tsn_election::ElectionConfig {
+        gm_failure_at: Some(Nanos::from_secs(1)),
+        ..Default::default()
+    });
+    cfg.partition = partition.then_some(crate::config::PartitionWindow {
+        node: 1,
+        from: Nanos::from_millis(500),
+        until: cfg.duration,
+    });
+    World::new(cfg)
+}
+
 /// ROADMAP 7: node 0's grandmaster is killed while a partition keeps
 /// node 1, the runner-up of its domain, on an island. Node 1 takes the
 /// domain over on its side and node 2 on the other, and the two act
@@ -186,21 +231,6 @@ fn an_illegal_sync_state_edge_is_witnessed() {
 /// must not.
 #[test]
 fn two_acting_masters_on_one_domain_are_witnessed() {
-    let failover = |partition: bool| {
-        let mut cfg = TestbedConfig::paper_default(2);
-        cfg.duration = Nanos::from_secs(5);
-        cfg.warmup = Nanos::from_secs(5);
-        cfg.election = Some(tsn_election::ElectionConfig {
-            gm_failure_at: Some(Nanos::from_secs(1)),
-            ..Default::default()
-        });
-        cfg.partition = partition.then_some(crate::config::PartitionWindow {
-            node: 1,
-            from: Nanos::from_millis(500),
-            until: cfg.duration,
-        });
-        World::new(cfg)
-    };
     let invariant = "election-at-most-one-master";
     assert!(witness_after(failover(true), invariant, |_| ()));
     assert!(!witness_after(failover(false), invariant, |_| ()));
@@ -214,16 +244,6 @@ fn two_acting_masters_on_one_domain_are_witnessed() {
 /// not.
 #[test]
 fn a_blown_election_convergence_bound_is_witnessed() {
-    let failover = || {
-        let mut cfg = TestbedConfig::paper_default(2);
-        cfg.duration = Nanos::from_secs(5);
-        cfg.warmup = Nanos::from_secs(5);
-        cfg.election = Some(tsn_election::ElectionConfig {
-            gm_failure_at: Some(Nanos::from_secs(1)),
-            ..Default::default()
-        });
-        World::new(cfg)
-    };
     let candidates_down = |w: &mut World| {
         for node in &mut w.tb.nodes[1..] {
             node.vms[0].running = false;
@@ -231,8 +251,8 @@ fn a_blown_election_convergence_bound_is_witnessed() {
         }
     };
     let invariant = "election-convergence";
-    assert!(witness_after(failover(), invariant, candidates_down));
-    assert!(!witness_after(failover(), invariant, |_| ()));
+    assert!(witness_after(failover(false), invariant, candidates_down));
+    assert!(!witness_after(failover(false), invariant, |_| ()));
 }
 
 #[test]

@@ -23,7 +23,7 @@
 #![warn(missing_docs)]
 
 use tsn_gptp::msg::{AnnounceBody, Header, Message, MessageType};
-use tsn_gptp::{Bmca, ClockIdentity, ClockQuality, PortIdentity, SystemIdentity};
+use tsn_gptp::{log2_interval, Bmca, ClockIdentity, ClockQuality, PortIdentity, SystemIdentity};
 use tsn_snapshot::snap_state;
 use tsn_time::{ClockTime, Nanos};
 
@@ -342,10 +342,6 @@ snap_state!(NodeElection {
     armed_at,
     domains: each
 });
-
-fn log2_interval(interval: Nanos) -> i8 {
-    interval.as_secs_f64().log2().round() as i8
-}
 
 #[cfg(test)]
 mod tests {

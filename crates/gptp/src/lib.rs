@@ -68,7 +68,7 @@ mod types;
 pub use bmca::{Bmca, BmcaDecision, PortRole, PriorityVector};
 pub use bridge::{Bridge, BridgeRelay, Emission};
 pub use cmlds::{LinkDelayService, LinkState};
-pub use msg::{DecodeError, Message};
+pub use msg::{log2_interval, DecodeError, Message};
 pub use pdelay::{LinkDelaySample, PdelayInitiator, PdelayResponder, RespContext};
 pub use port::{OffsetSample, SyncMaster, SyncSlave};
 pub use types::{

@@ -13,6 +13,7 @@
 use crate::types::{ClockIdentity, ClockQuality, Correction, PortIdentity, PtpTimestamp};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
+use tsn_time::Nanos;
 
 /// gPTP `majorSdoId` (transportSpecific) nibble.
 pub const GPTP_MAJOR_SDO_ID: u8 = 0x1;
@@ -110,6 +111,12 @@ pub struct Header {
     pub sequence_id: u16,
     /// log2 of the message interval in seconds.
     pub log_message_interval: i8,
+}
+
+/// `interval` as a header's `logMessageInterval`: log2 of the interval
+/// in seconds, rounded (125 ms → −3).
+pub fn log2_interval(interval: Nanos) -> i8 {
+    interval.as_secs_f64().log2().round() as i8
 }
 
 impl Header {

@@ -141,15 +141,17 @@ impl Invariant for SynctimeContinuity {
 
 /// Frame conservation across egress queues: every frame that enters a
 /// NIC/switch egress queue is eventually popped or still resides in the
-/// queue at the end of the run, and every popped frame is delivered onto
-/// the wire or explicitly dropped (dead source VM).
+/// queue at the end of the run, behind a frame still on the wire, and
+/// every popped frame is delivered onto the wire or explicitly dropped
+/// (dead source VM).
 #[derive(Debug, Default)]
 pub struct FrameConservation {
     enqueued: u64,
     popped: u64,
     delivered_from_queue: u64,
     dropped_from_queue: u64,
-    residual: Option<(SimTime, u64)>,
+    /// `(at, residual, stalled)` of the `RunEnd` observation.
+    residual: Option<(SimTime, u64, u64)>,
 }
 
 impl FrameConservation {
@@ -178,13 +180,14 @@ impl Invariant for FrameConservation {
             Observation::RunEnd {
                 at,
                 residual_frames,
-            } => self.residual = Some((*at, *residual_frames)),
+                stalled_frames,
+            } => self.residual = Some((*at, *residual_frames, *stalled_frames)),
             _ => {}
         }
     }
 
     fn finish(&mut self, log: &mut ViolationLog) {
-        let Some((at, residual)) = self.residual else {
+        let Some((at, residual, stalled)) = self.residual else {
             // No RunEnd observation: nothing was queued, nothing to judge.
             if self.enqueued > 0 {
                 log.record(
@@ -208,6 +211,14 @@ impl Invariant for FrameConservation {
                     "enqueued={} != popped={} + residual={}",
                     self.enqueued, self.popped, residual
                 ),
+            );
+        }
+        if stalled > 0 {
+            log.record(
+                at,
+                self.name(),
+                "world.egress",
+                format!("{stalled} frame(s) queued behind an idle wire: a lost wake-up"),
             );
         }
         if self.popped != self.delivered_from_queue + self.dropped_from_queue {
@@ -949,6 +960,7 @@ mod tests {
             &Observation::RunEnd {
                 at: t,
                 residual_frames: 1,
+                stalled_frames: 0,
             },
             &mut l,
         );
@@ -969,6 +981,7 @@ mod tests {
             &Observation::RunEnd {
                 at: t,
                 residual_frames: 0,
+                stalled_frames: 0,
             },
             &mut l,
         );
@@ -1390,6 +1403,7 @@ mod tests {
             &Observation::RunEnd {
                 at: SimTime::from_secs(15),
                 residual_frames: 0,
+                stalled_frames: 0,
             },
             &mut l,
         );
@@ -1464,6 +1478,7 @@ mod tests {
             &Observation::RunEnd {
                 at: SimTime::from_secs(30),
                 residual_frames: 0,
+                stalled_frames: 0,
             },
             &mut l,
         );
@@ -1488,6 +1503,7 @@ mod tests {
             &Observation::RunEnd {
                 at: SimTime::from_millis(11_000),
                 residual_frames: 0,
+                stalled_frames: 0,
             },
             &mut l,
         );

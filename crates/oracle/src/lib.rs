@@ -202,6 +202,9 @@ pub enum Observation<'a> {
         at: SimTime,
         /// Frames still waiting in egress queues at the end.
         residual_frames: u64,
+        /// Of those, frames waiting on a port whose wire is idle at the
+        /// end: their wake-up was lost, so nothing would ever send them.
+        stalled_frames: u64,
     },
     /// A node's acting-grandmaster status changed on a domain (election
     /// mode): `true` when it started emitting Sync/Announce as master,

@@ -61,7 +61,7 @@ impl fmt::Display for SnapError {
             SnapError::StateVersionMismatch { found, expected } => write!(
                 f,
                 "snapshot has state schema version {found}, this build reads version {expected}: \
-                 re-create it with `snapshot save`"
+                 re-create it with `campaign snapshot save`"
             ),
             SnapError::HashMismatch { expected, found } => write!(
                 f,

@@ -24,9 +24,9 @@
 //!
 //! On top of this substrate `tsn-campaign` implements fork-based
 //! campaign execution (simulate a shared warm prefix once, fork each
-//! run's divergent continuation) and the `snapshot` CLI implements
-//! save/restore/verify/info, including divergence detection via
-//! per-epoch state hashes.
+//! run's divergent continuation) and `campaign snapshot` implements
+//! save/restore/verify/info of any campaign run, including divergence
+//! detection via per-epoch state hashes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,10 +24,10 @@
 //! campaign runner and kept in the separate profile stream.
 //!
 //! ```
-//! use tsn_trace::{Subsystem, TraceConfig, TraceSink, SIM_PID};
+//! use tsn_trace::{Subsystem, TraceSink, DEFAULT_MAX_EVENTS, SIM_PID};
 //! use tsn_time::SimTime;
 //!
-//! let mut sink = TraceSink::new(TraceConfig::default());
+//! let mut sink = TraceSink::new(DEFAULT_MAX_EVENTS);
 //! sink.pop(SimTime::from_millis(1), "transmit", Subsystem::Netsim);
 //! sink.instant(SimTime::from_millis(1), "fta_round", Subsystem::Fta, 100, 0)
 //!     .arg_i64("offset_ns", 125)
@@ -203,36 +203,25 @@ impl EventRef<'_> {
     }
 }
 
-/// Sink configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Hard cap on recorded events. Beyond it events are counted as
-    /// dropped (reported in the export metadata), never silently lost.
-    pub max_events: usize,
-    /// Emit a cumulative `events` counter sample every this many queue
-    /// pops (a cheap timeline-density view; pops are otherwise counted,
-    /// not individually recorded).
-    pub counter_stride: u64,
-}
+/// The default cap on recorded events of a [`TraceSink`].
+pub const DEFAULT_MAX_EVENTS: usize = 1 << 20;
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            max_events: 1 << 20,
-            counter_stride: 4096,
-        }
-    }
-}
+/// A cumulative `events` counter sample is emitted every this many
+/// queue pops (a cheap timeline-density view; pops are otherwise
+/// counted, not individually recorded).
+const COUNTER_STRIDE: u64 = 4096;
 
 /// Collects trace events and per-subsystem counts during a run.
 ///
-/// The sink is bounded ([`TraceConfig::max_events`]) and append-only;
+/// The sink is bounded (`max_events`) and append-only;
 /// every mutating method is `O(1)` amortized, and the per-event cost
 /// when tracing is *disabled* is a single `Option` discriminant check
 /// in the caller (the same pattern as `World::enable_oracle`).
 #[derive(Debug)]
 pub struct TraceSink {
-    cfg: TraceConfig,
+    /// Hard cap on recorded events. Beyond it events are counted as
+    /// dropped (reported in the export metadata), never silently lost.
+    max_events: usize,
     events: Vec<TraceEvent>,
     dropped: u64,
     /// Queue pops per event kind, insertion-ordered (kinds are a small
@@ -246,10 +235,10 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// A new, empty sink.
-    pub fn new(cfg: TraceConfig) -> TraceSink {
+    /// A new, empty sink that records at most `max_events` events.
+    pub fn new(max_events: usize) -> TraceSink {
         TraceSink {
-            cfg,
+            max_events,
             events: Vec::new(),
             dropped: 0,
             pop_kinds: Vec::new(),
@@ -260,7 +249,7 @@ impl TraceSink {
     }
 
     fn record(&mut self, ev: TraceEvent) -> EventRef<'_> {
-        if self.events.len() >= self.cfg.max_events {
+        if self.events.len() >= self.max_events {
             self.dropped += 1;
             return EventRef(None);
         }
@@ -269,8 +258,7 @@ impl TraceSink {
     }
 
     /// Records an event-queue pop: counted per kind and subsystem, and
-    /// sampled into a cumulative counter track every
-    /// [`TraceConfig::counter_stride`] pops.
+    /// sampled into a cumulative counter track every 4096 pops.
     pub fn pop(&mut self, at: SimTime, kind: &'static str, sub: Subsystem) {
         self.subsystems[sub.index()] += 1;
         match self.pop_kinds.iter_mut().find(|(k, _)| *k == kind) {
@@ -278,7 +266,7 @@ impl TraceSink {
             None => self.pop_kinds.push((kind, 1)),
         }
         self.pops += 1;
-        if self.pops.is_multiple_of(self.cfg.counter_stride) {
+        if self.pops.is_multiple_of(COUNTER_STRIDE) {
             let pops = self.pops;
             self.record(TraceEvent {
                 name: "events",
@@ -419,7 +407,7 @@ pub struct TraceReport {
     pub subsystems: Vec<(Subsystem, u64)>,
     /// Total event-queue pops the run dispatched.
     pub sim_events: u64,
-    /// Events discarded at the [`TraceConfig::max_events`] cap.
+    /// Events discarded at the sink's `max_events` cap.
     pub dropped: u64,
     /// Simulated end time of the run.
     pub end: SimTime,
@@ -575,7 +563,7 @@ mod tests {
 
     #[test]
     fn records_and_exports() {
-        let mut sink = TraceSink::new(TraceConfig::default());
+        let mut sink = TraceSink::new(DEFAULT_MAX_EVENTS);
         sink.pop(SimTime::from_millis(1), "transmit", Subsystem::Netsim);
         sink.instant(
             SimTime::from_millis(2),
@@ -608,7 +596,7 @@ mod tests {
 
     #[test]
     fn pending_spans_flush_at_finish() {
-        let mut sink = TraceSink::new(TraceConfig::default());
+        let mut sink = TraceSink::new(DEFAULT_MAX_EVENTS);
         sink.begin_span(
             7,
             SimTime::from_millis(4),
@@ -625,10 +613,7 @@ mod tests {
 
     #[test]
     fn cap_counts_drops_instead_of_growing() {
-        let mut sink = TraceSink::new(TraceConfig {
-            max_events: 2,
-            counter_stride: 4096,
-        });
+        let mut sink = TraceSink::new(2);
         for i in 0..5 {
             sink.instant(SimTime::from_millis(i), "x", Subsystem::Hyp, SIM_PID, 0);
         }
@@ -640,17 +625,15 @@ mod tests {
 
     #[test]
     fn pop_counter_track_is_sampled() {
-        let mut sink = TraceSink::new(TraceConfig {
-            max_events: 1 << 20,
-            counter_stride: 2,
-        });
-        for i in 0..5 {
-            sink.pop(SimTime::from_millis(i), "transmit", Subsystem::Netsim);
+        let mut sink = TraceSink::new(DEFAULT_MAX_EVENTS);
+        let pops = 2 * COUNTER_STRIDE;
+        for i in 0..pops {
+            sink.pop(SimTime::from_nanos(i), "transmit", Subsystem::Netsim);
         }
-        let report = sink.finish(SimTime::from_millis(5));
-        assert_eq!(report.sim_events, 5);
-        assert_eq!(report.pop_kinds, vec![("transmit", 5)]);
-        // Counter samples at pop 2 and 4.
+        let report = sink.finish(SimTime::from_nanos(pops));
+        assert_eq!(report.sim_events, pops);
+        assert_eq!(report.pop_kinds, vec![("transmit", pops)]);
+        // Counter samples at pop 4096 and 8192.
         assert_eq!(
             report.events.iter().filter(|e| e.name == "events").count(),
             2
@@ -659,7 +642,7 @@ mod tests {
 
     #[test]
     fn subsystem_shares_sum_to_one() {
-        let mut sink = TraceSink::new(TraceConfig::default());
+        let mut sink = TraceSink::new(DEFAULT_MAX_EVENTS);
         sink.pop(SimTime::from_millis(1), "transmit", Subsystem::Netsim);
         sink.instant(SimTime::from_millis(1), "servo", Subsystem::Servo, 100, 0);
         let report = sink.finish(SimTime::from_millis(2));

@@ -24,7 +24,7 @@
 //! ```
 
 use clocksync::repro::ReproArgs;
-use clocksync::{scenario, TestbedConfig};
+use clocksync::{TestbedConfig, World};
 use tsn_faults::{
     AttackPlan, CveId, InjectorConfig, KernelAssignment, Strike, TransientFaultConfig,
     PAPER_POT_OFFSET,
@@ -78,7 +78,7 @@ fn abl1_aggregation(args: &ReproArgs) {
         ("median", AggregationMethod::Median),
     ] {
         cfg.aggregation.method = method;
-        let r = scenario::run(cfg.clone()).result;
+        let r = World::new(cfg.clone()).run();
         let stats = r.series.stats().expect("samples");
         println!(
             "  {name:<8} within bound: {:.4}   avg = {:>8.0} ns   max = {}",
@@ -100,7 +100,7 @@ fn abl4_monitor(args: &ReproArgs) {
     for period in [62i64, 125, 500] {
         cfg.monitor.period = Nanos::from_millis(period);
         cfg.monitor.freshness_timeout = Nanos::from_millis(period * 4);
-        let r = scenario::run(cfg.clone()).result;
+        let r = World::new(cfg.clone()).run();
         let stats = r.series.stats().expect("samples");
         println!(
             "  monitor {period:>3} ms: takeovers = {:>2}  avg = {:>6.0} ns  max = {:>10}  within = {:.4}",
@@ -130,7 +130,7 @@ fn abl4_monitor(args: &ReproArgs) {
             let mut cfg = TestbedConfig::paper_default(seed);
             cfg.duration = duration;
             cfg.sync_clock_discipline = discipline;
-            let r = scenario::run(cfg).result;
+            let r = World::new(cfg).run();
             let stats = r.series.stats().expect("samples");
             worst = worst.max(stats.max);
             sum += stats.mean;
@@ -170,7 +170,7 @@ fn abl5_unikernel(args: &ReproArgs) {
         let downtime = (Nanos::from_secs(downtime.0), Nanos::from_secs(downtime.1));
         dense_faults(&mut cfg, 200, (2, 6), downtime);
         cfg.transient = transient;
-        let r = scenario::run(cfg.clone()).result;
+        let r = World::new(cfg.clone()).run();
         let stats = r.series.stats().expect("samples");
         let rejoins = r
             .events

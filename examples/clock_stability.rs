@@ -9,7 +9,7 @@
 //! ```
 
 use clocksync::repro::ReproArgs;
-use clocksync::{scenario, TestbedConfig};
+use clocksync::{TestbedConfig, World};
 use tsn_hyp::SyncClockDiscipline;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         let mut cfg = TestbedConfig::paper_default(args.seed(7));
         cfg.duration = duration;
         cfg.sync_clock_discipline = discipline;
-        let r = scenario::run(cfg).result;
+        let r = World::new(cfg).run();
         println!("== {label} ==");
         println!("  discipline error (CLOCK_SYNCTIME vs PHC):");
         let de = &r.discipline_error;

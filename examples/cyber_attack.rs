@@ -25,9 +25,18 @@ use clocksync::repro::{
     bound_plot, print_bounds, print_summary, shape_check_line, window_max, write_artifact,
     ReproArgs,
 };
-use clocksync::{scenario, RunResult};
+use clocksync::scenario::ScenarioKind;
+use clocksync::{RunResult, TestbedConfig, World};
 use tsn_metrics::{series_csv, ExperimentEvent, WindowStat};
 use tsn_time::Nanos;
+
+/// The paper's testbed with `kind` layered on, run for `duration`.
+fn run(kind: ScenarioKind, seed: u64, duration: Nanos) -> RunResult {
+    let mut cfg = TestbedConfig::paper_default(seed);
+    cfg.duration = duration;
+    kind.apply(&mut cfg);
+    World::new(cfg).run()
+}
 
 /// Prints the figure's summary block; returns its one-minute windows
 /// and their plot.
@@ -52,7 +61,7 @@ fn main() {
     let (seed, duration) = (args.seed(7), args.duration(60));
 
     println!("Fig. 3a — identical kernels, attack at 00:21:42 / 00:31:52\n");
-    let r = &scenario::cyber_identical_kernels(seed, duration).result;
+    let r = &run(ScenarioKind::CyberIdenticalKernels, seed, duration);
     let (windows, plot) = summary_and_plot(r);
     println!("\n{plot}");
     let bound = r.bounds.pi_plus_gamma();
@@ -71,7 +80,7 @@ fn main() {
     let txt1 = r.bounds;
 
     println!("\nFig. 3b — diverse kernels, same attacker\n");
-    let r = &scenario::cyber_diverse_kernels(seed, duration).result;
+    let r = &run(ScenarioKind::CyberDiverseKernels, seed, duration);
     let (windows, plot) = summary_and_plot(r);
     println!(
         "strikes: {} succeeded (c1_4), {} failed (c1_1)",

@@ -24,7 +24,8 @@
 //! ```
 
 use clocksync::repro::{bound_plot, print_bounds, print_summary, write_artifact, ReproArgs};
-use clocksync::{scenario, RunResult};
+use clocksync::scenario::ScenarioKind;
+use clocksync::{RunResult, TestbedConfig, World};
 use std::path::Path;
 use tsn_metrics::{histogram_csv, render_histogram, series_csv, ExperimentEvent, Histogram};
 use tsn_time::{Nanos, SimTime};
@@ -100,9 +101,11 @@ fn fig5(r: &RunResult, out: &Path) {
 
 fn main() {
     let args = ReproArgs::parse();
-    let duration = args.duration(24 * 60);
-    let hours = duration.as_secs_f64() / 3600.0;
-    let r = &scenario::fault_injection(args.seed(11), duration).result;
+    let mut cfg = TestbedConfig::paper_default(args.seed(11));
+    cfg.duration = args.duration(24 * 60);
+    ScenarioKind::FaultInjection.apply(&mut cfg);
+    let hours = cfg.duration.as_secs_f64() / 3600.0;
+    let r = &World::new(cfg).run();
 
     fig4a(r, hours, &args.out);
     println!();

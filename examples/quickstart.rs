@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use clocksync::{scenario, TestbedConfig};
+use clocksync::{TestbedConfig, World};
 use tsn_metrics::{render_series, series_csv};
 use tsn_time::Nanos;
 
@@ -21,8 +21,8 @@ fn main() {
         "building testbed: {} nodes, {} domains, S = {}",
         cfg.nodes, cfg.aggregation.domains, cfg.sync_interval
     );
-    let outcome = scenario::baseline(cfg);
-    let r = &outcome.result;
+    let seconds = cfg.duration.as_secs_f64();
+    let r = &World::new(cfg).run();
 
     println!("\nderived bounds (paper §III-A3):");
     println!("  d_min = {}   d_max = {}", r.bounds.d_min, r.bounds.d_max);
@@ -34,10 +34,7 @@ fn main() {
     );
 
     let stats = r.series.stats().expect("probes collected");
-    println!(
-        "\nmeasured precision Π* over {} s:",
-        outcome.config.duration.as_secs_f64()
-    );
+    println!("\nmeasured precision Π* over {seconds} s:");
     println!(
         "  avg = {:.0} ns   std = {:.0} ns   min = {}   max = {}",
         stats.mean, stats.std, stats.min, stats.max

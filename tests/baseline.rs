@@ -1,6 +1,6 @@
 //! Integration: fault-free operation of the full testbed.
 
-use clocksync::{scenario, TestbedConfig, World};
+use clocksync::{TestbedConfig, World};
 use tsn_time::{Nanos, SimTime};
 
 fn quick(seed: u64, secs: i64) -> TestbedConfig {
@@ -11,8 +11,7 @@ fn quick(seed: u64, secs: i64) -> TestbedConfig {
 
 #[test]
 fn converges_and_stays_within_bound() {
-    let outcome = scenario::baseline(quick(42, 90));
-    let r = &outcome.result;
+    let r = &World::new(quick(42, 90)).run();
     let stats = r.series.stats().expect("probes collected");
     assert!(stats.count >= 85, "only {} samples", stats.count);
     // Sub-microsecond average, as in the paper's steady state.
@@ -26,18 +25,18 @@ fn converges_and_stays_within_bound() {
 
 #[test]
 fn deterministic_across_runs() {
-    let a = scenario::baseline(quick(7, 45));
-    let b = scenario::baseline(quick(7, 45));
-    assert_eq!(a.result.series.samples(), b.result.series.samples());
-    assert_eq!(a.result.counters, b.result.counters);
-    assert_eq!(a.result.events.entries(), b.result.events.entries());
+    let a = World::new(quick(7, 45)).run();
+    let b = World::new(quick(7, 45)).run();
+    assert_eq!(a.series.samples(), b.series.samples());
+    assert_eq!(a.counters, b.counters);
+    assert_eq!(a.events.entries(), b.events.entries());
 }
 
 #[test]
 fn different_seeds_differ() {
-    let a = scenario::baseline(quick(1, 45));
-    let b = scenario::baseline(quick(2, 45));
-    assert_ne!(a.result.series.samples(), b.result.series.samples());
+    let a = World::new(quick(1, 45)).run();
+    let b = World::new(quick(2, 45)).run();
+    assert_ne!(a.series.samples(), b.series.samples());
 }
 
 #[test]
@@ -58,8 +57,7 @@ fn ground_truth_phc_spread_converges() {
 
 #[test]
 fn bounds_match_paper_formula() {
-    let outcome = scenario::baseline(quick(5, 30));
-    let b = &outcome.result.bounds;
+    let b = &World::new(quick(5, 30)).run().bounds;
     // Γ = 2 · 5 ppm · 125 ms.
     assert_eq!(b.drift_offset, Nanos::from_nanos(1_250));
     // Π = 2 (E + Γ) for N = 4, f = 1.
@@ -81,8 +79,7 @@ fn bounds_match_paper_formula() {
 fn feed_forward_discipline_also_converges() {
     let mut cfg = quick(9, 60);
     cfg.sync_clock_discipline = clocksync::hyp::SyncClockDiscipline::FeedForward;
-    let outcome = scenario::baseline(cfg);
-    let r = &outcome.result;
+    let r = &World::new(cfg).run();
     let stats = r.series.stats().expect("probes");
     assert!(stats.mean < 1_000.0, "average {} ns", stats.mean);
     assert_eq!(r.series.fraction_within(r.bounds.pi_plus_gamma()), 1.0);
@@ -95,8 +92,7 @@ fn scales_to_more_nodes() {
     cfg.nodes = 5;
     cfg.aggregation.domains = 5;
     cfg.kernels = clocksync::faults::KernelAssignment::identical(5);
-    let outcome = scenario::baseline(cfg);
-    let stats = outcome.result.series.stats().expect("probes");
+    let stats = World::new(cfg).run().series.stats().expect("probes");
     assert!(stats.mean < 1_500.0, "average {} ns", stats.mean);
 }
 

@@ -4,7 +4,7 @@
 //! strikes are moved to 3 min and 6 min so a 10 min simulated run
 //! exercises the full before/strike-1/strike-2 sequence.
 
-use clocksync::{scenario, TestbedConfig, World};
+use clocksync::{TestbedConfig, World};
 use tsn_faults::{
     AttackPlan, ByzantineStrategy, CveId, KernelAssignment, Strike, PAPER_POT_OFFSET,
 };
@@ -49,8 +49,7 @@ fn minute_max(r: &clocksync::RunResult, m: u64) -> Nanos {
 
 #[test]
 fn identical_kernels_first_strike_masked_second_breaks_bound() {
-    let outcome = scenario::run(cfg(KernelAssignment::identical(4)));
-    let r = &outcome.result;
+    let r = &World::new(cfg(KernelAssignment::identical(4))).run();
     assert_eq!(r.counters.strikes_succeeded, 2);
     assert_eq!(r.counters.strikes_failed, 0);
     let bound = r.bounds.pi_plus_gamma();
@@ -75,8 +74,7 @@ fn identical_kernels_first_strike_masked_second_breaks_bound() {
 
 #[test]
 fn diverse_kernels_mask_the_whole_attack() {
-    let outcome = scenario::run(cfg(KernelAssignment::diverse(4, 3)));
-    let r = &outcome.result;
+    let r = &World::new(cfg(KernelAssignment::diverse(4, 3))).run();
     assert_eq!(r.counters.strikes_succeeded, 1);
     assert_eq!(r.counters.strikes_failed, 1);
     assert_eq!(
@@ -89,8 +87,7 @@ fn diverse_kernels_mask_the_whole_attack() {
 #[test]
 fn attack_without_vulnerable_kernels_is_harmless() {
     let kernels = KernelAssignment::custom(vec![tsn_faults::KernelVersion::V5_4_0; 4]);
-    let outcome = scenario::run(cfg(kernels));
-    let r = &outcome.result;
+    let r = &World::new(cfg(kernels)).run();
     assert_eq!(r.counters.strikes_succeeded, 0);
     assert_eq!(r.counters.strikes_failed, 2);
     assert_eq!(r.series.fraction_within(r.bounds.pi_plus_gamma()), 1.0);
@@ -98,9 +95,8 @@ fn attack_without_vulnerable_kernels_is_harmless() {
 
 #[test]
 fn strike_events_are_logged_with_outcome() {
-    let outcome = scenario::run(cfg(KernelAssignment::diverse(4, 3)));
-    let strikes: Vec<bool> = outcome
-        .result
+    let strikes: Vec<bool> = World::new(cfg(KernelAssignment::diverse(4, 3)))
+        .run()
         .events
         .entries()
         .iter()
@@ -205,8 +201,7 @@ fn single_byzantine_gm_bounded_regardless_of_direction() {
         pot_offset: Nanos::from_micros(24),
         strategy: None,
     }]);
-    let outcome = scenario::run(c);
-    let r = &outcome.result;
+    let r = &World::new(c).run();
     assert_eq!(r.counters.strikes_succeeded, 1);
     assert_eq!(r.series.fraction_within(r.bounds.pi_plus_gamma()), 1.0);
 }

@@ -1,7 +1,7 @@
 //! Integration: fail-silent fault injection and dependent-clock
 //! takeovers (a compressed version of the paper's 24 h experiment).
 
-use clocksync::{scenario, TestbedConfig};
+use clocksync::{TestbedConfig, World};
 use tsn_faults::{FaultSchedule, InjectorConfig};
 use tsn_metrics::ExperimentEvent;
 use tsn_netsim::SeedSplitter;
@@ -26,7 +26,7 @@ fn run_dense(seed: u64, secs: i64) -> clocksync::RunResult {
     let mut cfg = TestbedConfig::paper_default(seed);
     cfg.duration = duration;
     cfg.fault_injection = Some(dense_injector(duration));
-    scenario::run(cfg).result
+    World::new(cfg).run()
 }
 
 #[test]
@@ -120,7 +120,7 @@ fn transient_faults_counted_and_logged() {
 fn no_faults_means_no_takeovers() {
     let mut cfg = TestbedConfig::paper_default(25);
     cfg.duration = Nanos::from_secs(120);
-    let r = scenario::run(cfg).result;
+    let r = World::new(cfg).run();
     assert_eq!(r.counters.takeovers, 0);
     assert_eq!(r.counters.vm_failures, 0);
 }
@@ -135,7 +135,7 @@ fn three_clock_sync_vms_survive_double_failure() {
     cfg.vms_per_node = 3;
     cfg.duration = duration;
     cfg.fault_injection = Some(dense_injector(duration));
-    let r = scenario::run(cfg).result;
+    let r = World::new(cfg).run();
     assert!(r.counters.takeovers >= 1);
     let frac = r.series.fraction_within(r.bounds.pi_plus_gamma());
     assert!(frac > 0.99, "only {frac} within bound with 3 VMs per node");
@@ -157,7 +157,7 @@ fn voting_monitor_detects_byzantine_publisher() {
         at: Nanos::from_secs(40),
         offset: Nanos::from_micros(-50),
     });
-    let r = scenario::run(cfg).result;
+    let r = World::new(cfg).run();
     assert!(
         r.counters.takeovers >= 1,
         "voting monitor failed to replace the Byzantine maintainer"
@@ -189,7 +189,7 @@ fn fail_silent_monitor_misses_byzantine_publisher() {
         at: Nanos::from_secs(40),
         offset: Nanos::from_micros(-50),
     });
-    let r = scenario::run(cfg).result;
+    let r = World::new(cfg).run();
     assert_eq!(
         r.counters.takeovers, 0,
         "fail-silent monitor cannot detect it"

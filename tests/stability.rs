@@ -1,13 +1,13 @@
 //! Integration: the stability analysis of CLOCK_SYNCTIME (ADEV/MTIE of
 //! the ground-truth and discipline-error series the world records).
 
-use clocksync::{scenario, TestbedConfig};
+use clocksync::{TestbedConfig, World};
 use tsn_time::Nanos;
 
 fn run(seed: u64, secs: i64) -> clocksync::RunResult {
     let mut cfg = TestbedConfig::paper_default(seed);
     cfg.duration = Nanos::from_secs(secs);
-    scenario::run(cfg).result
+    World::new(cfg).run()
 }
 
 #[test]
