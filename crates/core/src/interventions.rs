@@ -5,6 +5,7 @@
 //! `STSHMEM` publisher. Each acts strictly after the warm-up; all but the
 //! last fire from a control event armed at construction.
 
+use crate::probe::observe;
 use crate::world::{Ev, World};
 use tsn_faults::{AttackPlan, ByzantineStrategy, StrikeOutcome, VmSlot};
 use tsn_metrics::ExperimentEvent;
@@ -49,14 +50,14 @@ impl World {
         self.counters.gm_failures += u64::from(grandmaster);
         for d in was_acting {
             let (at, domain) = (t, d as usize);
-            self.observe(|| Observation::ElectionActing {
+            observe(&mut self.observers, || Observation::ElectionActing {
                 at,
                 domain,
                 node,
                 acting: false,
             });
             if killed {
-                self.observe(|| Observation::GmKilled { at, domain });
+                observe(&mut self.observers, || Observation::GmKilled { at, domain });
             }
         }
         self.log(t, ExperimentEvent::VmFailure { node, grandmaster });

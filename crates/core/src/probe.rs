@@ -1,20 +1,21 @@
 //! The measurement plane and the run's own account of itself: the
 //! precision probes of paper §III-A2 (send, collect, finalize), the
-//! annotated event log, the mirror of frames and FTA rounds into the
-//! structured tracer, and the ground-truth readers tests and examples
-//! use. Nothing here feeds back into the simulated system.
+//! annotated event log, the one passive channel ([`Observers`], fed
+//! through [`observe`]) with the trace's reading of it, and the
+//! ground-truth readers tests and examples use. Nothing here feeds back
+//! into the simulated system.
 
 use crate::counters::RunCounters;
 use crate::testbed::{VmState, MEASUREMENT_VID};
 use crate::world::{Ev, World};
 use std::collections::HashMap;
-use tsn_fta::{Aggregation, AggregationMethod, AggregationMode};
+use tsn_fta::AggregationMethod;
 use tsn_gptp::msg::MessageType;
 use tsn_metrics::{
     precision_of, BoundsReport, EventLog, ExperimentEvent, PrecisionSample, PrecisionSeries,
     TransientKind,
 };
-use tsn_netsim::{ethertype, DeviceId, EthernetFrame, MacAddr, PortAddr, VlanTag};
+use tsn_netsim::{ethertype, EthernetFrame, MacAddr, PortAddr, VlanTag};
 use tsn_oracle::{Observation, OracleConfig, OracleRegistry};
 use tsn_time::{ClockTime, Nanos, ServoOutput, SimTime};
 use tsn_trace::{node_pid, Subsystem as TraceSub, TraceSink, DEFAULT_MAX_EVENTS, SIM_PID};
@@ -67,16 +68,248 @@ tsn_snapshot::snap_state!(Measurement {
     series: state,
 });
 
+/// The run's passive observers, each off until armed: the invariant
+/// oracle and the trace sink. Both read the one stream of
+/// [`Observation`]s the world feeds through [`observe`]. None draws
+/// randomness or schedules events, so any set of them leaves state
+/// hashes, snapshots and artifacts byte-identical.
+#[derive(Default)]
+pub(crate) struct Observers {
+    oracle: Option<OracleRegistry>,
+    /// The trace sink, with the FTA trim degree `f` that tells which
+    /// inputs a traced round trimmed.
+    trace: Option<(TraceSink, usize)>,
+}
+
+/// Feeds one observation to the armed observers; `obs` is not built
+/// when none is armed. Takes the field, not the world, so `obs` may
+/// borrow the rest of the world.
+#[inline]
+pub(crate) fn observe<'a>(set: &mut Option<Observers>, obs: impl FnOnce() -> Observation<'a>) {
+    if let Some(observers) = set {
+        feed(observers, obs);
+    }
+}
+
+/// [`observe`]'s armed path, kept cold and out of line so that building
+/// and dispatching an observation stays out of the event handlers.
+#[cold]
+#[inline(never)]
+fn feed<'a>(observers: &mut Observers, obs: impl FnOnce() -> Observation<'a>) {
+    let obs = obs();
+    if let Some(oracle) = &mut observers.oracle {
+        oracle.observe(&obs);
+    }
+    if let Some((sink, fta_trim)) = &mut observers.trace {
+        trace(sink, *fta_trim, &obs);
+    }
+}
+
+/// The trace's reading of one observation: its lane (`pid`, `tid`), the
+/// instant or span it records, and the arguments; nothing for the
+/// observations it has no reading of.
+fn trace(sink: &mut TraceSink, fta_trim: usize, obs: &Observation<'_>) {
+    match *obs {
+        Observation::Event { at, kind, sub } => sink.pop(at, kind, sub),
+        Observation::FrameDelivered {
+            at,
+            station,
+            ethertype,
+            payload,
+            ..
+        } => trace_frame(sink, at, station, true, ethertype, payload),
+        Observation::FrameArrived {
+            at,
+            station,
+            ethertype,
+            payload,
+        } => trace_frame(sink, at, station, false, ethertype, payload),
+        // Ports ask to be woken only behind a waiting frame; a wake-up
+        // that finds the wire free and nothing queued was wasted, and
+        // worth a mark.
+        Observation::PortWoken { at, idle: true } => {
+            let lane = TraceSub::Netsim.lane();
+            sink.instant(at, "port_free_idle", TraceSub::Netsim, SIM_PID, lane);
+        }
+        Observation::LinkWindow { at, window, down } => {
+            if down {
+                let (sub, lane) = (TraceSub::Netsim, TraceSub::Netsim.lane());
+                sink.begin_span(window as u64, at, "link_down", sub, SIM_PID, lane);
+            } else {
+                sink.end_span(window as u64, at);
+            }
+        }
+        Observation::FabricCrossing {
+            at,
+            from_sw,
+            to_sw,
+            sync,
+            dropped,
+            delay,
+            residence_ns,
+        } if dropped || sync => {
+            let name = if dropped {
+                "fabric_drop"
+            } else {
+                "fabric_sync"
+            };
+            let lane = TraceSub::Fabric.lane();
+            let ev = sink
+                .instant(at, name, TraceSub::Fabric, SIM_PID, lane)
+                .arg_u64("from_sw", from_sw as u64)
+                .arg_u64("to_sw", to_sw as u64);
+            if !dropped {
+                ev.arg_i64("delay_ns", delay.as_nanos())
+                    .arg_i64("residence_ns", residence_ns);
+            }
+        }
+        Observation::Aggregated {
+            at,
+            node,
+            slot,
+            offset,
+            servo,
+            fault_tolerant,
+            used,
+            ..
+        } => {
+            let inputs: Vec<Nanos> = used.iter().map(|&(_, o)| o).collect();
+            let trimmed = tsn_fta::trimmed_indices(&inputs, fta_trim).into_iter();
+            let trimmed: Vec<String> = trimmed.map(|i| used[i].0.to_string()).collect();
+            let used_arg: Vec<String> = used
+                .iter()
+                .map(|(d, o)| format!("{d}:{:+}", o.as_nanos()))
+                .collect();
+            let mode = if fault_tolerant {
+                "fault_tolerant"
+            } else {
+                "startup"
+            };
+            let (pid, tid) = (node_pid(node), slot as u32);
+            sink.instant(at, "fta_round", TraceSub::Fta, pid, tid)
+                .arg_i64("offset_ns", offset.as_nanos())
+                .arg_str("mode", mode)
+                .arg_str("used", used_arg.join(","))
+                .arg_str("trimmed", trimmed.join(","))
+                .arg_str("servo", servo.kind_name());
+            if let Some(ppb) = servo.freq_adj_ppb() {
+                let ev = sink
+                    .instant(at, "servo", TraceSub::Servo, pid, tid)
+                    .arg_f64("freq_adj_ppb", ppb);
+                if let ServoOutput::Step { delta, .. } = servo {
+                    ev.arg_i64("step_ns", delta.as_nanos());
+                }
+            }
+        }
+        Observation::ElectionActing {
+            at,
+            domain,
+            node,
+            acting,
+        } => {
+            let name = if acting { "promoted" } else { "demoted" };
+            sink.instant(at, name, TraceSub::Election, node_pid(node), 0)
+                .arg_u64("domain", domain as u64);
+        }
+        Observation::Elected {
+            at,
+            node,
+            domain,
+            winner,
+            prev,
+        } => {
+            sink.instant(at, "elected", TraceSub::Election, node_pid(node), 0)
+                .arg_u64("domain", domain as u64)
+                .arg_u64("winner", winner as u64)
+                .arg_u64("prev", prev as u64);
+        }
+        Observation::Logged { at, event } => trace_logged(sink, at, event),
+        _ => {}
+    }
+}
+
+/// A gPTP or measurement frame's departure (`tx`) or arrival as an
+/// instant on the station's lane (a switch's go to the gPTP lane).
+/// Classification peeks the wire bytes allocation-free; other frames
+/// record nothing.
+fn trace_frame(
+    sink: &mut TraceSink,
+    at: SimTime,
+    station: Option<(usize, usize)>,
+    tx: bool,
+    ethertype: u16,
+    payload: &[u8],
+) {
+    let (pid, tid) = match station {
+        Some((node, slot)) => (node_pid(node), slot as u32),
+        None => (SIM_PID, TraceSub::Gptp.lane()),
+    };
+    match ethertype {
+        ethertype::PTP => {
+            let Some(mt) = MessageType::peek(payload) else {
+                return;
+            };
+            let domain = payload.get(4).copied().unwrap_or(0);
+            let name = if tx { "ptp_tx" } else { "ptp_rx" };
+            sink.instant(at, name, TraceSub::Gptp, pid, tid)
+                .arg_str("type", mt.name())
+                .arg_u64("domain", u64::from(domain));
+        }
+        ethertype::MEASUREMENT => {
+            let name = if tx { "probe_tx" } else { "probe_rx" };
+            sink.instant(at, name, TraceSub::Measure, pid, tid);
+        }
+        _ => {}
+    }
+}
+
+/// A log entry as an instant on the lane of the VM it concerns.
+fn trace_logged(sink: &mut TraceSink, at: SimTime, e: ExperimentEvent) {
+    use ExperimentEvent as E;
+    let vm = |grandmaster: bool| u32::from(!grandmaster);
+    let (name, sub, node, tid) = match e {
+        E::VmFailure {
+            node,
+            grandmaster: gm,
+        } => ("vm_failure", TraceSub::Faults, node, vm(gm)),
+        E::VmReboot {
+            node,
+            grandmaster: gm,
+        } => ("vm_reboot", TraceSub::Faults, node, vm(gm)),
+        E::Takeover { node } => ("takeover", TraceSub::Hyp, node, 0),
+        E::Transient { node, .. } => ("transient", TraceSub::Faults, node, 0),
+        E::Strike { node, .. } => ("strike", TraceSub::Faults, node, 0),
+        E::GmResumed { node } => ("gm_resumed", TraceSub::Gptp, node, 0),
+        E::SyncStateChange { node, slot, .. } => ("sync_state", TraceSub::Hyp, node, slot as u32),
+    };
+    let ev = sink.instant(at, name, sub, node_pid(node), tid);
+    match e {
+        E::Transient { kind, .. } => {
+            let kind = match kind {
+                TransientKind::TxTimestampTimeout => "tx_timestamp_timeout",
+                TransientKind::DeadlineMiss => "deadline_miss",
+            };
+            ev.arg_str("kind", kind);
+        }
+        E::Strike { succeeded, .. } => {
+            ev.arg_bool("succeeded", succeeded);
+        }
+        E::SyncStateChange { from, to, .. } => {
+            ev.arg_str("from", from.name()).arg_str("to", to.name());
+        }
+        _ => {}
+    }
+}
+
 impl World {
     /// Enables the runtime invariant oracle (`tsn-oracle`) for this run.
     ///
     /// The standard registry checks event-queue causality,
     /// `CLOCK_SYNCTIME` monotonicity/continuity, frame conservation, FTA
-    /// containment, servo clamp respect and bound-algebra consistency.
-    /// The oracle is strictly passive: it draws no randomness and
-    /// schedules no events, so the run — state hashes, snapshots,
-    /// artifacts — is byte-identical with it on or off. Violations are
-    /// returned in [`RunResult::violations`].
+    /// containment, servo clamp respect, bound-algebra consistency and
+    /// the election's safety and liveness. Like every observer it is
+    /// strictly passive. Violations are returned in
+    /// [`RunResult::violations`].
     pub fn enable_oracle(&mut self) {
         let f = match self.cfg.aggregation.method {
             AggregationMethod::FaultTolerantAverage { f }
@@ -89,7 +322,8 @@ impl World {
             .step_threshold
             .max(self.cfg.servo.first_step_threshold)
             .max(Nanos::from_micros(20));
-        self.oracle = Some(OracleRegistry::standard(OracleConfig {
+        let observers = self.observers.get_or_insert_with(Observers::default);
+        observers.oracle = Some(OracleRegistry::standard(OracleConfig {
             warmup: SimTime::ZERO + self.cfg.warmup,
             step_threshold,
             max_frequency_ppb: self.cfg.servo.max_frequency_ppb,
@@ -102,20 +336,13 @@ impl World {
         }));
     }
 
-    /// `true` when [`World::enable_oracle`] was called.
-    pub fn oracle_enabled(&self) -> bool {
-        self.oracle.is_some()
-    }
-
     /// Enables structured execution tracing (`tsn-trace`) for this run.
     ///
-    /// The tracer records queue-pop accounting, gPTP message tx/rx, FTA
-    /// rounds with trim decisions, servo updates, `SyncState`
-    /// transitions, fault injections and link-down windows, all stamped
-    /// with simulated time. Like the oracle it is strictly passive — it
-    /// draws no randomness and schedules no events, so state hashes,
-    /// snapshots and artifacts stay byte-identical with it on or off.
-    /// The sealed trace is returned in [`RunResult::trace`].
+    /// The trace records queue-pop accounting, gPTP message tx/rx, FTA
+    /// rounds with trim decisions, servo updates, election role changes,
+    /// logged events and link-down windows, all stamped with simulated
+    /// time. Like every observer it is strictly passive. The sealed
+    /// trace is returned in [`RunResult::trace`].
     pub fn enable_trace(&mut self) {
         self.enable_trace_capped(DEFAULT_MAX_EVENTS);
     }
@@ -125,20 +352,9 @@ impl World {
     /// default cap; raising it trades memory for completeness, and the
     /// sink's drop counter reports any truncation either way.
     pub fn enable_trace_capped(&mut self, max_events: usize) {
-        self.tracer = Some(TraceSink::new(max_events));
-    }
-
-    /// `true` when [`World::enable_trace`] was called.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// Feeds the oracle, if armed; `obs` is not built otherwise.
-    #[inline]
-    pub(crate) fn observe<'a>(&mut self, obs: impl FnOnce() -> Observation<'a>) {
-        if let Some(oracle) = self.oracle.as_mut() {
-            oracle.observe(&obs());
-        }
+        let fta_trim = self.cfg.aggregation.method.trim_degree();
+        let observers = self.observers.get_or_insert_with(Observers::default);
+        observers.trace = Some((TraceSink::new(max_events), fta_trim));
     }
 
     /// Consumes the world and produces the result (what [`World::run`]
@@ -162,52 +378,47 @@ impl World {
         let (holdover_ns, freerun_ns) = self.events.degradation_dwell(self.end);
         self.counters.holdover_ns = holdover_ns;
         self.counters.freerun_ns = freerun_ns;
+        let end = self.end;
         if let Some(fab) = &self.tb.fabric {
             self.counters.fabric_frames_forwarded = fab.frames_forwarded();
             self.counters.fabric_frames_dropped = fab.frames_dropped();
             self.counters.max_residence_ns = fab.max_residence_ns();
             self.counters.path_asymmetry_ns = fab.path_asymmetry_ns();
+            observe(&mut self.observers, || Observation::FabricTotals {
+                at: end,
+                forwarded: self.counters.fabric_frames_forwarded,
+                dropped: self.counters.fabric_frames_dropped,
+            });
         }
         let bounds = self.tb.bounds(&self.cfg);
-        let violations = match self.oracle.take() {
-            Some(mut oracle) => {
-                let residual: u64 = self.egress.values().map(|p| p.len() as u64).sum();
-                let stalled: u64 = self
-                    .egress
-                    .values()
-                    .filter(|p| !p.is_busy(self.end))
-                    .map(|p| p.len() as u64)
-                    .sum();
-                oracle.observe(&Observation::RunEnd {
-                    at: self.end,
-                    residual_frames: residual,
-                    stalled_frames: stalled,
-                });
-                if self.tb.fabric.is_some() {
-                    oracle.observe(&Observation::FabricTotals {
-                        at: self.end,
-                        forwarded: self.counters.fabric_frames_forwarded,
-                        dropped: self.counters.fabric_frames_dropped,
-                    });
-                }
-                oracle.observe(&Observation::Bounds {
-                    at: self.end,
-                    n: self.cfg.nodes,
-                    f: 1,
-                    r_max_ppb: self.cfg.r_max_ppb,
-                    sync_interval: self.cfg.sync_interval,
-                    d_min: bounds.d_min,
-                    d_max: bounds.d_max,
-                    reading_error: bounds.reading_error,
-                    drift_offset: bounds.drift_offset,
-                    pi: bounds.pi,
-                });
-                oracle.finish();
-                oracle.take_violations()
-            }
-            None => Vec::new(),
-        };
-        let trace = self.tracer.take().map(|sink| sink.finish(self.end));
+        observe(&mut self.observers, || Observation::RunEnd {
+            at: end,
+            residual_frames: self.egress.values().map(|p| p.len() as u64).sum(),
+            stalled_frames: self
+                .egress
+                .values()
+                .filter(|p| !p.is_busy(end))
+                .map(|p| p.len() as u64)
+                .sum(),
+        });
+        observe(&mut self.observers, || Observation::Bounds {
+            at: end,
+            n: self.cfg.nodes,
+            f: 1,
+            r_max_ppb: self.cfg.r_max_ppb,
+            sync_interval: self.cfg.sync_interval,
+            d_min: bounds.d_min,
+            d_max: bounds.d_max,
+            reading_error: bounds.reading_error,
+            drift_offset: bounds.drift_offset,
+            pi: bounds.pi,
+        });
+        let Observers { oracle, trace, .. } = self.observers.take().unwrap_or_default();
+        let violations = oracle.map_or_else(Vec::new, |mut oracle| {
+            oracle.finish();
+            oracle.take_violations()
+        });
+        let trace = trace.map(|(sink, _)| sink.finish(end));
         let tau0 = self.cfg.probe_interval.as_secs_f64();
         RunResult {
             ground_truth: tsn_metrics::TimeErrorSeries::new(tau0, self.meas.ground_truth_ns),
@@ -273,125 +484,14 @@ impl World {
         }
     }
 
-    /// Records an annotated experiment event, mirrored into the tracer
-    /// as an instant on the lane of the VM it concerns.
+    /// Records an annotated experiment event, and feeds it to the
+    /// observers.
     pub(crate) fn log(&mut self, t: SimTime, e: ExperimentEvent) {
-        use ExperimentEvent as E;
-        if let Some(tracer) = self.tracer.as_mut() {
-            let vm = |grandmaster: bool| u32::from(!grandmaster);
-            let (name, sub, node, tid) = match e {
-                E::VmFailure { node, grandmaster } => {
-                    ("vm_failure", TraceSub::Faults, node, vm(grandmaster))
-                }
-                E::VmReboot { node, grandmaster } => {
-                    ("vm_reboot", TraceSub::Faults, node, vm(grandmaster))
-                }
-                E::Takeover { node } => ("takeover", TraceSub::Hyp, node, 0),
-                E::Transient { node, .. } => ("transient", TraceSub::Faults, node, 0),
-                E::Strike { node, .. } => ("strike", TraceSub::Faults, node, 0),
-                E::GmResumed { node } => ("gm_resumed", TraceSub::Gptp, node, 0),
-                E::SyncStateChange { node, slot, .. } => {
-                    ("sync_state", TraceSub::Hyp, node, slot as u32)
-                }
-            };
-            let ev = tracer.instant(t, name, sub, node_pid(node), tid);
-            match e {
-                E::Transient { kind, .. } => {
-                    let kind = match kind {
-                        TransientKind::TxTimestampTimeout => "tx_timestamp_timeout",
-                        TransientKind::DeadlineMiss => "deadline_miss",
-                    };
-                    ev.arg_str("kind", kind);
-                }
-                E::Strike { succeeded, .. } => {
-                    ev.arg_bool("succeeded", succeeded);
-                }
-                E::SyncStateChange { from, to, .. } => {
-                    ev.arg_str("from", from.name()).arg_str("to", to.name());
-                }
-                _ => {}
-            }
-        }
+        observe(&mut self.observers, || Observation::Logged {
+            at: t,
+            event: e,
+        });
         self.events.record(t, e);
-    }
-
-    /// Mirrors a gPTP or measurement frame tx/rx into the structured
-    /// tracer as an instant on the owning station's (or the fabric's)
-    /// lane. Classification peeks the wire bytes allocation-free.
-    pub(crate) fn trace_frame_event(
-        &mut self,
-        t: SimTime,
-        dev: DeviceId,
-        tx: bool,
-        frame: &EthernetFrame,
-    ) {
-        let Some(tracer) = self.tracer.as_mut() else {
-            return;
-        };
-        let (pid, tid) = match self.tb.station_map.get(dev) {
-            Some((node, slot)) => (node_pid(node), slot as u32),
-            None => (SIM_PID, TraceSub::Gptp.lane()),
-        };
-        match frame.ethertype {
-            ethertype::PTP => {
-                let Some(mt) = MessageType::peek(&frame.payload) else {
-                    return;
-                };
-                let domain = frame.payload.get(4).copied().unwrap_or(0);
-                let name = if tx { "ptp_tx" } else { "ptp_rx" };
-                tracer
-                    .instant(t, name, TraceSub::Gptp, pid, tid)
-                    .arg_str("type", mt.name())
-                    .arg_u64("domain", u64::from(domain));
-            }
-            ethertype::MEASUREMENT => {
-                let name = if tx { "probe_tx" } else { "probe_rx" };
-                tracer.instant(t, name, TraceSub::Measure, pid, tid);
-            }
-            _ => {}
-        }
-    }
-
-    /// Mirrors one FTA round — inputs, trim decision, servo command —
-    /// into the structured tracer, if armed.
-    pub(crate) fn trace_aggregation(
-        &mut self,
-        t: SimTime,
-        node: usize,
-        slot: usize,
-        a: &Aggregation,
-    ) {
-        let Some(tracer) = self.tracer.as_mut() else {
-            return;
-        };
-        let f = self.cfg.aggregation.method.trim_degree();
-        let inputs: Vec<Nanos> = a.used.iter().map(|&(_, o)| o).collect();
-        let trimmed = tsn_fta::trimmed_indices(&inputs, f);
-        let used: Vec<String> = a
-            .used
-            .iter()
-            .map(|(d, o)| format!("{d}:{:+}", o.as_nanos()))
-            .collect();
-        let trimmed: Vec<String> = trimmed.iter().map(|&i| a.used[i].0.to_string()).collect();
-        let mode = match a.mode {
-            AggregationMode::Startup => "startup",
-            AggregationMode::FaultTolerant => "fault_tolerant",
-        };
-        tracer
-            .instant(t, "fta_round", TraceSub::Fta, node_pid(node), slot as u32)
-            .arg_i64("offset_ns", a.offset.as_nanos())
-            .arg_str("mode", mode)
-            .arg_str("used", used.join(","))
-            .arg_str("trimmed", trimmed.join(","))
-            .arg_str("servo", a.servo.kind_name());
-        if let Some(ppb) = a.servo.freq_adj_ppb() {
-            let ev = tracer
-                .instant(t, "servo", TraceSub::Servo, node_pid(node), slot as u32)
-                .arg_f64("freq_adj_ppb", ppb);
-            if let ServoOutput::Step { delta, .. } = a.servo {
-                ev.arg_i64("step_ns", delta.as_nanos());
-            }
-        }
     }
 
     // ----- introspection (tests, examples) ------------------------------

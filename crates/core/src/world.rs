@@ -8,14 +8,16 @@
 //! instants, frames and RNG draws and answers what should happen next.
 //! The world owns the event queue, pops one event at a time, calls the
 //! engine it is for, and turns the answer into further events: real
-//! Ethernet frames moving between devices. It also feeds the runtime
-//! oracle and the tracer, which observe and never act.
+//! Ethernet frames moving between devices. Each thing that happens is
+//! also reported once, as an [`Observation`] on the one passive channel
+//! ([`observe`]), to whichever observers are armed: the runtime oracle,
+//! the trace sink. They observe and never act.
 
 use crate::config::TestbedConfig;
 pub use crate::counters::RunCounters;
 use crate::densemap::PortTable;
 use crate::node::NodeOutput;
-use crate::probe::{Measurement, RunResult};
+use crate::probe::{observe, Measurement, Observers, RunResult};
 use crate::testbed::Testbed;
 use rand::Rng;
 use tsn_election::ElectionEvent;
@@ -27,9 +29,8 @@ use tsn_netsim::{
     ethertype, Crossing, DeviceId, EthernetFrame, EventQueue, LaunchOutcome, MacAddr, PortAddr,
     PortNo, WakeUp,
 };
-use tsn_oracle::{Observation, OracleRegistry};
+use tsn_oracle::{Observation, Subsystem};
 use tsn_time::{ClockTime, Nanos, SimTime};
-use tsn_trace::{node_pid, Subsystem as TraceSub, TraceSink, SIM_PID};
 
 /// Minimum lead time between scheduling a Sync and its launch boundary.
 const LAUNCH_LEAD: Nanos = Nanos::from_millis(20);
@@ -80,25 +81,25 @@ pub(crate) enum Ev {
 
 impl Ev {
     /// Stable name and owning subsystem of this event kind, for the
-    /// trace profiler's pop accounting.
-    fn kind(&self) -> (&'static str, TraceSub) {
+    /// observers' pop accounting.
+    fn kind(&self) -> (&'static str, Subsystem) {
         match self {
-            Ev::Transmit { .. } => ("transmit", TraceSub::Netsim),
-            Ev::Arrive { .. } => ("arrive", TraceSub::Netsim),
-            Ev::GmSyncTick { .. } => ("gm_sync_tick", TraceSub::Gptp),
-            Ev::PdelayTick { .. } => ("pdelay_tick", TraceSub::Gptp),
-            Ev::Phc2sysTick { .. } => ("phc2sys_tick", TraceSub::Hyp),
-            Ev::MonitorTick { .. } => ("monitor_tick", TraceSub::Hyp),
-            Ev::WanderTick => ("wander_tick", TraceSub::Time),
-            Ev::ProbeTick { .. } => ("probe_tick", TraceSub::Measure),
-            Ev::FaultAt(_) => ("fault", TraceSub::Faults),
-            Ev::RebootAt(_) => ("reboot", TraceSub::Faults),
-            Ev::StrikeAt(_) => ("strike", TraceSub::Faults),
-            Ev::PortFree { .. } => ("port_free", TraceSub::Netsim),
-            Ev::BackgroundTick { .. } => ("background_tick", TraceSub::Netsim),
-            Ev::LinkWindow { .. } => ("link_window", TraceSub::Faults),
-            Ev::ElectionTick { .. } => ("election_tick", TraceSub::Election),
-            Ev::GmKill => ("gm_kill", TraceSub::Election),
+            Ev::Transmit { .. } => ("transmit", Subsystem::Netsim),
+            Ev::Arrive { .. } => ("arrive", Subsystem::Netsim),
+            Ev::GmSyncTick { .. } => ("gm_sync_tick", Subsystem::Gptp),
+            Ev::PdelayTick { .. } => ("pdelay_tick", Subsystem::Gptp),
+            Ev::Phc2sysTick { .. } => ("phc2sys_tick", Subsystem::Hyp),
+            Ev::MonitorTick { .. } => ("monitor_tick", Subsystem::Hyp),
+            Ev::WanderTick => ("wander_tick", Subsystem::Time),
+            Ev::ProbeTick { .. } => ("probe_tick", Subsystem::Measure),
+            Ev::FaultAt(_) => ("fault", Subsystem::Faults),
+            Ev::RebootAt(_) => ("reboot", Subsystem::Faults),
+            Ev::StrikeAt(_) => ("strike", Subsystem::Faults),
+            Ev::PortFree { .. } => ("port_free", Subsystem::Netsim),
+            Ev::BackgroundTick { .. } => ("background_tick", Subsystem::Netsim),
+            Ev::LinkWindow { .. } => ("link_window", Subsystem::Faults),
+            Ev::ElectionTick { .. } => ("election_tick", Subsystem::Election),
+            Ev::GmKill => ("gm_kill", Subsystem::Election),
         }
     }
 }
@@ -130,15 +131,11 @@ pub struct World {
     pub(crate) events: EventLog,
     pub(crate) counters: RunCounters,
     pub(crate) end: SimTime,
-    /// Runtime invariant oracle, off by default (see
-    /// [`World::enable_oracle`]). Strictly passive and deliberately
-    /// excluded from [`SnapState`] so enabling it cannot perturb state
+    /// The passive observers, none armed by default (see
+    /// [`World::enable_oracle`], [`World::enable_trace`]). Deliberately
+    /// excluded from [`SnapState`] so arming them cannot perturb state
     /// hashes, snapshots, or artifacts.
-    pub(crate) oracle: Option<OracleRegistry>,
-    /// Structured execution tracer, off by default (see
-    /// [`World::enable_trace`]). Passive like the oracle and likewise
-    /// excluded from [`SnapState`].
-    pub(crate) tracer: Option<TraceSink>,
+    pub(crate) observers: Option<Observers>,
 }
 
 impl World {
@@ -164,8 +161,7 @@ impl World {
             events: EventLog::new(),
             counters: RunCounters::default(),
             end: SimTime::ZERO + cfg.warmup + cfg.duration,
-            oracle: None,
-            tracer: None,
+            observers: None,
             tb,
             cfg,
         };
@@ -291,14 +287,11 @@ impl World {
     }
 
     fn on_link_window(&mut self, t: SimTime, i: usize, down: bool) {
-        if let Some(tracer) = self.tracer.as_mut() {
-            let (sub, lane) = (TraceSub::Netsim, TraceSub::Netsim.lane());
-            if down {
-                tracer.begin_span(i as u64, t, "link_down", sub, SIM_PID, lane);
-            } else {
-                tracer.end_span(i as u64, t);
-            }
-        }
+        observe(&mut self.observers, || Observation::LinkWindow {
+            at: t,
+            window: i,
+            down,
+        });
         self.tb.links.set_window(i, down);
     }
 
@@ -323,16 +316,11 @@ impl World {
 
     /// The wake-up `from` asked for: its in-flight frame is done.
     fn on_port_free(&mut self, t: SimTime, from: PortAddr) {
-        if let Some(tracer) = self.tracer.as_mut() {
-            // Ports ask to be woken only behind a waiting frame; a
-            // wake-up that finds the wire free and nothing queued was
-            // wasted, and worth a mark.
-            let port = self.egress.get(from);
-            if port.is_none_or(|p| !p.is_busy(t) && p.is_empty()) {
-                let lane = TraceSub::Netsim.lane();
-                tracer.instant(t, "port_free_idle", TraceSub::Netsim, SIM_PID, lane);
-            }
-        }
+        let port = self.egress.get(from);
+        observe(&mut self.observers, || Observation::PortWoken {
+            at: t,
+            idle: port.is_none_or(|p| !p.is_busy(t) && p.is_empty()),
+        });
         self.send_next_queued(t, from);
     }
 
@@ -347,7 +335,7 @@ impl World {
             return;
         }
         if let Some((_, (frame, token))) = port.pop_ready() {
-            self.observe(|| Observation::FramePopped { at: t });
+            observe(&mut self.observers, || Observation::FramePopped { at: t });
             self.depart(t, from, frame, token, true);
         }
     }
@@ -432,7 +420,16 @@ impl World {
                 NodeOutput::Send(tx) if tx.timing == TxTiming::Launch => launch = Some(tx),
                 NodeOutput::Send(tx) => self.transmit(t, dev, src, tx),
                 NodeOutput::Aggregated(a) => self.apply_aggregation(t, node, slot, a),
-                NodeOutput::SyncState { from, to } => self.on_sync_state(t, node, slot, from, to),
+                NodeOutput::SyncState { from, to } => {
+                    self.counters.sync_transitions += 1;
+                    let change = ExperimentEvent::SyncStateChange {
+                        node,
+                        slot,
+                        from,
+                        to,
+                    };
+                    self.log(t, change);
+                }
                 NodeOutput::GmResumed => {
                     if t > SimTime::ZERO + self.cfg.warmup {
                         self.log(t, ExperimentEvent::GmResumed { node });
@@ -488,7 +485,7 @@ impl World {
         if busy || backlog {
             let wake = self.egress.materialize(from).enqueue(prio, (frame, token));
             self.schedule_wake(from, wake);
-            self.observe(|| Observation::FrameEnqueued { at: t });
+            observe(&mut self.observers, || Observation::FrameEnqueued { at: t });
             if !busy {
                 // Port idle with a backlog (possible when a departure was
                 // dropped): drain it now in priority order.
@@ -512,7 +509,7 @@ impl World {
         let station = self.tb.station_map.get(from.device);
         if let Some((node, slot)) = station {
             if !self.tb.nodes[node].vms[slot].running {
-                self.observe(|| Observation::FrameDropped {
+                observe(&mut self.observers, || Observation::FrameDropped {
                     at: t,
                     from_queue: queued,
                 });
@@ -520,11 +517,13 @@ impl World {
                 return;
             }
         }
-        self.observe(|| Observation::FrameDelivered {
+        observe(&mut self.observers, || Observation::FrameDelivered {
             at: t,
             from_queue: queued,
+            station,
+            ethertype: frame.ethertype,
+            payload: &frame.payload,
         });
-        self.trace_frame_event(t, from.device, true, &frame);
         let duration = frame.serialization_ns(1_000_000_000);
         // Occupy the wire for the frame's serialization time. The
         // completion's place in the event order is fixed now; the event
@@ -604,26 +603,15 @@ impl World {
         let fab = self.tb.fabric.as_mut().expect("fabric checked by caller");
         let crossing = fab.cross(t, sw_from, sw_to, frame.wire_len(), &mut frame.payload);
         let tr = crossing.traversal;
-        if let Some(tracer) = &mut self.tracer {
-            let lane = TraceSub::Fabric.lane();
-            if tr.dropped || crossing.sync {
-                let name = if tr.dropped {
-                    "fabric_drop"
-                } else {
-                    "fabric_sync"
-                };
-                let ev = tracer
-                    .instant(t, name, TraceSub::Fabric, SIM_PID, lane)
-                    .arg_u64("from_sw", sw_from as u64)
-                    .arg_u64("to_sw", sw_to as u64);
-                if !tr.dropped {
-                    ev.arg_i64("delay_ns", tr.delay.as_nanos())
-                        .arg_i64("residence_ns", tr.residence_ns);
-                }
-            }
-        }
-        let (at, dropped) = (t, tr.dropped);
-        self.observe(|| Observation::FabricCrossing { at, dropped });
+        observe(&mut self.observers, || Observation::FabricCrossing {
+            at: t,
+            from_sw: sw_from,
+            to_sw: sw_to,
+            sync: crossing.sync,
+            dropped: tr.dropped,
+            delay: tr.delay,
+            residence_ns: tr.residence_ns,
+        });
         (!tr.dropped).then_some(tr.delay)
     }
 
@@ -655,8 +643,14 @@ impl World {
     // ----- reception ---------------------------------------------------
 
     fn on_arrive(&mut self, t: SimTime, to: PortAddr, frame: &EthernetFrame) {
-        self.trace_frame_event(t, to.device, false, frame);
-        if let Some((node, slot)) = self.tb.station_map.get(to.device) {
+        let station = self.tb.station_map.get(to.device);
+        observe(&mut self.observers, || Observation::FrameArrived {
+            at: t,
+            station,
+            ethertype: frame.ethertype,
+            payload: &frame.payload,
+        });
+        if let Some((node, slot)) = station {
             self.arrive_at_station(t, node, slot, frame);
         } else if let Some(sw) = self.tb.switch_map.get(to.device) {
             self.arrive_at_switch(t, sw, to.port.0, frame);
@@ -739,61 +733,25 @@ impl World {
 
     // ----- servo application -------------------------------------------
 
-    /// One FTA round of `(node, slot)`: observations, then the servo
+    /// One FTA round of `(node, slot)`: its observation, then the servo
     /// command applied to the NIC clock.
     fn apply_aggregation(&mut self, t: SimTime, node: usize, slot: usize, a: Aggregation) {
-        if let Some(oracle) = self.oracle.as_mut() {
+        observe(&mut self.observers, || {
             let compromised = self.tb.nodes.iter().map(|n| n.vms[0].compromised);
             self.byzantine.clear();
             self.byzantine.extend(compromised);
-            oracle.observe(&Observation::Aggregated {
+            Observation::Aggregated {
                 at: t,
                 node,
+                slot,
                 offset: a.offset,
+                servo: a.servo,
                 fault_tolerant: a.mode == AggregationMode::FaultTolerant,
                 used: &a.used,
                 byzantine: &self.byzantine,
-            });
-            if let Some(freq_adj_ppb) = a.servo.freq_adj_ppb() {
-                self.observe(|| Observation::ServoFrequency {
-                    at: t,
-                    node,
-                    slot,
-                    freq_adj_ppb,
-                });
             }
-        }
-        self.trace_aggregation(t, node, slot, &a);
-        self.tb.nodes[node].vms[slot].nic.phc.apply(t, a.servo);
-    }
-
-    /// A degradation-state transition (Synchronized → Holdover → Freerun
-    /// → reacquisition) of `(node, slot)`'s aggregator.
-    fn on_sync_state(
-        &mut self,
-        t: SimTime,
-        node: usize,
-        slot: usize,
-        from: tsn_time::SyncState,
-        to: tsn_time::SyncState,
-    ) {
-        self.counters.sync_transitions += 1;
-        self.log(
-            t,
-            ExperimentEvent::SyncStateChange {
-                node,
-                slot,
-                from,
-                to,
-            },
-        );
-        self.observe(|| Observation::SyncTransition {
-            at: t,
-            node,
-            slot,
-            from,
-            to,
         });
+        self.tb.nodes[node].vms[slot].nic.phc.apply(t, a.servo);
     }
 
     // ----- periodic activities -----------------------------------------
@@ -889,13 +847,13 @@ impl World {
                 prev,
             } => {
                 self.counters.elected_gm_changes += 1;
-                if let Some(tracer) = self.tracer.as_mut() {
-                    tracer
-                        .instant(t, "elected", TraceSub::Election, node_pid(node), 0)
-                        .arg_u64("domain", u64::from(domain))
-                        .arg_u64("winner", winner as u64)
-                        .arg_u64("prev", prev as u64);
-                }
+                observe(&mut self.observers, || Observation::Elected {
+                    at: t,
+                    node,
+                    domain: domain as usize,
+                    winner,
+                    prev,
+                });
             }
         }
     }
@@ -905,13 +863,7 @@ impl World {
     /// tree at the node's switch and stops the re-election stopwatch on
     /// the killed domain.
     pub(crate) fn on_acting_change(&mut self, t: SimTime, node: usize, domain: u8, acting: bool) {
-        if let Some(tracer) = self.tracer.as_mut() {
-            let name = if acting { "promoted" } else { "demoted" };
-            tracer
-                .instant(t, name, TraceSub::Election, node_pid(node), 0)
-                .arg_u64("domain", u64::from(domain));
-        }
-        self.observe(|| Observation::ElectionActing {
+        observe(&mut self.observers, || Observation::ElectionActing {
             at: t,
             domain: domain as usize,
             node,
@@ -991,17 +943,15 @@ impl World {
             Ev::MonitorTick { node },
         );
         let host_now = self.tb.nodes[node].host_phc.now(t);
-        if let Some(oracle) = self.oracle.as_mut() {
-            // Noise-free CLOCK_SYNCTIME reading for the continuity
-            // invariant (a pure function of published STSHMEM params —
-            // no randomness, no state change).
-            let synctime = self.tb.nodes[node].hyp.device().synctime(host_now);
-            oracle.observe(&Observation::Synctime {
-                at: t,
-                node,
-                synctime_ns: synctime.as_nanos(),
-            });
-        }
+        // Noise-free CLOCK_SYNCTIME reading for the continuity invariant
+        // (a pure function of published STSHMEM params — no randomness,
+        // no state change).
+        let device = self.tb.nodes[node].hyp.device();
+        observe(&mut self.observers, || Observation::Synctime {
+            at: t,
+            node,
+            synctime_ns: device.synctime(host_now).as_nanos(),
+        });
         let n = &mut self.tb.nodes[node];
         let vms = &n.vms;
         let takeovers = n
@@ -1039,11 +989,10 @@ impl World {
     /// Runs the world until `t` (inclusive), for step-wise tests.
     pub fn run_until(&mut self, t: SimTime) {
         while let Some((now, ev)) = self.queue.pop_until(t) {
-            self.observe(|| Observation::Event { at: now });
-            if let Some(tracer) = self.tracer.as_mut() {
+            observe(&mut self.observers, || {
                 let (kind, sub) = ev.kind();
-                tracer.pop(now, kind, sub);
-            }
+                Observation::Event { at: now, kind, sub }
+            });
             self.handle(now, ev);
         }
     }

@@ -102,7 +102,7 @@ fn a_lost_egress_wake_up_is_witnessed() {
             if lose_wake {
                 let wake = w.egress.materialize(port).enqueue(7, (ptp_frame(), None));
                 assert!(wake.is_some_and(|wake| wake.at > t));
-                w.observe(|| Observation::FrameEnqueued { at: t });
+                observe(&mut w.observers, || Observation::FrameEnqueued { at: t });
             } else {
                 w.on_transmit(t, port, ptp_frame(), None);
             }

@@ -131,8 +131,6 @@ pub struct Aggregation {
     pub mode: AggregationMode,
     /// The per-domain offsets used (fresh slots only).
     pub used: Vec<(usize, Nanos)>,
-    /// The validity booleans at aggregation time.
-    pub valid: Vec<bool>,
 }
 
 /// The per-VM multi-domain aggregation coordinator.
@@ -424,7 +422,6 @@ impl MultiDomainAggregator {
             servo,
             mode: self.mode,
             used,
-            valid: self.shmem.valid.clone(),
         })
     }
 
@@ -564,7 +561,7 @@ mod tests {
             SubmitOutcome::Aggregated(a) => {
                 assert_eq!(a.mode, AggregationMode::FaultTolerant);
                 assert_eq!(a.offset, Nanos::from_nanos(5)); // (0+10)/2
-                assert_eq!(a.valid, vec![true, false, true, true]);
+                assert_eq!(agg.shmem().valid, vec![true, false, true, true]);
             }
             o => panic!("expected aggregation, got {o:?}"),
         }

@@ -7,7 +7,7 @@
 
 use crate::{Invariant, Observation};
 use std::collections::{BTreeMap, BTreeSet};
-use tsn_metrics::{drift_offset, precision_bound, ViolationLog};
+use tsn_metrics::{drift_offset, precision_bound, ExperimentEvent, ViolationLog};
 use tsn_time::{Nanos, Ppb, SimTime, SyncState};
 
 /// Extra oscillator-rate allowance for `CLOCK_SYNCTIME` continuity on
@@ -39,7 +39,7 @@ impl Invariant for EventCausality {
     }
 
     fn observe(&mut self, obs: &Observation<'_>, log: &mut ViolationLog) {
-        if let Observation::Event { at } = obs {
+        if let Observation::Event { at, .. } = obs {
             if let Some(prev) = self.last {
                 if *at < prev {
                     log.record(
@@ -350,6 +350,7 @@ impl Invariant for FtaContainment {
             fault_tolerant,
             used,
             byzantine,
+            ..
         } = obs
         else {
             return;
@@ -410,13 +411,17 @@ impl Invariant for ServoClamp {
     }
 
     fn observe(&mut self, obs: &Observation<'_>, log: &mut ViolationLog) {
-        if let Observation::ServoFrequency {
+        if let Observation::Aggregated {
             at,
             node,
             slot,
-            freq_adj_ppb,
+            servo,
+            ..
         } = obs
         {
+            let Some(freq_adj_ppb) = servo.freq_adj_ppb() else {
+                return;
+            };
             if freq_adj_ppb.abs() > self.max_ppb + 0.5 {
                 log.record(
                     *at,
@@ -529,12 +534,15 @@ impl Invariant for SyncStateLegality {
     }
 
     fn observe(&mut self, obs: &Observation<'_>, log: &mut ViolationLog) {
-        let Observation::SyncTransition {
+        let Observation::Logged {
             at,
-            node,
-            slot,
-            from,
-            to,
+            event:
+                ExperimentEvent::SyncStateChange {
+                    node,
+                    slot,
+                    from,
+                    to,
+                },
         } = obs
         else {
             return;
@@ -605,7 +613,10 @@ impl Invariant for HoldoverDrift {
 
     fn observe(&mut self, obs: &Observation<'_>, log: &mut ViolationLog) {
         match obs {
-            Observation::SyncTransition { node, slot, to, .. } => {
+            Observation::Logged {
+                event: ExperimentEvent::SyncStateChange { node, slot, to, .. },
+                ..
+            } => {
                 self.states.insert((*node, *slot), *to);
                 if !self.coasting(*node) {
                     self.baseline.remove(node);
@@ -829,6 +840,7 @@ impl Invariant for ElectionConvergence {
 mod tests {
     use super::*;
     use crate::{OracleConfig, OracleRegistry};
+    use tsn_time::ServoOutput;
 
     fn log() -> ViolationLog {
         ViolationLog::new()
@@ -842,6 +854,8 @@ mod tests {
             inv.observe(
                 &Observation::Event {
                     at: SimTime::from_secs(s),
+                    kind: "transmit",
+                    sub: crate::Subsystem::Netsim,
                 },
                 &mut l,
             );
@@ -853,18 +867,16 @@ mod tests {
     fn causality_flags_time_reversal() {
         let mut inv = EventCausality::new();
         let mut l = log();
-        inv.observe(
-            &Observation::Event {
-                at: SimTime::from_secs(3),
-            },
-            &mut l,
-        );
-        inv.observe(
-            &Observation::Event {
-                at: SimTime::from_secs(2),
-            },
-            &mut l,
-        );
+        for s in [3, 2] {
+            inv.observe(
+                &Observation::Event {
+                    at: SimTime::from_secs(s),
+                    kind: "transmit",
+                    sub: crate::Subsystem::Netsim,
+                },
+                &mut l,
+            );
+        }
         assert_eq!(l.len(), 1);
         assert!(l.records()[0].witness.contains("after"));
     }
@@ -934,13 +946,14 @@ mod tests {
         for _ in 0..2 {
             inv.observe(&Observation::FramePopped { at: t }, &mut l);
         }
-        inv.observe(
-            &Observation::FrameDelivered {
-                at: t,
-                from_queue: true,
-            },
-            &mut l,
-        );
+        let delivered = |from_queue| Observation::FrameDelivered {
+            at: t,
+            from_queue,
+            station: None,
+            ethertype: 0x88f7,
+            payload: &[],
+        };
+        inv.observe(&delivered(true), &mut l);
         inv.observe(
             &Observation::FrameDropped {
                 at: t,
@@ -949,13 +962,7 @@ mod tests {
             &mut l,
         );
         // Direct (never-queued) departures don't enter the ledger.
-        inv.observe(
-            &Observation::FrameDelivered {
-                at: t,
-                from_queue: false,
-            },
-            &mut l,
-        );
+        inv.observe(&delivered(false), &mut l);
         inv.observe(
             &Observation::RunEnd {
                 at: t,
@@ -1000,7 +1007,16 @@ mod tests {
         let at = SimTime::from_secs(1);
         for i in 0..forwarded + dropped {
             let dropped = i >= forwarded;
-            inv.observe(&Observation::FabricCrossing { at, dropped }, &mut l);
+            let crossing = Observation::FabricCrossing {
+                at,
+                from_sw: 0,
+                to_sw: 1,
+                sync: false,
+                dropped,
+                delay: Nanos::ZERO,
+                residence_ns: 0,
+            };
+            inv.observe(&crossing, &mut l);
         }
         if let Some((forwarded, dropped)) = totals {
             let at = SimTime::from_secs(2);
@@ -1052,7 +1068,9 @@ mod tests {
         Observation::Aggregated {
             at: SimTime::from_secs(2),
             node: 1,
+            slot: 0,
             offset: Nanos::from_nanos(offset),
+            servo: ServoOutput::Gathering,
             fault_tolerant: true,
             used,
             byzantine,
@@ -1120,7 +1138,9 @@ mod tests {
             &Observation::Aggregated {
                 at: SimTime::from_secs(1),
                 node: 0,
+                slot: 0,
                 offset: Nanos::from_nanos(10_000),
+                servo: ServoOutput::Gathering,
                 fault_tolerant: false,
                 used: &used,
                 byzantine: &byz,
@@ -1133,19 +1153,27 @@ mod tests {
         assert!(l.is_empty());
     }
 
+    fn servo(node: usize, slot: usize, servo: ServoOutput) -> Observation<'static> {
+        Observation::Aggregated {
+            at: SimTime::from_secs(1),
+            node,
+            slot,
+            offset: Nanos::ZERO,
+            servo,
+            fault_tolerant: false,
+            used: &[],
+            byzantine: &[],
+        }
+    }
+
     #[test]
     fn clamp_accepts_corrections_inside_range() {
         let mut inv = ServoClamp::new(900_000.0);
         let mut l = log();
-        inv.observe(
-            &Observation::ServoFrequency {
-                at: SimTime::from_secs(1),
-                node: 0,
-                slot: 1,
-                freq_adj_ppb: -900_000.0,
-            },
-            &mut l,
-        );
+        let freq_adj_ppb = -900_000.0;
+        inv.observe(&servo(0, 1, ServoOutput::Adjust { freq_adj_ppb }), &mut l);
+        // A gathering servo commands nothing.
+        inv.observe(&servo(0, 1, ServoOutput::Gathering), &mut l);
         assert!(l.is_empty());
     }
 
@@ -1153,15 +1181,11 @@ mod tests {
     fn clamp_flags_excessive_correction() {
         let mut inv = ServoClamp::new(900_000.0);
         let mut l = log();
-        inv.observe(
-            &Observation::ServoFrequency {
-                at: SimTime::from_secs(1),
-                node: 3,
-                slot: 0,
-                freq_adj_ppb: 905_000.0,
-            },
-            &mut l,
-        );
+        let step = ServoOutput::Step {
+            delta: Nanos::from_micros(30),
+            freq_adj_ppb: 905_000.0,
+        };
+        inv.observe(&servo(3, 0, step), &mut l);
         assert_eq!(l.len(), 1);
         assert_eq!(l.records()[0].component, "node3.vm0.servo");
     }
@@ -1207,12 +1231,14 @@ mod tests {
         from: SyncState,
         to: SyncState,
     ) -> Observation<'static> {
-        Observation::SyncTransition {
+        Observation::Logged {
             at: SimTime::from_secs(at_s),
-            node,
-            slot,
-            from,
-            to,
+            event: ExperimentEvent::SyncStateChange {
+                node,
+                slot,
+                from,
+                to,
+            },
         }
     }
 
@@ -1359,8 +1385,9 @@ mod tests {
         });
         oracle.observe(&aggregated(bad.as_nanos(), &used, &byz));
         oracle.finish();
-        assert_eq!(oracle.violations().len(), 1);
-        let rec = &oracle.violations()[0];
+        let violations = oracle.take_violations();
+        assert_eq!(violations.len(), 1);
+        let rec = &violations[0];
         assert_eq!(rec.invariant, "fta-containment");
         assert!(
             rec.witness.contains(&bad.as_nanos().to_string()),

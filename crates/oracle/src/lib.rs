@@ -15,6 +15,13 @@
 //!
 //! [feeds observations]: Observation
 //!
+//! [`Observation`] is the run's one passive vocabulary, not the
+//! oracle's alone: the simulation builds each observation once, at the
+//! site where it happens, and hands the same value to every armed
+//! observer — this registry and the `tsn-trace` sink, which records its
+//! own reading of it. An invariant matches the variants it judges and
+//! ignores the rest.
+//!
 //! The oracle is strictly passive — it draws no randomness, schedules no
 //! events, and holds no simulation state, so enabling it cannot perturb
 //! the deterministic run (state hashes and artifacts are byte-identical
@@ -23,16 +30,22 @@
 //! values) through `tsn-metrics`.
 //!
 //! ```
-//! use tsn_oracle::{Observation, OracleConfig, OracleRegistry};
+//! use tsn_oracle::{Observation, OracleConfig, OracleRegistry, Subsystem};
 //! use tsn_time::{Nanos, SimTime};
 //!
 //! let mut oracle = OracleRegistry::standard(OracleConfig::default());
+//! let pop = |s| Observation::Event {
+//!     at: SimTime::from_secs(s),
+//!     kind: "transmit",
+//!     sub: Subsystem::Netsim,
+//! };
 //! // An event dispatched before an earlier one breaks causality.
-//! oracle.observe(&Observation::Event { at: SimTime::from_secs(2) });
-//! oracle.observe(&Observation::Event { at: SimTime::from_secs(1) });
+//! oracle.observe(&pop(2));
+//! oracle.observe(&pop(1));
 //! oracle.finish();
-//! assert_eq!(oracle.violations().len(), 1);
-//! assert_eq!(oracle.violations()[0].invariant, "event-causality");
+//! let violations = oracle.take_violations();
+//! assert_eq!(violations.len(), 1);
+//! assert_eq!(violations[0].invariant, "event-causality");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,8 +59,10 @@ pub use invariants::{
     SynctimeContinuity,
 };
 pub use tsn_metrics::{ViolationLog, ViolationRecord};
+pub use tsn_trace::Subsystem;
 
-use tsn_time::{Nanos, Ppb, SimTime, SyncState};
+use tsn_metrics::ExperimentEvent;
+use tsn_time::{Nanos, Ppb, ServoOutput, SimTime};
 
 /// Parameters the standard invariants need from the simulation config.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,6 +107,10 @@ pub enum Observation<'a> {
     Event {
         /// Dispatch time.
         at: SimTime,
+        /// Stable name of the event kind.
+        kind: &'static str,
+        /// Subsystem that owns the event kind.
+        sub: Subsystem,
     },
     /// A periodic noise-free `CLOCK_SYNCTIME` reading on one node.
     Synctime {
@@ -102,14 +121,18 @@ pub enum Observation<'a> {
         /// The virtual clock reading, in nanoseconds.
         synctime_ns: i64,
     },
-    /// The multi-domain aggregator produced a new aggregate offset.
+    /// An FTA round: the aggregate offset and the servo's command.
     Aggregated {
         /// Aggregation time.
         at: SimTime,
         /// Node whose aggregator fired.
         node: usize,
+        /// Clock-sync VM slot on that node.
+        slot: usize,
         /// The aggregate offset handed to the servo.
         offset: Nanos,
+        /// The servo's command to the clock.
+        servo: ServoOutput,
         /// `true` when the aggregator ran its fault-tolerant mode (the
         /// startup mode follows a single domain and claims nothing).
         fault_tolerant: bool,
@@ -118,17 +141,6 @@ pub enum Observation<'a> {
         /// Per-domain Byzantine marks from the active scenario
         /// (indexed by domain id).
         byzantine: &'a [bool],
-    },
-    /// The PHC servo issued a frequency correction.
-    ServoFrequency {
-        /// Correction time.
-        at: SimTime,
-        /// Node the servo belongs to.
-        node: usize,
-        /// Clock-sync VM slot on that node.
-        slot: usize,
-        /// The commanded frequency adjustment.
-        freq_adj_ppb: Ppb,
     },
     /// A frame entered an egress queue (port busy or backlogged).
     FrameEnqueued {
@@ -146,6 +158,30 @@ pub enum Observation<'a> {
         at: SimTime,
         /// `true` when the frame had waited in an egress queue.
         from_queue: bool,
+        /// `(node, slot)` of the sending station; `None` for a switch.
+        station: Option<(usize, usize)>,
+        /// The frame's EtherType.
+        ethertype: u16,
+        /// The frame's payload.
+        payload: &'a [u8],
+    },
+    /// A frame arrived at a port.
+    FrameArrived {
+        /// Arrival time.
+        at: SimTime,
+        /// `(node, slot)` of the receiving station; `None` for a switch.
+        station: Option<(usize, usize)>,
+        /// The frame's EtherType.
+        ethertype: u16,
+        /// The frame's payload.
+        payload: &'a [u8],
+    },
+    /// An egress port was woken to send its next queued frame.
+    PortWoken {
+        /// Wake-up time.
+        at: SimTime,
+        /// `true` when the wake-up found nothing to send.
+        idle: bool,
     },
     /// A frame was explicitly dropped (e.g. its source VM died).
     FrameDropped {
@@ -159,9 +195,28 @@ pub enum Observation<'a> {
     FabricCrossing {
         /// Crossing (departure) time.
         at: SimTime,
+        /// Switch the frame entered the fabric at.
+        from_sw: usize,
+        /// Switch the frame left the fabric at.
+        to_sw: usize,
+        /// `true` for a Sync or Follow_Up, which transparent clocks correct.
+        sync: bool,
         /// `true` when the fabric dropped the frame instead of
         /// forwarding it.
         dropped: bool,
+        /// Extra one-way delay of the crossing.
+        delay: Nanos,
+        /// Residence time the crossing accumulated, in nanoseconds.
+        residence_ns: i64,
+    },
+    /// A link-down window opened (`down`) or closed.
+    LinkWindow {
+        /// Edge time.
+        at: SimTime,
+        /// Index of the window in the link-fault plan.
+        window: usize,
+        /// `true` when the window opens.
+        down: bool,
     },
     /// End-of-run fabric forwarding totals, for conservation across the
     /// switch queues.
@@ -227,18 +282,25 @@ pub enum Observation<'a> {
         /// gPTP domain that lost its grandmaster.
         domain: usize,
     },
-    /// A clock-sync VM's aggregator changed degradation state.
-    SyncTransition {
-        /// Transition time.
+    /// A node's view of a domain's elected grandmaster changed.
+    Elected {
+        /// Decision time.
         at: SimTime,
-        /// Node the aggregator belongs to.
+        /// Node whose view changed.
         node: usize,
-        /// Clock-sync VM slot on that node.
-        slot: usize,
-        /// State left.
-        from: SyncState,
-        /// State entered.
-        to: SyncState,
+        /// gPTP domain concerned.
+        domain: usize,
+        /// Newly elected node.
+        winner: usize,
+        /// Previously elected node.
+        prev: usize,
+    },
+    /// An annotated experiment event entered the run's event log.
+    Logged {
+        /// Event time.
+        at: SimTime,
+        /// The log entry.
+        event: ExperimentEvent,
     },
 }
 
@@ -260,48 +322,42 @@ pub trait Invariant {
 
 /// The set of invariants active for one run, plus the violation log.
 pub struct OracleRegistry {
-    invariants: Vec<Box<dyn Invariant>>,
+    invariants: Standard,
     log: ViolationLog,
 }
 
-impl std::fmt::Debug for OracleRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&'static str> = self.invariants.iter().map(|i| i.name()).collect();
-        f.debug_struct("OracleRegistry")
-            .field("invariants", &names)
-            .field("violations", &self.log.len())
-            .finish()
-    }
-}
+/// The standard invariants, in report order, held by value so that an
+/// observation reaches each one through a direct call.
+struct Standard(
+    EventCausality,
+    SynctimeContinuity,
+    FrameConservation,
+    FabricConservation,
+    FtaContainment,
+    ServoClamp,
+    BoundAlgebra,
+    SyncStateLegality,
+    HoldoverDrift,
+    AtMostOneActingMaster,
+    ElectionConvergence,
+);
 
 impl OracleRegistry {
     /// The standard registry: all eleven conformance invariants.
     pub fn standard(cfg: OracleConfig) -> Self {
-        OracleRegistry::with_invariants(vec![
-            Box::new(EventCausality::new()),
-            Box::new(SynctimeContinuity::new(
-                cfg.warmup,
-                cfg.step_threshold,
-                cfg.max_frequency_ppb,
-            )),
-            Box::new(FrameConservation::new()),
-            Box::new(FabricConservation::new()),
-            Box::new(FtaContainment::new(cfg.f)),
-            Box::new(ServoClamp::new(cfg.max_frequency_ppb)),
-            Box::new(BoundAlgebra::new()),
-            Box::new(SyncStateLegality::new()),
-            Box::new(HoldoverDrift::new(
-                cfg.warmup,
-                cfg.step_threshold,
-                cfg.max_frequency_ppb,
-            )),
-            Box::new(AtMostOneActingMaster::new(cfg.election_convergence)),
-            Box::new(ElectionConvergence::new(cfg.election_convergence)),
-        ])
-    }
-
-    /// A registry over a custom invariant set.
-    pub fn with_invariants(invariants: Vec<Box<dyn Invariant>>) -> Self {
+        let invariants = Standard(
+            EventCausality::new(),
+            SynctimeContinuity::new(cfg.warmup, cfg.step_threshold, cfg.max_frequency_ppb),
+            FrameConservation::new(),
+            FabricConservation::new(),
+            FtaContainment::new(cfg.f),
+            ServoClamp::new(cfg.max_frequency_ppb),
+            BoundAlgebra::new(),
+            SyncStateLegality::new(),
+            HoldoverDrift::new(cfg.warmup, cfg.step_threshold, cfg.max_frequency_ppb),
+            AtMostOneActingMaster::new(cfg.election_convergence),
+            ElectionConvergence::new(cfg.election_convergence),
+        );
         OracleRegistry {
             invariants,
             log: ViolationLog::new(),
@@ -310,21 +366,22 @@ impl OracleRegistry {
 
     /// Feeds one observation to every invariant.
     pub fn observe(&mut self, obs: &Observation<'_>) {
-        for inv in &mut self.invariants {
-            inv.observe(obs, &mut self.log);
-        }
+        self.each(|inv, log| inv.observe(obs, log));
     }
 
     /// Judges end-of-run properties.
     pub fn finish(&mut self) {
-        for inv in &mut self.invariants {
-            inv.finish(&mut self.log);
-        }
+        self.each(|inv, log| inv.finish(log));
     }
 
-    /// Violations recorded so far.
-    pub fn violations(&self) -> &[ViolationRecord] {
-        self.log.records()
+    /// Calls `f` on every invariant, in report order.
+    #[inline]
+    fn each(&mut self, mut f: impl FnMut(&mut dyn Invariant, &mut ViolationLog)) {
+        let Standard(a, b, c, d, e, g, h, i, j, k, l) = &mut self.invariants;
+        let all: [&mut dyn Invariant; 11] = [a, b, c, d, e, g, h, i, j, k, l];
+        for inv in all {
+            f(inv, &mut self.log);
+        }
     }
 
     /// Drains the recorded violations.
@@ -341,41 +398,35 @@ mod tests {
     fn standard_registry_is_silent_on_no_observations() {
         let mut oracle = OracleRegistry::standard(OracleConfig::default());
         oracle.finish();
-        assert!(oracle.violations().is_empty());
+        assert!(oracle.take_violations().is_empty());
     }
 
     #[test]
     fn registry_fans_observations_to_all_invariants() {
         let mut oracle = OracleRegistry::standard(OracleConfig::default());
-        oracle.observe(&Observation::Event {
-            at: SimTime::from_secs(5),
-        });
-        oracle.observe(&Observation::Event {
-            at: SimTime::from_secs(4),
-        });
-        oracle.observe(&Observation::ServoFrequency {
+        for s in [5, 4] {
+            oracle.observe(&Observation::Event {
+                at: SimTime::from_secs(s),
+                kind: "transmit",
+                sub: Subsystem::Netsim,
+            });
+        }
+        oracle.observe(&Observation::Aggregated {
             at: SimTime::from_secs(5),
             node: 0,
             slot: 0,
-            freq_adj_ppb: 1_000_000.0,
+            offset: Nanos::ZERO,
+            servo: ServoOutput::Adjust {
+                freq_adj_ppb: 1_000_000.0,
+            },
+            fault_tolerant: false,
+            used: &[],
+            byzantine: &[],
         });
         oracle.finish();
-        let names: Vec<&str> = oracle
-            .violations()
-            .iter()
-            .map(|v| v.invariant.as_str())
-            .collect();
-        assert_eq!(names, vec!["event-causality", "servo-clamp"]);
         let drained = oracle.take_violations();
-        assert_eq!(drained.len(), 2);
-        assert!(oracle.violations().is_empty());
-    }
-
-    #[test]
-    fn debug_lists_invariant_names() {
-        let oracle = OracleRegistry::standard(OracleConfig::default());
-        let dbg = format!("{oracle:?}");
-        assert!(dbg.contains("event-causality"));
-        assert!(dbg.contains("fta-containment"));
+        let names: Vec<&str> = drained.iter().map(|v| v.invariant.as_str()).collect();
+        assert_eq!(names, vec!["event-causality", "servo-clamp"]);
+        assert!(oracle.take_violations().is_empty());
     }
 }

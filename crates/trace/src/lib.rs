@@ -15,13 +15,18 @@
 //! them as Chrome trace-event JSON that opens directly in
 //! `ui.perfetto.dev` or `chrome://tracing`.
 //!
-//! Like `tsn-oracle`, the sink is strictly passive: it draws no
+//! The sink knows nothing of the simulation. The simulation hands its
+//! observers one stream of `tsn_oracle::Observation`s, and its reading
+//! of an observation as lanes, names and arguments sits beside that
+//! channel (`clocksync`'s `probe.rs`); the oracle reads the same stream.
+//! Like the oracle, the sink is strictly passive: it draws no
 //! randomness, schedules no events, and holds no simulation state, so
 //! enabling it cannot perturb the deterministic run — state hashes,
 //! snapshots, and campaign artifacts are byte-identical with tracing on
-//! or off (held by `tests/trace.rs` and the CI trace-parity job). Host
-//! wall-clock time never enters a trace file; it is measured by the
-//! campaign runner and kept in the separate profile stream.
+//! or off (held by the observer-parity cases in `tests/trace.rs` and
+//! `tests/oracle.rs`). Host wall-clock time never enters a trace file;
+//! it is measured by the campaign runner and kept in the separate
+//! profile stream.
 //!
 //! ```
 //! use tsn_trace::{Subsystem, TraceSink, DEFAULT_MAX_EVENTS, SIM_PID};
@@ -112,16 +117,10 @@ impl Subsystem {
         }
     }
 
-    /// The `tid` lane this subsystem occupies under [`SIM_PID`].
+    /// The `tid` lane this subsystem occupies under [`SIM_PID`]: its
+    /// place in [`Subsystem::ALL`].
     pub fn lane(self) -> u32 {
-        self.index() as u32
-    }
-
-    fn index(self) -> usize {
-        Subsystem::ALL
-            .iter()
-            .position(|&s| s == self)
-            .expect("subsystem is in ALL")
+        self as u32
     }
 }
 
@@ -213,10 +212,11 @@ const COUNTER_STRIDE: u64 = 4096;
 
 /// Collects trace events and per-subsystem counts during a run.
 ///
-/// The sink is bounded (`max_events`) and append-only;
-/// every mutating method is `O(1)` amortized, and the per-event cost
-/// when tracing is *disabled* is a single `Option` discriminant check
-/// in the caller (the same pattern as `World::enable_oracle`).
+/// The sink is bounded (`max_events`) and append-only, and every
+/// mutating method is `O(1)` amortized. A run with no observer armed
+/// pays one `Option` discriminant check per observation site, shared
+/// with the oracle; the sink itself is only reached through the
+/// observers a run armed.
 #[derive(Debug)]
 pub struct TraceSink {
     /// Hard cap on recorded events. Beyond it events are counted as
@@ -260,7 +260,7 @@ impl TraceSink {
     /// Records an event-queue pop: counted per kind and subsystem, and
     /// sampled into a cumulative counter track every 4096 pops.
     pub fn pop(&mut self, at: SimTime, kind: &'static str, sub: Subsystem) {
-        self.subsystems[sub.index()] += 1;
+        self.subsystems[sub as usize] += 1;
         match self.pop_kinds.iter_mut().find(|(k, _)| *k == kind) {
             Some((_, n)) => *n += 1,
             None => self.pop_kinds.push((kind, 1)),
@@ -290,34 +290,12 @@ impl TraceSink {
         pid: u32,
         tid: u32,
     ) -> EventRef<'_> {
-        self.subsystems[cat.index()] += 1;
+        self.subsystems[cat as usize] += 1;
         self.record(TraceEvent {
             name,
             cat,
             ts: at,
             dur: None,
-            pid,
-            tid,
-            args: Vec::new(),
-        })
-    }
-
-    /// Records a complete span with a known duration.
-    pub fn span(
-        &mut self,
-        from: SimTime,
-        dur: Nanos,
-        name: &'static str,
-        cat: Subsystem,
-        pid: u32,
-        tid: u32,
-    ) -> EventRef<'_> {
-        self.subsystems[cat.index()] += 1;
-        self.record(TraceEvent {
-            name,
-            cat,
-            ts: from,
-            dur: Some(dur),
             pid,
             tid,
             args: Vec::new(),
@@ -355,42 +333,30 @@ impl TraceSink {
     /// forked run may begin mid-window).
     pub fn end_span(&mut self, key: u64, at: SimTime) {
         if let Some(i) = self.open.iter().position(|(k, _)| *k == key) {
-            let (_, mut ev) = self.open.remove(i);
-            ev.dur = Some(at - ev.ts);
-            self.subsystems[ev.cat.index()] += 1;
-            self.record(ev);
+            let (_, ev) = self.open.remove(i);
+            self.close(ev, at);
         }
     }
 
-    /// Events recorded so far (excluding counted-only pops).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no event has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// Records the opened span `ev` as a complete span ending `at`.
+    fn close(&mut self, mut ev: TraceEvent, at: SimTime) {
+        ev.dur = Some(at - ev.ts);
+        self.subsystems[ev.cat as usize] += 1;
+        self.record(ev);
     }
 
     /// Seals the sink: flushes still-open spans at `end` and produces
     /// the exportable report.
     pub fn finish(mut self, end: SimTime) -> TraceReport {
-        let open = std::mem::take(&mut self.open);
-        for (_, mut ev) in open {
-            ev.dur = Some(end - ev.ts);
-            self.subsystems[ev.cat.index()] += 1;
-            self.record(ev);
+        for (_, ev) in std::mem::take(&mut self.open) {
+            self.close(ev, end);
         }
         TraceReport {
             events: self.events,
             pop_kinds: self.pop_kinds,
-            subsystems: Subsystem::ALL
-                .iter()
-                .map(|&s| (s, self.subsystems[s.index()]))
-                .collect(),
+            subsystems: Subsystem::ALL.into_iter().zip(self.subsystems).collect(),
             sim_events: self.pops,
             dropped: self.dropped,
-            end,
         }
     }
 }
@@ -409,8 +375,6 @@ pub struct TraceReport {
     pub sim_events: u64,
     /// Events discarded at the sink's `max_events` cap.
     pub dropped: u64,
-    /// Simulated end time of the run.
-    pub end: SimTime,
 }
 
 impl TraceReport {
@@ -521,21 +485,6 @@ impl TraceReport {
         out.push_str("]}");
         out
     }
-
-    /// Share of total activity attributed to `sub`, in `[0, 1]` (0 when
-    /// the run recorded nothing).
-    pub fn subsystem_share(&self, sub: Subsystem) -> f64 {
-        let total: u64 = self.subsystems.iter().map(|(_, n)| n).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let own = self
-            .subsystems
-            .iter()
-            .find(|(s, _)| *s == sub)
-            .map_or(0, |(_, n)| *n);
-        own as f64 / total as f64
-    }
 }
 
 /// Escapes `s` as a JSON string literal (quotes included).
@@ -574,14 +523,8 @@ mod tests {
         )
         .arg_i64("offset_ns", -42)
         .arg_str("mode", "fault_tolerant");
-        sink.span(
-            SimTime::from_millis(3),
-            Nanos::from_micros(12),
-            "tx",
-            Subsystem::Gptp,
-            node_pid(1),
-            1,
-        );
+        sink.begin_span(3, SimTime::from_millis(3), "tx", Subsystem::Gptp, 101, 1);
+        sink.end_span(3, SimTime::from_millis(4));
         let report = sink.finish(SimTime::from_millis(10));
         assert_eq!(report.sim_events, 1);
         assert_eq!(report.events.len(), 2);
@@ -640,17 +583,28 @@ mod tests {
         );
     }
 
+    /// A subsystem's lane is its place in `ALL`, and trace files name
+    /// lanes by it: the order is part of the trace bytes.
     #[test]
-    fn subsystem_shares_sum_to_one() {
-        let mut sink = TraceSink::new(DEFAULT_MAX_EVENTS);
-        sink.pop(SimTime::from_millis(1), "transmit", Subsystem::Netsim);
-        sink.instant(SimTime::from_millis(1), "servo", Subsystem::Servo, 100, 0);
-        let report = sink.finish(SimTime::from_millis(2));
-        let total: f64 = Subsystem::ALL
+    fn lanes_follow_the_canonical_order() {
+        let lanes: Vec<(u32, &str)> = Subsystem::ALL
             .iter()
-            .map(|&s| report.subsystem_share(s))
-            .sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!(report.subsystem_share(Subsystem::Netsim) > 0.0);
+            .map(|s| (s.lane(), s.name()))
+            .collect();
+        assert_eq!(
+            lanes,
+            [
+                (0, "netsim"),
+                (1, "gptp"),
+                (2, "fta"),
+                (3, "servo"),
+                (4, "hyp"),
+                (5, "time"),
+                (6, "faults"),
+                (7, "measure"),
+                (8, "election"),
+                (9, "fabric"),
+            ]
+        );
     }
 }

@@ -1,15 +1,22 @@
 //! Integration tests for structured execution tracing (`tsn-trace`).
 //!
 //! Two properties matter end to end: arming the tracer must not change
-//! a single simulated bit (held to `World::state_hash` parity at the
-//! midpoint and end of a run, like the oracle), and the trace a run
-//! produces must actually carry the simulation's story — gPTP message
-//! tx/rx, FTA rounds with trim decisions, servo updates, sync-state
-//! transitions — as valid Chrome trace-event JSON.
+//! a single simulated bit (held to observer parity: state hashes at the
+//! midpoint and end of a run, and run-record bytes, under every observer
+//! set), and the trace a run produces must actually carry the
+//! simulation's story — gPTP message tx/rx, FTA rounds with trim
+//! decisions, servo updates, sync-state transitions, election role
+//! changes — as valid Chrome trace-event JSON.
 
+#[path = "observer_parity.rs"]
+mod observer_parity;
+
+use clocksync::election::ElectionConfig;
+use clocksync::fabric::FabricConfig;
 use clocksync::scenario::ScenarioKind;
-use clocksync::trace::{ArgValue, Subsystem, TraceReport};
+use clocksync::trace::{node_pid, ArgValue, Subsystem, TraceReport};
 use clocksync::{PartitionWindow, TestbedConfig, World};
+use observer_parity::assert_observers_do_not_perturb;
 use tsn_time::{Nanos, SimTime};
 
 /// A short quick-preset run: long enough to get past warm-up into
@@ -25,35 +32,38 @@ fn count(report: &TraceReport, name: &str) -> usize {
     report.events.iter().filter(|e| e.name == name).count()
 }
 
+/// Parity on a run that opens and closes a link-down window.
 #[test]
 fn tracer_does_not_perturb_state() {
-    let cfg = quick_cfg(3);
-    let mut plain = World::new(cfg.clone());
-    let mut traced = World::new(cfg);
-    assert!(!traced.trace_enabled());
-    traced.enable_trace();
-    assert!(traced.trace_enabled());
+    let mut cfg = quick_cfg(3);
+    cfg.partition = Some(PartitionWindow {
+        node: 1,
+        from: Nanos::from_secs(2),
+        until: Nanos::from_secs(5),
+    });
+    let result = assert_observers_do_not_perturb(&cfg);
+    let report = result.trace.expect("tracing was enabled");
+    assert!(count(&report, "link_down") > 0);
+}
 
-    let mid = SimTime::ZERO + Nanos::from_secs(6);
-    plain.run_until(mid);
-    traced.run_until(mid);
-    assert_eq!(
-        plain.state_hash(),
-        traced.state_hash(),
-        "tracer perturbed simulation state by the midpoint"
-    );
+/// Parity on an election run whose grandmaster is killed: role changes,
+/// elections and the kill itself are observed.
+#[test]
+fn observers_do_not_perturb_an_election_failover() {
+    let result = assert_observers_do_not_perturb(&gm_kill_cfg());
+    assert!(result.violations.is_empty(), "{:#?}", result.violations);
+    let report = result.trace.expect("tracing was enabled");
+    assert!(count(&report, "elected") > 0);
+    assert!(count(&report, "demoted") > 0);
+}
 
-    let end = plain.end_time();
-    plain.run_until(end);
-    traced.run_until(end);
-    assert_eq!(
-        plain.state_hash(),
-        traced.state_hash(),
-        "tracer perturbed simulation state by the end of the run"
-    );
-
-    assert!(plain.into_result().trace.is_none());
-    assert!(traced.into_result().trace.is_some());
+/// Parity on a one-hop fabric run: fabric crossings are observed.
+#[test]
+fn observers_do_not_perturb_a_fabric_run() {
+    let result = assert_observers_do_not_perturb(&fabric_cfg());
+    assert!(result.violations.is_empty(), "{:#?}", result.violations);
+    let report = result.trace.expect("tracing was enabled");
+    assert!(count(&report, "fabric_sync") > 0);
 }
 
 #[test]
@@ -90,7 +100,11 @@ fn baseline_trace_tells_the_run_story() {
 
     // Probe traffic shows up under the measurement subsystem.
     assert!(count(&report, "probe_rx") > 0);
-    assert!(report.subsystem_share(Subsystem::Measure) > 0.0);
+    let measure = report
+        .subsystems
+        .iter()
+        .find(|(s, _)| *s == Subsystem::Measure);
+    assert!(measure.is_some_and(|&(_, n)| n > 0));
 
     // And it all exports as a Chrome trace-event JSON object.
     let json = report.to_chrome_json();
@@ -193,4 +207,84 @@ fn attack_run_traces_strikes_and_byzantine_domains() {
         .find(|e| e.name == "strike")
         .expect("strikes are traced");
     assert!(strike.args.iter().any(|(k, _)| *k == "succeeded"));
+}
+
+/// The trace a run writes, pinned byte for byte: FNV-1a of the Chrome
+/// JSON of a quick run, a one-hop fabric run and an election run whose
+/// grandmaster is killed. Arming the tracer must not change the run,
+/// and rewiring what feeds it must not change what it writes.
+#[test]
+fn trace_bytes_are_pinned() {
+    let trace_hash = |cfg: TestbedConfig| {
+        let mut world = World::new(cfg);
+        world.enable_trace();
+        let report = world.run().trace.expect("tracing was enabled");
+        tsn_snapshot::fnv1a64(report.to_chrome_json().as_bytes())
+    };
+    assert_eq!(trace_hash(quick_cfg(7)), 0x489d_21c5_117f_5dfc, "quick");
+    assert_eq!(trace_hash(fabric_cfg()), 0xbf1c_9fac_ee1e_e632, "fabric");
+    // 0x07e9_0371_e1b1_0728 before the killed grandmaster's `demoted`
+    // instant reached the trace; the files differ by that one instant.
+    assert_eq!(trace_hash(gm_kill_cfg()), 0xbd93_c9d7_11d9_1920, "election");
+}
+
+/// A killed grandmaster is demoted in the trace: one `demoted` instant
+/// on its lane for each domain it acted for, at the kill instant.
+#[test]
+fn killed_grandmaster_is_demoted_in_the_trace() {
+    let cfg = gm_kill_cfg();
+    let el = cfg.election.expect("an election world");
+    let (node, nodes) = (el.gm_failure_node, cfg.nodes);
+    let kill = SimTime::ZERO + cfg.warmup + el.gm_failure_at.expect("a kill");
+    let mut world = World::new(cfg);
+    world.enable_trace();
+    world.run_until(SimTime::from_nanos(kill.as_nanos() - 1));
+    let acted: Vec<u64> = (0..nodes as u64)
+        .filter(|&d| world.acting_masters(d as u8).contains(&node))
+        .collect();
+    assert!(
+        !acted.is_empty(),
+        "node {node} acts for a domain before the kill"
+    );
+    let end = world.end_time();
+    world.run_until(end);
+    let report = world.into_result().trace.expect("tracing was enabled");
+    let demoted: Vec<u64> = report
+        .events
+        .iter()
+        .filter(|e| e.name == "demoted" && e.ts == kill)
+        .map(|e| {
+            assert_eq!(
+                (e.pid, e.tid),
+                (node_pid(node), 0),
+                "on the killed VM's lane"
+            );
+            match e.args.as_slice() {
+                [("domain", ArgValue::U64(d))] => *d,
+                args => panic!("unexpected args {args:?}"),
+            }
+        })
+        .collect();
+    assert_eq!(demoted, acted);
+}
+
+/// A one-hop fabric world.
+fn fabric_cfg() -> TestbedConfig {
+    let mut cfg = quick_cfg(19);
+    cfg.duration = Nanos::from_secs(4);
+    cfg.fabric = Some(FabricConfig::line(1));
+    cfg
+}
+
+/// An election world whose node-0 grandmaster is killed 3 s into the
+/// measured window.
+fn gm_kill_cfg() -> TestbedConfig {
+    let mut cfg = quick_cfg(22);
+    cfg.duration = Nanos::from_secs(8);
+    cfg.election = Some(ElectionConfig {
+        gm_failure_at: Some(Nanos::from_secs(3)),
+        gm_failure_node: 0,
+        ..ElectionConfig::default()
+    });
+    cfg
 }
