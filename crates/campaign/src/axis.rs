@@ -181,7 +181,7 @@ pub struct AxisDef {
     /// Whether the axis alters the world before any intervention can
     /// act, i.e. shapes the warm prefix and the derived seed.
     pub prefix: bool,
-    /// Whether `campaign frontier` may bisect the axis.
+    /// Whether a frontier spec may bisect the axis.
     pub bisect: bool,
     /// The legal values.
     pub kind: Kind,
@@ -469,14 +469,14 @@ axes! {
     /// Adversary shift magnitude in nanoseconds: replaces the strategy
     /// preset's dominant waveform parameter via
     /// [`ByzantineStrategy::with_magnitude`] (activates the attack).
-    /// This is the continuous axis `campaign frontier` bisects.
+    /// This is the continuous axis the `frontier-sweep` builtin bisects.
     adv_offset_ns / adv_offset_ns: u64, MAGNITUDE_AXIS, _, "adv_ns",
     IfActive, "adv_ns={}", Attack, Post, Bisect, UInt(1, 10_000_000, " (a zero magnitude is the honest cell; 10 ms dwarfs every bound)"), _;
     /// Aggregation trim degree `f`: replaces the preset's `f` in the
     /// configured fault-tolerant method (FTA or midpoint). Acts from
     /// t = 0, so it is prefix-relevant.
     fta_f / fta_f: usize, "fta_f", _, _,
-    IfActive, "f={}", _, Prefix, Fixed, UInt(1, 7, " (2f+1 domains of at most 16)"), _;
+    IfActive, "f={}", _, Prefix, Fixed, UInt(1, 5, " (3f + 1 domains of at most 16)"), _;
     /// Fleet size: number of ECDs attached to a *condensed* switch
     /// fleet (activates the fleet; default 256). Mutually exclusive
     /// with the explicit `hops`/`topology` axes — the fleet owns

@@ -1,39 +1,43 @@
-//! The `campaign` CLI: run, resume, summarize, and diff experiment
-//! campaigns.
+//! The `campaign` CLI: run, summarize, and diff experiment campaigns.
 //!
 //! The commands and their flags are listed once, in `USAGE` (printed by
 //! `campaign --help`).
 //!
-//! `resume` is an alias of `run` — resumption is automatic and
-//! content-addressed, the alias only states intent. `summarize` and
-//! `diff` read the spec back from each campaign directory's
-//! `manifest.json`, so they need no spec argument. `diff` exits 0 on
-//! parity, 1 on regression, 2 on error/incomparable campaigns; its
-//! tolerances are fixed (`summary::diff`, `frontier::diff`).
+//! `run` takes either kind of spec. A spec is a frontier when its
+//! builtin name is in `FrontierSpec::BUILTINS` or its file has `cells`
+//! (`load`); any other spec is a campaign. A campaign runs its matrix
+//! and prints the cross-seed summary. A frontier
+//! (`tsn_campaign::frontier`) bisects, per discrete adversary cell, the
+//! continuous axis until the containment-failure boundary is bracketed,
+//! writes `frontier.json`, and prints the empirical-vs-analytical
+//! report; it exits 1 when a cell is inconsistent with the analytical
+//! bound. Both kinds print one counts block. Re-running a spec resumes:
+//! completed runs are recognized by content hash. Runs that share a
+//! warm prefix fork it; the runner decides (`RunnerOptions::fork`), and
+//! the bytes are those of a cold run.
 //!
-//! `frontier` explores a resilience-frontier spec
-//! (`tsn_campaign::frontier`): per discrete adversary cell it bisects
-//! the continuous axis until the containment-failure boundary is
-//! bracketed, writes `frontier.json`, and prints the
-//! empirical-vs-analytical report. Forking is on by default there (the
-//! rounds exist to share warm prefixes); `--no-fork` runs cold.
-//! `summarize` and `diff` recognize frontier directories by their
-//! `frontier-spec.json`, replay the bisection over the probe artifacts
-//! in `runs/`, and compare brackets instead of group summaries.
-//! Exit is nonzero when any cell is inconsistent with the analytical
-//! bound, a run failed, or (`--check`) the oracle reported violations.
+//! `summarize` and `diff` read the spec back from each campaign
+//! directory's `manifest.json`, so they need no spec argument; they
+//! recognize frontier directories by their `frontier-spec.json`, replay
+//! the bisection over the probe artifacts in `runs/`, and compare
+//! brackets instead of group summaries. `diff` exits 0 on parity, 1 on
+//! regression, 2 on error/incomparable campaigns; its tolerances are
+//! fixed (`summary::diff`, `frontier::diff`).
 //!
 //! `--check` arms the runtime invariant oracle (`tsn-oracle`) on every
-//! executed run: violations are printed to stderr and the command exits
-//! 1 if any were found. Artifacts are byte-identical either way.
+//! executed run, which then runs cold: violations are printed to stderr
+//! and the command exits 1 if any were found. Artifacts are
+//! byte-identical either way.
 //!
-//! `--trace DIR` arms the structured tracer (`tsn-trace`) on every
-//! executed run and writes one Chrome trace-event file
-//! `trace-<hash>.json` per run into DIR (open it in `ui.perfetto.dev`),
-//! plus a `profile.jsonl` stream with per-run wall time and event
-//! counts. `campaign profile --trace DIR` aggregates that stream into a
-//! per-scenario hot-spot report (`--json` for the machine-readable
-//! table). Artifacts are byte-identical either way.
+//! `--trace DIR` (campaign specs only) arms the structured tracer
+//! (`tsn-trace`) on every executed run and writes one Chrome
+//! trace-event file `trace-<hash>.json` per run into DIR (open it in
+//! `ui.perfetto.dev`), plus a `profile.jsonl` stream with per-run wall
+//! time and event counts. `campaign profile --trace DIR` aggregates
+//! that stream into a per-scenario activity report: wall time, event
+//! rate, and each subsystem's share of pops plus trace events, which is
+//! activity, not time (`--json` for the machine-readable table).
+//! Artifacts are byte-identical either way.
 //!
 //! `snapshot` saves, inspects, restores and verifies world checkpoints
 //! of one campaign run, named by its spec and content hash (`--run
@@ -47,15 +51,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsn_campaign::json::Json;
 use tsn_campaign::{
-    frontier, profile, runner, summary, CampaignSpec, FailedRun, FrontierSpec, RunViolation,
-    RunnerOptions,
+    frontier, profile, runner, summary, CampaignReport, CampaignSpec, FrontierSpec, RunnerOptions,
 };
 use tsn_time::{Nanos, SimTime};
 
 const USAGE: &str = "usage:
-  campaign run       (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--fork] [--check] [--trace DIR] [--trace-cap N]
-  campaign resume    (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--fork] [--check] [--trace DIR] [--trace-cap N]
-  campaign frontier  (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--check] [--no-fork]
+  campaign run       (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--check] [--trace DIR] [--trace-cap N]
   campaign summarize --dir DIR [--json]
   campaign profile   --trace DIR [--json]
   campaign diff      --baseline DIR --candidate DIR
@@ -69,8 +70,7 @@ const USAGE: &str = "usage:
 built-in specs: quick-baseline, repro-all, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, fleet-sweep
 built-in frontier specs: frontier-sweep
 exit codes (diff): 0 parity, 1 regression, 2 error
-exit codes (run --check): 0 clean, 1 invariant violation(s) or failed run(s), 2 error
-exit codes (frontier): 0 consistent, 1 inconsistent cell / violation / failed run, 2 error
+exit codes (run): 0 clean, 1 failed run(s) / invariant violation(s) under --check / inconsistent frontier cell, 2 error
 exit codes (snapshot): 0 ok, 1 divergence (verify), 2 error";
 
 fn main() -> ExitCode {
@@ -91,8 +91,7 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     };
     let rest = &args[1..];
     match command.as_str() {
-        "run" | "resume" => cmd_run(rest),
-        "frontier" => cmd_frontier(rest),
+        "run" => cmd_run(rest),
         "summarize" => cmd_summarize(rest),
         "profile" => cmd_profile(rest),
         "diff" => cmd_diff(rest),
@@ -121,65 +120,44 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// The spec `--builtin NAME` or `--spec FILE` names; `kind` qualifies
-/// the builtin in the error message.
-fn load<T, E: std::fmt::Display>(
-    flags: &Flags,
-    kind: &str,
-    builtin: fn(&str) -> Option<T>,
-    parse: fn(&str) -> Result<T, E>,
-) -> Result<T, String> {
+/// A spec `campaign run` takes.
+enum Spec {
+    Campaign(Box<CampaignSpec>),
+    Frontier(FrontierSpec),
+}
+
+/// The spec `--builtin NAME` or `--spec FILE` names. It is a frontier
+/// when the builtin name is in `FrontierSpec::BUILTINS` or the file has
+/// `cells`, and a campaign otherwise.
+fn load(flags: &Flags) -> Result<Spec, String> {
     match (flags.get("--builtin"), flags.get("--spec")) {
-        (Some(name), None) => builtin(name)
-            .ok_or_else(|| format!("unknown {kind}builtin {name:?} (see `campaign list`)")),
+        (Some(name), None) => CampaignSpec::builtin(name)
+            .map(|spec| Spec::Campaign(Box::new(spec)))
+            .or_else(|| FrontierSpec::builtin(name).map(Spec::Frontier))
+            .ok_or_else(|| format!("unknown builtin {name:?} (see `campaign list`)")),
         (None, Some(path)) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            parse(&text).map_err(|e| format!("{path}: {e}"))
+            if Json::parse(&text).is_ok_and(|v| v.get("cells").is_some()) {
+                FrontierSpec::parse(&text).map(Spec::Frontier)
+            } else {
+                CampaignSpec::parse(&text).map(|spec| Spec::Campaign(Box::new(spec)))
+            }
+            .map_err(|e| format!("{path}: {e}"))
         }
         _ => Err("exactly one of --builtin or --spec is required".to_string()),
     }
 }
 
+/// The campaign spec `--builtin NAME` or `--spec FILE` names.
 fn load_spec(flags: &Flags) -> Result<CampaignSpec, String> {
-    load(flags, "", CampaignSpec::builtin, CampaignSpec::parse)
-}
-
-/// The runner options `run` and `frontier` both read from their flags.
-fn runner_options(flags: &Flags, name: &str) -> Result<RunnerOptions, String> {
-    let dir = flags.get("--dir").map(PathBuf::from);
-    Ok(RunnerOptions {
-        threads: flags.get_parsed::<usize>("--threads")?.unwrap_or(0),
-        quiet: flags.has("--quiet"),
-        check: flags.has("--check"),
-        ..RunnerOptions::new(dir.unwrap_or_else(|| PathBuf::from("target/campaigns").join(name)))
-    })
-}
-
-/// Prints the runs that panicked under `failed_header` and, under
-/// `--check`, the oracle's verdict; returns whether either fails the
-/// command.
-fn report_failures(
-    failed: &[FailedRun],
-    failed_header: &str,
-    check: bool,
-    violations: &[RunViolation],
-) -> bool {
-    if !failed.is_empty() {
-        eprintln!("failed: {} run(s) panicked{failed_header}:", failed.len());
-        for f in failed {
-            eprintln!("  {f}");
-        }
+    match load(flags)? {
+        Spec::Campaign(spec) => Ok(*spec),
+        Spec::Frontier(spec) => Err(format!(
+            "{:?} is a frontier spec; this command takes a campaign spec",
+            spec.name
+        )),
     }
-    if check && violations.is_empty() {
-        println!("check: no invariant violations");
-    } else if check {
-        eprintln!("check: {} invariant violation(s):", violations.len());
-        for v in violations {
-            eprintln!("  {v}");
-        }
-    }
-    !failed.is_empty() || (check && !violations.is_empty())
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
@@ -193,23 +171,56 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "--trace",
             "--trace-cap",
         ],
-        &["--quiet", "--fork", "--check"],
+        &["--quiet", "--check"],
     )?;
-    let spec = load_spec(&flags)?;
+    let spec = load(&flags)?;
+    let name = match &spec {
+        Spec::Campaign(spec) => &spec.name,
+        Spec::Frontier(spec) => &spec.name,
+    };
+    let dir = flags.get("--dir").map(PathBuf::from);
     let opts = RunnerOptions {
-        fork: flags.has("--fork"),
+        threads: flags.get_parsed::<usize>("--threads")?.unwrap_or(0),
+        quiet: flags.has("--quiet"),
+        check: flags.has("--check"),
         trace: flags.get("--trace").map(PathBuf::from),
         trace_max_events: flags.get_parsed::<usize>("--trace-cap")?,
-        ..runner_options(&flags, &spec.name)?
+        ..RunnerOptions::new(dir.unwrap_or_else(|| PathBuf::from("target/campaigns").join(name)))
     };
     if opts.trace_max_events.is_some() && opts.trace.is_none() {
         return Err("--trace-cap needs --trace DIR".to_string());
     }
-    let report = runner::execute(&spec, &opts).map_err(|e| e.to_string())?;
+    let (report, body, consistent) = match &spec {
+        Spec::Campaign(spec) => {
+            let report = runner::execute(spec, &opts).map_err(|e| e.to_string())?;
+            let body = summary::render(&summary::summarize(&report.records));
+            (report, body, true)
+        }
+        Spec::Frontier(_) if opts.trace.is_some() => {
+            return Err("--trace takes a campaign spec, not a frontier spec".to_string());
+        }
+        Spec::Frontier(spec) => {
+            let (doc, report) = frontier::execute(spec, &opts).map_err(|e| e.to_string())?;
+            (report, doc.render_text(), doc.consistent())
+        }
+    };
+    let failing = print_counts(name, &report, &opts, &body);
+    if !consistent {
+        eprintln!("frontier: empirical boundary inconsistent with the analytical bound");
+    }
+    Ok(ExitCode::from(u8::from(failing || !consistent)))
+}
+
+/// The counts block `run` prints around the body, for either kind of
+/// spec: runs executed and resumed and warm prefixes forked before it;
+/// traces written, runs that panicked and, under `--check`, the
+/// oracle's verdict after it. Returns whether the command fails: a run
+/// panicked, or under `--check` an invariant was violated or a trace
+/// truncated.
+fn print_counts(name: &str, report: &CampaignReport, opts: &RunnerOptions, body: &str) -> bool {
     println!(
-        "campaign {}: {} run(s) total, {} executed, {} resumed, {} thread(s), artifacts in {}",
-        spec.name,
-        report.records.len(),
+        "campaign {name}: {} run(s) total, {} executed, {} resumed, {} thread(s), artifacts in {}",
+        report.executed + report.skipped,
         report.executed,
         report.skipped,
         report.threads,
@@ -228,11 +239,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             report.forked_groups, report.prefix_runs, report.prefix_events_skipped
         );
     }
-    print!("{}", summary::render(&summary::summarize(&report.records)));
+    print!("{body}");
     if let Some(trace_dir) = &opts.trace {
         println!(
             "trace: {} run(s) traced into {} (open trace-<hash>.json in ui.perfetto.dev; \
-             `campaign profile --trace {}` for the hot-spot report)",
+             `campaign profile --trace {}` for each subsystem's activity share)",
             report.executed,
             trace_dir.display(),
             trace_dir.display()
@@ -246,51 +257,24 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             report.trace_dropped_events
         );
     }
-    let failing = report_failures(
-        &report.failed,
-        " (campaign finished; resume retries them)",
-        opts.check,
-        &report.violations,
-    ) || (truncated && opts.check);
-    Ok(ExitCode::from(u8::from(failing)))
-}
-
-fn cmd_frontier(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(
-        args,
-        &["--builtin", "--spec", "--dir", "--threads"],
-        &["--quiet", "--check", "--no-fork"],
-    )?;
-    let spec = load(
-        &flags,
-        "frontier ",
-        FrontierSpec::builtin,
-        FrontierSpec::parse,
-    )?;
-    let opts = RunnerOptions {
-        fork: !flags.has("--no-fork"),
-        ..runner_options(&flags, &spec.name)?
-    };
-    let report = frontier::execute(&spec, &opts).map_err(|e| e.to_string())?;
-    print!("{}", report.doc.render_text());
-    println!(
-        "frontier: {} executed, {} resumed; artifacts in {}",
-        report.executed,
-        report.skipped,
-        opts.dir.display()
-    );
-    if report.forked_groups > 0 {
-        println!(
-            "fork: {} group(s) shared {} warm prefix run(s) across rounds, {} event(s) skipped",
-            report.forked_groups, report.prefix_runs, report.prefix_events_skipped
+    if !report.failed.is_empty() {
+        eprintln!(
+            "failed: {} run(s) panicked (the rest finished; running the spec again retries them):",
+            report.failed.len()
         );
+        for f in &report.failed {
+            eprintln!("  {f}");
+        }
     }
-    let failing = report_failures(&report.failed, "", opts.check, &report.violations);
-    let consistent = report.doc.consistent();
-    if !consistent {
-        eprintln!("frontier: empirical boundary inconsistent with the analytical bound");
+    if opts.check && report.violations.is_empty() {
+        println!("check: no invariant violations");
+    } else if opts.check {
+        eprintln!("check: {} invariant violation(s):", report.violations.len());
+        for v in &report.violations {
+            eprintln!("  {v}");
+        }
     }
-    Ok(ExitCode::from(u8::from(failing || !consistent)))
+    !report.failed.is_empty() || (opts.check && (truncated || !report.violations.is_empty()))
 }
 
 /// Reads the spec back from a campaign directory's manifest.
@@ -427,13 +411,10 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_spec(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, &["--builtin"], &[])?;
-    let name = flags.get("--builtin").ok_or("--builtin is required")?;
-    if let Some(spec) = CampaignSpec::builtin(name) {
-        print!("{}", spec.render());
-    } else if let Some(spec) = FrontierSpec::builtin(name) {
-        print!("{}", spec.render());
-    } else {
-        return Err(format!("unknown builtin {name:?} (see `campaign list`)"));
+    flags.get("--builtin").ok_or("--builtin is required")?;
+    match load(&flags)? {
+        Spec::Campaign(spec) => print!("{}", spec.render()),
+        Spec::Frontier(spec) => print!("{}", spec.render()),
     }
     Ok(ExitCode::SUCCESS)
 }

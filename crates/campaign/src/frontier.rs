@@ -34,12 +34,12 @@
 use crate::artifact::RunRecord;
 use crate::axis::{AxisDef, AxisValue, MAGNITUDE_AXIS};
 use crate::json::Json;
-use crate::runner::{self, FailedRun, RunViolation, RunnerOptions, SnapshotCache};
+use crate::runner::{self, CampaignReport, RunnerOptions, SnapshotCache};
 use crate::spec::{field, BaseSpec, CampaignSpec, Grid, SpecError};
 use clocksync::scenario::ScenarioKind;
 use std::io;
 use std::path::Path;
-use tsn_fta::{containment_bound, AggregationMethod, ResilienceBound, ResilienceParams};
+use tsn_fta::{containment_bound, ResilienceBound, ResilienceParams};
 use tsn_time::Nanos;
 
 /// Schema version of `frontier.json` and frontier spec files.
@@ -450,7 +450,7 @@ impl Bisection {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmpiricalDoc {
     /// How the search settled (`None` when a probe failed before the
-    /// search settled: it panicked — see [`FrontierReport::failed`] — or,
+    /// search settled: it panicked — see [`CampaignReport::failed`] — or,
     /// for [`load`], its artifact is missing or unreadable).
     pub outcome: Option<BisectOutcome>,
     /// Probes evaluated.
@@ -673,36 +673,22 @@ impl FrontierDoc {
     }
 }
 
-/// What one frontier exploration did.
-#[derive(Debug)]
-pub struct FrontierReport {
-    /// The complete document (also written to `frontier.json`).
-    pub doc: FrontierDoc,
-    /// Runs simulated by this invocation (0 when fully resumed).
-    pub executed: usize,
-    /// Runs resumed from existing artifacts.
-    pub skipped: usize,
-    /// Warm-prefix groups forked across all refinement rounds.
-    pub forked_groups: usize,
-    /// Prefix simulations executed.
-    pub prefix_runs: usize,
-    /// Events not re-simulated thanks to cross-round forking.
-    pub prefix_events_skipped: u64,
-    /// Oracle violations across all probes (only with `check`).
-    pub violations: Vec<RunViolation>,
-    /// Isolated per-run failures across all probes.
-    pub failed: Vec<FailedRun>,
-}
-
 /// Explores the frontier spec into `opts.dir`.
 ///
 /// Writes `frontier-spec.json`, one `runs/run-<hash>.jsonl` per probe
 /// run (content-addressed exactly like a plain campaign, so re-running
 /// resumes), and the `frontier.json` document. One [`SnapshotCache`]
-/// spans every probe: with [`RunnerOptions::fork`] each distinct warm
-/// prefix (one per seed and trim degree) is simulated once, by the first
-/// probe that needs it, and forked by all the others.
-pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<FrontierReport> {
+/// spans every probe: when the runner forks ([`RunnerOptions::fork`])
+/// each distinct warm prefix (one per seed and trim degree) is simulated
+/// once, by the first probe that needs it, and forked by all the others.
+///
+/// Returns the document with one report summed over every probe
+/// ([`CampaignReport::absorb`]); the probes' records went to the
+/// exploration, so the report's `records` is empty.
+pub fn execute(
+    spec: &FrontierSpec,
+    opts: &RunnerOptions,
+) -> io::Result<(FrontierDoc, CampaignReport)> {
     spec.validate()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}")))?;
     std::fs::create_dir_all(&opts.dir)?;
@@ -715,42 +701,27 @@ pub fn execute(spec: &FrontierSpec, opts: &RunnerOptions) -> io::Result<Frontier
         ..opts.clone()
     };
     let mut cache = SnapshotCache::new();
-    // Every probe's report, its records handed to the exploration.
-    let mut probes: Vec<runner::CampaignReport> = Vec::new();
+    let mut report = CampaignReport::default();
     let doc = explore(spec, opts.quiet, |probe_spec| {
-        let mut report = runner::execute_with(probe_spec, &inner_opts, Some(&mut cache), false)?;
-        let records = std::mem::take(&mut report.records);
-        let ok = report.failed.is_empty();
-        probes.push(report);
-        Ok(ok.then_some(records))
+        let mut probe = runner::execute_with(probe_spec, &inner_opts, Some(&mut cache), false)?;
+        let records = std::mem::take(&mut probe.records);
+        let complete = probe.failed.is_empty();
+        report.absorb(probe);
+        Ok(complete.then_some(records))
     })?;
     runner::write_atomic(&opts.dir.join("frontier.json"), &doc.render())?;
-    let sum = |count: fn(&runner::CampaignReport) -> usize| probes.iter().map(count).sum();
-    let report = FrontierReport {
-        executed: sum(|r| r.executed),
-        skipped: sum(|r| r.skipped),
-        forked_groups: sum(|r| r.forked_groups),
-        prefix_runs: sum(|r| r.prefix_runs),
-        prefix_events_skipped: probes.iter().map(|r| r.prefix_events_skipped).sum(),
-        violations: probes
-            .iter_mut()
-            .flat_map(|r| r.violations.drain(..))
-            .collect(),
-        failed: probes.iter_mut().flat_map(|r| r.failed.drain(..)).collect(),
-        doc,
-    };
     if !opts.quiet {
         eprintln!(
             "frontier: {} simulated run(s) required ({} executed now, {} resumed) vs {} for \
              the fixed grid; artifact {}",
-            report.doc.total_runs,
+            doc.total_runs,
             report.executed,
             report.skipped,
-            report.doc.grid_runs,
+            doc.grid_runs,
             opts.dir.join("frontier.json").display()
         );
     }
-    Ok(report)
+    Ok((doc, report))
 }
 
 /// Re-derives the document [`execute`] wrote into `dir` from the probe
@@ -792,18 +763,15 @@ fn explore(
     // Per-seed defaults the cells inherit from the base configuration.
     let base_cfg = spec.base.materialize(spec.seeds[0]);
     let domains = base_cfg.aggregation.domains;
-    let preset_f = match base_cfg.aggregation.method {
-        AggregationMethod::FaultTolerantAverage { f }
-        | AggregationMethod::FaultTolerantMidpoint { f } => f,
-        _ => 0,
-    };
+    let preset_f = base_cfg.aggregation.method.f().unwrap_or(0);
 
     struct CellState {
         bisect: Bisection,
         // (probe value, per-seed (artifact hash, fraction within bound)).
         probed: Vec<(u64, Vec<(String, f64)>)>,
-        // Π/γ from the first probed record (config-derived, identical
-        // across a cell's probes on the magnitude axis).
+        // Π/γ from the first probed record (config-derived with the
+        // cell's own f, identical across a cell's probes on the
+        // magnitude axis).
         bounds: Option<(i64, i64)>,
         failed: bool,
     }
@@ -1257,12 +1225,11 @@ mod tests {
         let opts = RunnerOptions {
             threads: 2,
             quiet: true,
-            fork: true,
             ..RunnerOptions::new(&dir)
         };
-        let report = execute(&spec, &opts).expect("the exploration finishes");
+        let (doc, _) = execute(&spec, &opts).expect("the exploration finishes");
         let loaded = load(&spec, &dir).expect("the directory loads");
-        assert_eq!(loaded, report.doc);
+        assert_eq!(loaded, doc);
         let written = std::fs::read_to_string(dir.join("frontier.json")).unwrap();
         assert_eq!(loaded.render(), written);
 

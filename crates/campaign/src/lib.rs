@@ -43,7 +43,7 @@ pub mod spec;
 pub mod summary;
 
 pub use artifact::RunRecord;
-pub use frontier::{BisectOutcome, Bisection, FrontierDoc, FrontierReport, FrontierSpec};
+pub use frontier::{BisectOutcome, Bisection, FrontierDoc, FrontierSpec};
 pub use matrix::{expand, Coord, RunPlan};
 pub use profile::{ProfileEntry, ScenarioProfile};
 pub use runner::{

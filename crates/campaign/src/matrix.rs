@@ -238,10 +238,12 @@ fn plan(
 /// # Errors
 ///
 /// Returns [`SpecError::Value`] for a strategy name outside
-/// [`ByzantineStrategy::NAMES`]. [`expand`] pre-validates the spec so
-/// this never fires there, but `materialize` is public and a caller can
-/// hand it a [`Coord`] that skipped [`CampaignSpec::validate`] — bad
-/// input must be an error, never a panic.
+/// [`ByzantineStrategy::NAMES`], and [`SpecError::Invalid`] for a trim
+/// degree the domain count cannot carry (N > 3f). [`expand`]
+/// pre-validates the spec so neither fires there, but `materialize` is
+/// public and a caller can hand it a [`Coord`] that skipped
+/// [`CampaignSpec::validate`] — bad input must be an error, never a
+/// panic.
 pub fn materialize(
     base: &BaseSpec,
     coord: Coord,
@@ -269,6 +271,7 @@ pub fn materialize(
     // Mean/median baselines have no trim step, so the axis restores the
     // paper's FTA (the axis exists to move f, not to pick the baseline).
     if let Some(f) = coord.fta_f {
+        crate::spec::check_fta_f(f, cfg.nodes)?;
         cfg.aggregation.method = match cfg.aggregation.method {
             tsn_fta::AggregationMethod::FaultTolerantMidpoint { .. } => {
                 tsn_fta::AggregationMethod::FaultTolerantMidpoint { f }

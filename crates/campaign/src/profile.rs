@@ -9,8 +9,10 @@
 //! per-subsystem activity split from [`tsn_trace::TraceReport`].
 //!
 //! `campaign profile` loads the stream back and aggregates it per
-//! scenario: runs, total wall time, events/s throughput, and subsystem
-//! shares, sorted hottest-first.
+//! scenario: runs, total wall time, events/s throughput, and each
+//! subsystem's activity share, sorted hottest (most wall time) first.
+//! A subsystem's activity is its queue pops plus its recorded trace
+//! events: a count of what it did, not of the time it took.
 
 use crate::json::Json;
 use std::io;
@@ -163,8 +165,8 @@ impl ScenarioProfile {
         self.sim_events as f64 / self.wall_s
     }
 
-    /// Share of this scenario's activity attributed to `name`, in
-    /// `[0, 1]`.
+    /// Share of this scenario's activity (pops plus recorded trace
+    /// events, not time) attributed to `name`, in `[0, 1]`.
     pub fn subsystem_share(&self, name: &str) -> f64 {
         let total = self
             .subsystems
@@ -216,7 +218,10 @@ pub fn aggregate(entries: &[ProfileEntry]) -> Vec<ScenarioProfile> {
 /// Renders the aggregate as the `campaign profile` report table.
 pub fn render(aggregates: &[ScenarioProfile]) -> String {
     let mut out = String::new();
-    out.push_str("scenario                  runs   wall      events/s   hottest subsystems\n");
+    out.push_str(
+        "scenario                  runs   wall      events/s   busiest subsystems \
+         (share of pops + trace events, not of time)\n",
+    );
     for a in aggregates {
         let mut shares: Vec<(&str, f64)> = a
             .subsystems
@@ -251,7 +256,8 @@ pub fn render(aggregates: &[ScenarioProfile]) -> String {
 /// Renders the aggregate as a machine-readable JSON document
 /// (`campaign profile --json`): one object per scenario, hottest
 /// first, with throughput and per-subsystem shares precomputed so
-/// scripts don't re-derive them.
+/// scripts don't re-derive them. `subsystem_share` is the activity
+/// share of [`ScenarioProfile::subsystem_share`], not a share of time.
 pub fn render_json(aggregates: &[ScenarioProfile]) -> String {
     Json::Array(
         aggregates

@@ -24,7 +24,9 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
+use tsn_time::Nanos;
 
 /// Runner options.
 #[derive(Debug, Clone)]
@@ -35,28 +37,28 @@ pub struct RunnerOptions {
     pub threads: usize,
     /// Suppress the progress line (tests, scripting).
     pub quiet: bool,
-    /// Fork-based execution: runs sharing a warm prefix (same
-    /// prefix-relevant coordinates, interventions stripped) simulate the
-    /// prefix once to a checkpoint and fork their divergent
-    /// continuations from it. Artifacts are byte-identical to cold
-    /// execution; only the work is shared.
+    /// Fork-based execution, on by default: runs sharing a warm prefix
+    /// (same prefix-relevant coordinates, interventions stripped)
+    /// simulate it once and fork their continuations from it, with the
+    /// bytes of cold execution. Runs go cold anyway with an oracle or
+    /// tracer armed, without warm-up, and in a group of one that no cache
+    /// serves. `false` is the cold reference path the tests diff against.
     pub fork: bool,
     /// Enable the runtime invariant oracle ([`World::enable_oracle`])
     /// for every executed run and collect violations into
     /// [`CampaignReport::violations`]. Artifacts stay byte-identical to
-    /// an unchecked campaign. Implies cold execution: forked runs skip
-    /// the warm prefix, which would blind the oracle's frame-conservation
-    /// ledger, so `check` overrides [`RunnerOptions::fork`].
+    /// an unchecked campaign. Checked runs execute cold: a forked run
+    /// skips the warm prefix, which would blind the oracle's
+    /// frame-conservation ledger.
     pub check: bool,
     /// Enable structured tracing ([`World::enable_trace`]) for every
     /// executed run and write, into this directory, one Chrome
     /// trace-event file `trace-<hash>.json` per run plus a
     /// [`crate::profile::PROFILE_FILE`] stream with per-run wall time
     /// and event accounting. Artifacts stay byte-identical to an
-    /// untraced campaign. Implies cold execution (a forked run's trace
-    /// would miss the shared warm prefix), so tracing overrides
-    /// [`RunnerOptions::fork`]. Resumed runs are not re-executed and
-    /// leave no trace.
+    /// untraced campaign. Traced runs execute cold (a forked run's trace
+    /// would miss the shared warm prefix). Resumed runs are not
+    /// re-executed and leave no trace.
     pub trace: Option<PathBuf>,
     /// Override the tracer's bounded-sink event cap (default 2^20).
     /// Events past the cap are dropped and counted; the per-run drop
@@ -72,14 +74,14 @@ pub struct RunnerOptions {
 }
 
 impl RunnerOptions {
-    /// Options for a campaign directory, with auto thread count and cold
-    /// (non-forking) execution.
+    /// Options for a campaign directory, with auto thread count and
+    /// forking on.
     pub fn new(dir: impl Into<PathBuf>) -> RunnerOptions {
         RunnerOptions {
             dir: dir.into(),
             threads: 0,
             quiet: false,
-            fork: false,
+            fork: true,
             check: false,
             trace: None,
             trace_max_events: None,
@@ -98,11 +100,12 @@ impl RunnerOptions {
     }
 }
 
-/// What the runner did for one campaign invocation.
-#[derive(Debug)]
+/// What the runner did for one campaign invocation, or, summed with
+/// [`CampaignReport::absorb`], for all the probes of a frontier.
+#[derive(Debug, Default)]
 pub struct CampaignReport {
     /// All run records, in canonical matrix order (freshly executed and
-    /// resumed ones alike).
+    /// resumed ones alike); empty in the report a frontier sums.
     pub records: Vec<RunRecord>,
     /// Runs executed by this invocation.
     pub executed: usize,
@@ -112,7 +115,7 @@ pub struct CampaignReport {
     pub threads: usize,
     /// Warm-prefix groups that forked a checkpoint: groups of two or
     /// more runs, and with a shared [`SnapshotCache`] single runs too
-    /// (0 unless [`RunnerOptions::fork`] was set).
+    /// (0 when the runs ran cold).
     pub forked_groups: usize,
     /// Prefix simulations executed (one per group not yet in the cache).
     pub prefix_runs: usize,
@@ -137,6 +140,25 @@ pub struct CampaignReport {
     /// file is incomplete; `campaign run --check --trace` treats that
     /// as a failure.
     pub trace_dropped_events: u64,
+}
+
+impl CampaignReport {
+    /// Adds `other` to this report: its records, violations and
+    /// failures are appended, its counts added, and the thread count is
+    /// the larger of the two.
+    pub fn absorb(&mut self, other: CampaignReport) {
+        self.records.extend(other.records);
+        self.executed += other.executed;
+        self.skipped += other.skipped;
+        self.threads = self.threads.max(other.threads);
+        self.forked_groups += other.forked_groups;
+        self.prefix_runs += other.prefix_runs;
+        self.prefix_events_skipped += other.prefix_events_skipped;
+        self.violations.extend(other.violations);
+        self.failed.extend(other.failed);
+        self.quarantined += other.quarantined;
+        self.trace_dropped_events += other.trace_dropped_events;
+    }
 }
 
 /// One isolated per-run failure (the worker caught a panic).
@@ -281,22 +303,15 @@ pub fn execute_with(
     let skipped = plans.len() - pending.len();
     let threads = opts.effective_threads(pending.len());
 
-    // Fork mode: group pending runs whose configurations project to the
-    // same warm prefix. A group forks when it has two or more members
-    // (the prefix is simulated once, phase 1), when the cache already
-    // holds its prefix from an earlier invocation, or when the cache
-    // will carry its prefix to a later one; a singleton group of a
-    // throw-away cache gains nothing and runs cold.
-    let cold = opts.check || opts.trace.is_some();
-    if opts.fork && cold && !opts.quiet && !pending.is_empty() {
-        if opts.check {
-            eprintln!("check: oracle enabled, running cold (fork disabled)");
-        } else {
-            eprintln!("trace: tracing enabled, running cold (fork disabled)");
-        }
-    }
+    // Group pending runs whose configurations project to the same warm
+    // prefix, unless an armed observer needs every run cold. A group
+    // forks when it has two or more members (the prefix is simulated
+    // once), when the cache already holds its prefix from an earlier
+    // invocation, or when the cache will carry its prefix to a later
+    // one; a singleton group of a throw-away cache gains nothing and
+    // runs cold.
     let mut groups: Vec<ForkGroup> = Vec::new();
-    if opts.fork && !cold {
+    if opts.fork && !opts.check && opts.trace.is_none() {
         for (i, plan) in pending.iter().enumerate() {
             let Some(at) = checkpoint_time(&plan.config) else {
                 continue; // no warm-up, nothing to share
@@ -308,6 +323,8 @@ pub fn execute_with(
                     fingerprint,
                     at,
                     members: vec![i],
+                    prefix: OnceLock::new(),
+                    cached: false,
                 }),
             }
         }
@@ -315,74 +332,60 @@ pub fn execute_with(
             g.members.len() >= 2 || cache_outlives || cache.snapshots.contains_key(&g.fingerprint)
         });
     }
-    // Groups served from the cache skip the prefix for every member (it
-    // was simulated in an earlier invocation); the rest simulate it once.
-    let mut prefix_events_skipped = 0u64;
-    let mut to_simulate: Vec<&ForkGroup> = Vec::new();
-    for group in &groups {
-        match cache.snapshots.get(&group.fingerprint) {
-            Some(snap) => {
-                prefix_events_skipped += group.members.len() as u64 * snap.events_processed
-            }
-            None => to_simulate.push(group),
+    // A cached prefix moves into its group; an uncached one is simulated
+    // by the first member that needs it, while later ones wait for it.
+    let mut group_of: Vec<Option<usize>> = vec![None; pending.len()];
+    let mut restores = vec![false; pending.len()];
+    for (g, group) in groups.iter_mut().enumerate() {
+        if let Some(snap) = cache.snapshots.remove(&group.fingerprint) {
+            group.prefix = OnceLock::from(Ok(snap));
+            group.cached = true;
+        }
+        for (k, &i) in group.members.iter().enumerate() {
+            group_of[i] = Some(g);
+            restores[i] = group.cached || k > 0;
         }
     }
-    let forked_groups = groups.len();
-    let prefix_runs = to_simulate.len();
-    let mut failed: Vec<FailedRun> = Vec::new();
-
-    // Phase 1: one shared-prefix simulation per uncached forkable group.
-    // A prefix that panics fails every run of its group and no other.
-    if !to_simulate.is_empty() && !opts.quiet {
-        let members: usize = to_simulate.iter().map(|g| g.members.len()).sum();
+    let uncached = groups.iter().filter(|g| !g.cached);
+    let prefix_runs = uncached.clone().count();
+    if prefix_runs > 0 && !opts.quiet {
+        let members: usize = uncached.map(|g| g.members.len()).sum();
         eprintln!("fork: simulating {prefix_runs} shared warm prefix(es) for {members} run(s)");
     }
-    let in_order: Vec<usize> = (0..to_simulate.len()).collect();
-    let simulate = |j: usize| {
-        let group = to_simulate[j];
-        let first = pending[group.members[0]];
-        injected_panic(opts, &first.coord.prefix_label());
-        let mut world = World::new(warm_prefix_config(&first.config));
-        world.run_until(group.at);
-        Ok(world.snapshot())
-    };
-    for (j, outcome) in pool(threads, &in_order, simulate, |_| {})? {
-        let group = to_simulate[j];
-        match outcome {
-            Ok(snap) => {
-                prefix_events_skipped += (group.members.len() as u64 - 1) * snap.events_processed;
-                cache.snapshots.insert(group.fingerprint, snap);
-            }
-            Err(message) => {
-                let members = group.members.iter();
-                failed.extend(members.map(|&i| FailedRun::new(pending[i], &message)));
-            }
-        }
-    }
 
-    // Phase 2: every pending run whose prefix did not fail — forked
-    // members restore the group's checkpoint and continue; the rest run
-    // cold from t = 0. Either way the artifact bytes are identical
-    // (checked by tests/fork.rs). A panicking run is caught, recorded
-    // as failed, and its worker moves on — one diverging simulation
-    // must not poison the pool.
-    let cache = &*cache; // immutable from here: workers only read snapshots
-    let mut snaps: Vec<Option<&WorldSnapshot>> = vec![None; pending.len()];
-    for group in &groups {
-        for &i in &group.members {
-            snaps[i] = cache.snapshots.get(&group.fingerprint);
+    // Every pending run goes into one pool, with no barrier: a cold run
+    // starts at once, and a forked one waits at most for its own group's
+    // prefix, which it would otherwise simulate itself; the dispatch
+    // order puts members that restore behind those that simulate. Fork
+    // or cold, the bytes are the same (tests/fork.rs). A panicking run
+    // or prefix fails its own runs only, and the worker moves on.
+    let prefix = |g: usize| {
+        let group: &ForkGroup = &groups[g];
+        let first = pending[group.members[0]];
+        let simulated = group.prefix.get_or_init(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                injected_panic(opts, &first.coord.prefix_label());
+                let mut world = World::new(warm_prefix_config(&first.config));
+                world.run_until(group.at);
+                world.snapshot()
+            }))
+            .map_err(panic_message)
+        });
+        match simulated {
+            Ok(snap) => snap,
+            Err(message) => std::panic::resume_unwind(Box::new(message.clone())),
         }
-    }
-    let mut order = dispatch_order(&pending, threads);
-    order.retain(|&i| !failed.iter().any(|f| f.index == pending[i].index));
+    };
+    let order = dispatch_order(&pending, &restores, threads);
     let loud = !opts.quiet && !order.is_empty();
     if loud && skipped > 0 {
         eprintln!("resume: {skipped} run(s) already complete, skipping");
     }
     let started = Instant::now();
     let run = |i: usize| {
+        let snap = group_of[i].map(&prefix);
         injected_panic(opts, &pending[i].coord.label());
-        run_one(spec, pending[i], snaps[i], opts, &runs_dir)
+        run_one(spec, pending[i], snap, opts, &runs_dir)
     };
     let outcomes = pool(threads, &order, run, |completed| {
         if loud {
@@ -393,8 +396,21 @@ pub fn execute_with(
         eprintln!(); // ends the progress line
     }
 
+    // Prefixes go (back) into the cache. Every member skipped its
+    // prefix, except the one that simulated an uncached prefix.
+    let forked_groups = groups.len();
+    let mut prefix_events_skipped = 0u64;
+    for group in groups {
+        if let Some(Ok(snap)) = group.prefix.into_inner() {
+            let skips = group.members.len() - usize::from(!group.cached);
+            prefix_events_skipped += skips as u64 * snap.events_processed;
+            cache.snapshots.insert(group.fingerprint, snap);
+        }
+    }
+
     // Merge in canonical matrix order: `pending` is in plan order and the
     // pool hands its outcomes back sorted by pending index.
+    let mut failed: Vec<FailedRun> = Vec::new();
     let mut violations: Vec<RunViolation> = Vec::new();
     let mut profiles: Vec<ProfileEntry> = Vec::new();
     for (i, outcome) in outcomes {
@@ -407,7 +423,6 @@ pub fn execute_with(
             Err(message) => failed.push(FailedRun::new(pending[i], &message)),
         }
     }
-    failed.sort_by_key(|f| f.index);
     if let Some(trace_dir) = &opts.trace {
         if !pending.is_empty() {
             let stream: String = profiles.iter().map(|p| p.encode() + "\n").collect();
@@ -438,6 +453,10 @@ struct ForkGroup {
     fingerprint: u64,
     at: tsn_time::SimTime,
     members: Vec<usize>,
+    /// The checkpoint, or its simulation's panic message; set once.
+    prefix: OnceLock<Result<WorldSnapshot, String>>,
+    /// `prefix` was moved in from the cache.
+    cached: bool,
 }
 
 /// The [`RunnerOptions::panic_label`] test hook.
@@ -510,14 +529,18 @@ fn pool<T: Send>(
 /// `pending`). One worker takes them in canonical order. Several take
 /// the longest simulations first, ties in canonical order, so the pool
 /// does not end with one worker on a long run it started last while the
-/// others idle. Only the schedule changes: records, progress counts and
-/// artifacts are keyed by the plan, not by who ran it when.
-fn dispatch_order(pending: &[&RunPlan], threads: usize) -> Vec<usize> {
+/// others idle. A run that `restores` a warm prefix simulates only its
+/// continuation, so it counts without the warm-up and goes behind the
+/// run that simulates its prefix. Only the schedule changes: records,
+/// progress counts and artifacts are keyed by the plan, not by who ran
+/// it when.
+fn dispatch_order(pending: &[&RunPlan], restores: &[bool], threads: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..pending.len()).collect();
     if threads > 1 {
         order.sort_by_key(|&i| {
             let cfg = &pending[i].config;
-            std::cmp::Reverse(cfg.warmup + cfg.duration)
+            let prefix = if restores[i] { Nanos::ZERO } else { cfg.warmup };
+            std::cmp::Reverse(prefix + cfg.duration)
         });
     }
     order
@@ -762,11 +785,19 @@ mod tests {
         let mut plans = expand(&spec).expect("valid spec");
         plans.truncate(5);
         for (plan, seconds) in plans.iter_mut().zip([3, 9, 3, 20, 9]) {
-            plan.config.duration = tsn_time::Nanos::from_secs(seconds);
+            plan.config.warmup = Nanos::from_secs(5);
+            plan.config.duration = Nanos::from_secs(seconds);
         }
         let pending: Vec<&RunPlan> = plans.iter().collect();
-        assert_eq!(dispatch_order(&pending, 1), [0, 1, 2, 3, 4]);
-        assert_eq!(dispatch_order(&pending, 2), [3, 1, 4, 0, 2]);
+        let cold = [false; 5];
+        assert_eq!(dispatch_order(&pending, &cold, 1), [0, 1, 2, 3, 4]);
+        assert_eq!(dispatch_order(&pending, &cold, 2), [3, 1, 4, 0, 2]);
+        // Run 1 restores a prefix: it simulates 9 s, not 14 s, so it
+        // goes behind run 4 (14 s) and ahead of runs 0 and 2 (8 s).
+        let mut restores = cold;
+        restores[1] = true;
+        assert_eq!(dispatch_order(&pending, &restores, 1), [0, 1, 2, 3, 4]);
+        assert_eq!(dispatch_order(&pending, &restores, 2), [3, 4, 1, 0, 2]);
     }
 
     /// The pool on plain numbers, no `World`: a panic stays with its
@@ -847,7 +878,6 @@ mod tests {
         let fork_opts = |dir: &str| RunnerOptions {
             threads: 2,
             quiet: true,
-            fork: true,
             ..RunnerOptions::new(tmp.join(dir))
         };
         let clean = execute(&spec, &fork_opts("clean")).expect("clean campaign");

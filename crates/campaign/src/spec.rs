@@ -356,12 +356,8 @@ impl CampaignSpec {
             ));
         }
         let min_domains = self.grid.domains.iter().copied().min().unwrap_or(4);
-        if let Some(&f) = self.grid.fta_f.iter().find(|&&f| 2 * f + 1 > min_domains) {
-            return Err(SpecError::Invalid(format!(
-                "fta_f axis value {f} needs 2f+1 = {} domains but the smallest domain \
-                 count is {min_domains}",
-                2 * f + 1
-            )));
+        for &f in &self.grid.fta_f {
+            check_fta_f(f, min_domains)?;
         }
         if self.grid.sweeps(Family::Fleet)
             && (!self.grid.hops.is_empty() || !self.grid.topology.is_empty())
@@ -521,6 +517,19 @@ impl CampaignSpec {
     }
 }
 
+/// Π = u(N, f)(E + Γ) needs N > 3f (Kopetz–Ochsenreiter): the one
+/// precondition an `fta_f` axis value puts on the domain count, checked
+/// before any run starts (`TestbedConfig::validate` asserts it too).
+pub(crate) fn check_fta_f(f: usize, domains: usize) -> Result<(), SpecError> {
+    if domains > 3 * f {
+        return Ok(());
+    }
+    Err(SpecError::Invalid(format!(
+        "fta_f axis value {f} needs N > 3f, at least {} domains, not {domains}",
+        3 * f + 1
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +574,24 @@ mod tests {
             CampaignSpec::parse(bad),
             Err(SpecError::Invalid(_))
         ));
+    }
+
+    /// Π = u(N, f)(E + Γ) needs N > 3f: five domains cannot carry f = 2
+    /// (2f + 1 = 5 is the quorum, not the bound's precondition), seven
+    /// can.
+    #[test]
+    fn fta_f_needs_more_than_three_f_domains() {
+        let spec = |domains: usize| {
+            format!(
+                r#"{{"name":"x","base":{{"preset":"quick"}},"scenarios":["baseline"],"grid":{{"seeds":[1],"domains":[{domains}],"fta_f":[2]}}}}"#
+            )
+        };
+        let err = CampaignSpec::parse(&spec(5)).expect_err("N = 5 is not > 3f = 6");
+        assert!(
+            matches!(err, SpecError::Invalid(ref m) if m.contains("N > 3f")),
+            "{err}"
+        );
+        CampaignSpec::parse(&spec(7)).expect("N = 7 > 3f = 6");
     }
 
     /// Regression: the partition check used to hardcode `2 + max` and

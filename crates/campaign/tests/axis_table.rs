@@ -6,10 +6,12 @@
 //! render to its committed `specs/<name>.json`.
 
 use clocksync::scenario::ScenarioKind;
+use clocksync::snapshot::warm_prefix_fingerprint;
+use std::collections::HashMap;
 use std::path::Path;
 use tsn_campaign::artifact::BoundsRecord;
 use tsn_campaign::axis::{AxisDef, AxisValue, Kind, AXES};
-use tsn_campaign::matrix::content_hash;
+use tsn_campaign::matrix::{content_hash, materialize};
 use tsn_campaign::{
     expand, BaseSpec, CampaignSpec, Coord, FrontierSpec, Grid, KernelChoice, RunRecord,
 };
@@ -229,6 +231,57 @@ fn prefix_relevance_matches_the_table() {
             one.prefix_label(),
             other.prefix_label()
         );
+    }
+}
+
+/// The warm prefix is stated twice: `Coord::prefix_label` splits the
+/// derived seeds, `warm_prefix_fingerprint` splits the fork groups.
+/// Moving one axis on an otherwise inactive coordinate (one seed for
+/// both, so only the axis differs) moves the fingerprint iff the table
+/// marks the axis prefix-relevant. The coordinate has seven domains, so
+/// that both trim-degree samples materialize (N > 3f).
+#[test]
+fn warm_prefix_fingerprint_agrees_with_the_table() {
+    let base = BaseSpec::quick(30);
+    for a in AXES {
+        let [x, y] = samples(a);
+        let fingerprint = |v| {
+            let mut coord = Coord {
+                domains: Some(7),
+                ..none_set()
+            };
+            (a.coord_set)(&mut coord, v).expect("sample fits");
+            let cfg = materialize(&base, coord, 7).expect("sample materializes");
+            warm_prefix_fingerprint(&cfg)
+        };
+        assert_eq!(
+            fingerprint(x) != fingerprint(y),
+            a.prefix,
+            "{}: {x} vs {y}",
+            a.spec_key
+        );
+    }
+}
+
+/// In every campaign builtin, runs of one scenario that share a prefix
+/// label (and so a derived seed) share a warm-prefix fingerprint, so
+/// the runner forks them from one prefix. The scenario is outside the
+/// label on purpose: scenarios of one seed are paired comparisons. One
+/// scenario, `prior_work_baseline`, changes the world from t = 0 (no
+/// mutual GM synchronization), so its fork groups split from the
+/// others' where its seeds do not.
+#[test]
+fn builtin_runs_with_one_prefix_label_share_one_fingerprint() {
+    for name in CampaignSpec::BUILTINS {
+        let spec = CampaignSpec::builtin(name).expect("builtin exists");
+        let mut seen: HashMap<(ScenarioKind, String), u64> = HashMap::new();
+        for plan in expand(&spec).expect("valid spec") {
+            let fingerprint = warm_prefix_fingerprint(&plan.config);
+            let first = *seen
+                .entry((plan.coord.scenario, plan.coord.prefix_label()))
+                .or_insert(fingerprint);
+            assert_eq!(first, fingerprint, "{name}: {}", plan.coord.label());
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{artifact_bytes, fork_opts, opts, scratch};
+use common::{artifact_bytes, opts, scratch};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
@@ -53,7 +53,7 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         let cold_dir = scratch(&format!("{name}-cold"));
         let fork_dir = scratch(&format!("{name}-fork"));
 
-        // Cold, auto threads, oracle armed.
+        // Oracle armed, so the runner runs cold; auto threads.
         let checked = RunnerOptions {
             check: true,
             threads: 0,
@@ -61,6 +61,7 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         };
         let cold = runner::execute(&spec, &checked).expect("cold campaign");
         assert_eq!(cold.executed, total, "{name}");
+        assert_eq!(cold.forked_groups, 0, "{name}: the oracle runs cold");
         assert!(cold.violations.is_empty(), "{name}: {:?}", cold.violations);
         assert!(cold.failed.is_empty(), "{name}: {:?}", cold.failed);
         assert_eq!(cold.quarantined, 0, "{name}");
@@ -68,7 +69,7 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         assert_eq!(bytes.len(), total, "{name}: one artifact per run");
 
         // Forked from warm prefixes.
-        let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
+        let forked = runner::execute(&spec, &opts(&fork_dir)).expect("forked campaign");
         assert!(forked.failed.is_empty(), "{name}: {:?}", forked.failed);
         assert!(
             bytes == artifact_bytes(&fork_dir),
@@ -117,17 +118,17 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
             threads: 0,
             ..opts(&cold_dir)
         };
-        let cold = frontier::execute(&spec, &checked).expect("cold frontier");
+        let (cold_doc, cold) = frontier::execute(&spec, &checked).expect("cold frontier");
         assert!(cold.executed > 0, "{name}");
         assert!(cold.violations.is_empty(), "{name}: {:?}", cold.violations);
         assert!(cold.failed.is_empty(), "{name}: {:?}", cold.failed);
-        assert!(cold.doc.consistent(), "{name}: a cell breaks its bound");
+        assert!(cold_doc.consistent(), "{name}: a cell breaks its bound");
         let (doc, runs) = (doc_bytes(&cold_dir), artifact_bytes(&cold_dir));
 
         // Every probe is a campaign of one run per seed, so nothing forks
         // within a probe: the first probe of each (seed, f) simulates that
         // warm prefix into the shared cache and every probe run forks it.
-        let forked = frontier::execute(&spec, &fork_opts(&fork_dir)).expect("forked frontier");
+        let (_, forked) = frontier::execute(&spec, &opts(&fork_dir)).expect("forked frontier");
         assert_eq!(cold.forked_groups, 0, "{name}: the oracle runs cold");
         let trim_degrees: BTreeSet<_> = spec.cells.iter().map(|c| c.f).collect();
         assert_eq!(
@@ -151,21 +152,21 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
 
         // Resume re-executes nothing and re-derives the same document
         // (total_runs is spec-derived, not invocation-derived).
-        let resumed = frontier::execute(&spec, &opts(&cold_dir)).expect("resume");
+        let (resumed_doc, resumed) = frontier::execute(&spec, &opts(&cold_dir)).expect("resume");
         assert_eq!(resumed.executed, 0, "{name}: resume re-executed probes");
         assert_eq!(resumed.skipped, cold.executed + cold.skipped, "{name}");
-        assert_eq!(resumed.doc, cold.doc, "{name}");
+        assert_eq!(resumed_doc, cold_doc, "{name}");
         assert!(doc == doc_bytes(&cold_dir), "{name}: resume rewrote");
 
         // A frontier's summary is its document, replayed from the spec
         // and the probe artifacts alone.
         let loaded = frontier::load(&spec, &cold_dir).expect("frontier dir loads");
-        assert_eq!(loaded, cold.doc, "{name}");
+        assert_eq!(loaded, cold_doc, "{name}");
         assert!(
             loaded.render().into_bytes() == doc,
             "{name}: replay moved it"
         );
-        assert!(cold.doc.render_text().contains("x tighter"), "{name}");
+        assert!(cold_doc.render_text().contains("x tighter"), "{name}");
 
         for dir in [cold_dir, fork_dir] {
             let _ = std::fs::remove_dir_all(dir);

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{artifact_bytes, fork_opts, scratch};
+use common::{artifact_bytes, opts, scratch};
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -113,6 +113,108 @@ fn flag_errors_keep_each_binarys_wording() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// One way to run: the `frontier` and `resume` verbs and the `--fork`
+/// and `--no-fork` flags are gone, and each is an error with the usage.
+#[test]
+fn removed_verbs_and_fork_flags_exit_two_with_usage() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["frontier", "--builtin", "frontier-sweep"],
+            "unknown subcommand \"frontier\"",
+        ),
+        (
+            &["resume", "--builtin", "quick-baseline"],
+            "unknown subcommand \"resume\"",
+        ),
+        (
+            &["run", "--builtin", "quick-baseline", "--fork"],
+            "unknown argument \"--fork\"",
+        ),
+        (
+            &["run", "--builtin", "frontier-sweep", "--no-fork"],
+            "unknown argument \"--no-fork\"",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = campaign(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {message}\nusage:\n")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let help = String::from_utf8(campaign(&["--help"]).stdout).unwrap();
+    for gone in [
+        "campaign frontier",
+        "campaign resume",
+        "--fork",
+        "--no-fork",
+    ] {
+        assert!(!help.contains(gone), "USAGE still lists {gone}: {help}");
+    }
+}
+
+/// `run` tells the two spec kinds apart by builtin name, so no name may
+/// be both.
+#[test]
+fn campaign_and_frontier_builtin_names_are_disjoint() {
+    use tsn_campaign::{CampaignSpec, FrontierSpec};
+    for name in FrontierSpec::BUILTINS {
+        assert!(!CampaignSpec::BUILTINS.contains(&name), "{name}");
+        assert!(CampaignSpec::builtin(name).is_none(), "{name}");
+    }
+}
+
+/// A spec file with `cells` is a frontier: `run --spec` of the
+/// frontier-sweep file writes exactly the directory `run --builtin
+/// frontier-sweep` writes, prints the same document, and refuses
+/// `--trace` (the tracer arms campaign runs only).
+#[test]
+fn run_takes_a_frontier_spec_by_name_or_by_file() {
+    let root = scratch("run-frontier");
+    let (by_name, by_file) = (root.join("by-name"), root.join("by-file"));
+    let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/frontier_sweep.json");
+    let run = |how: &str, what: &str, dir: &Path| {
+        let out = campaign(&["run", how, what, "--dir", dir.to_str().unwrap(), "--quiet"]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let named = run("--builtin", "frontier-sweep", &by_name);
+    let filed = run("--spec", file.to_str().unwrap(), &by_file);
+    assert!(
+        named.starts_with("campaign frontier-sweep: ")
+            && named.contains("\nresilience frontier `frontier-sweep`"),
+        "{named}"
+    );
+    assert_eq!(
+        named.replace(by_name.to_str().unwrap(), "DIR"),
+        filed.replace(by_file.to_str().unwrap(), "DIR")
+    );
+    for name in ["frontier-spec.json", "frontier.json"] {
+        assert_eq!(
+            std::fs::read(by_name.join(name)).unwrap(),
+            std::fs::read(by_file.join(name)).unwrap(),
+            "{name}"
+        );
+    }
+    assert!(artifact_bytes(&by_name) == artifact_bytes(&by_file));
+    assert!(!by_name.join("manifest.json").exists());
+
+    let traced = campaign(&[
+        "run",
+        "--builtin",
+        "frontier-sweep",
+        "--dir",
+        by_name.to_str().unwrap(),
+        "--trace",
+        root.join("trace").to_str().unwrap(),
+    ]);
+    assert_eq!(traced.status.code(), Some(2), "{traced:?}");
+    assert!(!root.join("trace").exists());
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// `campaign run` on a spec that must be rejected before any run
@@ -344,6 +446,16 @@ fn run_with_check_is_clean_and_leaves_artifacts_untouched() {
         stdout.contains("check: no invariant violations"),
         "no clean-check confirmation: {stdout}"
     );
+    // The counts line comes before the summary and the verdict after it.
+    assert!(
+        stdout.starts_with("campaign tiny: 1 run(s) total"),
+        "{stdout}"
+    );
+    let summary = stdout.find("## baseline").expect("summary");
+    assert!(
+        summary < stdout.find("check:").expect("verdict"),
+        "{stdout}"
+    );
 
     let plain = campaign(&[
         "run",
@@ -450,8 +562,7 @@ fn run_with_tiny_trace_cap_reports_truncation_and_fails_check() {
 }
 
 /// A frontier directory is its spec plus its artifacts: `summarize`
-/// replays the bisection and prints exactly the document `frontier`
-/// wrote, and `diff` compares two directories bracket by bracket — also
+/// replays the bisection and prints exactly the document `run` wrote, and `diff` compares two directories bracket by bracket — also
 /// when a probe panicked and left its cell `failed`.
 #[test]
 fn summarize_and_diff_replay_a_frontier_directory() {
@@ -482,7 +593,7 @@ fn summarize_and_diff_replay_a_frontier_directory() {
     };
     let root = scratch("frontier");
     let (clean, copy, panicked) = (root.join("clean"), root.join("copy"), root.join("panicked"));
-    let report = frontier::execute(&spec, &fork_opts(&clean)).expect("clean frontier");
+    let (doc, report) = frontier::execute(&spec, &opts(&clean)).expect("clean frontier");
     assert!(report.failed.is_empty(), "{:?}", report.failed);
     // The copy is the spec plus the artifacts: nothing reads frontier.json.
     std::fs::create_dir_all(copy.join("runs")).unwrap();
@@ -506,7 +617,7 @@ fn summarize_and_diff_replay_a_frontier_directory() {
     };
     let written = |dir: &Path| std::fs::read_to_string(dir.join("frontier.json")).unwrap();
     assert_eq!(summarize(&clean, true), written(&clean));
-    assert_eq!(summarize(&clean, false), report.doc.render_text());
+    assert_eq!(summarize(&clean, false), doc.render_text());
 
     let diff = |baseline: &Path, candidate: &Path| {
         campaign(&[
@@ -525,9 +636,9 @@ fn summarize_and_diff_replay_a_frontier_directory() {
     let victim = tsn_campaign::expand(&victim).unwrap().remove(0);
     let opts = RunnerOptions {
         panic_label: Some(victim.coord.label()),
-        ..fork_opts(&panicked)
+        ..opts(&panicked)
     };
-    let failed = frontier::execute(&spec, &opts).expect("the exploration finishes");
+    let (_, failed) = frontier::execute(&spec, &opts).expect("the exploration finishes");
     assert_eq!(failed.failed.len(), 1);
     assert!(summarize(&panicked, false).contains("failed"));
     assert_eq!(summarize(&panicked, true), written(&panicked));

@@ -14,8 +14,9 @@ pub fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Quiet, two-worker, cold, unchecked, untraced runner options; tests
-/// override single fields with struct-update syntax.
+/// Quiet, two-worker, unchecked, untraced runner options that fork
+/// where runs share a warm prefix (the runner's default); tests override
+/// single fields with struct-update syntax.
 pub fn opts(dir: &Path) -> RunnerOptions {
     RunnerOptions {
         threads: 2,
@@ -24,10 +25,10 @@ pub fn opts(dir: &Path) -> RunnerOptions {
     }
 }
 
-/// [`opts`] with warm-prefix forking on.
-pub fn fork_opts(dir: &Path) -> RunnerOptions {
+/// [`opts`] on the cold reference path: every run from `t = 0`.
+pub fn cold_opts(dir: &Path) -> RunnerOptions {
     RunnerOptions {
-        fork: true,
+        fork: false,
         ..opts(dir)
     }
 }

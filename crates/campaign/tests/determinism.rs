@@ -2,7 +2,7 @@
 //!
 //! * the same spec produces **byte-identical** artifacts at 1 thread
 //!   and at N threads;
-//! * re-invoking a completed campaign resumes with zero re-execution;
+//! * re-running a completed campaign re-executes nothing;
 //! * each artifact equals what a direct `World::new(config).run()` with
 //!   the same derived seed produces (the pool adds nothing and loses
 //!   nothing);
@@ -12,7 +12,7 @@ mod common;
 
 use clocksync::scenario::ScenarioKind;
 use clocksync::World;
-use common::{artifact_bytes, opts, scratch};
+use common::{artifact_bytes, cold_opts, scratch};
 use tsn_campaign::{
     artifact::RunRecord, runner, summary, BaseSpec, CampaignSpec, DiffVerdict, Grid, RunnerOptions,
 };
@@ -48,7 +48,7 @@ fn byte_identical_artifacts_across_thread_counts() {
         &spec,
         &RunnerOptions {
             threads: 1,
-            ..opts(&serial_dir)
+            ..cold_opts(&serial_dir)
         },
     )
     .expect("serial campaign");
@@ -56,7 +56,7 @@ fn byte_identical_artifacts_across_thread_counts() {
         &spec,
         &RunnerOptions {
             threads: 4,
-            ..opts(&parallel_dir)
+            ..cold_opts(&parallel_dir)
         },
     )
     .expect("parallel campaign");
@@ -97,12 +97,12 @@ fn resume_skips_all_completed_runs() {
     let spec = tiny_spec();
     let dir = scratch("resume");
 
-    let first = runner::execute(&spec, &opts(&dir)).expect("first invocation");
+    let first = runner::execute(&spec, &cold_opts(&dir)).expect("first invocation");
     assert_eq!(first.executed, 8);
     assert_eq!(first.skipped, 0);
     let before = artifact_bytes(&dir);
 
-    let second = runner::execute(&spec, &opts(&dir)).expect("second invocation");
+    let second = runner::execute(&spec, &cold_opts(&dir)).expect("second invocation");
     assert_eq!(second.executed, 0, "resume must not re-execute");
     assert_eq!(second.skipped, 8);
     assert_eq!(second.records, first.records);
@@ -115,7 +115,7 @@ fn resume_skips_all_completed_runs() {
     // A corrupted artifact is re-executed (and only that one).
     let victim = dir.join("runs").join(&before[0].0);
     std::fs::write(&victim, "garbage\n").unwrap();
-    let third = runner::execute(&spec, &opts(&dir)).expect("third invocation");
+    let third = runner::execute(&spec, &cold_opts(&dir)).expect("third invocation");
     assert_eq!(third.executed, 1);
     assert_eq!(third.skipped, 7);
     assert_eq!(artifact_bytes(&dir), before, "repaired artifact must match");
@@ -135,7 +135,7 @@ fn pool_runs_equal_direct_scenario_runs() {
         &spec,
         &RunnerOptions {
             threads: 4,
-            ..opts(&dir)
+            ..cold_opts(&dir)
         },
     )
     .expect("campaign");

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{artifact_bytes, fork_opts, opts, scratch};
+use common::{artifact_bytes, cold_opts, opts, scratch};
 use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid, RunnerOptions};
 
 /// One seed, election on, GM 0 killed 8 s after warm-up, with and
@@ -65,7 +65,7 @@ fn election_failover_is_in_artifacts_and_oracles_stay_silent() {
     let opts = RunnerOptions {
         check: true,
         trace: Some(trace_dir.clone()),
-        ..opts(&dir)
+        ..cold_opts(&dir)
     };
     let report = runner::execute(&spec, &opts).expect("campaign runs");
     assert_eq!(report.executed, 2);
@@ -138,9 +138,9 @@ fn election_runs_fork_byte_identically() {
     let spec = election_spec("election-fork");
     let cold_dir = scratch("cold");
     let fork_dir = scratch("fork");
-    let cold = runner::execute(&spec, &opts(&cold_dir)).expect("cold campaign");
+    let cold = runner::execute(&spec, &cold_opts(&cold_dir)).expect("cold campaign");
     assert_eq!(cold.executed, 2);
-    let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
+    let forked = runner::execute(&spec, &opts(&fork_dir)).expect("forked campaign");
     // The kill and the rogue strike are post-warmup interventions, so
     // both runs share one Announce-traffic warm prefix.
     assert_eq!(forked.forked_groups, 1);

@@ -6,7 +6,7 @@
 mod common;
 
 use clocksync::scenario::ScenarioKind;
-use common::{artifact_bytes, fork_opts, opts, scratch};
+use common::{artifact_bytes, cold_opts, opts, scratch};
 use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid};
 use tsn_time::SyncState;
 
@@ -34,12 +34,12 @@ fn forked_campaign_matches_cold_campaign_byte_for_byte() {
     let cold_dir = scratch("cold");
     let fork_dir = scratch("fork");
 
-    let cold = runner::execute(&spec, &opts(&cold_dir)).expect("cold campaign");
+    let cold = runner::execute(&spec, &cold_opts(&cold_dir)).expect("cold campaign");
     assert_eq!(cold.executed, 4);
     assert_eq!(cold.forked_groups, 0);
     assert_eq!(cold.prefix_events_skipped, 0);
 
-    let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
+    let forked = runner::execute(&spec, &opts(&fork_dir)).expect("forked campaign");
     assert_eq!(forked.executed, 4);
     // One group per seed, each sharing Baseline + CyberIdenticalKernels.
     assert_eq!(forked.forked_groups, 2);
@@ -88,9 +88,9 @@ fn degradation_walk_is_in_artifacts_and_fork_stable() {
     let cold_dir = scratch("deg-cold");
     let fork_dir = scratch("deg-fork");
 
-    let cold = runner::execute(&spec, &opts(&cold_dir)).expect("cold campaign");
+    let cold = runner::execute(&spec, &cold_opts(&cold_dir)).expect("cold campaign");
     assert_eq!(cold.executed, 2);
-    let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
+    let forked = runner::execute(&spec, &opts(&fork_dir)).expect("forked campaign");
     // Both variants (partitioned and not) share the seed's warm prefix.
     assert_eq!(forked.forked_groups, 1);
     assert_eq!(
@@ -149,11 +149,11 @@ fn fork_resume_skips_completed_runs() {
     let spec = fork_spec();
     let dir = scratch("resume");
 
-    let first = runner::execute(&spec, &fork_opts(&dir)).expect("first invocation");
+    let first = runner::execute(&spec, &opts(&dir)).expect("first invocation");
     assert_eq!(first.executed, 4);
 
     // Everything resumed: no runs pending, so no prefixes simulated.
-    let second = runner::execute(&spec, &fork_opts(&dir)).expect("second invocation");
+    let second = runner::execute(&spec, &opts(&dir)).expect("second invocation");
     assert_eq!(second.executed, 0);
     assert_eq!(second.skipped, 4);
     assert_eq!(second.forked_groups, 0);

@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{artifact_bytes, fork_opts, opts, scratch};
+use common::{artifact_bytes, cold_opts, opts, scratch};
 use std::path::Path;
 use tsn_campaign::{
     frontier::{self, FrontierAxis, FrontierCell},
@@ -62,7 +62,7 @@ fn accept_spec() -> FrontierSpec {
 fn frontier_localizes_tighter_than_the_grid_with_fewer_runs() {
     let spec = accept_spec();
     let dir = scratch("accept");
-    let report = frontier::execute(&spec, &fork_opts(&dir)).expect("frontier runs");
+    let (doc, report) = frontier::execute(&spec, &opts(&dir)).expect("frontier runs");
     assert!(
         report.failed.is_empty(),
         "probes failed: {:?}",
@@ -70,7 +70,6 @@ fn frontier_localizes_tighter_than_the_grid_with_fewer_runs() {
     );
     assert!(report.violations.is_empty());
 
-    let doc = &report.doc;
     assert!(doc.consistent(), "empirical boundary violates the bound");
     assert!(
         doc.total_runs < doc.grid_runs,
@@ -146,7 +145,7 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
     let dir_b = scratch("det-b");
     let dir_cold = scratch("det-cold");
 
-    let first = frontier::execute(&spec, &fork_opts(&dir_a)).expect("first run");
+    let (first_doc, first) = frontier::execute(&spec, &opts(&dir_a)).expect("first run");
     assert!(first.executed > 0);
     // Every probe is a campaign of one run per seed, so nothing forks
     // within a probe: the first probe of each (seed, f) simulates that
@@ -155,8 +154,8 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
     assert_eq!(first.prefix_runs, spec.seeds.len() * trim_degrees.len());
     assert_eq!(first.forked_groups, first.executed, "a probe ran cold");
     assert!(first.prefix_events_skipped > 0);
-    frontier::execute(&spec, &fork_opts(&dir_b)).expect("second run");
-    let cold = frontier::execute(&spec, &opts(&dir_cold)).expect("cold run");
+    frontier::execute(&spec, &opts(&dir_b)).expect("second run");
+    let (_, cold) = frontier::execute(&spec, &cold_opts(&dir_cold)).expect("cold run");
     assert_eq!(cold.forked_groups, 0);
 
     let artifact = |dir: &Path| std::fs::read(dir.join("frontier.json")).expect("frontier.json");
@@ -182,16 +181,16 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
     // document bytes untouched (total_runs is spec-derived, not
     // invocation-derived).
     let before = artifact(&dir_a);
-    let resumed = frontier::execute(&spec, &fork_opts(&dir_a)).expect("resume");
+    let (resumed_doc, resumed) = frontier::execute(&spec, &opts(&dir_a)).expect("resume");
     assert_eq!(resumed.executed, 0, "resume re-executed probes");
     assert_eq!(resumed.skipped, first.executed + first.skipped);
-    assert_eq!(resumed.doc, first.doc);
+    assert_eq!(resumed_doc, first_doc);
     assert_eq!(artifact(&dir_a), before, "resume rewrote frontier.json");
 
     // Replaying the bisection from the probe artifacts renders the exact
     // same bytes.
     let loaded = frontier::load(&spec, &dir_a).expect("frontier dir loads");
-    assert_eq!(loaded, first.doc);
+    assert_eq!(loaded, first_doc);
     assert_eq!(loaded.render().into_bytes(), before);
 
     let _ = std::fs::remove_dir_all(&dir_a);

@@ -16,7 +16,7 @@
 mod common;
 
 use clocksync::scenario::ScenarioKind;
-use common::{artifact_bytes, opts, scratch};
+use common::{artifact_bytes, cold_opts, scratch};
 use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid};
 use tsn_metrics::{PrecisionSample, PrecisionSeries};
 use tsn_time::Nanos;
@@ -44,8 +44,8 @@ fn axis_permutation_produces_identical_artifacts() {
 
     let dir_a = scratch("fwd");
     let dir_b = scratch("perm");
-    runner::execute(&forward, &opts(&dir_a)).expect("forward campaign");
-    runner::execute(&permuted, &opts(&dir_b)).expect("permuted campaign");
+    runner::execute(&forward, &cold_opts(&dir_a)).expect("forward campaign");
+    runner::execute(&permuted, &cold_opts(&dir_b)).expect("permuted campaign");
 
     let a = artifact_bytes(&dir_a);
     let b = artifact_bytes(&dir_b);

@@ -20,7 +20,7 @@
 mod common;
 
 use clocksync::scenario::ScenarioKind;
-use common::{artifact_bytes, fork_opts, opts, scratch};
+use common::{artifact_bytes, cold_opts, opts, scratch};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use tsn_campaign::{
@@ -47,7 +47,7 @@ fn tiny_spec(name: &str) -> CampaignSpec {
 fn panicking_run_is_isolated_and_perturbs_nothing() {
     let spec = tiny_spec("panic-isolation");
     let clean_dir = scratch("panic-clean");
-    let clean = runner::execute(&spec, &opts(&clean_dir)).expect("clean campaign");
+    let clean = runner::execute(&spec, &cold_opts(&clean_dir)).expect("clean campaign");
     assert_eq!(clean.executed, 4);
 
     // Same campaign, with the worker for one victim run instructed to
@@ -58,7 +58,7 @@ fn panicking_run_is_isolated_and_perturbs_nothing() {
         &spec,
         &RunnerOptions {
             panic_label: Some(victim.coord.label()),
-            ..opts(&dir)
+            ..cold_opts(&dir)
         },
     )
     .expect("campaign must finish despite the panic");
@@ -96,7 +96,7 @@ fn panicking_run_is_isolated_and_perturbs_nothing() {
 
     // A plain resume retries exactly the failed run and completes the
     // campaign to the clean campaign's bytes.
-    let resumed = runner::execute(&spec, &opts(&dir)).expect("resume");
+    let resumed = runner::execute(&spec, &cold_opts(&dir)).expect("resume");
     assert_eq!(resumed.executed, 1);
     assert_eq!(resumed.skipped, 3);
     assert!(resumed.failed.is_empty());
@@ -110,7 +110,7 @@ fn panicking_run_is_isolated_and_perturbs_nothing() {
 fn truncated_artifact_is_quarantined_and_rerun() {
     let spec = tiny_spec("quarantine");
     let dir = scratch("quarantine");
-    let first = runner::execute(&spec, &opts(&dir)).expect("first invocation");
+    let first = runner::execute(&spec, &cold_opts(&dir)).expect("first invocation");
     assert_eq!(first.executed, 4);
     assert_eq!(first.quarantined, 0);
     let before = artifact_bytes(&dir);
@@ -130,7 +130,7 @@ fn truncated_artifact_is_quarantined_and_rerun() {
         std::fs::write(dir.join("runs").join(name), bytes).unwrap();
     }
 
-    let second = runner::execute(&spec, &opts(&dir)).expect("resume over corruption");
+    let second = runner::execute(&spec, &cold_opts(&dir)).expect("resume over corruption");
     assert_eq!(second.quarantined, 2, "damaged artifacts not quarantined");
     assert_eq!(second.executed, 2);
     assert_eq!(second.skipped, 2);
@@ -176,9 +176,9 @@ fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
 fn campaign_killed_mid_write_resumes_to_the_uninterrupted_directory() {
     let spec = tiny_spec("kill-mid-write");
     let clean_dir = scratch("kill-clean");
-    runner::execute(&spec, &opts(&clean_dir)).expect("uninterrupted campaign");
+    runner::execute(&spec, &cold_opts(&clean_dir)).expect("uninterrupted campaign");
     let dir = scratch("kill");
-    let first = runner::execute(&spec, &opts(&dir)).expect("first invocation");
+    let first = runner::execute(&spec, &cold_opts(&dir)).expect("first invocation");
     assert_eq!(tree_bytes(&dir), tree_bytes(&clean_dir));
 
     // Three ways a kill can leave a run behind: the temporary file
@@ -195,7 +195,7 @@ fn campaign_killed_mid_write_resumes_to_the_uninterrupted_directory() {
     let mid_string = whole.find("\"campaign\":\"kill").expect("campaign member") + 14;
     std::fs::write(artifact(2), &whole[..mid_string]).unwrap();
 
-    let resumed = runner::execute(&spec, &opts(&dir)).expect("resume after the kill");
+    let resumed = runner::execute(&spec, &cold_opts(&dir)).expect("resume after the kill");
     assert_eq!(resumed.executed, 3, "exactly the damaged runs re-execute");
     assert_eq!(resumed.skipped, 1);
     assert_eq!(resumed.quarantined, 2, "the empty and the cut artifact");
@@ -252,7 +252,7 @@ fn ring_and_tree_fabrics_run_clean_and_fork_identically() {
         &spec,
         &RunnerOptions {
             check: true,
-            ..opts(&check_dir)
+            ..cold_opts(&check_dir)
         },
     )
     .expect("checked campaign");
@@ -266,7 +266,7 @@ fn ring_and_tree_fabrics_run_clean_and_fork_identically() {
 
     // Forked execution produces byte-identical artifacts.
     let fork_dir = scratch("topo-fork");
-    let forked = runner::execute(&spec, &fork_opts(&fork_dir)).expect("forked campaign");
+    let forked = runner::execute(&spec, &opts(&fork_dir)).expect("forked campaign");
     assert!(forked.forked_groups > 0, "no warm-prefix group formed");
     assert!(forked.prefix_events_skipped > 0);
     assert_eq!(

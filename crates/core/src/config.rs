@@ -268,7 +268,15 @@ impl TestbedConfig {
     ///
     /// Panics on inconsistent settings; called by the testbed builder.
     pub fn validate(&self) {
+        // The measurement probe needs a second node, also at f = 0.
         assert!(self.nodes >= 2, "need at least two nodes");
+        // Π = u(N, f)(E + Γ) needs N > 3f, f as `Testbed::bounds` takes it.
+        let f = self.aggregation.method.f().unwrap_or(1);
+        assert!(
+            self.nodes > 3 * f,
+            "FTA requires N > 3f (got N={}, f={f})",
+            self.nodes
+        );
         assert!(
             (2..=4).contains(&self.vms_per_node),
             "2 to 4 clock-sync VMs per node supported"

@@ -9,7 +9,6 @@ use crate::counters::RunCounters;
 use crate::testbed::{VmState, MEASUREMENT_VID};
 use crate::world::{Ev, World};
 use std::collections::HashMap;
-use tsn_fta::AggregationMethod;
 use tsn_gptp::msg::MessageType;
 use tsn_metrics::{
     precision_of, BoundsReport, EventLog, ExperimentEvent, PrecisionSample, PrecisionSeries,
@@ -311,11 +310,6 @@ impl World {
     /// strictly passive. Violations are returned in
     /// [`RunResult::violations`].
     pub fn enable_oracle(&mut self) {
-        let f = match self.cfg.aggregation.method {
-            AggregationMethod::FaultTolerantAverage { f }
-            | AggregationMethod::FaultTolerantMidpoint { f } => Some(f),
-            AggregationMethod::Mean | AggregationMethod::Median => None,
-        };
         let step_threshold = self
             .cfg
             .servo
@@ -327,7 +321,7 @@ impl World {
             warmup: SimTime::ZERO + self.cfg.warmup,
             step_threshold,
             max_frequency_ppb: self.cfg.servo.max_frequency_ppb,
-            f,
+            f: self.cfg.aggregation.method.f(),
             election_convergence: self
                 .cfg
                 .election
@@ -352,7 +346,7 @@ impl World {
     /// default cap; raising it trades memory for completeness, and the
     /// sink's drop counter reports any truncation either way.
     pub fn enable_trace_capped(&mut self, max_events: usize) {
-        let fta_trim = self.cfg.aggregation.method.trim_degree();
+        let fta_trim = self.cfg.aggregation.method.f().unwrap_or(0);
         let observers = self.observers.get_or_insert_with(Observers::default);
         observers.trace = Some((TraceSink::new(max_events), fta_trim));
     }
@@ -404,7 +398,7 @@ impl World {
         observe(&mut self.observers, || Observation::Bounds {
             at: end,
             n: self.cfg.nodes,
-            f: 1,
+            f: bounds.f,
             r_max_ppb: self.cfg.r_max_ppb,
             sync_interval: self.cfg.sync_interval,
             d_min: bounds.d_min,

@@ -339,7 +339,9 @@ impl Testbed {
     }
 
     /// The paper's bounds (Π, E, γ, …) for this testbed's drawn path
-    /// delays.
+    /// delays. Π = u(N, f)(E + Γ) takes the run's own `f`
+    /// ([`AggregationMethod::f`](tsn_fta::AggregationMethod::f)); mean
+    /// and median keep the paper's f = 1, so ABL1 compares one Π.
     pub(crate) fn bounds(&self, cfg: &TestbedConfig) -> BoundsReport {
         let res_min = cfg.residence_min;
         let res_max = cfg.residence_max + cfg.residence_jitter;
@@ -364,7 +366,8 @@ impl Testbed {
                 }
             }
         }
-        BoundsReport::derive(cfg.nodes, 1, cfg.r_max_ppb, cfg.sync_interval, &all, &meas)
+        let f = cfg.aggregation.method.f().unwrap_or(1);
+        BoundsReport::derive(cfg.nodes, f, cfg.r_max_ppb, cfg.sync_interval, &all, &meas)
     }
 
     /// Widens a station-pair path-delay bound by the fabric's extra

@@ -71,20 +71,19 @@ pub enum AggregationMethod {
 impl AggregationMethod {
     /// Minimum number of inputs this method needs to produce a value.
     pub fn min_inputs(&self) -> usize {
-        match self {
-            AggregationMethod::FaultTolerantAverage { f }
-            | AggregationMethod::FaultTolerantMidpoint { f } => 2 * f + 1,
-            AggregationMethod::Mean | AggregationMethod::Median => 1,
-        }
+        self.f().map_or(1, |f| 2 * f + 1)
     }
 
-    /// Number of extreme values discarded per side before aggregating
-    /// (`f` for the fault-tolerant methods, 0 for mean/median).
-    pub fn trim_degree(&self) -> usize {
+    /// The Byzantine values the method tolerates, which is also the
+    /// extreme values it discards per side: `Some(f)` for the two
+    /// fault-tolerant methods, `None` for mean and median. Every reader
+    /// of a run's `f` (the bounds, the oracle, the trace's trim
+    /// accounting, the frontier) derives it from here.
+    pub fn f(&self) -> Option<usize> {
         match self {
             AggregationMethod::FaultTolerantAverage { f }
-            | AggregationMethod::FaultTolerantMidpoint { f } => *f,
-            AggregationMethod::Mean | AggregationMethod::Median => 0,
+            | AggregationMethod::FaultTolerantMidpoint { f } => Some(*f),
+            AggregationMethod::Mean | AggregationMethod::Median => None,
         }
     }
 
@@ -341,6 +340,8 @@ mod tests {
         let fta = AggregationMethod::FaultTolerantAverage { f: 1 };
         assert_eq!(fta.aggregate(&offsets), Some(Nanos::from_nanos(150)));
         assert_eq!(fta.min_inputs(), 3);
+        assert_eq!(fta.f(), Some(1));
+        assert_eq!(AggregationMethod::Median.f(), None);
         assert_eq!(
             AggregationMethod::Median.aggregate(&offsets),
             Some(Nanos::from_nanos(150))

@@ -9,7 +9,7 @@
 //! operating point — the Kopetz–Ochsenreiter FTA (and the Welch–Lynch
 //! midpoint, which shares the trim step) over `M` domain offsets with
 //! `f` extremes discarded per side — and produces the *analytical
-//! frontier* that `campaign frontier` compares against the empirically
+//! frontier* that a frontier spec's run compares against the empirically
 //! bisected one.
 //!
 //! # Model

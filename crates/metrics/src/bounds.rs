@@ -57,6 +57,8 @@ pub struct BoundsReport {
     pub pi: Nanos,
     /// Measurement error `γ` (Eq. 3.2) over the measurement paths.
     pub gamma: Nanos,
+    /// The fault count `f` that `Π` was derived with.
+    pub f: usize,
 }
 
 impl BoundsReport {
@@ -104,6 +106,7 @@ impl BoundsReport {
             drift_offset: gam,
             pi: precision_bound(n, f, reading_error, gam),
             gamma,
+            f,
         }
     }
 

@@ -96,6 +96,40 @@ fn scales_to_more_nodes() {
     assert!(stats.mean < 1_500.0, "average {} ns", stats.mean);
 }
 
+/// Π = u(N, f)(E + Γ) takes the run's own f: seven domains trimming
+/// f = 2 are judged against u(7, 2) = 3, not the f = 1 bound, and the
+/// oracle's bound-algebra check agrees with the bound the run reports.
+#[test]
+fn precision_bound_takes_the_runs_own_f() {
+    let mut cfg = TestbedConfig::quick(13);
+    cfg.warmup = Nanos::from_secs(5);
+    cfg.duration = Nanos::from_secs(5);
+    cfg.nodes = 7;
+    cfg.aggregation.domains = 7;
+    cfg.aggregation.method = clocksync::fta::AggregationMethod::FaultTolerantAverage { f: 2 };
+    cfg.kernels = clocksync::faults::KernelAssignment::identical(7);
+    let mut world = World::new(cfg);
+    world.enable_oracle();
+    let r = world.run();
+    let b = &r.bounds;
+    assert_eq!(
+        b.pi,
+        clocksync::metrics::precision_bound(7, 2, b.reading_error, b.drift_offset)
+    );
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+}
+
+/// N > 3f is checked when the world is built, not when the run ends.
+#[test]
+#[should_panic(expected = "FTA requires N > 3f (got N=3, f=1)")]
+fn three_nodes_are_refused_before_the_run() {
+    let mut cfg = TestbedConfig::quick(13);
+    cfg.nodes = 3;
+    cfg.aggregation.domains = 3;
+    cfg.kernels = clocksync::faults::KernelAssignment::identical(3);
+    World::new(cfg);
+}
+
 #[test]
 fn prior_work_baseline_gm_ensemble_diverges() {
     // The paper's §I critique of Kyriakakis et al., reproduced: without
