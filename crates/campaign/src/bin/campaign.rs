@@ -32,12 +32,8 @@
 //! `--trace DIR` (campaign specs only) arms the structured tracer
 //! (`tsn-trace`) on every executed run and writes one Chrome
 //! trace-event file `trace-<hash>.json` per run into DIR (open it in
-//! `ui.perfetto.dev`), plus a `profile.jsonl` stream with per-run wall
-//! time and event counts. `campaign profile --trace DIR` aggregates
-//! that stream into a per-scenario activity report: wall time, event
-//! rate, and each subsystem's share of pops plus trace events, which is
-//! activity, not time (`--json` for the machine-readable table).
-//! Artifacts are byte-identical either way.
+//! `ui.perfetto.dev`); its `otherData` holds the run's event and drop
+//! counts. Artifacts are byte-identical either way.
 //!
 //! `snapshot` saves, inspects, restores and verifies world checkpoints
 //! of one campaign run, named by its spec and content hash (`--run
@@ -51,14 +47,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsn_campaign::json::Json;
 use tsn_campaign::{
-    frontier, profile, runner, summary, CampaignReport, CampaignSpec, FrontierSpec, RunnerOptions,
+    frontier, runner, summary, CampaignReport, CampaignSpec, FrontierSpec, RunnerOptions,
 };
 use tsn_time::{Nanos, SimTime};
 
 const USAGE: &str = "usage:
   campaign run       (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--check] [--trace DIR] [--trace-cap N]
   campaign summarize --dir DIR [--json]
-  campaign profile   --trace DIR [--json]
   campaign diff      --baseline DIR --candidate DIR
   campaign spec      --builtin NAME
   campaign list
@@ -93,11 +88,11 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     match command.as_str() {
         "run" => cmd_run(rest),
         "summarize" => cmd_summarize(rest),
-        "profile" => cmd_profile(rest),
         "diff" => cmd_diff(rest),
         "spec" => cmd_spec(rest),
         "snapshot" => cmd_snapshot(rest),
         "list" => {
+            Flags::parse(rest, &[], &[])?;
             for name in CampaignSpec::BUILTINS {
                 let spec = CampaignSpec::builtin(name).expect("builtin exists");
                 println!("{name}  ({} runs)", spec.total_runs());
@@ -242,10 +237,8 @@ fn print_counts(name: &str, report: &CampaignReport, opts: &RunnerOptions, body:
     print!("{body}");
     if let Some(trace_dir) = &opts.trace {
         println!(
-            "trace: {} run(s) traced into {} (open trace-<hash>.json in ui.perfetto.dev; \
-             `campaign profile --trace {}` for each subsystem's activity share)",
+            "trace: {} run(s) traced into {} (open trace-<hash>.json in ui.perfetto.dev)",
             report.executed,
-            trace_dir.display(),
             trace_dir.display()
         );
     }
@@ -253,7 +246,7 @@ fn print_counts(name: &str, report: &CampaignReport, opts: &RunnerOptions, body:
     if truncated {
         eprintln!(
             "trace: {} event(s) dropped past the per-run cap — the trace is truncated \
-             (raise --trace-cap; `campaign profile` shows per-scenario drop counts)",
+             (raise --trace-cap; each trace file's otherData.dropped counts its run's drops)",
             report.trace_dropped_events
         );
     }
@@ -351,37 +344,6 @@ fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
     } else {
         print!("{}", summary::render(&groups));
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["--trace"], &["--json"])?;
-    let dir = PathBuf::from(flags.get("--trace").ok_or("--trace is required")?);
-    let entries = profile::load(&dir).map_err(|e| e.to_string())?;
-    if entries.is_empty() {
-        return Err(format!(
-            "no profiled runs in {} (run a campaign with --trace first)",
-            dir.display()
-        ));
-    }
-    if flags.has("--json") {
-        println!("{}", profile::render_json(&profile::aggregate(&entries)));
-        return Ok(ExitCode::SUCCESS);
-    }
-    let total_wall: f64 = entries.iter().map(|e| e.wall_s).sum();
-    let total_events: u64 = entries.iter().map(|e| e.sim_events).sum();
-    println!(
-        "{} profiled run(s), {:.2}s wall, {} simulated event(s) ({:.0} events/s overall)",
-        entries.len(),
-        total_wall,
-        total_events,
-        if total_wall > 0.0 {
-            total_events as f64 / total_wall
-        } else {
-            0.0
-        },
-    );
-    print!("{}", profile::render(&profile::aggregate(&entries)));
     Ok(ExitCode::SUCCESS)
 }
 

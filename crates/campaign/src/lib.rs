@@ -37,7 +37,6 @@ pub mod axis;
 pub mod frontier;
 pub mod json;
 pub mod matrix;
-pub mod profile;
 pub mod runner;
 pub mod spec;
 pub mod summary;
@@ -45,7 +44,6 @@ pub mod summary;
 pub use artifact::RunRecord;
 pub use frontier::{BisectOutcome, Bisection, FrontierDoc, FrontierSpec};
 pub use matrix::{expand, Coord, RunPlan};
-pub use profile::{ProfileEntry, ScenarioProfile};
 pub use runner::{
     CampaignReport, FailedRun, RunRecordReader, RunViolation, RunnerOptions, SnapshotCache,
 };

@@ -16,7 +16,6 @@
 
 use crate::artifact::RunRecord;
 use crate::matrix::{expand, RunPlan};
-use crate::profile::ProfileEntry;
 use crate::spec::CampaignSpec;
 use clocksync::snapshot::{checkpoint_time, warm_prefix_config, warm_prefix_fingerprint};
 use clocksync::{World, WorldSnapshot};
@@ -53,16 +52,14 @@ pub struct RunnerOptions {
     pub check: bool,
     /// Enable structured tracing ([`World::enable_trace`]) for every
     /// executed run and write, into this directory, one Chrome
-    /// trace-event file `trace-<hash>.json` per run plus a
-    /// [`crate::profile::PROFILE_FILE`] stream with per-run wall time
-    /// and event accounting. Artifacts stay byte-identical to an
-    /// untraced campaign. Traced runs execute cold (a forked run's trace
-    /// would miss the shared warm prefix). Resumed runs are not
-    /// re-executed and leave no trace.
+    /// trace-event file `trace-<hash>.json` per run. Artifacts stay
+    /// byte-identical to an untraced campaign. Traced runs execute cold
+    /// (a forked run's trace would miss the shared warm prefix).
+    /// Resumed runs are not re-executed and leave no trace.
     pub trace: Option<PathBuf>,
     /// Override the tracer's bounded-sink event cap (default 2^20).
     /// Events past the cap are dropped and counted; the per-run drop
-    /// count flows into the profile stream and
+    /// count lands in the trace file's `otherData.dropped` and sums into
     /// [`CampaignReport::trace_dropped_events`], and a truncated trace
     /// fails a `--check` campaign.
     pub trace_max_events: Option<usize>,
@@ -412,21 +409,15 @@ pub fn execute_with(
     // pool hands its outcomes back sorted by pending index.
     let mut failed: Vec<FailedRun> = Vec::new();
     let mut violations: Vec<RunViolation> = Vec::new();
-    let mut profiles: Vec<ProfileEntry> = Vec::new();
+    let mut trace_dropped_events = 0u64;
     for (i, outcome) in outcomes {
         match outcome {
-            Ok((record, found, profile)) => {
+            Ok((record, found, dropped)) => {
                 records[pending[i].index] = Some(record);
                 violations.extend(found);
-                profiles.extend(profile);
+                trace_dropped_events += dropped;
             }
             Err(message) => failed.push(FailedRun::new(pending[i], &message)),
-        }
-    }
-    if let Some(trace_dir) = &opts.trace {
-        if !pending.is_empty() {
-            let stream: String = profiles.iter().map(|p| p.encode() + "\n").collect();
-            write_atomic(&trace_dir.join(crate::profile::PROFILE_FILE), &stream)?;
         }
     }
 
@@ -443,7 +434,7 @@ pub fn execute_with(
         violations,
         failed,
         quarantined,
-        trace_dropped_events: profiles.iter().map(|p| p.dropped).sum(),
+        trace_dropped_events,
     })
 }
 
@@ -550,16 +541,15 @@ fn dispatch_order(pending: &[&RunPlan], restores: &[bool], threads: usize) -> Ve
 /// warm-prefix checkpoint, and writes its artifact. Both paths end in
 /// the same [`RunRecord`]; the cold path additionally arms the oracle
 /// and the tracer on request, returning what the former reported and
-/// writing the latter's file with its profile entry (both observers
-/// are passive, so the record is unaffected).
+/// writing the latter's file, whose dropped-event count it returns
+/// (both observers are passive, so the record is unaffected).
 fn run_one(
     spec: &CampaignSpec,
     plan: &RunPlan,
     snap: Option<&WorldSnapshot>,
     opts: &RunnerOptions,
     runs_dir: &Path,
-) -> io::Result<(RunRecord, Vec<RunViolation>, Option<ProfileEntry>)> {
-    let started = Instant::now();
+) -> io::Result<(RunRecord, Vec<RunViolation>, u64)> {
     let result = match snap {
         Some(snap) => {
             let mut world = World::restore(plan.config.clone(), snap).map_err(|e| {
@@ -586,19 +576,14 @@ fn run_one(
             world.run()
         }
     };
-    let wall_s = started.elapsed().as_secs_f64();
     let record = RunRecord::new(&spec.name, plan, &result);
     write_record_atomic(&artifact_path(runs_dir, plan), &record)?;
-    let label = plan.coord.label();
-    let mut profile = None;
     if let (Some(trace_dir), Some(report)) = (&opts.trace, &result.trace) {
         let path = trace_dir.join(format!("trace-{}.json", plan.hash));
         write_atomic(&path, &report.to_chrome_json())?;
-        let scenario = plan.coord.scenario.name();
-        profile = Some(ProfileEntry::new(
-            plan.index, &label, scenario, &plan.hash, wall_s, report,
-        ));
     }
+    let dropped = result.trace.as_ref().map_or(0, |report| report.dropped);
+    let label = plan.coord.label();
     let violations = result
         .violations
         .into_iter()
@@ -607,7 +592,7 @@ fn run_one(
             record,
         })
         .collect();
-    Ok((record, violations, profile))
+    Ok((record, violations, dropped))
 }
 
 /// Streaming reader over a previously executed campaign's artifacts, in

@@ -5,9 +5,10 @@
 
 mod common;
 
-use common::{artifact_bytes, opts, scratch};
+use common::{artifact_bytes, opts, scratch, tree_bytes};
 use std::path::Path;
 use std::process::{Command, Output};
+use tsn_campaign::json::Json;
 
 fn campaign(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_campaign"))
@@ -82,7 +83,7 @@ fn summarize_of_zero_run_manifest_exits_two_instead_of_panicking() {
 #[test]
 fn flag_errors_keep_each_binarys_wording() {
     type Bin = fn(&[&str]) -> Output;
-    let cases: [(Bin, &[&str], &str); 8] = [
+    let cases: [(Bin, &[&str], &str); 10] = [
         (
             campaign,
             &["run", "--frobnicate"],
@@ -95,6 +96,20 @@ fn flag_errors_keep_each_binarys_wording() {
             &["run", "--builtin", "quick-baseline", "--threads", "two"],
             "malformed value \"two\" for --threads",
         ),
+        (
+            campaign,
+            &[
+                "run",
+                "--builtin",
+                "quick-baseline",
+                "--threads",
+                "1",
+                "--threads",
+                "2",
+            ],
+            "--threads given twice",
+        ),
+        (campaign, &["list", "--json"], "unknown argument \"--json\""),
         (
             snapshot,
             &["info", "--frobnicate"],
@@ -116,10 +131,11 @@ fn flag_errors_keep_each_binarys_wording() {
 }
 
 /// One way to run: the `frontier` and `resume` verbs and the `--fork`
-/// and `--no-fork` flags are gone, and each is an error with the usage.
+/// and `--no-fork` flags are gone, as is the `profile` verb, and each
+/// is an error with the usage.
 #[test]
 fn removed_verbs_and_fork_flags_exit_two_with_usage() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &["frontier", "--builtin", "frontier-sweep"],
             "unknown subcommand \"frontier\"",
@@ -135,6 +151,10 @@ fn removed_verbs_and_fork_flags_exit_two_with_usage() {
         (
             &["run", "--builtin", "frontier-sweep", "--no-fork"],
             "unknown argument \"--no-fork\"",
+        ),
+        (
+            &["profile", "--trace", "x"],
+            "unknown subcommand \"profile\"",
         ),
     ];
     for (args, message) in cases {
@@ -152,6 +172,7 @@ fn removed_verbs_and_fork_flags_exit_two_with_usage() {
         "campaign resume",
         "--fork",
         "--no-fork",
+        "campaign profile",
     ] {
         assert!(!help.contains(gone), "USAGE still lists {gone}: {help}");
     }
@@ -310,14 +331,11 @@ fn run_with_out_of_range_axis_value_exits_two_naming_axis_and_range() {
     assert_eq!(numeric_axes, 15);
 }
 
-/// `--trace` writes one Chrome trace-event file per executed run plus a
-/// profile stream, while the run artifacts stay byte-identical to an
-/// untraced campaign — the tracer observes, it never steers.
+/// `--trace` writes one Chrome trace-event file per executed run, while
+/// the run artifacts stay byte-identical to an untraced campaign — the
+/// tracer observes, it never steers.
 #[test]
 fn run_with_trace_emits_valid_traces_and_identical_artifacts() {
-    use tsn_campaign::json::Json;
-    use tsn_campaign::profile::{ProfileEntry, PROFILE_FILE};
-
     let dir = scratch("trace");
     std::fs::create_dir_all(&dir).unwrap();
     let spec_path = dir.join("tiny.json");
@@ -390,26 +408,6 @@ fn run_with_trace_emits_valid_traces_and_identical_artifacts() {
         );
     }
 
-    // The profile stream carries one decodable entry per run.
-    let stream = std::fs::read_to_string(trace_dir.join(PROFILE_FILE)).expect("profile stream");
-    let entries: Vec<ProfileEntry> = stream
-        .lines()
-        .map(|l| ProfileEntry::decode(l).expect("profile line decodes"))
-        .collect();
-    assert_eq!(entries.len(), artifacts.len());
-    for e in &entries {
-        assert_eq!(e.scenario, "baseline");
-        assert!(e.sim_events > 0);
-        assert!(e.wall_s >= 0.0);
-    }
-
-    // And `campaign profile` renders the per-scenario report.
-    let profile = campaign(&["profile", "--trace", trace_dir.to_str().unwrap()]);
-    assert_eq!(profile.status.code(), Some(0), "{profile:?}");
-    let stdout = String::from_utf8_lossy(&profile.stdout);
-    assert!(stdout.contains("events/s"), "no throughput: {stdout}");
-    assert!(stdout.contains("baseline"), "no scenario row: {stdout}");
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -480,8 +478,8 @@ fn run_with_check_is_clean_and_leaves_artifacts_untouched() {
 fn run_with_tiny_trace_cap_reports_truncation_and_fails_check() {
     // A cap far below a real run's event count forces the bounded sink
     // to drop events. Truncation must be loud: a stderr warning on a
-    // plain run, a per-run drop count in the profile stream and
-    // `campaign profile` output, and a nonzero exit under `--check`.
+    // plain run, a per-run drop count in the trace file, and a nonzero
+    // exit under `--check`.
     let dir = scratch("trace-cap");
     std::fs::create_dir_all(&dir).unwrap();
     let spec_path = dir.join("tiny.json");
@@ -527,15 +525,18 @@ fn run_with_tiny_trace_cap_reports_truncation_and_fails_check() {
         "no truncation warning: {stderr}"
     );
 
-    // The profile surfaces the drop count, in text and JSON.
-    let profile = campaign(&["profile", "--trace", trace_dir.to_str().unwrap()]);
-    assert_eq!(profile.status.code(), Some(0), "{profile:?}");
-    let text = String::from_utf8_lossy(&profile.stdout);
-    assert!(text.contains("dropped"), "profile hides the drops: {text}");
-    let profile_json = campaign(&["profile", "--trace", trace_dir.to_str().unwrap(), "--json"]);
-    let json = String::from_utf8_lossy(&profile_json.stdout);
-    assert!(json.contains("\"dropped\""), "no dropped field: {json}");
-    assert!(!json.contains("\"dropped\":0"), "drop count lost: {json}");
+    // The run's trace file, the only file in the directory, carries its
+    // drop count.
+    let [(_, trace)] = &tree_bytes(&trace_dir)[..] else {
+        panic!("one trace file");
+    };
+    let dropped = Json::parse(std::str::from_utf8(trace).unwrap())
+        .unwrap()
+        .get("otherData")
+        .and_then(|d| d.get("dropped"))
+        .and_then(Json::as_u64)
+        .expect("otherData.dropped");
+    assert!(dropped > 0, "drop count lost");
 
     // Under --check a truncated trace is a failure (fresh dir: the
     // capped runs above would otherwise just resume).
@@ -557,6 +558,46 @@ fn run_with_tiny_trace_cap_reports_truncation_and_fails_check() {
         Some(1),
         "truncated trace must fail --check: {checked:?}"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file a traced campaign writes is a function of its spec: the
+/// trace and run directories of a one- and a two-worker campaign are
+/// byte-identical, with nothing excluded.
+#[test]
+fn traced_campaign_directories_are_a_function_of_the_spec() {
+    let dir = scratch("trace-pure");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("tiny.json");
+    std::fs::write(
+        &spec_path,
+        r#"{"schema":1,"name":"tiny","base":{"preset":"quick","duration_s":6,"warmup_s":3},"scenarios":["baseline"],"grid":{"seeds":[1,2]}}"#,
+    )
+    .unwrap();
+    let traced = |threads: &str| {
+        let (run_dir, trace_dir) = (
+            dir.join(format!("runs-{threads}")),
+            dir.join(format!("traces-{threads}")),
+        );
+        let out = campaign(&[
+            "run",
+            "--spec",
+            spec_path.to_str().unwrap(),
+            "--dir",
+            run_dir.to_str().unwrap(),
+            "--quiet",
+            "--threads",
+            threads,
+            "--trace",
+            trace_dir.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        (tree_bytes(&run_dir), tree_bytes(&trace_dir))
+    };
+    let one_worker = traced("1");
+    assert_eq!(traced("2"), one_worker);
+    assert_eq!(one_worker.1.len(), 2, "one trace file per run only");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

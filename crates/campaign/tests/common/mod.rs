@@ -51,3 +51,25 @@ pub fn artifact_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files.sort();
     files
 }
+
+/// Every file under `dir` except the quarantine, as sorted
+/// `(relative path, bytes)` — what `diff -r` compares.
+pub fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).expect("readable directory") {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                if path != dir.join("runs").join("corrupt") {
+                    stack.push(path);
+                }
+            } else {
+                let relative = path.strip_prefix(dir).unwrap().to_path_buf();
+                files.push((relative, std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
+}

@@ -11,21 +11,18 @@
 //!   to a directory identical to one that was never interrupted;
 //! * the ring and tree fabric topologies run clean under `--check` and
 //!   fork byte-identically to cold execution;
-//! * no spec text and no trace directory panics a reader: every
-//!   truncation and random byte flips of each committed spec file
-//!   through `CampaignSpec::parse` / `FrontierSpec::parse` (and
-//!   `expand` when the parse succeeds), and arbitrary `profile.jsonl`
-//!   bytes through `campaign profile`'s load, aggregate and render.
+//! * no spec text panics a reader: every truncation and random byte
+//!   flips of each committed spec file go through
+//!   `CampaignSpec::parse` / `FrontierSpec::parse` (and `expand` when
+//!   the parse succeeds).
 
 mod common;
 
 use clocksync::scenario::ScenarioKind;
-use common::{artifact_bytes, cold_opts, opts, scratch};
+use common::{artifact_bytes, cold_opts, opts, scratch, tree_bytes};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use tsn_campaign::{
-    profile, runner, BaseSpec, CampaignSpec, FrontierSpec, Grid, ProfileEntry, RunnerOptions,
-};
+use tsn_campaign::{runner, BaseSpec, CampaignSpec, FrontierSpec, Grid, RunnerOptions};
 
 fn tiny_spec(name: &str) -> CampaignSpec {
     CampaignSpec {
@@ -148,28 +145,6 @@ fn truncated_artifact_is_quarantined_and_rerun() {
     assert_eq!(artifact_bytes(&dir), before);
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Every file under `dir` except the quarantine, as sorted
-/// `(relative path, bytes)` — what `diff -r` compares.
-fn tree_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-    let mut files = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        for entry in std::fs::read_dir(&d).expect("readable directory") {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                if path != dir.join("runs").join("corrupt") {
-                    stack.push(path);
-                }
-            } else {
-                let relative = path.strip_prefix(dir).unwrap().to_path_buf();
-                files.push((relative, std::fs::read(&path).unwrap()));
-            }
-        }
-    }
-    files.sort();
-    files
 }
 
 #[test]
@@ -329,47 +304,6 @@ fn every_truncation_of_a_committed_spec_file_is_an_error_not_a_panic() {
     }
 }
 
-/// One `profile.jsonl` line: a well-formed entry with arbitrary counts.
-fn profile_line(sim_events: u64, dropped: u64, netsim: u64) -> String {
-    ProfileEntry {
-        index: 0,
-        label: "seed=1".to_string(),
-        scenario: "baseline".to_string(),
-        hash: "0123".to_string(),
-        wall_s: 0.5,
-        sim_events,
-        recorded: 0,
-        dropped,
-        subsystems: vec![("netsim".to_string(), netsim)],
-    }
-    .encode()
-}
-
-/// What `campaign profile --trace DIR` does with a trace directory.
-fn profile_report(dir: &Path) {
-    if let Ok(entries) = profile::load(dir) {
-        let aggregates = profile::aggregate(&entries);
-        let _ = profile::render(&aggregates);
-        let _ = profile::render_json(&aggregates);
-    }
-}
-
-/// Regression: `aggregate` summed counts with `+`, so two entries whose
-/// event counts add past `u64::MAX` panicked (`attempt to add with
-/// overflow`) in a debug build instead of reporting.
-#[test]
-fn profile_counts_that_overflow_when_summed_saturate() {
-    let dir = scratch("profile-overflow");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let line = profile_line(u64::MAX, u64::MAX, u64::MAX);
-    std::fs::write(dir.join(profile::PROFILE_FILE), format!("{line}\n{line}\n")).unwrap();
-    let entries = profile::load(&dir).expect("well-formed lines");
-    let aggregates = profile::aggregate(&entries);
-    assert_eq!(aggregates[0].sim_events, u64::MAX);
-    assert_eq!(aggregates[0].subsystem_share("netsim"), 1.0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -385,32 +319,5 @@ proptest! {
             bytes[at] ^= mask;
         }
         read_spec(&bytes);
-    }
-
-    #[test]
-    fn a_trace_dir_of_arbitrary_profile_bytes_never_panics(
-        noise in proptest::collection::vec(any::<u8>(), 0..200),
-        counts in (any::<u64>(), any::<u64>(), any::<u64>()),
-        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..3),
-    ) {
-        let dir = scratch("profile-prop");
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join(profile::PROFILE_FILE);
-        // Raw noise, then two well-formed lines with arbitrary counts,
-        // then those lines with a few bytes flipped.
-        std::fs::write(&path, &noise).unwrap();
-        profile_report(&dir);
-        let (a, b, c) = counts;
-        let mut lines = format!("{}\n{}\n", profile_line(a, b, c), profile_line(c, a, b));
-        std::fs::write(&path, &lines).unwrap();
-        profile_report(&dir);
-        let mut bytes = std::mem::take(&mut lines).into_bytes();
-        for (at, mask) in flips {
-            let at = at % bytes.len();
-            bytes[at] ^= mask;
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        profile_report(&dir);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

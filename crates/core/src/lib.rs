@@ -126,6 +126,10 @@ mod tests {
         assert_eq!(a.minutes, Some(3));
         assert_eq!(a.out, PathBuf::from("/tmp/x"));
         assert_eq!(a.duration(60), Nanos::from_secs(180));
+        assert_eq!(
+            parse(&["--seed", "1", "--seed", "2"]).unwrap_err(),
+            "--seed given twice"
+        );
     }
 
     #[test]
@@ -137,6 +141,10 @@ mod tests {
         assert_eq!(
             parse(&["--minutes", "-3"]).unwrap_err(),
             "malformed value \"-3\" for --minutes"
+        );
+        assert_eq!(
+            parse(&["--minutes", "0"]).unwrap_err(),
+            "--minutes must be positive"
         );
         assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
         assert_eq!(

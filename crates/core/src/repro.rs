@@ -29,8 +29,8 @@ pub const REPRO_USAGE: &str = "options:
   --help        print this help";
 
 /// Strictly parsed command-line flags: every flag takes one value
-/// except the listed switches, and an unknown argument is an error, not
-/// a typo in waiting.
+/// except the listed switches, and an unknown or repeated argument is
+/// an error, not a typo in waiting.
 pub struct Flags {
     pairs: Vec<(String, String)>,
     switches: Vec<String>,
@@ -51,6 +51,9 @@ impl Flags {
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
+            if flags.has(a) || flags.get(a).is_some() {
+                return Err(format!("{a} given twice"));
+            }
             if known_switches.contains(&a.as_str()) {
                 flags.switches.push(a.clone());
             } else if known.contains(&a.as_str()) {
@@ -118,9 +121,13 @@ impl ReproArgs {
         if flags.has("--help") || flags.has("-h") {
             return Ok(ReproParse::Help);
         }
+        let minutes = flags.get_parsed("--minutes")?;
+        if minutes == Some(0) {
+            return Err("--minutes must be positive".to_string());
+        }
         Ok(ReproParse::Args(ReproArgs {
             seed: flags.get_parsed("--seed")?,
-            minutes: flags.get_parsed("--minutes")?,
+            minutes,
             out: PathBuf::from(flags.get("--out").unwrap_or("target/repro")),
         }))
     }

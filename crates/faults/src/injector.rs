@@ -84,19 +84,6 @@ impl InjectorConfig {
     }
 }
 
-/// Aggregate downtime numbers of a [`FaultSchedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DowntimeStats {
-    /// Sum of all VM downtimes.
-    pub total_down: Nanos,
-    /// Sum of grandmaster-VM downtimes (time a domain was missing).
-    pub gm_down: Nanos,
-    /// Maximum VMs down at the same instant (bounded by the per-node
-    /// constraint but not across nodes — the paper allows up to one per
-    /// node).
-    pub max_concurrent: usize,
-}
-
 /// A generated, constraint-checked fault schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
@@ -192,39 +179,6 @@ impl FaultSchedule {
             .count()
     }
 
-    /// Aggregate downtime statistics: total VM-down seconds, total
-    /// grandmaster-down seconds, and the maximum number of VMs down
-    /// simultaneously across the whole schedule.
-    pub fn downtime_stats(&self) -> DowntimeStats {
-        let mut total = 0i64;
-        let mut gm = 0i64;
-        for e in &self.events {
-            let d = (e.reboot_at - e.at).as_nanos();
-            total += d;
-            if e.slot == VmSlot::Grandmaster {
-                gm += d;
-            }
-        }
-        // Sweep for maximum concurrency.
-        let mut points: Vec<(SimTime, i32)> = Vec::new();
-        for e in &self.events {
-            points.push((e.at, 1));
-            points.push((e.reboot_at, -1));
-        }
-        points.sort();
-        let mut cur = 0i32;
-        let mut peak = 0i32;
-        for (_, delta) in points {
-            cur += delta;
-            peak = peak.max(cur);
-        }
-        DowntimeStats {
-            total_down: Nanos::from_nanos(total),
-            gm_down: Nanos::from_nanos(gm),
-            max_concurrent: peak as usize,
-        }
-    }
-
     /// `true` if the schedule never takes both VMs of a node down at the
     /// same instant (the paper's fault-hypothesis constraint).
     pub fn respects_fault_hypothesis(&self) -> bool {
@@ -314,19 +268,6 @@ mod tests {
             assert!(e.at < dur);
             assert!(e.reboot_at > e.at);
         }
-    }
-
-    #[test]
-    fn downtime_stats_consistent() {
-        let s = schedule(5);
-        let stats = s.downtime_stats();
-        assert!(stats.gm_down <= stats.total_down);
-        assert!(stats.gm_down > Nanos::ZERO);
-        // Per-node constraint caps concurrency at one per node (4 nodes).
-        assert!(stats.max_concurrent <= 4, "{}", stats.max_concurrent);
-        // 24 GM shutdowns of 45–120 s each.
-        let gm_s = stats.gm_down.as_secs_f64();
-        assert!((24.0 * 45.0..=24.0 * 120.0).contains(&gm_s), "{gm_s}");
     }
 
     #[test]

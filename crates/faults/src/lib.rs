@@ -45,7 +45,7 @@ mod strategy;
 mod transient;
 
 pub use attacker::{AttackPlan, KernelAssignment, Strike, StrikeOutcome, PAPER_POT_OFFSET};
-pub use injector::{DowntimeStats, FaultEvent, FaultSchedule, InjectorConfig, VmSlot};
+pub use injector::{FaultEvent, FaultSchedule, InjectorConfig, VmSlot};
 pub use kernel::{is_vulnerable, CveId, KernelVersion, ParseKernelVersionError};
 pub use strategy::ByzantineStrategy;
 pub use transient::{TransientFaultConfig, TransientFaults};

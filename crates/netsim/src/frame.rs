@@ -30,11 +30,6 @@ impl MacAddr {
         let b = index.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }
-
-    /// `true` if the I/G bit marks this as a group (multicast) address.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -338,13 +333,6 @@ mod tests {
             EthernetFrame::decode(&bytes),
             Err(DecodeFrameError::Truncated)
         );
-    }
-
-    #[test]
-    fn multicast_bit_detected() {
-        assert!(MacAddr::GPTP_MULTICAST.is_multicast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::for_nic(1).is_multicast());
     }
 
     #[test]

@@ -62,13 +62,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Duration elapsed since `earlier`. Saturates at zero if `earlier`
-    /// is in the future, and at `i64::MAX` ns if the elapsed span does
-    /// not fit a signed duration (simulated horizons past ~292 years).
-    pub fn saturating_since(self, earlier: SimTime) -> Nanos {
-        Nanos(i64::try_from(self.0.saturating_sub(earlier.0)).unwrap_or(i64::MAX))
-    }
 }
 
 impl Add<Nanos> for SimTime {
@@ -163,19 +156,6 @@ impl Nanos {
     /// Creates a duration from signed whole seconds.
     pub const fn from_secs(s: i64) -> Self {
         Nanos(s * 1_000_000_000)
-    }
-
-    /// Creates a duration from fractional seconds (rounds to nearest
-    /// ns). Non-finite inputs map to zero; magnitudes beyond the `i64`
-    /// nanosecond range clamp to the nearest representable duration.
-    pub fn from_secs_f64(s: f64) -> Self {
-        let ns = (s * 1e9).round();
-        if ns.is_nan() {
-            return Nanos::ZERO;
-        }
-        // `f64 -> i64` casts saturate since Rust 1.45, but spell the
-        // clamp out so the boundary behaviour is explicit and testable.
-        Nanos(ns.clamp(i64::MIN as f64, i64::MAX as f64) as i64)
     }
 
     /// The raw signed nanosecond count.
@@ -388,39 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn simtime_saturating_since_clamps() {
-        let a = SimTime::from_secs(1);
-        let b = SimTime::from_secs(2);
-        assert_eq!(b.saturating_since(a), Nanos::from_secs(1));
-        assert_eq!(a.saturating_since(b), Nanos::ZERO);
-    }
-
-    #[test]
-    fn simtime_saturating_since_saturates_at_i64_max_ns() {
-        // A span wider than i64::MAX ns (u64 arithmetic) must clamp to
-        // the largest representable duration, not wrap negative as the
-        // old `u64 as i64` cast did.
-        let huge = SimTime::from_nanos(u64::MAX);
-        assert_eq!(
-            huge.saturating_since(SimTime::ZERO),
-            Nanos::from_nanos(i64::MAX)
-        );
-        assert_eq!(
-            SimTime::from_nanos(i64::MAX as u64 + 1).saturating_since(SimTime::ZERO),
-            Nanos::from_nanos(i64::MAX)
-        );
-        // Exactly representable spans stay exact.
-        assert_eq!(
-            SimTime::from_nanos(i64::MAX as u64).saturating_since(SimTime::ZERO),
-            Nanos::from_nanos(i64::MAX)
-        );
-        assert_eq!(
-            huge.saturating_since(SimTime::from_nanos(u64::MAX - 5)),
-            Nanos::from_nanos(5)
-        );
-    }
-
-    #[test]
     fn simtime_sub_saturates_instead_of_wrapping() {
         let huge = SimTime::from_nanos(u64::MAX);
         // Forward difference beyond the signed range clamps high ...
@@ -444,35 +391,10 @@ mod tests {
     }
 
     #[test]
-    fn nanos_from_secs_f64_boundaries() {
-        // NaN maps to zero instead of an unspecified cast result.
-        assert_eq!(Nanos::from_secs_f64(f64::NAN), Nanos::ZERO);
-        // Infinities and out-of-range magnitudes clamp to the i64 ns
-        // range ends.
-        assert_eq!(
-            Nanos::from_secs_f64(f64::INFINITY),
-            Nanos::from_nanos(i64::MAX)
-        );
-        assert_eq!(
-            Nanos::from_secs_f64(f64::NEG_INFINITY),
-            Nanos::from_nanos(i64::MIN)
-        );
-        assert_eq!(Nanos::from_secs_f64(1e300), Nanos::from_nanos(i64::MAX));
-        assert_eq!(Nanos::from_secs_f64(-1e300), Nanos::from_nanos(i64::MIN));
-        // The largest exactly-representable boundary region: i64::MAX
-        // ns is ~9.22e18; the clamp keeps the result at the range end.
-        assert_eq!(
-            Nanos::from_secs_f64(i64::MAX as f64 / 1e9),
-            Nanos::from_nanos(i64::MAX)
-        );
-    }
-
-    #[test]
     fn nanos_constructors_agree() {
         assert_eq!(Nanos::from_secs(1), Nanos::from_millis(1000));
         assert_eq!(Nanos::from_millis(1), Nanos::from_micros(1000));
         assert_eq!(Nanos::from_micros(1), Nanos::from_nanos(1000));
-        assert_eq!(Nanos::from_secs_f64(0.125), Nanos::from_millis(125));
     }
 
     #[test]

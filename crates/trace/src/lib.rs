@@ -24,9 +24,7 @@
 //! enabling it cannot perturb the deterministic run — state hashes,
 //! snapshots, and campaign artifacts are byte-identical with tracing on
 //! or off (held by the observer-parity cases in `tests/trace.rs` and
-//! `tests/oracle.rs`). Host wall-clock time never enters a trace file;
-//! it is measured by the campaign runner and kept in the separate
-//! profile stream.
+//! `tests/oracle.rs`). Host wall-clock time never enters a trace file.
 //!
 //! ```
 //! use tsn_trace::{Subsystem, TraceSink, DEFAULT_MAX_EVENTS, SIM_PID};
@@ -58,7 +56,7 @@ pub fn node_pid(node: usize) -> u32 {
 }
 
 /// The simulation subsystem a trace event belongs to. Doubles as the
-/// Chrome trace-event category and as the profiler's accounting key.
+/// Chrome trace-event category and as the per-subsystem activity key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Subsystem {
     /// Frame transport: links, egress queues, background traffic,
@@ -101,7 +99,7 @@ impl Subsystem {
         Subsystem::Fabric,
     ];
 
-    /// The stable textual name (trace category, profile key).
+    /// The stable textual name (trace category, activity key).
     pub fn name(self) -> &'static str {
         match self {
             Subsystem::Netsim => "netsim",
@@ -361,8 +359,8 @@ impl TraceSink {
     }
 }
 
-/// The sealed output of one traced run: the recorded events plus the
-/// profiler's per-subsystem accounting.
+/// The sealed output of one traced run: the recorded events plus its
+/// per-kind pop and per-subsystem activity counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
     /// Recorded events in recording (simulated-time) order.
