@@ -41,7 +41,7 @@ pub enum AxisValue {
 }
 
 impl AxisValue {
-    fn to_json(self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         match self {
             AxisValue::UInt(v) => Json::UInt(v),
             AxisValue::Bool(v) => Json::Bool(v),

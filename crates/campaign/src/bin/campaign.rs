@@ -3,26 +3,24 @@
 //! The commands and their flags are listed once, in `USAGE` (printed by
 //! `campaign --help`).
 //!
-//! `run` takes either kind of spec. A spec is a frontier when its
-//! builtin name is in `FrontierSpec::BUILTINS` or its file has `cells`
-//! (`load`); any other spec is a campaign. A campaign runs its matrix
-//! and prints the cross-seed summary. A frontier
-//! (`tsn_campaign::frontier`) bisects, per discrete adversary cell, the
-//! continuous axis until the containment-failure boundary is bracketed,
-//! writes `frontier.json`, and prints the empirical-vs-analytical
-//! report; it exits 1 when a cell is inconsistent with the analytical
-//! bound. Both kinds print one counts block. Re-running a spec resumes:
-//! completed runs are recognized by content hash. Runs that share a
-//! warm prefix fork it; the runner decides (`RunnerOptions::fork`), and
-//! the bytes are those of a cold run.
+//! `run` takes any spec. A spec without a `bisect` block runs its
+//! matrix and prints the cross-seed summary. A spec with one is a
+//! frontier (`tsn_campaign::frontier`): it bisects the block's axis at
+//! every grid point until the containment-failure boundary is
+//! bracketed, writes `frontier.json`, and prints the
+//! empirical-vs-analytical report; it exits 1 when a cell is
+//! inconsistent with the analytical bound. Both print one counts block.
+//! Re-running a spec resumes: completed runs are recognized by content
+//! hash. Runs that share a warm prefix fork it; the runner decides
+//! (`RunnerOptions::fork`), and the bytes are those of a cold run.
 //!
-//! `summarize` and `diff` read the spec back from each campaign
-//! directory's `manifest.json`, so they need no spec argument; they
-//! recognize frontier directories by their `frontier-spec.json`, replay
-//! the bisection over the probe artifacts in `runs/`, and compare
-//! brackets instead of group summaries. `diff` exits 0 on parity, 1 on
-//! regression, 2 on error/incomparable campaigns; its tolerances are
-//! fixed (`summary::diff`, `frontier::diff`).
+//! `summarize` and `diff` read the spec back from each directory's
+//! `manifest.json`, so they need no spec argument; for a spec with a
+//! `bisect` block they replay the bisection over the probe artifacts in
+//! `runs/` and compare brackets instead of group summaries. `diff`
+//! exits 0 on parity, 1 on regression, 2 on error/incomparable
+//! campaigns; its tolerances are fixed (`summary::diff`,
+//! `frontier::diff`).
 //!
 //! `--check` arms the runtime invariant oracle (`tsn-oracle`) on every
 //! executed run, which then runs cold: violations are printed to stderr
@@ -46,9 +44,7 @@ use clocksync::{TestbedConfig, World, WorldSnapshot};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsn_campaign::json::Json;
-use tsn_campaign::{
-    frontier, runner, summary, CampaignReport, CampaignSpec, FrontierSpec, RunnerOptions,
-};
+use tsn_campaign::{frontier, runner, summary, CampaignReport, CampaignSpec, RunnerOptions};
 use tsn_time::{Nanos, SimTime};
 
 const USAGE: &str = "usage:
@@ -62,8 +58,7 @@ const USAGE: &str = "usage:
   campaign snapshot restore (--builtin NAME | --spec FILE) --run HASH --file FILE
   campaign snapshot verify  (--builtin NAME | --spec FILE) --run HASH [--at SECS] [--epoch-s SECS]
 
-built-in specs: quick-baseline, repro-all, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, fleet-sweep
-built-in frontier specs: frontier-sweep
+built-in specs: quick-baseline, repro-all, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, fleet-sweep, frontier-sweep
 exit codes (diff): 0 parity, 1 regression, 2 error
 exit codes (run): 0 clean, 1 failed run(s) / invariant violation(s) under --check / inconsistent frontier cell, 2 error
 exit codes (snapshot): 0 ok, 1 divergence (verify), 2 error";
@@ -95,15 +90,11 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
             Flags::parse(rest, &[], &[])?;
             for name in CampaignSpec::BUILTINS {
                 let spec = CampaignSpec::builtin(name).expect("builtin exists");
-                println!("{name}  ({} runs)", spec.total_runs());
-            }
-            for name in FrontierSpec::BUILTINS {
-                let spec = FrontierSpec::builtin(name).expect("builtin exists");
-                println!(
-                    "{name}  (frontier: {} cell(s), ≤{} runs)",
-                    spec.cells.len(),
-                    spec.cells.len() * spec.budget_per_cell * spec.seeds.len()
-                );
+                let runs = spec.total_runs();
+                match spec.bisect {
+                    None => println!("{name}  ({runs} runs)"),
+                    Some(b) => println!("{name}  (frontier, ≤{} runs)", runs * b.budget_per_cell),
+                }
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -115,43 +106,17 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// A spec `campaign run` takes.
-enum Spec {
-    Campaign(Box<CampaignSpec>),
-    Frontier(FrontierSpec),
-}
-
-/// The spec `--builtin NAME` or `--spec FILE` names. It is a frontier
-/// when the builtin name is in `FrontierSpec::BUILTINS` or the file has
-/// `cells`, and a campaign otherwise.
-fn load(flags: &Flags) -> Result<Spec, String> {
+/// The spec `--builtin NAME` or `--spec FILE` names.
+fn load(flags: &Flags) -> Result<CampaignSpec, String> {
     match (flags.get("--builtin"), flags.get("--spec")) {
         (Some(name), None) => CampaignSpec::builtin(name)
-            .map(|spec| Spec::Campaign(Box::new(spec)))
-            .or_else(|| FrontierSpec::builtin(name).map(Spec::Frontier))
             .ok_or_else(|| format!("unknown builtin {name:?} (see `campaign list`)")),
         (None, Some(path)) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            if Json::parse(&text).is_ok_and(|v| v.get("cells").is_some()) {
-                FrontierSpec::parse(&text).map(Spec::Frontier)
-            } else {
-                CampaignSpec::parse(&text).map(|spec| Spec::Campaign(Box::new(spec)))
-            }
-            .map_err(|e| format!("{path}: {e}"))
+            CampaignSpec::parse(&text).map_err(|e| format!("{path}: {e}"))
         }
         _ => Err("exactly one of --builtin or --spec is required".to_string()),
-    }
-}
-
-/// The campaign spec `--builtin NAME` or `--spec FILE` names.
-fn load_spec(flags: &Flags) -> Result<CampaignSpec, String> {
-    match load(flags)? {
-        Spec::Campaign(spec) => Ok(*spec),
-        Spec::Frontier(spec) => Err(format!(
-            "{:?} is a frontier spec; this command takes a campaign spec",
-            spec.name
-        )),
     }
 }
 
@@ -169,10 +134,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         &["--quiet", "--check"],
     )?;
     let spec = load(&flags)?;
-    let name = match &spec {
-        Spec::Campaign(spec) => &spec.name,
-        Spec::Frontier(spec) => &spec.name,
-    };
     let dir = flags.get("--dir").map(PathBuf::from);
     let opts = RunnerOptions {
         threads: flags.get_parsed::<usize>("--threads")?.unwrap_or(0),
@@ -180,34 +141,36 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         check: flags.has("--check"),
         trace: flags.get("--trace").map(PathBuf::from),
         trace_max_events: flags.get_parsed::<usize>("--trace-cap")?,
-        ..RunnerOptions::new(dir.unwrap_or_else(|| PathBuf::from("target/campaigns").join(name)))
+        ..RunnerOptions::new(
+            dir.unwrap_or_else(|| PathBuf::from("target/campaigns").join(&spec.name)),
+        )
     };
     if opts.trace_max_events.is_some() && opts.trace.is_none() {
         return Err("--trace-cap needs --trace DIR".to_string());
     }
-    let (report, body, consistent) = match &spec {
-        Spec::Campaign(spec) => {
-            let report = runner::execute(spec, &opts).map_err(|e| e.to_string())?;
+    let (report, body, consistent) = match spec.bisect {
+        None => {
+            let report = runner::execute(&spec, &opts).map_err(|e| e.to_string())?;
             let body = summary::render(&summary::summarize(&report.records));
             (report, body, true)
         }
-        Spec::Frontier(_) if opts.trace.is_some() => {
-            return Err("--trace takes a campaign spec, not a frontier spec".to_string());
+        Some(_) if opts.trace.is_some() => {
+            return Err("--trace takes a spec without a `bisect` block".to_string());
         }
-        Spec::Frontier(spec) => {
-            let (doc, report) = frontier::execute(spec, &opts).map_err(|e| e.to_string())?;
+        Some(_) => {
+            let (doc, report) = frontier::execute(&spec, &opts).map_err(|e| e.to_string())?;
             (report, doc.render_text(), doc.consistent())
         }
     };
-    let failing = print_counts(name, &report, &opts, &body);
+    let failing = print_counts(&spec.name, &report, &opts, &body);
     if !consistent {
         eprintln!("frontier: empirical boundary inconsistent with the analytical bound");
     }
     Ok(ExitCode::from(u8::from(failing || !consistent)))
 }
 
-/// The counts block `run` prints around the body, for either kind of
-/// spec: runs executed and resumed and warm prefixes forked before it;
+/// The counts block `run` prints around the body, with or without a
+/// `bisect` block: runs executed and resumed and warm prefixes forked before it;
 /// traces written, runs that panicked and, under `--check`, the
 /// oracle's verdict after it. Returns whether the command fails: a run
 /// panicked, or under `--check` an invariant was violated or a trace
@@ -270,7 +233,7 @@ fn print_counts(name: &str, report: &CampaignReport, opts: &RunnerOptions, body:
     !report.failed.is_empty() || (opts.check && (truncated || !report.violations.is_empty()))
 }
 
-/// Reads the spec back from a campaign directory's manifest.
+/// Reads the spec back from a campaign or frontier directory's manifest.
 fn spec_of_dir(dir: &Path) -> Result<CampaignSpec, String> {
     let path = dir.join("manifest.json");
     let text = std::fs::read_to_string(&path)
@@ -280,15 +243,23 @@ fn spec_of_dir(dir: &Path) -> Result<CampaignSpec, String> {
     let spec = manifest
         .get("spec")
         .ok_or_else(|| format!("{} has no `spec`", path.display()))?;
-    let spec =
-        CampaignSpec::parse(&spec.render()).map_err(|e| format!("{}: {e}", path.display()))?;
-    spec.validate()
-        .map_err(|e| format!("{} holds an invalid spec: {e}", path.display()))?;
-    Ok(spec)
+    CampaignSpec::parse(&spec.render()).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn load_summaries(dir: &Path) -> Result<Vec<summary::GroupSummary>, String> {
+/// What `summarize` and `diff` read from a directory: a frontier's
+/// document, replayed from its probe artifacts, or a campaign's group
+/// summaries.
+enum View {
+    Frontier(Box<frontier::FrontierDoc>),
+    Campaign(Vec<summary::GroupSummary>),
+}
+
+fn view_of_dir(dir: &Path) -> Result<View, String> {
     let spec = spec_of_dir(dir)?;
+    if spec.bisect.is_some() {
+        let doc = frontier::load(&spec, dir).map_err(|e| e.to_string())?;
+        return Ok(View::Frontier(Box::new(doc)));
+    }
     // Stream records through the bounded summarizer — one record in
     // memory at a time, so fleet-scale campaigns summarize in O(groups).
     let reader = runner::RunRecordReader::open(&spec, dir).map_err(|e| e.to_string())?;
@@ -302,47 +273,17 @@ fn load_summaries(dir: &Path) -> Result<Vec<summary::GroupSummary>, String> {
     for record in reader {
         summarizer.push(&record.map_err(|e| e.to_string())?);
     }
-    Ok(summarizer.finish())
-}
-
-/// The document of a frontier directory — one with a
-/// `frontier-spec.json` — replayed from its probe artifacts.
-fn frontier_doc_of_dir(dir: &Path) -> Option<Result<frontier::FrontierDoc, String>> {
-    let path = dir.join("frontier-spec.json");
-    if !path.exists() {
-        return None;
-    }
-    Some(
-        std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))
-            .and_then(|text| {
-                FrontierSpec::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-            })
-            .and_then(|spec| frontier::load(&spec, dir).map_err(|e| e.to_string())),
-    )
+    Ok(View::Campaign(summarizer.finish()))
 }
 
 fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, &["--dir"], &["--json"])?;
     let dir = PathBuf::from(flags.get("--dir").ok_or("--dir is required")?);
-    // A frontier directory has no manifest — its summary is the
-    // frontier document itself.
-    if !dir.join("manifest.json").exists() {
-        if let Some(loaded) = frontier_doc_of_dir(&dir) {
-            let doc = loaded?;
-            if flags.has("--json") {
-                print!("{}", doc.render());
-            } else {
-                print!("{}", doc.render_text());
-            }
-            return Ok(ExitCode::SUCCESS);
-        }
-    }
-    let groups = load_summaries(&dir)?;
-    if flags.has("--json") {
-        println!("{}", summary::render_json(&groups));
-    } else {
-        print!("{}", summary::render(&groups));
+    match (view_of_dir(&dir)?, flags.has("--json")) {
+        (View::Frontier(doc), true) => print!("{}", doc.render()),
+        (View::Frontier(doc), false) => print!("{}", doc.render_text()),
+        (View::Campaign(groups), true) => println!("{}", summary::render_json(&groups)),
+        (View::Campaign(groups), false) => print!("{}", summary::render(&groups)),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -351,33 +292,26 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, &["--baseline", "--candidate"], &[])?;
     let baseline = PathBuf::from(flags.get("--baseline").ok_or("--baseline is required")?);
     let candidate = PathBuf::from(flags.get("--candidate").ok_or("--candidate is required")?);
-    // Two frontier directories diff by bracket, not by group summary.
-    if let (Some(base), Some(cand)) = (
-        frontier_doc_of_dir(&baseline),
-        frontier_doc_of_dir(&candidate),
-    ) {
-        let (verdict, lines) = frontier::diff(&base?, &cand?);
-        for line in &lines {
-            println!("{line}");
+    let (verdict, lines) = match (view_of_dir(&baseline)?, view_of_dir(&candidate)?) {
+        // Two frontier directories diff by bracket, not by group summary.
+        (View::Frontier(base), View::Frontier(cand)) => frontier::diff(&base, &cand),
+        (View::Campaign(base), View::Campaign(cand)) => {
+            let report = summary::diff(&base, &cand);
+            (report.verdict, report.lines)
         }
-        println!("verdict: {verdict:?}");
-        return Ok(ExitCode::from(verdict.exit_code() as u8));
-    }
-    let report = summary::diff(&load_summaries(&baseline)?, &load_summaries(&candidate)?);
-    for line in &report.lines {
+        _ => return Err("cannot diff a frontier against a campaign".to_string()),
+    };
+    for line in &lines {
         println!("{line}");
     }
-    println!("verdict: {:?}", report.verdict);
-    Ok(ExitCode::from(report.verdict.exit_code() as u8))
+    println!("verdict: {verdict:?}");
+    Ok(ExitCode::from(verdict.exit_code() as u8))
 }
 
 fn cmd_spec(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, &["--builtin"], &[])?;
     flags.get("--builtin").ok_or("--builtin is required")?;
-    match load(&flags)? {
-        Spec::Campaign(spec) => print!("{}", spec.render()),
-        Spec::Frontier(spec) => print!("{}", spec.render()),
-    }
+    print!("{}", load(&flags)?.render());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -403,7 +337,7 @@ fn parse_run(args: &[String], extra: &[&str]) -> Result<(Flags, TestbedConfig), 
         &[&["--builtin", "--spec", "--run"], extra].concat(),
         &[],
     )?;
-    let spec = load_spec(&flags)?;
+    let spec = load(&flags)?;
     let hash = flags.get("--run").ok_or("--run HASH is required")?;
     let plans = tsn_campaign::expand(&spec).map_err(|e| e.to_string())?;
     let plan = plans.into_iter().find(|p| p.hash == hash);

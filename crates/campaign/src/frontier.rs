@@ -3,313 +3,85 @@
 //! The paper's experiment (ii) demonstrates FTA containment at one
 //! fixed adversary point; arXiv:2006.15832 derives where containment
 //! *must* hold and where it *must* fail analytically
-//! ([`tsn_fta::containment_bound`]). This module closes the loop: for
-//! each discrete cell (strategy × compromised count × trim degree `f`)
-//! it bisects one continuous adversary axis — the attack-magnitude axis
-//! `adv_offset_ns` by default — until the empirical
-//! containment-failure boundary is bracketed to a requested resolution,
-//! then checks the bracket against the analytical bound.
+//! ([`tsn_fta::containment_bound`]). This module closes the loop. A
+//! frontier is a [`CampaignSpec`] with a [`Bisect`] block; each of its
+//! grid points (scenario × every non-seed axis) is a *cell*, and for
+//! each cell the explorer bisects the block's continuous axis — the
+//! attack-magnitude axis `adv_offset_ns` in the `frontier-sweep` builtin
+//! — until the empirical containment-failure boundary is bracketed to
+//! the requested resolution, then checks the bracket against the
+//! analytical bound.
 //!
 //! Three properties drive the design:
 //!
 //! * **Determinism** — probe selection is pure bisection (no RNG) and
 //!   per-run seeds derive from the grid coordinate exactly as in a
-//!   plain campaign, so the same [`FrontierSpec`] + seeds reproduce
-//!   `frontier.json` byte-for-byte (`tests/builtins.rs` proves it). A
-//!   frontier directory is therefore its spec plus its probe artifacts:
+//!   plain campaign, so the same spec reproduces `frontier.json`
+//!   byte-for-byte (`tests/builtins.rs` proves it). A frontier directory
+//!   is therefore its `manifest.json` spec plus its probe artifacts:
 //!   [`load`] replays the bisection over the artifacts and re-derives
 //!   the document, so `frontier.json` is written and never parsed.
 //! * **Work sharing** — every probe executes through
 //!   [`runner::execute_with`] with one shared [`SnapshotCache`]. A probe
 //!   is one run per seed and shares no prefix within itself; but the
-//!   axis, the strategy and the compromised count are intervention-only,
-//!   so the first probe of a `(seed, f)` pair simulates that warm prefix
-//!   into the cache and every later probe of any cell forks it.
+//!   magnitude, the strategy and the compromised count are
+//!   intervention-only, so the first probe of a `(seed, f)` pair
+//!   simulates that warm prefix into the cache and every later probe of
+//!   any cell forks it.
 //! * **Fewer runs than the grid** — a fixed sweep in the style of the
 //!   `adversary-sweep` builtin spends [`GRID_REFERENCE_RUNS`] runs for
 //!   a spacing of `span / (runs/seeds − 1)`; bisection reaches a
 //!   bracket of `resolution` width in `2 + ⌈log₂(span/resolution)⌉`
 //!   probes per cell. Both counts are reported so the trade is visible.
 
-use crate::artifact::RunRecord;
-use crate::axis::{AxisDef, AxisValue, MAGNITUDE_AXIS};
+use crate::artifact::{RunRecord, ARTIFACT_SCHEMA};
+use crate::axis::{AxisDef, AxisValue, Coord, AXES, MAGNITUDE_AXIS};
 use crate::json::Json;
+use crate::matrix::expand;
 use crate::runner::{self, CampaignReport, RunnerOptions, SnapshotCache};
-use crate::spec::{field, BaseSpec, CampaignSpec, Grid, SpecError};
-use clocksync::scenario::ScenarioKind;
+use crate::spec::{Bisect, CampaignSpec, Grid};
 use std::io;
 use std::path::Path;
 use tsn_fta::{containment_bound, ResilienceBound, ResilienceParams};
 use tsn_time::Nanos;
 
-/// Schema version of `frontier.json` and frontier spec files.
-pub const FRONTIER_SCHEMA: u64 = 1;
+/// Schema version of `frontier.json` (2: a cell is its coordinate).
+pub const FRONTIER_SCHEMA: u64 = 2;
 
 /// Run count of the fixed reference grid the frontier is compared
-/// against (the `adversary-sweep` builtin's 48 runs).
+/// against: 6 strategies × 2 compromised counts × 2 loss rates × 2
+/// seeds, an `adversary-sweep`-style grid.
 pub const GRID_REFERENCE_RUNS: usize = 48;
 
-/// One discrete frontier cell: the adversary shape whose continuous
-/// break point is searched.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrontierCell {
-    /// Strategy preset name ([`tsn_faults::ByzantineStrategy::NAMES`]).
-    pub strategy: String,
-    /// Compromised GM domains `c`.
-    pub compromised: usize,
-    /// Trim degree `f` override (`None` keeps the preset's `f`).
-    pub f: Option<usize>,
+/// The campaign of one probe: the cell's coordinate with the bisected
+/// axis set to `value`, one run per seed of `spec`. Probes are
+/// content-addressed like any campaign run, so a repeated probe resumes.
+fn probe_spec(spec: &CampaignSpec, axis: &AxisDef, cell: &Coord, value: u64) -> CampaignSpec {
+    let mut coord = *cell;
+    (axis.coord_set)(&mut coord, AxisValue::UInt(value)).expect("validated ends bound every probe");
+    let mut probe = CampaignSpec {
+        scenarios: vec![coord.scenario],
+        grid: Grid::default(),
+        bisect: None,
+        ..spec.clone()
+    };
+    probe.grid.seeds.clone_from(&spec.grid.seeds);
+    for a in AXES {
+        if let Some(v) = (a.coord_get)(&coord) {
+            (a.grid_push)(&mut probe.grid, v).expect("a coordinate's value fits its grid list");
+        }
+    }
+    probe
 }
 
-impl FrontierCell {
-    /// Canonical display label, e.g. `colluding c=2 f=1`.
-    pub fn label(&self, default_f: usize) -> String {
-        format!(
-            "{} c={} f={}",
-            self.strategy,
-            self.compromised,
-            self.f.unwrap_or(default_f)
-        )
+/// A cell's display label: its group label with the trim degree in
+/// effect, e.g. `baseline adv=colluding byz=2 f=1`.
+fn label(cell: &Coord, effective_f: usize) -> String {
+    Coord {
+        fta_f: Some(effective_f),
+        ..*cell
     }
-}
-
-/// The continuous axis to bisect.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrontierAxis {
-    /// Spec key of a grid axis the axis table marks bisectable
-    /// (`adv_offset_ns`, `loss_permille`, `partition_s`,
-    /// `sync_interval_ms`). Only `adv_offset_ns` has an analytical bound
-    /// in magnitude space; the other axes get an empirical bracket only.
-    pub name: String,
-    /// Inclusive lower end of the search interval.
-    pub min: u64,
-    /// Inclusive upper end of the search interval.
-    pub max: u64,
-    /// Stop refining once the bracket is at most this wide.
-    pub resolution: u64,
-}
-
-/// A declarative frontier-exploration specification.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierSpec {
-    /// Campaign name (also stamped into every run artifact).
-    pub name: String,
-    /// Base testbed configuration shared by every probe.
-    pub base: BaseSpec,
-    /// Replication seeds; a probe counts as broken when *any* seed
-    /// observes containment broken.
-    pub seeds: Vec<u64>,
-    /// Discrete cells to search.
-    pub cells: Vec<FrontierCell>,
-    /// The continuous axis and search interval.
-    pub axis: FrontierAxis,
-    /// Maximum probes per cell (each probe simulates one run per seed).
-    pub budget_per_cell: usize,
-}
-
-impl FrontierSpec {
-    /// Names of the built-in frontier specs:
-    ///
-    /// * `frontier-sweep` — the ROADMAP item 5 search: magnitude axis
-    ///   1 µs..64 µs at 684 ns resolution (4× tighter than a 48-run
-    ///   grid's 2739 ns spacing) over colluding c ∈ {1, 2} and constant
-    ///   c = 2, 2 seeds.
-    pub const BUILTINS: [&'static str; 1] = ["frontier-sweep"];
-
-    /// A built-in frontier spec by name: its committed file, like
-    /// [`CampaignSpec::builtin`].
-    pub fn builtin(name: &str) -> Option<FrontierSpec> {
-        let text = match name {
-            "frontier-sweep" => include_str!("../../../specs/frontier_sweep.json"),
-            _ => return None,
-        };
-        FrontierSpec::parse(text).ok()
-    }
-
-    /// The synthetic one-probe campaign spec for a cell: the cell's
-    /// discrete coordinates plus the probe value on the continuous
-    /// axis. Probes are content-addressed exactly like ordinary
-    /// campaign runs, so repeated probes resume instead of re-running.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Value`] for an axis that is not bisectable,
-    /// a strategy outside [`tsn_faults::ByzantineStrategy::NAMES`], or
-    /// a probe value the axis cannot hold.
-    pub fn probe_spec(&self, cell: &FrontierCell, probe: u64) -> Result<CampaignSpec, SpecError> {
-        let mut grid = Grid {
-            seeds: self.seeds.clone(),
-            compromised: vec![cell.compromised],
-            fta_f: cell.f.map(|f| vec![f]).unwrap_or_default(),
-            ..Grid::default()
-        };
-        let strategy = tsn_faults::ByzantineStrategy::NAMES
-            .into_iter()
-            .find(|n| *n == cell.strategy)
-            .ok_or_else(|| SpecError::Value("cells[].strategy".into(), cell.strategy.clone()))?;
-        grid.strategies.push(strategy);
-        let axis = AxisDef::by_spec_key(&self.axis.name)
-            .filter(|a| a.bisect)
-            .ok_or_else(|| SpecError::Value("axis.name".into(), self.axis.name.clone()))?;
-        (axis.grid_push)(&mut grid, AxisValue::UInt(probe))
-            .ok_or_else(|| SpecError::Value(self.axis.name.clone(), probe.to_string()))?;
-        Ok(CampaignSpec {
-            name: self.name.clone(),
-            base: self.base.clone(),
-            scenarios: vec![ScenarioKind::Baseline],
-            grid,
-        })
-    }
-
-    /// Checks structural invariants. Every cell is validated by
-    /// materializing its probe spec at both interval ends, so all grid
-    /// range rules (magnitude bounds, trim degrees, partition windows)
-    /// apply unchanged.
-    pub fn validate(&self) -> Result<(), SpecError> {
-        if self.axis.min >= self.axis.max {
-            return Err(SpecError::Invalid(format!(
-                "axis.min {} must be below axis.max {}",
-                self.axis.min, self.axis.max
-            )));
-        }
-        if self.axis.resolution == 0 {
-            return Err(SpecError::Invalid("axis.resolution of 0".to_string()));
-        }
-        if self.budget_per_cell < 2 {
-            return Err(SpecError::Invalid(
-                "budget_per_cell below 2 (both interval ends must be probed)".to_string(),
-            ));
-        }
-        if self.cells.is_empty() {
-            return Err(SpecError::Invalid("no cells".to_string()));
-        }
-        for cell in &self.cells {
-            if self.axis.name == MAGNITUDE_AXIS && cell.strategy == "trim-edge" {
-                return Err(SpecError::Invalid(
-                    "trim-edge cannot be bisected on adv_offset_ns: its magnitude is the \
-                     trim margin, so larger values are *weaker* attacks (the bisection \
-                     assumes broken(x) is monotone increasing)"
-                        .to_string(),
-                ));
-            }
-            self.probe_spec(cell, self.axis.min)?.validate()?;
-            self.probe_spec(cell, self.axis.max)?.validate()?;
-        }
-        Ok(())
-    }
-
-    /// The canonical JSON form (deterministic; also what spec files
-    /// use).
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("schema", Json::UInt(FRONTIER_SCHEMA)),
-            ("name", Json::Str(self.name.clone())),
-            ("base", self.base.to_json()),
-            (
-                "seeds",
-                Json::Array(self.seeds.iter().map(|&s| Json::UInt(s)).collect()),
-            ),
-            (
-                "axis",
-                Json::object(vec![
-                    ("name", Json::Str(self.axis.name.clone())),
-                    ("min", Json::UInt(self.axis.min)),
-                    ("max", Json::UInt(self.axis.max)),
-                    ("resolution", Json::UInt(self.axis.resolution)),
-                ]),
-            ),
-            (
-                "cells",
-                Json::Array(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            let mut pairs = vec![
-                                ("strategy", Json::Str(c.strategy.clone())),
-                                ("compromised", Json::UInt(c.compromised as u64)),
-                            ];
-                            if let Some(f) = c.f {
-                                pairs.push(("f", Json::UInt(f as u64)));
-                            }
-                            Json::object(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-            ("budget_per_cell", Json::UInt(self.budget_per_cell as u64)),
-        ])
-    }
-
-    /// Renders the canonical spec file text (trailing newline).
-    pub fn render(&self) -> String {
-        format!("{}\n", self.to_json().render())
-    }
-
-    /// Parses and validates a frontier spec document.
-    pub fn parse(text: &str) -> Result<FrontierSpec, SpecError> {
-        let v = Json::parse(text)?;
-        let spec = FrontierSpec::from_json(&v)?;
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    fn from_json(v: &Json) -> Result<FrontierSpec, SpecError> {
-        let schema = field(v, "schema", Json::as_u64)?;
-        if schema != FRONTIER_SCHEMA {
-            return Err(SpecError::Invalid(format!(
-                "unsupported frontier schema {schema} (expected {FRONTIER_SCHEMA})"
-            )));
-        }
-        let name = field(v, "name", Json::as_str)?.to_string();
-        let base = BaseSpec::from_json(field(v, "base", Some)?)?;
-        let seeds = field(v, "seeds", Json::as_array)?
-            .iter()
-            .map(|s| s.as_u64().ok_or_else(|| SpecError::field("seeds[]")))
-            .collect::<Result<Vec<u64>, _>>()?;
-        let axis_v = field(v, "axis", Some)?;
-        let axis = FrontierAxis {
-            name: field(axis_v, "axis.name", Json::as_str)?.to_string(),
-            min: field(axis_v, "axis.min", Json::as_u64)?,
-            max: field(axis_v, "axis.max", Json::as_u64)?,
-            resolution: field(axis_v, "axis.resolution", Json::as_u64)?,
-        };
-        let cells = field(v, "cells", Json::as_array)?
-            .iter()
-            .map(|c| {
-                let strategy = field(c, "cells[].strategy", Json::as_str)?;
-                if !tsn_faults::ByzantineStrategy::NAMES.contains(&strategy) {
-                    return Err(SpecError::value("cells[].strategy", strategy));
-                }
-                let compromised = field(c, "cells[].compromised", Json::as_u64)? as usize;
-                let f = match c.get("f") {
-                    None => None,
-                    Some(f) => Some(f.as_u64().ok_or_else(|| SpecError::field("cells[].f"))?),
-                };
-                Ok(FrontierCell {
-                    strategy: strategy.to_string(),
-                    compromised,
-                    f: f.map(|f| f as usize),
-                })
-            })
-            .collect::<Result<Vec<FrontierCell>, SpecError>>()?;
-        let budget_per_cell = field(v, "budget_per_cell", Json::as_u64)? as usize;
-        Ok(FrontierSpec {
-            name,
-            base,
-            seeds,
-            cells,
-            axis,
-            budget_per_cell,
-        })
-    }
-
-    /// Spacing of the fixed reference grid this spec is compared
-    /// against: [`GRID_REFERENCE_RUNS`] runs spread over the axis at
-    /// this spec's seed count.
-    pub fn grid_spacing(&self) -> u64 {
-        let points = (GRID_REFERENCE_RUNS / self.seeds.len().max(1)).max(2);
-        (self.axis.max - self.axis.min) / (points as u64 - 1)
-    }
+    .group_label()
 }
 
 /// Deterministic bisection of a monotone break predicate over
@@ -354,7 +126,7 @@ pub enum BisectOutcome {
 
 impl Bisection {
     /// A fresh search over `[min, max]` (`min < max`, `resolution ≥ 1`,
-    /// `budget ≥ 2` — enforced by [`FrontierSpec::validate`]).
+    /// `budget ≥ 2` — enforced by [`CampaignSpec::validate`]).
     pub fn new(min: u64, max: u64, resolution: u64, budget: usize) -> Bisection {
         assert!(min < max, "empty interval");
         assert!(resolution >= 1, "zero resolution");
@@ -462,13 +234,14 @@ pub struct EmpiricalDoc {
 /// One cell of a frontier document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellDoc {
-    /// The discrete cell.
-    pub cell: FrontierCell,
-    /// Trim degree actually in effect (cell override or preset).
+    /// The cell: a grid point of the spec, its seed cleared.
+    pub cell: Coord,
+    /// Trim degree in effect in the cell's materialized configuration.
     pub effective_f: usize,
     /// The bound [`containment_bound`] returned (only for the magnitude
-    /// axis), with the parameters it was computed from — Π and γ are
-    /// those of the cell's first probe record.
+    /// axis), with the parameters it was computed from — N and f are
+    /// those of the cell's materialized configuration, Π and γ those of
+    /// its first probe record.
     pub analytical: Option<(ResilienceParams, ResilienceBound)>,
     /// Empirical search result.
     pub empirical: EmpiricalDoc,
@@ -484,15 +257,66 @@ pub struct CellDoc {
     pub consistent: bool,
 }
 
+impl CellDoc {
+    /// The cell's entry in `frontier.json`: its coordinate (scenario and
+    /// active axes, keyed as in an artifact's `coord`), its effective f
+    /// and its results.
+    fn to_json(&self, bisect: &Bisect) -> Json {
+        let opt_ns = |v: Option<Nanos>| v.map_or(Json::Null, |ns| Json::Int(ns.as_nanos()));
+        let opt_at = |v: Option<u64>| v.map_or(Json::Null, Json::UInt);
+        let opt_hash = |v: &Option<String>| v.as_ref().map_or(Json::Null, |h| Json::Str(h.clone()));
+        let mut coord = vec![("scenario", Json::Str(self.cell.scenario.name().to_string()))];
+        coord.extend(
+            AXES.iter()
+                .filter_map(|a| Some((a.coord_key, (a.coord_get)(&self.cell)?.to_json()))),
+        );
+        let analytical = match &self.analytical {
+            None => Json::Null,
+            Some((p, b)) => Json::object(vec![
+                ("pi_ns", Json::Int(p.pi.as_nanos())),
+                ("gamma_ns", Json::Int(p.gamma.as_nanos())),
+                ("quorum", Json::Bool(b.quorum)),
+                ("kept", Json::UInt(b.kept as u64)),
+                ("steered", Json::UInt(b.steered as u64)),
+                ("contained_below_ns", opt_ns(b.contained_below)),
+                ("break_point_ns", opt_ns(b.break_point)),
+                ("broken_above_ns", opt_ns(b.broken_above)),
+            ]),
+        };
+        let outcome = match self.empirical.outcome {
+            None => "failed",
+            Some(BisectOutcome::BrokenAtMin) => "broken_at_min",
+            Some(BisectOutcome::ContainedThroughout) => "contained_throughout",
+            Some(BisectOutcome::Bracket { .. }) => "bracket",
+        };
+        let (contained_at, broken_at) = bracket_ends(self.empirical.outcome, bisect);
+        let empirical = Json::object(vec![
+            ("outcome", Json::Str(outcome.to_string())),
+            ("contained_at", opt_at(contained_at)),
+            ("broken_at", opt_at(broken_at)),
+            ("probes", Json::UInt(self.empirical.probes as u64)),
+            ("runs", Json::UInt(self.empirical.runs as u64)),
+        ]);
+        let witness = Json::object(vec![
+            ("contained", opt_hash(&self.witness_contained)),
+            ("broken", opt_hash(&self.witness_broken)),
+        ]);
+        Json::object(vec![
+            ("coord", Json::object(coord)),
+            ("f", Json::UInt(self.effective_f as u64)),
+            ("analytical", analytical),
+            ("empirical", empirical),
+            ("witness", witness),
+            ("consistent", Json::Bool(self.consistent)),
+        ])
+    }
+}
+
 /// The complete frontier document — what `frontier.json` serializes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierDoc {
-    /// The spec that produced the document.
-    pub spec: FrontierSpec,
-    /// Fixed reference grid run count ([`GRID_REFERENCE_RUNS`]).
-    pub grid_runs: usize,
-    /// Reference grid spacing along the axis, ns.
-    pub grid_spacing: u64,
+    /// The spec that produced the document (it has a bisect block).
+    pub spec: CampaignSpec,
     /// Simulated runs the search required in total (deterministic:
     /// resume does not change it).
     pub total_runs: usize,
@@ -501,97 +325,40 @@ pub struct FrontierDoc {
 }
 
 impl FrontierDoc {
+    /// The spec's bisect block.
+    pub fn bisect(&self) -> Bisect {
+        self.spec.bisect.expect("a frontier bisects")
+    }
+
+    /// Spacing of the fixed reference grid the frontier is compared
+    /// against: [`GRID_REFERENCE_RUNS`] runs spread over the bisected
+    /// interval at the spec's seed count, ns.
+    pub fn grid_spacing(&self) -> u64 {
+        let points = (GRID_REFERENCE_RUNS / self.spec.grid.seeds.len().max(1)).max(2);
+        (self.bisect().max - self.bisect().min) / (points as u64 - 1)
+    }
+
     /// `true` when every cell's empirical boundary is consistent with
     /// its analytical bound.
     pub fn consistent(&self) -> bool {
         self.cells.iter().all(|c| c.consistent)
     }
 
-    /// Widest empirical bracket across cells that produced one, ns.
-    pub fn worst_bracket_width(&self) -> Option<u64> {
-        self.cells
-            .iter()
-            .filter_map(|c| match c.empirical.outcome {
-                Some(BisectOutcome::Bracket {
-                    contained_at,
-                    broken_at,
-                }) => Some(broken_at - contained_at),
-                _ => None,
-            })
-            .max()
-    }
-
     /// The canonical JSON form of `frontier.json`.
     pub fn to_json(&self) -> Json {
-        let opt_ns = |v: Option<Nanos>| v.map_or(Json::Null, |ns| Json::Int(ns.as_nanos()));
-        let opt_at = |v: Option<u64>| v.map_or(Json::Null, Json::UInt);
-        let opt_hash = |v: &Option<String>| v.as_ref().map_or(Json::Null, |h| Json::Str(h.clone()));
+        let cells = self.cells.iter().map(|c| c.to_json(&self.bisect()));
         Json::object(vec![
             ("schema", Json::UInt(FRONTIER_SCHEMA)),
             ("spec", self.spec.to_json()),
             (
                 "grid",
                 Json::object(vec![
-                    ("runs", Json::UInt(self.grid_runs as u64)),
-                    ("spacing_ns", Json::UInt(self.grid_spacing)),
+                    ("runs", Json::UInt(GRID_REFERENCE_RUNS as u64)),
+                    ("spacing_ns", Json::UInt(self.grid_spacing())),
                 ]),
             ),
             ("total_runs", Json::UInt(self.total_runs as u64)),
-            (
-                "cells",
-                Json::Array(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            let analytical = match &c.analytical {
-                                None => Json::Null,
-                                Some((p, b)) => Json::object(vec![
-                                    ("pi_ns", Json::Int(p.pi.as_nanos())),
-                                    ("gamma_ns", Json::Int(p.gamma.as_nanos())),
-                                    ("quorum", Json::Bool(b.quorum)),
-                                    ("kept", Json::UInt(b.kept as u64)),
-                                    ("steered", Json::UInt(b.steered as u64)),
-                                    ("contained_below_ns", opt_ns(b.contained_below)),
-                                    ("break_point_ns", opt_ns(b.break_point)),
-                                    ("broken_above_ns", opt_ns(b.broken_above)),
-                                ]),
-                            };
-                            let outcome = match c.empirical.outcome {
-                                None => "failed",
-                                Some(BisectOutcome::BrokenAtMin) => "broken_at_min",
-                                Some(BisectOutcome::ContainedThroughout) => "contained_throughout",
-                                Some(BisectOutcome::Bracket { .. }) => "bracket",
-                            };
-                            let (contained_at, broken_at) =
-                                bracket_ends(c.empirical.outcome, &self.spec.axis);
-                            Json::object(vec![
-                                ("strategy", Json::Str(c.cell.strategy.clone())),
-                                ("compromised", Json::UInt(c.cell.compromised as u64)),
-                                ("f", Json::UInt(c.effective_f as u64)),
-                                ("analytical", analytical),
-                                (
-                                    "empirical",
-                                    Json::object(vec![
-                                        ("outcome", Json::Str(outcome.to_string())),
-                                        ("contained_at", opt_at(contained_at)),
-                                        ("broken_at", opt_at(broken_at)),
-                                        ("probes", Json::UInt(c.empirical.probes as u64)),
-                                        ("runs", Json::UInt(c.empirical.runs as u64)),
-                                    ]),
-                                ),
-                                (
-                                    "witness",
-                                    Json::object(vec![
-                                        ("contained", opt_hash(&c.witness_contained)),
-                                        ("broken", opt_hash(&c.witness_broken)),
-                                    ]),
-                                ),
-                                ("consistent", Json::Bool(c.consistent)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("cells", Json::Array(cells.collect())),
             ("consistent", Json::Bool(self.consistent())),
         ])
     }
@@ -604,21 +371,18 @@ impl FrontierDoc {
     /// Renders the human-readable frontier report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let axis = &self.spec.axis;
+        let axis = self.bisect();
         out.push_str(&format!(
             "resilience frontier `{}`: axis {} in [{}, {}] ns, resolution {} ns, {} seed(s)\n",
             self.spec.name,
-            axis.name,
+            axis.axis,
             axis.min,
             axis.max,
             axis.resolution,
-            self.spec.seeds.len(),
+            self.spec.grid.seeds.len(),
         ));
         for c in &self.cells {
-            let label = format!(
-                "{} c={} f={}",
-                c.cell.strategy, c.cell.compromised, c.effective_f
-            );
+            let label = label(&c.cell, c.effective_f);
             let analytical = match &c.analytical {
                 None => "-".to_string(),
                 Some((_, b)) => match (b.contained_below, b.broken_above) {
@@ -634,9 +398,9 @@ impl FrontierDoc {
             };
             let empirical = match c.empirical.outcome {
                 None => "failed".to_string(),
-                Some(BisectOutcome::BrokenAtMin) => format!("broken at min {}", self.spec.axis.min),
+                Some(BisectOutcome::BrokenAtMin) => format!("broken at min {}", axis.min),
                 Some(BisectOutcome::ContainedThroughout) => {
-                    format!("contained through max {}", self.spec.axis.max)
+                    format!("contained through max {}", axis.max)
                 }
                 Some(BisectOutcome::Bracket {
                     contained_at,
@@ -647,7 +411,7 @@ impl FrontierDoc {
                 ),
             };
             out.push_str(&format!(
-                "  {label:<24} analytical: {analytical:<42} empirical: {empirical} \
+                "  {label:<34} analytical: {analytical:<42} empirical: {empirical} \
                  [{} probe(s), {} run(s), {}]\n",
                 c.empirical.probes,
                 c.empirical.runs,
@@ -659,13 +423,20 @@ impl FrontierDoc {
             ));
         }
         out.push_str(&format!(
-            "frontier: {} simulated run(s) total vs {} for a fixed grid at {} ns spacing",
-            self.total_runs, self.grid_runs, self.grid_spacing
+            "frontier: {} simulated run(s) total vs {GRID_REFERENCE_RUNS} for a fixed grid at {} \
+             ns spacing",
+            self.total_runs,
+            self.grid_spacing()
         ));
-        match self.worst_bracket_width() {
+        // Compared with the widest bracket any cell produced.
+        let widths = self
+            .cells
+            .iter()
+            .map(|c| bracket_ends(c.empirical.outcome, &axis));
+        match widths.filter_map(|ends| Some(ends.1? - ends.0?)).max() {
             Some(w) if w > 0 => out.push_str(&format!(
                 " ({:.1}x tighter)\n",
-                self.grid_spacing as f64 / w as f64
+                self.grid_spacing() as f64 / w as f64
             )),
             _ => out.push('\n'),
         }
@@ -675,8 +446,9 @@ impl FrontierDoc {
 
 /// Explores the frontier spec into `opts.dir`.
 ///
-/// Writes `frontier-spec.json`, one `runs/run-<hash>.jsonl` per probe
-/// run (content-addressed exactly like a plain campaign, so re-running
+/// Writes `manifest.json` (the spec, where every campaign directory
+/// keeps it), one `runs/run-<hash>.jsonl` per probe run
+/// (content-addressed exactly like a plain campaign, so re-running
 /// resumes), and the `frontier.json` document. One [`SnapshotCache`]
 /// spans every probe: when the runner forks ([`RunnerOptions::fork`])
 /// each distinct warm prefix (one per seed and trim degree) is simulated
@@ -686,13 +458,16 @@ impl FrontierDoc {
 /// ([`CampaignReport::absorb`]); the probes' records went to the
 /// exploration, so the report's `records` is empty.
 pub fn execute(
-    spec: &FrontierSpec,
+    spec: &CampaignSpec,
     opts: &RunnerOptions,
 ) -> io::Result<(FrontierDoc, CampaignReport)> {
-    spec.validate()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}")))?;
+    let bisect = checked(spec)?;
     std::fs::create_dir_all(&opts.dir)?;
-    runner::write_atomic(&opts.dir.join("frontier-spec.json"), &spec.render())?;
+    let manifest = Json::object(vec![
+        ("schema", Json::UInt(ARTIFACT_SCHEMA)),
+        ("spec", spec.to_json()),
+    ]);
+    runner::write_atomic(&opts.dir.join("manifest.json"), &manifest.render())?;
 
     let inner_opts = RunnerOptions {
         quiet: true,
@@ -700,9 +475,9 @@ pub fn execute(
         trace_max_events: None,
         ..opts.clone()
     };
-    let mut cache = SnapshotCache::new();
+    let mut cache = SnapshotCache::default();
     let mut report = CampaignReport::default();
-    let doc = explore(spec, opts.quiet, |probe_spec| {
+    let doc = explore(spec, bisect, opts.quiet, |probe_spec| {
         let mut probe = runner::execute_with(probe_spec, &inner_opts, Some(&mut cache), false)?;
         let records = std::mem::take(&mut probe.records);
         let complete = probe.failed.is_empty();
@@ -717,7 +492,7 @@ pub fn execute(
             doc.total_runs,
             report.executed,
             report.skipped,
-            doc.grid_runs,
+            GRID_REFERENCE_RUNS,
             opts.dir.join("frontier.json").display()
         );
     }
@@ -732,11 +507,11 @@ pub fn execute(
 ///
 /// # Errors
 ///
-/// `InvalidInput` for an invalid spec, `NotFound` when `dir` has no
-/// `runs/` directory (nothing was explored there).
-pub fn load(spec: &FrontierSpec, dir: &Path) -> io::Result<FrontierDoc> {
-    spec.validate()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}")))?;
+/// `InvalidInput` for an invalid spec or one without a bisect block,
+/// `NotFound` when `dir` has no `runs/` directory (nothing was explored
+/// there).
+pub fn load(spec: &CampaignSpec, dir: &Path) -> io::Result<FrontierDoc> {
+    let bisect = checked(spec)?;
     if !dir.join("runs").is_dir() {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
@@ -746,45 +521,70 @@ pub fn load(spec: &FrontierSpec, dir: &Path) -> io::Result<FrontierDoc> {
             ),
         ));
     }
-    explore(spec, true, |probe_spec| {
+    explore(spec, bisect, true, |probe_spec| {
         Ok(runner::load(probe_spec, dir).ok())
     })
 }
 
-/// Bisects every cell of `spec`, round by round in spec order, and
+/// The bisect block of a spec that validates.
+fn checked(spec: &CampaignSpec) -> io::Result<Bisect> {
+    let invalid = |msg| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    spec.validate()
+        .map_err(|e| invalid(format!("invalid spec: {e}")))?;
+    spec.bisect
+        .ok_or_else(|| invalid(format!("spec {:?} has no bisect block", spec.name)))
+}
+
+/// Bisects every cell of `spec`, round by round in expansion order, and
 /// assembles the document. `probe` maps a probe's campaign spec to its
 /// records in canonical order, or to `None` when the probe failed: the
 /// cell is then frozen (outcome `failed`) and the others go on.
 fn explore(
-    spec: &FrontierSpec,
+    spec: &CampaignSpec,
+    bisect: Bisect,
     quiet: bool,
     mut probe: impl FnMut(&CampaignSpec) -> io::Result<Option<Vec<RunRecord>>>,
 ) -> io::Result<FrontierDoc> {
-    // Per-seed defaults the cells inherit from the base configuration.
-    let base_cfg = spec.base.materialize(spec.seeds[0]);
-    let domains = base_cfg.aggregation.domains;
-    let preset_f = base_cfg.aggregation.method.f().unwrap_or(0);
+    let axis = AxisDef::by_spec_key(bisect.axis).expect("a validated axis");
+    // The cells are the grid points. Each one's plan at the first seed
+    // carries its materialized configuration: the N and f in effect.
+    let first_seed = CampaignSpec {
+        grid: Grid {
+            seeds: spec.grid.seeds[..1].to_vec(),
+            ..spec.grid.clone()
+        },
+        bisect: None,
+        ..spec.clone()
+    };
+    let cells: Vec<(Coord, usize, usize)> = expand(&first_seed)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
+        .into_iter()
+        .map(|p| {
+            let agg = &p.config.aggregation;
+            let cell = Coord { seed: 0, ..p.coord };
+            (cell, agg.domains, agg.method.f().unwrap_or(0))
+        })
+        .collect();
 
     struct CellState {
         bisect: Bisection,
         // (probe value, per-seed (artifact hash, fraction within bound)).
         probed: Vec<(u64, Vec<(String, f64)>)>,
-        // Π/γ from the first probed record (config-derived with the
-        // cell's own f, identical across a cell's probes on the
-        // magnitude axis).
+        // Π/γ from the first probed record (config-derived with the cell's
+        // own f, identical across its probes on the magnitude axis).
         bounds: Option<(i64, i64)>,
         failed: bool,
     }
-    let mut states: Vec<CellState> = spec
-        .cells
+    let fresh = Bisection::new(
+        bisect.min,
+        bisect.max,
+        bisect.resolution,
+        bisect.budget_per_cell,
+    );
+    let mut states: Vec<CellState> = cells
         .iter()
         .map(|_| CellState {
-            bisect: Bisection::new(
-                spec.axis.min,
-                spec.axis.max,
-                spec.axis.resolution,
-                spec.budget_per_cell,
-            ),
+            bisect: fresh.clone(),
             probed: Vec::new(),
             bounds: None,
             failed: false,
@@ -809,17 +609,14 @@ fn explore(
                 active.len(),
                 active
                     .iter()
-                    .map(|&(i, p)| format!("{}@{p}", spec.cells[i].label(preset_f)))
+                    .map(|&(i, p)| format!("{}@{p}", label(&cells[i].0, cells[i].2)))
                     .collect::<Vec<_>>()
                     .join(", ")
             );
         }
         for (i, value) in active {
-            let probe_spec = spec
-                .probe_spec(&spec.cells[i], value)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
             let state = &mut states[i];
-            let Some(records) = probe(&probe_spec)? else {
+            let Some(records) = probe(&probe_spec(spec, axis, &cells[i].0, value))? else {
                 // A failed probe leaves the cell unsettled; freeze it and
                 // keep exploring the other cells.
                 state.failed = true;
@@ -841,15 +638,14 @@ fn explore(
         }
     }
 
-    let mut cells = Vec::with_capacity(spec.cells.len());
-    for (cell, state) in spec.cells.iter().zip(&states) {
-        let effective_f = cell.f.unwrap_or(preset_f);
-        let analytical = if spec.axis.name == MAGNITUDE_AXIS {
+    let mut docs = Vec::with_capacity(cells.len());
+    for (&(cell, domains, effective_f), state) in cells.iter().zip(&states) {
+        let analytical = if bisect.axis == MAGNITUDE_AXIS {
             state.bounds.map(|(pi_ns, gamma_ns)| {
                 let params = ResilienceParams {
                     domains,
                     f: effective_f,
-                    compromised: cell.compromised,
+                    compromised: cell.compromised(),
                     partitioned: 0,
                     pi: Nanos::from_nanos(pi_ns),
                     gamma: Nanos::from_nanos(gamma_ns),
@@ -869,16 +665,16 @@ fn explore(
             let (hash, _) = runs.iter().find(|(_, frac)| (*frac < 1.0) == want_broken)?;
             Some(hash.clone())
         };
-        let (contained_at, broken_at) = bracket_ends(outcome, &spec.axis);
-        let consistent = consistent_with(analytical.as_ref().map(|(_, b)| b), outcome, &spec.axis);
-        cells.push(CellDoc {
-            cell: cell.clone(),
+        let (contained_at, broken_at) = bracket_ends(outcome, &bisect);
+        let consistent = consistent_with(analytical.as_ref().map(|(_, b)| b), outcome, &bisect);
+        docs.push(CellDoc {
+            cell,
             effective_f,
             analytical,
             empirical: EmpiricalDoc {
                 outcome,
                 probes: state.bisect.probes(),
-                runs: state.bisect.probes() * spec.seeds.len(),
+                runs: state.bisect.probes() * spec.grid.seeds.len(),
             },
             witness_contained: witness_at(contained_at, false),
             witness_broken: witness_at(broken_at, true),
@@ -887,17 +683,15 @@ fn explore(
     }
     Ok(FrontierDoc {
         spec: spec.clone(),
-        grid_runs: GRID_REFERENCE_RUNS,
-        grid_spacing: spec.grid_spacing(),
-        total_runs: cells.iter().map(|c| c.empirical.runs).sum(),
-        cells,
+        total_runs: docs.iter().map(|c| c.empirical.runs).sum(),
+        cells: docs,
     })
 }
 
 /// The bracket ends `(contained_at, broken_at)` of an outcome: an
 /// endpoint outcome has one end, the axis min or max it settled at, and
 /// a failed cell (`None`) has neither.
-fn bracket_ends(outcome: Option<BisectOutcome>, axis: &FrontierAxis) -> (Option<u64>, Option<u64>) {
+fn bracket_ends(outcome: Option<BisectOutcome>, axis: &Bisect) -> (Option<u64>, Option<u64>) {
     match outcome {
         None => (None, None),
         Some(BisectOutcome::BrokenAtMin) => (None, Some(axis.min)),
@@ -919,7 +713,7 @@ fn bracket_ends(outcome: Option<BisectOutcome>, axis: &FrontierAxis) -> (Option<
 fn consistent_with(
     bound: Option<&ResilienceBound>,
     outcome: Option<BisectOutcome>,
-    axis: &FrontierAxis,
+    axis: &Bisect,
 ) -> bool {
     let Some(bound) = bound else { return true };
     if outcome.is_none() || !bound.quorum {
@@ -936,38 +730,41 @@ fn consistent_with(
 
 /// Compares two frontier documents cell-by-cell.
 ///
-/// `INCOMPARABLE` when specs disagree on axis or cells; `REGRESSION`
+/// `INCOMPARABLE` when specs disagree on the bisected interval or the
+/// cells; `REGRESSION`
 /// when any cell's outcome kind changed, a bracket end moved by more
 /// than the baseline axis's resolution, or consistency was lost; `OK`
 /// otherwise. The returned lines explain every verdict-relevant
 /// difference.
 pub fn diff(base: &FrontierDoc, cand: &FrontierDoc) -> (crate::summary::DiffVerdict, Vec<String>) {
     use crate::summary::DiffVerdict;
-    let tol_ns = base.spec.axis.resolution;
+    let interval = |doc: &FrontierDoc| {
+        let b = doc.bisect();
+        (b.axis, b.min, b.max, b.resolution)
+    };
+    let tol_ns = base.bisect().resolution;
     let mut lines = Vec::new();
-    if base.spec.axis != cand.spec.axis {
+    if interval(base) != interval(cand) {
         lines.push(format!(
             "axis differs: {:?} vs {:?}",
-            base.spec.axis, cand.spec.axis
+            interval(base),
+            interval(cand)
         ));
         return (DiffVerdict::Incomparable, lines);
     }
     if base.cells.len() != cand.cells.len()
-        || base.cells.iter().zip(&cand.cells).any(|(b, c)| {
-            b.cell.strategy != c.cell.strategy
-                || b.cell.compromised != c.cell.compromised
-                || b.effective_f != c.effective_f
-        })
+        || base
+            .cells
+            .iter()
+            .zip(&cand.cells)
+            .any(|(b, c)| (b.cell, b.effective_f) != (c.cell, c.effective_f))
     {
         lines.push("cell sets differ".to_string());
         return (DiffVerdict::Incomparable, lines);
     }
     let mut verdict = DiffVerdict::Parity;
     for (b, c) in base.cells.iter().zip(&cand.cells) {
-        let label = format!(
-            "{} c={} f={}",
-            b.cell.strategy, b.cell.compromised, b.effective_f
-        );
+        let label = label(&b.cell, b.effective_f);
         match (b.empirical.outcome, c.empirical.outcome) {
             (
                 Some(BisectOutcome::Bracket {
@@ -1008,7 +805,8 @@ pub fn diff(base: &FrontierDoc, cand: &FrontierDoc) -> (crate::summary::DiffVerd
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Preset;
+    use crate::spec::{BaseSpec, Preset, SpecError};
+    use clocksync::scenario::ScenarioKind;
 
     #[test]
     fn bisection_brackets_a_monotone_threshold() {
@@ -1057,59 +855,83 @@ mod tests {
 
     #[test]
     fn builtin_roundtrips_and_validates() {
-        for name in FrontierSpec::BUILTINS {
-            let spec = FrontierSpec::builtin(name).unwrap();
-            spec.validate().unwrap();
-            let back = FrontierSpec::parse(&spec.render()).unwrap();
-            assert_eq!(back, spec, "{name} did not roundtrip");
-        }
-        assert!(FrontierSpec::builtin("nope").is_none());
+        let spec = CampaignSpec::builtin("frontier-sweep").unwrap();
+        assert!(spec.bisect.is_some());
+        spec.validate().unwrap();
+        let back = CampaignSpec::parse(&spec.render()).unwrap();
+        assert_eq!(back, spec, "frontier-sweep did not roundtrip");
+        // Without the block the spec is a plain campaign and renders no
+        // `bisect` key, so every other spec keeps its bytes.
+        let plain = CampaignSpec {
+            bisect: None,
+            ..spec
+        };
+        assert!(!plain.render().contains("bisect"));
+        assert!(CampaignSpec::builtin("nope").is_none());
     }
 
     #[test]
     fn builtin_beats_the_grid_on_paper() {
         // The frontier-sweep must be able to reach a bracket ≥ 4×
         // tighter than the 48-run grid within its probe budget.
-        let spec = FrontierSpec::builtin("frontier-sweep").unwrap();
-        let spacing = spec.grid_spacing();
+        let doc = doc_with_bracket(31_000, 31_400);
+        let bisect = doc.bisect();
+        let spacing = doc.grid_spacing();
         assert_eq!(spacing, 2_739); // 63 000 ns / 23 intervals
-        assert!(spec.axis.resolution * 4 <= spacing);
-        let span = spec.axis.max - spec.axis.min;
-        let halvings = (64 - u64::leading_zeros(span / spec.axis.resolution) as usize) + 1;
-        assert!(2 + halvings <= spec.budget_per_cell);
+        assert!(bisect.resolution * 4 <= spacing);
+        let span = bisect.max - bisect.min;
+        let halvings = (64 - u64::leading_zeros(span / bisect.resolution) as usize) + 1;
+        assert!(2 + halvings <= bisect.budget_per_cell);
     }
 
     #[test]
     fn validate_rejects_broken_axes_and_cells() {
-        let mut spec = FrontierSpec::builtin("frontier-sweep").unwrap();
-        spec.axis.min = spec.axis.max;
-        assert!(spec.validate().is_err());
+        let sweep = || CampaignSpec::builtin("frontier-sweep").unwrap();
+        let with = |edit: fn(&mut Bisect)| {
+            let mut spec = sweep();
+            edit(spec.bisect.as_mut().unwrap());
+            spec.validate()
+        };
+        assert!(with(|b| b.min = b.max).is_err());
+        assert!(with(|b| b.resolution = 0).is_err());
+        assert!(with(|b| b.budget_per_cell = 1).is_err());
+        assert!(matches!(
+            with(|b| b.axis = "voltage"),
+            Err(SpecError::Value(..))
+        ));
+        // An axis the table does not mark bisectable.
+        assert!(matches!(
+            with(|b| b.axis = "domains"),
+            Err(SpecError::Value(..))
+        ));
+        // Magnitude 0 is rejected by the grid's range check of the
+        // interval ends.
+        assert!(with(|b| b.min = 0).is_err());
 
-        let mut spec = FrontierSpec::builtin("frontier-sweep").unwrap();
-        spec.axis.name = "voltage".to_string();
-        assert!(matches!(spec.validate(), Err(SpecError::Value(..))));
-
-        let mut spec = FrontierSpec::builtin("frontier-sweep").unwrap();
-        spec.cells[0].strategy = "trim-edge".to_string();
+        let mut spec = sweep();
+        spec.grid.strategies[0] = "trim-edge";
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
 
-        let mut spec = FrontierSpec::builtin("frontier-sweep").unwrap();
-        spec.budget_per_cell = 1;
-        assert!(spec.validate().is_err());
+        // The bisected axis takes no grid values.
+        let mut spec = sweep();
+        spec.grid.adv_offset_ns.push(5_000);
+        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
 
-        // Magnitude 0 is rejected through the probe-spec validation.
-        let mut spec = FrontierSpec::builtin("frontier-sweep").unwrap();
-        spec.axis.min = 0;
-        assert!(spec.validate().is_err());
+        // A cell is a grid point, so a repeated cell is a repeated value.
+        let mut spec = sweep();
+        spec.grid.compromised.push(2);
+        assert!(matches!(spec.validate(),
+            Err(SpecError::Invalid(ref m)) if m.contains("grid.compromised")));
     }
 
     #[test]
     fn consistency_requires_breaks_above_the_guarantee() {
-        let axis = FrontierAxis {
-            name: "adv_offset_ns".to_string(),
+        let axis = Bisect {
+            axis: MAGNITUDE_AXIS,
             min: 1_000,
             max: 64_000,
             resolution: 500,
+            budget_per_cell: 12,
         };
         let bound = |compromised| {
             containment_bound(&ResilienceParams {
@@ -1166,9 +988,13 @@ mod tests {
     }
 
     fn doc_with_bracket(lo: u64, hi: u64) -> FrontierDoc {
-        let spec = FrontierSpec::builtin("frontier-sweep").unwrap();
+        let spec = CampaignSpec::builtin("frontier-sweep").unwrap();
         let cell = CellDoc {
-            cell: spec.cells[0].clone(),
+            cell: Coord {
+                strategy: Some("colluding"),
+                compromised: Some(2),
+                ..Coord::new(ScenarioKind::Baseline, 0)
+            },
             effective_f: 1,
             analytical: None,
             empirical: EmpiricalDoc {
@@ -1184,8 +1010,6 @@ mod tests {
             consistent: true,
         };
         FrontierDoc {
-            grid_runs: GRID_REFERENCE_RUNS,
-            grid_spacing: spec.grid_spacing(),
             total_runs: 18,
             cells: vec![cell],
             spec,
@@ -1198,27 +1022,27 @@ mod tests {
     /// does (`tests/cli.rs` replays a directory where one panicked).
     #[test]
     fn load_replays_the_written_document() {
-        let cell = |compromised| FrontierCell {
-            strategy: "colluding".to_string(),
-            compromised,
-            f: None,
-        };
-        let spec = FrontierSpec {
+        let spec = CampaignSpec {
             name: "frontier-load".to_string(),
             base: BaseSpec {
                 preset: Preset::Quick,
                 duration_s: Some(6),
                 warmup_s: Some(3),
             },
-            seeds: vec![1],
-            cells: vec![cell(2), cell(1)],
-            axis: FrontierAxis {
-                name: MAGNITUDE_AXIS.to_string(),
+            scenarios: vec![ScenarioKind::Baseline],
+            grid: Grid {
+                seeds: vec![1],
+                strategies: vec!["colluding"],
+                compromised: vec![2, 1],
+                ..Grid::default()
+            },
+            bisect: Some(Bisect {
+                axis: MAGNITUDE_AXIS,
                 min: 1_000,
                 max: 64_000,
                 resolution: 16_000,
-            },
-            budget_per_cell: 4,
+                budget_per_cell: 4,
+            }),
         };
         let dir = std::env::temp_dir().join(format!("tsn-frontier-load-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1228,12 +1052,17 @@ mod tests {
             ..RunnerOptions::new(&dir)
         };
         let (doc, _) = execute(&spec, &opts).expect("the exploration finishes");
+        // The directory keeps its spec where a campaign directory does.
+        let manifest = Json::parse(&std::fs::read_to_string(dir.join("manifest.json")).unwrap());
+        let kept = manifest.unwrap().get("spec").unwrap().render();
+        assert_eq!(CampaignSpec::parse(&kept).unwrap(), spec);
         let loaded = load(&spec, &dir).expect("the directory loads");
         assert_eq!(loaded, doc);
         let written = std::fs::read_to_string(dir.join("frontier.json")).unwrap();
         assert_eq!(loaded.render(), written);
 
-        let probe = spec.probe_spec(&spec.cells[0], spec.axis.min).unwrap();
+        let axis = AxisDef::by_spec_key(MAGNITUDE_AXIS).unwrap();
+        let probe = probe_spec(&spec, axis, &doc.cells[0].cell, 1_000);
         let lost = crate::matrix::expand(&probe).unwrap().remove(0).hash;
         std::fs::remove_file(dir.join("runs").join(format!("run-{lost}.jsonl"))).unwrap();
         let reloaded = load(&spec, &dir).expect("the directory loads");
@@ -1242,12 +1071,20 @@ mod tests {
         assert_eq!(reloaded.cells[1], loaded.cells[1]);
         let text = reloaded.render_text();
         assert!(
-            text.contains("colluding c=2 f=1") && text.contains("failed"),
+            text.contains("baseline adv=colluding byz=2 f=1") && text.contains("failed"),
             "{text}"
         );
 
         let missing = load(&spec, &dir.join("nowhere")).unwrap_err();
         assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        let plain = CampaignSpec {
+            bisect: None,
+            ..spec
+        };
+        assert_eq!(
+            load(&plain, &dir).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1263,8 +1100,13 @@ mod tests {
         assert_eq!(verdict, DiffVerdict::Regression);
         assert!(lines.iter().any(|l| l.contains("bracket moved")));
         let mut incomparable = doc_with_bracket(31_000, 31_400);
-        incomparable.spec.axis.max = 128_000;
+        incomparable.spec.bisect.as_mut().unwrap().max = 128_000;
         let (verdict, _) = diff(&base, &incomparable);
         assert_eq!(verdict, DiffVerdict::Incomparable);
+        let mut other_cell = doc_with_bracket(31_000, 31_400);
+        other_cell.cells[0].cell.compromised = Some(1);
+        let (verdict, lines) = diff(&base, &other_cell);
+        assert_eq!(verdict, DiffVerdict::Incomparable);
+        assert_eq!(lines, ["cell sets differ"]);
     }
 }

@@ -42,10 +42,10 @@ pub mod spec;
 pub mod summary;
 
 pub use artifact::RunRecord;
-pub use frontier::{BisectOutcome, Bisection, FrontierDoc, FrontierSpec};
+pub use frontier::{BisectOutcome, Bisection, FrontierDoc};
 pub use matrix::{expand, Coord, RunPlan};
 pub use runner::{
     CampaignReport, FailedRun, RunRecordReader, RunViolation, RunnerOptions, SnapshotCache,
 };
-pub use spec::{BaseSpec, CampaignSpec, Grid, KernelChoice, Preset};
+pub use spec::{BaseSpec, Bisect, CampaignSpec, Grid, KernelChoice, Preset};
 pub use summary::{DiffVerdict, GroupSummary, StreamSummarizer};

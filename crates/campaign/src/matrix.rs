@@ -181,9 +181,16 @@ pub struct RunPlan {
 ///
 /// Returns the [`SpecError`] of [`CampaignSpec::validate`] when the spec
 /// is invalid (untrusted input never panics; the CLI maps this to
-/// exit 2).
+/// exit 2), and [`SpecError::Invalid`] for a frontier: its runs are the
+/// probes [`crate::frontier::execute`] chooses, not a matrix.
 pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunPlan>, SpecError> {
     spec.validate()?;
+    if let Some(bisect) = spec.bisect {
+        return Err(SpecError::Invalid(format!(
+            "{} is a frontier (it bisects {}): its runs are the probes the explorer chooses",
+            spec.name, bisect.axis
+        )));
+    }
     let base_fingerprint = spec.base.to_fingerprint();
     let mut plans = Vec::with_capacity(spec.total_runs());
     // Scenario outermost, then a mixed-radix odometer over the axes in
@@ -441,6 +448,7 @@ mod tests {
                 domains: vec![4, 5],
                 ..Grid::default()
             },
+            bisect: None,
         }
     }
 
@@ -761,6 +769,7 @@ mod tests {
                 partition_s: vec![],
                 ..Grid::default()
             },
+            bisect: None,
         };
         let plans = expand(&spec).expect("valid spec");
         assert_eq!(plans.len(), 2 * 2 * 2 * 2 * 2 * 2 * 2);

@@ -198,23 +198,6 @@ pub struct SnapshotCache {
     snapshots: HashMap<u64, WorldSnapshot>,
 }
 
-impl SnapshotCache {
-    /// An empty cache.
-    pub fn new() -> SnapshotCache {
-        SnapshotCache::default()
-    }
-
-    /// Cached warm prefixes.
-    pub fn len(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// `true` when no prefix has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
-    }
-}
-
 /// One oracle violation attributed to the run that produced it.
 #[derive(Debug, Clone)]
 pub struct RunViolation {
@@ -247,7 +230,7 @@ pub fn execute(spec: &CampaignSpec, opts: &RunnerOptions) -> io::Result<Campaign
 /// simulates the prefix into the cache and forks it, and whichever
 /// later invocation has a run with that fingerprint forks it too. The
 /// frontier explorer calls this once per probe with `write_manifest =
-/// false` (it writes its own `frontier.json` instead).
+/// false`: its directory's manifest is the frontier's own.
 pub fn execute_with(
     spec: &CampaignSpec,
     opts: &RunnerOptions,
@@ -255,7 +238,7 @@ pub fn execute_with(
     write_manifest: bool,
 ) -> io::Result<CampaignReport> {
     let cache_outlives = cache.is_some();
-    let mut throw_away = SnapshotCache::new();
+    let mut throw_away = SnapshotCache::default();
     let cache = cache.unwrap_or(&mut throw_away);
     let plans = expand(spec)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("invalid spec: {e}")))?;
@@ -857,6 +840,7 @@ mod tests {
                 seeds: vec![1, 2],
                 ..crate::Grid::default()
             },
+            bisect: None,
         };
         let tmp = std::env::temp_dir().join(format!("tsn-campaign-pp-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&tmp);

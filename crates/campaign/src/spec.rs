@@ -5,9 +5,11 @@
 //! assignment × injector rates × clock discipline. The spec is plain
 //! data — expanding it into concrete runs is [`crate::matrix`]'s job —
 //! and has a canonical JSON form used both for spec files and for
-//! content-addressing run artifacts.
+//! content-addressing run artifacts. A spec with a [`Bisect`] block is a
+//! frontier: [`crate::frontier`] searches the block's axis at every grid
+//! point instead of running the grid.
 
-use crate::axis::{Family, AXES};
+use crate::axis::{AxisDef, AxisValue, Family, AXES, MAGNITUDE_AXIS};
 use crate::json::{Json, JsonError};
 use clocksync::scenario::ScenarioKind;
 use clocksync::{PartitionWindow, TestbedConfig};
@@ -82,7 +84,7 @@ impl BaseSpec {
         cfg
     }
 
-    pub(crate) fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let mut pairs = vec![("preset", Json::Str(self.preset.name().to_string()))];
         if let Some(s) = self.duration_s {
             pairs.push(("duration_s", Json::Int(s)));
@@ -93,7 +95,7 @@ impl BaseSpec {
         Json::object(pairs)
     }
 
-    pub(crate) fn from_json(v: &Json) -> Result<BaseSpec, SpecError> {
+    fn from_json(v: &Json) -> Result<BaseSpec, SpecError> {
         let preset = field(v, "base.preset", Json::as_str)?;
         let seconds = |path: &str| {
             let key = path.trim_start_matches("base.");
@@ -255,6 +257,55 @@ pub struct CampaignSpec {
     pub scenarios: Vec<ScenarioKind>,
     /// The parameter grid.
     pub grid: Grid,
+    /// The axis a frontier bisects at every grid point (`None`: a plain
+    /// campaign that runs its grid).
+    pub bisect: Option<Bisect>,
+}
+
+/// The continuous axis a frontier bisects. Every grid point of the spec
+/// is a cell; a probe is a cell with this axis set, one run per seed,
+/// and a probe counts as broken when *any* seed observes containment
+/// broken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bisect {
+    /// Spec key of a grid axis the axis table marks bisectable
+    /// (`adv_offset_ns`, `loss_permille`, `partition_s`,
+    /// `sync_interval_ms`). Only `adv_offset_ns` has an analytical bound
+    /// in magnitude space; the other axes get an empirical bracket only.
+    pub axis: &'static str,
+    /// Inclusive lower end of the search interval.
+    pub min: u64,
+    /// Inclusive upper end of the search interval.
+    pub max: u64,
+    /// Stop refining once the bracket is at most this wide.
+    pub resolution: u64,
+    /// Maximum probes per cell.
+    pub budget_per_cell: usize,
+}
+
+impl Bisect {
+    fn to_json(self) -> Json {
+        Json::object(vec![
+            ("axis", Json::Str(self.axis.to_string())),
+            ("min", Json::UInt(self.min)),
+            ("max", Json::UInt(self.max)),
+            ("resolution", Json::UInt(self.resolution)),
+            ("budget_per_cell", Json::UInt(self.budget_per_cell as u64)),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<Bisect, SpecError> {
+        let axis = field(v, "bisect.axis", Json::as_str)?;
+        Ok(Bisect {
+            axis: AxisDef::by_spec_key(axis)
+                .ok_or_else(|| SpecError::value("bisect.axis", axis))?
+                .spec_key,
+            min: field(v, "bisect.min", Json::as_u64)?,
+            max: field(v, "bisect.max", Json::as_u64)?,
+            resolution: field(v, "bisect.resolution", Json::as_u64)?,
+            budget_per_cell: field(v, "bisect.budget_per_cell", Json::as_u64)? as usize,
+        })
+    }
 }
 
 /// A spec validation/parse error.
@@ -271,18 +322,18 @@ pub enum SpecError {
 }
 
 impl SpecError {
-    pub(crate) fn field(name: &str) -> SpecError {
+    fn field(name: &str) -> SpecError {
         SpecError::Field(name.to_string())
     }
 
-    pub(crate) fn value(name: &str, got: &str) -> SpecError {
+    fn value(name: &str, got: &str) -> SpecError {
         SpecError::Value(name.to_string(), got.to_string())
     }
 }
 
 /// `v`'s member named by the last segment of `path`, read by `read`; a
 /// [`SpecError::Field`] naming `path` when it is missing or mistyped.
-pub(crate) fn field<'a, T>(
+fn field<'a, T>(
     v: &'a Json,
     path: &str,
     read: impl FnOnce(&'a Json) -> Option<T>,
@@ -313,7 +364,8 @@ impl From<JsonError> for SpecError {
 }
 
 impl CampaignSpec {
-    /// Total number of runs the spec expands to.
+    /// Total number of runs the spec expands to (for a frontier: its
+    /// cells × seeds, the runs of one probe per cell).
     pub fn total_runs(&self) -> usize {
         self.scenarios.len() * self.grid.runs_per_scenario()
     }
@@ -337,6 +389,9 @@ impl CampaignSpec {
         if self.grid.seeds.is_empty() {
             return Err(SpecError::Invalid("grid.seeds is empty".to_string()));
         }
+        let scenarios: Vec<&str> = self.scenarios.iter().map(|s| s.name()).collect();
+        distinct("scenarios", &scenarios)?;
+        distinct("grid.seeds", &self.grid.seeds)?;
         if self.base.duration_s.is_some_and(|d| d <= 0) {
             return Err(SpecError::Invalid("non-positive duration".to_string()));
         }
@@ -346,7 +401,9 @@ impl CampaignSpec {
         // Per-axis ranges and name lists come from the axis table; the
         // rules below only relate axes to each other and to the base.
         for a in AXES {
-            a.grid_values(&self.grid).try_for_each(|v| a.check(v))?;
+            let values: Vec<AxisValue> = a.grid_values(&self.grid).collect();
+            values.iter().try_for_each(|&v| a.check(v))?;
+            distinct(&format!("grid.{}", a.spec_key), &values)?;
         }
         if self.grid.rogue_master.iter().any(|&n| n > 0) && self.grid.sweeps(Family::Attack) {
             return Err(SpecError::Invalid(
@@ -405,12 +462,53 @@ impl CampaignSpec {
                 )));
             }
         }
-        Ok(())
+        match self.bisect {
+            Some(bisect) => self.validate_bisect(bisect),
+            None => Ok(()),
+        }
+    }
+
+    /// A bisect block names a bisectable axis the grid leaves empty and
+    /// an interval the bisection can settle, whose ends every cell can
+    /// hold: the grid with both ends swept on the axis validates.
+    fn validate_bisect(&self, b: Bisect) -> Result<(), SpecError> {
+        let axis = AxisDef::by_spec_key(b.axis)
+            .filter(|a| a.bisect)
+            .ok_or_else(|| SpecError::value("bisect.axis", b.axis))?;
+        if b.min >= b.max || b.resolution == 0 || b.budget_per_cell < 2 {
+            return Err(SpecError::Invalid(format!(
+                "bisect needs min < max, a resolution ≥ 1 and a budget_per_cell ≥ 2 \
+                 (both ends are probed), not {b:?}"
+            )));
+        }
+        if (axis.grid_len)(&self.grid) > 0 {
+            return Err(SpecError::Invalid(format!(
+                "grid.{} is bisected, so it takes no grid values",
+                b.axis
+            )));
+        }
+        if b.axis == MAGNITUDE_AXIS && self.grid.strategies.contains(&"trim-edge") {
+            return Err(SpecError::Invalid(
+                "trim-edge cannot be bisected on adv_offset_ns: a larger trim margin is a \
+                 weaker attack, and the bisection assumes breaks are monotone increasing"
+                    .to_string(),
+            ));
+        }
+        let mut ends = CampaignSpec {
+            bisect: None,
+            ..self.clone()
+        };
+        for end in [b.min, b.max] {
+            (axis.grid_push)(&mut ends.grid, AxisValue::UInt(end))
+                .ok_or_else(|| SpecError::value(b.axis, &end.to_string()))?;
+        }
+        ends.validate()
     }
 
     /// The canonical JSON form (deterministic; also what spec files use).
+    /// The `bisect` block is written only when present.
     pub fn to_json(&self) -> Json {
-        Json::object(vec![
+        let mut pairs = vec![
             ("schema", Json::UInt(SPEC_SCHEMA)),
             ("name", Json::Str(self.name.clone())),
             ("base", self.base.to_json()),
@@ -424,7 +522,11 @@ impl CampaignSpec {
                 ),
             ),
             ("grid", self.grid.to_json()),
-        ])
+        ];
+        if let Some(bisect) = self.bisect {
+            pairs.push(("bisect", bisect.to_json()));
+        }
+        Json::object(pairs)
     }
 
     /// Renders the spec as pretty-enough JSON (one canonical line).
@@ -453,11 +555,13 @@ impl CampaignSpec {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let grid = Grid::from_json(field(&v, "grid", Some)?)?;
+        let bisect = v.get("bisect").map(Bisect::from_json).transpose()?;
         let spec = CampaignSpec {
             name,
             base,
             scenarios,
             grid,
+            bisect,
         };
         spec.validate()?;
         Ok(spec)
@@ -467,7 +571,10 @@ impl CampaignSpec {
     ///
     /// * `quick-baseline` — 8 seeds × 2 disciplines of the quick
     ///   baseline (16 runs; the acceptance smoke campaign);
-    /// * `repro-all` — all five paper scenarios × 3 seeds;
+    /// * `repro-all` — all five paper scenarios × 3 seeds, 300 s each:
+    ///   the paper's strikes land at +1302 s and +1912 s, so the two
+    ///   cyber scenarios run the baseline's world (as does
+    ///   `fault_injection` while no injected fault lands);
     /// * `abl2-domains` — domains M ∈ {4,5,6,7} × 4 seeds (ABL2);
     /// * `abl3-sync-interval` — S ∈ {62,125,250,500} ms × 4 seeds,
     ///   staleness = 4·S (ABL3);
@@ -485,8 +592,12 @@ impl CampaignSpec {
     /// * `fleet-sweep` — the fleet-scale sweep: condensed switch fleets
     ///   of {256, 1024} ECDs × all four [`FLEET_TOPOLOGY_NAMES`] shapes
     ///   × 2 seeds (16 runs). Exercises the streaming artifact pipeline
-    ///   at bounded memory.
-    pub const BUILTINS: [&'static str; 8] = [
+    ///   at bounded memory;
+    /// * `frontier-sweep` — a frontier: bisects the magnitude axis over
+    ///   1 µs..64 µs to 684 ns (4× tighter than the 48-run grid's 2739 ns
+    ///   spacing) in each cell of strategies {colluding, constant} ×
+    ///   compromised {2, 1}, 2 seeds.
+    pub const BUILTINS: [&'static str; 9] = [
         "quick-baseline",
         "repro-all",
         "abl2-domains",
@@ -495,6 +606,7 @@ impl CampaignSpec {
         "election-sweep",
         "fabric-sweep",
         "fleet-sweep",
+        "frontier-sweep",
     ];
 
     /// A built-in spec by name: its committed file `specs/<name>.json`
@@ -511,9 +623,22 @@ impl CampaignSpec {
             "election-sweep" => include_str!("../../../specs/election_sweep.json"),
             "fabric-sweep" => include_str!("../../../specs/fabric_sweep.json"),
             "fleet-sweep" => include_str!("../../../specs/fleet_sweep.json"),
+            "frontier-sweep" => include_str!("../../../specs/frontier_sweep.json"),
             _ => return None,
         };
         CampaignSpec::parse(text).ok()
+    }
+}
+
+/// Rejects a list that holds a value twice: both copies would expand to
+/// runs with one content hash, which two workers race to write.
+fn distinct<T: PartialEq + std::fmt::Display>(list: &str, values: &[T]) -> Result<(), SpecError> {
+    match (1..values.len()).find(|&i| values[..i].contains(&values[i])) {
+        Some(i) => Err(SpecError::Invalid(format!(
+            "{list} repeats the value {}",
+            values[i]
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -574,6 +699,28 @@ mod tests {
             CampaignSpec::parse(bad),
             Err(SpecError::Invalid(_))
         ));
+        // A repeated value in any list: its runs would share one
+        // content hash (and one artifact file two workers race on).
+        for (grid, list) in [
+            (
+                r#""scenarios":["baseline"],"grid":{"seeds":[1,2,1]}"#,
+                "grid.seeds",
+            ),
+            (
+                r#""scenarios":["baseline","baseline"],"grid":{"seeds":[1]}"#,
+                "scenarios",
+            ),
+            (
+                r#""scenarios":["baseline"],"grid":{"seeds":[1],"compromised":[2,2]}"#,
+                "grid.compromised",
+            ),
+        ] {
+            let bad = format!(r#"{{"name":"x","base":{{"preset":"quick"}},{grid}}}"#);
+            assert!(
+                matches!(CampaignSpec::parse(&bad), Err(SpecError::Invalid(ref m)) if m.contains(list)),
+                "{bad}"
+            );
+        }
     }
 
     /// Π = u(N, f)(E + Γ) needs N > 3f: five domains cannot carry f = 2

@@ -12,9 +12,7 @@ use std::path::Path;
 use tsn_campaign::artifact::BoundsRecord;
 use tsn_campaign::axis::{AxisDef, AxisValue, Kind, AXES};
 use tsn_campaign::matrix::{content_hash, materialize};
-use tsn_campaign::{
-    expand, BaseSpec, CampaignSpec, Coord, FrontierSpec, Grid, KernelChoice, RunRecord,
-};
+use tsn_campaign::{expand, BaseSpec, CampaignSpec, Coord, Grid, KernelChoice, RunRecord};
 use tsn_hyp::SyncClockDiscipline;
 
 const FINGERPRINT: &str = "preset=quick/duration_s=30/warmup_s=10";
@@ -162,6 +160,7 @@ fn every_axis_roundtrips_through_spec_and_artifact() {
             base: BaseSpec::quick(30),
             scenarios: vec![ScenarioKind::Baseline],
             grid,
+            bisect: None,
         };
         let text = spec.render();
         assert!(
@@ -269,11 +268,18 @@ fn warm_prefix_fingerprint_agrees_with_the_table() {
 /// label on purpose: scenarios of one seed are paired comparisons. One
 /// scenario, `prior_work_baseline`, changes the world from t = 0 (no
 /// mutual GM synchronization), so its fork groups split from the
-/// others' where its seeds do not.
+/// others' where its seeds do not. A frontier's runs are its cells
+/// probed on the bisected axis, here at both interval ends.
 #[test]
 fn builtin_runs_with_one_prefix_label_share_one_fingerprint() {
     for name in CampaignSpec::BUILTINS {
-        let spec = CampaignSpec::builtin(name).expect("builtin exists");
+        let mut spec = CampaignSpec::builtin(name).expect("builtin exists");
+        if let Some(bisect) = spec.bisect.take() {
+            let axis = AxisDef::by_spec_key(bisect.axis).expect("a table axis");
+            for end in [bisect.min, bisect.max] {
+                (axis.grid_push)(&mut spec.grid, AxisValue::UInt(end)).expect("fits");
+            }
+        }
         let mut seen: HashMap<(ScenarioKind, String), u64> = HashMap::new();
         for plan in expand(&spec).expect("valid spec") {
             let fingerprint = warm_prefix_fingerprint(&plan.config);
@@ -316,12 +322,6 @@ fn committed_spec_files_equal_their_builtins() {
         let spec = CampaignSpec::parse(&text).expect("spec file parses");
         assert_eq!(spec.render(), text, "specs file of {name} is not canonical");
         assert_eq!(CampaignSpec::builtin(name), Some(spec));
-    }
-    for name in FrontierSpec::BUILTINS {
-        let text = file(name);
-        let spec = FrontierSpec::parse(&text).expect("spec file parses");
-        assert_eq!(spec.render(), text, "specs file of {name} is not canonical");
-        assert_eq!(FrontierSpec::builtin(name), Some(spec));
     }
 }
 

@@ -10,8 +10,8 @@
 //! and `runner::tests::pool_isolates_a_panic_fails_on_io_error_and_merges_by_index`
 //! pin it.
 //!
-//! The loops run over `CampaignSpec::BUILTINS` and
-//! `FrontierSpec::BUILTINS` — the lists `campaign list` prints — so a
+//! The loops run over `CampaignSpec::BUILTINS` — the list `campaign
+//! list` prints — split by whether a spec has a `bisect` block, so a
 //! new builtin is covered the day it is added.
 
 mod common;
@@ -22,9 +22,17 @@ use std::path::Path;
 use std::process::Command;
 use tsn_campaign::json::Json;
 use tsn_campaign::{
-    frontier, runner, summary, CampaignSpec, DiffVerdict, FrontierSpec, RunRecordReader,
-    RunnerOptions, StreamSummarizer,
+    frontier, runner, summary, CampaignSpec, DiffVerdict, RunRecordReader, RunnerOptions,
+    StreamSummarizer,
 };
+
+/// The builtins with (`true`) or without (`false`) a `bisect` block.
+fn builtins(bisects: bool) -> impl Iterator<Item = (&'static str, CampaignSpec)> {
+    CampaignSpec::BUILTINS
+        .into_iter()
+        .map(|name| (name, CampaignSpec::builtin(name).expect("builtin exists")))
+        .filter(move |(_, spec)| spec.bisect.is_some() == bisects)
+}
 
 #[test]
 fn the_loops_cover_every_name_campaign_list_prints() {
@@ -38,17 +46,13 @@ fn the_loops_cover_every_name_campaign_list_prints() {
         .lines()
         .map(|l| l.split_whitespace().next().expect("a name").to_string())
         .collect();
-    let looped: Vec<&str> = CampaignSpec::BUILTINS
-        .into_iter()
-        .chain(FrontierSpec::BUILTINS)
-        .collect();
-    assert_eq!(listed, looped);
+    assert_eq!(listed, CampaignSpec::BUILTINS);
+    assert!(builtins(false).count() > 0 && builtins(true).count() > 0);
 }
 
 #[test]
 fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
-    for name in CampaignSpec::BUILTINS {
-        let spec = CampaignSpec::builtin(name).expect("builtin exists");
+    for (name, spec) in builtins(false) {
         let total = spec.total_runs();
         let cold_dir = scratch(&format!("{name}-cold"));
         let fork_dir = scratch(&format!("{name}-fork"));
@@ -107,8 +111,7 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
 #[test]
 fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
     let doc_bytes = |dir: &Path| std::fs::read(dir.join("frontier.json")).expect("frontier.json");
-    for name in FrontierSpec::BUILTINS {
-        let spec = FrontierSpec::builtin(name).expect("builtin exists");
+    for (name, spec) in builtins(true) {
         let cold_dir = scratch(&format!("{name}-cold"));
         let fork_dir = scratch(&format!("{name}-fork"));
 
@@ -130,10 +133,10 @@ fn every_builtin_frontier_is_clean_fork_stable_resumable_and_summarizable() {
         // warm prefix into the shared cache and every probe run forks it.
         let (_, forked) = frontier::execute(&spec, &opts(&fork_dir)).expect("forked frontier");
         assert_eq!(cold.forked_groups, 0, "{name}: the oracle runs cold");
-        let trim_degrees: BTreeSet<_> = spec.cells.iter().map(|c| c.f).collect();
+        let trim_degrees: BTreeSet<_> = cold_doc.cells.iter().map(|c| c.effective_f).collect();
         assert_eq!(
             forked.prefix_runs,
-            spec.seeds.len() * trim_degrees.len(),
+            spec.grid.seeds.len() * trim_degrees.len(),
             "{name}"
         );
         assert_eq!(

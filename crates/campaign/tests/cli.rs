@@ -178,18 +178,21 @@ fn removed_verbs_and_fork_flags_exit_two_with_usage() {
     }
 }
 
-/// `run` tells the two spec kinds apart by builtin name, so no name may
-/// be both.
+/// Campaigns and frontiers share one builtin list, in which `run` finds
+/// a spec by name: no name may be listed twice, and each names the spec
+/// it resolves to (whose `bisect` block makes it a frontier or not).
 #[test]
 fn campaign_and_frontier_builtin_names_are_disjoint() {
-    use tsn_campaign::{CampaignSpec, FrontierSpec};
-    for name in FrontierSpec::BUILTINS {
-        assert!(!CampaignSpec::BUILTINS.contains(&name), "{name}");
-        assert!(CampaignSpec::builtin(name).is_none(), "{name}");
+    use tsn_campaign::CampaignSpec;
+    let names = CampaignSpec::BUILTINS;
+    for (i, name) in names.iter().enumerate() {
+        assert!(!names[..i].contains(name), "{name} is listed twice");
+        let spec = CampaignSpec::builtin(name).expect("builtin exists");
+        assert_eq!(spec.name, *name);
     }
 }
 
-/// A spec file with `cells` is a frontier: `run --spec` of the
+/// A spec file with a `bisect` block is a frontier: `run --spec` of the
 /// frontier-sweep file writes exactly the directory `run --builtin
 /// frontier-sweep` writes, prints the same document, and refuses
 /// `--trace` (the tracer arms campaign runs only).
@@ -214,7 +217,7 @@ fn run_takes_a_frontier_spec_by_name_or_by_file() {
         named.replace(by_name.to_str().unwrap(), "DIR"),
         filed.replace(by_file.to_str().unwrap(), "DIR")
     );
-    for name in ["frontier-spec.json", "frontier.json"] {
+    for name in ["manifest.json", "frontier.json"] {
         assert_eq!(
             std::fs::read(by_name.join(name)).unwrap(),
             std::fs::read(by_file.join(name)).unwrap(),
@@ -222,7 +225,8 @@ fn run_takes_a_frontier_spec_by_name_or_by_file() {
         );
     }
     assert!(artifact_bytes(&by_name) == artifact_bytes(&by_file));
-    assert!(!by_name.join("manifest.json").exists());
+    let entries = std::fs::read_dir(&by_name).unwrap().count();
+    assert_eq!(entries, 3, "manifest.json, runs/ and frontier.json");
 
     let traced = campaign(&[
         "run",
@@ -242,19 +246,26 @@ fn run_takes_a_frontier_spec_by_name_or_by_file() {
 /// starts: exit 2 with a plain `error:` message, never a panic, and no
 /// campaign directory. Returns the stderr text.
 fn rejected_spec_stderr(tag: &str, spec: &str) -> String {
+    rejected_spec_stderr_with(tag, spec, &[])
+}
+
+/// [`rejected_spec_stderr`] with `extra` arguments to `campaign run`.
+fn rejected_spec_stderr_with(tag: &str, spec: &str, extra: &[&str]) -> String {
     let dir = scratch(tag);
     std::fs::create_dir_all(&dir).unwrap();
     let spec_path = dir.join("bad.json");
     std::fs::write(&spec_path, spec).unwrap();
     let campaign_dir = dir.join("campaign");
-    let out = campaign(&[
+    let mut args = vec![
         "run",
         "--spec",
         spec_path.to_str().unwrap(),
         "--dir",
         campaign_dir.to_str().unwrap(),
         "--quiet",
-    ]);
+    ];
+    args.extend(extra);
+    let out = campaign(&args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
     assert!(!stderr.contains("panicked"), "run panicked: {stderr}");
@@ -277,6 +288,35 @@ fn run_with_malformed_spec_exits_two_with_message() {
         stderr.contains("domains axis value 2 outside the supported 4..=16 (FTA needs N > 3f)"),
         "error does not name the offending field: {stderr}"
     );
+    // A repeated seed, scenario or axis value expands to runs with one
+    // content hash, which two workers would race to write: rejected at
+    // any thread count, naming the list.
+    let cases = [
+        (
+            r#""scenarios":["baseline"],"grid":{"seeds":[1,1]}"#,
+            "grid.seeds",
+        ),
+        (
+            r#""scenarios":["baseline","baseline"],"grid":{"seeds":[1]}"#,
+            "scenarios",
+        ),
+        (
+            r#""scenarios":["baseline"],"grid":{"seeds":[1],"domains":[4,5,4]}"#,
+            "grid.domains",
+        ),
+    ];
+    for (body, list) in cases {
+        let spec = format!(
+            r#"{{"schema":1,"name":"twice","base":{{"preset":"quick","duration_s":4}},{body}}}"#
+        );
+        for threads in ["1", "2"] {
+            let stderr = rejected_spec_stderr_with("twice", &spec, &["--threads", threads]);
+            assert!(
+                stderr.contains(&format!("{list} repeats the value")),
+                "{stderr}"
+            );
+        }
+    }
 }
 
 /// Regression: a `partition_s` axis without an explicit `duration_s`
@@ -607,30 +647,32 @@ fn traced_campaign_directories_are_a_function_of_the_spec() {
 /// when a probe panicked and left its cell `failed`.
 #[test]
 fn summarize_and_diff_replay_a_frontier_directory() {
-    use tsn_campaign::frontier::{self, FrontierAxis, FrontierCell};
-    use tsn_campaign::{BaseSpec, FrontierSpec, Preset, RunnerOptions};
+    use clocksync::scenario::ScenarioKind;
+    use tsn_campaign::axis::MAGNITUDE_AXIS;
+    use tsn_campaign::RunnerOptions;
+    use tsn_campaign::{frontier, BaseSpec, Bisect, CampaignSpec, Coord, Grid, Preset};
 
-    let cell = |compromised| FrontierCell {
-        strategy: "colluding".to_string(),
-        compromised,
-        f: None,
-    };
-    let spec = FrontierSpec {
+    let spec = CampaignSpec {
         name: "frontier-cli".to_string(),
         base: BaseSpec {
             preset: Preset::Quick,
             duration_s: Some(6),
             warmup_s: Some(3),
         },
-        seeds: vec![1],
-        cells: vec![cell(2), cell(1)],
-        axis: FrontierAxis {
-            name: "adv_offset_ns".to_string(),
+        scenarios: vec![ScenarioKind::Baseline],
+        grid: Grid {
+            seeds: vec![1],
+            strategies: vec!["colluding"],
+            compromised: vec![2, 1],
+            ..Grid::default()
+        },
+        bisect: Some(Bisect {
+            axis: MAGNITUDE_AXIS,
             min: 1_000,
             max: 64_000,
             resolution: 8_000,
-        },
-        budget_per_cell: 6,
+            budget_per_cell: 6,
+        }),
     };
     let root = scratch("frontier");
     let (clean, copy, panicked) = (root.join("clean"), root.join("copy"), root.join("panicked"));
@@ -638,11 +680,7 @@ fn summarize_and_diff_replay_a_frontier_directory() {
     assert!(report.failed.is_empty(), "{:?}", report.failed);
     // The copy is the spec plus the artifacts: nothing reads frontier.json.
     std::fs::create_dir_all(copy.join("runs")).unwrap();
-    std::fs::copy(
-        clean.join("frontier-spec.json"),
-        copy.join("frontier-spec.json"),
-    )
-    .unwrap();
+    std::fs::copy(clean.join("manifest.json"), copy.join("manifest.json")).unwrap();
     for (name, bytes) in artifact_bytes(&clean) {
         std::fs::write(copy.join("runs").join(name), bytes).unwrap();
     }
@@ -673,10 +711,14 @@ fn summarize_and_diff_replay_a_frontier_directory() {
     assert_eq!(parity.status.code(), Some(0), "{parity:?}");
 
     // The unbreakable cell's probe at the axis maximum panics.
-    let victim = spec.probe_spec(&spec.cells[1], spec.axis.max).unwrap();
-    let victim = tsn_campaign::expand(&victim).unwrap().remove(0);
+    let victim = Coord {
+        strategy: Some("colluding"),
+        compromised: Some(1),
+        adv_offset_ns: Some(64_000),
+        ..Coord::new(ScenarioKind::Baseline, 1)
+    };
     let opts = RunnerOptions {
-        panic_label: Some(victim.coord.label()),
+        panic_label: Some(victim.label()),
         ..opts(&panicked)
     };
     let (_, failed) = frontier::execute(&spec, &opts).expect("the exploration finishes");
@@ -688,7 +730,7 @@ fn summarize_and_diff_replay_a_frontier_directory() {
     assert_eq!(regression.status.code(), Some(1), "{regression:?}");
     let stdout = String::from_utf8_lossy(&regression.stdout);
     assert!(
-        stdout.contains("colluding c=1 f=1: outcome changed"),
+        stdout.contains("baseline adv=colluding byz=1 f=1: outcome changed"),
         "{stdout}"
     );
 

@@ -35,6 +35,7 @@ fn tiny_spec() -> CampaignSpec {
             ],
             ..Grid::default()
         },
+        bisect: None,
     }
 }
 

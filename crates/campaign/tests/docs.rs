@@ -4,7 +4,7 @@
 //! command. Paths are written relative to the repository root.
 
 use std::path::{Path, PathBuf};
-use tsn_campaign::{CampaignSpec, FrontierSpec};
+use tsn_campaign::CampaignSpec;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
@@ -78,8 +78,7 @@ fn every_builtin_a_command_names_exists() {
             }
             seen += 1;
             assert!(
-                CampaignSpec::BUILTINS.contains(&name.as_str())
-                    || FrontierSpec::BUILTINS.contains(&name.as_str()),
+                CampaignSpec::BUILTINS.contains(&name.as_str()),
                 "{doc}: `--builtin {name}` is not a built-in spec"
             );
         }

@@ -28,6 +28,7 @@ fn election_spec(name: &str) -> CampaignSpec {
             rogue_master: vec![0, 1],
             ..Grid::default()
         },
+        bisect: None,
     }
 }
 

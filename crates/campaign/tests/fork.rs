@@ -25,6 +25,7 @@ fn fork_spec() -> CampaignSpec {
             seeds: vec![1, 2],
             ..Grid::default()
         },
+        bisect: None,
     }
 }
 
@@ -84,6 +85,7 @@ fn degradation_walk_is_in_artifacts_and_fork_stable() {
             partition_s: vec![0, 12],
             ..Grid::default()
         },
+        bisect: None,
     };
     let cold_dir = scratch("deg-cold");
     let fork_dir = scratch("deg-fork");

@@ -16,46 +16,50 @@
 
 mod common;
 
+use clocksync::scenario::ScenarioKind;
 use common::{artifact_bytes, cold_opts, opts, scratch};
 use std::path::Path;
-use tsn_campaign::{
-    frontier::{self, FrontierAxis, FrontierCell},
-    BaseSpec, BisectOutcome, FrontierSpec,
-};
+use tsn_campaign::{frontier, BaseSpec, Bisect, BisectOutcome, CampaignSpec, Grid};
 
-/// One breakable cell (colluding c = f + 1) and one analytically
-/// unbreakable cell (colluding c = f), one seed, short horizon: the
-/// boundary bracket converges in 10 probes and the unbreakable cell
-/// settles after its two endpoint probes.
-fn accept_spec() -> FrontierSpec {
-    FrontierSpec {
-        name: "frontier-accept".to_string(),
+/// A frontier spec over the quick preset (12 s after a 4 s warm-up) and
+/// one seed that bisects the magnitude axis at 300 ns resolution in
+/// every cell of the colluding strategy × `grid`.
+fn frontier_spec(name: &str, grid: Grid) -> CampaignSpec {
+    CampaignSpec {
+        name: name.to_string(),
         base: BaseSpec {
             preset: tsn_campaign::Preset::Quick,
             duration_s: Some(12),
             warmup_s: Some(4),
         },
-        seeds: vec![21],
-        cells: vec![
-            FrontierCell {
-                strategy: "colluding".to_string(),
-                compromised: 2,
-                f: None,
-            },
-            FrontierCell {
-                strategy: "colluding".to_string(),
-                compromised: 1,
-                f: None,
-            },
-        ],
-        axis: FrontierAxis {
-            name: "adv_offset_ns".to_string(),
+        scenarios: vec![ScenarioKind::Baseline],
+        grid: Grid {
+            seeds: vec![21],
+            strategies: vec!["colluding"],
+            ..grid
+        },
+        bisect: Some(Bisect {
+            axis: "adv_offset_ns",
             min: 1_000,
             max: 64_000,
             resolution: 300,
-        },
-        budget_per_cell: 12,
+            budget_per_cell: 12,
+        }),
     }
+}
+
+/// One breakable cell (colluding c = f + 1) and one analytically
+/// unbreakable cell (colluding c = f), one seed, short horizon: the
+/// boundary bracket converges in 10 probes and the unbreakable cell
+/// settles after its two endpoint probes.
+fn accept_spec() -> CampaignSpec {
+    frontier_spec(
+        "frontier-accept",
+        Grid {
+            compromised: vec![2, 1],
+            ..Grid::default()
+        },
+    )
 }
 
 #[test]
@@ -72,10 +76,10 @@ fn frontier_localizes_tighter_than_the_grid_with_fewer_runs() {
 
     assert!(doc.consistent(), "empirical boundary violates the bound");
     assert!(
-        doc.total_runs < doc.grid_runs,
+        doc.total_runs < frontier::GRID_REFERENCE_RUNS,
         "adaptive search used {} runs, the fixed grid only {}",
         doc.total_runs,
-        doc.grid_runs
+        frontier::GRID_REFERENCE_RUNS
     );
 
     // The breakable cell produced a bracket no wider than the requested
@@ -91,17 +95,15 @@ fn frontier_localizes_tighter_than_the_grid_with_fewer_runs() {
             breakable.empirical.outcome
         );
     };
+    let bisect = spec.bisect.unwrap();
     let width = broken_at - contained_at;
+    assert!(width <= bisect.resolution, "bracket wider than resolution");
     assert!(
-        width <= spec.axis.resolution,
-        "bracket wider than resolution"
-    );
-    assert!(
-        width * 4 <= doc.grid_spacing,
+        width * 4 <= doc.grid_spacing(),
         "bracket {width} ns is not 4x tighter than the grid's {} ns spacing",
-        doc.grid_spacing
+        doc.grid_spacing()
     );
-    assert!(breakable.empirical.probes <= spec.budget_per_cell);
+    assert!(breakable.empirical.probes <= bisect.budget_per_cell);
 
     // Both bracket ends are witnessed by real on-disk artifacts.
     for hash in [&breakable.witness_contained, &breakable.witness_broken] {
@@ -150,8 +152,12 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
     // Every probe is a campaign of one run per seed, so nothing forks
     // within a probe: the first probe of each (seed, f) simulates that
     // warm prefix into the shared cache and all later probes fork it.
-    let trim_degrees: std::collections::BTreeSet<_> = spec.cells.iter().map(|c| c.f).collect();
-    assert_eq!(first.prefix_runs, spec.seeds.len() * trim_degrees.len());
+    let trim_degrees: std::collections::BTreeSet<_> =
+        first_doc.cells.iter().map(|c| c.effective_f).collect();
+    assert_eq!(
+        first.prefix_runs,
+        spec.grid.seeds.len() * trim_degrees.len()
+    );
     assert_eq!(first.forked_groups, first.executed, "a probe ran cold");
     assert!(first.prefix_events_skipped > 0);
     frontier::execute(&spec, &opts(&dir_b)).expect("second run");
@@ -201,10 +207,47 @@ fn frontier_artifact_is_byte_identical_across_dirs_fork_and_resume() {
 #[test]
 fn frontier_spec_file_matches_builtin() {
     // The builtin is `specs/frontier_sweep.json` parsed; the file must
-    // be canonical, so its render is the file byte for byte.
+    // be canonical, so its render is the file byte for byte, and it is
+    // a frontier: a campaign spec with a `bisect` block.
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/frontier_sweep.json");
     let text = std::fs::read_to_string(&path).expect("specs/frontier_sweep.json exists");
-    let from_file = FrontierSpec::parse(&text).expect("spec file parses");
+    let from_file = CampaignSpec::parse(&text).expect("spec file parses");
     assert_eq!(from_file.render(), text, "spec file is not canonical");
-    assert_eq!(FrontierSpec::builtin("frontier-sweep"), Some(from_file));
+    assert!(from_file.bisect.is_some());
+    assert_eq!(CampaignSpec::builtin("frontier-sweep"), Some(from_file));
+}
+
+/// A cell is any grid point, so cells may differ in the domain count:
+/// each cell's analytical bound takes N (and f) from its own
+/// materialized configuration, not from the base preset.
+#[test]
+fn each_cell_takes_its_own_domain_count_into_the_bound() {
+    let mut spec = frontier_spec(
+        "frontier-domains",
+        Grid {
+            domains: vec![4, 7],
+            compromised: vec![2],
+            ..Grid::default()
+        },
+    );
+    spec.base.duration_s = Some(6);
+    spec.base.warmup_s = Some(3);
+    if let Some(b) = spec.bisect.as_mut() {
+        (b.resolution, b.budget_per_cell) = (32_000, 2);
+    }
+    let dir = scratch("domains");
+    let (doc, report) = frontier::execute(&spec, &opts(&dir)).expect("frontier runs");
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    let domains: Vec<usize> = doc
+        .cells
+        .iter()
+        .map(|c| c.analytical.as_ref().expect("magnitude axis").0.domains)
+        .collect();
+    assert_eq!(domains, [4, 7]);
+    for cell in &doc.cells {
+        let (params, _) = cell.analytical.as_ref().unwrap();
+        assert_eq!(params.f, cell.effective_f);
+        assert_eq!(cell.cell.domains, Some(params.domains));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,12 +12,15 @@
 //!   quantiles, bound-compliance fraction) depend only on sample
 //!   values, not on their timestamps. Shifting a whole series in time
 //!   leaves every statistic bit-identical.
+//! * **No intervention before its instant** — a scenario is
+//!   intervention-only, so its runs share the baseline's derived seed; a
+//!   cyber run that ends before its first strike is the baseline run.
 
 mod common;
 
 use clocksync::scenario::ScenarioKind;
 use common::{artifact_bytes, cold_opts, scratch};
-use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid};
+use tsn_campaign::{runner, BaseSpec, CampaignSpec, Grid, RunRecord};
 use tsn_metrics::{PrecisionSample, PrecisionSeries};
 use tsn_time::Nanos;
 
@@ -34,6 +37,7 @@ fn spec_with_axes(domains: Vec<usize>, seeds: Vec<u64>) -> CampaignSpec {
             domains,
             ..Grid::default()
         },
+        bisect: None,
     }
 }
 
@@ -61,6 +65,44 @@ fn axis_permutation_produces_identical_artifacts() {
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// The paper's strikes land at 21:42 and 31:52, so a cyber run that
+/// ends sooner simulates the baseline's world: its record is the
+/// baseline run's except for the coordinate and the content hash. This
+/// is why `repro-all`, 300 s per run, shows one Π* for the baseline and
+/// both cyber scenarios.
+#[test]
+fn a_cyber_run_that_ends_before_its_first_strike_is_the_baseline_run() {
+    let spec = CampaignSpec {
+        scenarios: vec![
+            ScenarioKind::Baseline,
+            ScenarioKind::CyberIdenticalKernels,
+            ScenarioKind::CyberDiverseKernels,
+        ],
+        ..spec_with_axes(vec![], vec![5])
+    };
+    let dir = scratch("pre-strike");
+    let report = runner::execute(&spec, &cold_opts(&dir)).expect("campaign");
+    let [baseline, cyber @ ..] = report.records.as_slice() else {
+        panic!("no records");
+    };
+    assert_eq!(cyber.len(), 2);
+    for record in cyber {
+        assert_ne!(record.coord, baseline.coord);
+        let relabeled = RunRecord {
+            coord: baseline.coord,
+            hash: baseline.hash.clone(),
+            ..record.clone()
+        };
+        assert_eq!(
+            relabeled.encode(),
+            baseline.encode(),
+            "{}",
+            record.coord.label()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

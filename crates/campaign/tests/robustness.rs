@@ -12,9 +12,9 @@
 //! * the ring and tree fabric topologies run clean under `--check` and
 //!   fork byte-identically to cold execution;
 //! * no spec text panics a reader: every truncation and random byte
-//!   flips of each committed spec file go through
-//!   `CampaignSpec::parse` / `FrontierSpec::parse` (and `expand` when
-//!   the parse succeeds).
+//!   flips of each committed spec file go through `CampaignSpec::parse`
+//!   (and `expand`, or for a frontier `frontier::load`, when the parse
+//!   succeeds).
 
 mod common;
 
@@ -22,7 +22,7 @@ use clocksync::scenario::ScenarioKind;
 use common::{artifact_bytes, cold_opts, opts, scratch, tree_bytes};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use tsn_campaign::{runner, BaseSpec, CampaignSpec, FrontierSpec, Grid, RunnerOptions};
+use tsn_campaign::{frontier, runner, BaseSpec, CampaignSpec, Grid, RunnerOptions};
 
 fn tiny_spec(name: &str) -> CampaignSpec {
     CampaignSpec {
@@ -37,6 +37,7 @@ fn tiny_spec(name: &str) -> CampaignSpec {
             seeds: vec![1, 2],
             ..Grid::default()
         },
+        bisect: None,
     }
 }
 
@@ -219,6 +220,7 @@ fn ring_and_tree_fabrics_run_clean_and_fork_identically() {
             hops: vec![2],
             ..Grid::default()
         },
+        bisect: None,
     };
 
     // Checked cold execution: the invariant oracle watches every run.
@@ -277,18 +279,19 @@ fn spec_files() -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Feeds `bytes` to both spec readers and expands whatever parses: an
-/// `Err` is fine, a panic is not.
+/// Feeds `bytes` to the spec reader and expands whatever parses — a
+/// frontier by replaying it over a directory without probe artifacts,
+/// which builds its cells and first probes: an `Err` is fine, a panic
+/// is not.
 fn read_spec(bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
     if let Ok(spec) = CampaignSpec::parse(&text) {
         let _ = tsn_campaign::expand(&spec);
-    }
-    if let Ok(spec) = FrontierSpec::parse(&text) {
-        for cell in &spec.cells {
-            if let Ok(probe) = spec.probe_spec(cell, spec.axis.min) {
-                let _ = tsn_campaign::expand(&probe);
-            }
+        if spec.bisect.is_some() {
+            let empty = scratch("no-probes");
+            std::fs::create_dir_all(empty.join("runs")).expect("scratch dir");
+            let _ = frontier::load(&spec, &empty);
+            let _ = std::fs::remove_dir_all(&empty);
         }
     }
 }

@@ -22,6 +22,7 @@ fn main() {
             ],
             ..Grid::default()
         },
+        bisect: None,
     };
     let dir = std::path::PathBuf::from("target/campaigns").join(&spec.name);
     println!(
