@@ -43,9 +43,11 @@ use tsn_time::SyncState;
 /// 6: coordinates gained the fabric topology axis (`topology`) and the
 /// frontier axes (`adv_offset_ns`, `fta_f`).
 ///
-/// 7: coordinates gained the fleet axes (`fleet_nodes`,
-/// `fleet_topology`).
-pub const ARTIFACT_SCHEMA: u64 = 7;
+/// 7: coordinates gained two switch-population axes.
+///
+/// 8: coordinates lost those two axes again; a hop count on the fabric
+/// axes says what they did.
+pub const ARTIFACT_SCHEMA: u64 = 8;
 
 /// One sync-state transition of one aggregator, as recorded in the run's
 /// event log (times are absolute simulation nanoseconds).
@@ -602,8 +604,6 @@ mod tests {
                 topology: Some("ring"),
                 adv_offset_ns: Some(20_000),
                 fta_f: Some(2),
-                fleet_nodes: Some(256),
-                fleet_topology: Some("fat-tree"),
                 ..Coord::new(ScenarioKind::Baseline, 42)
             },
             seed: u64::MAX - 3,
@@ -665,10 +665,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_other_schemas_and_garbage() {
-        let line = record().encode().replace("\"schema\":7", "\"schema\":6");
-        assert!(RunRecord::decode(&line).is_none());
-        let line = record().encode().replace("\"schema\":7", "\"schema\":8");
-        assert!(RunRecord::decode(&line).is_none());
+        for other in ["\"schema\":7", "\"schema\":9"] {
+            let line = record().encode().replace("\"schema\":8", other);
+            assert!(line.contains(other));
+            assert!(RunRecord::decode(&line).is_none());
+        }
         assert!(RunRecord::decode("not json").is_none());
         assert!(RunRecord::decode("{}").is_none());
     }

@@ -16,10 +16,7 @@
 //! artifact JSON keys, and of the expansion odometer.
 
 use crate::json::{Json, Reader};
-use crate::spec::{
-    discipline_name, parse_discipline, KernelChoice, SpecError, FLEET_TOPOLOGY_NAMES,
-    TOPOLOGY_NAMES,
-};
+use crate::spec::{discipline_name, parse_discipline, KernelChoice, SpecError, TOPOLOGY_NAMES};
 use clocksync::scenario::ScenarioKind;
 use tsn_faults::ByzantineStrategy;
 use tsn_hyp::SyncClockDiscipline;
@@ -83,8 +80,6 @@ pub enum Family {
     Election,
     /// The multi-hop TSN switch fabric.
     Fabric,
-    /// A condensed switch fleet (which also activates the fabric).
-    Fleet,
 }
 
 /// A field type an axis can have in [`Grid`] and [`Coord`].
@@ -477,15 +472,4 @@ axes! {
     /// t = 0, so it is prefix-relevant.
     fta_f / fta_f: usize, "fta_f", _, _,
     IfActive, "f={}", _, Prefix, Fixed, UInt(1, 5, " (3f + 1 domains of at most 16)"), _;
-    /// Fleet size: number of ECDs attached to a *condensed* switch
-    /// fleet (activates the fleet; default 256). Mutually exclusive
-    /// with the explicit `hops`/`topology` axes — the fleet owns
-    /// the fabric's depth and shape.
-    fleet_nodes / fleet_nodes: u32, "fleet_nodes", _, "fleet_n",
-    IfActive, "fleet_n={}", Fleet, Prefix, Fixed, UInt(2, 65_536, ""), 256;
-    /// Fleet topology shape ([`FLEET_TOPOLOGY_NAMES`] spelling;
-    /// activates the fleet). Omitted, fleet runs use a line of
-    /// switches.
-    fleet_topology / fleet_topology: &'static str, "fleet_topology", _, "fleet_topo",
-    IfActive, "fleet_topo={}", Fleet, Prefix, Fixed, Name(&FLEET_TOPOLOGY_NAMES), "line";
 }

@@ -58,7 +58,7 @@ const USAGE: &str = "usage:
   campaign snapshot restore (--builtin NAME | --spec FILE) --run HASH --file FILE
   campaign snapshot verify  (--builtin NAME | --spec FILE) --run HASH [--at SECS] [--epoch-s SECS]
 
-built-in specs: quick-baseline, repro-all, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, fleet-sweep, frontier-sweep
+built-in specs: quick-baseline, repro-all, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, frontier-sweep
 exit codes (diff): 0 parity, 1 regression, 2 error
 exit codes (run): 0 clean, 1 failed run(s) / invariant violation(s) under --check / inconsistent frontier cell, 2 error
 exit codes (snapshot): 0 ok, 1 divergence (verify), 2 error";
@@ -261,7 +261,7 @@ fn view_of_dir(dir: &Path) -> Result<View, String> {
         return Ok(View::Frontier(Box::new(doc)));
     }
     // Stream records through the bounded summarizer — one record in
-    // memory at a time, so fleet-scale campaigns summarize in O(groups).
+    // memory at a time, so large campaigns summarize in O(groups).
     let reader = runner::RunRecordReader::open(&spec, dir).map_err(|e| e.to_string())?;
     if reader.is_empty() {
         return Err(format!(

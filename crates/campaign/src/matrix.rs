@@ -51,20 +51,9 @@ impl Coord {
     /// Whether this coordinate runs behind the multi-hop switch fabric:
     /// any active fabric axis activates it, with the others defaulted
     /// ([`tsn_fabric::FabricConfig::line`] of 1 hop, no cross-traffic,
-    /// symmetric links, end-to-end mode, line topology). An active
-    /// fleet ([`Coord::fleet_active`]) also activates the fabric: the
-    /// switch fleet condenses into the fabric configuration.
+    /// symmetric links, end-to-end mode, line topology).
     pub fn fabric_active(&self) -> bool {
-        self.family_active(Family::Fabric) || self.fleet_active()
-    }
-
-    /// Whether this coordinate runs behind a *condensed* switch fleet:
-    /// either fleet axis activates it with the other defaulted (256
-    /// nodes, line shape). The fabric's structural axes (`hops`,
-    /// `topology`) are mutually exclusive with the fleet axes — the
-    /// fleet owns depth and shape.
-    pub fn fleet_active(&self) -> bool {
-        self.family_active(Family::Fleet)
+        self.family_active(Family::Fabric)
     }
 
     /// Whether this coordinate runs with the dynamic election: an
@@ -119,30 +108,7 @@ impl Coord {
                 label.push_str(&format!("/topo={t}"));
             }
         }
-        // A fleet replaces the fabric's structural knobs from
-        // t = 0, so its effective size and shape are prefix-relevant.
-        // (No pre-fleet campaign carries these axes, so rendering the
-        // defaults here cannot move an existing derived seed.)
-        if self.fleet_active() {
-            label.push_str(&format!(
-                "/fleet=on/n={}/topo={}",
-                self.fleet_nodes(),
-                self.fleet_topology(),
-            ));
-        }
         label
-    }
-
-    /// The seed of the fleet's per-switch residence draws: split from
-    /// the *grid* seed and the effective fleet axes only, so the fleet
-    /// is a pure function of `(spec, seed)` — independent of enumeration
-    /// order, thread count, and every non-fleet axis.
-    pub fn fleet_seed(&self) -> u64 {
-        SeedSplitter::new(self.seed).seed(&format!(
-            "fleet/n={}/topo={}",
-            self.fleet_nodes(),
-            self.fleet_topology(),
-        ))
     }
 
     /// The run's derived seed: splittable hash of the grid seed and the
@@ -364,40 +330,13 @@ pub fn materialize(
     // Fabric axes: any of them routes inter-node gPTP traffic through a
     // fabric of TSN switches, with unset axes at their neutral defaults
     // (line topology, 1 hop, no cross-traffic, symmetric links,
-    // end-to-end mode). An active fleet condenses into the fabric
-    // configuration instead — its structural knobs (depth, shape,
-    // residence spread) come from the fleet's size and shape
-    // (`tsn_fabric::fleet::condense`), so the explicit `hops`/`topology`
-    // axes are rejected alongside it ([`CampaignSpec::validate`]
-    // enforces this for specs; a hand-built coordinate gets the same
-    // error here).
+    // end-to-end mode).
     if coord.fabric_active() {
-        let mut fabric = if coord.fleet_active() {
-            if coord.hops.is_some() || coord.topology.is_some() {
-                return Err(SpecError::Value(
-                    "grid.fleet_nodes/fleet_topology".to_string(),
-                    "mutually exclusive with grid.hops and grid.topology".to_string(),
-                ));
-            }
-            let shape_name = coord.fleet_topology();
-            let shape = clocksync::fabric::FleetShape::parse(shape_name).ok_or_else(|| {
-                SpecError::Value("grid.fleet_topology[]".to_string(), shape_name.to_string())
-            })?;
-            clocksync::fabric::fleet::condense(
-                coord.fleet_nodes(),
-                shape,
-                coord.fleet_seed(),
-                &clocksync::fabric::FabricConfig::default(),
-            )
-        } else {
-            let mut fabric = clocksync::fabric::FabricConfig::line(coord.hops());
-            if let Some(t) = coord.topology {
-                fabric.topology = crate::spec::parse_topology(t).ok_or_else(|| {
-                    SpecError::Value("grid.topology[]".to_string(), t.to_string())
-                })?;
-            }
-            fabric
-        };
+        let mut fabric = clocksync::fabric::FabricConfig::line(coord.hops());
+        if let Some(t) = coord.topology {
+            fabric.topology = crate::spec::parse_topology(t)
+                .ok_or_else(|| SpecError::Value("grid.topology[]".to_string(), t.to_string()))?;
+        }
         fabric.cross_traffic_load = f64::from(coord.cross_traffic_pct()) / 100.0;
         fabric.asymmetry_ns = Nanos::from_nanos(coord.asymmetry_ns() as i64);
         fabric.transparent_clock = coord.tc_mode();
@@ -609,64 +548,6 @@ mod tests {
         assert!(coord
             .prefix_label()
             .ends_with("/fabric=on/hops=6/xload_pct=0/asym_ns=0/tc=false"));
-    }
-
-    #[test]
-    fn fleet_axes_materialize_and_stay_label_conditional() {
-        let base = BaseSpec::quick(20);
-        let mut coord = Coord {
-            fleet_nodes: Some(256),
-            fleet_topology: Some("fat-tree"),
-            ..Coord::new(ScenarioKind::Baseline, 1)
-        };
-        // Fleet axes activate the fabric with a condensed topology:
-        // shape maps into the fabric's coarse topology enum, depth is
-        // the fleet diameter, residences come from the drawn per-switch
-        // values.
-        assert!(coord.fleet_active() && coord.fabric_active());
-        let cfg = materialize(&base, coord, 7).expect("valid coord");
-        let fabric = cfg.fabric.expect("fabric on");
-        assert_eq!(fabric.topology, clocksync::fabric::FabricTopology::Tree);
-        assert!((1..=64).contains(&fabric.hops));
-        // Other fabric axes still compose with the condensed config.
-        coord.cross_traffic_pct = Some(40);
-        coord.tc_mode = Some(true);
-        let cfg = materialize(&base, coord, 7).expect("valid coord");
-        let fabric = cfg.fabric.expect("fabric on");
-        assert!((fabric.cross_traffic_load - 0.40).abs() < 1e-12);
-        assert!(fabric.transparent_clock);
-        // Explicit depth/shape axes conflict with the fleet.
-        coord.hops = Some(3);
-        let err = materialize(&base, coord, 7).expect_err("fleet+hops conflict");
-        assert!(matches!(err, SpecError::Value(ref f, _)
-            if f == "grid.fleet_nodes/fleet_topology"));
-        coord.hops = None;
-        coord.cross_traffic_pct = None;
-        coord.tc_mode = None;
-        // The fleet topology is a pure function of the coordinate: the
-        // same coordinate always derives the same fleet seed, and the
-        // seed moves with the fleet axes.
-        let a = coord.fleet_seed();
-        assert_eq!(a, coord.fleet_seed());
-        let mut bigger = coord;
-        bigger.fleet_nodes = Some(1024);
-        assert_ne!(a, bigger.fleet_seed());
-        // Labels are conditional: without fleet axes nothing renders
-        // (hashes of pre-fleet campaigns are unchanged); with them both
-        // label and prefix carry the effective values.
-        assert!(coord.label().ends_with("/fleet_n=256/fleet_topo=fat-tree"));
-        assert!(coord
-            .prefix_label()
-            .ends_with("/fleet=on/n=256/topo=fat-tree"));
-        coord.fleet_nodes = None;
-        coord.fleet_topology = None;
-        assert!(!coord.fleet_active());
-        assert!(!coord.label().contains("fleet"));
-        assert!(!coord.prefix_label().contains("fleet"));
-        assert!(materialize(&base, coord, 7)
-            .expect("valid coord")
-            .fabric
-            .is_none());
     }
 
     #[test]

@@ -671,8 +671,8 @@ pub(crate) fn write_atomic(path: &Path, content: &str) -> io::Result<()> {
 }
 
 /// [`write_atomic`] for a run record, streamed through a [`io::BufWriter`]
-/// via [`RunRecord::encode_to`] — the encoded JSONL line (which can be
-/// large for fleet runs) is never materialized as one in-memory string.
+/// via [`RunRecord::encode_to`] — the encoded JSONL line is never
+/// materialized as one in-memory string.
 fn write_record_atomic(path: &Path, record: &RunRecord) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {

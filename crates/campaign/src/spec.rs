@@ -96,6 +96,9 @@ impl BaseSpec {
     }
 
     fn from_json(v: &Json) -> Result<BaseSpec, SpecError> {
+        known_keys(v, "base.", |k| {
+            ["preset", "duration_s", "warmup_s"].contains(&k)
+        })?;
         let preset = field(v, "base.preset", Json::as_str)?;
         let seconds = |path: &str| {
             let key = path.trim_start_matches("base.");
@@ -185,10 +188,6 @@ pub fn parse_topology(name: &str) -> Option<clocksync::fabric::FabricTopology> {
     }
 }
 
-/// Fleet topology axis values, in a stable order (the spellings of
-/// [`clocksync::fabric::FleetShape`]'s variants).
-pub const FLEET_TOPOLOGY_NAMES: [&str; 4] = ["line", "ring", "tree", "fat-tree"];
-
 pub use crate::axis::Grid;
 
 impl Grid {
@@ -200,12 +199,6 @@ impl Grid {
             * self.seeds.len()
     }
 
-    /// Whether any axis of `family` is swept.
-    fn sweeps(&self, family: Family) -> bool {
-        AXES.iter()
-            .any(|a| a.family == Some(family) && (a.grid_len)(self) > 0)
-    }
-
     fn to_json(&self) -> Json {
         let seeds = Json::Array(self.seeds.iter().map(|&s| Json::UInt(s)).collect());
         let mut pairs = vec![("seeds", seeds)];
@@ -214,6 +207,9 @@ impl Grid {
     }
 
     fn from_json(v: &Json) -> Result<Grid, SpecError> {
+        known_keys(v, "grid.", |k| {
+            k == "seeds" || AxisDef::by_spec_key(k).is_some()
+        })?;
         let mut grid = Grid::default();
         if let Some(seeds) = v.get("seeds") {
             grid.seeds = seeds
@@ -295,6 +291,9 @@ impl Bisect {
     }
 
     fn from_json(v: &Json) -> Result<Bisect, SpecError> {
+        known_keys(v, "bisect.", |k| {
+            ["axis", "min", "max", "resolution", "budget_per_cell"].contains(&k)
+        })?;
         let axis = field(v, "bisect.axis", Json::as_str)?;
         Ok(Bisect {
             axis: AxisDef::by_spec_key(axis)
@@ -342,6 +341,19 @@ fn field<'a, T>(
     v.get(key)
         .and_then(read)
         .ok_or_else(|| SpecError::field(path))
+}
+
+/// Rejects a member of the object `v` that `known` does not accept,
+/// naming it by `path` + key: a misspelt or retired key would otherwise
+/// be ignored, and the spec would run as if it were absent.
+fn known_keys(v: &Json, path: &str, known: impl Fn(&str) -> bool) -> Result<(), SpecError> {
+    let Json::Object(pairs) = v else {
+        return Ok(());
+    };
+    match pairs.iter().find(|(k, _)| !known(k)) {
+        Some((k, _)) => Err(SpecError::Invalid(format!("{path}{k}: unknown key"))),
+        None => Ok(()),
+    }
 }
 
 impl std::fmt::Display for SpecError {
@@ -405,7 +417,10 @@ impl CampaignSpec {
             values.iter().try_for_each(|&v| a.check(v))?;
             distinct(&format!("grid.{}", a.spec_key), &values)?;
         }
-        if self.grid.rogue_master.iter().any(|&n| n > 0) && self.grid.sweeps(Family::Attack) {
+        let attack_swept = AXES
+            .iter()
+            .any(|a| a.family == Some(Family::Attack) && (a.grid_len)(&self.grid) > 0);
+        if self.grid.rogue_master.iter().any(|&n| n > 0) && attack_swept {
             return Err(SpecError::Invalid(
                 "rogue_master cannot combine with the strategies/compromised/adv_offset_ns \
                  axes (both materialize strikes on the highest node indices)"
@@ -415,15 +430,6 @@ impl CampaignSpec {
         let min_domains = self.grid.domains.iter().copied().min().unwrap_or(4);
         for &f in &self.grid.fta_f {
             check_fta_f(f, min_domains)?;
-        }
-        if self.grid.sweeps(Family::Fleet)
-            && (!self.grid.hops.is_empty() || !self.grid.topology.is_empty())
-        {
-            return Err(SpecError::Invalid(
-                "fleet_nodes/fleet_topology cannot combine with the hops/topology axes \
-                 (the fleet owns the fabric's depth and shape)"
-                    .to_string(),
-            ));
         }
         if let Some(&latest) = self.grid.gm_failure_at_s.iter().max() {
             let Some(duration) = self.base.duration_s else {
@@ -534,9 +540,13 @@ impl CampaignSpec {
         self.to_json().render()
     }
 
-    /// Parses and validates a spec document.
+    /// Parses and validates a spec document; a key nothing reads is an
+    /// error.
     pub fn parse(text: &str) -> Result<CampaignSpec, SpecError> {
         let v = Json::parse(text)?;
+        known_keys(&v, "", |k| {
+            ["schema", "name", "base", "scenarios", "grid", "bisect"].contains(&k)
+        })?;
         if let Some(schema) = v.get("schema") {
             let schema = schema.as_u64().ok_or_else(|| SpecError::field("schema"))?;
             if schema != SPEC_SCHEMA {
@@ -581,23 +591,19 @@ impl CampaignSpec {
     /// * `adversary-sweep` — every [`tsn_faults::ByzantineStrategy`]
     ///   preset × compromised ∈ {1, 2} (≤ f and f + 1) × loss ∈
     ///   {0, 20} ‰ × 2 seeds, reporting worst-case observed precision
-    ///   per cell (48 runs);
+    ///   per cell (56 runs);
     /// * `election-sweep` — dynamic BMCA election with a scheduled kill
     ///   of node 0's GM at +10 s × rogue masters ∈ {0, 1} × 2 seeds
     ///   (4 runs);
     /// * `fabric-sweep` — the network depth sweep: topology ∈ {line,
-    ///   ring, tree} × hops ∈ {1, 3, 6} through the TSN switch fabric ×
-    ///   30 % cross-traffic × transparent clocks {off, on} × 2 seeds
-    ///   (36 runs);
-    /// * `fleet-sweep` — the fleet-scale sweep: condensed switch fleets
-    ///   of {256, 1024} ECDs × all four [`FLEET_TOPOLOGY_NAMES`] shapes
-    ///   × 2 seeds (16 runs). Exercises the streaming artifact pipeline
-    ///   at bounded memory;
+    ///   ring, tree} × hops ∈ {1, 3, 6, 16, 64} (64 is the hop budget)
+    ///   through the TSN switch fabric × 30 % cross-traffic ×
+    ///   transparent clocks {off, on} × 2 seeds (60 runs);
     /// * `frontier-sweep` — a frontier: bisects the magnitude axis over
     ///   1 µs..64 µs to 684 ns (4× tighter than the 48-run grid's 2739 ns
     ///   spacing) in each cell of strategies {colluding, constant} ×
     ///   compromised {2, 1}, 2 seeds.
-    pub const BUILTINS: [&'static str; 9] = [
+    pub const BUILTINS: [&'static str; 8] = [
         "quick-baseline",
         "repro-all",
         "abl2-domains",
@@ -605,7 +611,6 @@ impl CampaignSpec {
         "adversary-sweep",
         "election-sweep",
         "fabric-sweep",
-        "fleet-sweep",
         "frontier-sweep",
     ];
 
@@ -622,7 +627,6 @@ impl CampaignSpec {
             "adversary-sweep" => include_str!("../../../specs/adversary_sweep.json"),
             "election-sweep" => include_str!("../../../specs/election_sweep.json"),
             "fabric-sweep" => include_str!("../../../specs/fabric_sweep.json"),
-            "fleet-sweep" => include_str!("../../../specs/fleet_sweep.json"),
             "frontier-sweep" => include_str!("../../../specs/frontier_sweep.json"),
             _ => return None,
         };

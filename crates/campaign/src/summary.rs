@@ -116,8 +116,7 @@ struct GroupAccum {
 /// minus the seed axis), not the number of records. Each metric is
 /// tracked with [`StreamingSummary`], so groups small enough for the
 /// old in-memory path ([`StreamingSummary::EXACT_CAP`] runs) summarize
-/// byte-identically, and fleet-scale groups degrade to a bounded
-/// sketch.
+/// byte-identically, and larger groups degrade to a bounded sketch.
 #[derive(Default)]
 pub struct StreamSummarizer {
     // Vec keyed by linear search: groups stay in first-appearance
@@ -581,19 +580,6 @@ mod tests {
         // Without fabric traffic the text line is suppressed.
         let plain = render(&summarize(&records(4000, 1.0)));
         assert!(!plain.contains("fabric/run"));
-    }
-
-    #[test]
-    fn fleet_axes_group_and_render() {
-        let mut recs = records(4000, 1.0);
-        for r in &mut recs {
-            r.coord.fleet_nodes = Some(1024);
-            r.coord.fleet_topology = Some("fat-tree");
-        }
-        let groups = summarize(&recs);
-        assert_eq!(groups.len(), 2, "fleet axes join the grouping key");
-        assert!(groups[0].key.group_label().contains("fleet_n=1024"));
-        assert!(groups[0].key.group_label().contains("fleet_topo=fat-tree"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The pre-streaming pipeline collected every `RunRecord` into a `Vec`
 //! before grouping (O(records) memory — tens of megabytes for a
-//! fleet-scale campaign). The streaming path must summarize an
+//! 100 000-run campaign). The streaming path must summarize an
 //! arbitrarily large campaign with memory proportional to the number of
 //! *groups*, not records. This test pins that with a counting global
 //! allocator: 100 000 synthetic records pushed one at a time must keep
@@ -55,16 +55,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// One synthetic run record: the axes every campaign has (scenario +
-/// seed) plus per-seed metric variation so the accumulators do real
-/// work.
+/// seed) on a 64-hop fabric, plus per-seed metric variation so the
+/// accumulators do real work.
 fn synthetic(seed: u64) -> RunRecord {
     let p95 = 3_000 + (seed % 977) as i64;
     RunRecord {
         campaign: "alloc-budget".to_string(),
         hash: format!("{seed:016x}"),
         coord: Coord {
-            fleet_nodes: Some(1024),
-            fleet_topology: Some("fat-tree"),
+            hops: Some(64),
             ..Coord::new(clocksync::scenario::ScenarioKind::Baseline, seed)
         },
         seed: seed.wrapping_mul(0x9e3779b97f4a7c15),

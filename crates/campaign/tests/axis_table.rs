@@ -43,8 +43,6 @@ fn all_set(election: bool) -> Coord {
         topology: Some("ring"),
         adv_offset_ns: Some(20_000),
         fta_f: Some(2),
-        fleet_nodes: Some(1024),
-        fleet_topology: Some("fat-tree"),
         ..Coord::new(ScenarioKind::CyberDiverseKernels, 42)
     }
 }
@@ -90,10 +88,9 @@ fn none_set_coordinate_renders_the_legacy_bytes() {
     assert_eq!(content_hash(FINGERPRINT, &c), "b9b83afae7f42f55");
     assert_eq!(c.group_label(), "baseline");
     assert_eq!(c.derived_seed(), 1190509560084075522);
-    assert_eq!(c.fleet_seed(), 69618682890985705);
     assert_eq!(
         coord_json(c),
-        r#""coord":{"scenario":"baseline","seed":7,"domains":null,"sync_interval_ms":null,"kernel":null,"fault_rate_per_hour":null,"discipline":null,"strategy":null,"compromised":null,"loss_permille":null,"partition_s":null,"election":null,"announce_interval_ms":null,"gm_failure_at_s":null,"rogue_master":null,"hops":null,"cross_traffic_pct":null,"asymmetry_ns":null,"tc_mode":null,"topology":null,"adv_offset_ns":null,"fta_f":null,"fleet_nodes":null,"fleet_topology":null}"#
+        r#""coord":{"scenario":"baseline","seed":7,"domains":null,"sync_interval_ms":null,"kernel":null,"fault_rate_per_hour":null,"discipline":null,"strategy":null,"compromised":null,"loss_permille":null,"partition_s":null,"election":null,"announce_interval_ms":null,"gm_failure_at_s":null,"rogue_master":null,"hops":null,"cross_traffic_pct":null,"asymmetry_ns":null,"tc_mode":null,"topology":null,"adv_offset_ns":null,"fta_f":null}"#
     );
 }
 
@@ -102,34 +99,33 @@ fn all_set_coordinate_renders_the_legacy_bytes() {
     let c = all_set(false);
     assert_eq!(
         c.label(),
-        "scenario=cyber_diverse_kernels/seed=42/domains=5/sync_ms=125/kernel=diverse/rate=4/discipline=feed_forward/strategy=trim-edge/byz=2/loss_pm=20/partition_s=3/election=false/announce_ms=500/gm_kill_s=10/rogue=1/hops=3/xload_pct=30/asym_ns=150/tc=true/topo=ring/adv_ns=20000/fta_f=2/fleet_n=1024/fleet_topo=fat-tree"
+        "scenario=cyber_diverse_kernels/seed=42/domains=5/sync_ms=125/kernel=diverse/rate=4/discipline=feed_forward/strategy=trim-edge/byz=2/loss_pm=20/partition_s=3/election=false/announce_ms=500/gm_kill_s=10/rogue=1/hops=3/xload_pct=30/asym_ns=150/tc=true/topo=ring/adv_ns=20000/fta_f=2"
     );
     // An explicit `election=false` keeps the election out of the prefix.
     assert_eq!(
         c.prefix_label(),
-        "seed=42/domains=5/sync_ms=125/discipline=feed_forward/fta_f=2/fabric=on/hops=3/xload_pct=30/asym_ns=150/tc=true/topo=ring/fleet=on/n=1024/topo=fat-tree"
+        "seed=42/domains=5/sync_ms=125/discipline=feed_forward/fta_f=2/fabric=on/hops=3/xload_pct=30/asym_ns=150/tc=true/topo=ring"
     );
-    assert_eq!(content_hash(FINGERPRINT, &c), "778d0ea216088ed8");
+    assert_eq!(content_hash(FINGERPRINT, &c), "2455cdefe18dc9b9");
     assert_eq!(
         c.group_label(),
-        "cyber_diverse_kernels M=5 S=125ms kernels=diverse rate=4/h feed_forward adv=trim-edge byz=2 loss=20pm partition=3s election=off announce=500ms gm-kill=10s rogue=1 hops=3 xload=30% asym=150ns tc=on topo=ring adv_ns=20000 f=2 fleet_n=1024 fleet_topo=fat-tree"
+        "cyber_diverse_kernels M=5 S=125ms kernels=diverse rate=4/h feed_forward adv=trim-edge byz=2 loss=20pm partition=3s election=off announce=500ms gm-kill=10s rogue=1 hops=3 xload=30% asym=150ns tc=on topo=ring adv_ns=20000 f=2"
     );
-    assert_eq!(c.derived_seed(), 6560326626311241457);
-    assert_eq!(c.fleet_seed(), 7778245090253589626);
+    assert_eq!(c.derived_seed(), 5842159588646164709);
     assert_eq!(
         coord_json(c),
-        r#""coord":{"scenario":"cyber_diverse_kernels","seed":42,"domains":5,"sync_interval_ms":125,"kernel":"diverse","fault_rate_per_hour":4,"discipline":"feed_forward","strategy":"trim-edge","compromised":2,"loss_permille":20,"partition_s":3,"election":false,"announce_interval_ms":500,"gm_failure_at_s":10,"rogue_master":1,"hops":3,"cross_traffic_pct":30,"asymmetry_ns":150,"tc_mode":true,"topology":"ring","adv_offset_ns":20000,"fta_f":2,"fleet_nodes":1024,"fleet_topology":"fat-tree"}"#
+        r#""coord":{"scenario":"cyber_diverse_kernels","seed":42,"domains":5,"sync_interval_ms":125,"kernel":"diverse","fault_rate_per_hour":4,"discipline":"feed_forward","strategy":"trim-edge","compromised":2,"loss_permille":20,"partition_s":3,"election":false,"announce_interval_ms":500,"gm_failure_at_s":10,"rogue_master":1,"hops":3,"cross_traffic_pct":30,"asymmetry_ns":150,"tc_mode":true,"topology":"ring","adv_offset_ns":20000,"fta_f":2}"#
     );
 
     let on = all_set(true);
     assert!(on.label().contains("/election=true/announce_ms=500/"));
     assert_eq!(
         on.prefix_label(),
-        "seed=42/domains=5/sync_ms=125/discipline=feed_forward/fta_f=2/election=on/announce_ms=500/fabric=on/hops=3/xload_pct=30/asym_ns=150/tc=true/topo=ring/fleet=on/n=1024/topo=fat-tree"
+        "seed=42/domains=5/sync_ms=125/discipline=feed_forward/fta_f=2/election=on/announce_ms=500/fabric=on/hops=3/xload_pct=30/asym_ns=150/tc=true/topo=ring"
     );
-    assert_eq!(content_hash(FINGERPRINT, &on), "58ef8a5fd288117d");
+    assert_eq!(content_hash(FINGERPRINT, &on), "de84a1a1271ffc36");
     assert!(on.group_label().contains(" election=on "));
-    assert_eq!(on.derived_seed(), 9979907394931580576);
+    assert_eq!(on.derived_seed(), 4502872694101794188);
 }
 
 /// Two distinct legal values of an axis.

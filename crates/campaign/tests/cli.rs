@@ -319,6 +319,51 @@ fn run_with_malformed_spec_exits_two_with_message() {
     }
 }
 
+/// A key nothing reads is an error naming its path, at every level of
+/// a spec. A misspelt key, or one of a retired axis, used to be
+/// ignored, and the spec ran as if it were absent.
+#[test]
+fn run_with_unknown_spec_key_exits_two_naming_the_key() {
+    // The spec file of the builtin that swept the retired family.
+    let family = common::RETIRED_FAMILY;
+    let retired = format!(
+        r#"{{"schema":1,"name":"{family}-sweep","base":{{"preset":"quick","duration_s":15,"warmup_s":5}},"scenarios":["baseline"],"grid":{{"seeds":[3,4],"domains":[],"sync_interval_ms":[],"kernels":[],"fault_rate_per_hour":[],"disciplines":[],"strategies":[],"compromised":[],"loss_permille":[],"partition_s":[],"election":[],"announce_interval_ms":[],"gm_failure_at_s":[],"rogue_master":[],"hops":[],"cross_traffic_pct":[],"asymmetry_ns":[],"tc_mode":[],"topology":[],"adv_offset_ns":[],"fta_f":[],"{family}_nodes":[256,1024],"{family}_topology":["line","ring","tree","fat-tree"]}}}}"#
+    );
+    let base = r#""base":{"preset":"quick","duration_s":5}"#;
+    let grid = r#""grid":{"seeds":[1]}"#;
+    let bisect = r#""bisect":{"axis":"adv_offset_ns","min":1000,"max":64000,"resolution":684,"budget_per_cell":12,"budget":3}"#;
+    let cases = [
+        (retired, format!("grid.{family}_nodes")),
+        (
+            format!(
+                r#"{{"name":"typo",{base},"scenarios":["baseline"],"grid":{{"seeds":[1],"hopz":[3]}}}}"#
+            ),
+            "grid.hopz".to_string(),
+        ),
+        (
+            format!(
+                r#"{{"name":"typo","base":{{"preset":"quick","durration_s":5}},"scenarios":["baseline"],{grid}}}"#
+            ),
+            "base.durration_s".to_string(),
+        ),
+        (
+            format!(r#"{{"name":"typo",{base},"scenarios":["baseline"],{grid},"extra":1}}"#),
+            "extra".to_string(),
+        ),
+        (
+            format!(r#"{{"name":"typo",{base},"scenarios":["baseline"],{grid},{bisect}}}"#),
+            "bisect.budget".to_string(),
+        ),
+    ];
+    for (spec, path) in cases {
+        let stderr = rejected_spec_stderr("unknown-key", &spec);
+        assert!(
+            stderr.contains(&format!("{path}: unknown key")),
+            "{spec}: {stderr}"
+        );
+    }
+}
+
 /// Regression: a `partition_s` axis without an explicit `duration_s`
 /// used to pass validation by silently assuming 60 s; it is a spec
 /// error now, surfaced as a plain exit-2 message at the CLI.
@@ -368,7 +413,7 @@ fn run_with_out_of_range_axis_value_exits_two_naming_axis_and_range() {
             );
         }
     }
-    assert_eq!(numeric_axes, 15);
+    assert_eq!(numeric_axes, 14);
 }
 
 /// `--trace` writes one Chrome trace-event file per executed run, while

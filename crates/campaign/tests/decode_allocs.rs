@@ -63,7 +63,7 @@ fn record() -> RunRecord {
             domains: Some(5),
             strategy: Some("trim-edge"),
             election: Some(true),
-            fleet_topology: Some("fat-tree"),
+            hops: Some(64),
             ..Coord::new(clocksync::scenario::ScenarioKind::Baseline, 7)
         },
         seed: u64::MAX - 3,

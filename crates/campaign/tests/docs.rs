@@ -1,7 +1,9 @@
 //! README.md, DESIGN.md and EXPERIMENTS.md name only things that
 //! exist: every back-ticked repository path, every `--builtin NAME`,
 //! and the target of every `cargo run|bench … --bin|--bench|--example`
-//! command. Paths are written relative to the repository root.
+//! command. Paths are written relative to the repository root. Every
+//! builtin has a row in EXPERIMENTS.md's built-in table that says what
+//! it tests.
 
 use std::path::{Path, PathBuf};
 use tsn_campaign::CampaignSpec;
@@ -87,6 +89,44 @@ fn every_builtin_a_command_names_exists() {
         seen >= 5,
         "found only {seen} `--builtin` uses: scanner broken?"
     );
+}
+
+/// EXPERIMENTS.md's built-in table has exactly one row per builtin, and
+/// no cell of a row is empty: in particular its `tests` cell names the
+/// paper claim, bound or invariant the builtin exercises.
+#[test]
+fn every_builtin_has_a_row_that_says_what_it_tests() {
+    let text = read("EXPERIMENTS.md");
+    let mut table = text
+        .lines()
+        .skip_while(|l| *l != "### Built-in campaigns")
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            l.trim_matches('|')
+                .split('|')
+                .map(str::trim)
+                .collect::<Vec<_>>()
+        });
+    let header = table.next().expect("EXPERIMENTS.md has a built-in table");
+    assert!(header.contains(&"tests"), "no `tests` column: {header:?}");
+    let rows: Vec<Vec<&str>> = table.skip(1).collect();
+    assert_eq!(
+        rows.len(),
+        CampaignSpec::BUILTINS.len(),
+        "one row per builtin"
+    );
+    for name in CampaignSpec::BUILTINS {
+        let row = rows
+            .iter()
+            .find(|r| r[0] == format!("`{name}`"))
+            .unwrap_or_else(|| panic!("EXPERIMENTS.md: no built-in row for `{name}`"));
+        assert_eq!(row.len(), header.len(), "`{name}`: {row:?}");
+        assert!(
+            row.iter().all(|c| !c.is_empty()),
+            "`{name}`: empty cell in {row:?}"
+        );
+    }
 }
 
 /// `(package name, crate directory, manifest text)` of every workspace crate.

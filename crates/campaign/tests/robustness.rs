@@ -114,15 +114,17 @@ fn truncated_artifact_is_quarantined_and_rerun() {
     let before = artifact_bytes(&dir);
 
     // Two kinds of damage: a bytewise-truncated artifact (the torn-write
-    // failure mode) and a stale schema-6 record (the pre-fleet format:
-    // no fleet keys in its coord object).
+    // failure mode) and a stale schema-7 record (the format whose coord
+    // object still closed with the retired family's two keys).
     let truncated = before[0].1[..before[0].1.len() / 2].to_vec();
+    let family = common::RETIRED_FAMILY;
+    let retired = format!("\"fta_f\":null,\"{family}_nodes\":null,\"{family}_topology\":null}}");
     let stale = String::from_utf8(before[1].1.clone())
         .unwrap()
-        .replace("\"schema\":7", "\"schema\":6")
-        .replace(",\"fleet_nodes\":null,\"fleet_topology\":null", "")
-        .into_bytes();
-    assert_ne!(stale, before[1].1);
+        .replace("\"schema\":8", "\"schema\":7")
+        .replace("\"fta_f\":null}", &retired);
+    assert!(stale.starts_with("{\"schema\":7,") && stale.contains(&retired));
+    let stale = stale.into_bytes();
     let damaged = [(&before[0].0, truncated), (&before[1].0, stale)];
     for (name, bytes) in &damaged {
         std::fs::write(dir.join("runs").join(name), bytes).unwrap();
@@ -299,7 +301,11 @@ fn read_spec(bytes: &[u8]) {
 #[test]
 fn every_truncation_of_a_committed_spec_file_is_an_error_not_a_panic() {
     let files = spec_files();
-    assert!(files.len() >= 9, "specs/ holds every builtin");
+    assert_eq!(
+        files.len(),
+        CampaignSpec::BUILTINS.len(),
+        "specs/ holds every builtin"
+    );
     for file in &files {
         for end in 0..=file.len() {
             read_spec(&file[..end]);

@@ -342,7 +342,7 @@ impl World {
     }
 
     /// [`World::enable_trace`] with an explicit bounded-sink event cap
-    /// (the default is 2^20). Long fleet-scale runs overflow the
+    /// (the default is 2^20). Long or deep-fabric runs overflow the
     /// default cap; raising it trades memory for completeness, and the
     /// sink's drop counter reports any truncation either way.
     pub fn enable_trace_capped(&mut self, max_events: usize) {

@@ -55,9 +55,6 @@ use std::collections::BTreeMap;
 use tsn_snapshot::{Reader, Snap, SnapError, SnapState, Writer};
 use tsn_time::{Nanos, SimTime};
 
-pub mod fleet;
-pub use fleet::FleetShape;
-
 /// Shape of the switch fabric inserted between edge switches.
 ///
 /// The variant fixes the *distance metric* between edge switches `a`

@@ -2,7 +2,7 @@
 //!
 //! [`SampleSummary::from_values`] needs the whole sample in memory to
 //! sort it for the nearest-rank quantiles — fine for cross-seed
-//! aggregates (a handful of runs per group), hostile to fleet-scale
+//! aggregates (a handful of runs per group), hostile to large
 //! campaigns where one group can hold 10⁵⁺ records. [`StreamingSummary`]
 //! accepts values one at a time and holds memory bounded by a fixed
 //! cap:
@@ -57,8 +57,8 @@ pub struct StreamingSummary {
 
 impl StreamingSummary {
     /// Values buffered exactly before degrading to the sketch. Sized so
-    /// every pre-fleet campaign (≤ thousands of runs per group) stays
-    /// on the byte-identical exact path.
+    /// every builtin campaign (≤ thousands of runs per group) stays on
+    /// the byte-identical exact path.
     pub const EXACT_CAP: usize = 4096;
 
     /// An empty summarizer.
