@@ -33,34 +33,41 @@
 //! `ui.perfetto.dev`); its `otherData` holds the run's event and drop
 //! counts. Artifacts are byte-identical either way.
 //!
-//! `snapshot` saves, inspects, restores and verifies world checkpoints
-//! of one campaign run, named by its spec and content hash (`--run
-//! HASH`, as in `runs/run-HASH.jsonl`). `verify` steps the original and
-//! a restored copy epoch by epoch and exits 1 at the first epoch whose
-//! state hashes differ.
+//! A run's address is `--dir DIR --run HASH` (`DIR/runs/run-HASH.jsonl`),
+//! re-entered from its record (`runner::reenter`): any printed hash,
+//! a frontier probe's too. `figure` re-simulates each addressed run
+//! (every run of a campaign without `--run`), exits 1 naming a run whose
+//! record it does not reproduce byte for byte, prints the views of its
+//! scenario (`clocksync::repro::Figure`) and writes their files into
+//! `DIR/figures/`, suffixed with the hash. `snapshot` saves, inspects,
+//! restores and verifies a run's world checkpoints; `verify` exits 1 at
+//! the first epoch whose state hashes differ from a restored copy's.
 
-use clocksync::repro::Flags;
+use clocksync::repro::{Figure, Flags};
 use clocksync::{TestbedConfig, World, WorldSnapshot};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use tsn_campaign::json::Json;
-use tsn_campaign::{frontier, runner, summary, CampaignReport, CampaignSpec, RunnerOptions};
+use tsn_campaign::{
+    frontier, runner, summary, CampaignReport, CampaignSpec, RunRecord, RunnerOptions,
+};
 use tsn_time::{Nanos, SimTime};
 
 const USAGE: &str = "usage:
   campaign run       (--builtin NAME | --spec FILE) [--dir DIR] [--threads N] [--quiet] [--check] [--trace DIR] [--trace-cap N]
   campaign summarize --dir DIR [--json]
   campaign diff      --baseline DIR --candidate DIR
+  campaign figure    --dir DIR [--run HASH]
   campaign spec      --builtin NAME
   campaign list
-  campaign snapshot save    (--builtin NAME | --spec FILE) --run HASH --at SECS --out FILE
+  campaign snapshot save    --dir DIR --run HASH --at SECS --out FILE
   campaign snapshot info    --file FILE
-  campaign snapshot restore (--builtin NAME | --spec FILE) --run HASH --file FILE
-  campaign snapshot verify  (--builtin NAME | --spec FILE) --run HASH [--at SECS] [--epoch-s SECS]
+  campaign snapshot restore --dir DIR --run HASH --file FILE
+  campaign snapshot verify  --dir DIR --run HASH [--at SECS] [--epoch-s SECS]
 
 built-in specs: quick-baseline, repro-all, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, frontier-sweep
 exit codes (diff): 0 parity, 1 regression, 2 error
 exit codes (run): 0 clean, 1 failed run(s) / invariant violation(s) under --check / inconsistent frontier cell, 2 error
+exit codes (figure): 0 ok, 1 a run does not reproduce its record, 2 error
 exit codes (snapshot): 0 ok, 1 divergence (verify), 2 error";
 
 fn main() -> ExitCode {
@@ -84,6 +91,7 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
         "run" => cmd_run(rest),
         "summarize" => cmd_summarize(rest),
         "diff" => cmd_diff(rest),
+        "figure" => cmd_figure(rest),
         "spec" => cmd_spec(rest),
         "snapshot" => cmd_snapshot(rest),
         "list" => {
@@ -233,19 +241,6 @@ fn print_counts(name: &str, report: &CampaignReport, opts: &RunnerOptions, body:
     !report.failed.is_empty() || (opts.check && (truncated || !report.violations.is_empty()))
 }
 
-/// Reads the spec back from a campaign or frontier directory's manifest.
-fn spec_of_dir(dir: &Path) -> Result<CampaignSpec, String> {
-    let path = dir.join("manifest.json");
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let manifest =
-        Json::parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
-    let spec = manifest
-        .get("spec")
-        .ok_or_else(|| format!("{} has no `spec`", path.display()))?;
-    CampaignSpec::parse(&spec.render()).map_err(|e| format!("{}: {e}", path.display()))
-}
-
 /// What `summarize` and `diff` read from a directory: a frontier's
 /// document, replayed from its probe artifacts, or a campaign's group
 /// summaries.
@@ -255,7 +250,7 @@ enum View {
 }
 
 fn view_of_dir(dir: &Path) -> Result<View, String> {
-    let spec = spec_of_dir(dir)?;
+    let spec = runner::open_dir(dir).map_err(|e| e.to_string())?;
     if spec.bisect.is_some() {
         let doc = frontier::load(&spec, dir).map_err(|e| e.to_string())?;
         return Ok(View::Frontier(Box::new(doc)));
@@ -308,6 +303,48 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::from(verdict.exit_code() as u8))
 }
 
+fn cmd_figure(args: &[String]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(args, &["--dir", "--run"], &[])?;
+    let dir = Path::new(flags.get("--dir").ok_or("--dir DIR is required")?);
+    let spec = runner::open_dir(dir).map_err(|e| e.to_string())?;
+    let hashes = match flags.get("--run") {
+        Some(hash) => vec![hash.to_string()],
+        None if spec.bisect.is_none() => tsn_campaign::expand(&spec)
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .map(|p| p.hash)
+            .collect(),
+        None => return Err("a frontier's runs are its probes: name one with --run HASH".into()),
+    };
+    let figures = dir.join("figures");
+    for hash in hashes {
+        let (plan, recorded) = runner::reenter(&spec, dir, &hash).map_err(|e| e.to_string())?;
+        let result = World::new(plan.config.clone()).run();
+        let label = plan.coord.label();
+        if RunRecord::new(&spec.name, &plan, &result).encode() != recorded {
+            eprintln!(
+                "figure: run {hash} ({label}) does not reproduce its record; \
+                 a figure of it would not show the recorded run"
+            );
+            return Ok(ExitCode::from(1));
+        }
+        println!("run {hash}: {label}\n");
+        let figure = Figure::of(plan.coord.scenario, plan.config.duration, &result);
+        print!("{}", figure.text);
+        std::fs::create_dir_all(&figures)
+            .map_err(|e| format!("cannot create {}: {e}", figures.display()))?;
+        for (name, content) in figure.files {
+            let (stem, ext) = name.split_once('.').expect("a file name has an extension");
+            let path = figures.join(format!("{stem}-{hash}.{ext}"));
+            runner::write_atomic(&path, &content)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            println!("wrote {}", path.display());
+        }
+        println!();
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
 fn cmd_spec(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, &["--builtin"], &[])?;
     flags.get("--builtin").ok_or("--builtin is required")?;
@@ -328,21 +365,15 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Parses the flags that name one campaign run plus `extra`; returns
-/// them with the run's configuration: the plan of `matrix::expand`
-/// whose content hash is `--run HASH`.
+/// Parses `--dir DIR --run HASH` plus `extra`; returns the flags with
+/// the configuration of the run they address (`runner::reenter`).
 fn parse_run(args: &[String], extra: &[&str]) -> Result<(Flags, TestbedConfig), String> {
-    let flags = Flags::parse(
-        args,
-        &[&["--builtin", "--spec", "--run"], extra].concat(),
-        &[],
-    )?;
-    let spec = load(&flags)?;
+    let flags = Flags::parse(args, &[&["--dir", "--run"], extra].concat(), &[])?;
+    let dir = Path::new(flags.get("--dir").ok_or("--dir DIR is required")?);
     let hash = flags.get("--run").ok_or("--run HASH is required")?;
-    let plans = tsn_campaign::expand(&spec).map_err(|e| e.to_string())?;
-    let plan = plans.into_iter().find(|p| p.hash == hash);
-    let cfg = plan.ok_or_else(|| format!("spec {:?} has no run {hash:?}", spec.name))?;
-    Ok((flags, cfg.config))
+    let spec = runner::open_dir(dir).map_err(|e| e.to_string())?;
+    let (plan, _) = runner::reenter(&spec, dir, hash).map_err(|e| e.to_string())?;
+    Ok((flags, plan.config))
 }
 
 fn check_at(at: SimTime, end: SimTime) -> Result<(), String> {

@@ -188,7 +188,7 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<RunPlan>, SpecError> {
     Ok(plans)
 }
 
-fn plan(
+pub(crate) fn plan(
     base: &BaseSpec,
     base_fingerprint: &str,
     coord: Coord,

@@ -14,8 +14,9 @@
 //! configuration changes every hash, so stale artifacts are never
 //! silently reused.
 
-use crate::artifact::RunRecord;
-use crate::matrix::{expand, RunPlan};
+use crate::artifact::{RunRecord, ARTIFACT_SCHEMA};
+use crate::json::Json;
+use crate::matrix::{expand, plan, RunPlan};
 use crate::spec::CampaignSpec;
 use clocksync::snapshot::{checkpoint_time, warm_prefix_config, warm_prefix_fingerprint};
 use clocksync::{World, WorldSnapshot};
@@ -643,6 +644,57 @@ pub fn load(spec: &CampaignSpec, dir: &Path) -> io::Result<Vec<RunRecord>> {
     RunRecordReader::open(spec, dir)?.collect()
 }
 
+/// Opens a campaign directory for reading: its `manifest.json`'s
+/// artifact schema, checked first (so another build's directory is named
+/// by its schema, not by a spec key that schema had), then the spec.
+pub fn open_dir(dir: &Path) -> io::Result<CampaignSpec> {
+    let path = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot read {}: {e}", path.display())))?;
+    let manifest = Json::parse(&text).map_err(|e| invalid(&path, format!("not JSON: {e}")))?;
+    let schema = manifest.get("schema").map_or("none".into(), Json::render);
+    if schema != ARTIFACT_SCHEMA.to_string() {
+        let why = format!(
+            "{} holds artifact schema {schema}; this build reads {ARTIFACT_SCHEMA}; \
+             `campaign run` into it re-runs every run",
+            dir.display()
+        );
+        return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+    }
+    let spec = manifest
+        .get("spec")
+        .ok_or_else(|| invalid(&path, "no `spec`"))?;
+    CampaignSpec::parse(&spec.render()).map_err(|e| invalid(&path, e))
+}
+
+/// Re-enters run `hash` of `dir`, which holds `spec` ([`open_dir`]):
+/// the run's plan, planned from its record's coordinate, which must
+/// reproduce `hash` and the record's seed, and the record's bytes. Any
+/// run re-enters this way: a campaign run, a frontier probe or witness.
+pub fn reenter(spec: &CampaignSpec, dir: &Path, hash: &str) -> io::Result<(RunPlan, String)> {
+    let path = dir.join("runs").join(format!("run-{hash}.jsonl"));
+    let line = std::fs::read_to_string(&path).map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("{} has no run {hash:?}: {e}", dir.display()),
+        )
+    })?;
+    let record = RunRecord::decode(&line).ok_or_else(|| invalid(&path, "not a run record"))?;
+    let fingerprint = spec.base.to_fingerprint();
+    let plan = plan(&spec.base, &fingerprint, record.coord, 0).map_err(|e| invalid(&path, e))?;
+    if plan.hash != hash || plan.seed != record.seed {
+        return Err(invalid(&path, "its coordinate and seed are not its run's"));
+    }
+    Ok((plan, line))
+}
+
+fn invalid(path: &Path, why: impl std::fmt::Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}: {why}", path.display()),
+    )
+}
+
 fn artifact_path(runs_dir: &Path, plan: &RunPlan) -> PathBuf {
     runs_dir.join(format!("run-{}.jsonl", plan.hash))
 }
@@ -664,7 +716,7 @@ fn quarantine(runs_dir: &Path, plan: &RunPlan) -> io::Result<()> {
 
 /// Writes a file atomically (temp file + rename) so a crashed run never
 /// leaves a half-written artifact that resume would trust.
-pub(crate) fn write_atomic(path: &Path, content: &str) -> io::Result<()> {
+pub fn write_atomic(path: &Path, content: &str) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, content)?;
     std::fs::rename(&tmp, path)
@@ -683,10 +735,9 @@ fn write_record_atomic(path: &Path, record: &RunRecord) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn manifest(spec: &CampaignSpec, plans: &[RunPlan]) -> crate::json::Json {
-    use crate::json::Json;
+fn manifest(spec: &CampaignSpec, plans: &[RunPlan]) -> Json {
     Json::object(vec![
-        ("schema", Json::UInt(crate::artifact::ARTIFACT_SCHEMA)),
+        ("schema", Json::UInt(ARTIFACT_SCHEMA)),
         ("spec", spec.to_json()),
         ("total_runs", Json::UInt(plans.len() as u64)),
         (

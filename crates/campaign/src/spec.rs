@@ -581,10 +581,10 @@ impl CampaignSpec {
     ///
     /// * `quick-baseline` — 8 seeds × 2 disciplines of the quick
     ///   baseline (16 runs; the acceptance smoke campaign);
-    /// * `repro-all` — all five paper scenarios × 3 seeds, 300 s each:
-    ///   the paper's strikes land at +1302 s and +1912 s, so the two
-    ///   cyber scenarios run the baseline's world (as does
-    ///   `fault_injection` while no injected fault lands);
+    /// * `repro-all` — the paper's two experiments: all five paper
+    ///   scenarios, seed 7, 2400 s each, past both strikes (+1302 s and
+    ///   +1912 s); `campaign figure` prints Fig. 3a/3b and TXT1 from
+    ///   its cyber runs;
     /// * `abl2-domains` — domains M ∈ {4,5,6,7} × 4 seeds (ABL2);
     /// * `abl3-sync-interval` — S ∈ {62,125,250,500} ms × 4 seeds,
     ///   staleness = 4·S (ABL3);

@@ -16,14 +16,15 @@
 
 mod common;
 
+use clocksync::scenario::ScenarioKind;
 use common::{artifact_bytes, opts, scratch};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 use tsn_campaign::json::Json;
 use tsn_campaign::{
-    frontier, runner, summary, CampaignSpec, DiffVerdict, RunRecordReader, RunnerOptions,
-    StreamSummarizer,
+    frontier, runner, summary, CampaignSpec, DiffVerdict, RunRecord, RunRecordReader,
+    RunnerOptions, StreamSummarizer,
 };
 
 /// The builtins with (`true`) or without (`false`) a `bisect` block.
@@ -71,6 +72,9 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         assert_eq!(cold.quarantined, 0, "{name}");
         let bytes = artifact_bytes(&cold_dir);
         assert_eq!(bytes.len(), total, "{name}: one artifact per run");
+        if name == "repro-all" {
+            paper_experiments_hold(&cold.records);
+        }
 
         // Forked from warm prefixes.
         let forked = runner::execute(&spec, &opts(&fork_dir)).expect("forked campaign");
@@ -105,6 +109,33 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         for dir in [cold_dir, fork_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }
+    }
+}
+
+/// `repro-all` is the paper's two experiments past both strikes, and its
+/// records show it: with identical kernels both strikes land and the
+/// worst Π* is more than twice the diverse run's; with diverse kernels
+/// the second strike fails and every sample stays within Π + γ, as it
+/// does without an attack and under fault injection (Fig. 4). These are
+/// the checks that held across seeds, not one seed's numbers.
+fn paper_experiments_hold(records: &[RunRecord]) {
+    let run = |kind| {
+        let r = records.iter().find(|r| r.coord.scenario == kind);
+        r.unwrap_or_else(|| panic!("repro-all has no {kind:?} run"))
+    };
+    let max_ns = |r: &RunRecord| r.precision.as_ref().expect("samples").max_ns;
+    let identical = run(ScenarioKind::CyberIdenticalKernels);
+    let diverse = run(ScenarioKind::CyberDiverseKernels);
+    assert_eq!(identical.counters.strikes_succeeded, 2);
+    assert!(max_ns(identical) > 2 * max_ns(diverse));
+    let strikes = &diverse.counters;
+    assert_eq!((strikes.strikes_succeeded, strikes.strikes_failed), (1, 1));
+    for kind in [
+        ScenarioKind::CyberDiverseKernels,
+        ScenarioKind::Baseline,
+        ScenarioKind::FaultInjection,
+    ] {
+        assert_eq!(run(kind).fraction_within_bound, 1.0, "{kind:?}");
     }
 }
 

@@ -1,13 +1,16 @@
 //! CLI contract tests: error paths must print a clear message and exit
 //! 2 instead of panicking, `summarize` and `diff` read a frontier
-//! directory, and `campaign snapshot`'s save / info / restore / verify
-//! loop must close on any campaign run.
+//! directory, `campaign figure` shows a recorded run only if it
+//! reproduces, and `campaign snapshot`'s save / info / restore / verify
+//! loop must close on any run a directory holds, a frontier probe's
+//! too.
 
 mod common;
 
 use common::{artifact_bytes, opts, scratch, tree_bytes};
 use std::path::Path;
 use std::process::{Command, Output};
+use tsn_campaign::artifact::ARTIFACT_SCHEMA;
 use tsn_campaign::json::Json;
 
 fn campaign(args: &[&str]) -> Output {
@@ -36,7 +39,9 @@ fn summarize_of_empty_campaign_exits_two_with_message() {
     // manifest is present, the runs directory is empty.
     let dir = scratch("empty");
     std::fs::create_dir_all(dir.join("runs")).unwrap();
-    let manifest = r#"{"schema":2,"spec":{"name":"empty","base":{"preset":"quick"},"scenarios":["baseline"],"grid":{"seeds":[1]}},"total_runs":1,"runs":[]}"#;
+    let manifest = format!(
+        r#"{{"schema":{ARTIFACT_SCHEMA},"spec":{{"name":"empty","base":{{"preset":"quick"}},"scenarios":["baseline"],"grid":{{"seeds":[1]}}}},"total_runs":1,"runs":[]}}"#
+    );
     std::fs::write(dir.join("manifest.json"), manifest).unwrap();
 
     let out = campaign(&["summarize", "--dir", dir.to_str().unwrap()]);
@@ -65,7 +70,9 @@ fn summarize_of_zero_run_manifest_exits_two_instead_of_panicking() {
     // runs used to panic inside `expand`; it must now be a plain error.
     let dir = scratch("zero");
     std::fs::create_dir_all(dir.join("runs")).unwrap();
-    let manifest = r#"{"schema":2,"spec":{"name":"zero","base":{"preset":"quick"},"scenarios":["baseline"],"grid":{"seeds":[]}},"total_runs":0,"runs":[]}"#;
+    let manifest = format!(
+        r#"{{"schema":{ARTIFACT_SCHEMA},"spec":{{"name":"zero","base":{{"preset":"quick"}},"scenarios":["baseline"],"grid":{{"seeds":[]}}}},"total_runs":0,"runs":[]}}"#
+    );
     std::fs::write(dir.join("manifest.json"), manifest).unwrap();
 
     let out = campaign(&["summarize", "--dir", dir.to_str().unwrap()]);
@@ -74,6 +81,43 @@ fn summarize_of_zero_run_manifest_exits_two_instead_of_panicking() {
     assert!(!stderr.contains("panicked"), "summarize panicked: {stderr}");
     assert!(stderr.contains("error:"), "no error message: {stderr}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory another build wrote is named by its artifact schema,
+/// with the remedy, before its spec is read: every command that reads a
+/// directory back opens it the same way. Its spec carries the keys of
+/// the family schema 8 dropped, which would otherwise be the error.
+#[test]
+fn a_directory_of_another_artifact_schema_is_named_as_such() {
+    let family = common::RETIRED_FAMILY;
+    let dir = scratch("schema-7");
+    std::fs::create_dir_all(dir.join("runs")).unwrap();
+    let manifest = format!(
+        r#"{{"schema":7,"spec":{{"schema":1,"name":"old","base":{{"preset":"quick","duration_s":4}},"scenarios":["baseline"],"grid":{{"seeds":[1],"{family}_nodes":[],"{family}_topology":[]}}}},"total_runs":1,"runs":[]}}"#
+    );
+    std::fs::write(dir.join("manifest.json"), manifest).unwrap();
+    let d = dir.to_str().unwrap();
+    let expected = format!(
+        "{d} holds artifact schema 7; this build reads {ARTIFACT_SCHEMA}; \
+         `campaign run` into it re-runs every run"
+    );
+    let hash = "0123456789abcdef";
+    let commands: [&[&str]; 4] = [
+        &["summarize", "--dir", d],
+        &["diff", "--baseline", d, "--candidate", d],
+        &["figure", "--dir", d],
+        &["snapshot", "verify", "--dir", d, "--run", hash],
+    ];
+    for args in commands {
+        let out = campaign(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {expected}\n")),
+            "{args:?}: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -790,28 +834,38 @@ fn short_spec(name: &str, grid: &str) -> String {
     )
 }
 
-/// Writes `spec` into `dir`; returns the file's path and the content
-/// hash of each run, in `matrix::expand` order.
-fn spec_file(dir: &Path, spec: &str) -> (String, Vec<String>) {
+/// Writes `spec` into `dir` and runs it there; returns the directory
+/// and the content hash of each run, in `matrix::expand` order (none
+/// for a frontier: its runs are the probes it chose).
+fn run_spec(dir: &Path, spec: &str) -> (String, Vec<String>) {
+    std::fs::create_dir_all(dir).unwrap();
     let path = dir.join("spec.json");
     std::fs::write(&path, spec).unwrap();
+    let d = dir.to_str().unwrap();
+    let run = campaign(&[
+        "run",
+        "--spec",
+        path.to_str().unwrap(),
+        "--dir",
+        d,
+        "--quiet",
+    ]);
+    assert!(run.status.success(), "{run:?}");
     let parsed = tsn_campaign::CampaignSpec::parse(spec).unwrap();
-    let hashes = tsn_campaign::expand(&parsed)
-        .unwrap()
-        .into_iter()
-        .map(|p| p.hash)
-        .collect();
-    (path.to_str().unwrap().to_string(), hashes)
+    if parsed.bisect.is_some() {
+        return (d.to_string(), Vec::new());
+    }
+    let plans = tsn_campaign::expand(&parsed).unwrap();
+    (d.to_string(), plans.into_iter().map(|p| p.hash).collect())
 }
 
 #[test]
 fn snapshot_save_info_restore_verify_round_trip() {
     let dir = scratch("snap");
-    std::fs::create_dir_all(&dir).unwrap();
+    let (d, hashes) = run_spec(&dir, &short_spec("snap", ""));
     let file = dir.join("w.snap");
     let file = file.to_str().unwrap();
-    let (spec, hashes) = spec_file(&dir, &short_spec("snap", ""));
-    let run = ["--spec", spec.as_str(), "--run", hashes[0].as_str()];
+    let run = ["--dir", d.as_str(), "--run", hashes[0].as_str()];
 
     let save = snapshot(&[&["save"], &run[..], &["--at", "2", "--out", file]].concat());
     assert!(save.status.success(), "{:?}", save);
@@ -825,7 +879,7 @@ fn snapshot_save_info_restore_verify_round_trip() {
     assert!(restore.status.success(), "{:?}", restore);
 
     // Restoring into another run's configuration is refused (exit 2).
-    let other = ["--spec", spec.as_str(), "--run", hashes[1].as_str()];
+    let other = ["--dir", d.as_str(), "--run", hashes[1].as_str()];
     let wrong = snapshot(&[&["restore", "--file", file], &other[..]].concat());
     assert_eq!(wrong.status.code(), Some(2), "{wrong:?}");
 
@@ -834,19 +888,22 @@ fn snapshot_save_info_restore_verify_round_trip() {
     let text = String::from_utf8_lossy(&verify.stdout);
     assert!(text.contains("no divergence"), "unexpected: {text}");
 
-    // A hash the spec does not expand to names the spec.
-    let missing = ["--spec", spec.as_str(), "--run", "0123456789abcdef"];
+    // A hash the directory holds no record of names the directory.
+    let missing = ["--dir", d.as_str(), "--run", "0123456789abcdef"];
     let out = snapshot(&[&["verify"], &missing[..]].concat());
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("spec \"snap\" has no run \"0123456789abcdef\""),
+        stderr.contains(&format!("{d} has no run \"0123456789abcdef\"")),
         "{stderr}"
     );
 
-    // A run is named only by its spec and hash: the old config flags
-    // are unknown arguments.
+    // A run is named only by its directory and hash: the old config
+    // flags, and the spec flags that named a run before, are unknown
+    // arguments.
     for flag in [
+        "--builtin",
+        "--spec",
         "--preset",
         "--scenario",
         "--seed",
@@ -877,10 +934,12 @@ fn snapshot_save_info_restore_verify_round_trip() {
 #[test]
 fn snapshot_verify_reaches_election_and_fabric_runs() {
     let dir = scratch("snap-axes");
-    std::fs::create_dir_all(&dir).unwrap();
-    for grid in [r#","election":[true]"#, r#","hops":[3]"#] {
-        let (spec, hashes) = spec_file(&dir, &short_spec("snap-axes", grid));
-        let run = ["--spec", spec.as_str(), "--run", hashes[0].as_str()];
+    for (tag, grid) in [
+        ("election", r#","election":[true]"#),
+        ("fabric", r#","hops":[3]"#),
+    ] {
+        let (d, hashes) = run_spec(&dir.join(tag), &short_spec("snap-axes", grid));
+        let run = ["--dir", d.as_str(), "--run", hashes[0].as_str()];
         let verify = snapshot(&[&["verify"], &run[..], &["--epoch-s", "1"]].concat());
         assert!(verify.status.success(), "{grid}: {verify:?}");
         let text = String::from_utf8_lossy(&verify.stdout);
@@ -894,10 +953,9 @@ fn snapshot_verify_reaches_election_and_fabric_runs() {
 #[test]
 fn snapshot_restore_of_old_state_schema_names_versions_and_remedy() {
     let dir = scratch("snap-v4");
-    std::fs::create_dir_all(&dir).unwrap();
+    let (d, hashes) = run_spec(&dir, &short_spec("snap-v4", ""));
     let file = dir.join("w.snap");
-    let (spec, hashes) = spec_file(&dir, &short_spec("snap-v4", ""));
-    let run = ["--spec", spec.as_str(), "--run", hashes[0].as_str()];
+    let run = ["--dir", d.as_str(), "--run", hashes[0].as_str()];
     let path = file.to_str().unwrap();
 
     assert!(
@@ -923,5 +981,80 @@ fn snapshot_restore_of_old_state_schema_names_versions_and_remedy() {
         assert!(stderr.contains(needle), "no {needle:?} in: {stderr}");
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Any hash a command prints re-enters its run: a frontier probe is in
+/// no campaign matrix, yet the witness `frontier.json` names for a
+/// broken bracket end is addressed by directory and hash like any run.
+#[test]
+fn a_frontier_witness_re_enters_through_its_directory() {
+    let dir = scratch("witness");
+    let spec = r#"{"name":"witness","base":{"preset":"quick","duration_s":6,"warmup_s":3},"scenarios":["baseline"],"grid":{"seeds":[1],"strategies":["colluding"],"compromised":[2]},"bisect":{"axis":"adv_offset_ns","min":1000,"max":64000,"resolution":8000,"budget_per_cell":6}}"#;
+    let (d, _) = run_spec(&dir, spec);
+    let doc = Json::parse(&std::fs::read_to_string(dir.join("frontier.json")).unwrap()).unwrap();
+    let cells = doc.get("cells").and_then(Json::as_array).unwrap();
+    let witness = cells
+        .iter()
+        .find_map(|c| c.get("witness")?.get("broken")?.as_str())
+        .expect("a broken witness");
+    let verify = snapshot(&["verify", "--dir", &d, "--run", witness, "--epoch-s", "3"]);
+    assert_eq!(verify.status.code(), Some(0), "{verify:?}");
+    assert!(String::from_utf8_lossy(&verify.stdout).contains("no divergence"));
+    let figure = campaign(&["figure", "--dir", &d, "--run", witness]);
+    assert_eq!(figure.status.code(), Some(0), "{figure:?}");
+    // Without --run, a frontier names no runs of its own.
+    assert_eq!(campaign(&["figure", "--dir", &d]).status.code(), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `campaign figure` re-simulates a recorded fault-injection run and
+/// prints Fig. 4a, 4b and 5 and TXT2 from it, writing their files under
+/// `figures/` with the run's hash; a record that is not what its run
+/// encodes (one counter edited) is refused, naming the run.
+#[test]
+fn figure_shows_a_recorded_run_and_refuses_one_that_does_not_reproduce() {
+    let dir = scratch("figure");
+    let spec = r#"{"name":"figure","base":{"preset":"quick","duration_s":60,"warmup_s":5},"scenarios":["fault_injection"],"grid":{"seeds":[7]}}"#;
+    let (d, hashes) = run_spec(&dir, spec);
+    let hash = &hashes[0];
+    let out = campaign(&["figure", "--dir", &d]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for heading in [
+        "Fig. 4a — fault injection over 0.0 h",
+        "fault counts (paper:",
+        "Fig. 4b — precision distribution over 0.0 h",
+        "maximum measured precision:",
+        "events in the window:",
+        "exp 2 (fault inject)",
+    ] {
+        assert!(stdout.contains(heading), "no {heading:?} in: {stdout}");
+    }
+    for name in [
+        "fig4a.csv",
+        "fig4a.txt",
+        "fig4b.csv",
+        "fig4b.txt",
+        "fig5.csv",
+    ] {
+        let (stem, ext) = name.split_once('.').unwrap();
+        let path = dir.join("figures").join(format!("{stem}-{hash}.{ext}"));
+        assert!(std::fs::metadata(&path).unwrap().len() > 0, "{path:?}");
+    }
+    assert!(dir.join(format!("figures/fig5_events-{hash}.txt")).exists());
+
+    let path = dir.join("runs").join(format!("run-{hash}.jsonl"));
+    let mut record = tsn_campaign::RunRecord::decode(&std::fs::read_to_string(&path).unwrap())
+        .expect("the record decodes");
+    record.counters.vm_failures += 1;
+    std::fs::write(&path, record.encode()).unwrap();
+    let out = campaign(&["figure", "--dir", &d, "--run", hash]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("run {hash} (scenario=fault_injection/seed=7/")),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -70,8 +70,8 @@ fn axis_permutation_produces_identical_artifacts() {
 /// The paper's strikes land at 21:42 and 31:52, so a cyber run that
 /// ends sooner simulates the baseline's world: its record is the
 /// baseline run's except for the coordinate and the content hash. This
-/// is why `repro-all`, 300 s per run, shows one Π* for the baseline and
-/// both cyber scenarios.
+/// is why `repro-all` runs 2400 s: shorter, its cyber scenarios would
+/// show the baseline's Π*.
 #[test]
 fn a_cyber_run_that_ends_before_its_first_strike_is_the_baseline_run() {
     let spec = CampaignSpec {

@@ -21,8 +21,8 @@ pub const MIN_SYNC_INTERVAL: Nanos = Nanos::from_millis(8);
 
 /// Full configuration of one experiment run.
 ///
-/// Serializable, so experiment setups can be stored as config files and
-/// attached to published results.
+/// Built from a preset ([`TestbedConfig::paper_default`]) and edited in
+/// place; a campaign spec is the stored form of a setup.
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// Master seed; all randomness derives from it.

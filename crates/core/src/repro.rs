@@ -1,13 +1,18 @@
-//! Shared plumbing of the paper's regenerators — the `cyber_attack`,
-//! `fault_injection_24h`, `congested_network`, `ablations` and
-//! `clock_stability` examples. Each runs its experiment once, prints a
-//! text rendering plus the comparison against the paper's reported
-//! values, and writes artifacts for external plotting. Its strict
-//! [`Flags`] parser is also the `campaign` binary's.
+//! The paper's figures as views of one run ([`Figure::of`], shown by
+//! `campaign figure`): a text rendering plus the comparison against the
+//! paper's reported values, and files for external plotting. Also the
+//! [`ReproArgs`] of the `congested_network`, `ablations` and
+//! `clock_stability` examples, whose strict [`Flags`] parser is also
+//! the `campaign` binary's.
 
+use crate::scenario::ScenarioKind;
 use crate::RunResult;
-use std::path::{Path, PathBuf};
-use tsn_metrics::{render_series, BoundsReport, WindowStat};
+use std::fmt::{self, Write as _};
+use tsn_metrics::{
+    histogram_csv, render_histogram, render_series, series_csv, BoundsReport,
+    ExperimentEvent::{GmResumed, Strike},
+    Histogram, WindowStat,
+};
 use tsn_time::{Nanos, SimTime};
 
 /// Command-line options shared by the regenerators.
@@ -17,15 +22,12 @@ pub struct ReproArgs {
     pub seed: Option<u64>,
     /// Duration override in minutes, if given.
     pub minutes: Option<u64>,
-    /// Output directory for CSV artifacts.
-    pub out: PathBuf,
 }
 
 /// Usage text shared by every regenerator.
 pub const REPRO_USAGE: &str = "options:
   --seed N      experiment seed (overrides the program's default)
   --minutes N   duration in minutes (overrides the program's default)
-  --out DIR     CSV artifact directory (default target/repro)
   --help        print this help";
 
 /// Strictly parsed command-line flags: every flag takes one value
@@ -93,7 +95,7 @@ impl Flags {
 }
 
 impl ReproArgs {
-    /// Parses `--seed N`, `--minutes N`, `--out DIR` (all optional)
+    /// Parses `--seed N` and `--minutes N` (both optional)
     /// from the process arguments. Malformed or unknown arguments
     /// print the usage and exit with status 2; `--help` prints it and
     /// exits 0.
@@ -117,7 +119,7 @@ impl ReproArgs {
     /// them (a mistyped `--seed` must not run the wrong experiment).
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<ReproParse, String> {
         let args: Vec<String> = args.into_iter().collect();
-        let flags = Flags::parse(&args, &["--seed", "--minutes", "--out"], &["--help", "-h"])?;
+        let flags = Flags::parse(&args, &["--seed", "--minutes"], &["--help", "-h"])?;
         if flags.has("--help") || flags.has("-h") {
             return Ok(ReproParse::Help);
         }
@@ -128,7 +130,6 @@ impl ReproArgs {
         Ok(ReproParse::Args(ReproArgs {
             seed: flags.get_parsed("--seed")?,
             minutes,
-            out: PathBuf::from(flags.get("--out").unwrap_or("target/repro")),
         }))
     }
 
@@ -152,77 +153,217 @@ pub enum ReproParse {
     Help,
 }
 
-/// Writes a text artifact, creating the directory as needed.
-pub fn write_artifact(dir: &Path, name: &str, content: &str) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(name);
-    match std::fs::write(&path, content) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+/// The views of one run: the text they print and the files they write
+/// for external plotting, as `(name, content)`.
+#[derive(Debug, Default)]
+pub struct Figure {
+    /// What the views print.
+    pub text: String,
+    /// The CSV/TXT renderings, by file name.
+    pub files: Vec<(&'static str, String)>,
+}
+
+impl Figure {
+    /// The views of a run of scenario `kind` that measured `duration`:
+    /// Fig. 3a with its three shape checks, the strikes and TXT1
+    /// (identical kernels); Fig. 3b (diverse kernels); Fig. 4a with
+    /// TXT3's fault counts, Fig. 4b, Fig. 5 (the 1 h window around the
+    /// maximum, with its events) and TXT2 (fault injection); and for any
+    /// other scenario the bounds / Π* summary block every figure prints.
+    pub fn of(kind: ScenarioKind, duration: Nanos, r: &RunResult) -> Figure {
+        let mut f = Figure::default();
+        let hours = duration.as_secs_f64() / 3600.0;
+        // Writing to a `String` cannot fail.
+        let _ = match kind {
+            ScenarioKind::CyberIdenticalKernels => fig3(&mut f, r, true),
+            ScenarioKind::CyberDiverseKernels => fig3(&mut f, r, false),
+            ScenarioKind::FaultInjection => fig4(&mut f, r, hours),
+            _ => summary(&mut f.text, r),
+        };
+        f
     }
 }
 
-/// Prints the standard bound/measurement summary block.
-pub fn print_summary(r: &RunResult) {
-    println!(
-        "bounds: d_min = {}  d_max = {}  E = {}  Gamma = {}  Pi = {}  gamma = {}",
-        r.bounds.d_min,
-        r.bounds.d_max,
-        r.bounds.reading_error,
-        r.bounds.drift_offset,
-        r.bounds.pi,
-        r.bounds.gamma
-    );
-    if let Some(s) = r.series.stats() {
-        println!(
-            "measured Pi*: avg = {:.0} ns  std = {:.0} ns  min = {}  max = {}  samples = {}",
-            s.mean, s.std, s.min, s.max, s.count
-        );
-    }
-    println!(
-        "fraction within Pi + gamma: {:.5}",
-        r.series.fraction_within(r.bounds.pi_plus_gamma())
-    );
-}
-
-/// A figure's time series: `windows` drawn 16 rows high and `width`
-/// columns wide against the run's Π and Π + γ.
-pub fn bound_plot(r: &RunResult, windows: &[WindowStat], width: usize) -> String {
-    let bounds = [("Pi", r.bounds.pi), ("Pi+gamma", r.bounds.pi_plus_gamma())];
-    render_series(windows, &bounds, 16, width)
-}
-
-/// Prints the in-text bound derivation (TXT1/TXT2): a header, the
-/// derived chain of `b` and the paper's `paper` values below it.
-pub fn print_bounds(label: &str, b: &BoundsReport, paper: [&str; 6]) {
-    let row = |label: &str, c: [String; 6]| {
-        println!(
-            "{label:<22} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9}",
-            c[0], c[1], c[2], c[3], c[4], c[5]
-        )
+/// Fig. 3a (identical kernels) with TXT1, or Fig. 3b.
+fn fig3(f: &mut Figure, r: &RunResult, identical: bool) -> fmt::Result {
+    let out = &mut f.text;
+    let title = match identical {
+        true => "Fig. 3a — identical kernels, attack at 00:21:42 / 00:31:52",
+        false => "Fig. 3b — diverse kernels, same attacker",
     };
-    row(
-        "experiment",
-        ["d_min", "d_max", "E", "Gamma", "Pi", "gamma"].map(String::from),
-    );
-    let chain = [
+    writeln!(out, "{title}\n")?;
+    summary(out, r)?;
+    let windows = r.series.aggregate(Nanos::from_secs(60));
+    let plot = bound_plot(r, &windows, 72);
+    let bound = r.bounds.pi_plus_gamma();
+    let names = if identical {
+        writeln!(out, "\n{plot}\nshape check (paper Fig. 3a):")?;
+        for (what, from_min, to_min) in [
+            ("before attack", 15, 21),
+            ("strike 1 masked", 23, 31),
+            ("strike 2 breaks", 33, 39),
+        ] {
+            let max = window_max(r, from_min, to_min);
+            writeln!(out, "{}", shape_check_line(what, max, bound))?;
+        }
+        ["fig3a.csv", "fig3a.txt"]
+    } else {
+        let (landed, failed) = (r.counters.strikes_succeeded, r.counters.strikes_failed);
+        let all = r.series.fraction_within(bound) == 1.0;
+        writeln!(
+            out,
+            "strikes: {landed} succeeded (c1_4), {failed} failed (c1_1)\n\n{plot}\n\
+             shape check (paper Fig. 3b): all samples within bound: {all}"
+        )?;
+        ["fig3b.csv", "fig3b.txt"]
+    };
+    f.files.push((names[0], series_csv(&windows)));
+    f.files.push((names[1], plot));
+    for (t, e) in r.events.entries() {
+        if matches!(e, Strike { .. }) {
+            writeln!(out, "  {} {e}", *t - r.warmup)?;
+        }
+    }
+    if !identical {
+        return Ok(());
+    }
+    let paper = ["4120ns", "9188ns", "5068ns", "1250ns", "12.636us", "1313ns"];
+    writeln!(out)?;
+    bounds(out, "exp 1 (cyber)", &r.bounds, paper)
+}
+
+/// Fig. 4a with TXT3's counts, Fig. 4b, Fig. 5 and TXT2.
+fn fig4(f: &mut Figure, r: &RunResult, hours: f64) -> fmt::Result {
+    let out = &mut f.text;
+    writeln!(out, "Fig. 4a — fault injection over {hours:.1} h\n")?;
+    summary(out, r)?;
+    let c = &r.counters;
+    let (vms, gms, takeovers) = (c.vm_failures, c.gm_failures, c.takeovers);
+    let (timeouts, misses) = (c.tx_timestamp_timeouts, c.deadline_misses);
+    writeln!(
+        out,
+        "\nfault counts (paper: 94 fail-silent VMs / 48 GM; 2992 tx timeouts; 347 deadline misses):\n  \
+         fail-silent VMs = {vms} (GM = {gms})   takeovers = {takeovers}\n  \
+         tx timestamp timeouts = {timeouts}   deadline misses = {misses}"
+    )?;
+    let windows = r.series.aggregate(Nanos::from_secs(120));
+    let plot = bound_plot(r, &windows, 96);
+    writeln!(out, "\n{plot}")?;
+    f.files.push(("fig4a.csv", series_csv(&windows)));
+    f.files.push(("fig4a.txt", plot));
+
+    writeln!(
+        out,
+        "\nFig. 4b — precision distribution over {hours:.1} h\n"
+    )?;
+    let mut hist = Histogram::new(50, 20); // 0..1000 ns, 50 ns bins (paper x-axis)
+    for s in r.series.samples() {
+        hist.record(s.value);
+    }
+    let (Some(s), Some(top)) = (r.series.stats(), r.series.max()) else {
+        return writeln!(out, "no precision samples");
+    };
+    let (mean, std, min, max) = (s.mean, s.std, s.min, s.max);
+    writeln!(
+        out,
+        "measured: avg = {mean:.0} ns, std = {std:.0} ns, min = {min}, max = {max}\n\
+         paper:    avg = 322 ns, std = 421 ns, min = 33 ns, max = 10 080 ns\n"
+    )?;
+    let rendering = render_histogram(&hist, 60);
+    writeln!(out, "{rendering}\n")?;
+    f.files.push(("fig4b.csv", histogram_csv(&hist)));
+    f.files.push(("fig4b.txt", rendering));
+
+    let measured = |t: SimTime| SimTime::from_nanos((t - r.warmup).as_nanos());
+    let (value, at) = (top.value, measured(top.at));
+    writeln!(out, "maximum measured precision: {value} at runtime {at}")?;
+    // Fig. 5 centers a 1 h window on the maximum (the paper shows
+    // 06:15–07:15 around its 06:45:49 maximum).
+    let half = Nanos::from_secs(30 * 60);
+    let from = if top.at - SimTime::ZERO >= half + r.warmup {
+        top.at - half
+    } else {
+        SimTime::ZERO + r.warmup
+    };
+    let to = from + Nanos::from_secs(3600);
+    let windows = r.series.window(from, to).aggregate(Nanos::from_secs(60));
+    let plot = bound_plot(r, &windows, 72);
+    writeln!(out, "\n{plot}\nevents in the window:")?;
+    let mut listing = String::new();
+    for (t, e) in r.events.window(from, to) {
+        writeln!(listing, "  {} [{}] {}", measured(t), e.marker(), e)?;
+    }
+    out.push_str(&listing);
+    f.files.push(("fig5.csv", series_csv(&windows)));
+    f.files.push(("fig5_events.txt", listing));
+
+    writeln!(out)?;
+    let paper = ["-", "-", "-", "1250ns", "11.42us", "856ns"];
+    bounds(out, "exp 2 (fault inject)", &r.bounds, paper)?;
+    let rejoins = r.events.count(|e| matches!(e, GmResumed { .. }));
+    writeln!(out, "\nGM rejoins after reboot: {rejoins}")
+}
+
+/// The names of a bound derivation's chain, in [`chain`] order.
+const CHAIN: [&str; 6] = ["d_min", "d_max", "E", "Gamma", "Pi", "gamma"];
+
+/// The bound derivation's chain: d_min, d_max, E, Γ, Π, γ.
+fn chain(b: &BoundsReport) -> [Nanos; 6] {
+    [
         b.d_min,
         b.d_max,
         b.reading_error,
         b.drift_offset,
         b.pi,
         b.gamma,
-    ];
-    row(label, chain.map(|n| n.to_string()));
-    row("  paper", paper.map(String::from));
+    ]
+}
+
+/// The bounds / Π* summary block.
+fn summary(out: &mut String, r: &RunResult) -> fmt::Result {
+    let chain = CHAIN.iter().zip(chain(&r.bounds));
+    let chain: Vec<String> = chain.map(|(name, v)| format!("{name} = {v}")).collect();
+    writeln!(out, "bounds: {}", chain.join("  "))?;
+    if let Some(s) = r.series.stats() {
+        let (mean, std, min, max, count) = (s.mean, s.std, s.min, s.max, s.count);
+        writeln!(
+            out,
+            "measured Pi*: avg = {mean:.0} ns  std = {std:.0} ns  min = {min}  max = {max}  samples = {count}"
+        )?;
+    }
+    let within = r.series.fraction_within(r.bounds.pi_plus_gamma());
+    writeln!(out, "fraction within Pi + gamma: {within:.5}")
+}
+
+/// The in-text bound derivation (TXT1/TXT2): a header, the derived
+/// chain of `b` and the paper's `paper` values below it.
+fn bounds(out: &mut String, label: &str, b: &BoundsReport, paper: [&str; 6]) -> fmt::Result {
+    for (label, cells) in [
+        ("experiment", CHAIN.map(String::from)),
+        (label, chain(b).map(|n| n.to_string())),
+        ("  paper", paper.map(String::from)),
+    ] {
+        let widths = [9, 9, 9, 9, 10, 9];
+        let row: String = cells
+            .iter()
+            .zip(widths)
+            .map(|(c, w)| format!(" {c:>w$}"))
+            .collect();
+        writeln!(out, "{label:<22}{row}")?;
+    }
+    Ok(())
+}
+
+/// A figure's time series: `windows` drawn 16 rows high and `width`
+/// columns wide against the run's Π and Π + γ.
+fn bound_plot(r: &RunResult, windows: &[WindowStat], width: usize) -> String {
+    let bounds = [("Pi", r.bounds.pi), ("Pi+gamma", r.bounds.pi_plus_gamma())];
+    render_series(windows, &bounds, 16, width)
 }
 
 /// Max precision within `[from_min, to_min)` minutes of the measured
 /// axis, if any samples exist there.
-pub fn window_max(r: &RunResult, from_min: u64, to_min: u64) -> Option<Nanos> {
+fn window_max(r: &RunResult, from_min: u64, to_min: u64) -> Option<Nanos> {
     let from = SimTime::ZERO + r.warmup + Nanos::from_secs((from_min * 60) as i64);
     let to = SimTime::ZERO + r.warmup + Nanos::from_secs((to_min * 60) as i64);
     r.series.window(from, to).stats().map(|s| s.max)
