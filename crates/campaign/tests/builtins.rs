@@ -137,6 +137,79 @@ fn paper_experiments_hold(records: &[RunRecord]) {
     ] {
         assert_eq!(run(kind).fraction_within_bound, 1.0, "{kind:?}");
     }
+    experiments_md_quotes(identical, diverse);
+}
+
+/// EXPERIMENTS.md's "ours" numbers for `repro-all` are these records,
+/// as the document writes them: TXT1's exp-1 column is the identical
+/// run's bounds, FIG3A its fraction within Π + γ and its worst sample,
+/// FIG3B the diverse run's samples, mean and worst sample.
+fn experiments_md_quotes(identical: &RunRecord, diverse: &RunRecord) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(path).expect("EXPERIMENTS.md");
+    // The text under `## {heading}…`, up to the next heading.
+    let section = |heading: &str| -> &str {
+        let start = doc
+            .find(&format!("\n## {heading}"))
+            .unwrap_or_else(|| panic!("EXPERIMENTS.md has no section {heading}"));
+        let body = &doc[start + 1..];
+        &body[..body[1..].find("\n## ").map_or(body.len(), |end| end + 1)]
+    };
+    // Prose with its line breaks folded into spaces.
+    let prose = |heading| {
+        section(heading)
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    // "4 339": thousands grouped by spaces.
+    let grouped = |n: i64| {
+        let digits = n.to_string();
+        let mut out = String::new();
+        for (i, c) in digits.chars().enumerate() {
+            if i > 0 && (digits.len() - i).is_multiple_of(3) {
+                out.push(' ');
+            }
+            out.push(c);
+        }
+        out
+    };
+    let us = |ns: i64, places: usize| format!("{:.places$} µs", ns as f64 / 1e3);
+    let precision = |r: &RunRecord| r.precision.expect("samples");
+
+    let b = &identical.bounds;
+    let txt1 = section("TXT1/TXT2");
+    for (row, ours) in [
+        ("d_min", format!("{} ns", grouped(b.d_min_ns))),
+        ("d_max", format!("{} ns", grouped(b.d_max_ns))),
+        ("E", format!("{} ns", grouped(b.reading_error_ns))),
+        ("**Π**", format!("**{}**", us(b.pi_ns, 3))),
+        ("γ", format!("{} ns", grouped(b.gamma_ns))),
+    ] {
+        let line = txt1.lines().find(|l| l.starts_with(&format!("| {row} |")));
+        let line = line.unwrap_or_else(|| panic!("TXT1 has no {row} row"));
+        // | quantity | paper (exp 1) | ours (exp 1) | …
+        let cell = line.split('|').nth(3).expect("an ours (exp 1) cell");
+        assert_eq!(cell.trim(), ours, "TXT1 {row}, ours (exp 1)");
+    }
+    let fig3a = prose("FIG3A");
+    let within = format!("{:.1} % of", identical.fraction_within_bound * 100.0);
+    let worst = format!("max **{}**", us(precision(identical).max_ns, 1));
+    for quote in [within, worst] {
+        assert!(fig3a.contains(&quote), "FIG3A does not quote `{quote}`");
+    }
+    let d = precision(diverse);
+    let whole_run = format!(
+        "{} samples within Π + γ; avg {:.0} ns, max {}",
+        grouped(d.count as i64),
+        d.mean_ns,
+        us(d.max_ns, 3)
+    );
+    let fig3b = prose("FIG3B");
+    assert!(
+        fig3b.contains(&whole_run),
+        "FIG3B does not quote `{whole_run}`"
+    );
 }
 
 #[test]

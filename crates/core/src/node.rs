@@ -140,7 +140,7 @@ pub struct MultiDomainNode {
     acquired: BTreeMap<u8, SyncMaster>,
 }
 
-fn send(bytes: bytes::Bytes, token: Option<TxToken>, timing: TxTiming) -> NodeOutput {
+fn send(bytes: Box<[u8]>, token: Option<TxToken>, timing: TxTiming) -> NodeOutput {
     NodeOutput::Send(Transmission::new(0, bytes, token, timing))
 }
 

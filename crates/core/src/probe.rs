@@ -456,7 +456,7 @@ impl World {
             src: vm.nic.mac,
             vlan: Some(VlanTag::new(6, MEASUREMENT_VID)),
             ethertype: ethertype::MEASUREMENT,
-            payload: bytes::Bytes::copy_from_slice(&seq.to_be_bytes()),
+            payload: Box::from(seq.to_be_bytes()),
         };
         let from = PortAddr::new(vm.nic_device, 0);
         self.send_general(t, from, frame);

@@ -268,7 +268,7 @@ impl World {
     fn handle(&mut self, t: SimTime, ev: Ev) {
         match ev {
             Ev::Transmit { from, frame, token } => self.on_transmit(t, from, frame, token),
-            Ev::Arrive { to, frame } => self.on_arrive(t, to, &frame),
+            Ev::Arrive { to, mut frame } => self.on_arrive(t, to, &mut frame),
             Ev::GmSyncTick { node } => self.on_gm_sync_tick(t, node),
             Ev::PdelayTick { port } => self.on_pdelay_tick(t, port),
             Ev::Phc2sysTick { node, slot } => self.on_phc2sys_tick(t, node, slot),
@@ -345,13 +345,12 @@ impl World {
             return;
         };
         // Interarrival: frame service time / load, jittered ±50 %.
-        let payload = vec![0u8; bg.frame_bytes];
         let frame = EthernetFrame {
             dst: MacAddr::BROADCAST,
             src: MacAddr::for_nic(port.device.0 as u32),
             vlan: None,
             ethertype: ethertype::BACKGROUND,
-            payload: bytes::Bytes::from(payload),
+            payload: vec![0u8; bg.frame_bytes].into(),
         };
         let service = frame.serialization_ns(1_000_000_000).as_nanos() as f64;
         let mean_gap = (service / bg.load.clamp(0.01, 0.95)).max(1.0);
@@ -456,7 +455,7 @@ impl World {
         self.bridge_out = out;
     }
 
-    fn ptp_frame(src: MacAddr, payload: bytes::Bytes) -> EthernetFrame {
+    fn ptp_frame(src: MacAddr, payload: Box<[u8]>) -> EthernetFrame {
         EthernetFrame {
             dst: MacAddr::GPTP_MULTICAST,
             src,
@@ -642,7 +641,7 @@ impl World {
 
     // ----- reception ---------------------------------------------------
 
-    fn on_arrive(&mut self, t: SimTime, to: PortAddr, frame: &EthernetFrame) {
+    fn on_arrive(&mut self, t: SimTime, to: PortAddr, frame: &mut EthernetFrame) {
         let station = self.tb.station_map.get(to.device);
         observe(&mut self.observers, || Observation::FrameArrived {
             at: t,
@@ -685,7 +684,7 @@ impl World {
         }
     }
 
-    fn arrive_at_switch(&mut self, t: SimTime, sw: usize, port: u8, frame: &EthernetFrame) {
+    fn arrive_at_switch(&mut self, t: SimTime, sw: usize, port: u8, frame: &mut EthernetFrame) {
         match frame.ethertype {
             // Background traffic only loads the egress ports it crossed.
             ethertype::BACKGROUND => {}
@@ -716,13 +715,22 @@ impl World {
                     frame,
                     &mut self.tb.frame_rng,
                 );
-                for (egress, residence) in out {
+                // Every egress port but the last gets a copy; the last
+                // takes the payload.
+                let mut out = out.into_iter().peekable();
+                while let Some((egress, residence)) = out.next() {
+                    let frame = if out.peek().is_some() {
+                        frame.clone()
+                    } else {
+                        let payload = std::mem::take(&mut frame.payload);
+                        EthernetFrame { payload, ..*frame }
+                    };
                     let from = PortAddr::new(self.tb.switches[sw].device, egress.0);
                     self.queue.schedule_at(
                         t + residence,
                         Ev::Transmit {
                             from,
-                            frame: frame.clone(),
+                            frame,
                             token: None,
                         },
                     );

@@ -32,7 +32,7 @@ fn tiny_world(seed: u64) -> World {
 
 /// An empty gPTP frame, as untagged traffic from NIC 1.
 fn ptp_frame() -> EthernetFrame {
-    World::ptp_frame(MacAddr::for_nic(1), bytes::Bytes::new())
+    World::ptp_frame(MacAddr::for_nic(1), Box::default())
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn a_fabric_crossing_without_its_observation_is_witnessed() {
     };
     let leak = |w: &mut World| {
         let fab = w.tb.fabric.as_mut().expect("fabric on");
-        fab.cross(SimTime::from_secs(6), 0, 1, 64, &mut vec![0u8; 44]);
+        fab.cross(SimTime::from_secs(6), 0, 1, 64, &mut [0u8; 44]);
     };
     assert!(witness_after(fabric_world(), "fabric-conservation", leak));
     assert!(!witness_after(

@@ -404,17 +404,16 @@ impl Fabric {
     /// books — a Sync's measured residence is remembered at traversal
     /// and added to the correction field of the matching Follow_Up
     /// (same domain and sequence id) when that crosses the same
-    /// segment, by rewriting `payload`.
-    pub fn cross<P: AsRef<[u8]> + FromIterator<u8>>(
+    /// segment, by patching `payload` in place.
+    pub fn cross(
         &mut self,
         now: SimTime,
         from: usize,
         to: usize,
         wire_len: usize,
-        payload: &mut P,
+        payload: &mut [u8],
     ) -> Crossing {
-        let bytes = payload.as_ref();
-        let kind = bytes.first().map(|b| b & 0x0F);
+        let kind = payload.first().map(|b| b & 0x0F);
         let class = match kind {
             Some(SYNC) => FrameClass::Sync,
             Some(PDELAY_REQ | PDELAY_RESP) => FrameClass::Pdelay,
@@ -423,9 +422,9 @@ impl Fabric {
         let ser_ns = self.cfg.serialization_ns(wire_len);
         let traversal = self.traverse(now, from, to, ser_ns, class);
         if self.cfg.transparent_clock && !traversal.dropped {
-            let domain = bytes.get(4).copied().unwrap_or(0);
+            let domain = payload.get(4).copied().unwrap_or(0);
             // Sequence id: header bytes 30..32.
-            let seq = bytes
+            let seq = payload
                 .get(30..32)
                 .map_or(0, |b| u16::from_be_bytes([b[0], b[1]]));
             match kind {
@@ -704,18 +703,13 @@ tsn_snapshot::snap_state!(Fabric {
 /// Adds `residence_ns` to the correction field of an encoded gPTP
 /// message (header bytes 8..16, nanoseconds scaled by 2^16 — IEEE 1588
 /// clause 13.3.2.7), as a chain of transparent clocks would.
-fn add_correction<P: AsRef<[u8]> + FromIterator<u8>>(payload: &mut P, residence_ns: i64) {
-    let p = payload.as_ref();
-    if p.len() < 16 {
+fn add_correction(payload: &mut [u8], residence_ns: i64) {
+    let Some(field) = payload.get_mut(8..16) else {
         return;
-    }
-    let cur = i64::from_be_bytes(p[8..16].try_into().expect("slice of 8"));
-    let patched = cur
-        .saturating_add(residence_ns.saturating_mul(65_536))
-        .to_be_bytes();
-    // Exact-size chain: collected into the new buffer in one pass.
-    let (head, tail) = (&p[..8], &p[16..]);
-    *payload = head.iter().chain(&patched).chain(tail).copied().collect();
+    };
+    let cur = i64::from_be_bytes(field.try_into().expect("slice of 8"));
+    let patched = cur.saturating_add(residence_ns.saturating_mul(65_536));
+    field.copy_from_slice(&patched.to_be_bytes());
 }
 
 /// Wait until the protected window is open at `t_ns` under a gate

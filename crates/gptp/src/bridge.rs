@@ -26,7 +26,6 @@ use crate::msg::{Header, Message, MessageType, GPTP_MAJOR_SDO_ID, PTP_VERSION};
 use crate::types::{
     rate_ratio, ClockIdentity, PortIdentity, PtpTimestamp, Transmission, TxTiming, TxToken,
 };
-use bytes::Bytes;
 use tsn_snapshot::{Reader, Snap, SnapError, Writer};
 use tsn_time::{ClockTime, Nanos};
 
@@ -35,7 +34,7 @@ use tsn_time::{ClockTime, Nanos};
 const MAX_TRACKED: usize = 8;
 
 /// A `(egress port number, encoded message)` emission.
-pub type Emission = (u16, Bytes);
+pub type Emission = (u16, Box<[u8]>);
 
 /// A map with `u16` keys for a handful of entries — at most
 /// [`MAX_TRACKED`] sequences per relay, one tx timestamp per master
@@ -190,7 +189,7 @@ impl BridgeRelay {
         msg: &Message,
         ingress_port: u16,
         rx_ts: ClockTime,
-        mut emit: impl FnMut(u16, Bytes),
+        mut emit: impl FnMut(u16, Box<[u8]>),
     ) {
         let Message::Sync { header, .. } = msg else {
             return;
@@ -248,7 +247,7 @@ impl BridgeRelay {
         seq: u16,
         port: u16,
         tx_ts: ClockTime,
-        emit: impl FnMut(u16, Bytes),
+        emit: impl FnMut(u16, Box<[u8]>),
     ) {
         if let Some(state) = self.seqs.get_mut(seq) {
             state.tx_ts.insert(port, tx_ts);
@@ -285,7 +284,7 @@ impl BridgeRelay {
         ingress_port: u16,
         slave_link_delay: Nanos,
         slave_nrr: f64,
-        emit: impl FnMut(u16, Bytes),
+        emit: impl FnMut(u16, Box<[u8]>),
     ) {
         let Message::FollowUp {
             header,
@@ -318,7 +317,7 @@ impl BridgeRelay {
 
     /// Emits the Follow_Up of every master port of `seq` that has both
     /// the upstream Follow_Up and its own Sync's tx timestamp.
-    fn drain_ready(&mut self, seq: u16, mut emit: impl FnMut(u16, Bytes)) {
+    fn drain_ready(&mut self, seq: u16, mut emit: impl FnMut(u16, Box<[u8]>)) {
         let Some(state) = self.seqs.get_mut(seq) else {
             return;
         };
@@ -468,7 +467,7 @@ impl Bridge {
             // know the domain's root. A mesh port never feeds a mesh
             // port, which is what makes it loop-free; the path trace
             // stays as the guard 802.1AS prescribes.
-            let fwd = match forward_announce(bytes, self.identity) {
+            let mut fwd = match forward_announce(bytes, self.identity) {
                 AnnounceRelay::Forward(fwd) => fwd,
                 AnnounceRelay::Loop => return true,
                 AnnounceRelay::Undecodable => return false,
@@ -478,8 +477,15 @@ impl Bridge {
             } else {
                 self.station_ports
             };
-            for p in (0..relay_to).filter(|&p| p != port) {
-                out.push(Transmission::new(p, fwd.clone(), None, TxTiming::Residence));
+            // Every port but the last gets a copy; the last takes `fwd`.
+            let mut ports = (0..relay_to).filter(|&p| p != port).peekable();
+            while let Some(p) = ports.next() {
+                let bytes = if ports.peek().is_some() {
+                    fwd.clone()
+                } else {
+                    std::mem::take(&mut fwd)
+                };
+                out.push(Transmission::new(p, bytes, None, TxTiming::Residence));
             }
             return true;
         }
@@ -596,7 +602,7 @@ fn follow_up((port, bytes): Emission) -> Transmission {
 enum AnnounceRelay {
     /// Relay this frame: stepsRemoved + 1, the bridge's own identity
     /// appended to the path trace.
-    Forward(Bytes),
+    Forward(Box<[u8]>),
     /// Drop it silently: the bridge already carried it (802.1AS clause
     /// 10.3.8.23 loop prevention).
     Loop,
@@ -648,7 +654,7 @@ fn patch_announce(b: &[u8], own: ClockIdentity) -> Option<AnnounceRelay> {
     out[61..63].copy_from_slice(&steps.to_be_bytes());
     out[66..68].copy_from_slice(&((ids + 8) as u16).to_be_bytes());
     out.extend_from_slice(&own.0);
-    Some(AnnounceRelay::Forward(Bytes::from(out)))
+    Some(AnnounceRelay::Forward(out.into_boxed_slice()))
 }
 
 /// [`forward_announce`] through the codec.
@@ -953,7 +959,12 @@ mod tests {
         assert_eq!(m.header().correction.to_nanos(), Nanos::from_nanos(2_500));
     }
 
-    fn announce(trace: Vec<ClockIdentity>, steps_removed: u16, seq: u16, corr_ns: i64) -> Bytes {
+    fn announce(
+        trace: Vec<ClockIdentity>,
+        steps_removed: u16,
+        seq: u16,
+        corr_ns: i64,
+    ) -> Box<[u8]> {
         let port = PortIdentity::new(ClockIdentity::for_index(1), 1);
         let mut header = Header::new(MessageType::Announce, 2, port, seq, 0);
         header.correction = Correction::from_nanos(Nanos::from_nanos(corr_ns));

@@ -15,7 +15,6 @@
 use crate::msg::Message;
 use crate::pdelay::{LinkDelaySample, PdelayInitiator, PdelayResponder, RespContext};
 use crate::types::PortIdentity;
-use bytes::Bytes;
 use tsn_time::{ClockTime, Nanos};
 
 /// The shared per-link delay measurement service.
@@ -72,7 +71,7 @@ impl LinkDelayService {
     /// Starts a measurement round; transmit the bytes as an event
     /// message and report its egress timestamp via
     /// [`LinkDelayService::request_sent`].
-    pub fn make_request(&mut self) -> (Bytes, u16) {
+    pub fn make_request(&mut self) -> (Box<[u8]>, u16) {
         self.initiator.make_request()
     }
 
@@ -113,7 +112,7 @@ impl LinkDelayService {
         seq: u16,
         requesting_port: PortIdentity,
         t3: ClockTime,
-    ) -> Bytes {
+    ) -> Box<[u8]> {
         self.responder.make_resp_follow_up(seq, requesting_port, t3)
     }
 }

@@ -11,7 +11,6 @@
 //! grandmaster from an honest one except by its timing content.
 
 use crate::types::{ClockIdentity, ClockQuality, Correction, PortIdentity, PtpTimestamp};
-use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 use tsn_time::Nanos;
 
@@ -143,7 +142,7 @@ impl Header {
         }
     }
 
-    fn encode_into(&self, buf: &mut impl BufMut, message_length: u16) {
+    fn encode_into(&self, buf: &mut StackBuf, message_length: u16) {
         buf.put_u8((GPTP_MAJOR_SDO_ID << 4) | (self.message_type as u8));
         buf.put_u8(PTP_VERSION);
         buf.put_u16(message_length);
@@ -213,7 +212,7 @@ pub struct FollowUpTlv {
 const FOLLOW_UP_TLV_LEN: usize = 32;
 
 impl FollowUpTlv {
-    fn encode_into(&self, buf: &mut impl BufMut) {
+    fn encode_into(&self, buf: &mut StackBuf) {
         buf.put_u16(0x0003); // ORGANIZATION_EXTENSION
         buf.put_u16(28); // lengthField
         buf.put_slice(&[0x00, 0x80, 0xC2]); // organizationId
@@ -351,11 +350,11 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Capacity of [`StackBuf`]: the largest fixed-size message is the
-/// 76-byte Follow_Up.
+/// 76-byte Follow_Up, and Announce's part before its path trace is 68.
 const STACK_BUF_LEN: usize = 96;
 
-/// Fixed-capacity stack buffer for the fixed-size messages: appending
-/// is a bounds-checked copy with no growth path and no allocation.
+/// Fixed-capacity stack buffer the encoder writes into: appending is a
+/// bounds-checked big-endian copy with no growth path and no allocation.
 struct StackBuf {
     bytes: [u8; STACK_BUF_LEN],
     len: usize,
@@ -370,19 +369,51 @@ impl Default for StackBuf {
     }
 }
 
-impl BufMut for StackBuf {
+impl StackBuf {
     #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         let end = self.len + src.len();
         self.bytes[self.len..end].copy_from_slice(src);
         self.len = end;
     }
-}
 
-fn put_timestamp(buf: &mut impl BufMut, ts: PtpTimestamp) {
-    buf.put_u16((ts.seconds >> 32) as u16);
-    buf.put_u32(ts.seconds as u32);
-    buf.put_u32(ts.nanoseconds);
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+
+    fn put_i8(&mut self, v: i8) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    fn put_u16(&mut self, v: u16) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    fn put_i16(&mut self, v: i16) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    fn put_i32(&mut self, v: i32) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    fn put_i64(&mut self, v: i64) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    fn put_timestamp(&mut self, ts: PtpTimestamp) {
+        self.put_u16((ts.seconds >> 32) as u16);
+        self.put_u32(ts.seconds as u32);
+        self.put_u32(ts.nanoseconds);
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 fn get_timestamp(b: &[u8]) -> PtpTimestamp {
@@ -467,26 +498,31 @@ impl Message {
     ///
     /// Every message but Announce has a fixed size of at most
     /// [`STACK_BUF_LEN`] bytes: it is written into a stack buffer and
-    /// copied once into the shared allocation, so a frame costs one
-    /// allocation. Announce carries a variable-length path trace and
-    /// goes through a growable buffer.
-    pub fn encode(&self) -> Bytes {
-        if let Message::Announce { path_trace, .. } = self {
-            let mut buf = BytesMut::with_capacity(68 + 8 * path_trace.len());
-            self.encode_into(&mut buf);
-            return buf.freeze();
-        }
+    /// copied once into its own allocation, so a frame costs one
+    /// allocation. Announce writes its fixed part the same way, then
+    /// both parts and its variable-length path trace go into one buffer
+    /// of exact size.
+    pub fn encode(&self) -> Box<[u8]> {
         let mut buf = StackBuf::default();
         self.encode_into(&mut buf);
-        Bytes::copy_from_slice(&buf.bytes[..buf.len])
+        let Message::Announce { path_trace, .. } = self else {
+            return buf.as_slice().into();
+        };
+        let mut out = Vec::with_capacity(buf.len + 8 * path_trace.len());
+        out.extend_from_slice(buf.as_slice());
+        for id in path_trace {
+            out.extend_from_slice(&id.0);
+        }
+        out.into_boxed_slice()
     }
 
-    /// The encoder proper, shared by the stack and the growable path.
-    fn encode_into(&self, buf: &mut impl BufMut) {
+    /// The encoder proper: the whole message, except the identities of
+    /// an Announce's path trace, which [`Message::encode`] appends.
+    fn encode_into(&self, buf: &mut StackBuf) {
         match self {
             Message::Sync { header, origin } => {
                 header.encode_into(buf, 44);
-                put_timestamp(buf, *origin);
+                buf.put_timestamp(*origin);
             }
             Message::FollowUp {
                 header,
@@ -494,12 +530,12 @@ impl Message {
                 tlv,
             } => {
                 header.encode_into(buf, (44 + FOLLOW_UP_TLV_LEN) as u16);
-                put_timestamp(buf, *precise_origin);
+                buf.put_timestamp(*precise_origin);
                 tlv.encode_into(buf);
             }
             Message::PdelayReq { header } => {
                 header.encode_into(buf, 54);
-                put_timestamp(buf, PtpTimestamp::default());
+                buf.put_timestamp(PtpTimestamp::default());
                 buf.put_slice(&[0u8; 10]);
             }
             Message::PdelayResp {
@@ -508,7 +544,7 @@ impl Message {
                 requesting_port,
             } => {
                 header.encode_into(buf, 54);
-                put_timestamp(buf, *request_receipt);
+                buf.put_timestamp(*request_receipt);
                 buf.put_slice(&requesting_port.clock.0);
                 buf.put_u16(requesting_port.port);
             }
@@ -518,7 +554,7 @@ impl Message {
                 requesting_port,
             } => {
                 header.encode_into(buf, 54);
-                put_timestamp(buf, *response_origin);
+                buf.put_timestamp(*response_origin);
                 buf.put_slice(&requesting_port.clock.0);
                 buf.put_u16(requesting_port.port);
             }
@@ -528,7 +564,7 @@ impl Message {
                 path_trace,
             } => {
                 header.encode_into(buf, (64 + 4 + 8 * path_trace.len()) as u16);
-                put_timestamp(buf, PtpTimestamp::default());
+                buf.put_timestamp(PtpTimestamp::default());
                 buf.put_i16(body.current_utc_offset);
                 buf.put_u8(0); // reserved
                 buf.put_u8(body.priority1);
@@ -539,12 +575,9 @@ impl Message {
                 buf.put_slice(&body.gm_identity.0);
                 buf.put_u16(body.steps_removed);
                 buf.put_u8(body.time_source);
-                // PATH_TRACE TLV (type 0x8).
+                // PATH_TRACE TLV (type 0x8); its identities follow.
                 buf.put_u16(0x0008);
                 buf.put_u16((8 * path_trace.len()) as u16);
-                for id in path_trace {
-                    buf.put_slice(&id.0);
-                }
             }
         }
     }
@@ -660,6 +693,15 @@ mod tests {
         let bytes = msg.encode();
         let back = Message::decode(&bytes).expect("decodes");
         assert_eq!(back, msg);
+    }
+
+    #[test]
+    fn stack_buf_puts_are_big_endian() {
+        let mut b = StackBuf::default();
+        b.put_u16(0x88f7);
+        b.put_i64(-2);
+        assert_eq!(b.as_slice()[..2], [0x88, 0xf7]);
+        assert_eq!(b.as_slice()[2..], (-2i64).to_be_bytes());
     }
 
     #[test]
@@ -984,13 +1026,13 @@ mod proptests {
             prop_assert_eq!(back, msg);
         }
 
-        /// The stack-buffer encoder writes the same bytes as the
-        /// growable `BytesMut` encoder it replaced on the frame path.
+        /// The encoding is exactly as long as the messageLength its
+        /// header declares: an Announce's path trace, appended after the
+        /// stack buffer, is neither short nor padded.
         #[test]
-        fn stack_and_growable_encoders_agree(msg in arb_message()) {
-            let mut growable = BytesMut::new();
-            msg.encode_into(&mut growable);
-            prop_assert_eq!(msg.encode(), growable.freeze());
+        fn encoding_fills_its_message_length(msg in arb_message()) {
+            let bytes = msg.encode();
+            prop_assert_eq!(bytes.len(), usize::from(u16::from_be_bytes([bytes[2], bytes[3]])));
         }
 
         /// The decoder never panics on arbitrary byte soup.

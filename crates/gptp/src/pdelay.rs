@@ -16,7 +16,6 @@
 
 use crate::msg::{Header, Message, MessageType};
 use crate::types::{PortIdentity, PtpTimestamp};
-use bytes::Bytes;
 use tsn_time::{round_to_i64, ClockTime, Nanos};
 
 /// Default EMA weight for the mean link delay filter.
@@ -95,7 +94,7 @@ impl PdelayInitiator {
     /// Builds the next `Pdelay_Req`; `t1` is the (hardware) transmit
     /// timestamp prediction — the caller replaces it with the real egress
     /// timestamp via [`PdelayInitiator::request_sent`].
-    pub fn make_request(&mut self) -> (Bytes, u16) {
+    pub fn make_request(&mut self) -> (Box<[u8]>, u16) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         if self.inflight.take().is_some() || self.awaiting_fu.take().is_some() {
@@ -202,7 +201,7 @@ pub struct RespContext {
     /// Encoded `Pdelay_Resp` to transmit (an event message — timestamp
     /// its departure and pass it to
     /// [`PdelayResponder::make_resp_follow_up`]).
-    pub resp: Bytes,
+    pub resp: Box<[u8]>,
     /// Sequence id of the exchange.
     pub seq: u16,
     /// Identity of the requester (destination of the follow-up).
@@ -239,7 +238,7 @@ impl PdelayResponder {
         seq: u16,
         requesting_port: PortIdentity,
         t3: ClockTime,
-    ) -> Bytes {
+    ) -> Box<[u8]> {
         Message::PdelayRespFollowUp {
             header: Header::new(MessageType::PdelayRespFollowUp, 0, self.port, seq, 0),
             response_origin: PtpTimestamp::from_clock_time(t3),

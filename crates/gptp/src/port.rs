@@ -10,7 +10,6 @@
 
 use crate::msg::{FollowUpTlv, Header, Message, MessageType, FLAG_TWO_STEP};
 use crate::types::{rate_ratio, PortIdentity, PtpTimestamp};
-use bytes::Bytes;
 use tsn_time::{ClockTime, Nanos};
 
 /// A grandmaster's per-domain Sync transmitter (two-step).
@@ -69,7 +68,7 @@ impl SyncMaster {
     ///
     /// If the previous `Sync` is still awaiting its transmit timestamp the
     /// pending state is abandoned (counted as a timeout).
-    pub fn make_sync(&mut self) -> (Bytes, u16) {
+    pub fn make_sync(&mut self) -> (Box<[u8]>, u16) {
         if self.pending.take().is_some() {
             self.tx_timestamp_timeouts += 1;
         }
@@ -94,7 +93,7 @@ impl SyncMaster {
     ///
     /// The `preciseOriginTimestamp` is `tx_ts + pot_offset` — the benign
     /// value when `pot_offset` is zero, the Byzantine value otherwise.
-    pub fn sync_sent(&mut self, seq: u16, tx_ts: ClockTime) -> Option<Bytes> {
+    pub fn sync_sent(&mut self, seq: u16, tx_ts: ClockTime) -> Option<Box<[u8]>> {
         if self.pending != Some(seq) {
             return None;
         }
@@ -155,7 +154,7 @@ impl SyncMaster {
     /// # Panics
     ///
     /// Panics if the master is in two-step mode.
-    pub fn finalize_one_step(&mut self, seq: u16, tx_ts: ClockTime) -> Option<Bytes> {
+    pub fn finalize_one_step(&mut self, seq: u16, tx_ts: ClockTime) -> Option<Box<[u8]>> {
         // Unreachable in a run: only this crate's tests call `set_one_step` or this.
         assert!(self.one_step, "finalize_one_step requires one-step mode");
         if self.pending != Some(seq) {

@@ -252,7 +252,7 @@ pub struct Transmission {
     /// Egress port number (0-based; end stations have only port 0).
     pub port: u8,
     /// Encoded gPTP message.
-    pub bytes: bytes::Bytes,
+    pub bytes: Box<[u8]>,
     /// Present on event messages whose egress timestamp the engine needs.
     pub token: Option<TxToken>,
     /// Departure timing class.
@@ -261,7 +261,7 @@ pub struct Transmission {
 
 impl Transmission {
     /// `bytes` leaving on `port`.
-    pub fn new(port: u8, bytes: bytes::Bytes, token: Option<TxToken>, timing: TxTiming) -> Self {
+    pub fn new(port: u8, bytes: Box<[u8]>, token: Option<TxToken>, timing: TxTiming) -> Self {
         Transmission {
             port,
             bytes,

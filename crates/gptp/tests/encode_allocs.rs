@@ -1,9 +1,9 @@
 //! Allocation pin for `Message::encode`.
 //!
 //! Every fixed-size message is written into a stack buffer and copied
-//! once into the shared `Bytes` allocation, so a frame costs exactly one
-//! allocation. An encoder that fills a growable buffer and then freezes
-//! it pays two (the buffer, then the shared copy).
+//! once into its own `Box<[u8]>`, so a frame costs exactly one
+//! allocation. An encoder that fills a growable buffer and then copies
+//! it into a shared one pays two (the buffer, then the copy).
 //!
 //! The file holds exactly one test so no concurrent test pollutes the
 //! allocator counters.

@@ -4,8 +4,12 @@
 //! `tsn-gptp`, wrapped in an Ethernet frame here, forwarded by switches,
 //! and decoded again at the receiver. A Byzantine grandmaster therefore
 //! corrupts *wire bytes*, exactly like the paper's malicious `ptp4l`.
+//!
+//! A payload is a `Box<[u8]>` with one owner from encode to drop: a
+//! switch that forwards a frame to several ports copies it for all but
+//! the last, and the fabric patches a Follow_Up's correction field in
+//! place.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// A 48-bit IEEE 802 MAC address.
@@ -100,7 +104,7 @@ pub struct EthernetFrame {
     /// EtherType of the payload.
     pub ethertype: u16,
     /// Payload bytes.
-    pub payload: Bytes,
+    pub payload: Box<[u8]>,
 }
 
 /// Errors from [`EthernetFrame::decode`].
@@ -147,18 +151,18 @@ impl EthernetFrame {
     }
 
     /// Encodes the frame to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_slice(&self.dst.0);
-        buf.put_slice(&self.src.0);
+    pub fn encode(&self) -> Box<[u8]> {
+        let mut buf = Vec::with_capacity(self.wire_len());
+        buf.extend_from_slice(&self.dst.0);
+        buf.extend_from_slice(&self.src.0);
         if let Some(tag) = self.vlan {
-            buf.put_u16(ethertype::VLAN);
             let tci = (u16::from(tag.pcp) << 13) | (tag.vid & 0x0FFF);
-            buf.put_u16(tci);
+            buf.extend_from_slice(&ethertype::VLAN.to_be_bytes());
+            buf.extend_from_slice(&tci.to_be_bytes());
         }
-        buf.put_u16(self.ethertype);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+        buf.extend_from_slice(&self.ethertype.to_be_bytes());
+        buf.extend_from_slice(&self.payload);
+        buf.into_boxed_slice()
     }
 
     /// Decodes a frame from wire bytes.
@@ -193,7 +197,7 @@ impl EthernetFrame {
             src,
             vlan,
             ethertype,
-            payload: Bytes::copy_from_slice(&bytes[offset..]),
+            payload: bytes[offset..].into(),
         })
     }
 }
@@ -222,7 +226,7 @@ mod proptests {
                 } else {
                     ethertype
                 },
-                payload: Bytes::from(payload),
+                payload: payload.into(),
             })
     }
 
@@ -265,32 +269,13 @@ impl Snap for VlanTag {
     }
 }
 
-// Hand-written: the payload is a `Bytes` (length, then the raw bytes).
-impl Snap for EthernetFrame {
-    fn put(&self, w: &mut Writer) {
-        self.dst.put(w);
-        self.src.put(w);
-        self.vlan.put(w);
-        self.ethertype.put(w);
-        self.payload.as_ref().len().put(w);
-        w.put_bytes(self.payload.as_ref());
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let dst = MacAddr::get(r)?;
-        let src = MacAddr::get(r)?;
-        let vlan = Option::<VlanTag>::get(r)?;
-        let ethertype = u16::get(r)?;
-        let n = usize::get(r)?;
-        let payload = Bytes::from(r.take(n)?.to_vec());
-        Ok(EthernetFrame {
-            dst,
-            src,
-            vlan,
-            ethertype,
-            payload,
-        })
-    }
-}
+tsn_snapshot::snap_struct!(EthernetFrame {
+    dst,
+    src,
+    vlan,
+    ethertype,
+    payload,
+});
 
 #[cfg(test)]
 mod tests {
@@ -302,7 +287,7 @@ mod tests {
             src: MacAddr::for_nic(3),
             vlan,
             ethertype: ethertype::PTP,
-            payload: Bytes::from_static(b"\x10\x02\x00\x2c rest"),
+            payload: Box::from(&b"\x10\x02\x00\x2c rest"[..]),
         }
     }
 
@@ -333,6 +318,21 @@ mod tests {
             EthernetFrame::decode(&bytes),
             Err(DecodeFrameError::Truncated)
         );
+    }
+
+    #[test]
+    fn snapshot_is_the_payload_count_then_its_bytes() {
+        let f = sample_frame(Some(VlanTag::new(6, 100)));
+        let mut w = Writer::new();
+        f.put(&mut w);
+        let bytes = w.into_bytes();
+        let (head, payload) = bytes.split_at(bytes.len() - f.payload.len());
+        assert_eq!(*payload, *f.payload);
+        assert!(head.ends_with(&(f.payload.len() as u64).to_le_bytes()));
+        assert_eq!(EthernetFrame::get(&mut Reader::new(&bytes)), Ok(f));
+        for cut in 0..bytes.len() {
+            assert!(EthernetFrame::get(&mut Reader::new(&bytes[..cut])).is_err());
+        }
     }
 
     #[test]

@@ -121,7 +121,6 @@ impl Switch {
 mod tests {
     use super::*;
     use crate::frame::{ethertype, VlanTag};
-    use bytes::Bytes;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -131,7 +130,7 @@ mod tests {
             src: MacAddr::for_nic(9),
             vlan,
             ethertype: ethertype::MEASUREMENT,
-            payload: Bytes::from_static(b"probe"),
+            payload: Box::from(&b"probe"[..]),
         }
     }
 

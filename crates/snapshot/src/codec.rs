@@ -283,6 +283,19 @@ impl<T: Snap> Snap for Vec<T> {
     }
 }
 
+/// The same bytes as `Vec<T>`: the count, then the elements.
+impl<T: Snap> Snap for Box<[T]> {
+    fn put(&self, w: &mut Writer) {
+        self.len().put(w);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        Ok(Vec::<T>::get(r)?.into_boxed_slice())
+    }
+}
+
 impl<T: Snap> Snap for VecDeque<T> {
     fn put(&self, w: &mut Writer) {
         self.len().put(w);

@@ -189,6 +189,7 @@ mod tests {
         roundtrip(&Some(7u32));
         roundtrip(&Option::<u32>::None);
         roundtrip(&vec![1u64, 2, 3]);
+        roundtrip(&Box::<[u8]>::from(&b"wire"[..]));
         roundtrip(&[1u64, 2, 3, 4]);
     }
 
