@@ -14,6 +14,10 @@
 //! hash. Runs that share a warm prefix fork it; the runner decides
 //! (`RunnerOptions::fork`), and the bytes are those of a cold run.
 //!
+//! The paper's claims (`summary::CLAIMS`) are judged over the runs in
+//! the paper's configuration and printed after the summary by `run`,
+//! `summarize` (text) and `figure`.
+//!
 //! `summarize` and `diff` read the spec back from each directory's
 //! `manifest.json`, so they need no spec argument; for a spec with a
 //! `bisect` block they replay the bisection over the probe artifacts in
@@ -24,7 +28,8 @@
 //!
 //! `--check` arms the runtime invariant oracle (`tsn-oracle`) on every
 //! executed run, which then runs cold: violations are printed to stderr
-//! and the command exits 1 if any were found. Artifacts are
+//! and the command exits 1 if any were found, or if a claim FAILs
+//! (the oracle arms the FTA accounting claims read). Artifacts are
 //! byte-identical either way.
 //!
 //! `--trace DIR` (campaign specs only) arms the structured tracer
@@ -45,6 +50,7 @@
 
 use clocksync::repro::{Figure, Flags};
 use clocksync::{TestbedConfig, World, WorldSnapshot};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsn_campaign::{
@@ -64,9 +70,9 @@ const USAGE: &str = "usage:
   campaign snapshot restore --dir DIR --run HASH --file FILE
   campaign snapshot verify  --dir DIR --run HASH [--at SECS] [--epoch-s SECS]
 
-built-in specs: quick-baseline, repro-all, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, frontier-sweep
+built-in specs: quick-baseline, repro-all, paper-fidelity, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, frontier-sweep
 exit codes (diff): 0 parity, 1 regression, 2 error
-exit codes (run): 0 clean, 1 failed run(s) / invariant violation(s) under --check / inconsistent frontier cell, 2 error
+exit codes (run): 0 clean, 1 failed run(s) / invariant violation(s) or a FAILed claim under --check / inconsistent frontier cell, 2 error
 exit codes (figure): 0 ok, 1 a run does not reproduce its record, 2 error
 exit codes (snapshot): 0 ok, 1 divergence (verify), 2 error";
 
@@ -156,25 +162,32 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     if opts.trace_max_events.is_some() && opts.trace.is_none() {
         return Err("--trace-cap needs --trace DIR".to_string());
     }
-    let (report, body, consistent) = match spec.bisect {
+    // Under `--check` a FAILed claim fails the command, as an
+    // inconsistent frontier cell always does.
+    let (report, body, holds) = match spec.bisect {
         None => {
             let report = runner::execute(&spec, &opts).map_err(|e| e.to_string())?;
+            let claims = summary::judge_claims(&report.records, &report.fta);
+            let failed = opts.check && claims.iter().any(|c| c.holds == Some(false));
+            if failed {
+                eprintln!("check: a paper claim FAILs");
+            }
             let body = summary::render(&summary::summarize(&report.records));
-            (report, body, true)
+            (report, body + &summary::render_claims(&claims), !failed)
         }
         Some(_) if opts.trace.is_some() => {
             return Err("--trace takes a spec without a `bisect` block".to_string());
         }
         Some(_) => {
             let (doc, report) = frontier::execute(&spec, &opts).map_err(|e| e.to_string())?;
+            if !doc.consistent() {
+                eprintln!("frontier: empirical boundary inconsistent with the analytical bound");
+            }
             (report, doc.render_text(), doc.consistent())
         }
     };
     let failing = print_counts(&spec.name, &report, &opts, &body);
-    if !consistent {
-        eprintln!("frontier: empirical boundary inconsistent with the analytical bound");
-    }
-    Ok(ExitCode::from(u8::from(failing || !consistent)))
+    Ok(ExitCode::from(u8::from(failing || !holds)))
 }
 
 /// The counts block `run` prints around the body, with or without a
@@ -246,7 +259,7 @@ fn print_counts(name: &str, report: &CampaignReport, opts: &RunnerOptions, body:
 /// summaries.
 enum View {
     Frontier(Box<frontier::FrontierDoc>),
-    Campaign(Vec<summary::GroupSummary>),
+    Campaign(Vec<summary::GroupSummary>, Vec<summary::ClaimLine>),
 }
 
 fn view_of_dir(dir: &Path) -> Result<View, String> {
@@ -256,7 +269,8 @@ fn view_of_dir(dir: &Path) -> Result<View, String> {
         return Ok(View::Frontier(Box::new(doc)));
     }
     // Stream records through the bounded summarizer — one record in
-    // memory at a time, so large campaigns summarize in O(groups).
+    // memory at a time, so large campaigns summarize in O(groups); the
+    // claims keep the runs in the paper's configuration.
     let reader = runner::RunRecordReader::open(&spec, dir).map_err(|e| e.to_string())?;
     if reader.is_empty() {
         return Err(format!(
@@ -265,10 +279,16 @@ fn view_of_dir(dir: &Path) -> Result<View, String> {
         ));
     }
     let mut summarizer = summary::StreamSummarizer::new();
+    let mut paper = Vec::new();
     for record in reader {
-        summarizer.push(&record.map_err(|e| e.to_string())?);
+        let record = record.map_err(|e| e.to_string())?;
+        summarizer.push(&record);
+        if record.coord.sets_no_axis() {
+            paper.push(record);
+        }
     }
-    Ok(View::Campaign(summarizer.finish()))
+    let claims = summary::judge_claims(&paper, &[]);
+    Ok(View::Campaign(summarizer.finish(), claims))
 }
 
 fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
@@ -277,8 +297,13 @@ fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
     match (view_of_dir(&dir)?, flags.has("--json")) {
         (View::Frontier(doc), true) => print!("{}", doc.render()),
         (View::Frontier(doc), false) => print!("{}", doc.render_text()),
-        (View::Campaign(groups), true) => println!("{}", summary::render_json(&groups)),
-        (View::Campaign(groups), false) => print!("{}", summary::render(&groups)),
+        (View::Campaign(groups, _), true) => println!("{}", summary::render_json(&groups)),
+        (View::Campaign(groups, claims), false) => {
+            print!(
+                "{}",
+                summary::render(&groups) + &summary::render_claims(&claims)
+            );
+        }
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -290,7 +315,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let (verdict, lines) = match (view_of_dir(&baseline)?, view_of_dir(&candidate)?) {
         // Two frontier directories diff by bracket, not by group summary.
         (View::Frontier(base), View::Frontier(cand)) => frontier::diff(&base, &cand),
-        (View::Campaign(base), View::Campaign(cand)) => {
+        (View::Campaign(base, _), View::Campaign(cand, _)) => {
             let report = summary::diff(&base, &cand);
             (report.verdict, report.lines)
         }
@@ -317,11 +342,15 @@ fn cmd_figure(args: &[String]) -> Result<ExitCode, String> {
         None => return Err("a frontier's runs are its probes: name one with --run HASH".into()),
     };
     let figures = dir.join("figures");
+    let (mut records, mut fta) = (Vec::new(), Vec::new());
     for hash in hashes {
         let (plan, recorded) = runner::reenter(&spec, dir, &hash).map_err(|e| e.to_string())?;
-        let result = World::new(plan.config.clone()).run();
+        let mut world = World::new(plan.config.clone());
+        world.enable_fta_accounting();
+        let result = world.run();
         let label = plan.coord.label();
-        if RunRecord::new(&spec.name, &plan, &result).encode() != recorded {
+        let record = RunRecord::new(&spec.name, &plan, &result);
+        if record.encode() != recorded {
             eprintln!(
                 "figure: run {hash} ({label}) does not reproduce its record; \
                  a figure of it would not show the recorded run"
@@ -341,7 +370,11 @@ fn cmd_figure(args: &[String]) -> Result<ExitCode, String> {
             println!("wrote {}", path.display());
         }
         println!();
+        fta.extend(result.fta.map(|a| (hash, a)));
+        records.push(record);
     }
+    let claims = summary::judge_claims(&records, &fta);
+    print!("{}", summary::render_claims(&claims));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -376,15 +409,26 @@ fn parse_run(args: &[String], extra: &[&str]) -> Result<(Flags, TestbedConfig), 
     Ok((flags, plan.config))
 }
 
-fn check_at(at: SimTime, end: SimTime) -> Result<(), String> {
-    if at > end {
-        return Err(format!(
-            "--at {}s is past the end of the run ({}s)",
-            at.as_secs_f64(),
-            end.as_secs_f64()
-        ));
+/// Flag `key` in whole seconds, refused by name unless it lies in
+/// `range` (whose end is within the run, so the nanoseconds fit).
+fn secs_flag(
+    flags: &Flags,
+    key: &str,
+    range: RangeInclusive<i64>,
+) -> Result<Option<Nanos>, String> {
+    match flags.get_parsed::<i64>(key)? {
+        Some(s) if !range.contains(&s) => Err(format!(
+            "{key} {s} outside the supported {}..={} (seconds of the run)",
+            range.start(),
+            range.end()
+        )),
+        s => Ok(s.map(Nanos::from_secs)),
     }
-    Ok(())
+}
+
+/// The run's length in whole seconds.
+fn end_secs(world: &World) -> i64 {
+    (world.end_time() - SimTime::ZERO).as_nanos() / 1_000_000_000
 }
 
 fn read_snapshot(path: &str) -> Result<WorldSnapshot, String> {
@@ -407,16 +451,11 @@ fn print_info(snap: &WorldSnapshot) {
 
 fn cmd_snapshot_save(args: &[String]) -> Result<ExitCode, String> {
     let (flags, cfg) = parse_run(args, &["--at", "--out"])?;
-    let at = SimTime::from_secs(
-        flags
-            .get_parsed::<u64>("--at")?
-            .ok_or("--at SECS is required")?,
-    );
     let out = PathBuf::from(flags.get("--out").ok_or("--out FILE is required")?);
 
     let mut world = World::new(cfg);
-    check_at(at, world.end_time())?;
-    world.run_until(at);
+    let at = secs_flag(&flags, "--at", 0..=end_secs(&world))?.ok_or("--at SECS is required")?;
+    world.run_until(SimTime::ZERO + at);
     let snap = world.snapshot();
     std::fs::write(&out, snap.encode())
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
@@ -453,18 +492,18 @@ fn cmd_snapshot_restore(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_snapshot_verify(args: &[String]) -> Result<ExitCode, String> {
     let (flags, cfg) = parse_run(args, &["--at", "--epoch-s"])?;
-    let epoch = Nanos::from_secs(flags.get_parsed::<i64>("--epoch-s")?.unwrap_or(1).max(1));
 
     let mut original = World::new(cfg.clone());
     let end = original.end_time();
+    let secs = end_secs(&original);
+    let epoch = secs_flag(&flags, "--epoch-s", 1..=secs.max(1))?.unwrap_or(Nanos::from_secs(1));
     // Default checkpoint: the end of the warm-up (where the campaign
     // engine forks), falling back to the midpoint for zero-warm-up runs.
-    let at = match flags.get_parsed::<u64>("--at")? {
-        Some(s) => SimTime::from_secs(s),
+    let at = match secs_flag(&flags, "--at", 0..=secs)? {
+        Some(at) => SimTime::ZERO + at,
         None => clocksync::snapshot::checkpoint_time(&cfg)
             .unwrap_or(SimTime::from_nanos(end.as_nanos() / 2)),
     };
-    check_at(at, end)?;
 
     original.run_until(at);
     let snap = original.snapshot();

@@ -33,6 +33,12 @@ impl Coord {
         label
     }
 
+    /// Whether no axis is active: the paper's configuration, the one
+    /// its claims are about (`summary::CLAIMS`).
+    pub fn sets_no_axis(&self) -> bool {
+        *self == Coord::new(self.scenario, self.seed)
+    }
+
     /// A compact human-readable label listing only active axes — the
     /// name of this coordinate's cross-seed group (the seed is not
     /// rendered).

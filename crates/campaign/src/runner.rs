@@ -19,7 +19,7 @@ use crate::json::Json;
 use crate::matrix::{expand, plan, RunPlan};
 use crate::spec::CampaignSpec;
 use clocksync::snapshot::{checkpoint_time, warm_prefix_config, warm_prefix_fingerprint};
-use clocksync::{World, WorldSnapshot};
+use clocksync::{FtaAccounting, World, WorldSnapshot};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -125,6 +125,9 @@ pub struct CampaignReport {
     /// executed by this invocation are checked — resumed artifacts carry
     /// no oracle state.
     pub violations: Vec<RunViolation>,
+    /// The FTA accounting of each run this invocation executed with the
+    /// oracle armed, by run hash, in canonical matrix order.
+    pub fta: Vec<(String, FtaAccounting)>,
     /// Runs that panicked, in canonical matrix order. A panicking run is
     /// isolated — the campaign finishes, sibling artifacts are written
     /// normally — and leaves no artifact, so a later resume retries it.
@@ -153,6 +156,7 @@ impl CampaignReport {
         self.prefix_runs += other.prefix_runs;
         self.prefix_events_skipped += other.prefix_events_skipped;
         self.violations.extend(other.violations);
+        self.fta.extend(other.fta);
         self.failed.extend(other.failed);
         self.quarantined += other.quarantined;
         self.trace_dropped_events += other.trace_dropped_events;
@@ -393,10 +397,12 @@ pub fn execute_with(
     // pool hands its outcomes back sorted by pending index.
     let mut failed: Vec<FailedRun> = Vec::new();
     let mut violations: Vec<RunViolation> = Vec::new();
+    let mut fta = Vec::new();
     let mut trace_dropped_events = 0u64;
     for (i, outcome) in outcomes {
         match outcome {
-            Ok((record, found, dropped)) => {
+            Ok((record, found, dropped, account)) => {
+                fta.extend(account.map(|a| (record.hash.clone(), a)));
                 records[pending[i].index] = Some(record);
                 violations.extend(found);
                 trace_dropped_events += dropped;
@@ -416,6 +422,7 @@ pub fn execute_with(
         prefix_runs,
         prefix_events_skipped,
         violations,
+        fta,
         failed,
         quarantined,
         trace_dropped_events,
@@ -524,16 +531,17 @@ fn dispatch_order(pending: &[&RunPlan], restores: &[bool], threads: usize) -> Ve
 /// Executes one run, either cold from `t = 0` or forked from a shared
 /// warm-prefix checkpoint, and writes its artifact. Both paths end in
 /// the same [`RunRecord`]; the cold path additionally arms the oracle
-/// and the tracer on request, returning what the former reported and
-/// writing the latter's file, whose dropped-event count it returns
-/// (both observers are passive, so the record is unaffected).
+/// (with the FTA accounting) and the tracer on request, returning what
+/// the former two reported and writing the latter's file, whose
+/// dropped-event count it returns (every observer is passive, so the
+/// record is unaffected).
 fn run_one(
     spec: &CampaignSpec,
     plan: &RunPlan,
     snap: Option<&WorldSnapshot>,
     opts: &RunnerOptions,
     runs_dir: &Path,
-) -> io::Result<(RunRecord, Vec<RunViolation>, u64)> {
+) -> io::Result<RunOutcome> {
     let result = match snap {
         Some(snap) => {
             let mut world = World::restore(plan.config.clone(), snap).map_err(|e| {
@@ -576,8 +584,12 @@ fn run_one(
             record,
         })
         .collect();
-    Ok((record, violations, dropped))
+    Ok((record, violations, dropped, result.fta))
 }
+
+/// What [`run_one`] hands back: the record, the oracle's violations,
+/// the trace's dropped events and the FTA accounting.
+type RunOutcome = (RunRecord, Vec<RunViolation>, u64, Option<FtaAccounting>);
 
 /// Streaming reader over a previously executed campaign's artifacts, in
 /// canonical matrix order. Decodes one record per `next()` call, so

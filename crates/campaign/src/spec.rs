@@ -585,6 +585,9 @@ impl CampaignSpec {
     ///   scenarios, seed 7, 2400 s each, past both strikes (+1302 s and
     ///   +1912 s); `campaign figure` prints Fig. 3a/3b and TXT1 from
     ///   its cyber runs;
+    /// * `paper-fidelity` — the paper's claims (`summary::CLAIMS`) over
+    ///   30 seeds: fault injection and both cyber scenarios, preset
+    ///   `paper`, 3600 s each (90 runs);
     /// * `abl2-domains` — domains M ∈ {4,5,6,7} × 4 seeds (ABL2);
     /// * `abl3-sync-interval` — S ∈ {62,125,250,500} ms × 4 seeds,
     ///   staleness = 4·S (ABL3);
@@ -603,9 +606,10 @@ impl CampaignSpec {
     ///   1 µs..64 µs to 684 ns (4× tighter than the 48-run grid's 2739 ns
     ///   spacing) in each cell of strategies {colluding, constant} ×
     ///   compromised {2, 1}, 2 seeds.
-    pub const BUILTINS: [&'static str; 8] = [
+    pub const BUILTINS: [&'static str; 9] = [
         "quick-baseline",
         "repro-all",
+        "paper-fidelity",
         "abl2-domains",
         "abl3-sync-interval",
         "adversary-sweep",
@@ -622,6 +626,7 @@ impl CampaignSpec {
         let text = match name {
             "quick-baseline" => include_str!("../../../specs/quick_baseline.json"),
             "repro-all" => include_str!("../../../specs/repro_all.json"),
+            "paper-fidelity" => include_str!("../../../specs/paper_fidelity.json"),
             "abl2-domains" => include_str!("../../../specs/abl2_domains.json"),
             "abl3-sync-interval" => include_str!("../../../specs/abl3_sync_interval.json"),
             "adversary-sweep" => include_str!("../../../specs/adversary_sweep.json"),

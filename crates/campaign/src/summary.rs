@@ -1,16 +1,23 @@
-//! Cross-seed summarization and baseline comparison of run artifacts.
+//! Cross-seed summarization, the paper's claims, and baseline
+//! comparison of run artifacts.
 //!
 //! Runs are grouped by every grid coordinate except the seed; each
 //! group's per-run scalars (mean/max/quantiles of Π*_s, bound-violation
 //! rate, fault counters) are aggregated across seeds with
-//! [`SampleSummary`]. The diff mode compares two summarized campaigns
-//! group by group and classifies the result as parity or regression
-//! against fixed tolerances (`RULES`).
+//! [`SampleSummary`]. The paper's claims ([`CLAIMS`]) are judged over
+//! the runs in the paper's configuration. The diff mode compares two
+//! summarized campaigns group by group and classifies the result as
+//! parity or regression against fixed tolerances (`RULES`).
 
 use crate::artifact::RunRecord;
 use crate::json::Json;
 use crate::matrix::Coord;
-use tsn_metrics::{SampleSummary, StreamingSummary};
+use clocksync::scenario::ScenarioKind::{self, *};
+use clocksync::{FtaAccounting, TrimCounts};
+use std::fmt;
+use std::ops::RangeBounds;
+use tsn_metrics::{nearest_rank, SampleSummary, StreamingSummary};
+use tsn_time::Nanos;
 
 /// The cross-seed metrics, declared once: each row is a
 /// [`GroupSummary`] field, its `--json` key and the per-run value it
@@ -274,6 +281,261 @@ pub fn render_json(groups: &[GroupSummary]) -> String {
             .collect(),
     )
     .render()
+}
+
+/// One of the paper's claims: a row of [`CLAIMS`].
+pub struct Claim {
+    /// The name its line carries.
+    pub name: &'static str,
+    /// The scenarios whose runs it reads: n/a without one.
+    pub scenarios: &'static [ScenarioKind],
+    /// What it reads.
+    pub metric: &'static str,
+    /// What must hold.
+    pub band: &'static str,
+    /// Why, with the paper's section.
+    pub reason: &'static str,
+    judge: fn(&Evidence) -> (Option<bool>, String),
+}
+
+/// The paper's claims, declared once. Each reads the runs whose
+/// coordinate sets no axis (the paper's configuration), and a run's
+/// FTA accounting where the run was armed (`--check`, `figure`).
+pub const CLAIMS: [Claim; 4] = [
+    Claim {
+        name: "paper-mean",
+        scenarios: &[FaultInjection],
+        metric: "per-run mean Π*, fault injection",
+        band: "322 ns within the nearest-rank p5–p95 of the runs (n/a below 20 seeds)",
+        reason: "§III-C, Fig. 4: 322 ± 421 ns is one run's mean ± σ, not a per-run bound",
+        judge: paper_mean,
+    },
+    Claim {
+        name: "within-bound",
+        scenarios: &[Baseline, FaultInjection, CyberDiverseKernels],
+        metric: "violation rate, baseline / fault injection / diverse kernels",
+        band: "0 in every run",
+        reason: "§III-A3, Eq. 3.2: with at most f faulty GMs every Π* stays within Π + γ",
+        judge: within_bound,
+    },
+    Claim {
+        name: "identical-loses-sync",
+        scenarios: &[CyberIdenticalKernels],
+        metric: "strikes, FTA accounting and max Π*, identical kernels",
+        band: "both strikes land; strike 1's domain trimmed in every round until strike 2 and a compromised domain kept after it; max Π* > 2× the same seed's diverse run",
+        reason: "§III-B, Fig. 3a: f = 1 masks one Byzantine GM and is overwhelmed by two",
+        judge: identical_loses_sync,
+    },
+    Claim {
+        name: "diverse-masked",
+        scenarios: &[CyberDiverseKernels],
+        metric: "strikes and FTA accounting, diverse kernels",
+        band: "strike 1 lands and strike 2 fails; the compromised domain trimmed in every round after strike 1",
+        reason: "§III-B, Fig. 3b: OS diversity stops the second exploit and the FTA masks the first",
+        judge: diverse_masked,
+    },
+];
+
+/// One claim's verdict on a campaign: `PASS`, `FAIL`, or `n/a` for a
+/// campaign without the runs it reads.
+#[derive(Debug, Clone)]
+pub struct ClaimLine {
+    /// The claim's name.
+    pub name: &'static str,
+    /// Whether it holds; `None` for n/a.
+    pub holds: Option<bool>,
+    /// What it measured, with the margin.
+    pub detail: String,
+}
+
+impl fmt::Display for ClaimLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = match self.holds {
+            Some(true) => "PASS",
+            Some(false) => "FAIL",
+            None => "n/a",
+        };
+        write!(f, "{verdict} {}: {}", self.name, self.detail)
+    }
+}
+
+/// A claim's runs: the paper-configuration runs of a campaign, each
+/// with its FTA accounting if it was armed.
+type Evidence<'a> = [(&'a RunRecord, Option<&'a FtaAccounting>)];
+
+/// The runs of scenario `kind`.
+fn of<'a>(e: &Evidence<'a>, kind: ScenarioKind) -> Vec<(&'a RunRecord, Option<&'a FtaAccounting>)> {
+    e.iter()
+        .copied()
+        .filter(|(r, _)| r.coord.scenario == kind)
+        .collect()
+}
+
+/// Judges every claim over `records`, reading a run's accounting from
+/// `fta` by run hash. Empty when no record is in the paper's
+/// configuration, so a sweep prints no claim lines.
+pub fn judge_claims(records: &[RunRecord], fta: &[(String, FtaAccounting)]) -> Vec<ClaimLine> {
+    let armed = |r: &RunRecord| fta.iter().find(|(h, _)| *h == r.hash).map(|(_, a)| a);
+    let paper = records.iter().filter(|r| r.coord.sets_no_axis());
+    let evidence: Vec<_> = paper.map(|r| (r, armed(r))).collect();
+    if evidence.is_empty() {
+        return Vec::new();
+    }
+    let judge = |c: &Claim| {
+        let read = |k: &ScenarioKind| evidence.iter().any(|(r, _)| r.coord.scenario == *k);
+        let (holds, detail) = match c.scenarios.iter().any(read) {
+            true => (c.judge)(&evidence),
+            false => {
+                let names: Vec<&str> = c.scenarios.iter().map(|k| k.name()).collect();
+                (None, format!("no {} run", names.join(" / ")))
+            }
+        };
+        ClaimLine {
+            name: c.name,
+            holds,
+            detail,
+        }
+    };
+    CLAIMS.iter().map(judge).collect()
+}
+
+/// The claim lines as the commands print them, after the summary.
+pub fn render_claims(lines: &[ClaimLine]) -> String {
+    let body: String = lines.iter().map(|l| format!("  {l}\n")).collect();
+    let head = "claims (paper configuration; EXPERIMENTS.md \"Paper claims\"):\n";
+    if body.is_empty() {
+        body
+    } else {
+        head.to_string() + &body
+    }
+}
+
+fn max_ns(r: &RunRecord) -> i64 {
+    r.precision.map_or(0, |p| p.max_ns)
+}
+
+fn strikes(r: &RunRecord) -> (u64, u64) {
+    (r.counters.strikes_succeeded, r.counters.strikes_failed)
+}
+
+/// Whether every one of `runs` `did`, and the line `k/n runs what`.
+fn all<T>(runs: &[T], what: &str, did: impl Fn(&T) -> bool) -> (bool, String) {
+    let k = runs.iter().filter(|r| did(r)).count();
+    (k == runs.len(), format!("{k}/{} runs {what}", runs.len()))
+}
+
+/// [`all`] over the runs armed with the FTA accounting.
+fn accounted(runs: &Evidence, what: &str, did: impl Fn(&FtaAccounting) -> bool) -> (bool, String) {
+    let armed: Vec<&FtaAccounting> = runs.iter().filter_map(|(_, a)| *a).collect();
+    match armed.is_empty() {
+        true => (
+            true,
+            "FTA accounting not recorded (armed by --check and figure)".into(),
+        ),
+        false => all(&armed, what, |a| did(a)),
+    }
+}
+
+/// No round kept the compromised domains, and some trimmed them.
+fn masked(c: TrimCounts) -> bool {
+    c.kept == 0 && c.below_quorum == 0 && c.low + c.high > 0
+}
+
+fn paper_mean(e: &Evidence) -> (Option<bool>, String) {
+    let runs = of(e, FaultInjection).into_iter();
+    let mut means: Vec<f64> = runs
+        .filter_map(|(r, _)| Some(r.precision?.mean_ns))
+        .collect();
+    let n = means.len();
+    if n < 20 {
+        return (
+            None,
+            format!("{n} fault_injection seed(s), the band needs 20"),
+        );
+    }
+    means.sort_by(f64::total_cmp);
+    let (lo, hi) = (nearest_rank(&means, 0.05), nearest_rank(&means, 0.95));
+    let margin = (322.0 - lo).min(hi - 322.0);
+    let line = format!("p5–p95 of {n} run means [{lo:.1}, {hi:.1}] ns, margin {margin:.1} ns");
+    (Some(margin >= 0.0), line)
+}
+
+fn within_bound(e: &Evidence) -> (Option<bool>, String) {
+    let kinds = CLAIMS[1].scenarios.iter();
+    let runs: Vec<&RunRecord> = kinds.flat_map(|&k| of(e, k)).map(|r| r.0).collect();
+    let ns = |pick: fn(&RunRecord) -> i64, worst: fn(i64, i64) -> i64| {
+        Nanos::from_nanos(runs.iter().map(|r| pick(r)).reduce(worst).unwrap_or(0))
+    };
+    let worst = ns(max_ns, i64::max);
+    let bound = ns(|r| r.bounds.pi_plus_gamma_ns, i64::min);
+    let margin = ns(|r| r.bounds.pi_plus_gamma_ns - max_ns(r), i64::min);
+    let (holds, line) = all(&runs, "within Π + γ", |r| r.violation_rate() == 0.0);
+    let line = format!("{line}; worst max {worst}, least Π + γ {bound}, margin {margin}");
+    (Some(holds), line)
+}
+
+fn identical_loses_sync(e: &Evidence) -> (Option<bool>, String) {
+    let (runs, diverse) = (of(e, CyberIdenticalKernels), of(e, CyberDiverseKernels));
+    let (landed, mut line) = all(&runs, "strike (2, 0)", |(r, _)| strikes(r) == (2, 0));
+    let paired = runs.iter().filter_map(|(r, _)| {
+        let (d, _) = diverse.iter().find(|(d, _)| d.coord.seed == r.coord.seed)?;
+        Some(max_ns(r) as f64 / max_ns(d).max(1) as f64)
+    });
+    let (pairs, ratio) = paired.fold((0, f64::INFINITY), |(n, m), x| (n + 1, x.min(m)));
+    let margin = ratio - 2.0;
+    line += &format!(
+        "; max Π* ≥ {ratio:.2}× the seed's diverse run's ({pairs} pairs, margin {margin:.2}×)"
+    );
+    let left = all(&runs, "leave Π + γ", |(r, _)| {
+        max_ns(r) > r.bounds.pi_plus_gamma_ns
+    });
+    let in_flight: u64 = runs
+        .iter()
+        .filter_map(|(_, a)| Some((*a)?.compromised_rounds(1..=1).in_flight))
+        .sum();
+    let what = format!("trim strike 1's domain in every round to strike 2 ({in_flight} in flight) and keep one after");
+    let (trims, account) = accounted(&runs, &what, |a| {
+        a.strikes == 2 && masked(a.compromised_rounds(1..=1)) && a.compromised_rounds(2..).kept > 0
+    });
+    let holds = landed && ratio > 2.0 && trims;
+    let kept = kept_rounds(&runs, 1..=1);
+    (Some(holds), format!("{line}; {}; {account}{kept}", left.1))
+}
+
+fn diverse_masked(e: &Evidence) -> (Option<bool>, String) {
+    let runs = of(e, CyberDiverseKernels);
+    let (landed, line) = all(&runs, "strike (1, 1)", |(r, _)| strikes(r) == (1, 1));
+    let after = runs
+        .iter()
+        .filter_map(|(_, a)| Some((*a)?.compromised_rounds(1..)));
+    let (trimmed, in_flight) =
+        after.fold((0, 0), |(t, f), c| (t + c.low + c.high, f + c.in_flight));
+    let what = format!("trim the compromised domain in every round after strike 1 ({trimmed} trimmed, {in_flight} in flight)");
+    let (masks, account) = accounted(&runs, &what, |a| {
+        a.strikes >= 1 && masked(a.compromised_rounds(1..))
+    });
+    let kept = kept_rounds(&runs, 1..);
+    (Some(landed && masks), format!("{line}; {account}{kept}"))
+}
+
+/// The first rounds of `phases` that kept a compromised domain, as
+/// listed by each run's accounting, and how many more were listed.
+fn kept_rounds(runs: &Evidence, phases: impl RangeBounds<usize>) -> String {
+    let (mut out, mut listed) = (String::new(), 0);
+    for (r, a) in runs.iter().filter_map(|&(r, a)| Some((r, a?))) {
+        let kept = a.kept_compromised.iter().filter(|k| phases.contains(&k.0));
+        for &(_, at, node, slot, domain) in kept {
+            listed += 1;
+            if listed <= FtaAccounting::LISTED {
+                let run = &r.hash;
+                out += &format!("; run {run} kept domain {domain} at {at} on node{node}.vm{slot}");
+            }
+        }
+    }
+    match listed.saturating_sub(FtaAccounting::LISTED) {
+        0 => out,
+        more => format!("{out}; {more} more listed"),
+    }
 }
 
 /// A metric's statistics, read off a [`GroupSummary`].
@@ -682,6 +944,42 @@ mod tests {
                 (DiffVerdict::Parity, vec![format!("ok       {g}")])
             );
         }
+    }
+
+    /// `paper-mean` reads the fault-injection runs' mean Π*: n/a below
+    /// 20 seeds, PASS while 322 ns lies within their nearest-rank
+    /// p5–p95 and FAIL outside it; no claim reads a run that sets an
+    /// axis.
+    #[test]
+    fn paper_mean_is_a_band_over_run_means() {
+        let runs = |n: u64, lowest: f64| -> Vec<RunRecord> {
+            let run = |seed| {
+                let mut r = rec(seed, SyncClockDiscipline::Feedback, 600, 1.0);
+                r.coord = Coord::new(ScenarioKind::FaultInjection, seed);
+                r.precision.as_mut().expect("samples").mean_ns = lowest + 10.0 * seed as f64;
+                r
+            };
+            (0..n).map(run).collect()
+        };
+        let paper_mean = |records: &[RunRecord]| judge_claims(records, &[])[0].to_string();
+        // 30 means 300, 310, …, 590: p5 is the 2nd, p95 the 29th.
+        assert_eq!(
+            paper_mean(&runs(30, 300.0)),
+            "PASS paper-mean: p5–p95 of 30 run means [310.0, 580.0] ns, margin 12.0 ns"
+        );
+        assert_eq!(
+            paper_mean(&runs(30, 313.0)),
+            "FAIL paper-mean: p5–p95 of 30 run means [323.0, 593.0] ns, margin -1.0 ns"
+        );
+        assert_eq!(
+            paper_mean(&runs(19, 300.0)),
+            "n/a paper-mean: 19 fault_injection seed(s), the band needs 20"
+        );
+        let mut swept = runs(30, 300.0);
+        for r in &mut swept {
+            r.coord.discipline = Some(SyncClockDiscipline::FeedForward);
+        }
+        assert!(judge_claims(&swept, &[]).is_empty());
     }
 
     #[test]

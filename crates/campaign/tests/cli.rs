@@ -929,6 +929,48 @@ fn snapshot_save_info_restore_verify_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A time flag outside the run is refused before anything runs (exit 2,
+/// naming the flag and its range): an `--at` whose nanoseconds overflow
+/// (it used to wrap to a checkpoint at 0.272 s), an `--epoch-s` that
+/// overflowed `SimTime` (a panic), and the zero and negative epochs
+/// that used to run as 1 s.
+#[test]
+fn snapshot_time_flags_outside_the_run_are_refused_by_name() {
+    let dir = scratch("snap-flags");
+    let (d, hashes) = run_spec(&dir, &short_spec("snap-flags", ""));
+    let file = dir.join("w.snap");
+    let run = ["--dir", d.as_str(), "--run", hashes[0].as_str()];
+    let out = ["--out", file.to_str().unwrap()];
+    for (args, refusal) in [
+        (
+            &[&["save"], &run[..], &["--at", "18446744074"], &out[..]].concat(),
+            "--at 18446744074 outside the supported 0..=6",
+        ),
+        (
+            &[&["verify"], &run[..], &["--epoch-s", "10000000000"]].concat(),
+            "--epoch-s 10000000000 outside the supported 1..=6",
+        ),
+        (
+            &[&["verify"], &run[..], &["--epoch-s", "0"]].concat(),
+            "--epoch-s 0 outside the supported 1..=6",
+        ),
+        (
+            &[&["verify"], &run[..], &["--epoch-s", "-7"]].concat(),
+            "--epoch-s -7 outside the supported 1..=6",
+        ),
+    ] {
+        let refused = snapshot(args);
+        assert_eq!(refused.status.code(), Some(2), "{args:?}: {refused:?}");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: {refusal} ")),
+            "{stderr}"
+        );
+    }
+    assert!(!file.exists(), "a refused save wrote a checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `campaign snapshot verify` reaches worlds that only a grid axis can
 /// configure: dynamic BMCA election, and a multi-hop switch fabric.
 #[test]

@@ -3,7 +3,7 @@
 //! and the target of every `cargo run|bench … --bin|--bench|--example`
 //! command. Paths are written relative to the repository root. Every
 //! builtin has a row in EXPERIMENTS.md's built-in table that says what
-//! it tests.
+//! it tests, and every paper claim has its row in the claims table.
 
 use std::path::{Path, PathBuf};
 use tsn_campaign::CampaignSpec;
@@ -127,6 +127,31 @@ fn every_builtin_has_a_row_that_says_what_it_tests() {
             "`{name}`: empty cell in {row:?}"
         );
     }
+}
+
+/// EXPERIMENTS.md's claims table is `summary::CLAIMS`, row for row:
+/// name, metric, band and reason.
+#[test]
+fn every_claim_has_its_row_in_the_claims_table() {
+    let text = read("EXPERIMENTS.md");
+    let rows: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("## Paper claims"))
+        .skip_while(|l| !l.starts_with("| claim |"))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2)
+        .collect();
+    let claims = tsn_campaign::summary::CLAIMS;
+    let declared: Vec<String> = claims
+        .iter()
+        .map(|c| {
+            format!(
+                "| `{}` | {} | {} | {} |",
+                c.name, c.metric, c.band, c.reason
+            )
+        })
+        .collect();
+    assert_eq!(rows, declared);
 }
 
 /// `(package name, crate directory, manifest text)` of every workspace crate.

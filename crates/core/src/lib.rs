@@ -43,6 +43,7 @@
 mod config;
 mod counters;
 mod densemap;
+mod histogram;
 mod interventions;
 pub mod node;
 mod probe;
@@ -56,7 +57,7 @@ pub use config::{
     BackgroundTraffic, CorruptPublisher, HypMonitorMode, PartitionWindow, TestbedConfig,
     MIN_SYNC_INTERVAL,
 };
-pub use probe::RunResult;
+pub use probe::{FtaAccounting, RunResult, TrimCounts};
 pub use world::{RunCounters, World};
 
 pub use tsn_snapshot::WorldSnapshot;
@@ -73,31 +74,11 @@ pub use tsn_oracle as oracle;
 pub use tsn_time as time;
 pub use tsn_trace as trace;
 
-/// Tests of the [`repro`] argument parser and shape-check line.
+/// Tests of the [`repro`] argument parser.
 #[cfg(test)]
 mod tests {
     use crate::repro::*;
     use tsn_time::Nanos;
-
-    #[test]
-    fn shape_check_line_prints_the_max_or_says_the_window_is_empty() {
-        let bound = Nanos::from_nanos(12_000);
-        assert_eq!(
-            shape_check_line("before attack", Some(Nanos::from_nanos(950)), bound),
-            format!(
-                "  before attack:    max = {}  (within bound: true)",
-                Nanos::from_nanos(950)
-            )
-        );
-        assert!(
-            shape_check_line("strike 2 breaks", Some(Nanos::from_nanos(12_001)), bound)
-                .ends_with("(within bound: false)")
-        );
-        assert_eq!(
-            shape_check_line("strike 1 masked", None, bound),
-            "  strike 1 masked:  n/a (run shorter than the window)"
-        );
-    }
 
     fn parse(args: &[&str]) -> Result<ReproParse, String> {
         ReproArgs::try_parse(args.iter().map(|s| s.to_string()))

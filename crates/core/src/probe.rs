@@ -8,7 +8,8 @@
 use crate::counters::RunCounters;
 use crate::testbed::{VmState, MEASUREMENT_VID};
 use crate::world::{Ev, World};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeBounds;
 use tsn_gptp::msg::MessageType;
 use tsn_metrics::{
     precision_of, BoundsReport, EventLog, ExperimentEvent, PrecisionSample, PrecisionSeries,
@@ -45,6 +46,9 @@ pub struct RunResult {
     /// Sealed execution trace; always `None` unless
     /// [`World::enable_trace`] was called before the run.
     pub trace: Option<tsn_trace::TraceReport>,
+    /// Per-domain FTA accounting; `None` unless
+    /// [`World::enable_fta_accounting`] (or the oracle) armed it.
+    pub fta: Option<FtaAccounting>,
 }
 
 /// The measurement plane's state: probes in flight by sequence number,
@@ -68,13 +72,14 @@ tsn_snapshot::snap_state!(Measurement {
 });
 
 /// The run's passive observers, each off until armed: the invariant
-/// oracle and the trace sink. Both read the one stream of
-/// [`Observation`]s the world feeds through [`observe`]. None draws
-/// randomness or schedules events, so any set of them leaves state
-/// hashes, snapshots and artifacts byte-identical.
+/// oracle, the per-domain FTA accounting and the trace sink. All read
+/// the one stream of [`Observation`]s the world feeds through
+/// [`observe`]. None draws randomness or schedules events, so any set
+/// of them leaves state hashes, snapshots and artifacts byte-identical.
 #[derive(Default)]
 pub(crate) struct Observers {
     oracle: Option<OracleRegistry>,
+    fta: Option<FtaAccounting>,
     /// The trace sink, with the FTA trim degree `f` that tells which
     /// inputs a traced round trimmed.
     trace: Option<(TraceSink, usize)>,
@@ -99,8 +104,140 @@ fn feed<'a>(observers: &mut Observers, obs: impl FnOnce() -> Observation<'a>) {
     if let Some(oracle) = &mut observers.oracle {
         oracle.observe(&obs);
     }
+    if let Some(fta) = &mut observers.fta {
+        fta.observe(&obs);
+    }
     if let Some((sink, fta_trim)) = &mut observers.trace {
         trace(sink, *fta_trim, &obs);
+    }
+}
+
+/// Which fault-tolerant rounds trimmed each domain, as the honest nodes
+/// saw them (paper §II-B: the FTA discards the `f` lowest and `f`
+/// highest offsets). The strikes split a run into phases: phase `k`
+/// follows the `k`-th. A compromised GM's first lie leaves on the S
+/// boundary after its next Sync tick, so for 2S after its strike lands
+/// a node may still hold the domain's last honest offset: a round that
+/// keeps it then is `in_flight`, not `kept`.
+#[derive(Debug, Default)]
+pub struct FtaAccounting {
+    f: usize,
+    in_flight: Nanos,
+    landed: BTreeMap<usize, SimTime>,
+    /// The strikes seen so far: the phase of the next round.
+    pub strikes: usize,
+    /// Rounds by `(phase, node, domain)`, honest nodes only.
+    pub rounds: BTreeMap<(usize, usize, usize), TrimCounts>,
+    /// The first [`FtaAccounting::LISTED`] rounds that kept a
+    /// compromised domain, as `(phase, at, node, slot, domain)`.
+    pub kept_compromised: Vec<(usize, SimTime, usize, usize, usize)>,
+}
+
+/// One node's fault-tolerant rounds that saw one domain's offset.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TrimCounts {
+    /// A round marked the domain Byzantine.
+    pub compromised: bool,
+    /// Trimmed as one of the `f` lowest.
+    pub low: u64,
+    /// Trimmed as one of the `f` highest.
+    pub high: u64,
+    /// Kept in the average.
+    pub kept: u64,
+    /// Kept while its lie was in flight (see [`FtaAccounting`]).
+    pub in_flight: u64,
+    /// Fewer than `2f + 1` offsets: nothing trimmed.
+    pub below_quorum: u64,
+    /// The most consecutive rounds that trimmed it.
+    pub longest_trimmed_streak: u64,
+    streak: u64,
+}
+
+impl FtaAccounting {
+    /// How many rounds that kept a compromised domain are listed.
+    pub const LISTED: usize = 8;
+
+    /// Counts one round through [`tsn_fta::trimmed_indices`], the trim
+    /// rule the trace reports; a strike opens the next phase.
+    fn observe(&mut self, obs: &Observation<'_>) {
+        let (at, node, slot, used, byzantine) = match *obs {
+            Observation::Logged {
+                at,
+                event: ExperimentEvent::Strike { node, succeeded },
+            } => {
+                self.strikes += 1;
+                if succeeded {
+                    self.landed.entry(node).or_insert(at);
+                }
+                return;
+            }
+            Observation::Aggregated {
+                at,
+                node,
+                slot,
+                fault_tolerant: true,
+                used,
+                byzantine,
+                ..
+            } => (at, node, slot, used, byzantine),
+            _ => return,
+        };
+        let marked = |d: usize| byzantine.get(d) == Some(&true);
+        if marked(node) {
+            return;
+        }
+        let offsets: Vec<Nanos> = used.iter().map(|&(_, o)| o).collect();
+        let trimmed = tsn_fta::trimmed_indices(&offsets, self.f);
+        // The rule orders by (offset, index): a trimmed input before a
+        // kept one is one of the `f` lowest.
+        let kept = (0..used.len()).find(|i| !trimmed.contains(i));
+        for (i, &(domain, offset)) in used.iter().enumerate() {
+            let c = self.rounds.entry((self.strikes, node, domain)).or_default();
+            c.compromised |= marked(domain);
+            c.streak = if trimmed.contains(&i) {
+                c.streak + 1
+            } else {
+                0
+            };
+            c.longest_trimmed_streak = c.longest_trimmed_streak.max(c.streak);
+            let landed = self.landed.get(&domain);
+            *if used.len() <= 2 * self.f {
+                &mut c.below_quorum
+            } else if trimmed.contains(&i) {
+                match kept.is_some_and(|k| (offset, i) < (offsets[k], k)) {
+                    true => &mut c.low,
+                    false => &mut c.high,
+                }
+            } else if !marked(domain) {
+                &mut c.kept
+            } else if landed.is_some_and(|&t| at <= t + self.in_flight) {
+                &mut c.in_flight
+            } else {
+                if self.kept_compromised.len() < Self::LISTED {
+                    let round = (self.strikes, at, node, slot, domain);
+                    self.kept_compromised.push(round);
+                }
+                &mut c.kept
+            } += 1;
+        }
+    }
+
+    /// The compromised domains' rounds in `phases`, summed over the
+    /// honest nodes.
+    pub fn compromised_rounds(&self, phases: impl RangeBounds<usize>) -> TrimCounts {
+        let rounds = self
+            .rounds
+            .iter()
+            .filter(|(k, c)| c.compromised && phases.contains(&k.0));
+        rounds.fold(TrimCounts::default(), |s, (_, c)| TrimCounts {
+            low: s.low + c.low,
+            high: s.high + c.high,
+            kept: s.kept + c.kept,
+            in_flight: s.in_flight + c.in_flight,
+            below_quorum: s.below_quorum + c.below_quorum,
+            longest_trimmed_streak: s.longest_trimmed_streak.max(c.longest_trimmed_streak),
+            ..s
+        })
     }
 }
 
@@ -316,6 +453,7 @@ impl World {
             .step_threshold
             .max(self.cfg.servo.first_step_threshold)
             .max(Nanos::from_micros(20));
+        self.enable_fta_accounting();
         let observers = self.observers.get_or_insert_with(Observers::default);
         observers.oracle = Some(OracleRegistry::standard(OracleConfig {
             warmup: SimTime::ZERO + self.cfg.warmup,
@@ -328,6 +466,20 @@ impl World {
                 .map(|el| el.convergence_bound())
                 .unwrap_or(Nanos::from_millis(2_000)),
         }));
+    }
+
+    /// Enables the per-domain FTA accounting ([`FtaAccounting`]) for
+    /// this run; the oracle arms it too. Like every observer it is
+    /// strictly passive. The accounting is returned in [`RunResult::fta`].
+    pub fn enable_fta_accounting(&mut self) {
+        let f = self.cfg.aggregation.method.f().unwrap_or(0);
+        let s = self.cfg.sync_interval;
+        let observers = self.observers.get_or_insert_with(Observers::default);
+        observers.fta = Some(FtaAccounting {
+            f,
+            in_flight: s + s,
+            ..FtaAccounting::default()
+        });
     }
 
     /// Enables structured execution tracing (`tsn-trace`) for this run.
@@ -407,7 +559,7 @@ impl World {
             drift_offset: bounds.drift_offset,
             pi: bounds.pi,
         });
-        let Observers { oracle, trace, .. } = self.observers.take().unwrap_or_default();
+        let Observers { oracle, fta, trace } = self.observers.take().unwrap_or_default();
         let violations = oracle.map_or_else(Vec::new, |mut oracle| {
             oracle.finish();
             oracle.take_violations()
@@ -427,6 +579,7 @@ impl World {
             warmup: self.cfg.warmup,
             violations,
             trace,
+            fta,
         }
     }
 

@@ -8,10 +8,8 @@
 //!   Π*_s (Eq. 3.1) with the paper's 120 s window aggregation;
 //! * [`BoundsReport`] — the Kopetz–Ochsenreiter bound Π(N,f,E,Γ) and the
 //!   measurement error γ (Eq. 3.2);
-//! * [`Histogram`] — the Fig. 4b distribution;
 //! * [`EventLog`] — the Fig. 5 event annotations;
-//! * [`render_series`] / [`render_histogram`] / CSV exports — figure
-//!   regeneration output;
+//! * [`render_series`] / [`series_csv`] — figure output;
 //! * [`SampleSummary`] — cross-run (per-seed) aggregate statistics for
 //!   experiment campaigns.
 
@@ -33,7 +31,6 @@
 
 mod bounds;
 mod events;
-mod histogram;
 mod precision;
 mod render;
 mod sketch;
@@ -43,9 +40,8 @@ mod violations;
 
 pub use bounds::{drift_offset, precision_bound, u_factor, BoundsReport};
 pub use events::{EventLog, ExperimentEvent, TransientKind};
-pub use histogram::Histogram;
 pub use precision::{precision_of, PrecisionSample, PrecisionSeries, SeriesStats, WindowStat};
-pub use render::{histogram_csv, render_histogram, render_series, series_csv};
+pub use render::{render_series, series_csv};
 pub use sketch::StreamingSummary;
 pub use stability::TimeErrorSeries;
 pub use summary::{nearest_rank, SampleSummary};

@@ -1,7 +1,6 @@
 //! Text rendering of the paper's figures: log-scale ASCII time-series
-//! plots, histogram bars, and CSV export for external plotting.
+//! plots and CSV export for external plotting.
 
-use crate::histogram::Histogram;
 use crate::precision::WindowStat;
 use std::fmt::Write as _;
 use tsn_time::{Nanos, SimTime};
@@ -82,27 +81,6 @@ pub fn render_series(
     out
 }
 
-/// Renders a histogram as horizontal ASCII bars (Fig. 4b style).
-pub fn render_histogram(hist: &Histogram, max_bar: usize) -> String {
-    let mut out = String::new();
-    let peak = hist.counts().iter().copied().max().unwrap_or(1).max(1);
-    for (i, &c) in hist.counts().iter().enumerate() {
-        let bar = (c as usize * max_bar).div_ceil(peak as usize);
-        let _ = writeln!(
-            out,
-            "{:>6}-{:<6} | {:<7} {}",
-            hist.bin_start(i),
-            hist.bin_start(i + 1),
-            c,
-            "#".repeat(bar)
-        );
-    }
-    if hist.overflow > 0 {
-        let _ = writeln!(out, "{:>13} | {:<7} (overflow)", ">", hist.overflow);
-    }
-    out
-}
-
 /// CSV export of an aggregated series: `start_s,avg_ns,min_ns,max_ns,count`.
 pub fn series_csv(windows: &[WindowStat]) -> String {
     let mut out = String::from("start_s,avg_ns,min_ns,max_ns,count\n");
@@ -117,16 +95,6 @@ pub fn series_csv(windows: &[WindowStat]) -> String {
             w.count
         );
     }
-    out
-}
-
-/// CSV export of a histogram: `bin_start_ns,count`.
-pub fn histogram_csv(hist: &Histogram) -> String {
-    let mut out = String::from("bin_start_ns,count\n");
-    for (i, &c) in hist.counts().iter().enumerate() {
-        let _ = writeln!(out, "{},{}", hist.bin_start(i), c);
-    }
-    let _ = writeln!(out, "overflow,{}", hist.overflow);
     out
 }
 
@@ -186,19 +154,5 @@ mod tests {
         assert_eq!(lines.len(), 11);
         assert_eq!(lines[0], "start_s,avg_ns,min_ns,max_ns,count");
         assert!(lines[1].starts_with("0,300,50,2000,120"));
-    }
-
-    #[test]
-    fn histogram_rendering() {
-        let mut h = Histogram::new(100, 5);
-        for v in [10, 20, 150, 10_080] {
-            h.record(Nanos::from_nanos(v));
-        }
-        let txt = render_histogram(&h, 30);
-        assert!(txt.contains("overflow"));
-        assert!(txt.lines().count() >= 5);
-        let csv = histogram_csv(&h);
-        assert!(csv.contains("0,2"));
-        assert!(csv.contains("overflow,1"));
     }
 }
