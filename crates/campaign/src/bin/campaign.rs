@@ -21,16 +21,21 @@
 //! `summarize` and `diff` read the spec back from each directory's
 //! `manifest.json`, so they need no spec argument; for a spec with a
 //! `bisect` block they replay the bisection over the probe artifacts in
-//! `runs/` and compare brackets instead of group summaries. `diff`
-//! exits 0 on parity, 1 on regression, 2 on error/incomparable
-//! campaigns; its tolerances are fixed (`summary::diff`,
-//! `frontier::diff`).
+//! `runs/` and compare brackets (`frontier::diff`). For a campaign,
+//! `diff` reads each side's per-run values and judges every diffed
+//! metric by one rule (`summary::diff`): the 95 % interval of the shift
+//! of its mean, paired by seed when both sides ran the same seeds,
+//! against the metric's floor. It exits 0 on parity, 1 on a regression
+//! the interval resolves, 2 on error/incomparable campaigns and 3 on a
+//! shift beyond a floor that the seeds do not resolve.
 //!
 //! `--check` arms the runtime invariant oracle (`tsn-oracle`) on every
-//! executed run, which then runs cold: violations are printed to stderr
-//! and the command exits 1 if any were found, or if a claim FAILs
-//! (the oracle arms the FTA accounting claims read). Artifacts are
-//! byte-identical either way.
+//! run, which then runs cold; a run already recorded is re-executed
+//! rather than resumed, and a record that differs from its artifact is
+//! a violation (the artifact is left as it is). Violations are printed
+//! to stderr and the command exits 1 if any were found, or if a claim
+//! FAILs (the oracle arms the FTA accounting claims read). Artifacts
+//! are byte-identical either way.
 //!
 //! `--trace DIR` (campaign specs only) arms the structured tracer
 //! (`tsn-trace`) on every executed run and writes one Chrome
@@ -54,7 +59,8 @@ use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsn_campaign::{
-    frontier, runner, summary, CampaignReport, CampaignSpec, RunRecord, RunnerOptions,
+    frontier, runner, summary, CampaignReport, CampaignSpec, RunRecord, RunRecordReader,
+    RunnerOptions,
 };
 use tsn_time::{Nanos, SimTime};
 
@@ -71,7 +77,7 @@ const USAGE: &str = "usage:
   campaign snapshot verify  --dir DIR --run HASH [--at SECS] [--epoch-s SECS]
 
 built-in specs: quick-baseline, repro-all, paper-fidelity, abl2-domains, abl3-sync-interval, adversary-sweep, election-sweep, fabric-sweep, frontier-sweep
-exit codes (diff): 0 parity, 1 regression, 2 error
+exit codes (diff): 0 parity, 1 regression, 2 error, 3 unresolved
 exit codes (run): 0 clean, 1 failed run(s) / invariant violation(s) or a FAILed claim under --check / inconsistent frontier cell, 2 error
 exit codes (figure): 0 ok, 1 a run does not reproduce its record, 2 error
 exit codes (snapshot): 0 ok, 1 divergence (verify), 2 error";
@@ -254,51 +260,49 @@ fn print_counts(name: &str, report: &CampaignReport, opts: &RunnerOptions, body:
     !report.failed.is_empty() || (opts.check && (truncated || !report.violations.is_empty()))
 }
 
-/// What `summarize` and `diff` read from a directory: a frontier's
-/// document, replayed from its probe artifacts, or a campaign's group
-/// summaries.
-enum View {
-    Frontier(Box<frontier::FrontierDoc>),
-    Campaign(Vec<summary::GroupSummary>, Vec<summary::ClaimLine>),
-}
-
-fn view_of_dir(dir: &Path) -> Result<View, String> {
-    let spec = runner::open_dir(dir).map_err(|e| e.to_string())?;
-    if spec.bisect.is_some() {
-        let doc = frontier::load(&spec, dir).map_err(|e| e.to_string())?;
-        return Ok(View::Frontier(Box::new(doc)));
-    }
-    // Stream records through the bounded summarizer — one record in
-    // memory at a time, so large campaigns summarize in O(groups); the
-    // claims keep the runs in the paper's configuration.
-    let reader = runner::RunRecordReader::open(&spec, dir).map_err(|e| e.to_string())?;
+/// A reader over the records of campaign `spec` in `dir`; an error for
+/// a campaign with no runs.
+fn records(spec: &CampaignSpec, dir: &Path) -> Result<RunRecordReader, String> {
+    let reader = RunRecordReader::open(spec, dir).map_err(|e| e.to_string())?;
     if reader.is_empty() {
         return Err(format!(
             "campaign at {} has no completed runs to summarize (run it first)",
             dir.display()
         ));
     }
+    Ok(reader)
+}
+
+fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(args, &["--dir"], &["--json"])?;
+    let dir = PathBuf::from(flags.get("--dir").ok_or("--dir is required")?);
+    let spec = runner::open_dir(&dir).map_err(|e| e.to_string())?;
+    if spec.bisect.is_some() {
+        // A frontier's document, replayed from its probe artifacts.
+        let doc = frontier::load(&spec, &dir).map_err(|e| e.to_string())?;
+        match flags.has("--json") {
+            true => print!("{}", doc.render()),
+            false => print!("{}", doc.render_text()),
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    // Stream records through the bounded summarizer — one record in
+    // memory at a time, so large campaigns summarize in O(groups); the
+    // claims keep the runs in the paper's configuration.
     let mut summarizer = summary::StreamSummarizer::new();
     let mut paper = Vec::new();
-    for record in reader {
+    for record in records(&spec, &dir)? {
         let record = record.map_err(|e| e.to_string())?;
         summarizer.push(&record);
         if record.coord.sets_no_axis() {
             paper.push(record);
         }
     }
-    let claims = summary::judge_claims(&paper, &[]);
-    Ok(View::Campaign(summarizer.finish(), claims))
-}
-
-fn cmd_summarize(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["--dir"], &["--json"])?;
-    let dir = PathBuf::from(flags.get("--dir").ok_or("--dir is required")?);
-    match (view_of_dir(&dir)?, flags.has("--json")) {
-        (View::Frontier(doc), true) => print!("{}", doc.render()),
-        (View::Frontier(doc), false) => print!("{}", doc.render_text()),
-        (View::Campaign(groups, _), true) => println!("{}", summary::render_json(&groups)),
-        (View::Campaign(groups, claims), false) => {
+    let groups = summarizer.finish();
+    match flags.has("--json") {
+        true => println!("{}", summary::render_json(&groups)),
+        false => {
+            let claims = summary::judge_claims(&paper, &[]);
             print!(
                 "{}",
                 summary::render(&groups) + &summary::render_claims(&claims)
@@ -312,11 +316,24 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, &["--baseline", "--candidate"], &[])?;
     let baseline = PathBuf::from(flags.get("--baseline").ok_or("--baseline is required")?);
     let candidate = PathBuf::from(flags.get("--candidate").ok_or("--candidate is required")?);
-    let (verdict, lines) = match (view_of_dir(&baseline)?, view_of_dir(&candidate)?) {
-        // Two frontier directories diff by bracket, not by group summary.
-        (View::Frontier(base), View::Frontier(cand)) => frontier::diff(&base, &cand),
-        (View::Campaign(base, _), View::Campaign(cand, _)) => {
-            let report = summary::diff(&base, &cand);
+    let open = |dir: &Path| runner::open_dir(dir).map_err(|e| e.to_string());
+    let (base, cand) = (open(&baseline)?, open(&candidate)?);
+    let (verdict, lines) = match (base.bisect.is_some(), cand.bisect.is_some()) {
+        // Two frontier directories diff by bracket, not by per-run values.
+        (true, true) => {
+            let load = |spec, dir| frontier::load(spec, dir).map_err(|e| e.to_string());
+            frontier::diff(&load(&base, &baseline)?, &load(&cand, &candidate)?)
+        }
+        (false, false) => {
+            // Only the diffed scalars of each run are kept.
+            let samples = |spec, dir| -> Result<summary::Samples, String> {
+                let mut samples = summary::Samples::default();
+                for record in records(spec, dir)? {
+                    samples.push(&record.map_err(|e| e.to_string())?);
+                }
+                Ok(samples)
+            };
+            let report = summary::diff(&samples(&base, &baseline)?, &samples(&cand, &candidate)?);
             (report.verdict, report.lines)
         }
         _ => return Err("cannot diff a frontier against a campaign".to_string()),

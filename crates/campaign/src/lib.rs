@@ -13,7 +13,9 @@
 //! artifact per run plus a campaign manifest. Re-invoking the same spec
 //! resumes: completed runs are recognized by content hash and skipped.
 //! [`summary::summarize`] aggregates results across seeds and
-//! [`summary::diff`] compares two campaigns against fixed tolerances.
+//! [`summary::diff`] compares two campaigns' per-run values, judging
+//! each diffed metric's shift by its seed-paired (or Welch) 95 %
+//! interval against a floor.
 //!
 //! Everything an artifact contains is a pure function of the spec, so
 //! campaigns are bit-reproducible regardless of thread count or
@@ -48,4 +50,4 @@ pub use runner::{
     CampaignReport, FailedRun, RunRecordReader, RunViolation, RunnerOptions, SnapshotCache,
 };
 pub use spec::{BaseSpec, Bisect, CampaignSpec, Grid, KernelChoice, Preset};
-pub use summary::{DiffVerdict, GroupSummary, StreamSummarizer};
+pub use summary::{DiffVerdict, GroupSummary, Samples, StreamSummarizer};

@@ -26,7 +26,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-use tsn_time::Nanos;
+use tsn_metrics::ViolationRecord;
+use tsn_time::{Nanos, SimTime};
 
 /// Runner options.
 #[derive(Debug, Clone)]
@@ -45,11 +46,11 @@ pub struct RunnerOptions {
     /// serves. `false` is the cold reference path the tests diff against.
     pub fork: bool,
     /// Enable the runtime invariant oracle ([`World::enable_oracle`])
-    /// for every executed run and collect violations into
-    /// [`CampaignReport::violations`]. Artifacts stay byte-identical to
-    /// an unchecked campaign. Checked runs execute cold: a forked run
-    /// skips the warm prefix, which would blind the oracle's
-    /// frame-conservation ledger.
+    /// for every run, recorded ones too (nothing resumes), and collect
+    /// violations into [`CampaignReport::violations`]. Artifacts stay
+    /// byte-identical to an unchecked campaign. Checked runs execute
+    /// cold: a forked run skips the warm prefix, which would blind the
+    /// oracle's frame-conservation ledger.
     pub check: bool,
     /// Enable structured tracing ([`World::enable_trace`]) for every
     /// executed run and write, into this directory, one Chrome
@@ -120,10 +121,9 @@ pub struct CampaignReport {
     /// Events that were *not* re-simulated thanks to forking: per group,
     /// prefix events × (members − 1), or × members from the cache.
     pub prefix_events_skipped: u64,
-    /// Invariant violations reported by the oracle, in canonical matrix
-    /// order (empty unless [`RunnerOptions::check`] was set). Only runs
-    /// executed by this invocation are checked — resumed artifacts carry
-    /// no oracle state.
+    /// Invariant violations reported by the oracle, and recorded runs
+    /// that did not reproduce their artifact, in canonical matrix order
+    /// (empty unless [`RunnerOptions::check`] was set).
     pub violations: Vec<RunViolation>,
     /// The FTA accounting of each run this invocation executed with the
     /// oracle armed, by run hash, in canonical matrix order.
@@ -262,15 +262,17 @@ pub fn execute_with(
     // Partition into resumable and pending runs. An artifact that exists
     // but does not decode (truncated write, bit rot, stale schema) is
     // quarantined to `runs/corrupt/` and its run re-executed — a damaged
-    // file must never abort or poison a resume.
+    // file must never abort or poison a resume. Under `check` nothing
+    // resumes: a recorded run re-executes armed and must reproduce its
+    // artifact (`run_one`).
     let mut records: Vec<Option<RunRecord>> = Vec::with_capacity(plans.len());
     let mut pending: Vec<&RunPlan> = Vec::new();
     let mut quarantined = 0usize;
     for plan in &plans {
         match resume_record(&runs_dir, plan) {
-            Some(record) => records.push(Some(record)),
-            None => {
-                if artifact_path(&runs_dir, plan).exists() {
+            Some(record) if !opts.check => records.push(Some(record)),
+            recorded => {
+                if recorded.is_none() && artifact_path(&runs_dir, plan).exists() {
                     quarantine(&runs_dir, plan)?;
                     quarantined += 1;
                 }
@@ -534,7 +536,8 @@ fn dispatch_order(pending: &[&RunPlan], restores: &[bool], threads: usize) -> Ve
 /// (with the FTA accounting) and the tracer on request, returning what
 /// the former two reported and writing the latter's file, whose
 /// dropped-event count it returns (every observer is passive, so the
-/// record is unaffected).
+/// record is unaffected). An armed run whose artifact exists leaves it
+/// as it is, and reports a violation if its record is not those bytes.
 fn run_one(
     spec: &CampaignSpec,
     plan: &RunPlan,
@@ -569,15 +572,29 @@ fn run_one(
         }
     };
     let record = RunRecord::new(&spec.name, plan, &result);
-    write_record_atomic(&artifact_path(runs_dir, plan), &record)?;
+    let path = artifact_path(runs_dir, plan);
+    let recorded = opts.check.then(|| std::fs::read_to_string(&path).ok());
+    let mut violations = result.violations;
+    match recorded.flatten() {
+        Some(bytes) if bytes != record.encode() => violations.push(ViolationRecord {
+            at: SimTime::ZERO + plan.config.warmup + plan.config.duration,
+            invariant: "record-reproduces".into(),
+            component: format!("run {}", plan.hash),
+            witness: format!(
+                "{} is not what the armed run encodes; left as it is",
+                path.display()
+            ),
+        }),
+        Some(_) => {}
+        None => write_record_atomic(&path, &record)?,
+    }
     if let (Some(trace_dir), Some(report)) = (&opts.trace, &result.trace) {
         let path = trace_dir.join(format!("trace-{}.json", plan.hash));
         write_atomic(&path, &report.to_chrome_json())?;
     }
     let dropped = result.trace.as_ref().map_or(0, |report| report.dropped);
     let label = plan.coord.label();
-    let violations = result
-        .violations
+    let violations = violations
         .into_iter()
         .map(|record| RunViolation {
             run: label.clone(),

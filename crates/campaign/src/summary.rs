@@ -5,9 +5,12 @@
 //! group's per-run scalars (mean/max/quantiles of Π*_s, bound-violation
 //! rate, fault counters) are aggregated across seeds with
 //! [`SampleSummary`]. The paper's claims ([`CLAIMS`]) are judged over
-//! the runs in the paper's configuration. The diff mode compares two
-//! summarized campaigns group by group and classifies the result as
-//! parity or regression against fixed tolerances (`RULES`).
+//! the runs in the paper's configuration. [`diff`] compares two
+//! campaigns' per-run values ([`Samples`]) group by group and judges
+//! every diffed metric by one rule: the 95 % Student-t interval of the
+//! shift of its mean — paired by seed when both sides ran the same
+//! seeds, Welch's otherwise — against the metric's floor, one column of
+//! the `metrics!` table.
 
 use crate::artifact::RunRecord;
 use crate::json::Json;
@@ -20,13 +23,19 @@ use tsn_metrics::{nearest_rank, SampleSummary, StreamingSummary};
 use tsn_time::Nanos;
 
 /// The cross-seed metrics, declared once: each row is a
-/// [`GroupSummary`] field, its `--json` key and the per-run value it
-/// aggregates (`None` — a run without a precision record — is not
-/// pushed). The table emits the struct, `metric_values`, the `finish`
-/// mapping and the key list `render_json` loops over; row order is the
-/// JSON key order.
+/// [`GroupSummary`] field, its `--json` key, its [`diff`] floor as a
+/// function of the baseline mean `b` (`_`: not diffed) and the per-run
+/// value it aggregates (`None` — a run without a precision record — is
+/// not pushed). The table emits the struct, `metric_values`, the
+/// `finish` mapping, the key list `render_json` loops over and
+/// `FLOORS`; row order is the JSON key order and the diff's line order.
 macro_rules! metrics {
-    (|$r:ident| $( $(#[$doc:meta])* $field:ident $key:literal = $value:expr; )*) => {
+    (@floor $key:literal $b:ident _) => { None };
+    (@floor $key:literal $b:ident ($floor:expr)) => {
+        Some(Floor { key: $key, text: stringify!($floor), at: |$b| $floor })
+    };
+    (@floor $key:literal $b:ident $floor:literal) => { metrics!(@floor $key $b ($floor)) };
+    (|$r:ident, $b:ident| $( $(#[$doc:meta])* $field:ident $key:literal $floor:tt = $value:expr; )*) => {
         /// Cross-seed aggregates of one grid point.
         #[derive(Debug, Clone)]
         pub struct GroupSummary {
@@ -64,50 +73,60 @@ macro_rules! metrics {
                 [$(($key, &self.$field)),*]
             }
         }
+
+        /// Each row's diff floor; `None` for a row that is not diffed.
+        #[allow(unused_variables)]
+        const FLOORS: [Option<Floor>; METRIC_COUNT] = [$(metrics!(@floor $key $b $floor)),*];
     };
 }
 
-metrics! { |r|
+metrics! { |r, b|
     /// Per-run mean Π*_s, aggregated across seeds (ns).
-    pi_star_mean "pi_star_mean_ns" = r.precision_scalar(|p| p.mean_ns);
+    pi_star_mean "pi_star_mean_ns" _ = r.precision_scalar(|p| p.mean_ns);
     /// Per-run median Π*_s across seeds (ns).
-    pi_star_p50 "pi_star_p50_ns" = r.precision_scalar(|p| p.p50_ns as f64);
+    pi_star_p50 "pi_star_p50_ns" _ = r.precision_scalar(|p| p.p50_ns as f64);
     /// Per-run p95 of Π*_s across seeds (ns).
-    pi_star_p95 "pi_star_p95_ns" = r.precision_scalar(|p| p.p95_ns as f64);
+    // Floor: 10 % of the baseline plus 500 ns, so near-zero baselines
+    // don't flag noise.
+    pi_star_p95 "pi_star_p95_ns" (500.0 + 0.10 * b) = r.precision_scalar(|p| p.p95_ns as f64);
     /// Per-run p99 of Π*_s across seeds (ns).
-    pi_star_p99 "pi_star_p99_ns" = r.precision_scalar(|p| p.p99_ns as f64);
+    pi_star_p99 "pi_star_p99_ns" _ = r.precision_scalar(|p| p.p99_ns as f64);
     /// Per-run maximum Π*_s across seeds (ns).
-    pi_star_max "pi_star_max_ns" = r.precision_scalar(|p| p.max_ns as f64);
+    pi_star_max "pi_star_max_ns" _ = r.precision_scalar(|p| p.max_ns as f64);
     /// Per-run bound-violation rate (fraction outside Π + γ).
-    violation_rate "violation_rate" = Some(r.violation_rate());
+    violation_rate "violation_rate" 0.02 = Some(r.violation_rate());
     /// Injected fail-silent VM shutdowns per run.
-    vm_failures "vm_failures" = Some(r.counters.vm_failures as f64);
+    vm_failures "vm_failures" _ = Some(r.counters.vm_failures as f64);
     /// Injected GM shutdowns per run.
-    gm_failures "gm_failures" = Some(r.counters.gm_failures as f64);
+    gm_failures "gm_failures" _ = Some(r.counters.gm_failures as f64);
     /// Monitor takeovers per run.
-    takeovers "takeovers" = Some(r.counters.takeovers as f64);
+    takeovers "takeovers" _ = Some(r.counters.takeovers as f64);
     /// Degradation-machine edges (SyncState transitions) per run.
-    sync_transitions "sync_transitions" = Some(r.counters.sync_transitions as f64);
+    // Floor: one extra Holdover ⇄ Synchronized bounce.
+    sync_transitions "sync_transitions" 2.0 = Some(r.counters.sync_transitions as f64);
     /// Total Holdover + Freerun dwell per run (ms).
-    degraded_dwell_ms "degraded_dwell_ms" =
+    // Floor: jitter in when a holdover starts or ends is noise.
+    degraded_dwell_ms "degraded_dwell_ms" 250.0 =
         Some((r.counters.holdover_ns + r.counters.freerun_ns) as f64 / 1e6);
     /// Failures the monitor could not cover with a standby, per run.
-    uncovered_failures "uncovered_failures" = Some(r.counters.uncovered_failures as f64);
+    // Floor: any new uncovered window is a change.
+    uncovered_failures "uncovered_failures" 0.0 = Some(r.counters.uncovered_failures as f64);
     /// Elected-GM changes (BMCA winner churn) per run.
-    elected_gm_changes "elected_gm_changes" = Some(r.counters.elected_gm_changes as f64);
+    elected_gm_changes "elected_gm_changes" _ = Some(r.counters.elected_gm_changes as f64);
     /// Kill-to-re-election latency per run (ms; 0 when no GM was
     /// killed).
-    reconvergence_ms "reconvergence_ms" = Some(r.counters.reconvergence_ns as f64 / 1e6);
+    // Floor: a re-election 50 ms slower is a change on its own.
+    reconvergence_ms "reconvergence_ms" 50.0 = Some(r.counters.reconvergence_ns as f64 / 1e6);
     /// Frames delivered to a port with no handler per run.
-    unhandled_frames "unhandled_frames" = Some(r.counters.unhandled_frames as f64);
+    unhandled_frames "unhandled_frames" _ = Some(r.counters.unhandled_frames as f64);
     /// Frames the fabric forwarded per run.
-    fabric_forwarded "fabric_forwarded" = Some(r.counters.fabric_frames_forwarded as f64);
+    fabric_forwarded "fabric_forwarded" _ = Some(r.counters.fabric_frames_forwarded as f64);
     /// Frames the fabric dropped (gate overruns) per run.
-    fabric_dropped "fabric_dropped" = Some(r.counters.fabric_frames_dropped as f64);
+    fabric_dropped "fabric_dropped" _ = Some(r.counters.fabric_frames_dropped as f64);
     /// Worst per-frame switch residence per run (ns).
-    max_residence_ns "max_residence_ns" = Some(r.counters.max_residence_ns as f64);
+    max_residence_ns "max_residence_ns" _ = Some(r.counters.max_residence_ns as f64);
     /// Accumulated forward/reverse path asymmetry per run (ns).
-    path_asymmetry_ns "path_asymmetry_ns" = Some(r.counters.path_asymmetry_ns as f64);
+    path_asymmetry_ns "path_asymmetry_ns" _ = Some(r.counters.path_asymmetry_ns as f64);
 }
 
 /// Bounded-memory accumulator for one group.
@@ -538,91 +557,196 @@ fn kept_rounds(runs: &Evidence, phases: impl RangeBounds<usize>) -> String {
     }
 }
 
-/// A metric's statistics, read off a [`GroupSummary`].
-type Metric = fn(&GroupSummary) -> &Option<SampleSummary>;
-/// Why candidate mean `c` regresses against baseline mean `b` at
-/// tolerance `tol` (`|b, c, tol|`), or `None` within it.
-type Reason = fn(f64, f64, f64) -> Option<String>;
+/// A diffed metric's floor: the least shift of its cross-seed mean that
+/// [`diff`] reports, as a function of the baseline mean `b`.
+#[derive(Clone, Copy)]
+pub struct Floor {
+    /// The metric's `--json` key.
+    pub key: &'static str,
+    /// The floor as the `metrics!` table writes it.
+    pub text: &'static str,
+    at: fn(f64) -> f64,
+}
 
-/// The rules of `diff` — tried in order; a group reports the first it
-/// breaks. A campaign is stochastic: exact equality across code changes
-/// is not the bar, staying within these margins is.
-const RULES: [(Metric, f64, Reason); 6] = [
-    (
-        |g| &g.violation_rate,
-        0.02,
-        |b, c, tol| {
-            (c > b + tol).then(|| format!("violation rate {b:.4} -> {c:.4} (tol +{tol:.4})"))
-        },
-    ),
-    // 10 % of the baseline plus 500 ns, so near-zero baselines don't
-    // flag noise.
-    (
-        |g| &g.pi_star_p95,
-        500.0,
-        |b, c, tol| {
-            let limit = b * (1.0 + 0.10) + tol;
-            (c > limit).then(|| format!("Pi* p95 {b:.0} ns -> {c:.0} ns (limit {limit:.0} ns)"))
-        },
-    ),
-    // Jitter in when a holdover starts or ends is noise.
-    (
-        |g| &g.degraded_dwell_ms,
-        250.0,
-        |b, c, tol| {
-            (c > b + tol)
-                .then(|| format!("degraded dwell {b:.1} ms -> {c:.1} ms (tol +{tol:.0} ms)"))
-        },
-    ),
-    // One extra Holdover ⇄ Synchronized bounce.
-    (
-        |g| &g.sync_transitions,
-        2.0,
-        |b, c, tol| {
-            (c > b + tol).then(|| format!("degradation edges {b:.1} -> {c:.1} (tol +{tol:.1})"))
-        },
-    ),
-    // Any new uncovered window is a regression.
-    (
-        |g| &g.uncovered_failures,
-        0.0,
-        |b, c, tol| {
-            (c > b + tol).then(|| format!("uncovered failures {b:.2} -> {c:.2} (tol +{tol:.2})"))
-        },
-    ),
-    // 50 ms in ns: slower BMCA reconvergence regresses on its own.
-    (
-        |g| &g.reconvergence_ms,
-        50_000_000.0,
-        |b, c, tol| {
-            (c * 1e6 > b * 1e6 + tol).then(|| {
-                format!(
-                    "reconvergence {b:.1} ms -> {c:.1} ms (tol +{:.1} ms)",
-                    tol / 1e6
-                )
-            })
-        },
-    ),
-];
+/// The diffed rows of the `metrics!` table, with their indices, in row
+/// order.
+fn diffed() -> impl Iterator<Item = (usize, Floor)> {
+    FLOORS
+        .iter()
+        .enumerate()
+        .filter_map(|(i, f)| Some((i, (*f)?)))
+}
 
-/// Verdict of a baseline comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The floors of the diffed metrics, in row order.
+pub fn floors() -> impl Iterator<Item = Floor> {
+    diffed().map(|(_, f)| f)
+}
+
+/// One side of a [`diff`]: per group, each diffed metric's per-run
+/// values with their grid seeds. It keeps these scalars only, not the
+/// records, so a campaign directory streams into it.
+#[derive(Default)]
+pub struct Samples {
+    groups: Vec<(Coord, Vec<Column>)>,
+}
+
+/// One metric's per-run values in one group, each with its grid seed.
+type Column = Vec<(u64, f64)>;
+
+impl Samples {
+    /// Folds one run record's diffed values into its group.
+    pub fn push(&mut self, r: &RunRecord) {
+        let key = Coord { seed: 0, ..r.coord };
+        let idx = match self.groups.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.groups.push((key, vec![Vec::new(); diffed().count()]));
+                self.groups.len() - 1
+            }
+        };
+        let values = metric_values(r);
+        for (column, (i, _)) in self.groups[idx].1.iter_mut().zip(diffed()) {
+            column.extend(values[i].map(|v| (r.coord.seed, v)));
+        }
+    }
+}
+
+impl<'a> FromIterator<&'a RunRecord> for Samples {
+    fn from_iter<I: IntoIterator<Item = &'a RunRecord>>(records: I) -> Samples {
+        let mut samples = Samples::default();
+        records.into_iter().for_each(|r| samples.push(r));
+        samples
+    }
+}
+
+/// Δ = mean(candidate) − mean(baseline) of one metric in one group, with
+/// its 95 % two-sided Student-t interval `[lo, hi]`.
+struct Shift {
+    delta: f64,
+    lo: f64,
+    hi: f64,
+    /// The baseline mean, which a floor may scale with.
+    base: f64,
+    /// `paired n=N` or `welch B/C` (the values on each side).
+    pairing: String,
+}
+
+impl Shift {
+    /// The interval is paired on the per-seed differences when both
+    /// sides ran the same seeds (one spec on two builds: common random
+    /// numbers), and Welch's otherwise. Its width uses the sample
+    /// standard deviation; a side of one value has an unknown variance,
+    /// so its interval is unbounded, and values that do not scatter give
+    /// a zero-width one.
+    fn of(b: &[(u64, f64)], c: &[(u64, f64)]) -> Shift {
+        let ((mb, vb), (mc, vc)) = (
+            moments(b.iter().map(|p| p.1)),
+            moments(c.iter().map(|p| p.1)),
+        );
+        let (nb, nc) = (b.len() as f64, c.len() as f64);
+        let twin = |s| c.iter().find(|p: &&(u64, f64)| p.0 == s).map(|p| p.1);
+        let diffs: Option<Vec<f64>> = b.iter().map(|&(s, v)| Some(twin(s)? - v)).collect();
+        let (se2, nu, pairing) = match diffs.filter(|_| b.len() == c.len()) {
+            Some(d) => (
+                moments(d.into_iter()).1 / nb,
+                nb - 1.0,
+                format!("paired n={}", b.len()),
+            ),
+            None => {
+                let (sb, sc) = (vb / nb, vc / nc);
+                let nu = (sb + sc).powi(2) / (sb * sb / (nb - 1.0) + sc * sc / (nc - 1.0));
+                (sb + sc, nu, format!("welch {}/{}", b.len(), c.len()))
+            }
+        };
+        // ν < 1, or NaN, only when a side has one value.
+        let half = match se2 == 0.0 {
+            true => 0.0,
+            false if nu >= 1.0 => t975(nu) * se2.sqrt(),
+            false => f64::INFINITY,
+        };
+        let delta = mc - mb;
+        let (lo, hi) = (delta - half, delta + half);
+        Shift {
+            delta,
+            lo,
+            hi,
+            base: mb,
+            pairing,
+        }
+    }
+
+    /// The one rule: `ok` unless Δ exceeds the floor; `REGRESS` when the
+    /// interval's low end does too, `UNRESOLVED` when the interval
+    /// reaches the floor. The low end is never above Δ.
+    fn verdict(&self, floor: f64) -> DiffVerdict {
+        match (self.delta > floor, self.lo > floor) {
+            (false, _) => DiffVerdict::Parity,
+            (true, true) => DiffVerdict::Regression,
+            (true, false) => DiffVerdict::Unresolved,
+        }
+    }
+}
+
+/// Mean and sample variance (n − 1; NaN for one value).
+fn moments(xs: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
+    let n = xs.clone().count() as f64;
+    let mean = xs.clone().sum::<f64>() / n;
+    (
+        mean,
+        xs.map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0),
+    )
+}
+
+/// Student's t quantile t₀.₉₇₅(ν) for real ν ≥ 1, the factor of a 95 %
+/// two-sided interval. With t = √ν·cot u the t density is ∝ sin^(ν−1) u
+/// on (0, π/2], so t₀.₉₇₅ = √ν·cot u* where 5 % of that mass lies below
+/// u*. The trapezoid rule integrates it in s = √(2u/π), which smooths
+/// the u^(ν−1) edge for ν < 2: within 3·10⁻⁵ of the published table up
+/// to ν = 120 and 3·10⁻⁴ at ν = 1000.
+fn t975(nu: f64) -> f64 {
+    const N: usize = 4096;
+    let u = |s: f64| std::f64::consts::FRAC_PI_2 * s * s;
+    let density = |i: usize| {
+        let s = i as f64 / N as f64;
+        u(s).sin().powf(nu - 1.0) * s
+    };
+    let cells: Vec<f64> = (0..N)
+        .map(|i| (density(i) + density(i + 1)) / 2.0)
+        .collect();
+    let target = 0.05 * cells.iter().sum::<f64>();
+    let mut below = 0.0;
+    for (i, cell) in cells.iter().enumerate() {
+        if below + cell >= target {
+            let s = (i as f64 + (target - below) / cell) / N as f64;
+            return nu.sqrt() / u(s).tan();
+        }
+        below += cell;
+    }
+    unreachable!("5 % of the mass lies below π/2")
+}
+
+/// Verdict of a baseline comparison, in rising order of severity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DiffVerdict {
-    /// Candidate is within tolerance of (or better than) the baseline.
+    /// No candidate mean exceeds the baseline's by more than its floor.
     Parity,
-    /// Candidate is worse than the baseline beyond tolerance.
+    /// A candidate mean exceeds the baseline's by more than its floor,
+    /// but its interval reaches the floor: the seeds do not resolve it.
+    Unresolved,
+    /// The whole interval of a shift lies beyond its floor.
     Regression,
     /// The campaigns are not comparable (mismatched groups).
     Incomparable,
 }
 
 impl DiffVerdict {
-    /// The CLI exit code: 0 parity, 1 regression, 2 error.
+    /// The CLI exit code: 0 parity, 1 regression, 2 error, 3 unresolved.
     pub fn exit_code(self) -> i32 {
         match self {
             DiffVerdict::Parity => 0,
             DiffVerdict::Regression => 1,
             DiffVerdict::Incomparable => 2,
+            DiffVerdict::Unresolved => 3,
         }
     }
 }
@@ -630,49 +754,60 @@ impl DiffVerdict {
 /// Result of comparing a candidate campaign against a baseline.
 #[derive(Debug)]
 pub struct DiffReport {
-    /// Overall verdict.
+    /// Overall verdict: the most severe of its lines.
     pub verdict: DiffVerdict,
-    /// One human-readable line per group (plus mismatch notes).
+    /// One line per group and diffed metric (plus mismatch notes).
     pub lines: Vec<String>,
 }
 
-/// Compares summarized campaigns: every baseline group must exist in
-/// the candidate, and each group is checked against the `RULES`.
-pub fn diff(baseline: &[GroupSummary], candidate: &[GroupSummary]) -> DiffReport {
+/// Compares two campaigns' per-run values: every baseline group must
+/// exist in the candidate, and each diffed metric of each group is
+/// judged by one rule ([`Shift::verdict`] at the metric's [`Floor`]).
+pub fn diff(baseline: &Samples, candidate: &Samples) -> DiffReport {
     let mut lines = Vec::new();
     let mut verdict = DiffVerdict::Parity;
-    for b in baseline {
-        let Some(c) = candidate.iter().find(|c| c.key == b.key) else {
-            lines.push(format!(
-                "MISSING  {}: group absent from candidate",
-                b.key.group_label()
-            ));
+    for (key, b) in &baseline.groups {
+        let group = key.group_label();
+        let Some((_, c)) = candidate.groups.iter().find(|(k, _)| k == key) else {
+            lines.push(format!("MISSING  {group}: group absent from candidate"));
             verdict = DiffVerdict::Incomparable;
             continue;
         };
-        let worst = RULES.iter().find_map(|(metric, tol, reason)| {
-            let (bs, cs) = (metric(b).as_ref()?, metric(c).as_ref()?);
-            reason(bs.mean, cs.mean, *tol)
-        });
-        match worst {
-            Some(reason) => {
-                lines.push(format!("REGRESS  {}: {reason}", b.key.group_label()));
-                if verdict == DiffVerdict::Parity {
-                    verdict = DiffVerdict::Regression;
-                }
+        for ((b, c), (_, floor)) in b.iter().zip(c).zip(diffed()) {
+            if b.is_empty() || c.is_empty() {
+                continue;
             }
-            None => lines.push(format!("ok       {}", b.key.group_label())),
-        }
-    }
-    for c in candidate {
-        if !baseline.iter().any(|b| b.key == c.key) {
+            let shift = Shift::of(b, c);
+            let tau = (floor.at)(shift.base);
+            let judged = shift.verdict(tau);
+            verdict = verdict.max(judged);
+            let label = match judged {
+                DiffVerdict::Parity => "ok",
+                DiffVerdict::Unresolved => "UNRESOLVED",
+                _ => "REGRESS",
+            };
+            let Shift {
+                delta,
+                lo,
+                hi,
+                pairing,
+                ..
+            } = shift;
+            let key = floor.key;
             lines.push(format!(
-                "extra    {}: group absent from baseline (ignored)",
-                c.key.group_label()
+                "{label:<8} {group}: {key} Δ {delta:.3} [{lo:.3}, {hi:.3}] ({pairing}), floor {tau:.3}"
             ));
         }
     }
-    if baseline.is_empty() {
+    for (key, _) in &candidate.groups {
+        if !baseline.groups.iter().any(|(k, _)| k == key) {
+            let group = key.group_label();
+            lines.push(format!(
+                "extra    {group}: group absent from baseline (ignored)"
+            ));
+        }
+    }
+    if baseline.groups.is_empty() {
         lines.push("baseline has no groups".to_string());
         verdict = DiffVerdict::Incomparable;
     }
@@ -686,6 +821,8 @@ mod tests {
     use crate::spec::discipline_name;
     use clocksync::scenario::ScenarioKind;
     use clocksync::RunCounters;
+    use proptest::prelude::*;
+    use proptest::rand::{rngs::StdRng, Rng, SeedableRng};
     use tsn_hyp::SyncClockDiscipline;
 
     fn rec(seed: u64, discipline: SyncClockDiscipline, p95: i64, within: f64) -> RunRecord {
@@ -755,73 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_detects_parity_and_regression() {
-        let base = summarize(&records(4000, 1.0));
-        // Slightly different but within tolerance.
-        let ok = summarize(&records(4200, 0.99));
-        let d = diff(&base, &ok);
-        assert_eq!(d.verdict, DiffVerdict::Parity);
-        assert_eq!(d.verdict.exit_code(), 0);
-        // p95 blowup → regression.
-        let bad = summarize(&records(9000, 1.0));
-        let d = diff(&base, &bad);
-        assert_eq!(d.verdict, DiffVerdict::Regression);
-        assert_eq!(d.verdict.exit_code(), 1);
-        assert!(d.lines.iter().any(|l| l.starts_with("REGRESS")));
-        // Violation-rate blowup → regression even with identical p95.
-        let bad = summarize(&records(4000, 0.90));
-        let d = diff(&base, &bad);
-        assert_eq!(d.verdict, DiffVerdict::Regression);
-    }
-
-    #[test]
-    fn diff_flags_degradation_regressions() {
-        let base = summarize(&records(4000, 1.0));
-        // Longer degraded dwell beyond tolerance → regression.
-        let mut worse: Vec<RunRecord> = records(4000, 1.0);
-        for r in &mut worse {
-            r.counters.sync_transitions = 3;
-            r.counters.holdover_ns = 400_000_000; // 400 ms
-        }
-        let d = diff(&base, &summarize(&worse));
-        assert_eq!(d.verdict, DiffVerdict::Regression);
-        assert!(d.lines.iter().any(|l| l.contains("degraded dwell")));
-        // A single new uncovered failure regresses at zero tolerance.
-        let mut uncovered: Vec<RunRecord> = records(4000, 1.0);
-        uncovered[0].counters.uncovered_failures = 1;
-        let d = diff(&base, &summarize(&uncovered));
-        assert_eq!(d.verdict, DiffVerdict::Regression);
-        assert!(d.lines.iter().any(|l| l.contains("uncovered failures")));
-        // Small dwell within tolerance stays parity.
-        let mut ok: Vec<RunRecord> = records(4000, 1.0);
-        for r in &mut ok {
-            r.counters.holdover_ns = 100_000_000; // 100 ms < 250 ms slack
-        }
-        let d = diff(&base, &summarize(&ok));
-        assert_eq!(d.verdict, DiffVerdict::Parity);
-    }
-
-    #[test]
-    fn diff_flags_reconvergence_regressions() {
-        let base = summarize(&records(4000, 1.0));
-        // A re-election 80 ms slower than baseline exceeds the 50 ms
-        // default slack.
-        let mut slow: Vec<RunRecord> = records(4000, 1.0);
-        for r in &mut slow {
-            r.counters.reconvergence_ns = 80_000_000;
-        }
-        let d = diff(&base, &summarize(&slow));
-        assert_eq!(d.verdict, DiffVerdict::Regression);
-        assert!(d.lines.iter().any(|l| l.contains("reconvergence")));
-        // 40 ms slower stays within the slack.
-        for r in &mut slow {
-            r.counters.reconvergence_ns = 40_000_000;
-        }
-        let d = diff(&base, &summarize(&slow));
-        assert_eq!(d.verdict, DiffVerdict::Parity);
-    }
-
-    #[test]
     fn fabric_axes_group_and_render() {
         let mut recs = records(4000, 1.0);
         for r in &mut recs {
@@ -863,89 +933,6 @@ mod tests {
         }
     }
 
-    /// The feedback group of `records(4000, 1.0)` — Π* p95 mean 4000 ns,
-    /// every other diffed mean 0 — with `set` applied to it.
-    fn one_group(set: impl Fn(&mut GroupSummary)) -> Vec<GroupSummary> {
-        let mut g = summarize(&records(4000, 1.0)).remove(0);
-        set(&mut g);
-        vec![g]
-    }
-
-    fn mean(s: &mut Option<SampleSummary>) -> &mut f64 {
-        &mut s.as_mut().expect("summarized").mean
-    }
-
-    fn diff_lines(candidate: impl Fn(&mut GroupSummary)) -> (DiffVerdict, Vec<String>) {
-        let d = diff(&one_group(|_| {}), &one_group(candidate));
-        (d.verdict, d.lines)
-    }
-
-    /// Pins every rule of `diff`: its message, its tolerance (a candidate
-    /// exactly at it is parity) and the order rules are tried in.
-    #[test]
-    fn diff_rules_pin_message_tolerance_and_order() {
-        type Set = fn(&mut GroupSummary);
-        let g = "baseline feedback";
-        let regressions: [(Set, String); 8] = [
-            (
-                |g| *mean(&mut g.violation_rate) = 0.03,
-                format!("REGRESS  {g}: violation rate 0.0000 -> 0.0300 (tol +0.0200)"),
-            ),
-            (
-                |g| *mean(&mut g.pi_star_p95) = 5000.0,
-                format!("REGRESS  {g}: Pi* p95 4000 ns -> 5000 ns (limit 4900 ns)"),
-            ),
-            (
-                |g| *mean(&mut g.degraded_dwell_ms) = 250.5,
-                format!("REGRESS  {g}: degraded dwell 0.0 ms -> 250.5 ms (tol +250 ms)"),
-            ),
-            (
-                |g| *mean(&mut g.sync_transitions) = 2.5,
-                format!("REGRESS  {g}: degradation edges 0.0 -> 2.5 (tol +2.0)"),
-            ),
-            (
-                |g| *mean(&mut g.uncovered_failures) = 0.25,
-                format!("REGRESS  {g}: uncovered failures 0.00 -> 0.25 (tol +0.00)"),
-            ),
-            (
-                |g| *mean(&mut g.reconvergence_ms) = 50.25,
-                format!("REGRESS  {g}: reconvergence 0.0 ms -> 50.2 ms (tol +50.0 ms)"),
-            ),
-            // Two rules broken: the first in rule order is reported.
-            (
-                |g| {
-                    *mean(&mut g.violation_rate) = 0.5;
-                    *mean(&mut g.pi_star_p95) = 9000.0;
-                },
-                format!("REGRESS  {g}: violation rate 0.0000 -> 0.5000 (tol +0.0200)"),
-            ),
-            (
-                |g| {
-                    *mean(&mut g.degraded_dwell_ms) = 1000.0;
-                    *mean(&mut g.sync_transitions) = 10.0;
-                },
-                format!("REGRESS  {g}: degraded dwell 0.0 ms -> 1000.0 ms (tol +250 ms)"),
-            ),
-        ];
-        for (set, line) in regressions {
-            assert_eq!(diff_lines(set), (DiffVerdict::Regression, vec![line]));
-        }
-        let at_tolerance: [Set; 6] = [
-            |g| *mean(&mut g.violation_rate) = 0.02,
-            |g| *mean(&mut g.pi_star_p95) = 4000.0 * (1.0 + 0.10) + 500.0,
-            |g| *mean(&mut g.degraded_dwell_ms) = 250.0,
-            |g| *mean(&mut g.sync_transitions) = 2.0,
-            |g| *mean(&mut g.uncovered_failures) = 0.0,
-            |g| *mean(&mut g.reconvergence_ms) = 50.0,
-        ];
-        for set in at_tolerance {
-            assert_eq!(
-                diff_lines(set),
-                (DiffVerdict::Parity, vec![format!("ok       {g}")])
-            );
-        }
-    }
-
     /// `paper-mean` reads the fault-injection runs' mean Π*: n/a below
     /// 20 seeds, PASS while 322 ns lies within their nearest-rank
     /// p5–p95 and FAIL outside it; no claim reads a run that sets an
@@ -982,14 +969,299 @@ mod tests {
         assert!(judge_claims(&swept, &[]).is_empty());
     }
 
+    /// The feedback group of `records(4000, 1.0)` — seeds 1–4, Π* p95
+    /// 4000 ns, every other diffed value 0 — with `set` applied to each
+    /// run.
+    fn feedback(set: impl Fn(&mut RunRecord)) -> Samples {
+        let mut runs = records(4000, 1.0);
+        runs.retain(|r| r.coord.discipline == Some(SyncClockDiscipline::Feedback));
+        runs.iter_mut().for_each(set);
+        runs.iter().collect()
+    }
+
+    /// The verdict of the feedback group against `set` applied to it,
+    /// and its lines that are not `ok`.
+    fn judged(set: impl Fn(&mut RunRecord)) -> (DiffVerdict, Vec<String>) {
+        let d = diff(&feedback(|_| {}), &feedback(set));
+        let flagged = d.lines.into_iter().filter(|l| !l.starts_with("ok"));
+        (d.verdict, flagged.collect())
+    }
+
+    fn p95(r: &mut RunRecord) -> &mut i64 {
+        &mut r.precision.as_mut().expect("samples").p95_ns
+    }
+
+    #[test]
+    fn diff_detects_parity_and_regression() {
+        let base: Samples = records(4000, 1.0).iter().collect();
+        // Slightly different but within the floors.
+        let d = diff(&base, &records(4200, 0.99).iter().collect());
+        assert_eq!((d.verdict, d.verdict.exit_code()), (DiffVerdict::Parity, 0));
+        // p95 blowup in every seed → regression.
+        let d = diff(&base, &records(9000, 1.0).iter().collect());
+        assert_eq!(
+            (d.verdict, d.verdict.exit_code()),
+            (DiffVerdict::Regression, 1)
+        );
+        assert!(d.lines.iter().any(|l| l.starts_with("REGRESS")));
+        // Violation-rate blowup → regression even with identical p95.
+        let d = diff(&base, &records(4000, 0.90).iter().collect());
+        assert_eq!(d.verdict, DiffVerdict::Regression);
+    }
+
+    #[test]
+    fn diff_flags_degradation_regressions() {
+        // Longer degraded dwell in every seed beyond its floor →
+        // regression.
+        let (verdict, lines) = judged(|r| {
+            r.counters.sync_transitions = 3;
+            r.counters.holdover_ns = 400_000_000; // 400 ms
+        });
+        assert_eq!(verdict, DiffVerdict::Regression);
+        assert!(lines.iter().any(|l| l.contains("degraded_dwell_ms")));
+        // One new uncovered failure in four seeds moves the mean past its
+        // zero floor, but the seeds do not resolve it.
+        let (verdict, lines) =
+            judged(|r| r.counters.uncovered_failures = u64::from(r.coord.seed == 1));
+        assert_eq!((verdict, verdict.exit_code()), (DiffVerdict::Unresolved, 3));
+        assert_eq!(
+            lines,
+            ["UNRESOLVED baseline feedback: uncovered_failures Δ 0.250 [-0.546, 1.046] (paired n=4), floor 0.000"]
+        );
+        // Small dwell within the floor stays parity.
+        let (verdict, _) = judged(|r| r.counters.holdover_ns = 100_000_000);
+        assert_eq!(verdict, DiffVerdict::Parity);
+    }
+
+    #[test]
+    fn diff_flags_reconvergence_regressions() {
+        // A re-election 80 ms slower than baseline exceeds the 50 ms
+        // floor.
+        let (verdict, lines) = judged(|r| r.counters.reconvergence_ns = 80_000_000);
+        assert_eq!(verdict, DiffVerdict::Regression);
+        assert!(lines.iter().any(|l| l.contains("reconvergence_ms")));
+        // 40 ms slower stays within it.
+        let (verdict, _) = judged(|r| r.counters.reconvergence_ns = 40_000_000);
+        assert_eq!(verdict, DiffVerdict::Parity);
+    }
+
+    /// One line per group and diffed metric, in table order, each in the
+    /// one format; and every floor: a shift up to it is `ok`, one beyond
+    /// it that every seed shows is `REGRESS`.
+    #[test]
+    fn diff_pins_one_line_format_and_every_floor() {
+        let d = diff(&feedback(|_| {}), &feedback(|r| *p95(r) = 5000));
+        let g = "baseline feedback";
+        let zero = "Δ 0.000 [0.000, 0.000] (paired n=4)";
+        assert_eq!(
+            d.lines,
+            [
+                format!("REGRESS  {g}: pi_star_p95_ns Δ 1000.000 [1000.000, 1000.000] (paired n=4), floor 900.000"),
+                format!("ok       {g}: violation_rate {zero}, floor 0.020"),
+                format!("ok       {g}: sync_transitions {zero}, floor 2.000"),
+                format!("ok       {g}: degraded_dwell_ms {zero}, floor 250.000"),
+                format!("ok       {g}: uncovered_failures {zero}, floor 0.000"),
+                format!("ok       {g}: reconvergence_ms {zero}, floor 50.000"),
+            ]
+        );
+        type Set = fn(&mut RunRecord);
+        let within: [Set; 6] = [
+            |r| *p95(r) = 4900,
+            |r| r.fraction_within_bound = 0.985,
+            |r| r.counters.sync_transitions = 2,
+            |r| r.counters.holdover_ns = 250_000_000,
+            |r| r.counters.uncovered_failures = 0,
+            |r| r.counters.reconvergence_ns = 50_000_000,
+        ];
+        for set in within {
+            assert_eq!(judged(set), (DiffVerdict::Parity, vec![]));
+        }
+        let beyond: [(Set, &str); 6] = [
+            (
+                |r| *p95(r) = 4901,
+                "pi_star_p95_ns Δ 901.000 [901.000, 901.000] (paired n=4), floor 900.000",
+            ),
+            (
+                |r| r.fraction_within_bound = 0.97,
+                "violation_rate Δ 0.030 [0.030, 0.030] (paired n=4), floor 0.020",
+            ),
+            (
+                |r| r.counters.sync_transitions = 3,
+                "sync_transitions Δ 3.000 [3.000, 3.000] (paired n=4), floor 2.000",
+            ),
+            (
+                |r| r.counters.holdover_ns = 250_500_000,
+                "degraded_dwell_ms Δ 250.500 [250.500, 250.500] (paired n=4), floor 250.000",
+            ),
+            (
+                |r| r.counters.uncovered_failures = 1,
+                "uncovered_failures Δ 1.000 [1.000, 1.000] (paired n=4), floor 0.000",
+            ),
+            (
+                |r| r.counters.reconvergence_ns = 50_250_000,
+                "reconvergence_ms Δ 50.250 [50.250, 50.250] (paired n=4), floor 50.000",
+            ),
+        ];
+        for (set, line) in beyond {
+            let regress = format!("REGRESS  {g}: {line}");
+            assert_eq!(judged(set), (DiffVerdict::Regression, vec![regress]));
+        }
+    }
+
+    /// Values that scatter across seeds still diff against themselves
+    /// with zero-width paired intervals.
+    #[test]
+    fn a_campaign_diffed_against_itself_is_ok_with_zero_width_intervals() {
+        let mut runs = records(4000, 1.0);
+        for r in &mut runs {
+            *p95(r) += 37 * r.coord.seed as i64;
+            r.counters.holdover_ns = r.coord.seed * 1_234_567;
+        }
+        let samples: Samples = runs.iter().collect();
+        let d = diff(&samples, &samples);
+        assert_eq!(d.verdict, DiffVerdict::Parity);
+        assert_eq!(d.lines.len(), 2 * floors().count());
+        for line in &d.lines {
+            assert!(line.starts_with("ok       "), "{line}");
+            assert!(
+                line.contains(" Δ 0.000 [0.000, 0.000] (paired n=4)"),
+                "{line}"
+            );
+        }
+    }
+
+    /// One seed leaves the variance unknown: the interval is unbounded,
+    /// so a shift beyond the floor is `UNRESOLVED`, paired or not.
+    #[test]
+    fn a_one_seed_group_is_never_regress() {
+        let one = |seed: u64, p95: i64| -> Samples {
+            records(p95, 1.0)
+                .iter()
+                .filter(|r| r.coord.seed == seed)
+                .collect()
+        };
+        for (candidate, pairing) in [(1, "paired n=1"), (2, "welch 1/1")] {
+            let d = diff(&one(1, 4000), &one(candidate, 90_000));
+            assert_eq!(d.verdict, DiffVerdict::Unresolved);
+            assert_eq!(
+                d.lines[0],
+                format!("UNRESOLVED baseline feedback: pi_star_p95_ns Δ 86000.000 [-inf, inf] ({pairing}), floor 900.000")
+            );
+        }
+    }
+
+    /// t₀.₉₇₅(ν) against the published table, falling towards the
+    /// normal quantile 1.960.
+    #[test]
+    fn t975_matches_the_published_table() {
+        let table = [
+            (1.0, 12.706),
+            (2.0, 4.303),
+            (3.0, 3.182),
+            (4.0, 2.776),
+            (7.0, 2.365),
+            (10.0, 2.228),
+            (29.0, 2.045),
+            (30.0, 2.042),
+            (120.0, 1.980),
+            (1000.0, 1.962),
+        ];
+        for (nu, t) in table {
+            assert!((t975(nu) - t).abs() <= 0.002, "t975({nu}) = {}", t975(nu));
+        }
+        let falling = [1.0, 1.5, 2.5, 30.0, 120.0, 1000.0].map(t975);
+        assert!(falling.windows(2).all(|w| w[0] > w[1]), "{falling:?}");
+        assert!(falling[5] - 1.960 < 0.003, "{falling:?}");
+    }
+
+    /// The Welch interval's degrees of freedom, worked by hand.
+    #[test]
+    fn the_welch_interval_takes_satterthwaites_degrees_of_freedom() {
+        // Baseline mean 2, s² 1 (n 3); candidate mean 5, s² 20/3 (n 4):
+        // s²/n is 1/3 and 5/3, so se² = 2 and
+        // ν = 2² / ((1/3)²/2 + (5/3)²/3) = 216/53 ≈ 4.075.
+        let b = [(1, 1.0), (2, 2.0), (3, 3.0)];
+        let c = [(11, 2.0), (12, 4.0), (13, 6.0), (14, 8.0)];
+        let s = Shift::of(&b, &c);
+        assert_eq!(
+            (s.delta, s.base, s.pairing.as_str()),
+            (3.0, 2.0, "welch 3/4")
+        );
+        let t = t975(216.0 / 53.0);
+        assert!((t - 2.756).abs() <= 0.002, "{t}");
+        let half = t * 2f64.sqrt();
+        assert!((s.hi - 3.0 - half).abs() < 1e-9 && (3.0 - s.lo - half).abs() < 1e-9);
+    }
+
+    /// No scatter, paired or not, gives a zero-width interval, not NaN.
+    #[test]
+    fn values_that_do_not_scatter_give_a_zero_width_interval() {
+        let fives = [(1, 5.0), (2, 5.0), (3, 5.0)];
+        let welch = Shift::of(&fives, &[(7, 5.0), (8, 5.0)]);
+        assert_eq!((welch.lo, welch.delta, welch.hi), (0.0, 0.0, 0.0));
+        assert_eq!(welch.pairing, "welch 3/2");
+        // The same seeds in another order pair up: every difference is 2.
+        let paired = Shift::of(
+            &[(1, 1.0), (2, 2.0), (3, 3.0)],
+            &[(3, 5.0), (1, 3.0), (2, 4.0)],
+        );
+        assert_eq!((paired.lo, paired.delta, paired.hi), (2.0, 2.0, 2.0));
+        assert_eq!(paired.pairing, "paired n=3");
+    }
+
+    /// The rule `diff` applied before its intervals — six fixed
+    /// tolerances on the cross-seed means `b` and `c` — kept here only
+    /// as the reference its verdicts must cover.
+    fn old_mean_rule(key: &str, b: f64, c: f64) -> bool {
+        match key {
+            "violation_rate" => c > b + 0.02,
+            "pi_star_p95_ns" => c > b * (1.0 + 0.10) + 500.0,
+            "degraded_dwell_ms" => c > b + 250.0,
+            "sync_transitions" => c > b + 2.0,
+            "uncovered_failures" => c > b + 0.0,
+            "reconvergence_ms" => c * 1e6 > b * 1e6 + 50_000_000.0,
+            other => panic!("{other} was not diffed"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Over random pairs of per-seed samples, paired and not, with n
+        /// from 1 to 30 a side: the old mean rule says REGRESS exactly
+        /// when the interval rule says REGRESS or UNRESOLVED, and the low
+        /// end is never above Δ.
+        #[test]
+        fn the_interval_rule_flags_exactly_what_the_mean_rule_flagged(
+            seed in any::<u64>(),
+            (nb, nc, paired) in (1u64..31, 1u64..31, any::<bool>()),
+            (level, noise, shift) in (0.0..5000.0f64, 0.0..3.0f64, -1.0..3.0f64),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for floor in floors() {
+                let unit = Some((floor.at)(level)).filter(|&t| t > 0.0).unwrap_or(1.0);
+                let mut draw = |at: f64| at + noise * unit * rng.gen_range(-1.0..1.0);
+                let b: Vec<(u64, f64)> = (0..nb).map(|s| (s, draw(level))).collect();
+                let c: Vec<(u64, f64)> = match paired {
+                    true => b.iter().map(|&(s, v)| (s, draw(v + shift * unit))).collect(),
+                    false => (0..nc).map(|s| (100 + s, draw(level + shift * unit))).collect(),
+                };
+                let mean = |x: &[(u64, f64)]| moments(x.iter().map(|p| p.1)).0;
+                let (mb, mc) = (mean(&b), mean(&c));
+                let s = Shift::of(&b, &c);
+                let flagged = s.verdict((floor.at)(mb)) != DiffVerdict::Parity;
+                prop_assert_eq!(flagged, old_mean_rule(floor.key, mb, mc));
+                prop_assert!(s.lo <= s.delta);
+            }
+        }
+    }
+
     #[test]
     fn diff_flags_missing_groups() {
-        let base = summarize(&records(4000, 1.0));
-        let partial: Vec<RunRecord> = records(4000, 1.0)
-            .into_iter()
-            .filter(|r| r.coord.discipline == Some(SyncClockDiscipline::Feedback))
-            .collect();
-        let d = diff(&base, &summarize(&partial));
+        let base: Samples = records(4000, 1.0).iter().collect();
+        let feedback = |r: &&RunRecord| r.coord.discipline == Some(SyncClockDiscipline::Feedback);
+        let partial: Samples = records(4000, 1.0).iter().filter(feedback).collect();
+        let d = diff(&base, &partial);
         assert_eq!(d.verdict, DiffVerdict::Incomparable);
         assert_eq!(d.verdict.exit_code(), 2);
     }

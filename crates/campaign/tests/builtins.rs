@@ -131,14 +131,49 @@ fn every_builtin_campaign_is_clean_fork_stable_resumable_and_summarizable() {
         }
         Json::parse(&summary::render_json(&groups)).expect("summary JSON parses");
         // Two executions of one spec diff as parity (`campaign diff`
-        // exit 0), whatever axes the builtin sweeps.
-        let parity = summary::diff(&groups, &summary::summarize(&forked.records));
+        // exit 0), whatever axes the builtin sweeps: every interval is
+        // paired and zero-width, or unbounded at one seed.
+        let cold_samples = cold.records.iter().collect();
+        let parity = summary::diff(&cold_samples, &forked.records.iter().collect());
         assert_eq!(parity.verdict, DiffVerdict::Parity, "{name}");
+        for line in &parity.lines {
+            let zero = line.contains(" Δ 0.000 [0.000, 0.000] (paired n=");
+            assert!(
+                line.starts_with("ok ") && (zero || line.contains("(paired n=1)")),
+                "{line}"
+            );
+        }
+        if name == "quick-baseline" {
+            disjoint_seeds_are_never_a_regression(&spec, &cold_samples);
+        }
 
         for dir in [cold_dir, fork_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
+}
+
+/// `quick-baseline` on seeds 9–16 against its seeds 1–8, one build:
+/// unpaired (Welch) intervals, and no shift the seeds resolve beyond a
+/// floor (`campaign diff` would not exit 1).
+fn disjoint_seeds_are_never_a_regression(spec: &CampaignSpec, seeds_1_to_8: &summary::Samples) {
+    let spec = CampaignSpec {
+        grid: tsn_campaign::Grid {
+            seeds: (9..=16).collect(),
+            ..spec.grid.clone()
+        },
+        ..spec.clone()
+    };
+    let dir = scratch("quick-baseline-9-16");
+    let other = runner::execute(&spec, &opts(&dir)).expect("seeds 9-16");
+    let d = summary::diff(seeds_1_to_8, &other.records.iter().collect());
+    assert_ne!(d.verdict.exit_code(), 1, "{:#?}", d.lines);
+    assert!(
+        d.lines.iter().all(|l| l.contains("(welch 8/8)")),
+        "{:#?}",
+        d.lines
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// `repro-all` is the paper's two experiments past both strikes, at one

@@ -667,8 +667,7 @@ fn run_with_tiny_trace_cap_reports_truncation_and_fails_check() {
         .expect("otherData.dropped");
     assert!(dropped > 0, "drop count lost");
 
-    // Under --check a truncated trace is a failure (fresh dir: the
-    // capped runs above would otherwise just resume).
+    // Under --check a truncated trace is a failure.
     let checked = campaign(&[
         "run",
         "--spec",
@@ -824,6 +823,64 @@ fn summarize_and_diff_replay_a_frontier_directory() {
     );
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `run --check` into a directory whose runs are recorded re-executes
+/// them armed rather than resuming them, so the claims read the FTA
+/// accounting again; a record that is not what its run encodes (one
+/// counter edited) fails the command, naming the run, and stays as it
+/// is.
+#[test]
+fn run_check_re_executes_recorded_runs_and_refuses_an_edited_record() {
+    let dir = scratch("check-again");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = r#"{"name":"check-again","base":{"preset":"quick","duration_s":1950,"warmup_s":5},"scenarios":["cyber_diverse_kernels"],"grid":{"seeds":[1,2]}}"#;
+    let path = dir.join("spec.json");
+    std::fs::write(&path, spec).unwrap();
+    let plans = tsn_campaign::expand(&tsn_campaign::CampaignSpec::parse(spec).unwrap()).unwrap();
+    let d = dir.to_str().unwrap();
+    let check = || {
+        let out = campaign(&[
+            "run",
+            "--spec",
+            path.to_str().unwrap(),
+            "--dir",
+            d,
+            "--quiet",
+            "--check",
+        ]);
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
+    };
+    // The first run executes both runs; the second finds them recorded.
+    for _ in 0..2 {
+        let (code, stdout, stderr) = check();
+        assert_eq!(code, Some(0), "{stdout}{stderr}");
+        assert!(
+            stdout.contains("2 run(s) total, 2 executed, 0 resumed"),
+            "{stdout}"
+        );
+        assert!(
+            stdout.contains("PASS diverse-masked: 2/2 runs strike (1, 1); 2/2 runs trim"),
+            "{stdout}"
+        );
+    }
+
+    let hash = &plans[1].hash;
+    let artifact = dir.join("runs").join(format!("run-{hash}.jsonl"));
+    let mut record = tsn_campaign::RunRecord::decode(&std::fs::read_to_string(&artifact).unwrap())
+        .expect("the record decodes");
+    record.counters.vm_failures += 1;
+    let edited = record.encode();
+    std::fs::write(&artifact, &edited).unwrap();
+    let (code, _, stderr) = check();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("record-reproduces violated at run {hash}")),
+        "{stderr}"
+    );
+    assert_eq!(std::fs::read_to_string(&artifact).unwrap(), edited);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A short campaign spec: the quick preset, a 4 s run after a 2 s

@@ -3,7 +3,8 @@
 //! and the target of every `cargo run|bench … --bin|--bench|--example`
 //! command. Paths are written relative to the repository root. Every
 //! builtin has a row in EXPERIMENTS.md's built-in table that says what
-//! it tests, and every paper claim has its row in the claims table.
+//! it tests, every paper claim has its row in the claims table, and
+//! every diff floor its row in the floor table.
 
 use std::path::{Path, PathBuf};
 use tsn_campaign::CampaignSpec;
@@ -150,6 +151,25 @@ fn every_claim_has_its_row_in_the_claims_table() {
                 c.name, c.metric, c.band, c.reason
             )
         })
+        .collect();
+    assert_eq!(rows, declared);
+}
+
+/// EXPERIMENTS.md's floor table is the `metrics!` table's floor column,
+/// row for row: each diffed metric's `--json` key and floor.
+#[test]
+fn every_floor_has_its_row_in_the_floor_table() {
+    let text = read("EXPERIMENTS.md");
+    let rows: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("### Summaries and diffs"))
+        .skip_while(|l| !l.starts_with("| metric | floor |"))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2)
+        .collect();
+    let floors = tsn_campaign::summary::floors();
+    let declared: Vec<String> = floors
+        .map(|f| format!("| `{}` | `{}` |", f.key, f.text))
         .collect();
     assert_eq!(rows, declared);
 }
